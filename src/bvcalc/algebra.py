@@ -78,6 +78,9 @@ class LieRinehartAlgebra:
     anchor: tuple[DerivationOfA, ...]
     structure: Mapping[tuple[int, int], LElement] = field(default_factory=dict)
     name: str = ""
+    # [e_S, e_T] on basis subsets when m = 0, filled on demand by bvcalc.bv
+    gerstenhaber_table: dict = field(default_factory=dict, init=False, repr=False,
+                                     compare=False)
 
     def __post_init__(self):
         if len(self.anchor) != self.n:

@@ -1,11 +1,12 @@
 """The algebra description file format and its loader.
 
-A file is line oriented: ``key = value`` with ``#`` comments.  Indices in
-files are 1-based; everything becomes 0-based on load.
+A file is line oriented: ``key = value`` with ``#`` comments, each key
+(with its indices) at most once.  Indices in files are 1-based;
+everything becomes 0-based on load.
 
     name = nonabelian-dim2
     m = 0                     # variable count of A = Q[x1..xm]
-    n = 2                     # rank of L
+    n = 2                     # rank of L, at least 1
     anchor[i][j] = <poly>     # coefficient of d/dx_j in rho(e_i), default 0
     c[i][j][k] = <poly>       # [e_i, e_j] = sum_k c[i][j][k] e_k, needs i < j
     gamma = [<poly>, ...]     # optional connection on the top power
@@ -77,8 +78,12 @@ class LoadedAlgebra:
 _KEY_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)((?:\[\d+\])*)$")
 
 
+def _indices(bracket_part: str) -> tuple[int, ...]:
+    return tuple(int(s) for s in re.findall(r"\[(\d+)\]", bracket_part))
+
+
 def _parse_indices(bracket_part: str, count: int, line_no: int) -> tuple[int, ...]:
-    indices = tuple(int(s) for s in re.findall(r"\[(\d+)\]", bracket_part))
+    indices = _indices(bracket_part)
     if len(indices) != count:
         raise AlgebraFileError(f"expected {count} indices, found {len(indices)}", line_no)
     return indices
@@ -119,6 +124,7 @@ def loads(text: str, source: str = "<string>") -> LoadedAlgebra:
     gamma_line = r_line = None
     expect_nonflat = False
     suites: tuple[str, ...] | None = None
+    first_line: dict[tuple[str, tuple[int, ...]], int] = {}
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -133,6 +139,11 @@ def loads(text: str, source: str = "<string>") -> LoadedAlgebra:
         if not match:
             raise AlgebraFileError(f"malformed key {key_part!r}", line_no)
         key, brackets = match.group(1), match.group(2)
+        seen = (key, _indices(brackets))
+        if seen in first_line:
+            raise AlgebraFileError(f"duplicate key {key_part!r}, first set on line "
+                                   f"{first_line[seen]}", line_no)
+        first_line[seen] = line_no
 
         if key == "name":
             name = value
@@ -141,6 +152,9 @@ def loads(text: str, source: str = "<string>") -> LoadedAlgebra:
                 raise AlgebraFileError(f"{key} must be a non-negative integer", line_no)
             if key == "m":
                 m = int(value)
+            elif int(value) == 0:
+                raise AlgebraFileError("n must be at least 1: rank 0 has nothing to check",
+                                       line_no)
             else:
                 n = int(value)
         elif key == "anchor":

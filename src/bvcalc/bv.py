@@ -16,11 +16,20 @@ where 1 o (b e_i) = b r_i - e_i(b).  The operator so built generates the
 bracket in the sense checked by `is_generator`, and that identity pins
 the sign conventions: the two code paths (recursive bracket, explicit
 operator) are kept independent so they can be tested against each other.
+
+In the ground-field case m = 0 the anchor vanishes and both operations
+are Q-linear in each coefficient, so they are evaluated through basis
+tables filled on first use: [a e_S, b e_T] = a b [e_S, e_T], with
+[e_S, e_T] stored on the algebra, and D(a e_S) = a D(e_S), with D(e_S)
+stored on the `GeneratorD`.  The independence holds for the tables too:
+the bracket table is filled only by the recursive `_term_bracket` and the
+D table only by the explicit `apply_generator`; neither is derived from
+the other.  For m > 0 every call evaluates the formulas directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Sequence
 
@@ -113,14 +122,29 @@ class GeneratorD:
     """Degree -1 operator generating the Gerstenhaber bracket.
 
     Every generator arises from a right connection on A, so the data is
-    just the connection; calling the object applies the operator.
+    just the connection; calling the object applies the operator.  When
+    m = 0 the images D(e_S) are kept in `table` as they are first needed.
     """
 
     alg: LieRinehartAlgebra
     connection: RightConnectionOnA
+    table: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __call__(self, u: Multivector) -> Multivector:
-        return apply_generator(self.alg, self.connection, u)
+        alg = self.alg
+        if alg.m:
+            return apply_generator(alg, self.connection, u)
+        if u.n != alg.n:
+            raise ValueError("rank mismatch")
+        out = Multivector.zero(alg.n)
+        for key, coeff in u.components.items():
+            image = self.table.get(key)
+            if image is None:
+                image = apply_generator(alg, self.connection,
+                                        Multivector.basis(alg.n, key, m=0))
+                self.table[key] = image
+            out = out + image.scale(coeff)
+        return out
 
 
 # -- the bracket ------------------------------------------------------
@@ -187,6 +211,17 @@ def _term_bracket(alg: LieRinehartAlgebra, a: PolyElement, s_key: tuple[int, ...
     return part1 + part2
 
 
+def _basis_bracket(alg: LieRinehartAlgebra, s_key: tuple[int, ...],
+                   t_key: tuple[int, ...]) -> Multivector:
+    """[e_S, e_T] for m = 0, computed by `_term_bracket` once per algebra."""
+    entry = alg.gerstenhaber_table.get((s_key, t_key))
+    if entry is None:
+        one = PolyElement.one(0)
+        entry = _term_bracket(alg, one, s_key, one, t_key)
+        alg.gerstenhaber_table[(s_key, t_key)] = entry
+    return entry
+
+
 def gerstenhaber_bracket(alg: LieRinehartAlgebra, u: Multivector,
                          v: Multivector) -> Multivector:
     """The degree -1 bracket on multivectors."""
@@ -195,7 +230,10 @@ def gerstenhaber_bracket(alg: LieRinehartAlgebra, u: Multivector,
     out = Multivector.zero(alg.n)
     for s_key, a in u.components.items():
         for t_key, b in v.components.items():
-            out = out + _term_bracket(alg, a, s_key, b, t_key)
+            if alg.m:
+                out = out + _term_bracket(alg, a, s_key, b, t_key)
+            else:
+                out = out + _basis_bracket(alg, s_key, t_key).scale(a * b)
     return out
 
 

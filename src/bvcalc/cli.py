@@ -19,10 +19,17 @@ from .suites import SUITE_NAMES, render_machine, render_text, run_suite
 EXIT_PASS, EXIT_FAIL, EXIT_INPUT = 0, 1, 2
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-    parser.add_argument("--trials", type=int, default=32,
-                        help="trials per randomized identity")
+    parser.add_argument("--trials", type=_positive_int, default=32,
+                        help="trials per randomized identity (at least 1)")
     parser.add_argument("--degree-bound", type=int, default=3,
                         help="degree bound for random polynomial coefficients")
     parser.add_argument("--format", choices=("text", "machine"), default="text")

@@ -106,12 +106,15 @@ def check_bracket_pairing_identity(alg: LieRinehartAlgebra, gen: GeneratorD,
     """Verify d(phi_u)(v) = (-1)^p (u ^ D(v) + [u, v]) on the top power.
 
     Here u is homogeneous of degree p and v has the complementary degree
-    n - p + 1, so both sides are multiples of the volume element.
+    n - p + 1, so both sides are multiples of the volume element.  When
+    m = 0, d(phi_{a e_S}) = a d(phi_{e_S}), so the form is computed once
+    per subset S.
     """
     cfg = config or SampleConfig()
     rng = check_rng(seed, "bracket_pairing")
     n, m = alg.n, alg.m
     top = full_tuple(n)
+    basis_forms = {}  # S -> d(phi_{e_S}) when m = 0
     for _ in range(max(trials, 1)):
         # p = 0: the form lands one degree above the top, so both sides vanish
         a = random_poly(rng, m, cfg)
@@ -126,7 +129,14 @@ def check_bracket_pairing_identity(alg: LieRinehartAlgebra, gen: GeneratorD,
                     b = random_poly(rng, m, cfg)
                     u = Multivector(n, [(s_key, a)])
                     v = Multivector(n, [(t_key, b)])
-                    form = covariant_derivative(alg, conn, phi_iso(u, m, degree=p))
+                    if m:
+                        form = covariant_derivative(alg, conn, phi_iso(u, m, degree=p))
+                    else:
+                        if s_key not in basis_forms:
+                            e_s = Multivector.basis(n, s_key, m=0)
+                            basis_forms[s_key] = covariant_derivative(
+                                alg, conn, phi_iso(e_s, m, degree=p))
+                        form = basis_forms[s_key].scale(a)
                     lhs = form.evaluate_on_multivector(v).coefficient
                     wedge_part = u.wedge(gen(v)).component(top, m)
                     bracket_part = gerstenhaber_bracket(alg, u, v).component(top, m)

@@ -149,3 +149,34 @@ def test_resolve_prefers_files(tmp_path):
 def test_default_connection_is_flat_zero():
     loaded = loads("m = 0\nn = 2\nc[1][2][1] = 1\n")
     assert all(not g for g in loaded.top_connection().gamma)
+
+
+# a valid file: rho(e1) = d/dx1, rho(e2) = x1 d/dx1, [e1, e2] = e1
+BASE = ("m = 1\nn = 2\nanchor[1][1] = 1\nc[1][2][1] = 1\nGamma[1][2][2] = 1\n"
+        "anchor[2][1] = x1\n")
+
+
+@pytest.mark.parametrize("repeat, first_line", [
+    ("m = 1", 1),
+    ("n = 3", 2),  # used to load silently as rank 3
+    ("anchor[1][1] = x1", 3),
+    ("c[1][2][1] = 2", 4),
+    ("Gamma[1][2][2] = 0", 5),
+])
+def test_duplicate_key_rejected_naming_both_lines(repeat, first_line):
+    assert loads(BASE).algebra.n == 2
+    with pytest.raises(AlgebraFileError, match=f"first set on line {first_line}") as info:
+        loads(BASE + repeat + "\n")
+    assert "duplicate key" in str(info.value)
+    assert info.value.line == 7
+
+
+def test_duplicate_key_compares_indices_as_numbers():
+    with pytest.raises(AlgebraFileError, match="first set on line 3"):
+        loads("m = 0\nn = 2\nc[1][2][1] = 1\nc[01][2][1] = 1\n")
+
+
+def test_rank_zero_rejected_on_its_line():
+    with pytest.raises(AlgebraFileError, match="at least 1") as info:
+        loads("name = empty\nm = 0\nn = 0\n")
+    assert info.value.line == 3

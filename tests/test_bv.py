@@ -5,6 +5,7 @@ from bvcalc.algebra import LieRinehartAlgebra
 from bvcalc.bv import (
     GeneratorD,
     RightConnectionOnA,
+    _term_bracket,
     apply_generator,
     generator_on_factors,
     generator_square,
@@ -14,7 +15,7 @@ from bvcalc.bv import (
 )
 from bvcalc.exterior import Multivector
 from bvcalc.poly import PolyElement
-from bvcalc.sampling import check_rng, random_poly
+from bvcalc.sampling import check_rng, random_multivector, random_poly, random_poly_vector
 
 from conftest import multivectors, polys
 
@@ -210,3 +211,77 @@ def test_rank_mismatch_errors():
         one_circ(COORD, RightConnectionOnA((X,)), COORD.basis_l(0))
     with pytest.raises(ValueError):
         apply_generator(COORD, R_ZERO_COORD, Multivector.basis(3, (0,), m=2))
+
+
+# -- the m = 0 basis tables ------------------------------------------------
+
+# heisenberg-dim3 extended by e4 and a non-unimodular e5 acting by
+# ad(e5) = -diag(1, 1, 2, 1): [e1, e2] = e3, [e_i, e5] = lambda_i e_i
+RANK5 = LieRinehartAlgebra.from_structure_constants(5, {
+    (0, 1): (0, 0, 1, 0, 0),
+    (0, 4): (1, 0, 0, 0, 0),
+    (1, 4): (0, 1, 0, 0, 0),
+    (2, 4): (0, 0, 2, 0, 0),
+    (3, 4): (0, 0, 0, 1, 0),
+}, name="rank5")
+
+
+def direct_bracket(alg, u, v):
+    out = Multivector.zero(alg.n)
+    for s_key, a in u.components.items():
+        for t_key, b in v.components.items():
+            out = out + _term_bracket(alg, a, s_key, b, t_key)
+    return out
+
+
+@pytest.mark.parametrize("name", ["sl2", "heisenberg-dim3", "nonabelian-dim2", "rank5"])
+def test_tables_agree_with_direct_formulas(catalog, name):
+    alg = RANK5 if name == "rank5" else catalog[name].algebra
+    assert alg.is_valid()
+    rng = check_rng(7, f"tables-{name}")
+    base = RightConnectionOnA(tuple(PolyElement.zero(0) for _ in range(alg.n))) \
+        if name == "rank5" else catalog[name].right_connection()
+    random_r = RightConnectionOnA(random_poly_vector(rng, 0, alg.n))
+    nonflat_seen = False
+    for conn in (base, random_r):
+        gen = GeneratorD(alg, conn)
+        nonflat_seen |= not generator_square(alg, gen, trials=1).is_exact
+        for _ in range(6):
+            u = random_multivector(rng, alg)
+            v = random_multivector(rng, alg)
+            assert gen(u) == apply_generator(alg, conn, u)
+            assert gerstenhaber_bracket(alg, u, v) == direct_bracket(alg, u, v)
+        assert gen.table and alg.gerstenhaber_table
+    assert nonflat_seen
+
+
+def test_polynomial_case_fills_no_table():
+    alg = LieRinehartAlgebra.coordinate(2)
+    gen = GeneratorD(alg, RightConnectionOnA((X, Y)))
+    u = Multivector(2, [((0,), X), ((0, 1), Y)])
+    assert gen(u) == apply_generator(alg, gen.connection, u)
+    assert gerstenhaber_bracket(alg, u, u) == direct_bracket(alg, u, u)
+    assert not gen.table and not alg.gerstenhaber_table
+
+
+def test_is_generator_fails_on_sign_flipped_generator_entry(sl2):
+    conn = RightConnectionOnA(tuple(PolyElement.zero(0) for _ in range(3)))
+    gen = GeneratorD(sl2, conn)
+    assert is_generator(sl2, gen, trials=1, seed=0) == (True, None)
+    gen.table[(0, 1)] = -gen.table[(0, 1)]  # D(e1 ^ e2) = -h, not 0
+    ok, witness = is_generator(sl2, gen, trials=1, seed=0)
+    assert not ok
+    assert witness
+
+
+def test_is_generator_fails_on_sign_flipped_bracket_entry():
+    # a private copy of sl2, so the shared catalog algebra keeps a true table
+    alg = LieRinehartAlgebra.from_structure_constants(
+        3, {(0, 1): (0, 0, 1), (0, 2): (-2, 0, 0), (1, 2): (0, 2, 0)})
+    gen = GeneratorD(alg, RightConnectionOnA(tuple(PolyElement.zero(0) for _ in range(3))))
+    assert is_generator(alg, gen, trials=1, seed=0) == (True, None)
+    key = ((0,), (1,))
+    alg.gerstenhaber_table[key] = -alg.gerstenhaber_table[key]
+    ok, witness = is_generator(alg, gen, trials=1, seed=0)
+    assert not ok
+    assert "e{1} v=" in witness

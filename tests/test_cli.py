@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from bvcalc.catalog import CATALOG_NAMES
@@ -151,3 +153,35 @@ def test_every_suite_name_is_runnable(capsys):
         code, out, _ = run(capsys, "check", "abelian-dim2", "--suite", suite,
                            "--trials", "2", "--format", "machine")
         assert code == 0, (suite, out)
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_check_rejects_trials_below_one(capsys, trials):
+    # zero trials would let bijections and linear-connection pass vacuously
+    code, out, err = run(capsys, "check", "sl2", "--trials", trials)
+    assert code == 2
+    assert out == ""
+    assert "--trials" in err and "at least 1" in err
+
+
+def test_check_rejects_rank_zero_file(capsys, tmp_path):
+    path = tmp_path / "rank-zero.alg"
+    path.write_text("name = rank-zero\nm = 0\nn = 0\n", encoding="utf-8")
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2
+    assert out == ""
+    assert "n must be at least 1" in err and "line 3" in err
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name", ["sl2", "heisenberg-dim3", "nonabelian-dim2-nonflat"])
+def test_machine_report_matches_golden(capsys, name):
+    # pinned byte for byte from the direct (table-free) evaluation; the
+    # file= line is dropped because it holds the checkout path
+    code, out, _ = run(capsys, "check", name, "--format", "machine")
+    assert code == 0
+    first, rest = out.split("\n", 1)
+    assert first.startswith("file=")
+    assert rest == (GOLDEN / f"{name}.machine").read_text(encoding="utf-8")

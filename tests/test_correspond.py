@@ -119,6 +119,20 @@ def test_bracket_pairing_identity_on_catalog(catalog):
         assert ok, f"{name}: {witness}"
 
 
+def test_bracket_pairing_identity_detects_mismatch_on_ground_field(catalog):
+    # m = 0 evaluates d(phi_u) from per-subset forms; a wrong gamma must
+    # still be caught, with a witness
+    for name in ("nonabelian-dim2", "sl2", "heisenberg-dim3"):
+        loaded = catalog[name]
+        alg = loaded.algebra
+        gamma = loaded.top_connection()
+        gen = generator_from_top(alg, gamma)
+        perturbed = TopConnection((gamma.gamma[0] + 1,) + gamma.gamma[1:])
+        ok, witness = check_bracket_pairing_identity(alg, gen, perturbed, trials=2, seed=2)
+        assert not ok, name
+        assert witness.startswith("p=")
+
+
 def test_generator_from_linear_connection_examples():
     # Gamma = 0 on the coordinate algebra gives r = 0, so D(x d/dx) = -1
     gen = generator_from_linear_connection(COORD, LeftConnectionOnL.zero(COORD))
