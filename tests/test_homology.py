@@ -2,7 +2,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bvcalc.algebra import LieRinehartAlgebra
@@ -173,6 +173,123 @@ def test_homology_dims_rejects_broken_complex():
     ))
     with pytest.raises(ValueError, match="chain complex"):
         homology_dims(broken)
+
+
+def test_chain_complex_rejects_boundary_of_wrong_shape():
+    with pytest.raises(ValueError, match=r"d_1 \(degree 1 to 0\) has shape 1x2, expected 1x3"):
+        ChainComplex(dims=(1, 3, 1), boundaries=(
+            ((Fraction(1), Fraction(0)),),
+            ((Fraction(0),), (Fraction(1),)),
+        ))
+    with pytest.raises(ValueError, match=r"d_1 \(degree 1 to 0\) has shape 1x1, expected 2x1"):
+        ChainComplex(dims=(2, 1), boundaries=(((Fraction(1),),),))
+    with pytest.raises(ValueError, match=r"d_2 \(degree 2 to 1\) has shape 2x1/2, expected 2x1"):
+        ChainComplex(dims=(1, 2, 1), boundaries=(
+            ((Fraction(1), Fraction(0)),),
+            ((Fraction(1),), (Fraction(0), Fraction(1))),
+        ))
+
+
+def test_chain_complex_rejects_wrong_number_of_boundaries():
+    with pytest.raises(ValueError, match="3 degrees need 2 boundaries, got 1"):
+        ChainComplex(dims=(1, 2, 1), boundaries=(((Fraction(1), Fraction(0)),),))
+
+
+# -- d o d against a dense product -----------------------------------------
+
+def dense_d_squared_is_zero(dims, boundaries):
+    """Every entry of every d_p o d_{p+1}, written out as a full Fraction sum."""
+    for p in range(1, len(dims) - 1):
+        d_p, d_next = boundaries[p - 1], boundaries[p]
+        for i in range(dims[p - 1]):
+            for j in range(dims[p + 1]):
+                if sum((d_p[i][k] * d_next[k][j] for k in range(dims[p])), Fraction(0)):
+                    return False
+    return True
+
+
+SPARSE_ENTRIES = st.sampled_from([Fraction(0)] * 6
+                                 + [Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2)])
+
+
+@st.composite
+def sparse_complexes(draw):
+    dims = tuple(draw(st.lists(st.integers(min_value=0, max_value=4), min_size=4, max_size=4)))
+    boundaries = tuple(
+        tuple(tuple(draw(SPARSE_ENTRIES) for _ in range(dims[p])) for _ in range(dims[p - 1]))
+        for p in range(1, len(dims)))
+    return dims, boundaries
+
+
+@settings(max_examples=300)
+@given(sparse_complexes())
+def test_d_squared_is_zero_matches_dense_product(drawn):
+    dims, boundaries = drawn
+    complex_ = ChainComplex(dims=dims, boundaries=boundaries)
+    assert complex_.d_squared_is_zero() == dense_d_squared_is_zero(dims, boundaries)
+
+
+def _fractions(rows):
+    return tuple(tuple(Fraction(v) for v in row) for row in rows)
+
+
+@pytest.mark.parametrize("dims, boundaries, verdict", [
+    # nonzero products cancel; d_1 has a zero column and d_2 a zero column
+    ((1, 3, 2), (_fractions([[1, 1, 0]]), _fractions([[1, 0], [-1, 0], [5, 0]])), True),
+    # d_1 has a zero row; the other row composes to 1 + 1/2
+    ((2, 2, 1), (_fractions([[0, 0], [1, Fraction(1, 2)]]), _fractions([[1], [1]])), False),
+    # d_1 o d_2 = 0 but d_2 o d_3 has 1/2 - 1 in both entries
+    ((1, 2, 3, 1),
+     (_fractions([[1, -1]]),
+      _fractions([[1, 1, 0], [1, 1, 0]]),
+      _fractions([[Fraction(1, 2)], [-1], [7]])),
+     False),
+    # a zero space in the middle: every product is empty
+    ((2, 0, 2), (((), ()), ()), True),
+], ids=["cancelling", "zero-row", "second-degree", "zero-space"])
+def test_d_squared_is_zero_fixed_complexes(dims, boundaries, verdict):
+    complex_ = ChainComplex(dims=dims, boundaries=boundaries)
+    assert dense_d_squared_is_zero(dims, boundaries) is verdict
+    assert complex_.d_squared_is_zero() is verdict
+
+
+# -- generated families against the oracle -----------------------------------
+# Integer structure constants (i, j, k) -> c with [e_i, e_j] = c e_k, 1-based,
+# for the rank-5 members of the generated benchmark families.
+
+FAMILY_CONSTANTS = {
+    "book-5": {(i, 5, i): 1 for i in range(1, 5)},
+    "filiform-5": {(1, i, i + 1): 1 for i in range(2, 5)},
+    "heisenberg-5": {(1, 3, 5): 1, (2, 4, 5): 1},
+}
+
+
+def _brackets(n, constants):
+    brackets = {}
+    for (i, j, k), c in constants.items():
+        coeffs = list(brackets.get((i - 1, j - 1), (0,) * n))
+        coeffs[k - 1] += c
+        brackets[(i - 1, j - 1)] = tuple(coeffs)
+    return brackets
+
+
+@pytest.mark.parametrize("name, r", [
+    ("book-5", (0, 0, 0, 0, 0)),
+    ("book-5", (0, 0, 0, 0, -4)),
+    ("filiform-5", (0, 0, 0, 0, 0)),
+    ("filiform-5", (1, Fraction(-1, 2), 0, 0, 0)),
+    ("heisenberg-5", (0, 0, 0, 0, 0)),
+    ("heisenberg-5", (1, 0, 0, 2, 0)),
+])
+def test_generated_family_complex_matches_oracle(name, r):
+    n = 5
+    brackets = _brackets(n, FAMILY_CONSTANTS[name])
+    alg = LieRinehartAlgebra.from_structure_constants(n, brackets, name=name)
+    complex_ = rinehart_complex(alg, GeneratorD(alg, right_connection(alg, r)))
+    expected = oracle_boundaries(n, brackets, r)
+    for p in range(1, n + 1):
+        assert complex_.boundary(p) == expected[p - 1], p
+    assert homology_dims(complex_) == oracle_betti(n, brackets, r)
 
 
 def test_euler_characteristic_consistency(catalog):
