@@ -81,6 +81,8 @@ class LieRinehartAlgebra:
     # [e_S, e_T] on basis subsets when m = 0, filled on demand by bvcalc.bv
     gerstenhaber_table: dict = field(default_factory=dict, init=False, repr=False,
                                      compare=False)
+    # lie_trace(e_i) for i < n, filled on first use by bvcalc.correspond
+    lie_traces: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.anchor) != self.n:
@@ -160,13 +162,13 @@ class LieRinehartAlgebra:
         """The derivation sum_i alpha_i * anchor(e_i)."""
         if alpha.n != self.n:
             raise ValueError("rank mismatch")
-        out = DerivationOfA.zero(self.m)
-        if self._anchor_is_zero:
-            return out
-        for a, rho in zip(alpha.coeffs, self.anchor):
-            if a and not rho.is_zero():
-                out = out + rho.scale(a)
-        return out
+        out = None
+        if not self._anchor_is_zero:
+            for a, rho in zip(alpha.coeffs, self.anchor):
+                if a and not rho.is_zero():
+                    term = rho.scale(a)
+                    out = term if out is None else out + term
+        return DerivationOfA.zero(self.m) if out is None else out
 
     def anchor_apply(self, alpha: LElement, a: PolyElement) -> PolyElement:
         """alpha acting on a through the anchor."""
@@ -199,7 +201,10 @@ class LieRinehartAlgebra:
             rho_alpha = self.anchor_of(alpha)
             rho_beta = self.anchor_of(beta)
             for k in range(self.n):
-                out[k] = out[k] + rho_alpha(beta.coeffs[k]) - rho_beta(alpha.coeffs[k])
+                if beta.coeffs[k]:
+                    out[k] = out[k] + rho_alpha(beta.coeffs[k])
+                if alpha.coeffs[k]:
+                    out[k] = out[k] - rho_beta(alpha.coeffs[k])
         return LElement(tuple(out))
 
     # -- axiom checking ----------------------------------------------

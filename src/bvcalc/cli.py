@@ -1,8 +1,9 @@
 """Command line interface: check algebra files, compute homology, list the catalog.
 
 Exit codes: 0 all checks pass (expected failures count as pass), 1 a
-verification check failed, 2 input error (unreadable file, parse or
-axiom failure, inapplicable request).
+verification check failed (for `homology`: the boundary matrices do not
+compose to zero), 2 input error (unreadable file, parse or axiom
+failure, inapplicable request).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 from .algfile import AlgebraFileError, load
 from .bv import GeneratorD
 from .catalog import CATALOG_NAMES, catalog_path, resolve
-from .homology import homology_dims, rinehart_complex
+from .homology import BoundarySquareError, homology_dims, rinehart_complex
 from .suites import SUITE_NAMES, render_machine, render_text, run_suite
 
 EXIT_PASS, EXIT_FAIL, EXIT_INPUT = 0, 1, 2
@@ -87,6 +88,9 @@ def _cmd_homology(args) -> int:
     gen = GeneratorD(alg, loaded.right_connection())
     try:
         complex_ = rinehart_complex(alg, gen, seed=args.seed)
+    except BoundarySquareError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

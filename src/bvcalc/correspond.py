@@ -51,7 +51,10 @@ def right_from_generator(alg: LieRinehartAlgebra, gen: GeneratorD) -> RightConne
 
 
 def _lie_traces(alg: LieRinehartAlgebra) -> tuple[PolyElement, ...]:
-    return tuple(lie_trace(alg, alg.basis_l(i)) for i in range(alg.n))
+    """lie_trace(e_i) for every i, computed once per algebra and kept on it."""
+    if not alg.lie_traces:
+        alg.lie_traces.extend(lie_trace(alg, alg.basis_l(i)) for i in range(alg.n))
+    return tuple(alg.lie_traces)
 
 
 def top_from_right(alg: LieRinehartAlgebra, conn: RightConnectionOnA) -> TopConnection:

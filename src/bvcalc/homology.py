@@ -63,6 +63,10 @@ class NonExactGeneratorError(ValueError):
     """The generator does not square to zero, so it has no chain complex."""
 
 
+class BoundarySquareError(ValueError):
+    """The boundary matrices of an exact generator do not compose to zero."""
+
+
 @dataclass(frozen=True)
 class ChainComplex:
     """Finite chain complex over Q; boundary(p) maps degree p to p - 1."""
@@ -137,7 +141,7 @@ def rinehart_complex(alg: LieRinehartAlgebra, gen: GeneratorD,
         boundaries.append(tuple(tuple(row) for row in matrix))
     complex_ = ChainComplex(dims=dims, boundaries=tuple(boundaries))
     if not complex_.d_squared_is_zero():
-        raise ValueError("boundary matrices do not compose to zero")
+        raise BoundarySquareError("boundary matrices do not compose to zero")
     return complex_
 
 

@@ -2,12 +2,19 @@
 
 The base algebra everywhere in this package is A = Q[x1..xm] with
 arbitrary-precision rational coefficients.  A polynomial is stored as a
-map from exponent tuples (length m) to nonzero Fractions; zero
-coefficients are never kept, so ``==`` is structural equality and agrees
-with mathematical equality.  m = 0 is allowed and gives A = Q, the
-ground-field case.
+map from exponent tuples (length m) to nonzero coefficients, each an
+``int`` or a ``Fraction``; zero coefficients are never kept, so ``==`` is
+structural equality and agrees with mathematical equality.  m = 0 is
+allowed and gives A = Q, the ground-field case.
 
-No floating point appears anywhere: coefficients are ints or Fractions.
+Integer values enter as ``int`` (a ``Fraction`` with denominator 1 is
+stored as its numerator), so the integer-coefficient data that most
+checks draw never pays for ``Fraction`` arithmetic.  A sum or product
+that involves a ``Fraction`` stays a ``Fraction`` even when its value is
+an integer; that is harmless, since ``int`` and ``Fraction`` of equal
+value compare equal, hash equal and print the same.
+
+No floating point appears anywhere.
 """
 
 from __future__ import annotations
@@ -17,11 +24,11 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 
-def _coerce_coeff(value) -> Fraction:
+def _coerce_coeff(value) -> int | Fraction:
+    if isinstance(value, int):  # bool included: True is stored as 1
+        return int(value)
     if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
+        return value.numerator if value.denominator == 1 else value
     raise TypeError(f"exact coefficient expected (int or Fraction), got {type(value).__name__}")
 
 
@@ -40,14 +47,14 @@ class PolyElement:
         if m < 0:
             raise ValueError("variable count must be non-negative")
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[tuple[int, ...], Fraction] = {}
+        acc: dict[tuple[int, ...], int | Fraction] = {}
         for exps, coeff in items:
             exps = tuple(exps)
             if len(exps) != m:
                 raise ValueError(f"exponent vector {exps} has length {len(exps)}, expected {m}")
             if any(e < 0 or not isinstance(e, int) for e in exps):
                 raise ValueError(f"exponents must be non-negative integers: {exps}")
-            c = acc.get(exps, Fraction(0)) + _coerce_coeff(coeff)
+            c = acc.get(exps, 0) + _coerce_coeff(coeff)
             if c:
                 acc[exps] = c
             elif exps in acc:
@@ -58,7 +65,7 @@ class PolyElement:
     @classmethod
     def _make(cls, m: int, canonical: dict) -> "PolyElement":
         # fast path for arithmetic: `canonical` already has tuple keys and
-        # nonzero Fraction values
+        # nonzero int or Fraction values
         self = object.__new__(cls)
         self.m = m
         self.terms = canonical
@@ -70,7 +77,7 @@ class PolyElement:
 
     @classmethod
     def const(cls, m: int, value) -> "PolyElement":
-        c = _coerce_coeff(value) if not isinstance(value, Fraction) else value
+        c = _coerce_coeff(value)
         return cls._make(m, {(0,) * m: c} if c else {})
 
     @classmethod
@@ -82,7 +89,7 @@ class PolyElement:
         if not 0 <= i < m:
             raise ValueError(f"variable index {i} out of range for m={m}")
         exps = tuple(1 if j == i else 0 for j in range(m))
-        return cls._make(m, {exps: Fraction(1)})
+        return cls._make(m, {exps: 1})
 
     @classmethod
     def monomial(cls, m: int, exps: Iterable[int], coeff=1) -> "PolyElement":
@@ -133,7 +140,7 @@ class PolyElement:
         if other is None:
             return NotImplemented
         self._check_same_ring(other)
-        acc: dict[tuple[int, ...], Fraction] = {}
+        acc: dict[tuple[int, ...], int | Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 exps = tuple(a + b for a, b in zip(e1, e2))
@@ -176,13 +183,13 @@ class PolyElement:
         """Formal partial derivative with respect to x_{i+1} (0-based i)."""
         if not 0 <= i < self.m:
             raise ValueError(f"variable index {i} out of range for m={self.m}")
-        acc: dict[tuple[int, ...], Fraction] = {}
+        acc: dict[tuple[int, ...], int | Fraction] = {}
         for exps, c in self.terms.items():
             e = exps[i]
             if e == 0:
                 continue
             new = exps[:i] + (e - 1,) + exps[i + 1:]
-            acc[new] = acc.get(new, Fraction(0)) + c * e
+            acc[new] = acc.get(new, 0) + c * e
         return PolyElement._make(self.m, {e: c for e, c in acc.items() if c})
 
     def total_degree(self) -> int | None:
@@ -195,14 +202,19 @@ class PolyElement:
         return all(sum(e) == 0 for e in self.terms)
 
     def constant_value(self) -> Fraction:
-        """The value of a constant polynomial as a Fraction."""
+        """The value of a constant polynomial, always as a Fraction.
+
+        The stored coefficient may be an ``int``; callers such as
+        `homology.exact_rank` and `divergence_rank_one` get a ``Fraction``
+        whatever the storage.
+        """
         if not self.terms:
             return Fraction(0)
         if not self.is_constant():
             raise ValueError(f"not a constant polynomial: {self}")
-        return next(iter(self.terms.values()))
+        return Fraction(next(iter(self.terms.values())))
 
-    def items(self) -> Iterator[tuple[tuple[int, ...], Fraction]]:
+    def items(self) -> Iterator[tuple[tuple[int, ...], int | Fraction]]:
         return iter(self.terms.items())
 
     def __str__(self) -> str:
@@ -353,6 +365,8 @@ class DerivationOfA:
         if p.m != self.m:
             raise ValueError(f"mismatched variable counts: {self.m} vs {p.m}")
         out = PolyElement.zero(self.m)
+        if not p:
+            return out
         for j, comp in enumerate(self.components):
             if comp:
                 out = out + comp * p.diff(j)

@@ -4,6 +4,7 @@ import pytest
 
 from bvcalc.catalog import CATALOG_NAMES
 from bvcalc.cli import main
+from bvcalc.homology import ChainComplex
 from bvcalc.suites import SUITE_NAMES, run_suite
 from bvcalc.catalog import load_catalog
 
@@ -176,12 +177,35 @@ def test_check_rejects_rank_zero_file(capsys, tmp_path):
 GOLDEN = Path(__file__).parent / "golden"
 
 
-@pytest.mark.parametrize("name", ["sl2", "heisenberg-dim3", "nonabelian-dim2-nonflat"])
+@pytest.mark.parametrize("name", ["sl2", "heisenberg-dim3", "nonabelian-dim2-nonflat",
+                                  "coordinate-2d", "coordinate-3d", "poisson-linear-2d",
+                                  "poisson-symplectic-2d", "coordinate-2d-halfcurved"])
 def test_machine_report_matches_golden(capsys, name):
-    # pinned byte for byte from the direct (table-free) evaluation; the
-    # file= line is dropped because it holds the checkout path
-    code, out, _ = run(capsys, "check", name, "--format", "machine")
+    # pinned byte for byte from the direct (table-free) evaluation, the
+    # m > 0 ones while every coefficient was still stored as a Fraction; the
+    # file= line is dropped because it holds the checkout path.  A name
+    # with a .alg file beside its golden report is checked from that file.
+    fixture = GOLDEN / f"{name}.alg"
+    target = str(fixture) if fixture.exists() else name
+    code, out, _ = run(capsys, "check", target, "--format", "machine")
     assert code == 0
     first, rest = out.split("\n", 1)
     assert first.startswith("file=")
     assert rest == (GOLDEN / f"{name}.machine").read_text(encoding="utf-8")
+
+
+def test_failing_d_squared_is_a_failed_check(capsys, monkeypatch):
+    # d o d != 0 on boundaries of an exact generator is a failed check
+    # (exit 1 with a rerun line), not an input error
+    monkeypatch.setattr(ChainComplex, "d_squared_is_zero", lambda self: False)
+    code, out, err = run(capsys, "check", "sl2", "--suite", "homology", "--format", "machine")
+    assert code == 1, err
+    line = next(line for line in out.splitlines() if line.startswith("check=homology."))
+    assert line.startswith("check=homology.d-squared status=fail "
+                           'detail="boundary matrices do not compose to zero" ')
+    assert 'rerun="bvcalc check ' in line and "--suite homology" in line
+    assert "homology.betti" not in out and "homology.euler" not in out
+    assert out.endswith("overall=fail\n")
+    code, out, err = run(capsys, "homology", "sl2")
+    assert code == 1
+    assert out == "" and "do not compose to zero" in err

@@ -2,12 +2,14 @@ from fractions import Fraction
 
 from bvcalc.algebra import LieRinehartAlgebra
 from bvcalc.bv import GeneratorD, RightConnectionOnA, generator_square
+from bvcalc.catalog import CATALOG_NAMES, load_catalog
 from bvcalc.connections import (
     LeftConnectionOnL,
     TopConnection,
     induced_top_connection,
     is_flat,
     is_torsion_free,
+    lie_trace,
 )
 from bvcalc.correspond import (
     check_bracket_pairing_identity,
@@ -52,6 +54,20 @@ def test_top_from_right_examples():
     assert top_from_right(NONAB, flat).gamma == (PolyElement.zero(0), PolyElement.zero(0))
     # and back
     assert right_from_top(NONAB, top_from_right(NONAB, flat)).r == flat.r
+
+
+def test_lie_traces_are_kept_per_algebra_after_first_use():
+    # gamma = lie_trace - r, so r = 0 reads the kept traces back; the
+    # algebras differ in rank and in their traces, so a shared or stale
+    # cache gives a wrong gamma
+    for name in CATALOG_NAMES:
+        alg = load_catalog(name).algebra
+        assert alg.lie_traces == [], name  # nothing is computed at load time
+        direct = tuple(lie_trace(alg, alg.basis_l(i)) for i in range(alg.n))
+        zero = RightConnectionOnA(tuple(PolyElement.zero(alg.m) for _ in range(alg.n)))
+        for _ in range(2):
+            assert top_from_right(alg, zero).gamma == direct, name
+        assert alg.lie_traces == list(direct), name
 
 
 def test_right_from_top_flat_gives_exact_generator():

@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from bvcalc.algebra import LieRinehartAlgebra
 from bvcalc.bv import GeneratorD, RightConnectionOnA
-from bvcalc.homology import ChainComplex, exact_rank, homology_dims, rinehart_complex
+from bvcalc.homology import (
+    BoundarySquareError,
+    ChainComplex,
+    exact_rank,
+    homology_dims,
+    rinehart_complex,
+)
 from bvcalc.poly import PolyElement
 
 
@@ -164,6 +170,14 @@ def test_rejects_non_exact_generator_with_witness():
     gen = GeneratorD(alg, right_connection(alg, (1, 0)))
     with pytest.raises(ValueError, match="square"):
         rinehart_complex(alg, gen)
+
+
+def test_rinehart_complex_raises_boundary_square_error(sl2, monkeypatch):
+    monkeypatch.setattr(ChainComplex, "d_squared_is_zero", lambda self: False)
+    gen = GeneratorD(sl2, right_connection(sl2, (0, 0, 0)))
+    with pytest.raises(BoundarySquareError, match="do not compose to zero"):
+        rinehart_complex(sl2, gen)
+    assert issubclass(BoundarySquareError, ValueError)
 
 
 def test_homology_dims_rejects_broken_complex():

@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from bvcalc.poly import DerivationOfA, PolyElement, PolyParseError, parse_poly
 
-from conftest import polys
+from conftest import exponent_vectors, polys
 
 X = PolyElement.variable(2, 0)
 Y = PolyElement.variable(2, 1)
@@ -112,3 +113,92 @@ def test_parse_error_carries_column():
     with pytest.raises(PolyParseError) as excinfo:
         parse_poly("x1 * x9", 2)
     assert excinfo.value.column == 5  # points at the 'x' of the bad variable
+
+
+# -- int and Fraction coefficients ---------------------------------------
+# Integer values are stored as ints and the rest as Fractions.  The
+# reference below keeps every coefficient a Fraction and works on plain
+# dicts, so it shares no arithmetic with PolyElement.
+
+MIXED_COEFFS = st.one_of(st.integers(min_value=-9, max_value=9),
+                         st.integers(min_value=-9, max_value=9).map(Fraction),
+                         st.fractions(min_value=-5, max_value=5, max_denominator=6))
+
+
+def mixed_terms(m: int):
+    return st.lists(st.tuples(exponent_vectors(m), MIXED_COEFFS), max_size=4)
+
+
+def ref_poly(terms) -> dict:
+    out = {}
+    for exps, c in terms:
+        out[tuple(exps)] = out.get(tuple(exps), Fraction(0)) + Fraction(c)
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_add(p: dict, q: dict, sign: int = 1) -> dict:
+    return ref_poly(list(p.items()) + [(e, sign * c) for e, c in q.items()])
+
+
+def ref_mul(p: dict, q: dict) -> dict:
+    return ref_poly([(tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+                     for e1, c1 in p.items() for e2, c2 in q.items()])
+
+
+def ref_diff(p: dict, i: int) -> dict:
+    return ref_poly([(e[:i] + (e[i] - 1,) + e[i + 1:], c * e[i])
+                     for e, c in p.items() if e[i]])
+
+
+def assert_matches(poly: PolyElement, ref: dict) -> None:
+    assert poly.terms == ref
+    assert all(type(c) in (int, Fraction) and c for c in poly.terms.values())
+
+
+@given(t1=mixed_terms(2), t2=mixed_terms(2), c1=mixed_terms(2), c2=mixed_terms(2))
+def test_mixed_coefficient_arithmetic_matches_fraction_reference(t1, t2, c1, c2):
+    p, q = PolyElement(2, t1), PolyElement(2, t2)
+    rp, rq = ref_poly(t1), ref_poly(t2)
+    assert_matches(p, rp)
+    assert_matches(p + q, ref_add(rp, rq))
+    assert_matches(p - q, ref_add(rp, rq, -1))
+    assert_matches(-p, ref_add({}, rp, -1))
+    assert_matches(p * q, ref_mul(rp, rq))
+    for i in range(2):
+        assert_matches(p.diff(i), ref_diff(rp, i))
+    # D(p) = c1 * dp/dx1 + c2 * dp/dx2
+    rc1, rc2 = ref_poly(c1), ref_poly(c2)
+    expected = ref_add(ref_mul(rc1, ref_diff(rp, 0)), ref_mul(rc2, ref_diff(rp, 1)))
+    assert_matches(DerivationOfA((PolyElement(2, c1), PolyElement(2, c2)))(p), expected)
+
+
+@given(p=polys(2), q=polys(2))
+def test_integer_coefficients_stay_ints(p, q):
+    # integer data never enters Fraction arithmetic
+    for result in (p, p + q, p - q, p * q, p.diff(0), DerivationOfA((q, p))(p)):
+        assert all(type(c) is int for c in result.terms.values())
+
+
+def test_int_and_fraction_coefficients_are_interchangeable():
+    for m, e in ((0, ()), (2, (1, 2))):
+        as_int = PolyElement(m, {e: 3})
+        as_fraction = PolyElement(m, {e: Fraction(3)})
+        assert as_int == as_fraction
+        assert hash(as_int) == hash(as_fraction)
+        assert str(as_int) == str(as_fraction)
+        assert type(as_fraction.terms[e]) is int
+    assert str(PolyElement(2, {(1, 0): Fraction(-6, 4)})) == "-3/2*x1"
+
+
+@pytest.mark.parametrize("value", [0, 5, -2, Fraction(4, 2), Fraction(-1, 3)])
+def test_constant_value_is_a_fraction(value):
+    c = PolyElement.const(1, value).constant_value()
+    assert type(c) is Fraction and c == value
+
+
+def test_bool_coefficient_prints_as_one():
+    p = PolyElement(2, {(1, 0): True})
+    assert str(p) == "x1"
+    assert str(PolyElement(0, {(): True})) == "1"
+    assert str(PolyElement.const(1, True)) == "1"
+    assert type(p.terms[(1, 0)]) is int
