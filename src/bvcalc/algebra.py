@@ -136,12 +136,6 @@ class LieRinehartAlgebra:
 
     # -- basic elements ----------------------------------------------
 
-    def zero_poly(self) -> PolyElement:
-        return PolyElement.zero(self.m)
-
-    def one_poly(self) -> PolyElement:
-        return PolyElement.one(self.m)
-
     def zero_l(self) -> LElement:
         return self._zero_l
 

@@ -29,7 +29,12 @@ from pathlib import Path
 from .algebra import LElement, LieRinehartAlgebra
 from .bv import RightConnectionOnA
 from .connections import LeftConnectionOnL, TopConnection
+from .correspond import right_from_top, top_from_right
 from .poly import DerivationOfA, PolyElement, PolyParseError, parse_poly
+
+# The names a `suites =` line may use; `bvcalc.suites` runs them in this order.
+SUITE_NAMES = ("axioms", "generator", "bijections", "duality",
+               "bracket-expansion", "linear-connection", "homology")
 
 
 class AlgebraFileError(ValueError):
@@ -58,8 +63,6 @@ class LoadedAlgebra:
 
     def top_connection(self) -> TopConnection:
         """The effective top connection: explicit gamma, from r, or flat zero."""
-        from .correspond import top_from_right
-
         if self.gamma is not None:
             return self.gamma
         if self.r is not None:
@@ -68,8 +71,6 @@ class LoadedAlgebra:
         return TopConnection(tuple(PolyElement.zero(alg.m) for _ in range(alg.n)))
 
     def right_connection(self) -> RightConnectionOnA:
-        from .correspond import right_from_top
-
         if self.r is not None:
             return self.r
         return right_from_top(self.algebra, self.top_connection())
@@ -173,6 +174,10 @@ def loads(text: str, source: str = "<string>") -> LoadedAlgebra:
             expect_nonflat = value == "true"
         elif key == "suites":
             suites = tuple(s.strip() for s in value.split(",") if s.strip())
+            unknown = [s for s in suites if s not in SUITE_NAMES]
+            if unknown:
+                raise AlgebraFileError(f"unknown suite(s): {', '.join(unknown)}; "
+                                       f"choose from {', '.join(SUITE_NAMES)}", line_no)
         else:
             raise AlgebraFileError(f"unknown key {key!r}", line_no)
 
@@ -224,8 +229,6 @@ def loads(text: str, source: str = "<string>") -> LoadedAlgebra:
         r = RightConnectionOnA(vec)
 
     if gamma is not None and r is not None:
-        from .correspond import right_from_top
-
         if right_from_top(algebra, gamma).r != r.r:
             raise AlgebraFileError("gamma and r are both given but do not correspond")
 

@@ -34,7 +34,7 @@ from itertools import combinations
 from typing import Callable, Sequence
 
 from .algebra import LElement, LieRinehartAlgebra
-from .exterior import Multivector
+from .exterior import Multivector, basis_label
 from .poly import PolyElement
 from .sampling import SampleConfig, check_rng, random_poly
 
@@ -272,8 +272,7 @@ def is_generator(alg: LieRinehartAlgebra, op: Operator, trials: int = 32,
                 if lhs != rhs:
                     s_key, a = terms[s_idx]
                     t_key, b = terms[t_idx]
-                    witness = (f"u=({a})*e{{{','.join(str(i + 1) for i in s_key)}}} "
-                               f"v=({b})*e{{{','.join(str(i + 1) for i in t_key)}}} "
+                    witness = (f"u=({a})*{basis_label(s_key)} v=({b})*{basis_label(t_key)} "
                                f"defect={lhs - rhs}")
                     return False, witness
     return True, None
@@ -303,7 +302,7 @@ def generator_square(alg: LieRinehartAlgebra, op: Operator, trials: int = 8,
         table[s_key] = op(op(Multivector(n, [(s_key, one)])))
         if not table[s_key].is_zero() and witness is None:
             exact = False
-            witness = f"D^2(e{{{','.join(str(i + 1) for i in s_key)}}}) = {table[s_key]}"
+            witness = f"D^2({basis_label(s_key)}) = {table[s_key]}"
     for _ in range(max(trials, 1)):
         if not exact:
             break
@@ -314,7 +313,6 @@ def generator_square(alg: LieRinehartAlgebra, op: Operator, trials: int = 8,
             square = op(op(Multivector(n, [(s_key, a)])))
             if not square.is_zero():
                 exact = False
-                witness = (f"D^2(({a})*e{{{','.join(str(i + 1) for i in s_key)}}}) "
-                           f"= {square}")
+                witness = f"D^2(({a})*{basis_label(s_key)}) = {square}"
                 break
     return SquareResult(is_exact=exact, witness=witness, basis_table=table)

@@ -3,7 +3,9 @@
 Exit codes: 0 all checks pass (expected failures count as pass), 1 a
 verification check failed (for `homology`: the boundary matrices do not
 compose to zero), 2 input error (unreadable file, parse or axiom
-failure, inapplicable request).
+failure, inapplicable request).  `check` and `homology` take several
+algebras: all are loaded before any work starts, and the exit code is
+the largest one among them.
 """
 
 from __future__ import annotations
@@ -27,12 +29,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     parser.add_argument("--trials", type=_positive_int, default=32,
                         help="trials per randomized identity (at least 1)")
-    parser.add_argument("--degree-bound", type=int, default=3,
-                        help="degree bound for random polynomial coefficients")
+    parser.add_argument("--degree-bound", type=_nonnegative_int, default=3,
+                        help="degree bound for random polynomial coefficients (at least 0)")
     parser.add_argument("--format", choices=("text", "machine"), default="text")
 
 
@@ -44,13 +53,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     check = sub.add_parser("check", help="run verification suites on an algebra file")
-    check.add_argument("file", help="algebra file path or catalog name")
+    check.add_argument("files", nargs="+", metavar="file",
+                       help="algebra file path or catalog name")
     check.add_argument("--suite", action="append", choices=SUITE_NAMES,
                        help="run only this suite (repeatable)")
     _add_common(check)
 
     hom = sub.add_parser("homology", help="Betti numbers for a ground-field algebra")
-    hom.add_argument("file", help="algebra file path or catalog name")
+    hom.add_argument("files", nargs="+", metavar="file",
+                     help="algebra file path or catalog name")
     _add_common(hom)
 
     cat = sub.add_parser("catalog", help="list the bundled algebras")
@@ -70,29 +81,35 @@ def _load(arg: str):
 
 
 def _cmd_check(args) -> int:
-    loaded = _load(args.file)
+    loaded = [_load(arg) for arg in args.files]
     suites = tuple(args.suite) if args.suite else None
-    try:
-        report = run_suite(loaded, suites=suites, seed=args.seed, trials=args.trials,
-                           degree_bound=args.degree_bound)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     render = render_machine if args.format == "machine" else render_text
-    sys.stdout.write(render(report))
-    return EXIT_PASS if report.passed else EXIT_FAIL
+    code = EXIT_PASS
+    separator = ""  # one empty line between reports
+    for arg, one in zip(args.files, loaded):
+        try:
+            report = run_suite(one, suites=suites, seed=args.seed, trials=args.trials,
+                               degree_bound=args.degree_bound)
+        except ValueError as exc:
+            print(f"error: {arg}: {exc}", file=sys.stderr)
+            code = max(code, EXIT_INPUT)
+            continue
+        sys.stdout.write(separator + render(report))
+        separator = "\n"
+        code = max(code, EXIT_PASS if report.passed else EXIT_FAIL)
+    return code
 
-def _cmd_homology(args) -> int:
-    loaded = _load(args.file)
+
+def _homology(arg: str, loaded, args) -> int:
     alg = loaded.algebra
     gen = GeneratorD(alg, loaded.right_connection())
     try:
         complex_ = rinehart_complex(alg, gen, seed=args.seed)
     except BoundarySquareError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {arg}: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {arg}: {exc}", file=sys.stderr)
         return EXIT_INPUT
     betti = homology_dims(complex_)
     if args.format == "machine":
@@ -101,6 +118,11 @@ def _cmd_homology(args) -> int:
     else:
         print(f"algebra {alg.name}: betti numbers " + " ".join(str(b) for b in betti))
     return EXIT_PASS
+
+
+def _cmd_homology(args) -> int:
+    loaded = [_load(arg) for arg in args.files]
+    return max(_homology(arg, one, args) for arg, one in zip(args.files, loaded))
 
 
 def _cmd_catalog(args) -> int:

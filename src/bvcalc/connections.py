@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Callable
 
 from .algebra import LElement, LieRinehartAlgebra
 from .exterior import AltForm, TopElement, full_tuple
@@ -54,10 +54,6 @@ class LeftConnectionOnL:
     @classmethod
     def zero(cls, alg: LieRinehartAlgebra) -> "LeftConnectionOnL":
         return cls(tuple(tuple(alg.zero_l() for _ in range(alg.n)) for _ in range(alg.n)))
-
-    @classmethod
-    def from_table(cls, rows: Sequence[Sequence[LElement]]) -> "LeftConnectionOnL":
-        return cls(tuple(tuple(row) for row in rows))
 
 
 @dataclass(frozen=True)
@@ -136,10 +132,10 @@ def connection_apply_l(alg: LieRinehartAlgebra, conn: LeftConnectionOnL,
         for j, b in enumerate(xi.coeffs):
             if not b:
                 continue
-            gamma_ij = conn.table[i][j]
-            for k, ck in enumerate(gamma_ij.coeffs):
+            ab = a * b
+            for k, ck in enumerate(conn.table[i][j].coeffs):
                 if ck:
-                    out[k] = out[k] + a * b * ck
+                    out[k] = out[k] + ab * ck
     return LElement(tuple(out))
 
 

@@ -36,7 +36,7 @@ from .connections import (
     phi_map,
     trace_endo,
 )
-from .exterior import Multivector, full_tuple, phi_iso
+from .exterior import Multivector, basis_label, full_tuple, phi_iso
 from .poly import PolyElement
 from .sampling import SampleConfig, check_rng, random_poly
 
@@ -97,8 +97,7 @@ def check_generator_duality(alg: LieRinehartAlgebra, gen: GeneratorD,
                         return False, f"degree 0 witness: u=({a}), D(u)={image}, rhs={rhs}"
                     continue
                 if lhs != rhs:
-                    witness = (f"u=({a})*e{{{','.join(str(i + 1) for i in key)}}} "
-                               f"phi_D(u)=[{lhs}] -d(phi_u)=[{rhs}]")
+                    witness = f"u=({a})*{basis_label(key)} phi_D(u)=[{lhs}] -d(phi_u)=[{rhs}]"
                     return False, witness
     return True, None
 
@@ -147,9 +146,8 @@ def check_bracket_pairing_identity(alg: LieRinehartAlgebra, gen: GeneratorD,
                     if p % 2:
                         rhs = -rhs
                     if lhs != rhs:
-                        witness = (f"p={p} u=({a})*e{{{','.join(str(i + 1) for i in s_key)}}} "
-                                   f"v=({b})*e{{{','.join(str(i + 1) for i in t_key)}}} "
-                                   f"lhs={lhs} rhs={rhs}")
+                        witness = (f"p={p} u=({a})*{basis_label(s_key)} "
+                                   f"v=({b})*{basis_label(t_key)} lhs={lhs} rhs={rhs}")
                         return False, witness
     return True, None
 

@@ -46,6 +46,11 @@ def merge_sign(left: Sequence[int], right: Sequence[int]) -> int:
     return -1 if inversions % 2 else 1
 
 
+def basis_label(key: Sequence[int]) -> str:
+    """The 1-based label e{1,2} of the basis multivector on a 0-based index tuple."""
+    return "e{" + ",".join(str(i + 1) for i in key) + "}"
+
+
 class Multivector:
     """Element of the exterior algebra over A, possibly inhomogeneous."""
 
@@ -98,12 +103,6 @@ class Multivector:
     def from_lelement(cls, le: LElement) -> "Multivector":
         return cls._make(le.n, {(i,): c for i, c in enumerate(le.coeffs) if c})
 
-    def to_lelement(self, m: int) -> LElement:
-        if any(len(k) != 1 for k in self.components):
-            raise ValueError("not a degree-1 multivector")
-        return LElement(tuple(self.components.get((i,), PolyElement.zero(m))
-                              for i in range(self.n)))
-
     def component(self, indices: Sequence[int], m: int) -> PolyElement:
         key, sign = sort_with_sign(tuple(indices))
         if sign == 0:
@@ -127,9 +126,6 @@ class Multivector:
         if len(degrees) > 1:
             raise ValueError("inhomogeneous multivector has no degree")
         return degrees.pop()
-
-    def is_homogeneous(self) -> bool:
-        return len({len(k) for k in self.components}) <= 1
 
     def homogeneous_part(self, p: int) -> "Multivector":
         return Multivector._make(self.n, {k: v for k, v in self.components.items()
@@ -197,8 +193,7 @@ class Multivector:
             return "0"
         parts = []
         for key, value in self.terms():
-            basis = "e{" + ",".join(str(i + 1) for i in key) + "}"
-            parts.append(f"({value})*{basis}" if key else f"({value})")
+            parts.append(f"({value})*{basis_label(key)}" if key else f"({value})")
         return " + ".join(parts)
 
     def __repr__(self) -> str:
@@ -278,10 +273,6 @@ class AltForm:
         self.m = m
         self.degree = degree
         self.components = acc
-
-    @classmethod
-    def zero(cls, n: int, m: int, degree: int) -> "AltForm":
-        return cls(n, m, degree)
 
     def value_on_increasing(self, key: tuple[int, ...]) -> PolyElement:
         return self.components.get(key, PolyElement.zero(self.m))

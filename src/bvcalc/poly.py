@@ -91,10 +91,6 @@ class PolyElement:
         exps = tuple(1 if j == i else 0 for j in range(m))
         return cls._make(m, {exps: 1})
 
-    @classmethod
-    def monomial(cls, m: int, exps: Iterable[int], coeff=1) -> "PolyElement":
-        return cls(m, [(tuple(exps), coeff)])
-
     def _check_same_ring(self, other: "PolyElement") -> None:
         if self.m != other.m:
             raise ValueError(f"mismatched variable counts: {self.m} vs {other.m}")
@@ -191,12 +187,6 @@ class PolyElement:
             new = exps[:i] + (e - 1,) + exps[i + 1:]
             acc[new] = acc.get(new, 0) + c * e
         return PolyElement._make(self.m, {e: c for e, c in acc.items() if c})
-
-    def total_degree(self) -> int | None:
-        """Total degree, or None for the zero polynomial."""
-        if not self.terms:
-            return None
-        return max(sum(e) for e in self.terms)
 
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)

@@ -13,6 +13,8 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
+from .algebra import LElement
+from .exterior import Multivector
 from .poly import PolyElement
 
 
@@ -42,30 +44,18 @@ def random_poly(rng: random.Random, m: int, config: SampleConfig = SampleConfig(
     return PolyElement(m, terms)
 
 
-def random_nonzero_poly(rng: random.Random, m: int,
-                        config: SampleConfig = SampleConfig()) -> PolyElement:
-    while True:
-        p = random_poly(rng, m, config)
-        if p:
-            return p
-
-
 def random_poly_vector(rng: random.Random, m: int, length: int,
                        config: SampleConfig = SampleConfig()) -> tuple[PolyElement, ...]:
     return tuple(random_poly(rng, m, config) for _ in range(length))
 
 
-def random_lelement(rng: random.Random, alg, config: SampleConfig = SampleConfig()):
-    from .algebra import LElement
-
+def random_lelement(rng: random.Random, alg, config: SampleConfig = SampleConfig()) -> LElement:
     return LElement(random_poly_vector(rng, alg.m, alg.n, config))
 
 
 def random_multivector(rng: random.Random, alg, degree: int | None = None,
-                       config: SampleConfig = SampleConfig()):
+                       config: SampleConfig = SampleConfig()) -> Multivector:
     """Random multivector; homogeneous when a degree is given, mixed otherwise."""
-    from .exterior import Multivector
-
     n = alg.n
     degrees = [degree] if degree is not None else list(range(n + 1))
     terms = []
@@ -79,8 +69,5 @@ def random_multivector(rng: random.Random, alg, degree: int | None = None,
 
 def random_christoffel(rng: random.Random, alg, config: SampleConfig = SampleConfig()):
     """Random full Christoffel table for a connection on L."""
-    from .algebra import LElement
-
-    return tuple(tuple(LElement(random_poly_vector(rng, alg.m, alg.n, config))
-                       for _ in range(alg.n))
+    return tuple(tuple(random_lelement(rng, alg, config) for _ in range(alg.n))
                  for _ in range(alg.n))

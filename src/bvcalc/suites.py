@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .algfile import LoadedAlgebra
+from .algfile import SUITE_NAMES, LoadedAlgebra
 from .bv import (
     GeneratorD,
     RightConnectionOnA,
@@ -59,9 +59,6 @@ from .sampling import (
     random_lelement,
     random_poly_vector,
 )
-
-SUITE_NAMES = ("axioms", "generator", "bijections", "duality",
-               "bracket-expansion", "linear-connection", "homology")
 
 PASS, FAIL, EXPECTED_FAIL, SKIP = "pass", "fail", "expected-fail", "skip"
 

@@ -5,10 +5,13 @@ in Q throughout.  Each test prints a single pass/fail line so the run
 reads as a checklist (use ``pytest -s tests/test_acceptance.py``).
 """
 
+import ast
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
+import bvcalc
 from bvcalc.bv import (
     GeneratorD,
     RightConnectionOnA,
@@ -242,3 +245,17 @@ def test_criterion_8_boundary_squares_to_zero_matching_generator_square():
                             for j in range(len(d_next[0]))]
                            for i in range(len(d_p))]
                 assert all(not v for row in product for v in row), name
+
+
+def test_no_import_inside_a_function():
+    # every module of the package imports what it needs at its top, so a
+    # lazy import cannot hide an import cycle
+    package = Path(bvcalc.__file__).parent
+    nested = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested += [f"{path.name}:{node.lineno}" for node in ast.walk(func)
+                           if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert nested == []

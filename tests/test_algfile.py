@@ -180,3 +180,8 @@ def test_rank_zero_rejected_on_its_line():
     with pytest.raises(AlgebraFileError, match="at least 1") as info:
         loads("name = empty\nm = 0\nn = 0\n")
     assert info.value.line == 3
+
+
+def test_unknown_suite_rejected_on_its_line():
+    with pytest.raises(AlgebraFileError, match=r"unknown suite\(s\): bogus; .*\(line 4\)"):
+        loads("m = 0\nn = 1\n# defaults\nsuites = axioms, bogus\n")

@@ -165,6 +165,17 @@ def test_check_rejects_trials_below_one(capsys, trials):
     assert "--trials" in err and "at least 1" in err
 
 
+@pytest.mark.parametrize("argv", [("check", "sl2"),
+                                  ("check", "coordinate-2d", "--suite", "generator"),
+                                  ("homology", "sl2")])
+def test_rejects_degree_bound_below_zero(capsys, argv):
+    # a negative bound used to crash random_poly or print degree_bound=-1
+    code, out, err = run(capsys, *argv, "--degree-bound", "-1")
+    assert code == 2
+    assert out == ""
+    assert "--degree-bound" in err and "at least 0" in err
+
+
 def test_check_rejects_rank_zero_file(capsys, tmp_path):
     path = tmp_path / "rank-zero.alg"
     path.write_text("name = rank-zero\nm = 0\nn = 0\n", encoding="utf-8")
@@ -209,3 +220,66 @@ def test_failing_d_squared_is_a_failed_check(capsys, monkeypatch):
     code, out, err = run(capsys, "homology", "sl2")
     assert code == 1
     assert out == "" and "do not compose to zero" in err
+
+
+LIAR = "name = liar\nm = 0\nn = 2\nc[1][2][1] = 1\ngamma = [0, 0]\nexpect_nonflat = true\n"
+
+
+def test_check_several_algebras_writes_reports_in_order(capsys):
+    common = ("--trials", "2", "--format", "machine")
+    _, first, _ = run(capsys, "check", "abelian-dim2", *common)
+    _, second, _ = run(capsys, "check", "sl2", *common)
+    code, out, err = run(capsys, "check", "abelian-dim2", "sl2", *common)
+    assert code == 0 and err == ""
+    assert out == first + "\n" + second
+
+
+def test_check_expected_fail_next_to_passing_algebra(capsys):
+    code, out, _ = run(capsys, "check", "nonabelian-dim2-nonflat", "sl2", "--trials", "2",
+                       "--format", "machine")
+    assert code == 0
+    assert "check=generator.square-zero status=expected-fail" in out
+    assert out.count("overall=pass") == 2
+
+
+def test_check_failure_among_several_exits_one(capsys, tmp_path):
+    path = tmp_path / "liar.alg"
+    path.write_text(LIAR, encoding="utf-8")
+    code, out, _ = run(capsys, "check", "sl2", str(path), "--trials", "2",
+                       "--format", "machine")
+    assert code == 1
+    assert out.count("overall=pass") == 1 and out.count("overall=fail") == 1
+    assert out.index("algebra=sl2") < out.index("algebra=liar")
+
+
+def test_check_load_error_among_several_prints_no_report(capsys):
+    code, out, err = run(capsys, "check", "sl2", "no-such-algebra", "--trials", "2")
+    assert code == 2
+    assert out == ""
+    assert "no-such-algebra" in err
+
+
+def test_homology_several_algebras(capsys):
+    names = ("abelian-dim2", "heisenberg-dim3", "nonabelian-dim2", "sl2")
+    singles = [run(capsys, "homology", name, "--format", "machine")[1] for name in names]
+    code, out, err = run(capsys, "homology", *names, "--format", "machine")
+    assert code == 0 and err == ""
+    assert out == "".join(singles)
+    assert [line for line in out.splitlines() if line.startswith("betti=")] == [
+        "betti=1,2,1", "betti=1,2,2,1", "betti=0,1,1", "betti=1,0,0,1"]
+
+
+def test_homology_reports_what_it_can_and_exits_with_the_largest_code(capsys):
+    code, out, err = run(capsys, "homology", "sl2", "coordinate-2d")
+    assert code == 2
+    assert out == "algebra sl2: betti numbers 1 0 0 1\n"
+    assert err.startswith("error: coordinate-2d: ") and "m=0" in err
+
+
+def test_homology_rejects_unknown_suite_in_file(capsys, tmp_path):
+    path = tmp_path / "bogus.alg"
+    path.write_text("m = 0\nn = 1\nsuites = axioms, bogus\n", encoding="utf-8")
+    code, out, err = run(capsys, "homology", str(path))
+    assert code == 2
+    assert out == ""
+    assert "unknown suite(s): bogus" in err and "line 3" in err

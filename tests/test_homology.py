@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from bvcalc.algebra import LieRinehartAlgebra
 from bvcalc.bv import GeneratorD, RightConnectionOnA
+from bvcalc.connections import TopConnection, is_flat
+from bvcalc.correspond import right_from_top
 from bvcalc.homology import (
     BoundarySquareError,
     ChainComplex,
@@ -327,3 +329,34 @@ def test_d_squared_checked_for_polynomial_base_via_square():
     alg = LieRinehartAlgebra.coordinate(2)
     gamma = TopConnection((PolyElement.zero(2), PolyElement.zero(2)))
     assert generator_square(alg, generator_from_top(alg, gamma), trials=2).is_exact
+
+
+# -- twisted homology across flat characters --------------------------------
+# For m = 0 the flat top connections are the characters of the Lie algebra;
+# each gives an exact generator and a twisted homology.  Every integer
+# character with entries in [-2, 2] is scanned and checked against the oracle.
+
+
+@pytest.mark.parametrize("name, flat_count, nonzero", [
+    ("abelian-dim2", 25, {(1, 2, 1): [(0, 0)]}),
+    ("heisenberg-dim3", 25, {(1, 2, 2, 1): [(0, 0, 0)]}),
+    ("nonabelian-dim2", 5, {(0, 1, 1): [(0, 0)], (1, 1, 0): [(0, -1)]}),
+    ("sl2", 1, {(1, 0, 0, 1): [(0, 0, 0)]}),
+])
+def test_flat_character_scan_matches_oracle(catalog, name, flat_count, nonzero):
+    alg = catalog[name].algebra
+    brackets = {key: tuple(c.constant_value() for c in value.coeffs)
+                for key, value in alg.structure.items()}
+    groups = {}
+    for values in product(range(-2, 3), repeat=alg.n):
+        gamma = TopConnection(tuple(PolyElement.const(0, v) for v in values))
+        if not is_flat(alg, gamma):
+            continue
+        right = right_from_top(alg, gamma)
+        betti = homology_dims(rinehart_complex(alg, GeneratorD(alg, right)))
+        r = tuple(c.constant_value() for c in right.r)
+        assert betti == oracle_betti(alg.n, brackets, r), values
+        groups.setdefault(betti, []).append(values)
+    assert sum(len(chars) for chars in groups.values()) == flat_count
+    zero = (0,) * (alg.n + 1)
+    assert {b: chars for b, chars in groups.items() if b != zero} == nonzero
