@@ -55,6 +55,5 @@ from .correspond import (
 from .exterior import AltForm, Multivector, TopElement, phi_inverse, phi_iso, top_pairing
 from .homology import ChainComplex, exact_rank, homology_dims, rinehart_complex
 from .poly import DerivationOfA, PolyElement, PolyParseError, parse_poly
-from .sampling import SampleConfig
 
 __version__ = "0.1.0"

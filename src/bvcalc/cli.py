@@ -5,7 +5,9 @@ verification check failed (for `homology`: the boundary matrices do not
 compose to zero), 2 input error (unreadable file, parse or axiom
 failure, inapplicable request).  `check` and `homology` take several
 algebras: all are loaded before any work starts, and the exit code is
-the largest one among them.
+the largest one among them.  `homology` draws no random data: besides
+`--format` it takes only `--seed`, which it ignores, so `--trials` or
+`--degree-bound` there is an input error.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .homology import BoundarySquareError, homology_dims, rinehart_complex
 from .suites import SUITE_NAMES, render_machine, render_text, run_suite
 
 EXIT_PASS, EXIT_FAIL, EXIT_INPUT = 0, 1, 2
+FORMATS = ("text", "machine")
 
 
 def _positive_int(text: str) -> int:
@@ -36,15 +39,6 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-    parser.add_argument("--trials", type=_positive_int, default=32,
-                        help="trials per randomized identity (at least 1)")
-    parser.add_argument("--degree-bound", type=_nonnegative_int, default=3,
-                        help="degree bound for random polynomial coefficients (at least 0)")
-    parser.add_argument("--format", choices=("text", "machine"), default="text")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bvcalc",
@@ -57,15 +51,23 @@ def build_parser() -> argparse.ArgumentParser:
                        help="algebra file path or catalog name")
     check.add_argument("--suite", action="append", choices=SUITE_NAMES,
                        help="run only this suite (repeatable)")
-    _add_common(check)
+    check.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
+    check.add_argument("--trials", type=_positive_int, default=32,
+                       help="trials per randomized identity (at least 1)")
+    check.add_argument("--degree-bound", type=_nonnegative_int, default=3,
+                       help="degree bound for random polynomial coefficients (at least 0)")
+    check.add_argument("--format", choices=FORMATS, default="text")
 
     hom = sub.add_parser("homology", help="Betti numbers for a ground-field algebra")
     hom.add_argument("files", nargs="+", metavar="file",
                      help="algebra file path or catalog name")
-    _add_common(hom)
+    # perfbench/run.py passes --seed to every command it times
+    hom.add_argument("--seed", type=int, default=0,
+                     help="accepted and ignored: the Betti numbers do not depend on it")
+    hom.add_argument("--format", choices=FORMATS, default="text")
 
     cat = sub.add_parser("catalog", help="list the bundled algebras")
-    cat.add_argument("--format", choices=("text", "machine"), default="text")
+    cat.add_argument("--format", choices=FORMATS, default="text")
     return parser
 
 
@@ -104,7 +106,7 @@ def _homology(arg: str, loaded, args) -> int:
     alg = loaded.algebra
     gen = GeneratorD(alg, loaded.right_connection())
     try:
-        complex_ = rinehart_complex(alg, gen, seed=args.seed)
+        complex_ = rinehart_complex(alg, gen)
     except BoundarySquareError as exc:
         print(f"error: {arg}: {exc}", file=sys.stderr)
         return EXIT_FAIL

@@ -38,7 +38,7 @@ from .connections import (
 )
 from .exterior import Multivector, basis_label, full_tuple, phi_iso
 from .poly import PolyElement
-from .sampling import SampleConfig, check_rng, random_poly
+from .sampling import check_rng, random_poly
 
 
 def right_from_generator(alg: LieRinehartAlgebra, gen: GeneratorD) -> RightConnectionOnA:
@@ -74,19 +74,18 @@ def generator_from_top(alg: LieRinehartAlgebra, conn: TopConnection) -> Generato
 
 def check_generator_duality(alg: LieRinehartAlgebra, gen: GeneratorD,
                             conn: TopConnection, trials: int = 8, seed: int = 0,
-                            config: SampleConfig | None = None) -> tuple[bool, str | None]:
+                            degree_bound: int = 3) -> tuple[bool, str | None]:
     """Verify phi_{D(u)} = -d(phi_u) for all degrees 0..n.
 
     Holds exactly when the generator and the top connection correspond;
     a perturbed pair fails with a concrete witness.
     """
-    cfg = config or SampleConfig()
     rng = check_rng(seed, "generator_duality")
     n, m = alg.n, alg.m
     for _ in range(max(trials, 1)):
         for p in range(n + 1):
             for key in combinations(range(n), p):
-                a = random_poly(rng, m, cfg)
+                a = random_poly(rng, m, degree_bound)
                 u = Multivector(n, [(key, a)])
                 image = gen(u)
                 lhs = phi_iso(image, m, degree=max(p - 1, 0)) if p else None
@@ -104,7 +103,7 @@ def check_generator_duality(alg: LieRinehartAlgebra, gen: GeneratorD,
 
 def check_bracket_pairing_identity(alg: LieRinehartAlgebra, gen: GeneratorD,
                                    conn: TopConnection, trials: int = 8, seed: int = 0,
-                                   config: SampleConfig | None = None) -> tuple[bool, str | None]:
+                                   degree_bound: int = 3) -> tuple[bool, str | None]:
     """Verify d(phi_u)(v) = (-1)^p (u ^ D(v) + [u, v]) on the top power.
 
     Here u is homogeneous of degree p and v has the complementary degree
@@ -112,14 +111,13 @@ def check_bracket_pairing_identity(alg: LieRinehartAlgebra, gen: GeneratorD,
     m = 0, d(phi_{a e_S}) = a d(phi_{e_S}), so the form is computed once
     per subset S.
     """
-    cfg = config or SampleConfig()
     rng = check_rng(seed, "bracket_pairing")
     n, m = alg.n, alg.m
     top = full_tuple(n)
     basis_forms = {}  # S -> d(phi_{e_S}) when m = 0
     for _ in range(max(trials, 1)):
         # p = 0: the form lands one degree above the top, so both sides vanish
-        a = random_poly(rng, m, cfg)
+        a = random_poly(rng, m, degree_bound)
         form = covariant_derivative(alg, conn, phi_iso(Multivector.scalar(n, a), m, degree=0))
         if not form.is_zero():
             return False, f"p=0 u=({a}): derivative of the top-degree form is {form}"
@@ -127,8 +125,8 @@ def check_bracket_pairing_identity(alg: LieRinehartAlgebra, gen: GeneratorD,
             q = n - p + 1
             for s_key in combinations(range(n), p):
                 for t_key in combinations(range(n), q):
-                    a = random_poly(rng, m, cfg)
-                    b = random_poly(rng, m, cfg)
+                    a = random_poly(rng, m, degree_bound)
+                    b = random_poly(rng, m, degree_bound)
                     u = Multivector(n, [(s_key, a)])
                     v = Multivector(n, [(t_key, b)])
                     if m:

@@ -114,17 +114,18 @@ class ChainComplex:
         return True
 
 
-def rinehart_complex(alg: LieRinehartAlgebra, gen: GeneratorD,
-                     square_trials: int = 4, seed: int = 0) -> ChainComplex:
+def rinehart_complex(alg: LieRinehartAlgebra, gen: GeneratorD) -> ChainComplex:
     """The chain complex of an exact generator in the ground-field case.
 
     Requires m = 0 (otherwise the exterior powers are infinite
     dimensional over Q) and an exact generator; both are refused with a
-    diagnostic, the latter carrying the square witness.
+    diagnostic, the latter carrying the square witness.  At m = 0 the
+    generator is Q-linear, so `generator_square`'s basis pass decides
+    exactness and nothing here is random.
     """
     if alg.m != 0:
         raise ValueError(f"homology needs the ground-field case m=0, got m={alg.m}")
-    square = generator_square(alg, gen, trials=square_trials, seed=seed)
+    square = generator_square(alg, gen)
     if not square.is_exact:
         raise NonExactGeneratorError(f"generator does not square to zero: {square.witness}")
     n = alg.n

@@ -53,7 +53,6 @@ from .homology import (
 )
 from .poly import PolyElement
 from .sampling import (
-    SampleConfig,
     check_rng,
     random_christoffel,
     random_lelement,
@@ -141,13 +140,12 @@ def render_text(report: VerificationReport) -> str:
 
 
 class _SuiteRunner:
-    def __init__(self, loaded: LoadedAlgebra, seed: int, trials: int,
-                 config: SampleConfig):
+    def __init__(self, loaded: LoadedAlgebra, seed: int, trials: int, degree_bound: int):
         self.loaded = loaded
         self.alg = loaded.algebra
         self.seed = seed
         self.trials = trials
-        self.config = config
+        self.degree_bound = degree_bound
         self.top = loaded.top_connection()
         self.right = loaded.right_connection()
         self.gen = GeneratorD(self.alg, self.right)
@@ -180,22 +178,22 @@ class _SuiteRunner:
     def run_generator(self) -> None:
         alg = self.alg
         ok, witness = is_generator(alg, self.gen, trials=self.trials, seed=self.seed,
-                                   config=self.config)
+                                   degree_bound=self.degree_bound)
         self.record("generator", "identity", ok, witness=witness or "")
 
         rng = self.rng("generator.random-connections")
         bad = ""
         for k in range(min(self.trials, 8)):
-            conn = RightConnectionOnA(random_poly_vector(rng, alg.m, alg.n, self.config))
+            conn = RightConnectionOnA(random_poly_vector(rng, alg.m, alg.n, self.degree_bound))
             ok_k, wit_k = is_generator(alg, GeneratorD(alg, conn), trials=1,
-                                       seed=self.seed + k, config=self.config)
+                                       seed=self.seed + k, degree_bound=self.degree_bound)
             if not ok_k:
                 bad = f"r=({', '.join(str(p) for p in conn.r)}): {wit_k}"
                 break
         self.record("generator", "random-connections", not bad, witness=bad)
 
         square = generator_square(alg, self.gen, trials=min(self.trials, 8),
-                                  seed=self.seed, config=self.config)
+                                  seed=self.seed, degree_bound=self.degree_bound)
         flat = is_flat(alg, self.top)
         self.record("generator", "flatness-coherence", square.is_exact == flat,
                     detail=f"square_zero={square.is_exact} flat={flat}",
@@ -217,7 +215,7 @@ class _SuiteRunner:
         alg = self.alg
         rng = self.rng("bijections")
         rights = [self.right] + [RightConnectionOnA(random_poly_vector(rng, alg.m, alg.n,
-                                                                       self.config))
+                                                                       self.degree_bound))
                                  for _ in range(self.trials)]
         bad = ""
         for conn in rights:
@@ -233,7 +231,7 @@ class _SuiteRunner:
 
         bad = ""
         for _ in range(self.trials):
-            gamma = TopConnection(random_poly_vector(rng, alg.m, alg.n, self.config))
+            gamma = TopConnection(random_poly_vector(rng, alg.m, alg.n, self.degree_bound))
             back = top_from_right(alg, right_from_top(alg, gamma))
             if back.gamma != gamma.gamma:
                 bad = f"gamma round trip moved ({', '.join(map(str, gamma.gamma))})"
@@ -247,19 +245,19 @@ class _SuiteRunner:
     def run_duality(self) -> None:
         ok, witness = check_generator_duality(self.alg, self.gen, self.top,
                                               trials=min(self.trials, 8), seed=self.seed,
-                                              config=self.config)
+                                              degree_bound=self.degree_bound)
         self.record("duality", "matched-pair", ok, witness=witness or "")
 
         perturbed = TopConnection((self.top.gamma[0] + 1,) + self.top.gamma[1:])
-        ok_bad, _ = check_generator_duality(self.alg, self.gen, perturbed,
-                                            trials=3, seed=self.seed, config=self.config)
+        ok_bad, _ = check_generator_duality(self.alg, self.gen, perturbed, trials=3,
+                                            seed=self.seed, degree_bound=self.degree_bound)
         self.record("duality", "perturbed-detected", not ok_bad,
                     detail="perturbing gamma_1 by 1 must break the diagram")
 
     def run_bracket_expansion(self) -> None:
         ok, witness = check_bracket_pairing_identity(self.alg, self.gen, self.top,
-                                                     trials=min(self.trials, 8),
-                                                     seed=self.seed, config=self.config)
+                                                     trials=min(self.trials, 8), seed=self.seed,
+                                                     degree_bound=self.degree_bound)
         self.record("bracket-expansion", "pairing-identity", ok, witness=witness or "")
 
     def run_linear_connection(self) -> None:
@@ -269,8 +267,8 @@ class _SuiteRunner:
 
         bad = ""
         for _ in range(self.trials):
-            conn = LeftConnectionOnL(random_christoffel(rng, alg, self.config))
-            alpha = random_lelement(rng, alg, self.config)
+            conn = LeftConnectionOnL(random_christoffel(rng, alg, self.degree_bound))
+            alpha = random_lelement(rng, alg, self.degree_bound)
             trace = trace_endo(phi_map(alg, conn, alpha))
             induced = induced_top_connection(alg, conn)
             lie = lie_derivative_top(alg, alpha, volume)
@@ -293,7 +291,7 @@ class _SuiteRunner:
 
         bad = ""
         for _ in range(self.trials):
-            target = TopConnection(random_poly_vector(rng, alg.m, alg.n, self.config))
+            target = TopConnection(random_poly_vector(rng, alg.m, alg.n, self.degree_bound))
             lifted = torsionfree_lift(alg, target)
             if not is_torsion_free(alg, lifted):
                 bad = f"lift has torsion for gamma=({', '.join(map(str, target.gamma))})"
@@ -301,8 +299,8 @@ class _SuiteRunner:
             if induced_top_connection(alg, lifted).gamma != target.gamma:
                 bad = f"lift induces the wrong connection for ({', '.join(map(str, target.gamma))})"
                 break
-            alpha = random_lelement(rng, alg, self.config)
-            xi = random_lelement(rng, alg, self.config)
+            alpha = random_lelement(rng, alg, self.degree_bound)
+            xi = random_lelement(rng, alg, self.degree_bound)
             lhs = phi_map(alg, lifted, alpha).apply(xi)
             rhs = -connection_apply_l(alg, lifted, xi, alpha)
             if lhs != rhs:
@@ -312,9 +310,9 @@ class _SuiteRunner:
 
         bad = ""
         for _ in range(self.trials):
-            conn = LeftConnectionOnL(random_christoffel(rng, alg, self.config))
+            conn = LeftConnectionOnL(random_christoffel(rng, alg, self.degree_bound))
             induced = induced_top_connection(alg, conn)
-            alpha = random_lelement(rng, alg, self.config)
+            alpha = random_lelement(rng, alg, self.degree_bound)
             ident = identity_top_form(alg)
             div = divergence_rank_one(
                 lambda f: generalized_lie_derivative(alg, induced, alpha, f), ident)
@@ -329,7 +327,7 @@ class _SuiteRunner:
             self.skip("homology", "betti", "needs the ground-field case m=0")
             return
         try:
-            complex_ = rinehart_complex(alg, self.gen, seed=self.seed)
+            complex_ = rinehart_complex(alg, self.gen)
         except NonExactGeneratorError as exc:
             self.skip("homology", "betti", _sanitize(str(exc)))
             return
@@ -354,8 +352,7 @@ def run_suite(loaded: LoadedAlgebra, suites: tuple[str, ...] | None = None,
     if unknown:
         raise ValueError(f"unknown suite(s): {', '.join(unknown)}; "
                          f"choose from {', '.join(SUITE_NAMES)}")
-    config = SampleConfig(degree_bound=degree_bound)
-    runner = _SuiteRunner(loaded, seed=seed, trials=trials, config=config)
+    runner = _SuiteRunner(loaded, seed=seed, trials=trials, degree_bound=degree_bound)
     started = time.perf_counter()
     dispatch = {
         "axioms": runner.run_axioms,

@@ -196,6 +196,41 @@ def test_generator_square_nonflat_case():
     assert any(not mv.is_zero() for mv in result.basis_table.values())
 
 
+def test_ground_field_square_is_decided_by_the_basis_pass(catalog):
+    # at m = 0 the generator is Q-linear, so trials and seed change nothing
+    seen = set()
+    for name, loaded in catalog.items():
+        alg = loaded.algebra
+        if alg.m:
+            continue
+        gen = GeneratorD(alg, loaded.right_connection())
+        results = [generator_square(alg, gen, trials=trials, seed=seed)
+                   for trials, seed in ((1, 0), (8, 0), (8, 5))]
+        for result in results[1:]:
+            assert result.is_exact == results[0].is_exact
+            assert result.witness == results[0].witness
+            assert result.basis_table == results[0].basis_table
+        seen.add((name, results[0].is_exact))
+    assert ("nonabelian-dim2-nonflat", False) in seen and ("sl2", True) in seen
+
+
+def test_polynomial_square_runs_the_random_pass():
+    # op(a e_S) = (da/dx1) e_{S minus its first index}: op^2 is d^2/dx1^2,
+    # which vanishes on every unit coefficient, so only a random
+    # polynomial coefficient can show that op does not square to zero
+    def op(u):
+        out = Multivector.zero(u.n)
+        for key, a in u.components.items():
+            if key:
+                out = out + Multivector(u.n, [(key[1:], a.diff(0))])
+        return out
+
+    result = generator_square(COORD, op, trials=8, seed=0)
+    assert all(mv.is_zero() for mv in result.basis_table.values())
+    assert not result.is_exact
+    assert result.witness == "D^2((3*x1^2*x2)*e{1,2}) = (6*x2)"
+
+
 @given(a=polys(2, max_degree=2), u=multivectors(2, 2, max_degree=2, max_terms=2))
 @settings(max_examples=20)
 def test_generator_is_not_a_linear(a, u):

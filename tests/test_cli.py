@@ -166,14 +166,32 @@ def test_check_rejects_trials_below_one(capsys, trials):
 
 
 @pytest.mark.parametrize("argv", [("check", "sl2"),
-                                  ("check", "coordinate-2d", "--suite", "generator"),
-                                  ("homology", "sl2")])
+                                  ("check", "coordinate-2d", "--suite", "generator")])
 def test_rejects_degree_bound_below_zero(capsys, argv):
     # a negative bound used to crash random_poly or print degree_bound=-1
     code, out, err = run(capsys, *argv, "--degree-bound", "-1")
     assert code == 2
     assert out == ""
     assert "--degree-bound" in err and "at least 0" in err
+
+
+@pytest.mark.parametrize("option", [("--trials", "4"), ("--degree-bound", "3"),
+                                    ("--degree-bound", "-1")],
+                         ids=["trials", "degree-bound", "negative-degree-bound"])
+def test_homology_rejects_options_it_cannot_use(capsys, option):
+    # homology draws no random data, so these could not change its output
+    code, out, err = run(capsys, "homology", "sl2", *option)
+    assert code == 2
+    assert out == ""
+    assert option[0] in err
+
+
+def test_homology_seed_does_not_change_the_output(capsys):
+    names = ("abelian-dim2", "heisenberg-dim3", "nonabelian-dim2", "sl2")
+    plain = run(capsys, "homology", *names, "--format", "machine")
+    assert plain[0] == 0
+    for seed in ("0", "5"):
+        assert run(capsys, "homology", *names, "--format", "machine", "--seed", seed) == plain
 
 
 def test_check_rejects_rank_zero_file(capsys, tmp_path):
