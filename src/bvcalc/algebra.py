@@ -44,7 +44,7 @@ class LElement:
         return LElement(tuple(-a for a in self.coeffs))
 
     def scale(self, p: PolyElement) -> "LElement":
-        return LElement(tuple(p * a for a in self.coeffs))
+        return LElement(tuple(p * a if a else a for a in self.coeffs))
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)

@@ -21,10 +21,22 @@ In the ground-field case m = 0 the anchor vanishes and both operations
 are Q-linear in each coefficient, so they are evaluated through basis
 tables filled on first use: [a e_S, b e_T] = a b [e_S, e_T], with
 [e_S, e_T] stored on the algebra, and D(a e_S) = a D(e_S), with D(e_S)
-stored on the `GeneratorD`.  The independence holds for the tables too:
-the bracket table is filled only by the recursive `_term_bracket` and the
-D table only by the explicit `apply_generator`; neither is derived from
-the other.  For m > 0 every call evaluates the formulas directly.
+stored on the `GeneratorD`.  The bracket table is filled through itself:
+`_term_bracket` gives the entries with |S| <= 1, and an entry with
+|S| >= 2 combines two entries already in the table by the recursion's
+own peel rule.  The independence holds for the tables too: the bracket
+table is filled only by bracket code and the D table only by the
+explicit `apply_generator`; neither is derived from the other.  For
+m > 0 every call evaluates the formulas directly.
+
+At m = 0 the pair loop of `is_generator` does its arithmetic on the
+bitmask maps of `bvcalc.ground` instead of on `Multivector` objects.
+It draws the same coefficients, visits the same pairs in the same order
+and stops at the same first failure.  The operator under test stays a
+black box: it is called on every basis element and, for every pair, on
+u ^ v, so an operator that is not Q-linear is still caught.  As in
+`gerstenhaber_bracket`, the bracket is read from `alg.gerstenhaber_table`
+on every pair with nonzero coefficients, so an edited entry is seen.
 """
 
 from __future__ import annotations
@@ -33,6 +45,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Sequence
 
+from . import ground
 from .algebra import LElement, LieRinehartAlgebra
 from .exterior import Multivector, basis_label
 from .poly import PolyElement
@@ -211,13 +224,27 @@ def _term_bracket(alg: LieRinehartAlgebra, a: PolyElement, s_key: tuple[int, ...
     return part1 + part2
 
 
-def _basis_bracket(alg: LieRinehartAlgebra, s_key: tuple[int, ...],
+def basis_bracket(alg: LieRinehartAlgebra, s_key: tuple[int, ...],
                    t_key: tuple[int, ...]) -> Multivector:
-    """[e_S, e_T] for m = 0, computed by `_term_bracket` once per algebra."""
+    """[e_S, e_T] for m = 0, computed once per algebra and kept on it.
+
+    For |S| <= 1 the entry comes from `_term_bracket`.  For |S| >= 2 it
+    comes from the same peel rule with both brackets read from the table:
+    [e_s0 ^ e_S', e_T] = (-1)^((q-1)(p-1)) [e_s0, e_T] ^ e_S' + e_s0 ^ [e_S', e_T].
+    """
     entry = alg.gerstenhaber_table.get((s_key, t_key))
     if entry is None:
-        one = PolyElement.one(0)
-        entry = _term_bracket(alg, one, s_key, one, t_key)
+        p, q = len(s_key), len(t_key)
+        if p <= 1:
+            one = PolyElement.one(0)
+            entry = _term_bracket(alg, one, s_key, one, t_key)
+        else:
+            head, rest = s_key[:1], s_key[1:]
+            part1 = basis_bracket(alg, head, t_key).wedge(Multivector.basis(alg.n, rest, m=0))
+            if ((q - 1) * (p - 1)) % 2:
+                part1 = -part1
+            part2 = Multivector.basis(alg.n, head, m=0).wedge(basis_bracket(alg, rest, t_key))
+            entry = part1 + part2
         alg.gerstenhaber_table[(s_key, t_key)] = entry
     return entry
 
@@ -233,7 +260,7 @@ def gerstenhaber_bracket(alg: LieRinehartAlgebra, u: Multivector,
             if alg.m:
                 out = out + _term_bracket(alg, a, s_key, b, t_key)
             else:
-                out = out + _basis_bracket(alg, s_key, t_key).scale(a * b)
+                out = out + basis_bracket(alg, s_key, t_key).scale(a * b)
     return out
 
 
@@ -255,26 +282,65 @@ def is_generator(alg: LieRinehartAlgebra, op: Operator, trials: int = 32,
     rng = check_rng(seed, "is_generator")
     n = alg.n
     subsets = [s for p in range(n + 1) for s in combinations(range(n), p)]
+    pair_defects = _pair_defects if alg.m else _ground_pair_defects
     for _ in range(max(trials, 1)):
         terms = [(key, random_poly(rng, alg.m, degree_bound)) for key in subsets]
         elements = [Multivector(n, [(key, a)]) for key, a in terms]
         images = [op(u) for u in elements]
-        for s_idx, u in enumerate(elements):
-            p = len(terms[s_idx][0])
-            du_wedge = images[s_idx]
-            for t_idx, v in enumerate(elements):
-                lhs = gerstenhaber_bracket(alg, u, v)
-                inner = op(u.wedge(v)) - du_wedge.wedge(v)
-                udv = u.wedge(images[t_idx])
-                inner = inner - udv if p % 2 == 0 else inner + udv
-                rhs = inner if p % 2 == 0 else -inner
-                if lhs != rhs:
-                    s_key, a = terms[s_idx]
-                    t_key, b = terms[t_idx]
-                    witness = (f"u=({a})*{basis_label(s_key)} v=({b})*{basis_label(t_key)} "
-                               f"defect={lhs - rhs}")
-                    return False, witness
+        for s_idx, t_idx, defect in pair_defects(alg, op, terms, elements, images):
+            s_key, a = terms[s_idx]
+            t_key, b = terms[t_idx]
+            witness = (f"u=({a})*{basis_label(s_key)} v=({b})*{basis_label(t_key)} "
+                       f"defect={defect}")
+            return False, witness
     return True, None
+
+
+def _pair_defects(alg, op, terms, elements, images):
+    """Yield (s_idx, t_idx, lhs - rhs) for each pair where the identity fails."""
+    for s_idx, u in enumerate(elements):
+        p = len(terms[s_idx][0])
+        du_wedge = images[s_idx]
+        for t_idx, v in enumerate(elements):
+            lhs = gerstenhaber_bracket(alg, u, v)
+            inner = op(u.wedge(v)) - du_wedge.wedge(v)
+            udv = u.wedge(images[t_idx])
+            inner = inner - udv if p % 2 == 0 else inner + udv
+            rhs = inner if p % 2 == 0 else -inner
+            if lhs != rhs:
+                yield s_idx, t_idx, lhs - rhs
+
+
+def _ground_pair_defects(alg, op, terms, elements, images):
+    """`_pair_defects` for m = 0, with the arithmetic on bitmask maps.
+
+    `op` is still called on u ^ v as a `Multivector` for every pair, and
+    the bracket is read from `alg.gerstenhaber_table` for every pair with
+    a nonzero coefficient product, as `gerstenhaber_bracket` reads it.
+    With sign = (-1)^|u|, the defect is
+    a b [e_S, e_T] - sign D(u ^ v) + sign D(u) ^ v + u ^ D(v).
+    """
+    n = alg.n
+    masks = [ground.to_mask(key) for key, _ in terms]
+    coeffs = [ground.value(a) for _, a in terms]
+    forms = [ground.from_multivector(image) for image in images]
+    for s_idx, (s_key, _) in enumerate(terms):
+        s, a, u, du = masks[s_idx], coeffs[s_idx], elements[s_idx], forms[s_idx]
+        sign = -1 if len(s_key) % 2 else 1
+        for t_idx, (t_key, _) in enumerate(terms):
+            t, b = masks[t_idx], coeffs[t_idx]
+            defect = {}
+            if a and b:
+                ground.add_multiple(
+                    defect, ground.from_multivector(basis_bracket(alg, s_key, t_key)), a * b)
+            ground.add_multiple(
+                defect, ground.from_multivector(op(u.wedge(elements[t_idx]))), -sign)
+            if b:
+                ground.add_multiple(defect, ground.wedge(du, {t: b}), sign)
+            if a:
+                ground.add_multiple(defect, ground.wedge({s: a}, forms[t_idx]), 1)
+            if defect:
+                yield s_idx, t_idx, ground.to_multivector(n, defect)
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
+from . import ground
 from .algebra import LieRinehartAlgebra
-from .bv import GeneratorD, RightConnectionOnA, gerstenhaber_bracket
+from .bv import GeneratorD, RightConnectionOnA, basis_bracket, gerstenhaber_bracket
 from .connections import (
     LeftConnectionOnL,
     TopConnection,
@@ -109,11 +110,16 @@ def check_bracket_pairing_identity(alg: LieRinehartAlgebra, gen: GeneratorD,
     Here u is homogeneous of degree p and v has the complementary degree
     n - p + 1, so both sides are multiples of the volume element.  When
     m = 0, d(phi_{a e_S}) = a d(phi_{e_S}), so the form is computed once
-    per subset S.
+    per subset S, and both sides are evaluated on scalars: the volume
+    coefficients of d(phi_{e_S})(e_T), of a e_S ^ D(v) in the bitmask form
+    of `bvcalc.ground`, and of the table entry [e_S, e_T] read from
+    `alg.gerstenhaber_table` for every pair.  D is still applied to every
+    v and the rng draws are those of the m > 0 loop.
     """
     rng = check_rng(seed, "bracket_pairing")
     n, m = alg.n, alg.m
     top = full_tuple(n)
+    full = (1 << n) - 1
     basis_forms = {}  # S -> d(phi_{e_S}) when m = 0
     for _ in range(max(trials, 1)):
         # p = 0: the form lands one degree above the top, so both sides vanish
@@ -124,22 +130,31 @@ def check_bracket_pairing_identity(alg: LieRinehartAlgebra, gen: GeneratorD,
         for p in range(1, n + 1):
             q = n - p + 1
             for s_key in combinations(range(n), p):
+                s_mask = ground.to_mask(s_key)
                 for t_key in combinations(range(n), q):
                     a = random_poly(rng, m, degree_bound)
                     b = random_poly(rng, m, degree_bound)
-                    u = Multivector(n, [(s_key, a)])
                     v = Multivector(n, [(t_key, b)])
                     if m:
+                        u = Multivector(n, [(s_key, a)])
                         form = covariant_derivative(alg, conn, phi_iso(u, m, degree=p))
+                        lhs = form.evaluate_on_multivector(v).coefficient
+                        wedge_part = u.wedge(gen(v)).component(top, m)
+                        bracket_part = gerstenhaber_bracket(alg, u, v).component(top, m)
                     else:
                         if s_key not in basis_forms:
                             e_s = Multivector.basis(n, s_key, m=0)
                             basis_forms[s_key] = covariant_derivative(
                                 alg, conn, phi_iso(e_s, m, degree=p))
-                        form = basis_forms[s_key].scale(a)
-                    lhs = form.evaluate_on_multivector(v).coefficient
-                    wedge_part = u.wedge(gen(v)).component(top, m)
-                    bracket_part = gerstenhaber_bracket(alg, u, v).component(top, m)
+                        a0, b0 = ground.value(a), ground.value(b)
+                        form_value = basis_forms[s_key].value_on_increasing(t_key)
+                        lhs = a0 * b0 * ground.value(form_value)
+                        dv = ground.from_multivector(gen(v))
+                        wedge_part = ground.wedge({s_mask: a0}, dv).get(full, 0)
+                        bracket_part = 0
+                        if a0 and b0:
+                            bracket = ground.from_multivector(basis_bracket(alg, s_key, t_key))
+                            bracket_part = a0 * b0 * bracket.get(full, 0)
                     rhs = wedge_part + bracket_part
                     if p % 2:
                         rhs = -rhs

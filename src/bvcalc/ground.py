@@ -1,0 +1,86 @@
+"""Ground-field (m = 0) multivectors as maps from bitmasks to scalars.
+
+When A = Q every coefficient is a constant, so a multivector is a map
+{mask: int | Fraction} with nonzero values, where bit i of the mask
+stands for e_{i+1} (the bitmap form of basis blades in Dorst, Fontijne
+and Mann, *Geometric Algebra for Computer Science*, 2007).  The sign of
+e_S ^ e_T is then a parity of bit counts, with no sorting of index
+tuples.  `Multivector` stays the public type: these maps are a working
+form for the m = 0 pair loops of `bv.is_generator` and
+`correspond.check_bracket_pairing_identity`.
+"""
+
+from __future__ import annotations
+
+from .exterior import Multivector
+from .poly import PolyElement
+
+
+def value(coeff: PolyElement):
+    """The int or Fraction value of an m = 0 coefficient; 0 for zero."""
+    return coeff.terms.get((), 0)
+
+
+def to_mask(key: tuple[int, ...]) -> int:
+    """The bitmask of an index tuple."""
+    mask = 0
+    for i in key:
+        mask |= 1 << i
+    return mask
+
+
+def to_key(mask: int) -> tuple[int, ...]:
+    """The increasing index tuple of a bitmask."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def wedge_sign(s: int, t: int) -> int:
+    """The sign of e_S ^ e_T = sign * e_{S | T}; 0 when S and T overlap.
+
+    It is the parity of the pairs (i in S, j in T) with j < i, counted for
+    each j in T as the bits of S above j.
+    """
+    if s & t:
+        return 0
+    inversions = 0
+    while t:
+        low = t & -t
+        inversions += (s & -(low << 1)).bit_count()
+        t ^= low
+    return -1 if inversions & 1 else 1
+
+
+def add_multiple(acc: dict, u: dict, c) -> None:
+    """acc += c * u in place, dropping zeros."""
+    for mask, x in u.items():
+        total = acc.get(mask, 0) + c * x
+        if total:
+            acc[mask] = total
+        else:
+            acc.pop(mask, None)
+
+
+def wedge(u: dict, v: dict) -> dict:
+    """The exterior product of two ground-field multivectors."""
+    out = {}
+    for s, a in u.items():
+        for t, b in v.items():
+            sign = wedge_sign(s, t)
+            if sign:
+                mask = s | t
+                total = out.get(mask, 0) + sign * a * b
+                if total:
+                    out[mask] = total
+                else:
+                    out.pop(mask, None)
+    return out
+
+
+def from_multivector(u: Multivector) -> dict:
+    """An m = 0 multivector as {mask: value}, read off its constant coefficients."""
+    return {to_mask(key): value(coeff) for key, coeff in u.components.items()}
+
+
+def to_multivector(n: int, u: dict) -> Multivector:
+    """Back to a rank-n `Multivector`; used to print witnesses."""
+    return Multivector(n, [(to_key(mask), PolyElement.const(0, c)) for mask, c in u.items()])

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 
 
 def _coerce_coeff(value) -> int | Fraction:
@@ -359,7 +359,9 @@ class DerivationOfA:
             return out
         for j, comp in enumerate(self.components):
             if comp:
-                out = out + comp * p.diff(j)
+                partial = p.diff(j)
+                if partial:
+                    out = out + comp * partial
         return out
 
     def __add__(self, other: "DerivationOfA") -> "DerivationOfA":
@@ -371,7 +373,7 @@ class DerivationOfA:
         return self + other.scale(PolyElement.const(self.m, -1))
 
     def scale(self, p: PolyElement) -> "DerivationOfA":
-        return DerivationOfA(tuple(p * c for c in self.components))
+        return DerivationOfA(tuple(p * c if c else c for c in self.components))
 
     def is_zero(self) -> bool:
         return not any(self.components)

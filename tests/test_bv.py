@@ -1,19 +1,26 @@
+import dataclasses
+from fractions import Fraction
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 
+from bvcalc import bv
 from bvcalc.algebra import LieRinehartAlgebra
 from bvcalc.bv import (
     GeneratorD,
     RightConnectionOnA,
     _term_bracket,
     apply_generator,
+    basis_bracket,
     generator_on_factors,
     generator_square,
     gerstenhaber_bracket,
     is_generator,
     one_circ,
 )
-from bvcalc.exterior import Multivector
+from bvcalc.exterior import Multivector, merge_sign
+from bvcalc.ground import to_key, to_mask, wedge_sign
 from bvcalc.poly import PolyElement
 from bvcalc.sampling import check_rng, random_multivector, random_poly, random_poly_vector
 
@@ -320,3 +327,133 @@ def test_is_generator_fails_on_sign_flipped_bracket_entry():
     ok, witness = is_generator(alg, gen, trials=1, seed=0)
     assert not ok
     assert "e{1} v=" in witness
+
+
+# -- the m = 0 kernel -------------------------------------------------------
+
+
+def subsets(n):
+    return [s for p in range(n + 1) for s in combinations(range(n), p)]
+
+
+def test_wedge_sign_matches_merge_sign():
+    for n in range(7):
+        keys = subsets(n)
+        for key in keys:
+            assert to_key(to_mask(key)) == key
+        assert sorted(to_mask(key) for key in keys) == list(range(1 << n))
+        for s in range(1 << n):
+            for t in range(1 << n):
+                assert wedge_sign(s, t) == merge_sign(to_key(s), to_key(t)), (n, s, t)
+
+
+def ground_algebra(catalog, name):
+    # a fresh copy: new, empty tables on the same structure constants
+    return dataclasses.replace(RANK5 if name == "rank5" else catalog[name].algebra)
+
+
+@pytest.mark.parametrize("name", ["sl2", "heisenberg-dim3", "nonabelian-dim2", "rank5"])
+def test_bracket_table_filled_through_itself_equals_direct_recursion(catalog, name):
+    alg = ground_algebra(catalog, name)
+    keys = subsets(alg.n)
+    for s_key in reversed(keys):
+        for t_key in keys:
+            basis_bracket(alg, s_key, t_key)
+    assert len(alg.gerstenhaber_table) == 4 ** alg.n
+    direct = ground_algebra(catalog, name)
+    one = PolyElement.one(0)
+    for (s_key, t_key), entry in alg.gerstenhaber_table.items():
+        assert entry == _term_bracket(direct, one, s_key, one, t_key), (s_key, t_key)
+    assert not direct.gerstenhaber_table
+
+
+@pytest.mark.parametrize("name", ["sl2", "rank5"])
+def test_filling_the_table_runs_term_bracket_only_for_small_s(catalog, monkeypatch, name):
+    alg = ground_algebra(catalog, name)
+    seen = []
+
+    def counting(alg, a, s_key, b, t_key):
+        seen.append(len(s_key))
+        return _term_bracket(alg, a, s_key, b, t_key)
+
+    monkeypatch.setattr(bv, "_term_bracket", counting)
+    keys = subsets(alg.n)
+    for s_key in keys:
+        for t_key in keys:
+            basis_bracket(alg, s_key, t_key)
+    assert len(seen) == (alg.n + 1) * 2 ** alg.n
+    assert max(seen) == 1
+
+
+def recorded(op):
+    calls = []
+
+    def recording(u):
+        calls.append(u)
+        return op(u)
+
+    return recording, calls
+
+
+def expected_generator_calls(alg, trials, seed):
+    """The operator arguments of `is_generator`: per trial, every element, then every u ^ v."""
+    rng = check_rng(seed, "is_generator")
+    out = []
+    for _ in range(trials):
+        elements = [Multivector(alg.n, [(key, random_poly(rng, alg.m))])
+                    for key in subsets(alg.n)]
+        out += elements
+        out += [u.wedge(v) for u in elements for v in elements]
+    return out
+
+
+def test_ground_pair_loop_calls_the_operator_on_every_element_and_wedge(catalog):
+    loaded = catalog["heisenberg-dim3"]
+    alg = loaded.algebra
+    op, calls = recorded(GeneratorD(alg, loaded.right_connection()))
+    assert is_generator(alg, op, trials=3, seed=1) == (True, None)
+    expected = expected_generator_calls(alg, 3, 1)
+    assert calls == expected
+    # a zero coefficient was drawn, and the operator still saw its products
+    assert any(u.is_zero() for u in expected[:8])
+
+
+def test_ground_pair_loop_exits_on_the_first_failing_pair(sl2):
+    third = PolyElement.const(0, Fraction(1, 3))
+    gen = GeneratorD(sl2, RightConnectionOnA((third,) * 3))
+    assert is_generator(sl2, gen, trials=1, seed=0) == (True, None)
+    gen.table[(0, 1)] = -gen.table[(0, 1)]
+    op, calls = recorded(gen)
+    ok, witness = is_generator(sl2, op, trials=2, seed=0)
+    # the witness text printed by the Multivector pair loop before the m = 0 kernel
+    assert (ok, witness) == (
+        False, "u=(-1)*e{1} v=(-6)*e{2} defect=(4)*e{1} + (-4)*e{2} + (12)*e{3}")
+    expected = expected_generator_calls(sl2, 2, 0)
+    assert len(calls) < len(expected)
+    assert calls == expected[:len(calls)]
+    assert calls[-1] == Multivector(3, [((0, 1), PolyElement.const(0, 6))])
+
+
+def test_is_generator_witness_after_a_scaled_bracket_entry():
+    alg = LieRinehartAlgebra.from_structure_constants(
+        3, {(0, 1): (0, 0, 1), (0, 2): (-2, 0, 0), (1, 2): (0, 2, 0)})
+    gen = GeneratorD(alg, RightConnectionOnA(tuple(PolyElement.zero(0) for _ in range(3))))
+    assert is_generator(alg, gen, trials=1, seed=0) == (True, None)
+    key = ((0,), (1, 2))
+    alg.gerstenhaber_table[key] = alg.gerstenhaber_table[key].scale(
+        PolyElement.const(0, Fraction(1, 2)))
+    assert is_generator(alg, gen, trials=3, seed=4) == (
+        False, "u=(1)*e{1} v=(-6)*e{2,3} defect=(6)*e{1,2}")
+
+
+def test_is_generator_catches_a_non_linear_operator(catalog):
+    loaded = catalog["heisenberg-dim3"]
+    alg = loaded.algebra
+    gen = GeneratorD(alg, loaded.right_connection())
+
+    def nonlinear(u):
+        first = next(iter(u.components.values()), PolyElement.zero(0))
+        return gen(u).scale(first)
+
+    assert is_generator(alg, nonlinear, trials=1, seed=0) == (
+        False, "u=(7)*e{} v=(-6)*e{1,2} defect=(1512)*e{3}")

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 from bvcalc.algebra import LieRinehartAlgebra
 from bvcalc.bv import GeneratorD, RightConnectionOnA, generator_square
@@ -281,3 +282,39 @@ def test_flatness_transport_both_directions():
     for alg, gamma in nonflat_cases:
         assert not is_flat(alg, gamma)
         assert not generator_square(alg, generator_from_top(alg, gamma), trials=2).is_exact
+
+
+def test_bracket_pairing_identity_witness_with_a_half_shifted_gamma(catalog):
+    loaded = catalog["nonabelian-dim2"]
+    alg = loaded.algebra
+    gamma = loaded.top_connection()
+    gen = generator_from_top(alg, gamma)
+    perturbed = TopConnection((gamma.gamma[0] + Fraction(1, 2),) + gamma.gamma[1:])
+    assert check_bracket_pairing_identity(alg, gen, perturbed, trials=2, seed=2) == (
+        False, "p=1 u=(-11)*e{1} v=(-12)*e{1,2} lhs=66 rhs=0")
+
+
+def test_bracket_pairing_loop_calls_the_generator_on_every_v(catalog):
+    loaded = catalog["sl2"]
+    alg = loaded.algebra
+    gamma = loaded.top_connection()
+    gen = generator_from_top(alg, gamma)
+    calls = []
+
+    def recording(v):
+        calls.append(v)
+        return gen(v)
+
+    assert check_bracket_pairing_identity(alg, recording, gamma, trials=2, seed=3) == (True, None)
+    rng = check_rng(3, "bracket_pairing")
+    n = alg.n
+    expected = []
+    for _ in range(2):
+        random_poly(rng, 0)
+        for p in range(1, n + 1):
+            for s_key in combinations(range(n), p):
+                for t_key in combinations(range(n), n - p + 1):
+                    random_poly(rng, 0)
+                    expected.append(Multivector(n, [(t_key, random_poly(rng, 0))]))
+    assert calls == expected
+    assert any(v.is_zero() for v in expected)
