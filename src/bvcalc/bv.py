@@ -29,14 +29,19 @@ table is filled only by bracket code and the D table only by the
 explicit `apply_generator`; neither is derived from the other.  For
 m > 0 every call evaluates the formulas directly.
 
-At m = 0 the pair loop of `is_generator` does its arithmetic on the
-bitmask maps of `bvcalc.ground` instead of on `Multivector` objects.
-It draws the same coefficients, visits the same pairs in the same order
-and stops at the same first failure.  The operator under test stays a
-black box: it is called on every basis element and, for every pair, on
-u ^ v, so an operator that is not Q-linear is still caught.  As in
-`gerstenhaber_bracket`, the bracket is read from `alg.gerstenhaber_table`
-on every pair with nonzero coefficients, so an edited entry is seen.
+The same linearity makes the m = 0 checks exact.  The generator
+identity is Q-bilinear in the coefficients of u and v once the operator
+is Q-linear, so `is_generator` evaluates it once on every pair of basis
+elements (e_S, e_T), with no random coefficient, and `generator_square`
+evaluates D^2 once on every e_S.  The operator under test stays a black
+box: `is_generator` calls it on e_R and on 2 e_R for every subset R, and
+an operator that fails that homogeneity probe fails the check.  The
+probe tests the linearity that the proof assumes but does not prove it;
+`GeneratorD` is Q-linear by construction at m = 0.  The pair
+arithmetic runs on the bitmask maps of `bvcalc.ground`, and the bracket
+is read from `alg.gerstenhaber_table` on every pair, so an edited entry
+is seen.  For m > 0 the coefficients are random polynomials, and a
+passing check is evidence, not proof.
 """
 
 from __future__ import annotations
@@ -272,22 +277,28 @@ Operator = Callable[[Multivector], Multivector]
 
 def is_generator(alg: LieRinehartAlgebra, op: Operator, trials: int = 32,
                  seed: int = 0, degree_bound: int = 3) -> tuple[bool, str | None]:
-    """Check the generator identity on all basis pairs with random coefficients.
+    """Check the generator identity on all pairs of basis subsets.
 
-    Per trial, every basis subset gets one random coefficient and the
-    identity is checked on all ordered pairs.  Accepts any degree -1
-    operator as a callable; returns (True, None) or (False, witness) with
-    the first violating pair.
+    The identity is [u, v] = (-1)^|u| (D(u ^ v) - D(u) ^ v - (-1)^|u| u ^ D(v)).
+    Accepts any degree -1 operator as a callable; returns (True, None) or
+    (False, witness) with the first violating pair.
+
+    When m = 0 the result is that of one pass over the basis with
+    coefficient 1, so it has no seed or trial count: `trials`, `seed`
+    and `degree_bound` make no difference (see `_ground_is_generator`).
+    When m > 0, each of `trials` passes gives every basis subset one
+    random coefficient and checks all ordered pairs.
     """
+    if not alg.m:
+        return _ground_is_generator(alg, op)
     rng = check_rng(seed, "is_generator")
     n = alg.n
     subsets = [s for p in range(n + 1) for s in combinations(range(n), p)]
-    pair_defects = _pair_defects if alg.m else _ground_pair_defects
     for _ in range(max(trials, 1)):
         terms = [(key, random_poly(rng, alg.m, degree_bound)) for key in subsets]
         elements = [Multivector(n, [(key, a)]) for key, a in terms]
         images = [op(u) for u in elements]
-        for s_idx, t_idx, defect in pair_defects(alg, op, terms, elements, images):
+        for s_idx, t_idx, defect in _pair_defects(alg, op, terms, elements, images):
             s_key, a = terms[s_idx]
             t_key, b = terms[t_idx]
             witness = (f"u=({a})*{basis_label(s_key)} v=({b})*{basis_label(t_key)} "
@@ -311,36 +322,48 @@ def _pair_defects(alg, op, terms, elements, images):
                 yield s_idx, t_idx, lhs - rhs
 
 
-def _ground_pair_defects(alg, op, terms, elements, images):
-    """`_pair_defects` for m = 0, with the arithmetic on bitmask maps.
+def _ground_is_generator(alg: LieRinehartAlgebra, op: Operator) -> tuple[bool, str | None]:
+    """`is_generator` for m = 0: one pass over the basis with coefficient 1.
 
-    `op` is still called on u ^ v as a `Multivector` for every pair, and
-    the bracket is read from `alg.gerstenhaber_table` for every pair with
-    a nonzero coefficient product, as `gerstenhaber_bracket` reads it.
-    With sign = (-1)^|u|, the defect is
-    a b [e_S, e_T] - sign D(u ^ v) + sign D(u) ^ v + u ^ D(v).
+    At m = 0 both sides of the identity are Q-bilinear in the two
+    coefficients, once `op` is Q-linear, so the pairs (e_S, e_T) decide it.
+    `op` is called on e_R and on 2 e_R for every subset R, in subset
+    order, and nowhere else.  The second call probes homogeneity; an
+    operator with op(2 e_R) != 2 op(e_R) fails at e_R.  With sign =
+    (-1)^|S| and e_S ^ e_T = w e_{S | T}, the defect of the pair is
+
+        [e_S, e_T] - sign w D(e_{S | T}) + sign D(e_S) ^ e_T + e_S ^ D(e_T),
+
+    evaluated on the bitmask maps of `bvcalc.ground`.  The bracket is read
+    from `alg.gerstenhaber_table` through `basis_bracket` on every pair,
+    so an edited entry is seen.
     """
     n = alg.n
-    masks = [ground.to_mask(key) for key, _ in terms]
-    coeffs = [ground.value(a) for _, a in terms]
-    forms = [ground.from_multivector(image) for image in images]
-    for s_idx, (s_key, _) in enumerate(terms):
-        s, a, u, du = masks[s_idx], coeffs[s_idx], elements[s_idx], forms[s_idx]
+    masks = [(key, ground.to_mask(key))
+             for p in range(n + 1) for key in combinations(range(n), p)]
+    two = PolyElement.const(0, 2)
+    images = {}
+    for key, r in masks:
+        image = op(Multivector.basis(n, key, m=0))
+        doubled = op(Multivector.basis(n, key, two))
+        if doubled != image.scale(two):
+            label = basis_label(key)
+            return False, f"D((2)*{label})={doubled} 2*D({label})={image.scale(two)}"
+        images[r] = ground.from_multivector(image)
+    for s_key, s in masks:
         sign = -1 if len(s_key) % 2 else 1
-        for t_idx, (t_key, _) in enumerate(terms):
-            t, b = masks[t_idx], coeffs[t_idx]
-            defect = {}
-            if a and b:
-                ground.add_multiple(
-                    defect, ground.from_multivector(basis_bracket(alg, s_key, t_key)), a * b)
-            ground.add_multiple(
-                defect, ground.from_multivector(op(u.wedge(elements[t_idx]))), -sign)
-            if b:
-                ground.add_multiple(defect, ground.wedge(du, {t: b}), sign)
-            if a:
-                ground.add_multiple(defect, ground.wedge({s: a}, forms[t_idx]), 1)
+        ds, e_s = images[s], {s: 1}
+        for t_key, t in masks:
+            defect = ground.from_multivector(basis_bracket(alg, s_key, t_key))
+            w = ground.wedge_sign(s, t)
+            if w:
+                ground.add_multiple(defect, images[s | t], -sign * w)
+            ground.add_wedge(defect, ds, {t: 1}, sign)
+            ground.add_wedge(defect, e_s, images[t])
             if defect:
-                yield s_idx, t_idx, ground.to_multivector(n, defect)
+                return False, (f"u=(1)*{basis_label(s_key)} v=(1)*{basis_label(t_key)} "
+                               f"defect={ground.to_multivector(n, defect)}")
+    return True, None
 
 
 @dataclass(frozen=True)

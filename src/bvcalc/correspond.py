@@ -11,6 +11,10 @@ For L free of rank n the following data determine each other exactly:
 top connection through the pairing adjoint: phi_{D(u)} = -d(phi_u) in
 every degree.  `check_bracket_pairing_identity` verifies the companion
 expansion d(phi_u)(v) = (-1)^p (u ^ Dv + [u, v]) on complementary pairs.
+When m = 0 the diagram is Q-linear in u and the expansion Q-bilinear in
+(u, v), so both run one pass over the basis with coefficient 1 and their
+result has no seed or trial count; when m > 0 they evaluate random
+polynomial coefficients.
 
 The linear-connection layer: any connection on L induces one on the top
 power by tracing its Christoffel rows, the endomorphisms
@@ -79,14 +83,19 @@ def check_generator_duality(alg: LieRinehartAlgebra, gen: GeneratorD,
     """Verify phi_{D(u)} = -d(phi_u) for all degrees 0..n.
 
     Holds exactly when the generator and the top connection correspond;
-    a perturbed pair fails with a concrete witness.
+    a perturbed pair fails with a concrete witness.  When m = 0 both
+    sides are Q-linear in the coefficient of u = a e_S, so one pass with
+    a = 1 evaluates each subset once and decides; `trials`, `seed` and
+    `degree_bound` make no difference.  When m > 0, each of `trials`
+    passes draws a random coefficient for every subset.
     """
     rng = check_rng(seed, "generator_duality")
     n, m = alg.n, alg.m
-    for _ in range(max(trials, 1)):
+    one = PolyElement.one(0)
+    for _ in range(max(trials, 1) if m else 1):
         for p in range(n + 1):
             for key in combinations(range(n), p):
-                a = random_poly(rng, m, degree_bound)
+                a = random_poly(rng, m, degree_bound) if m else one
                 u = Multivector(n, [(key, a)])
                 image = gen(u)
                 lhs = phi_iso(image, m, degree=max(p - 1, 0)) if p else None
@@ -109,18 +118,16 @@ def check_bracket_pairing_identity(alg: LieRinehartAlgebra, gen: GeneratorD,
 
     Here u is homogeneous of degree p and v has the complementary degree
     n - p + 1, so both sides are multiples of the volume element.  When
-    m = 0, d(phi_{a e_S}) = a d(phi_{e_S}), so the form is computed once
-    per subset S, and both sides are evaluated on scalars: the volume
-    coefficients of d(phi_{e_S})(e_T), of a e_S ^ D(v) in the bitmask form
-    of `bvcalc.ground`, and of the table entry [e_S, e_T] read from
-    `alg.gerstenhaber_table` for every pair.  D is still applied to every
-    v and the rng draws are those of the m > 0 loop.
+    m = 0 the result is that of one pass with coefficient 1 (see
+    `_ground_pairing_identity`); `trials`, `seed` and `degree_bound` make
+    no difference.  When m > 0, each of `trials` passes draws random
+    coefficients for u and v on every pair of subsets.
     """
+    if not alg.m:
+        return _ground_pairing_identity(alg, gen, conn)
     rng = check_rng(seed, "bracket_pairing")
     n, m = alg.n, alg.m
     top = full_tuple(n)
-    full = (1 << n) - 1
-    basis_forms = {}  # S -> d(phi_{e_S}) when m = 0
     for _ in range(max(trials, 1)):
         # p = 0: the form lands one degree above the top, so both sides vanish
         a = random_poly(rng, m, degree_bound)
@@ -130,38 +137,61 @@ def check_bracket_pairing_identity(alg: LieRinehartAlgebra, gen: GeneratorD,
         for p in range(1, n + 1):
             q = n - p + 1
             for s_key in combinations(range(n), p):
-                s_mask = ground.to_mask(s_key)
                 for t_key in combinations(range(n), q):
                     a = random_poly(rng, m, degree_bound)
                     b = random_poly(rng, m, degree_bound)
+                    u = Multivector(n, [(s_key, a)])
                     v = Multivector(n, [(t_key, b)])
-                    if m:
-                        u = Multivector(n, [(s_key, a)])
-                        form = covariant_derivative(alg, conn, phi_iso(u, m, degree=p))
-                        lhs = form.evaluate_on_multivector(v).coefficient
-                        wedge_part = u.wedge(gen(v)).component(top, m)
-                        bracket_part = gerstenhaber_bracket(alg, u, v).component(top, m)
-                    else:
-                        if s_key not in basis_forms:
-                            e_s = Multivector.basis(n, s_key, m=0)
-                            basis_forms[s_key] = covariant_derivative(
-                                alg, conn, phi_iso(e_s, m, degree=p))
-                        a0, b0 = ground.value(a), ground.value(b)
-                        form_value = basis_forms[s_key].value_on_increasing(t_key)
-                        lhs = a0 * b0 * ground.value(form_value)
-                        dv = ground.from_multivector(gen(v))
-                        wedge_part = ground.wedge({s_mask: a0}, dv).get(full, 0)
-                        bracket_part = 0
-                        if a0 and b0:
-                            bracket = ground.from_multivector(basis_bracket(alg, s_key, t_key))
-                            bracket_part = a0 * b0 * bracket.get(full, 0)
-                    rhs = wedge_part + bracket_part
+                    form = covariant_derivative(alg, conn, phi_iso(u, m, degree=p))
+                    lhs = form.evaluate_on_multivector(v).coefficient
+                    rhs = (u.wedge(gen(v)).component(top, m)
+                           + gerstenhaber_bracket(alg, u, v).component(top, m))
                     if p % 2:
                         rhs = -rhs
                     if lhs != rhs:
                         witness = (f"p={p} u=({a})*{basis_label(s_key)} "
                                    f"v=({b})*{basis_label(t_key)} lhs={lhs} rhs={rhs}")
                         return False, witness
+    return True, None
+
+
+def _ground_pairing_identity(alg: LieRinehartAlgebra, gen: GeneratorD,
+                             conn: TopConnection) -> tuple[bool, str | None]:
+    """`check_bracket_pairing_identity` for m = 0, with coefficient 1.
+
+    At m = 0 both sides are Q-bilinear in the coefficients of u = a e_S
+    and v = b e_T, so the pairs (e_S, e_T) decide.  The form d(phi_{e_S})
+    is computed once per S and D(e_T) once per T, and the top coefficients
+    are compared as scalars: e_S ^ D(e_T) has the one term of D(e_T) on
+    the complement of S, and [e_S, e_T] is read from
+    `alg.gerstenhaber_table` through `basis_bracket` on every pair.
+    """
+    n = alg.n
+    top = full_tuple(n)
+    full = (1 << n) - 1
+    form = covariant_derivative(alg, conn, phi_iso(Multivector.scalar(n, PolyElement.one(0)),
+                                                    0, degree=0))
+    if not form.is_zero():
+        return False, f"p=0 u=(1): derivative of the top-degree form is {form}"
+    for p in range(1, n + 1):
+        t_keys = list(combinations(range(n), n - p + 1))
+        images = [ground.from_multivector(gen(Multivector.basis(n, t_key, m=0)))
+                  for t_key in t_keys]
+        for s_key in combinations(range(n), p):
+            s = ground.to_mask(s_key)
+            form = covariant_derivative(alg, conn,
+                                        phi_iso(Multivector.basis(n, s_key, m=0), 0, degree=p))
+            wedge_sign = ground.wedge_sign(s, full ^ s)
+            for t_key, dv in zip(t_keys, images):
+                lhs = ground.value(form.value_on_increasing(t_key))
+                rhs = (wedge_sign * dv.get(full ^ s, 0)
+                       + ground.value(basis_bracket(alg, s_key, t_key).component(top, 0)))
+                if p % 2:
+                    rhs = -rhs
+                if lhs != rhs:
+                    witness = (f"p={p} u=(1)*{basis_label(s_key)} "
+                               f"v=(1)*{basis_label(t_key)} lhs={lhs} rhs={rhs}")
+                    return False, witness
     return True, None
 
 

@@ -6,7 +6,7 @@ stands for e_{i+1} (the bitmap form of basis blades in Dorst, Fontijne
 and Mann, *Geometric Algebra for Computer Science*, 2007).  The sign of
 e_S ^ e_T is then a parity of bit counts, with no sorting of index
 tuples.  `Multivector` stays the public type: these maps are a working
-form for the m = 0 pair loops of `bv.is_generator` and
+form for the m = 0 basis passes of `bv.is_generator` and
 `correspond.check_bracket_pairing_identity`.
 """
 
@@ -60,20 +60,18 @@ def add_multiple(acc: dict, u: dict, c) -> None:
             acc.pop(mask, None)
 
 
-def wedge(u: dict, v: dict) -> dict:
-    """The exterior product of two ground-field multivectors."""
-    out = {}
+def add_wedge(acc: dict, u: dict, v: dict, c=1) -> None:
+    """acc += c * (u ^ v) in place, dropping zeros."""
     for s, a in u.items():
         for t, b in v.items():
             sign = wedge_sign(s, t)
             if sign:
                 mask = s | t
-                total = out.get(mask, 0) + sign * a * b
+                total = acc.get(mask, 0) + sign * c * a * b
                 if total:
-                    out[mask] = total
+                    acc[mask] = total
                 else:
-                    out.pop(mask, None)
-    return out
+                    acc.pop(mask, None)
 
 
 def from_multivector(u: Multivector) -> dict:

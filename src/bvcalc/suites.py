@@ -321,6 +321,13 @@ class _SuiteRunner:
                 break
         self.record("linear-connection", "divergence-identity", not bad, witness=bad)
 
+        if self.loaded.Gamma is not None:
+            induced = induced_top_connection(alg, self.loaded.Gamma).gamma
+            self.record("linear-connection", "file-connection", induced == self.top.gamma,
+                        witness=f"Gamma induces gamma=({', '.join(map(str, induced))}), "
+                                f"the file's top connection is "
+                                f"({', '.join(map(str, self.top.gamma))})")
+
     def run_homology(self) -> None:
         alg = self.alg
         if alg.m != 0:

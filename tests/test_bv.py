@@ -19,7 +19,7 @@ from bvcalc.bv import (
     is_generator,
     one_circ,
 )
-from bvcalc.exterior import Multivector, merge_sign
+from bvcalc.exterior import Multivector, full_tuple, merge_sign
 from bvcalc.ground import to_key, to_mask, wedge_sign
 from bvcalc.poly import PolyElement
 from bvcalc.sampling import check_rng, random_multivector, random_poly, random_poly_vector
@@ -395,43 +395,47 @@ def recorded(op):
     return recording, calls
 
 
-def expected_generator_calls(alg, trials, seed):
-    """The operator arguments of `is_generator`: per trial, every element, then every u ^ v."""
-    rng = check_rng(seed, "is_generator")
+def expected_generator_calls(alg):
+    """The operator arguments of `is_generator` at m = 0: e_R, then 2 e_R, for each R."""
+    two = PolyElement.const(0, 2)
     out = []
-    for _ in range(trials):
-        elements = [Multivector(alg.n, [(key, random_poly(rng, alg.m))])
-                    for key in subsets(alg.n)]
-        out += elements
-        out += [u.wedge(v) for u in elements for v in elements]
+    for key in subsets(alg.n):
+        out += [Multivector.basis(alg.n, key, m=0), Multivector.basis(alg.n, key, two)]
     return out
 
 
 def test_ground_pair_loop_calls_the_operator_on_every_element_and_wedge(catalog):
+    # the operator sees each basis element and its homogeneity probe once,
+    # and no u ^ v, whatever trials and seed are
     loaded = catalog["heisenberg-dim3"]
     alg = loaded.algebra
-    op, calls = recorded(GeneratorD(alg, loaded.right_connection()))
-    assert is_generator(alg, op, trials=3, seed=1) == (True, None)
-    expected = expected_generator_calls(alg, 3, 1)
-    assert calls == expected
-    # a zero coefficient was drawn, and the operator still saw its products
-    assert any(u.is_zero() for u in expected[:8])
+    for trials, seed in ((3, 1), (1, 0)):
+        op, calls = recorded(GeneratorD(alg, loaded.right_connection()))
+        assert is_generator(alg, op, trials=trials, seed=seed) == (True, None)
+        assert calls == expected_generator_calls(alg)
 
 
-def test_ground_pair_loop_exits_on_the_first_failing_pair(sl2):
+def test_ground_pair_loop_exits_on_the_first_failing_pair(sl2, monkeypatch):
     third = PolyElement.const(0, Fraction(1, 3))
     gen = GeneratorD(sl2, RightConnectionOnA((third,) * 3))
     assert is_generator(sl2, gen, trials=1, seed=0) == (True, None)
     gen.table[(0, 1)] = -gen.table[(0, 1)]
     op, calls = recorded(gen)
+    reads = []
+
+    def counting(alg, s_key, t_key):
+        reads.append((s_key, t_key))
+        return basis_bracket(alg, s_key, t_key)
+
+    monkeypatch.setattr(bv, "basis_bracket", counting)
     ok, witness = is_generator(sl2, op, trials=2, seed=0)
-    # the witness text printed by the Multivector pair loop before the m = 0 kernel
+    # e_{} pairs cannot see D(e1 ^ e2); (e1, e2) is the first pair that does
     assert (ok, witness) == (
-        False, "u=(-1)*e{1} v=(-6)*e{2} defect=(4)*e{1} + (-4)*e{2} + (12)*e{3}")
-    expected = expected_generator_calls(sl2, 2, 0)
-    assert len(calls) < len(expected)
-    assert calls == expected[:len(calls)]
-    assert calls[-1] == Multivector(3, [((0, 1), PolyElement.const(0, 6))])
+        False, "u=(1)*e{1} v=(1)*e{2} defect=(2/3)*e{1} + (-2/3)*e{2} + (2)*e{3}")
+    assert calls == expected_generator_calls(sl2)
+    pairs = [(s, t) for s in subsets(3) for t in subsets(3)]
+    assert reads == pairs[:len(reads)]
+    assert reads[-1] == ((0,), (1,)) and len(reads) < len(pairs)
 
 
 def test_is_generator_witness_after_a_scaled_bracket_entry():
@@ -443,7 +447,7 @@ def test_is_generator_witness_after_a_scaled_bracket_entry():
     alg.gerstenhaber_table[key] = alg.gerstenhaber_table[key].scale(
         PolyElement.const(0, Fraction(1, 2)))
     assert is_generator(alg, gen, trials=3, seed=4) == (
-        False, "u=(1)*e{1} v=(-6)*e{2,3} defect=(6)*e{1,2}")
+        False, "u=(1)*e{1} v=(1)*e{2,3} defect=(-1)*e{1,2}")
 
 
 def test_is_generator_catches_a_non_linear_operator(catalog):
@@ -455,5 +459,45 @@ def test_is_generator_catches_a_non_linear_operator(catalog):
         first = next(iter(u.components.values()), PolyElement.zero(0))
         return gen(u).scale(first)
 
+    # it agrees with gen on every e_R, so only the homogeneity probe sees it
     assert is_generator(alg, nonlinear, trials=1, seed=0) == (
-        False, "u=(7)*e{} v=(-6)*e{1,2} defect=(1512)*e{3}")
+        False, "D((2)*e{1,2})=(-4)*e{3} 2*D(e{1,2})=(-2)*e{3}")
+
+
+def test_ground_generator_identity_has_no_seed_or_trial_count(catalog):
+    seen = set()
+    for name, loaded in catalog.items():
+        alg = loaded.algebra
+        if alg.m:
+            continue
+        gen = GeneratorD(alg, loaded.right_connection())
+
+        def off(u, gen=gen):  # not a generator: a degree-0 term on every e_S
+            return gen(u) + Multivector.scalar(alg.n, u.component(full_tuple(alg.n), 0))
+
+        for op in (gen, off):
+            results = {is_generator(alg, op, trials=trials, seed=seed)
+                       for trials, seed in ((1, 0), (8, 0), (8, 5))}
+            assert len(results) == 1, (name, results)
+            seen.add((name, op is gen, next(iter(results))[0]))
+    assert ("sl2", True, True) in seen and ("sl2", False, False) in seen
+
+
+@pytest.mark.parametrize("name", ["sl2", "heisenberg-dim3"])
+def test_every_sign_flip_of_a_table_entry_fails_on_its_own(catalog, name):
+    alg = ground_algebra(catalog, name)
+    gen = GeneratorD(alg, catalog[name].right_connection())
+    assert is_generator(alg, gen) == (True, None)
+    for table, size in ((gen.table, 2 ** alg.n), (alg.gerstenhaber_table, 4 ** alg.n)):
+        assert len(table) == size
+        flipped = 0
+        for key, entry in list(table.items()):
+            if entry.is_zero():
+                continue
+            table[key] = -entry
+            ok, witness = is_generator(alg, gen)
+            table[key] = entry
+            assert not ok and witness, (key, entry)
+            flipped += 1
+        assert flipped
+    assert is_generator(alg, gen) == (True, None)

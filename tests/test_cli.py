@@ -194,6 +194,23 @@ def test_homology_seed_does_not_change_the_output(capsys):
         assert run(capsys, "homology", *names, "--format", "machine", "--seed", seed) == plain
 
 
+@pytest.mark.parametrize("gamma, status", [("0, 0", 1), ("5, 0", 0)])
+def test_file_gamma_is_checked_against_the_top_connection(capsys, tmp_path, gamma, status):
+    path = tmp_path / "christoffel.alg"
+    path.write_text(f"m = 0\nn = 2\ngamma = [{gamma}]\nGamma[1][1][1] = 5\n")
+    code, out, _ = run(capsys, "check", str(path), "--format", "machine", "--trials", "2")
+    assert code == status
+    assert out.count("status=fail") == status
+    line = next(line for line in out.splitlines() if "file-connection" in line)
+    if status:
+        assert line == ('check=linear-connection.file-connection status=fail '
+                        'witness="Gamma induces gamma=(5, 0), the file\'s top connection '
+                        'is (0, 0)" rerun="bvcalc check ' + str(path) + ' --suite '
+                        'linear-connection --seed 0 --trials 2 --degree-bound 3"')
+    else:
+        assert line == "check=linear-connection.file-connection status=pass"
+
+
 def test_check_rejects_rank_zero_file(capsys, tmp_path):
     path = tmp_path / "rank-zero.alg"
     path.write_text("name = rank-zero\nm = 0\nn = 0\n", encoding="utf-8")

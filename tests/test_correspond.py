@@ -291,7 +291,7 @@ def test_bracket_pairing_identity_witness_with_a_half_shifted_gamma(catalog):
     gen = generator_from_top(alg, gamma)
     perturbed = TopConnection((gamma.gamma[0] + Fraction(1, 2),) + gamma.gamma[1:])
     assert check_bracket_pairing_identity(alg, gen, perturbed, trials=2, seed=2) == (
-        False, "p=1 u=(-11)*e{1} v=(-12)*e{1,2} lhs=66 rhs=0")
+        False, "p=1 u=(1)*e{1} v=(1)*e{1,2} lhs=1/2 rhs=0")
 
 
 def test_bracket_pairing_loop_calls_the_generator_on_every_v(catalog):
@@ -299,22 +299,40 @@ def test_bracket_pairing_loop_calls_the_generator_on_every_v(catalog):
     alg = loaded.algebra
     gamma = loaded.top_connection()
     gen = generator_from_top(alg, gamma)
-    calls = []
-
-    def recording(v):
-        calls.append(v)
-        return gen(v)
-
-    assert check_bracket_pairing_identity(alg, recording, gamma, trials=2, seed=3) == (True, None)
-    rng = check_rng(3, "bracket_pairing")
     n = alg.n
-    expected = []
-    for _ in range(2):
-        random_poly(rng, 0)
-        for p in range(1, n + 1):
-            for s_key in combinations(range(n), p):
-                for t_key in combinations(range(n), n - p + 1):
-                    random_poly(rng, 0)
-                    expected.append(Multivector(n, [(t_key, random_poly(rng, 0))]))
-    assert calls == expected
-    assert any(v.is_zero() for v in expected)
+    # D is called once on each e_T, 1 <= |T| <= n, from the largest T down,
+    # whatever trials and seed are
+    expected = [Multivector.basis(n, t_key, m=0)
+                for p in range(1, n + 1) for t_key in combinations(range(n), n - p + 1)]
+    assert len(set(expected)) == 2 ** n - 1
+    for trials, seed in ((2, 3), (1, 0)):
+        calls = []
+
+        def recording(v):
+            calls.append(v)
+            return gen(v)
+
+        assert check_bracket_pairing_identity(alg, recording, gamma, trials=trials,
+                                              seed=seed) == (True, None)
+        assert calls == expected
+
+
+def test_ground_duality_and_pairing_have_no_seed_or_trial_count(catalog):
+    # the file's gamma passes and gamma_1 + 1 fails, with one result per check
+    seen = set()
+    for name, loaded in catalog.items():
+        alg = loaded.algebra
+        if alg.m:
+            continue
+        gamma = loaded.top_connection()
+        gen = generator_from_top(alg, gamma)
+        perturbed = TopConnection((gamma.gamma[0] + 1,) + gamma.gamma[1:])
+        for check in (check_generator_duality, check_bracket_pairing_identity):
+            for conn in (gamma, perturbed):
+                results = {check(alg, gen, conn, trials=trials, seed=seed)
+                           for trials, seed in ((1, 0), (8, 0), (8, 5))}
+                assert len(results) == 1, (name, check.__name__, results)
+                (ok, witness), = results
+                assert ok == (conn is gamma) and (ok or witness), (name, check.__name__)
+                seen.add(name)
+    assert len(seen) == 5
