@@ -78,7 +78,8 @@ class LieRinehartAlgebra:
     anchor: tuple[DerivationOfA, ...]
     structure: Mapping[tuple[int, int], LElement] = field(default_factory=dict)
     name: str = ""
-    # [e_S, e_T] on basis subsets when m = 0, filled on demand by bvcalc.bv
+    # (S, T) bitmasks -> [e_S, e_T] as a bvcalc.ground map when m = 0,
+    # all 4^n pairs filled at once by bvcalc.bv.bracket_table
     gerstenhaber_table: dict = field(default_factory=dict, init=False, repr=False,
                                      compare=False)
     # lie_trace(e_i) for i < n, filled on first use by bvcalc.correspond

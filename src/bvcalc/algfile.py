@@ -90,19 +90,22 @@ def _parse_indices(bracket_part: str, count: int, line_no: int) -> tuple[int, ..
     return indices
 
 
-def _parse_vector(value: str, m: int, line_no: int) -> tuple[PolyElement, ...]:
-    text = value.strip()
-    if not (text.startswith("[") and text.endswith("]")):
+def _parse_vector(m: int, value: str, line_no: int, column: int) -> tuple[PolyElement, ...]:
+    """Parse a stripped `[p, ...]` value that starts at 0-based `column` of its line."""
+    if not (value.startswith("[") and value.endswith("]")):
         raise AlgebraFileError("expected a bracketed vector like [0, 1]", line_no)
-    inner = text[1:-1].strip()
-    if not inner:
+    inner = value[1:-1]
+    if not inner.strip():
         return ()
     out = []
+    column += 1
     for piece in inner.split(","):
         try:
             out.append(parse_poly(piece, m))
         except PolyParseError as exc:
-            raise AlgebraFileError(f"bad polynomial {piece.strip()!r}: {exc}", line_no) from exc
+            raise AlgebraFileError(f"bad polynomial {piece.strip()!r}: {exc.message}",
+                                   line_no, column + exc.column + 1) from exc
+        column += len(piece) + 1
     return tuple(out)
 
 
@@ -110,18 +113,24 @@ def load(path: str | Path) -> LoadedAlgebra:
     """Load and validate an algebra file; raises AlgebraFileError on problems."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        data = path.read_bytes()
     except OSError as exc:
         raise AlgebraFileError(f"cannot read {path}: {exc}") from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise AlgebraFileError(f"byte 0x{data[exc.start]:02x} is not UTF-8",
+                               data.count(b"\n", 0, exc.start) + 1) from exc
     return loads(text, source=str(path))
 
 
 def loads(text: str, source: str = "<string>") -> LoadedAlgebra:
     name = ""
     m = n = None
-    anchor_entries: dict[tuple[int, int], tuple[str, int]] = {}
-    c_entries: dict[tuple[int, int, int], tuple[str, int]] = {}
-    big_gamma_entries: dict[tuple[int, int, int], tuple[str, int]] = {}
+    # (value, line, 0-based column of the value in its line)
+    anchor_entries: dict[tuple[int, int], tuple[str, int, int]] = {}
+    c_entries: dict[tuple[int, int, int], tuple[str, int, int]] = {}
+    big_gamma_entries: dict[tuple[int, int, int], tuple[str, int, int]] = {}
     gamma_line = r_line = None
     expect_nonflat = False
     suites: tuple[str, ...] | None = None
@@ -136,6 +145,7 @@ def loads(text: str, source: str = "<string>") -> LoadedAlgebra:
         key_part, value = line.split("=", 1)
         key_part = key_part.strip()
         value = value.strip()
+        located = (value, line_no, len(raw) - len(raw.split("=", 1)[1].lstrip()))
         match = _KEY_RE.match(key_part)
         if not match:
             raise AlgebraFileError(f"malformed key {key_part!r}", line_no)
@@ -159,15 +169,15 @@ def loads(text: str, source: str = "<string>") -> LoadedAlgebra:
             else:
                 n = int(value)
         elif key == "anchor":
-            anchor_entries[_parse_indices(brackets, 2, line_no)] = (value, line_no)
+            anchor_entries[_parse_indices(brackets, 2, line_no)] = located
         elif key == "c":
-            c_entries[_parse_indices(brackets, 3, line_no)] = (value, line_no)
+            c_entries[_parse_indices(brackets, 3, line_no)] = located
         elif key == "Gamma":
-            big_gamma_entries[_parse_indices(brackets, 3, line_no)] = (value, line_no)
+            big_gamma_entries[_parse_indices(brackets, 3, line_no)] = located
         elif key == "gamma":
-            gamma_line = (value, line_no)
+            gamma_line = located
         elif key == "r":
-            r_line = (value, line_no)
+            r_line = located
         elif key == "expect_nonflat":
             if value not in ("true", "false"):
                 raise AlgebraFileError("expect_nonflat must be true or false", line_no)
@@ -184,25 +194,25 @@ def loads(text: str, source: str = "<string>") -> LoadedAlgebra:
     if m is None or n is None:
         raise AlgebraFileError("file must set both m and n")
 
-    def parse_entry(value: str, line_no: int) -> PolyElement:
+    def parse_entry(value: str, line_no: int, column: int) -> PolyElement:
         try:
             return parse_poly(value, m)
         except PolyParseError as exc:
-            raise AlgebraFileError(str(exc), line_no, exc.column + 1) from exc
+            raise AlgebraFileError(exc.message, line_no, column + exc.column + 1) from exc
 
     anchor_rows = [[PolyElement.zero(m) for _ in range(m)] for _ in range(n)]
-    for (i, j), (value, line_no) in anchor_entries.items():
+    for (i, j), (value, line_no, column) in anchor_entries.items():
         if not (1 <= i <= n and 1 <= j <= m):
             raise AlgebraFileError(f"anchor[{i}][{j}] out of range for n={n}, m={m}", line_no)
-        anchor_rows[i - 1][j - 1] = parse_entry(value, line_no)
+        anchor_rows[i - 1][j - 1] = parse_entry(value, line_no, column)
 
     structure: dict[tuple[int, int], list[PolyElement]] = {}
-    for (i, j, k), (value, line_no) in c_entries.items():
+    for (i, j, k), (value, line_no, column) in c_entries.items():
         if not (1 <= i < j <= n and 1 <= k <= n):
             raise AlgebraFileError(
                 f"c[{i}][{j}][{k}] needs 1 <= i < j <= n and 1 <= k <= n (n={n})", line_no)
         row = structure.setdefault((i - 1, j - 1), [PolyElement.zero(m) for _ in range(n)])
-        row[k - 1] = parse_entry(value, line_no)
+        row[k - 1] = parse_entry(value, line_no, column)
 
     algebra = LieRinehartAlgebra(
         m=m, n=n,
@@ -216,14 +226,14 @@ def loads(text: str, source: str = "<string>") -> LoadedAlgebra:
 
     gamma = None
     if gamma_line is not None:
-        vec = _parse_vector(gamma_line[0], m, gamma_line[1])
+        vec = _parse_vector(m, *gamma_line)
         if len(vec) != n:
             raise AlgebraFileError(f"gamma must have {n} entries", gamma_line[1])
         gamma = TopConnection(vec)
 
     r = None
     if r_line is not None:
-        vec = _parse_vector(r_line[0], m, r_line[1])
+        vec = _parse_vector(m, *r_line)
         if len(vec) != n:
             raise AlgebraFileError(f"r must have {n} entries", r_line[1])
         r = RightConnectionOnA(vec)
@@ -235,10 +245,10 @@ def loads(text: str, source: str = "<string>") -> LoadedAlgebra:
     big_gamma = None
     if big_gamma_entries:
         table = [[[PolyElement.zero(m) for _ in range(n)] for _ in range(n)] for _ in range(n)]
-        for (i, j, k), (value, line_no) in big_gamma_entries.items():
+        for (i, j, k), (value, line_no, column) in big_gamma_entries.items():
             if not all(1 <= idx <= n for idx in (i, j, k)):
                 raise AlgebraFileError(f"Gamma[{i}][{j}][{k}] out of range (n={n})", line_no)
-            table[i - 1][j - 1][k - 1] = parse_entry(value, line_no)
+            table[i - 1][j - 1][k - 1] = parse_entry(value, line_no, column)
         big_gamma = LeftConnectionOnL(tuple(tuple(LElement(tuple(table[i][j]))
                                                   for j in range(n))
                                             for i in range(n)))

@@ -18,30 +18,22 @@ the sign conventions: the two code paths (recursive bracket, explicit
 operator) are kept independent so they can be tested against each other.
 
 In the ground-field case m = 0 the anchor vanishes and both operations
-are Q-linear in each coefficient, so they are evaluated through basis
-tables filled on first use: [a e_S, b e_T] = a b [e_S, e_T], with
-[e_S, e_T] stored on the algebra, and D(a e_S) = a D(e_S), with D(e_S)
-stored on the `GeneratorD`.  The bracket table is filled through itself:
-`_term_bracket` gives the entries with |S| <= 1, and an entry with
-|S| >= 2 combines two entries already in the table by the recursion's
-own peel rule.  The independence holds for the tables too: the bracket
-table is filled only by bracket code and the D table only by the
-explicit `apply_generator`; neither is derived from the other.  For
-m > 0 every call evaluates the formulas directly.
+are Q-linear in each coefficient, so the m = 0 checks read basis
+tables: [e_S, e_T] for all 4^n pairs in one bitmask table on the
+algebra, filled once by `bracket_table` from the bracket code alone,
+and D(e_S) on the `GeneratorD`, filled as needed by `apply_generator`
+alone; neither table is derived from the other.
 
 The same linearity makes the m = 0 checks exact.  The generator
 identity is Q-bilinear in the coefficients of u and v once the operator
-is Q-linear, so `is_generator` evaluates it once on every pair of basis
-elements (e_S, e_T), with no random coefficient, and `generator_square`
+is Q-linear, so `is_generator` evaluates it once on every basis pair
+(e_S, e_T) with coefficient 1, on the bitmask maps of `bvcalc.ground`
+and reading the bracket table on every pair, and `generator_square`
 evaluates D^2 once on every e_S.  The operator under test stays a black
 box: `is_generator` calls it on e_R and on 2 e_R for every subset R, and
-an operator that fails that homogeneity probe fails the check.  The
-probe tests the linearity that the proof assumes but does not prove it;
-`GeneratorD` is Q-linear by construction at m = 0.  The pair
-arithmetic runs on the bitmask maps of `bvcalc.ground`, and the bracket
-is read from `alg.gerstenhaber_table` on every pair, so an edited entry
-is seen.  For m > 0 the coefficients are random polynomials, and a
-passing check is evidence, not proof.
+an operator that fails that probe of the linearity the proof assumes
+fails the check.  For m > 0 the coefficients are random polynomials,
+and a passing check is evidence, not proof.
 """
 
 from __future__ import annotations
@@ -229,31 +221,6 @@ def _term_bracket(alg: LieRinehartAlgebra, a: PolyElement, s_key: tuple[int, ...
     return part1 + part2
 
 
-def basis_bracket(alg: LieRinehartAlgebra, s_key: tuple[int, ...],
-                   t_key: tuple[int, ...]) -> Multivector:
-    """[e_S, e_T] for m = 0, computed once per algebra and kept on it.
-
-    For |S| <= 1 the entry comes from `_term_bracket`.  For |S| >= 2 it
-    comes from the same peel rule with both brackets read from the table:
-    [e_s0 ^ e_S', e_T] = (-1)^((q-1)(p-1)) [e_s0, e_T] ^ e_S' + e_s0 ^ [e_S', e_T].
-    """
-    entry = alg.gerstenhaber_table.get((s_key, t_key))
-    if entry is None:
-        p, q = len(s_key), len(t_key)
-        if p <= 1:
-            one = PolyElement.one(0)
-            entry = _term_bracket(alg, one, s_key, one, t_key)
-        else:
-            head, rest = s_key[:1], s_key[1:]
-            part1 = basis_bracket(alg, head, t_key).wedge(Multivector.basis(alg.n, rest, m=0))
-            if ((q - 1) * (p - 1)) % 2:
-                part1 = -part1
-            part2 = Multivector.basis(alg.n, head, m=0).wedge(basis_bracket(alg, rest, t_key))
-            entry = part1 + part2
-        alg.gerstenhaber_table[(s_key, t_key)] = entry
-    return entry
-
-
 def gerstenhaber_bracket(alg: LieRinehartAlgebra, u: Multivector,
                          v: Multivector) -> Multivector:
     """The degree -1 bracket on multivectors."""
@@ -262,11 +229,36 @@ def gerstenhaber_bracket(alg: LieRinehartAlgebra, u: Multivector,
     out = Multivector.zero(alg.n)
     for s_key, a in u.components.items():
         for t_key, b in v.components.items():
-            if alg.m:
-                out = out + _term_bracket(alg, a, s_key, b, t_key)
-            else:
-                out = out + basis_bracket(alg, s_key, t_key).scale(a * b)
+            out = out + _term_bracket(alg, a, s_key, b, t_key)
     return out
+
+
+def bracket_table(alg: LieRinehartAlgebra) -> dict:
+    """`alg.gerstenhaber_table` for m = 0: (S, T) bitmasks -> [e_S, e_T] as a ground map.
+
+    Filled on the first call, S in increasing mask order: entries with
+    |S| <= 1 come from `_term_bracket`, and the others by its peel rule
+    from entries already filled, with s0 the lowest bit of S and S' the rest:
+    [e_s0 ^ e_S', e_T] = (-1)^((q-1)(p-1)) [e_s0, e_T] ^ e_S' + e_s0 ^ [e_S', e_T].
+    """
+    table = alg.gerstenhaber_table
+    if table:
+        return table
+    one = PolyElement.one(0)
+    size = 1 << alg.n
+    for s in range(size):
+        p, low = s.bit_count(), s & -s
+        for t in range(size):
+            if p <= 1:
+                mv = _term_bracket(alg, one, ground.to_key(s), one, ground.to_key(t))
+                entry = {ground.to_mask(key): ground.value(c) for key, c in mv.components.items()}
+            else:
+                entry = {}
+                ground.add_wedge(entry, table[low, t], {s ^ low: 1},
+                                 -1 if (t.bit_count() - 1) * (p - 1) % 2 else 1)
+                ground.add_wedge(entry, {low: 1}, table[s ^ low, t])
+            table[s, t] = entry
+    return table
 
 
 # -- generator checks --------------------------------------------------
@@ -298,28 +290,17 @@ def is_generator(alg: LieRinehartAlgebra, op: Operator, trials: int = 32,
         terms = [(key, random_poly(rng, alg.m, degree_bound)) for key in subsets]
         elements = [Multivector(n, [(key, a)]) for key, a in terms]
         images = [op(u) for u in elements]
-        for s_idx, t_idx, defect in _pair_defects(alg, op, terms, elements, images):
-            s_key, a = terms[s_idx]
-            t_key, b = terms[t_idx]
-            witness = (f"u=({a})*{basis_label(s_key)} v=({b})*{basis_label(t_key)} "
-                       f"defect={defect}")
-            return False, witness
+        for (s_key, a), u, du in zip(terms, elements, images):
+            even = len(s_key) % 2 == 0
+            for (t_key, b), v, dv in zip(terms, elements, images):
+                lhs = gerstenhaber_bracket(alg, u, v)
+                inner = op(u.wedge(v)) - du.wedge(v)
+                inner = inner - u.wedge(dv) if even else inner + u.wedge(dv)
+                rhs = inner if even else -inner
+                if lhs != rhs:
+                    return False, (f"u=({a})*{basis_label(s_key)} v=({b})*{basis_label(t_key)} "
+                                   f"defect={lhs - rhs}")
     return True, None
-
-
-def _pair_defects(alg, op, terms, elements, images):
-    """Yield (s_idx, t_idx, lhs - rhs) for each pair where the identity fails."""
-    for s_idx, u in enumerate(elements):
-        p = len(terms[s_idx][0])
-        du_wedge = images[s_idx]
-        for t_idx, v in enumerate(elements):
-            lhs = gerstenhaber_bracket(alg, u, v)
-            inner = op(u.wedge(v)) - du_wedge.wedge(v)
-            udv = u.wedge(images[t_idx])
-            inner = inner - udv if p % 2 == 0 else inner + udv
-            rhs = inner if p % 2 == 0 else -inner
-            if lhs != rhs:
-                yield s_idx, t_idx, lhs - rhs
 
 
 def _ground_is_generator(alg: LieRinehartAlgebra, op: Operator) -> tuple[bool, str | None]:
@@ -335,8 +316,8 @@ def _ground_is_generator(alg: LieRinehartAlgebra, op: Operator) -> tuple[bool, s
         [e_S, e_T] - sign w D(e_{S | T}) + sign D(e_S) ^ e_T + e_S ^ D(e_T),
 
     evaluated on the bitmask maps of `bvcalc.ground`.  The bracket is read
-    from `alg.gerstenhaber_table` through `basis_bracket` on every pair,
-    so an edited entry is seen.
+    from the mask table `bracket_table(alg)` on every pair, so an edited
+    entry is seen; the defect accumulates into a copy of the entry.
     """
     n = alg.n
     masks = [(key, ground.to_mask(key))
@@ -350,11 +331,12 @@ def _ground_is_generator(alg: LieRinehartAlgebra, op: Operator) -> tuple[bool, s
             label = basis_label(key)
             return False, f"D((2)*{label})={doubled} 2*D({label})={image.scale(two)}"
         images[r] = ground.from_multivector(image)
+    table = bracket_table(alg)
     for s_key, s in masks:
         sign = -1 if len(s_key) % 2 else 1
         ds, e_s = images[s], {s: 1}
         for t_key, t in masks:
-            defect = ground.from_multivector(basis_bracket(alg, s_key, t_key))
+            defect = dict(table[s, t])
             w = ground.wedge_sign(s, t)
             if w:
                 ground.add_multiple(defect, images[s | t], -sign * w)

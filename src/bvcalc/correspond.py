@@ -31,7 +31,7 @@ from itertools import combinations
 
 from . import ground
 from .algebra import LieRinehartAlgebra
-from .bv import GeneratorD, RightConnectionOnA, basis_bracket, gerstenhaber_bracket
+from .bv import GeneratorD, RightConnectionOnA, bracket_table, gerstenhaber_bracket
 from .connections import (
     LeftConnectionOnL,
     TopConnection,
@@ -163,12 +163,12 @@ def _ground_pairing_identity(alg: LieRinehartAlgebra, gen: GeneratorD,
     and v = b e_T, so the pairs (e_S, e_T) decide.  The form d(phi_{e_S})
     is computed once per S and D(e_T) once per T, and the top coefficients
     are compared as scalars: e_S ^ D(e_T) has the one term of D(e_T) on
-    the complement of S, and [e_S, e_T] is read from
-    `alg.gerstenhaber_table` through `basis_bracket` on every pair.
+    the complement of S, and [e_S, e_T] is read from the mask table on
+    every pair.
     """
     n = alg.n
-    top = full_tuple(n)
     full = (1 << n) - 1
+    table = bracket_table(alg)
     form = covariant_derivative(alg, conn, phi_iso(Multivector.scalar(n, PolyElement.one(0)),
                                                     0, degree=0))
     if not form.is_zero():
@@ -185,7 +185,7 @@ def _ground_pairing_identity(alg: LieRinehartAlgebra, gen: GeneratorD,
             for t_key, dv in zip(t_keys, images):
                 lhs = ground.value(form.value_on_increasing(t_key))
                 rhs = (wedge_sign * dv.get(full ^ s, 0)
-                       + ground.value(basis_bracket(alg, s_key, t_key).component(top, 0)))
+                       + table[s, ground.to_mask(t_key)].get(full, 0))
                 if p % 2:
                     rhs = -rhs
                 if lhs != rhs:

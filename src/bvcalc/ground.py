@@ -5,9 +5,10 @@ When A = Q every coefficient is a constant, so a multivector is a map
 stands for e_{i+1} (the bitmap form of basis blades in Dorst, Fontijne
 and Mann, *Geometric Algebra for Computer Science*, 2007).  The sign of
 e_S ^ e_T is then a parity of bit counts, with no sorting of index
-tuples.  `Multivector` stays the public type: these maps are a working
-form for the m = 0 basis passes of `bv.is_generator` and
-`correspond.check_bracket_pairing_identity`.
+tuples.  `Multivector` stays the public type: these maps are the working
+form of the m = 0 basis passes of `bv.is_generator` and
+`correspond.check_bracket_pairing_identity`, and of the one bracket
+table `bv.bracket_table` fills per algebra.
 """
 
 from __future__ import annotations

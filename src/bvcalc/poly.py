@@ -235,6 +235,7 @@ class PolyParseError(ValueError):
 
     def __init__(self, message: str, column: int):
         super().__init__(f"{message} (column {column + 1})")
+        self.message = message
         self.column = column
 
 

@@ -74,6 +74,21 @@ def test_polynomial_error_reports_line_and_column():
         loads("m = 2\nn = 1\nanchor[1][1] = x3\n")
     err = str(excinfo.value)
     assert "line 3" in err and "column" in err
+    assert err == "variable x3 out of range (m=2) (line 3, column 16)"
+
+
+@pytest.mark.parametrize("line, message", [
+    ("c[1][2][1] = 1/0", "zero denominator (line 3, column 16)"),
+    ("  c[1][2][1] =   1/0  # comment", "zero denominator (line 3, column 20)"),
+    ("gamma = [1/0, 0]", "bad polynomial '1/0': zero denominator (line 3, column 12)"),
+    ("r = [0,  1/0]", "bad polynomial '1/0': zero denominator (line 3, column 12)"),
+])
+def test_polynomial_error_column_counts_from_the_start_of_the_line(line, message):
+    with pytest.raises(AlgebraFileError) as excinfo:
+        loads(f"m = 0\nn = 2\n{line}\n")
+    err = str(excinfo.value)
+    assert "line 3" in err and "column" in err
+    assert err == message
 
 
 def test_axiom_violation_names_triple():

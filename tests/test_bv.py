@@ -1,4 +1,5 @@
 import dataclasses
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -12,7 +13,7 @@ from bvcalc.bv import (
     RightConnectionOnA,
     _term_bracket,
     apply_generator,
-    basis_bracket,
+    bracket_table,
     generator_on_factors,
     generator_square,
     gerstenhaber_bracket,
@@ -20,7 +21,7 @@ from bvcalc.bv import (
     one_circ,
 )
 from bvcalc.exterior import Multivector, full_tuple, merge_sign
-from bvcalc.ground import to_key, to_mask, wedge_sign
+from bvcalc.ground import add_multiple, to_key, to_mask, to_multivector, value, wedge_sign
 from bvcalc.poly import PolyElement
 from bvcalc.sampling import check_rng, random_multivector, random_poly, random_poly_vector
 
@@ -276,6 +277,16 @@ def direct_bracket(alg, u, v):
     return out
 
 
+def table_bracket(alg, u, v):
+    """The sum of a b [e_S, e_T] over the terms a e_S of u and b e_T of v, from the mask table."""
+    table = bracket_table(alg)
+    out = {}
+    for s_key, a in u.components.items():
+        for t_key, b in v.components.items():
+            add_multiple(out, table[to_mask(s_key), to_mask(t_key)], value(a) * value(b))
+    return to_multivector(alg.n, out)
+
+
 @pytest.mark.parametrize("name", ["sl2", "heisenberg-dim3", "nonabelian-dim2", "rank5"])
 def test_tables_agree_with_direct_formulas(catalog, name):
     alg = RANK5 if name == "rank5" else catalog[name].algebra
@@ -293,6 +304,7 @@ def test_tables_agree_with_direct_formulas(catalog, name):
             v = random_multivector(rng, alg)
             assert gen(u) == apply_generator(alg, conn, u)
             assert gerstenhaber_bracket(alg, u, v) == direct_bracket(alg, u, v)
+            assert table_bracket(alg, u, v) == direct_bracket(alg, u, v)
         assert gen.table and alg.gerstenhaber_table
     assert nonflat_seen
 
@@ -322,8 +334,8 @@ def test_is_generator_fails_on_sign_flipped_bracket_entry():
         3, {(0, 1): (0, 0, 1), (0, 2): (-2, 0, 0), (1, 2): (0, 2, 0)})
     gen = GeneratorD(alg, RightConnectionOnA(tuple(PolyElement.zero(0) for _ in range(3))))
     assert is_generator(alg, gen, trials=1, seed=0) == (True, None)
-    key = ((0,), (1,))
-    alg.gerstenhaber_table[key] = -alg.gerstenhaber_table[key]
+    key = (to_mask((0,)), to_mask((1,)))
+    alg.gerstenhaber_table[key] = negated(alg.gerstenhaber_table[key])
     ok, witness = is_generator(alg, gen, trials=1, seed=0)
     assert not ok
     assert "e{1} v=" in witness
@@ -334,6 +346,17 @@ def test_is_generator_fails_on_sign_flipped_bracket_entry():
 
 def subsets(n):
     return [s for p in range(n + 1) for s in combinations(range(n), p)]
+
+
+def negated(entry):
+    """-entry for a `Multivector` D image or a mask-map bracket entry."""
+    if isinstance(entry, Multivector):
+        return -entry
+    return {mask: -c for mask, c in entry.items()}
+
+
+def is_zero_entry(entry):
+    return entry.is_zero() if isinstance(entry, Multivector) else not entry
 
 
 def test_wedge_sign_matches_merge_sign():
@@ -355,16 +378,61 @@ def ground_algebra(catalog, name):
 @pytest.mark.parametrize("name", ["sl2", "heisenberg-dim3", "nonabelian-dim2", "rank5"])
 def test_bracket_table_filled_through_itself_equals_direct_recursion(catalog, name):
     alg = ground_algebra(catalog, name)
-    keys = subsets(alg.n)
-    for s_key in reversed(keys):
-        for t_key in keys:
-            basis_bracket(alg, s_key, t_key)
+    assert bracket_table(alg) is alg.gerstenhaber_table
     assert len(alg.gerstenhaber_table) == 4 ** alg.n
-    direct = ground_algebra(catalog, name)
+    assert_table_equals_term_bracket(alg)
+
+
+def assert_table_equals_term_bracket(alg):
+    direct = dataclasses.replace(alg)
     one = PolyElement.one(0)
-    for (s_key, t_key), entry in alg.gerstenhaber_table.items():
-        assert entry == _term_bracket(direct, one, s_key, one, t_key), (s_key, t_key)
+    for (s, t), entry in bracket_table(alg).items():
+        assert to_multivector(alg.n, entry) == \
+            _term_bracket(direct, one, to_key(s), one, to_key(t)), (s, t)
     assert not direct.gerstenhaber_table
+
+
+# four families of ground-field Lie algebras as 0-based structure constants
+# (i, j, k) -> c with [e_i, e_j] = c e_k and i < j
+FAMILIES = {
+    "abelian": lambda n: {},
+    # [e_i, e_n] = e_i for i < n: solvable, not unimodular
+    "book": lambda n: {(i, n - 1, i): 1 for i in range(n - 1)},
+    # [e_1, e_i] = e_{i+1} for 2 <= i < n
+    "filiform": lambda n: {(0, i, i + 1): 1 for i in range(1, n - 1)},
+    # [e_i, e_{i+k}] = e_n for i <= k, where n = 2k + 1
+    "heisenberg": lambda n: {(i, i + n // 2, n - 1): 1 for i in range(n // 2)},
+}
+
+
+def family_algebra(family, n, seed):
+    """The family's algebra on the basis f_{perm(i)} = sign_i e_i, drawn from `seed`."""
+    rng = random.Random(f"{family}-{n}:{seed}")
+    perm = list(range(n))
+    rng.shuffle(perm)
+    sign = [rng.choice((1, -1)) for _ in range(n)]
+    brackets = {}
+    for (i, j, k), c in FAMILIES[family](n).items():
+        a, b = perm[i], perm[j]
+        c *= sign[i] * sign[j] * sign[k]
+        if a > b:
+            a, b, c = b, a, -c
+        vector = [0] * n
+        vector[perm[k]] = c
+        brackets[(a, b)] = tuple(vector)
+    return LieRinehartAlgebra.from_structure_constants(n, brackets, name=f"{family}-{n}")
+
+
+@pytest.mark.parametrize("family, n", [
+    *((family, n) for family in ("abelian", "book", "filiform") for n in range(1, 6)),
+    ("heisenberg", 3), ("heisenberg", 5)])
+def test_bracket_table_equals_term_bracket_on_generated_families(family, n):
+    # the mask table (the m = 0 kernel) against the generic path
+    for seed in (0, 1):
+        alg = family_algebra(family, n, seed)
+        assert alg.is_valid()
+        assert len(bracket_table(alg)) == 4 ** n
+        assert_table_equals_term_bracket(alg)
 
 
 @pytest.mark.parametrize("name", ["sl2", "rank5"])
@@ -377,12 +445,13 @@ def test_filling_the_table_runs_term_bracket_only_for_small_s(catalog, monkeypat
         return _term_bracket(alg, a, s_key, b, t_key)
 
     monkeypatch.setattr(bv, "_term_bracket", counting)
-    keys = subsets(alg.n)
-    for s_key in keys:
-        for t_key in keys:
-            basis_bracket(alg, s_key, t_key)
+    table = bracket_table(alg)
+    assert len(table) == 4 ** alg.n
     assert len(seen) == (alg.n + 1) * 2 ** alg.n
     assert max(seen) == 1
+    # filled once per algebra: a second call reads the same table
+    assert bracket_table(alg) is table
+    assert len(seen) == (alg.n + 1) * 2 ** alg.n
 
 
 def recorded(op):
@@ -423,19 +492,21 @@ def test_ground_pair_loop_exits_on_the_first_failing_pair(sl2, monkeypatch):
     op, calls = recorded(gen)
     reads = []
 
-    def counting(alg, s_key, t_key):
-        reads.append((s_key, t_key))
-        return basis_bracket(alg, s_key, t_key)
+    class RecordingTable(dict):
+        def __getitem__(self, key):
+            reads.append(key)
+            return super().__getitem__(key)
 
-    monkeypatch.setattr(bv, "basis_bracket", counting)
+    table = RecordingTable(bracket_table(sl2))
+    monkeypatch.setattr(bv, "bracket_table", lambda alg: table)
     ok, witness = is_generator(sl2, op, trials=2, seed=0)
     # e_{} pairs cannot see D(e1 ^ e2); (e1, e2) is the first pair that does
     assert (ok, witness) == (
         False, "u=(1)*e{1} v=(1)*e{2} defect=(2/3)*e{1} + (-2/3)*e{2} + (2)*e{3}")
     assert calls == expected_generator_calls(sl2)
-    pairs = [(s, t) for s in subsets(3) for t in subsets(3)]
+    pairs = [(to_mask(s), to_mask(t)) for s in subsets(3) for t in subsets(3)]
     assert reads == pairs[:len(reads)]
-    assert reads[-1] == ((0,), (1,)) and len(reads) < len(pairs)
+    assert reads[-1] == (to_mask((0,)), to_mask((1,))) and len(reads) < len(pairs)
 
 
 def test_is_generator_witness_after_a_scaled_bracket_entry():
@@ -443,9 +514,9 @@ def test_is_generator_witness_after_a_scaled_bracket_entry():
         3, {(0, 1): (0, 0, 1), (0, 2): (-2, 0, 0), (1, 2): (0, 2, 0)})
     gen = GeneratorD(alg, RightConnectionOnA(tuple(PolyElement.zero(0) for _ in range(3))))
     assert is_generator(alg, gen, trials=1, seed=0) == (True, None)
-    key = ((0,), (1, 2))
-    alg.gerstenhaber_table[key] = alg.gerstenhaber_table[key].scale(
-        PolyElement.const(0, Fraction(1, 2)))
+    key = (to_mask((0,)), to_mask((1, 2)))
+    alg.gerstenhaber_table[key] = {
+        mask: c * Fraction(1, 2) for mask, c in alg.gerstenhaber_table[key].items()}
     assert is_generator(alg, gen, trials=3, seed=4) == (
         False, "u=(1)*e{1} v=(1)*e{2,3} defect=(-1)*e{1,2}")
 
@@ -492,9 +563,9 @@ def test_every_sign_flip_of_a_table_entry_fails_on_its_own(catalog, name):
         assert len(table) == size
         flipped = 0
         for key, entry in list(table.items()):
-            if entry.is_zero():
+            if is_zero_entry(entry):
                 continue
-            table[key] = -entry
+            table[key] = negated(entry)
             ok, witness = is_generator(alg, gen)
             table[key] = entry
             assert not ok and witness, (key, entry)

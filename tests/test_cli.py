@@ -211,6 +211,16 @@ def test_file_gamma_is_checked_against_the_top_connection(capsys, tmp_path, gamm
         assert line == "check=linear-connection.file-connection status=pass"
 
 
+@pytest.mark.parametrize("command", ["check", "homology"])
+def test_non_utf8_file_is_an_input_error(capsys, tmp_path, command):
+    path = tmp_path / "latin1.alg"
+    path.write_bytes(b"m = 0\nn = 1\nname = caf\xe9\n")
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path}: byte 0xe9 is not UTF-8 (line 3)\n"
+
+
 def test_check_rejects_rank_zero_file(capsys, tmp_path):
     path = tmp_path / "rank-zero.alg"
     path.write_text("name = rank-zero\nm = 0\nn = 0\n", encoding="utf-8")
