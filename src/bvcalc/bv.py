@@ -18,11 +18,13 @@ the sign conventions: the two code paths (recursive bracket, explicit
 operator) are kept independent so they can be tested against each other.
 
 In the ground-field case m = 0 the anchor vanishes and both operations
-are Q-linear in each coefficient, so the m = 0 checks read basis
-tables: [e_S, e_T] for all 4^n pairs in one bitmask table on the
-algebra, filled once by `bracket_table` from the bracket code alone,
-and D(e_S) on the `GeneratorD`, filled as needed by `apply_generator`
-alone; neither table is derived from the other.
+are Q-linear in each coefficient, so the m = 0 checks read bitmask
+basis tables (`bvcalc.ground`): [e_S, e_T] for all 4^n pairs in one
+table on the algebra, filled once by `bracket_table` from the bracket
+code alone, and D(e_S) on the `GeneratorD`, each entry filled on first
+need by `ground_generator` from the explicit formula above, reading only
+r and the structure constants; neither table is derived from the other,
+and `apply_generator` stays the m > 0 path and the oracle for the second.
 
 The same linearity makes the m = 0 checks exact.  The generator
 identity is Q-bilinear in the coefficients of u and v once the operator
@@ -127,13 +129,48 @@ def apply_generator(alg: LieRinehartAlgebra, conn: RightConnectionOnA,
     return out
 
 
+def ground_generator(alg: LieRinehartAlgebra, conn: RightConnectionOnA, s: int) -> dict:
+    """D(e_S) for m = 0 as a ground map {mask: value}, from the explicit formula.
+
+    With S = {s_0 < .. < s_(p-1)} and [e_a, e_b] = sum_l c^l_ab e_l, the
+    terms are (-1)^i r_(s_i) e_(S - s_i) and, for j < k,
+    (-1)^(j+k) c^l_(s_j s_k) e_l ^ e_R with R = S - s_j - s_k, whose sign is
+    `ground.wedge_sign`.  Reads only r and `alg.bracket_basis`: never the
+    bracket table, never `apply_generator`.
+    """
+    out = {}
+    indices = ground.to_key(s)
+    for i, a in enumerate(indices):
+        c = ground.value(conn.r[a])
+        if c:
+            out[s ^ (1 << a)] = -c if i % 2 else c
+    for j, a in enumerate(indices):
+        for k in range(j + 1, len(indices)):
+            b = indices[k]
+            rest = s ^ (1 << a) ^ (1 << b)
+            sign = -1 if (j + k) % 2 else 1
+            for l, coeff in enumerate(alg.bracket_basis(a, b).coeffs):
+                c = ground.value(coeff)
+                w = ground.wedge_sign(1 << l, rest) if c else 0
+                if w:
+                    mask = rest | (1 << l)
+                    total = out.get(mask, 0) + sign * w * c
+                    if total:
+                        out[mask] = total
+                    else:
+                        out.pop(mask, None)
+    return out
+
+
 @dataclass(frozen=True)
 class GeneratorD:
     """Degree -1 operator generating the Gerstenhaber bracket.
 
     Every generator arises from a right connection on A, so the data is
     just the connection; calling the object applies the operator.  When
-    m = 0 the images D(e_S) are kept in `table` as they are first needed.
+    m = 0, `table` maps the bitmask of S to D(e_S) as a ground map, each
+    entry built by `ground_generator` the first time it is needed, and a
+    call sums the entries of its terms; for m > 0 a call is `apply_generator`.
     """
 
     alg: LieRinehartAlgebra
@@ -146,15 +183,14 @@ class GeneratorD:
             return apply_generator(alg, self.connection, u)
         if u.n != alg.n:
             raise ValueError("rank mismatch")
-        out = Multivector.zero(alg.n)
+        out = {}
         for key, coeff in u.components.items():
-            image = self.table.get(key)
+            s = ground.to_mask(key)
+            image = self.table.get(s)
             if image is None:
-                image = apply_generator(alg, self.connection,
-                                        Multivector.basis(alg.n, key, m=0))
-                self.table[key] = image
-            out = out + image.scale(coeff)
-        return out
+                image = self.table[s] = ground_generator(alg, self.connection, s)
+            ground.add_multiple(out, image, ground.value(coeff))
+        return ground.to_multivector(alg.n, out)
 
 
 # -- the bracket ------------------------------------------------------
@@ -254,9 +290,9 @@ def bracket_table(alg: LieRinehartAlgebra) -> dict:
                 entry = {ground.to_mask(key): ground.value(c) for key, c in mv.components.items()}
             else:
                 entry = {}
-                ground.add_wedge(entry, table[low, t], {s ^ low: 1},
-                                 -1 if (t.bit_count() - 1) * (p - 1) % 2 else 1)
-                ground.add_wedge(entry, {low: 1}, table[s ^ low, t])
+                ground.add_wedge_basis(entry, table[low, t], s ^ low,
+                                       -1 if (t.bit_count() - 1) * (p - 1) % 2 else 1)
+                ground.add_basis_wedge(entry, low, table[s ^ low, t])
             table[s, t] = entry
     return table
 
@@ -315,9 +351,11 @@ def _ground_is_generator(alg: LieRinehartAlgebra, op: Operator) -> tuple[bool, s
 
         [e_S, e_T] - sign w D(e_{S | T}) + sign D(e_S) ^ e_T + e_S ^ D(e_T),
 
-    evaluated on the bitmask maps of `bvcalc.ground`.  The bracket is read
-    from the mask table `bracket_table(alg)` on every pair, so an edited
-    entry is seen; the defect accumulates into a copy of the entry.
+    evaluated on the bitmask maps of `bvcalc.ground`, where each wedge has
+    the basis element e_T or e_S on one side and costs one sign and one add
+    per term of the image.  The bracket is read from the mask table
+    `bracket_table(alg)` on every pair, so an edited entry is seen; the
+    defect accumulates into a copy of the entry.
     """
     n = alg.n
     masks = [(key, ground.to_mask(key))
@@ -334,14 +372,14 @@ def _ground_is_generator(alg: LieRinehartAlgebra, op: Operator) -> tuple[bool, s
     table = bracket_table(alg)
     for s_key, s in masks:
         sign = -1 if len(s_key) % 2 else 1
-        ds, e_s = images[s], {s: 1}
+        ds = images[s]
         for t_key, t in masks:
             defect = dict(table[s, t])
             w = ground.wedge_sign(s, t)
             if w:
                 ground.add_multiple(defect, images[s | t], -sign * w)
-            ground.add_wedge(defect, ds, {t: 1}, sign)
-            ground.add_wedge(defect, e_s, images[t])
+            ground.add_wedge_basis(defect, ds, t, sign)
+            ground.add_basis_wedge(defect, s, images[t])
             if defect:
                 return False, (f"u=(1)*{basis_label(s_key)} v=(1)*{basis_label(t_key)} "
                                f"defect={ground.to_multivector(n, defect)}")

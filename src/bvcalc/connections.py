@@ -22,9 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Callable
 
+from . import ground
 from .algebra import LElement, LieRinehartAlgebra
 from .exterior import AltForm, TopElement, full_tuple
 from .poly import PolyElement
@@ -178,8 +178,17 @@ def covariant_derivative(alg: LieRinehartAlgebra, conn: TopConnection,
                          f: AltForm) -> AltForm:
     """Covariant derivative of a top-valued form, one degree up.
 
-    Input of degree n (or more) maps to the zero form one degree up:
-    there are no increasing tuples of that length left.
+    Computed in scatter form: each nonzero value v = f(K) is added into
+    every output it reaches, the terms (-1)^(j-1) nabla_{e_i} v at
+    K + i, where i sits in slot t and j = p + t, and the terms
+    (-1)^(p+1) (-1)^(j+k) c^l_ab v at R + a + b for R = K - l, where
+    f(e_l, e_R) = (-1)^(slot of l in K) v and a, b sit in slots with
+    labels j < k.  That is the module's formula, with the sign convention
+    unchanged, summed over the entries of f instead of over the output
+    tuples, so a form with one nonzero value, such as phi_iso(e_S), costs
+    one entry.  Input of degree n (or
+    more) maps to the zero form one degree up: there are no increasing
+    tuples of that length left.
     """
     n, m = alg.n, alg.m
     q = f.degree
@@ -187,31 +196,41 @@ def covariant_derivative(alg: LieRinehartAlgebra, conn: TopConnection,
     if q >= n:
         return out
     p = n - q  # first absolute argument label in the sign convention
-    acc: dict[tuple[int, ...], PolyElement] = {}
-    for key in combinations(range(n), q + 1):
-        value = PolyElement.zero(m)
-        for t, i in enumerate(key):
-            inner = f.value_on_increasing(key[:t] + key[t + 1:])
-            if not inner:
+    # the nonzero c^l_ab, with a < b in increasing order as the formula sums them
+    brackets = [(a, b, [(l, c) for l, c in enumerate(br.coeffs) if c])
+                for (a, b), br in sorted(alg.structure.items())]
+    acc: dict[int, PolyElement] = {}
+
+    def add(mask: int, value: PolyElement, negative: int) -> None:
+        prev = acc.get(mask)
+        if prev is None:
+            acc[mask] = -value if negative else value
+        else:
+            acc[mask] = prev - value if negative else prev + value
+
+    for key, v in f.components.items():
+        k = ground.to_mask(key)
+        for i in range(n):
+            if k >> i & 1:
                 continue
-            nabla = alg.anchor[i](inner) + inner * conn.gamma[i]
-            # label of slot t is j = p + t; sign (-1)^(j-1)
-            value = value + nabla if (p + t - 1) % 2 == 0 else value - nabla
-        for s in range(q + 1):
-            for t in range(s + 1, q + 1):
-                br = alg.bracket_basis(key[s], key[t])
-                if br.is_zero():
+            nabla = v * conn.gamma[i]
+            if not alg.anchor[i].is_zero():
+                nabla = alg.anchor[i](v) + nabla
+            if nabla:
+                t = (k & ((1 << i) - 1)).bit_count()
+                add(k | (1 << i), nabla, (p + t - 1) % 2)
+        for a, b, terms in brackets:
+            pair = (1 << a) | (1 << b)
+            for l, c in terms:
+                rest = k ^ (1 << l)
+                if not k >> l & 1 or rest & pair:
                     continue
-                rest = key[:s] + key[s + 1:t] + key[t + 1:]
-                inner = PolyElement.zero(m)
-                for l, cl in enumerate(br.coeffs):
-                    if cl:
-                        inner = inner + cl * f.value_on_basis_tuple((l,) + rest)
-                # labels j = p + s, k = p + t; total sign (-1)^(p+1) (-1)^(j+k)
-                value = value + inner if (p + 1 + s + t) % 2 == 0 else value - inner
-        if value:
-            acc[key] = value
-    out.components = acc
+                target = rest | pair
+                s = (target & ((1 << a) - 1)).bit_count()
+                t = (target & ((1 << b) - 1)).bit_count()
+                slot = (k & ((1 << l) - 1)).bit_count()
+                add(target, c * v, (p + 1 + s + t + slot) % 2)
+    out.components = {ground.to_key(mask): value for mask, value in acc.items() if value}
     return out
 
 

@@ -7,8 +7,10 @@ and Mann, *Geometric Algebra for Computer Science*, 2007).  The sign of
 e_S ^ e_T is then a parity of bit counts, with no sorting of index
 tuples.  `Multivector` stays the public type: these maps are the working
 form of the m = 0 basis passes of `bv.is_generator` and
-`correspond.check_bracket_pairing_identity`, and of the one bracket
-table `bv.bracket_table` fills per algebra.
+`correspond.check_bracket_pairing_identity`, of the one bracket table
+`bv.bracket_table` fills per algebra, and of the D(e_S) table on each
+`bv.GeneratorD`.  Every wedge those need has a basis element e_S on one
+side, so there is no general product of two maps.
 """
 
 from __future__ import annotations
@@ -61,18 +63,30 @@ def add_multiple(acc: dict, u: dict, c) -> None:
             acc.pop(mask, None)
 
 
-def add_wedge(acc: dict, u: dict, v: dict, c=1) -> None:
-    """acc += c * (u ^ v) in place, dropping zeros."""
+def add_wedge_basis(acc: dict, u: dict, t: int, c=1) -> None:
+    """acc += c * (u ^ e_T) in place, dropping zeros: one sign and one add per term of u."""
     for s, a in u.items():
-        for t, b in v.items():
-            sign = wedge_sign(s, t)
-            if sign:
-                mask = s | t
-                total = acc.get(mask, 0) + sign * c * a * b
-                if total:
-                    acc[mask] = total
-                else:
-                    acc.pop(mask, None)
+        sign = wedge_sign(s, t)
+        if sign:
+            mask = s | t
+            total = acc.get(mask, 0) + sign * c * a
+            if total:
+                acc[mask] = total
+            else:
+                acc.pop(mask, None)
+
+
+def add_basis_wedge(acc: dict, s: int, v: dict, c=1) -> None:
+    """acc += c * (e_S ^ v) in place, dropping zeros: one sign and one add per term of v."""
+    for t, b in v.items():
+        sign = wedge_sign(s, t)
+        if sign:
+            mask = s | t
+            total = acc.get(mask, 0) + sign * c * b
+            if total:
+                acc[mask] = total
+            else:
+                acc.pop(mask, None)
 
 
 def from_multivector(u: Multivector) -> dict:

@@ -16,6 +16,16 @@ settings.register_profile(
 )
 settings.load_profile("exact")
 
+# heisenberg-dim3 extended by e4 and a non-unimodular e5 acting by
+# ad(e5) = -diag(1, 1, 2, 1): [e1, e2] = e3, [e_i, e5] = lambda_i e_i
+RANK5 = LieRinehartAlgebra.from_structure_constants(5, {
+    (0, 1): (0, 0, 1, 0, 0),
+    (0, 4): (1, 0, 0, 0, 0),
+    (1, 4): (0, 1, 0, 0, 0),
+    (2, 4): (0, 0, 2, 0, 0),
+    (3, 4): (0, 0, 0, 1, 0),
+}, name="rank5")
+
 
 def exponent_vectors(m: int, max_degree: int = 3):
     return st.lists(st.integers(min_value=0, max_value=max_degree), min_size=m, max_size=m) \

@@ -20,12 +20,22 @@ from bvcalc.bv import (
     is_generator,
     one_circ,
 )
+from bvcalc.correspond import right_from_generator
 from bvcalc.exterior import Multivector, full_tuple, merge_sign
-from bvcalc.ground import add_multiple, to_key, to_mask, to_multivector, value, wedge_sign
+from bvcalc.ground import (
+    add_basis_wedge,
+    add_multiple,
+    add_wedge_basis,
+    to_key,
+    to_mask,
+    to_multivector,
+    value,
+    wedge_sign,
+)
 from bvcalc.poly import PolyElement
 from bvcalc.sampling import check_rng, random_multivector, random_poly, random_poly_vector
 
-from conftest import multivectors, polys
+from conftest import RANK5, multivectors, polys
 
 COORD = LieRinehartAlgebra.coordinate(2)
 NONAB = LieRinehartAlgebra.from_structure_constants(2, {(0, 1): (1, 0)}, name="nonabelian-dim2")
@@ -258,17 +268,6 @@ def test_rank_mismatch_errors():
 
 # -- the m = 0 basis tables ------------------------------------------------
 
-# heisenberg-dim3 extended by e4 and a non-unimodular e5 acting by
-# ad(e5) = -diag(1, 1, 2, 1): [e1, e2] = e3, [e_i, e5] = lambda_i e_i
-RANK5 = LieRinehartAlgebra.from_structure_constants(5, {
-    (0, 1): (0, 0, 1, 0, 0),
-    (0, 4): (1, 0, 0, 0, 0),
-    (1, 4): (0, 1, 0, 0, 0),
-    (2, 4): (0, 0, 2, 0, 0),
-    (3, 4): (0, 0, 0, 1, 0),
-}, name="rank5")
-
-
 def direct_bracket(alg, u, v):
     out = Multivector.zero(alg.n)
     for s_key, a in u.components.items():
@@ -322,7 +321,7 @@ def test_is_generator_fails_on_sign_flipped_generator_entry(sl2):
     conn = RightConnectionOnA(tuple(PolyElement.zero(0) for _ in range(3)))
     gen = GeneratorD(sl2, conn)
     assert is_generator(sl2, gen, trials=1, seed=0) == (True, None)
-    gen.table[(0, 1)] = -gen.table[(0, 1)]  # D(e1 ^ e2) = -h, not 0
+    gen.table[0b11] = negated(gen.table[0b11])  # D(e1 ^ e2) = -h, not 0
     ok, witness = is_generator(sl2, gen, trials=1, seed=0)
     assert not ok
     assert witness
@@ -368,6 +367,30 @@ def test_wedge_sign_matches_merge_sign():
         for s in range(1 << n):
             for t in range(1 << n):
                 assert wedge_sign(s, t) == merge_sign(to_key(s), to_key(t)), (n, s, t)
+
+
+def test_one_element_wedges_match_multivector_wedge():
+    rng = random.Random("one-element-wedges")
+    for n in range(5):
+        for _ in range(20):
+            u = {s: Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+                 for s in range(1 << n) if rng.random() < 0.5}
+            u = {s: c for s, c in u.items() if c}
+            acc = {s: rng.randint(-2, 2) for s in range(1 << n) if rng.random() < 0.3}
+            acc = {s: c for s, c in acc.items() if c}
+            c = rng.choice((1, -1, 2, Fraction(1, 3)))
+            for e in range(1 << n):
+                basis = Multivector.basis(n, to_key(e), m=0)
+                start = to_multivector(n, acc)
+                right, left = dict(acc), dict(acc)
+                add_wedge_basis(right, u, e, c)
+                add_basis_wedge(left, e, u, c)
+                scale = PolyElement.const(0, c)
+                assert to_multivector(n, right) == \
+                    start + to_multivector(n, u).wedge(basis).scale(scale)
+                assert to_multivector(n, left) == \
+                    start + basis.wedge(to_multivector(n, u)).scale(scale)
+                assert all(right.values()) and all(left.values())
 
 
 def ground_algebra(catalog, name):
@@ -435,6 +458,49 @@ def test_bracket_table_equals_term_bracket_on_generated_families(family, n):
         assert_table_equals_term_bracket(alg)
 
 
+def fraction_connection(alg, label):
+    """A seeded m = 0 right connection: r_1 a half-integer, the others p/q with q <= 4."""
+    rng = random.Random(label)
+    values = [Fraction(2 * rng.randint(-4, 4) + 1, 2)]
+    values += [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(alg.n - 1)]
+    return RightConnectionOnA(tuple(PolyElement.const(0, c) for c in values))
+
+
+@pytest.mark.parametrize("family, n", [
+    *((family, n) for family in ("abelian", "book", "filiform") for n in range(1, 6)),
+    ("heisenberg", 3), ("heisenberg", 5)])
+def test_generator_table_equals_apply_generator_on_generated_families(family, n, monkeypatch):
+    # the mask D table (the m = 0 kernel) against the generic path
+    for seed in (0, 1):
+        alg = family_algebra(family, n, seed)
+        assert alg.is_valid()
+        conn = fraction_connection(alg, f"r-{family}-{n}:{seed}")
+        assert any(isinstance(value(r), Fraction) for r in conn.r)
+        gen = GeneratorD(alg, conn)
+
+        def forbidden(*args):
+            raise AssertionError("the D table called apply_generator")
+
+        monkeypatch.setattr(bv, "apply_generator", forbidden)
+        for s in range(1 << n):
+            gen(Multivector.basis(n, to_key(s), m=0))
+        monkeypatch.undo()
+        assert sorted(gen.table) == list(range(1 << n))
+        for s, entry in gen.table.items():
+            assert to_multivector(n, entry) == \
+                apply_generator(alg, conn, Multivector.basis(n, to_key(s), m=0)), (s, entry)
+        # the D table never reads the bracket table
+        assert not alg.gerstenhaber_table
+
+
+@pytest.mark.parametrize("name", ["sl2", "heisenberg-dim3", "rank5"])
+def test_right_from_generator_fills_exactly_n_entries(catalog, name):
+    alg = ground_algebra(catalog, name)
+    gen = GeneratorD(alg, fraction_connection(alg, f"right-{name}"))
+    assert right_from_generator(alg, gen) == gen.connection
+    assert sorted(gen.table) == [1 << i for i in range(alg.n)]
+
+
 @pytest.mark.parametrize("name", ["sl2", "rank5"])
 def test_filling_the_table_runs_term_bracket_only_for_small_s(catalog, monkeypatch, name):
     alg = ground_algebra(catalog, name)
@@ -488,7 +554,7 @@ def test_ground_pair_loop_exits_on_the_first_failing_pair(sl2, monkeypatch):
     third = PolyElement.const(0, Fraction(1, 3))
     gen = GeneratorD(sl2, RightConnectionOnA((third,) * 3))
     assert is_generator(sl2, gen, trials=1, seed=0) == (True, None)
-    gen.table[(0, 1)] = -gen.table[(0, 1)]
+    gen.table[0b11] = negated(gen.table[0b11])
     op, calls = recorded(gen)
     reads = []
 

@@ -29,9 +29,15 @@ from bvcalc.bv import one_circ
 from bvcalc.correspond import right_from_top
 from bvcalc.exterior import AltForm, TopElement, full_tuple
 from bvcalc.poly import PolyElement
-from bvcalc.sampling import check_rng, random_christoffel, random_lelement, random_poly
+from bvcalc.sampling import (
+    check_rng,
+    random_christoffel,
+    random_lelement,
+    random_poly,
+    random_poly_vector,
+)
 
-from conftest import lelements, polys
+from conftest import RANK5, lelements, polys
 
 COORD = LieRinehartAlgebra.coordinate(2)
 NONAB = LieRinehartAlgebra.from_structure_constants(2, {(0, 1): (1, 0)}, name="nonabelian-dim2")
@@ -182,6 +188,65 @@ def test_covariant_derivative_top_degree_input_vanishes():
     form = identity_top_form(COORD)
     out = covariant_derivative(COORD, conn, form)
     assert out.degree == 3 and out.is_zero()
+
+
+def gather_covariant_derivative(alg, conn, f):
+    """The covariant derivative by a loop over the output tuples: the oracle.
+
+    Each (q+1)-tuple gathers its nabla terms and bracket terms by looking up
+    values of f, with the sign convention of the `connections` docstring.
+    """
+    n, m = alg.n, alg.m
+    q = f.degree
+    out = AltForm(n, m, min(q + 1, n + 1))
+    if q >= n:
+        return out
+    p = n - q
+    acc = {}
+    for key in combinations(range(n), q + 1):
+        value = PolyElement.zero(m)
+        for t, i in enumerate(key):
+            inner = f.value_on_increasing(key[:t] + key[t + 1:])
+            if not inner:
+                continue
+            nabla = alg.anchor[i](inner) + inner * conn.gamma[i]
+            value = value + nabla if (p + t - 1) % 2 == 0 else value - nabla
+        for s in range(q + 1):
+            for t in range(s + 1, q + 1):
+                br = alg.bracket_basis(key[s], key[t])
+                if br.is_zero():
+                    continue
+                rest = key[:s] + key[s + 1:t] + key[t + 1:]
+                inner = PolyElement.zero(m)
+                for l, cl in enumerate(br.coeffs):
+                    if cl:
+                        inner = inner + cl * f.value_on_basis_tuple((l,) + rest)
+                value = value + inner if (p + 1 + s + t) % 2 == 0 else value - inner
+        if value:
+            acc[key] = value
+    out.components = acc
+    return out
+
+
+@pytest.mark.parametrize("name", ["sl2", "heisenberg-dim3", "coordinate-2d",
+                                  "poisson-linear-2d", "rank5"])
+def test_covariant_derivative_equals_the_gather_loop(catalog, name):
+    # dense random forms of every degree 0..n+1, random gamma
+    alg = RANK5 if name == "rank5" else catalog[name].algebra
+    if name == "poisson-linear-2d":
+        assert any(not rho.is_zero() for rho in alg.anchor)
+    rng = check_rng(11, f"scatter-{name}")
+    nonzero = 0
+    for _ in range(4):
+        conn = TopConnection(random_poly_vector(rng, alg.m, alg.n, 2))
+        for q in range(alg.n + 2):
+            form = AltForm(alg.n, alg.m, q, {key: random_poly(rng, alg.m, 2)
+                                             for key in combinations(range(alg.n), q)})
+            out = covariant_derivative(alg, conn, form)
+            assert out == gather_covariant_derivative(alg, conn, form), (q, str(form))
+            assert out.degree == min(q + 1, alg.n + 1)
+            nonzero += not out.is_zero()
+    assert nonzero
 
 
 def test_phi_map_examples():
