@@ -246,6 +246,12 @@ def test_covariant_derivative_equals_the_gather_loop(catalog, name):
             assert out == gather_covariant_derivative(alg, conn, form), (q, str(form))
             assert out.degree == min(q + 1, alg.n + 1)
             nonzero += not out.is_zero()
+            # one-entry forms, as phi_iso(a e_S) gives: the same terms in the
+            # same order, so the checks' witnesses print as the gather loop's
+            for key in combinations(range(alg.n), q):
+                form = AltForm(alg.n, alg.m, q, {key: random_poly(rng, alg.m, 2)})
+                assert str(covariant_derivative(alg, conn, form)) == \
+                    str(gather_covariant_derivative(alg, conn, form)), (q, str(form))
     assert nonzero
 
 
