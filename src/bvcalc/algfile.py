@@ -76,15 +76,25 @@ class LoadedAlgebra:
         return right_from_top(self.algebra, self.top_connection())
 
 
-_KEY_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)((?:\[\d+\])*)$")
+# ASCII digits only: other Unicode digits pass `str.isdigit` and `\d`
+_KEY_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)((?:\[\d+\])*)$", re.ASCII)
+_UINT_RE = re.compile(r"[0-9]+")
 
 
-def _indices(bracket_part: str) -> tuple[int, ...]:
-    return tuple(int(s) for s in re.findall(r"\[(\d+)\]", bracket_part))
+def _uint(text: str, what: str, line_no: int) -> int:
+    """An ASCII decimal integer; one longer than `int` converts is an input error."""
+    try:
+        return int(text)
+    except ValueError:
+        raise AlgebraFileError(f"{what} has too many digits ({len(text)})", line_no) from None
+
+
+def _indices(bracket_part: str, line_no: int) -> tuple[int, ...]:
+    return tuple(_uint(s, "index", line_no) for s in re.findall(r"\[(\d+)\]", bracket_part))
 
 
 def _parse_indices(bracket_part: str, count: int, line_no: int) -> tuple[int, ...]:
-    indices = _indices(bracket_part)
+    indices = _indices(bracket_part, line_no)
     if len(indices) != count:
         raise AlgebraFileError(f"expected {count} indices, found {len(indices)}", line_no)
     return indices
@@ -150,7 +160,7 @@ def loads(text: str, source: str = "<string>") -> LoadedAlgebra:
         if not match:
             raise AlgebraFileError(f"malformed key {key_part!r}", line_no)
         key, brackets = match.group(1), match.group(2)
-        seen = (key, _indices(brackets))
+        seen = (key, _indices(brackets, line_no))
         if seen in first_line:
             raise AlgebraFileError(f"duplicate key {key_part!r}, first set on line "
                                    f"{first_line[seen]}", line_no)
@@ -159,15 +169,16 @@ def loads(text: str, source: str = "<string>") -> LoadedAlgebra:
         if key == "name":
             name = value
         elif key in ("m", "n"):
-            if not value.isdigit():
+            if not _UINT_RE.fullmatch(value):
                 raise AlgebraFileError(f"{key} must be a non-negative integer", line_no)
+            number = _uint(value, key, line_no)
             if key == "m":
-                m = int(value)
-            elif int(value) == 0:
+                m = number
+            elif number == 0:
                 raise AlgebraFileError("n must be at least 1: rank 0 has nothing to check",
                                        line_no)
             else:
-                n = int(value)
+                n = number
         elif key == "anchor":
             anchor_entries[_parse_indices(brackets, 2, line_no)] = located
         elif key == "c":

@@ -36,6 +36,13 @@ box: `is_generator` calls it on e_R and on 2 e_R for every subset R, and
 an operator that fails that probe of the linearity the proof assumes
 fails the check.  For m > 0 the coefficients are random polynomials,
 and a passing check is evidence, not proof.
+
+At m = 0 one certificate then covers every right connection, not only
+the file's r0: D_r is affine in r, and two generators differ by an odd
+derivation, so `certify_every_connection` checks that each
+delta_i = D_(r0 + e_i) - D_r0 is a contraction, on the black-box
+operators for r0, r0 + e_i and r0 + 2 e_i, without the bracket table.
+With `is_generator` passing at r0 that proves the identity for all r.
 """
 
 from __future__ import annotations
@@ -383,6 +390,73 @@ def _ground_is_generator(alg: LieRinehartAlgebra, op: Operator) -> tuple[bool, s
             if defect:
                 return False, (f"u=(1)*{basis_label(s_key)} v=(1)*{basis_label(t_key)} "
                                f"defect={ground.to_multivector(n, defect)}")
+    return True, None
+
+
+def certify_every_connection(alg: LieRinehartAlgebra,
+                             conn: RightConnectionOnA) -> tuple[bool, str | None]:
+    """For m = 0: once D_r0 generates the bracket, so does D_r for every r in Q^n.
+
+    With r0 = conn.r and delta_i = D_(r0 + e_i) - D_r0, the operator D_r is
+    D_r0 + sum_i (r - r0)_i delta_i, so the defect of the generator identity
+    at r is its defect at r0 plus sum_i (r - r0)_i times the derivation
+    defect of delta_i.  That vanishes for every r exactly when each delta_i
+    is an odd derivation, a contraction with a 1-form (Koszul 1985; Xu 1999),
+    which holds exactly when delta_i(1) = 0 and, for |R| >= 2 with l the
+    lowest element of R,
+
+        delta_i(e_R) = delta_i(e_l) ^ e_(R - l) - e_l ^ delta_i(e_(R - l)).
+
+    The `GeneratorD` operators for r0, r0 + e_i and r0 + 2 e_i stay black
+    boxes, each called on every e_R ((2n + 1) 2^n calls); the bracket table
+    is never read.  The third probes the affinity in r that the argument
+    assumes: D_(r0 + 2 e_i) - D_r0 = 2 delta_i on every e_R.  Directions i
+    go in increasing order and R in subset order, degree first; returns
+    (True, None) or (False, witness) naming the first failing i and R.
+    Together with `is_generator` passing at r0 this proves the identity
+    for every right connection.
+    """
+    n = alg.n
+    masks = [(key, ground.to_mask(key))
+             for p in range(n + 1) for key in combinations(range(n), p)]
+
+    def images(r: tuple[PolyElement, ...]) -> dict:
+        op = GeneratorD(alg, RightConnectionOnA(r))
+        return {s: ground.from_multivector(op(Multivector.basis(n, key, m=0)))
+                for key, s in masks}
+
+    def show(u: dict) -> Multivector:
+        return ground.to_multivector(n, u)
+
+    base = images(conn.r)
+    for i in range(n):
+        shifted = [images(conn.r[:i] + (conn.r[i] + k,) + conn.r[i + 1:]) for k in (1, 2)]
+        d = f"delta_{i + 1}"
+        not_contraction = f"so {d} = D[r+e_{i + 1}] - D[r] is not a contraction"
+        delta = {}
+        for key, s in masks:
+            label = basis_label(key)
+            where = f"i={i + 1} R={label}: "
+            once = delta[s] = dict(shifted[0][s])
+            ground.add_multiple(once, base[s], -1)
+            twice = dict(shifted[1][s])
+            ground.add_multiple(twice, base[s], -1)
+            doubled = {mask: 2 * c for mask, c in once.items()}
+            if twice != doubled:
+                return False, (f"{where}D[r+2e_{i + 1}]({label}) - D[r]({label})={show(twice)} "
+                               f"but 2*{d}({label})={show(doubled)}, so D is not affine in r")
+            if not s and once:
+                return False, f"{where}{d}(1)={show(once)}, {not_contraction}"
+            if s.bit_count() >= 2:
+                low = s & -s
+                expected = {}
+                ground.add_wedge_basis(expected, delta[low], s ^ low)
+                ground.add_basis_wedge(expected, low, delta[s ^ low], -1)
+                if once != expected:
+                    head, tail = basis_label(key[:1]), basis_label(key[1:])
+                    return False, (f"{where}{d}({label})={show(once)} but "
+                                   f"{d}({head})^{tail} - {head}^{d}({tail})={show(expected)}, "
+                                   f"{not_contraction}")
     return True, None
 
 

@@ -12,7 +12,6 @@ free L that adjoint is a signed re-indexing on complements, which is how
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from .algebra import LElement
@@ -369,7 +368,10 @@ def phi_iso(u: Multivector, m: int, degree: int | None = None) -> AltForm:
     """Adjoint of the top pairing: a degree-p multivector as an (n-p)-form.
 
     The form's value on a basis tuple T is the top coefficient of
-    u ^ e_T.  The optional degree argument disambiguates the zero
+    u ^ e_T.  That coefficient can be nonzero only when T is the
+    complement of a key of u, so u is wedged with those e_T alone, in
+    increasing order as `itertools.combinations` lists them; every other
+    value is 0.  The optional degree argument disambiguates the zero
     multivector; nonzero input must be homogeneous.
     """
     n = u.n
@@ -382,7 +384,8 @@ def phi_iso(u: Multivector, m: int, degree: int | None = None) -> AltForm:
         raise ValueError(f"multivector has degree {p}, not {degree}")
     form = AltForm(n, m, n - p)
     acc = {}
-    for t_key in combinations(range(n), n - p):
+    complements = sorted(tuple(i for i in range(n) if i not in s_key) for s_key in u.components)
+    for t_key in complements:
         value = u.wedge(Multivector.basis(n, t_key, m=m)).component(full_tuple(n), m)
         if value:
             acc[t_key] = value

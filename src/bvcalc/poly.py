@@ -254,14 +254,21 @@ def parse_poly(text: str, m: int) -> PolyElement:
         while pos < n and text[pos].isspace():
             pos += 1
 
+    def is_digit(at: int) -> bool:
+        # ASCII only: other Unicode digits pass `str.isdigit`
+        return at < n and "0" <= text[at] <= "9"
+
     def parse_uint() -> int:
         nonlocal pos
         start = pos
-        while pos < n and text[pos].isdigit():
+        while is_digit(pos):
             pos += 1
         if pos == start:
             raise PolyParseError("expected a digit", pos)
-        return int(text[start:pos])
+        try:
+            return int(text[start:pos])
+        except ValueError:
+            raise PolyParseError(f"number has too many digits ({pos - start})", start) from None
 
     def parse_atom() -> PolyElement:
         nonlocal pos
@@ -276,7 +283,7 @@ def parse_poly(text: str, m: int) -> PolyElement:
             if not 1 <= idx <= m:
                 raise PolyParseError(f"variable x{idx} out of range (m={m})", col - 1)
             return PolyElement.variable(m, idx - 1)
-        if ch.isdigit():
+        if is_digit(pos):
             num = parse_uint()
             if pos < n and text[pos] == "/":
                 pos += 1

@@ -15,6 +15,7 @@ from .algfile import SUITE_NAMES, LoadedAlgebra
 from .bv import (
     GeneratorD,
     RightConnectionOnA,
+    certify_every_connection,
     generator_square,
     is_generator,
     one_circ,
@@ -181,15 +182,21 @@ class _SuiteRunner:
                                    degree_bound=self.degree_bound)
         self.record("generator", "identity", ok, witness=witness or "")
 
-        rng = self.rng("generator.random-connections")
         bad = ""
-        for k in range(min(self.trials, 8)):
-            conn = RightConnectionOnA(random_poly_vector(rng, alg.m, alg.n, self.degree_bound))
-            ok_k, wit_k = is_generator(alg, GeneratorD(alg, conn), trials=1,
-                                       seed=self.seed + k, degree_bound=self.degree_bound)
-            if not ok_k:
-                bad = f"r=({', '.join(str(p) for p in conn.r)}): {wit_k}"
-                break
+        if alg.m:
+            rng = self.rng("generator.random-connections")
+            for k in range(min(self.trials, 8)):
+                conn = RightConnectionOnA(random_poly_vector(rng, alg.m, alg.n,
+                                                             self.degree_bound))
+                ok_k, wit_k = is_generator(alg, GeneratorD(alg, conn), trials=1,
+                                           seed=self.seed + k, degree_bound=self.degree_bound)
+                if not ok_k:
+                    bad = f"r=({', '.join(str(p) for p in conn.r)}): {wit_k}"
+                    break
+        elif ok:  # at m = 0 one certificate covers every r, given the identity at the file's r
+            bad = certify_every_connection(alg, self.right)[1] or ""
+        else:
+            bad = "generator.identity fails at the file's r, so no r is certified"
         self.record("generator", "random-connections", not bad, witness=bad)
 
         square = generator_square(alg, self.gen, trials=min(self.trials, 8),

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 
 from bvcalc import bv
 from bvcalc.algebra import LieRinehartAlgebra
+from bvcalc.algfile import LoadedAlgebra
 from bvcalc.bv import (
     GeneratorD,
     RightConnectionOnA,
@@ -34,6 +36,7 @@ from bvcalc.ground import (
 )
 from bvcalc.poly import PolyElement
 from bvcalc.sampling import check_rng, random_multivector, random_poly, random_poly_vector
+from bvcalc.suites import run_suite
 
 from conftest import RANK5, multivectors, polys
 
@@ -638,3 +641,109 @@ def test_every_sign_flip_of_a_table_entry_fails_on_its_own(catalog, name):
             flipped += 1
         assert flipped
     assert is_generator(alg, gen) == (True, None)
+
+
+# -- the m = 0 certificate for every right connection -------------------
+
+
+def r_term_mutant(slot, factor):
+    """`ground_generator` with the r term of 0-based `slot` multiplied by `factor`."""
+    original = bv.ground_generator
+
+    def mutated(alg, conn, s):
+        out = original(alg, conn, s)
+        key = to_key(s)
+        if len(key) > slot:
+            a = key[slot]
+            term = -value(conn.r[a]) if slot % 2 else value(conn.r[a])
+            add_multiple(out, {s ^ (1 << a): term}, factor - 1)
+        return out
+
+    return mutated
+
+
+def generator_outcomes(alg, trials=4, seed=0):
+    report = run_suite(LoadedAlgebra(algebra=alg), suites=("generator",), trials=trials,
+                       seed=seed)
+    return {o.name: o for o in report.outcomes}
+
+
+CERTIFICATE_WITNESS = re.compile(r"i=\d+ R=e\{[\d,]*\}: ")
+
+
+@pytest.mark.parametrize("slot, factor", [(2, -1), (1, 0)], ids=["flip-third", "drop-second"])
+def test_certificate_catches_r_term_mutants(monkeypatch, slot, factor):
+    # abelian-6 has r0 = 0, so the identity at the file's r cannot see an
+    # r term; book-5 has a nonzero r0, and the identity fails first
+    abelian, book = family_algebra("abelian", 6, 0), family_algebra("book", 5, 0)
+    for alg in (abelian, book):
+        assert generator_outcomes(alg)["random-connections"].status == "pass"
+    monkeypatch.setattr(bv, "ground_generator", r_term_mutant(slot, factor))
+    outcomes = generator_outcomes(family_algebra("abelian", 6, 0))
+    assert outcomes["identity"].status == "pass"
+    witness = outcomes["random-connections"].witness
+    assert outcomes["random-connections"].status == "fail"
+    assert CERTIFICATE_WITNESS.match(witness) and "is not a contraction" in witness, witness
+    outcomes = generator_outcomes(family_algebra("book", 5, 0))
+    assert outcomes["identity"].status == "fail"
+    assert outcomes["random-connections"].status == "fail"
+    assert outcomes["random-connections"].witness == \
+        "generator.identity fails at the file's r, so no r is certified"
+
+
+def test_certificate_witnesses_name_the_direction_and_the_subset(monkeypatch):
+    alg = family_algebra("abelian", 6, 0)
+    zero = RightConnectionOnA(tuple(PolyElement.zero(0) for _ in range(6)))
+    original = bv.ground_generator
+    cases = [
+        (r_term_mutant(2, -1),
+         "i=3 R=e{1,2,3}: delta_3(e{1,2,3})=(-1)*e{1,2} but "
+         "delta_3(e{1})^e{2,3} - e{1}^delta_3(e{2,3})=(1)*e{1,2}, "
+         "so delta_3 = D[r+e_3] - D[r] is not a contraction"),
+        (r_term_mutant(1, 0),
+         "i=2 R=e{1,2}: delta_2(e{1,2})=0 but "
+         "delta_2(e{1})^e{2} - e{1}^delta_2(e{2})=(-1)*e{1}, "
+         "so delta_2 = D[r+e_2] - D[r] is not a contraction"),
+        # each value squared: D_r0 = 0 still passes, but D is not affine in r
+        (lambda alg, conn, s: {mask: c * c for mask, c in original(alg, conn, s).items()},
+         "i=1 R=e{1}: D[r+2e_1](e{1}) - D[r](e{1})=(4) but 2*delta_1(e{1})=(2), "
+         "so D is not affine in r"),
+        (lambda alg, conn, s: original(alg, conn, s) if s else {0: value(conn.r[0])},
+         "i=1 R=e{}: delta_1(1)=(1), so delta_1 = D[r+e_1] - D[r] is not a contraction"),
+    ]
+    for mutant, witness in cases:
+        monkeypatch.setattr(bv, "ground_generator", mutant)
+        assert is_generator(alg, GeneratorD(alg, zero)) == (True, None)
+        assert bv.certify_every_connection(alg, zero) == (False, witness)
+
+
+@pytest.mark.parametrize("family, n", [
+    *((family, n) for family in ("abelian", "book", "filiform") for n in range(1, 6)),
+    ("heisenberg", 3), ("heisenberg", 5)])
+def test_certificate_passes_without_the_bracket_table(family, n, monkeypatch):
+    # (2n + 1) 2^n operator calls, each D(e_R) built once per operator
+    alg = family_algebra(family, n, 0)
+    conn = fraction_connection(alg, f"certificate-{family}-{n}")
+    calls = []
+    original = bv.ground_generator
+
+    def counting(alg, conn, s):
+        calls.append(s)
+        return original(alg, conn, s)
+
+    monkeypatch.setattr(bv, "ground_generator", counting)
+    assert bv.certify_every_connection(alg, conn) == (True, None)
+    assert len(calls) == (2 * n + 1) * 2 ** n
+    assert not alg.gerstenhaber_table
+
+
+def test_ground_random_connections_has_no_seed_or_trial_count(catalog, monkeypatch):
+    for mutant in (bv.ground_generator, r_term_mutant(2, -1)):
+        monkeypatch.setattr(bv, "ground_generator", mutant)
+        for name, loaded in catalog.items():
+            if loaded.algebra.m:
+                continue
+            results = {run_suite(loaded, suites=("generator",), trials=trials, seed=seed)
+                       .outcomes[1] for trials, seed in ((1, 0), (8, 0), (8, 5))}
+            assert len(results) == 1, (name, results)
+            assert next(iter(results)).name == "random-connections"

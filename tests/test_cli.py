@@ -1,7 +1,11 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import bvcalc
 from bvcalc.catalog import CATALOG_NAMES
 from bvcalc.cli import main
 from bvcalc.homology import ChainComplex
@@ -221,6 +225,37 @@ def test_non_utf8_file_is_an_input_error(capsys, tmp_path, command):
     assert err == f"error: {path}: byte 0xe9 is not UTF-8 (line 3)\n"
 
 
+HUGE = "1" * 5000  # over CPython's 4,300-digit limit on int() of a string
+
+
+@pytest.mark.parametrize("lines, message", [
+    ("m = \u00b2\nn = 2", "m must be a non-negative integer (line 1)"),
+    (f"m = {HUGE}\nn = 2", "m has too many digits (5000) (line 1)"),
+    (f"m = 0\nn = 2\nc[1][{HUGE}][1] = 1", "index has too many digits (5000) (line 3)"),
+    ("m = 0\nn = 3\nc[1][\u0662][3] = 1", "malformed key 'c[1][\u0662][3]' (line 3)"),
+    ("m = 0\nn = 2\ngamma = [\u00b2,0]", "unexpected character '\u00b2' (line 3, column 10)"),
+    ("m = 0\nn = 2\ngamma = [\u0663, 0]", "unexpected character '\u0663' (line 3, column 10)"),
+    (f"m = 0\nn = 2\ngamma = [{HUGE}, 0]",
+     "number has too many digits (5000) (line 3, column 10)"),
+    (f"m = 1\nn = 2\ngamma = [x1^{HUGE}, 0]",
+     "number has too many digits (5000) (line 3, column 13)"),
+], ids=["superscript-m", "huge-m", "huge-index", "arabic-index", "superscript-gamma",
+        "arabic-gamma", "huge-gamma", "huge-exponent"])
+def test_file_integer_other_than_ascii_digits_is_an_input_error(tmp_path, lines, message):
+    # a non-ASCII digit and an integer longer than int() converts were
+    # tracebacks (exit 1), or silently read as their value (U+0662 as 2, U+0663 as 3)
+    path = tmp_path / "digits.alg"
+    path.write_text(lines + "\n", encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(bvcalc.__file__).parents[1]),
+               PYTHONIOENCODING="utf-8")
+    done = subprocess.run([sys.executable, "-m", "bvcalc.cli", "check", str(path)],
+                          capture_output=True, encoding="utf-8", env=env, timeout=60)
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == ""
+    assert done.stderr.endswith(message + "\n"), done.stderr
+    assert "Traceback" not in done.stderr
+
+
 def test_check_rejects_rank_zero_file(capsys, tmp_path):
     path = tmp_path / "rank-zero.alg"
     path.write_text("name = rank-zero\nm = 0\nn = 0\n", encoding="utf-8")
@@ -235,12 +270,15 @@ GOLDEN = Path(__file__).parent / "golden"
 
 @pytest.mark.parametrize("name", ["sl2", "heisenberg-dim3", "nonabelian-dim2-nonflat",
                                   "coordinate-2d", "coordinate-3d", "poisson-linear-2d",
-                                  "poisson-symplectic-2d", "coordinate-2d-halfcurved"])
+                                  "poisson-symplectic-2d", "coordinate-2d-halfcurved",
+                                  "abelian-dim2", "nonabelian-dim2"])
 def test_machine_report_matches_golden(capsys, name):
-    # pinned byte for byte from the direct (table-free) evaluation, the
-    # m > 0 ones while every coefficient was still stored as a Fraction; the
-    # file= line is dropped because it holds the checkout path.  A name
-    # with a .alg file beside its golden report is checked from that file.
+    # pinned byte for byte: most from the direct (table-free) evaluation,
+    # the m > 0 ones while every coefficient was still stored as a Fraction,
+    # abelian-dim2 and nonabelian-dim2 from the m = 0 bitmask tables before
+    # random-connections became a certificate; the file= line is dropped
+    # because it holds the checkout path.  A name with a .alg file beside
+    # its golden report is checked from that file.
     fixture = GOLDEN / f"{name}.alg"
     target = str(fixture) if fixture.exists() else name
     code, out, _ = run(capsys, "check", target, "--format", "machine")

@@ -1,3 +1,5 @@
+import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -16,6 +18,7 @@ from bvcalc.exterior import (
     top_pairing,
 )
 from bvcalc.poly import PolyElement
+from bvcalc.sampling import random_poly
 
 from conftest import multivectors, polys
 
@@ -153,6 +156,43 @@ def test_phi_iso_is_a_linear(u, a):
     for p in range(3):
         part = u.homogeneous_part(p)
         assert phi_iso(part.scale(a), 2, degree=p) == phi_iso(part, 2, degree=p).scale(a)
+
+
+def all_subsets_phi_iso(u, m, p):
+    """phi_iso by its definition: the top coefficient of u ^ e_T for every (n-p)-subset T."""
+    n = u.n
+    out = {}
+    for t_key in combinations(range(n), n - p):
+        total = PolyElement.zero(m)
+        for s_key, coeff in u.components.items():
+            if sorted(s_key + t_key) == list(range(n)):
+                total = total + coeff * brute_force_sign(s_key + t_key)
+        if total:
+            out[t_key] = total
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("m", [0, 2])
+def test_phi_iso_equals_the_all_subsets_definition(n, m):
+    # dense multi-term input of every degree: Fraction coefficients at
+    # m = 0, polynomials at m > 0; the component order must match as well
+    rng = random.Random(f"phi-iso-{n}-{m}")
+    for p in range(n + 1):
+        for trial in range(3):
+            terms = []
+            for key in combinations(range(n), p):
+                if m:
+                    coeff = random_poly(rng, m, 2)
+                else:
+                    coeff = PolyElement.const(0, Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+                if trial or rng.random() < 0.7:  # trial 0 leaves some keys out
+                    terms.append((key, coeff))
+            u = Multivector(n, terms)
+            form = phi_iso(u, m, degree=p)
+            assert form.degree == n - p
+            assert list(form.components.items()) == list(all_subsets_phi_iso(u, m, p).items())
+            assert phi_inverse(form) == u
 
 
 def test_alt_form_alternating_evaluation():
