@@ -41,8 +41,12 @@ At m = 0 one certificate then covers every right connection, not only
 the file's r0: D_r is affine in r, and two generators differ by an odd
 derivation, so `certify_every_connection` checks that each
 delta_i = D_(r0 + e_i) - D_r0 is a contraction, on the black-box
-operators for r0, r0 + e_i and r0 + 2 e_i, without the bracket table.
-With `is_generator` passing at r0 that proves the identity for all r.
+operators for r0, r0 + e_i, r0 + 2 e_i and r0 + e_1 + .. + e_n, without
+the bracket table.  With `is_generator` passing at r0 that proves the
+identity for all r, provided the operator is affine in r: the
+certificate probes that along each axis and on the diagonal, which
+catches an operator that is not affine on those points, but no finite
+probe proves it.
 """
 
 from __future__ import annotations
@@ -402,19 +406,25 @@ def certify_every_connection(alg: LieRinehartAlgebra,
     at r is its defect at r0 plus sum_i (r - r0)_i times the derivation
     defect of delta_i.  That vanishes for every r exactly when each delta_i
     is an odd derivation, a contraction with a 1-form (Koszul 1985; Xu 1999),
-    which holds exactly when delta_i(1) = 0 and, for |R| >= 2 with l the
+    which holds exactly when delta_i(1) = 0, each delta_i(e_R) is of degree
+    |R| - 1 (so delta_i(e_l) is a scalar), and, for |R| >= 2 with l the
     lowest element of R,
 
         delta_i(e_R) = delta_i(e_l) ^ e_(R - l) - e_l ^ delta_i(e_(R - l)).
 
-    The `GeneratorD` operators for r0, r0 + e_i and r0 + 2 e_i stay black
-    boxes, each called on every e_R ((2n + 1) 2^n calls); the bracket table
-    is never read.  The third probes the affinity in r that the argument
-    assumes: D_(r0 + 2 e_i) - D_r0 = 2 delta_i on every e_R.  Directions i
-    go in increasing order and R in subset order, degree first; returns
-    (True, None) or (False, witness) naming the first failing i and R.
-    Together with `is_generator` passing at r0 this proves the identity
-    for every right connection.
+    The `GeneratorD` operators for r0, r0 + e_i, r0 + 2 e_i and the
+    diagonal r0 + e_1 + .. + e_n stay black boxes, each called on every e_R
+    ((2n + 2) 2^n calls); the bracket table is never read.  The last two
+    probe the affinity in r that the argument assumes:
+    D_(r0 + 2 e_i) - D_r0 = 2 delta_i and
+    D_(r0 + e_1 + .. + e_n) - D_r0 = delta_1 + .. + delta_n on every e_R.
+    The probes catch an operator that is not affine on those points, for
+    instance a term mixing two directions, but cannot prove affinity.
+    Directions i go in increasing order and R in subset order, degree
+    first, then the diagonal; returns (True, None) or (False, witness)
+    naming the first failing i (i=1..n for the diagonal) and R.  Together
+    with `is_generator` passing at r0, and for an operator affine in r,
+    this proves the identity for every right connection.
     """
     n = alg.n
     masks = [(key, ground.to_mask(key))
@@ -429,6 +439,7 @@ def certify_every_connection(alg: LieRinehartAlgebra,
         return ground.to_multivector(n, u)
 
     base = images(conn.r)
+    total = {s: {} for _, s in masks}
     for i in range(n):
         shifted = [images(conn.r[:i] + (conn.r[i] + k,) + conn.r[i + 1:]) for k in (1, 2)]
         d = f"delta_{i + 1}"
@@ -447,6 +458,9 @@ def certify_every_connection(alg: LieRinehartAlgebra,
                                f"but 2*{d}({label})={show(doubled)}, so D is not affine in r")
             if not s and once:
                 return False, f"{where}{d}(1)={show(once)}, {not_contraction}"
+            if any(mask.bit_count() != len(key) - 1 for mask in once):
+                return False, (f"{where}{d}({label})={show(once)} is not of degree "
+                               f"{len(key) - 1}, {not_contraction}")
             if s.bit_count() >= 2:
                 low = s & -s
                 expected = {}
@@ -457,6 +471,16 @@ def certify_every_connection(alg: LieRinehartAlgebra,
                     return False, (f"{where}{d}({label})={show(once)} but "
                                    f"{d}({head})^{tail} - {head}^{d}({tail})={show(expected)}, "
                                    f"{not_contraction}")
+            ground.add_multiple(total[s], once, 1)
+    diagonal = images(tuple(c + 1 for c in conn.r))
+    for key, s in masks:
+        moved = dict(diagonal[s])
+        ground.add_multiple(moved, base[s], -1)
+        if moved != total[s]:
+            label = basis_label(key)
+            return False, (f"i=1..{n} R={label}: D[r+e_1+..+e_{n}]({label}) - D[r]({label})="
+                           f"{show(moved)} but delta_1+..+delta_{n}({label})={show(total[s])}, "
+                           f"so D is not affine in r")
     return True, None
 
 

@@ -662,13 +662,36 @@ def r_term_mutant(slot, factor):
     return mutated
 
 
+GROUND_GENERATOR = bv.ground_generator
+
+
+def r_term_on_s_mutant(alg, conn, s):
+    """`ground_generator` with each r term written to e_S instead of e_(S - a)."""
+    out = GROUND_GENERATOR(alg, conn, s)
+    for i, a in enumerate(to_key(s)):
+        term = -value(conn.r[a]) if i % 2 else value(conn.r[a])
+        add_multiple(out, {s ^ (1 << a): term}, -1)
+        add_multiple(out, {s: term}, 1)
+    return out
+
+
+def mixed_direction_mutant(alg, conn, s):
+    """`ground_generator` with the r term of the second slot, r_a, times 1 + r_(a+1 mod n)."""
+    out = GROUND_GENERATOR(alg, conn, s)
+    key = to_key(s)
+    if len(key) > 1:
+        a = key[1]
+        add_multiple(out, {s ^ (1 << a): -value(conn.r[a])}, value(conn.r[(a + 1) % alg.n]))
+    return out
+
+
 def generator_outcomes(alg, trials=4, seed=0):
     report = run_suite(LoadedAlgebra(algebra=alg), suites=("generator",), trials=trials,
                        seed=seed)
     return {o.name: o for o in report.outcomes}
 
 
-CERTIFICATE_WITNESS = re.compile(r"i=\d+ R=e\{[\d,]*\}: ")
+CERTIFICATE_WITNESS = re.compile(r"i=\d+(\.\.\d+)? R=e\{[\d,]*\}: ")
 
 
 @pytest.mark.parametrize("slot, factor", [(2, -1), (1, 0)], ids=["flip-third", "drop-second"])
@@ -710,6 +733,14 @@ def test_certificate_witnesses_name_the_direction_and_the_subset(monkeypatch):
          "so D is not affine in r"),
         (lambda alg, conn, s: original(alg, conn, s) if s else {0: value(conn.r[0])},
          "i=1 R=e{}: delta_1(1)=(1), so delta_1 = D[r+e_1] - D[r] is not a contraction"),
+        # delta_i(e_R) = (-1)^slot e_R passes every recursion check
+        (r_term_on_s_mutant,
+         "i=1 R=e{1}: delta_1(e{1})=(1)*e{1} is not of degree 0, "
+         "so delta_1 = D[r+e_1] - D[r] is not a contraction"),
+        # affine along every axis from r0 = 0, not on the diagonal
+        (mixed_direction_mutant,
+         "i=1..6 R=e{1,2}: D[r+e_1+..+e_6](e{1,2}) - D[r](e{1,2})=(-2)*e{1} + (1)*e{2} "
+         "but delta_1+..+delta_6(e{1,2})=(-1)*e{1} + (1)*e{2}, so D is not affine in r"),
     ]
     for mutant, witness in cases:
         monkeypatch.setattr(bv, "ground_generator", mutant)
@@ -717,11 +748,28 @@ def test_certificate_witnesses_name_the_direction_and_the_subset(monkeypatch):
         assert bv.certify_every_connection(alg, zero) == (False, witness)
 
 
+@pytest.mark.parametrize("mutant, r", [
+    (r_term_on_s_mutant, (1, 0, 0, 0, 0, 0)),
+    (mixed_direction_mutant, (1, 1, 1, 1, 1, 1))], ids=["r-term-on-e_S", "mixed-direction"])
+def test_certificate_fails_mutants_that_break_the_identity_away_from_r0(monkeypatch, mutant, r):
+    # both pass the identity at r0 = 0 and the axis probes, and fail it at r
+    alg = family_algebra("abelian", 6, 0)
+    monkeypatch.setattr(bv, "ground_generator", mutant)
+    zero, other = (RightConnectionOnA(tuple(PolyElement.const(0, c) for c in cs))
+                   for cs in ((0,) * 6, r))
+    assert is_generator(alg, GeneratorD(alg, zero)) == (True, None)
+    assert not is_generator(alg, GeneratorD(alg, other))[0]
+    outcomes = generator_outcomes(alg)
+    assert outcomes["identity"].status == "pass"
+    assert outcomes["random-connections"].status == "fail"
+    assert CERTIFICATE_WITNESS.match(outcomes["random-connections"].witness)
+
+
 @pytest.mark.parametrize("family, n", [
     *((family, n) for family in ("abelian", "book", "filiform") for n in range(1, 6)),
     ("heisenberg", 3), ("heisenberg", 5)])
 def test_certificate_passes_without_the_bracket_table(family, n, monkeypatch):
-    # (2n + 1) 2^n operator calls, each D(e_R) built once per operator
+    # (2n + 2) 2^n operator calls, each D(e_R) built once per operator
     alg = family_algebra(family, n, 0)
     conn = fraction_connection(alg, f"certificate-{family}-{n}")
     calls = []
@@ -733,7 +781,7 @@ def test_certificate_passes_without_the_bracket_table(family, n, monkeypatch):
 
     monkeypatch.setattr(bv, "ground_generator", counting)
     assert bv.certify_every_connection(alg, conn) == (True, None)
-    assert len(calls) == (2 * n + 1) * 2 ** n
+    assert len(calls) == (2 * n + 2) * 2 ** n
     assert not alg.gerstenhaber_table
 
 
