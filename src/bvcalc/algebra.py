@@ -192,14 +192,21 @@ class LieRinehartAlgebra:
                 for k, ck in enumerate(cij.coeffs):
                     if ck:
                         out[k] = out[k] + coeff * ck
+        # + sum_k rho(alpha)(b_k) e_k - sum_k rho(beta)(a_k) e_k.  The anchor
+        # kills constants, so rho(alpha) is built only when some b_k is not
+        # constant, and rho(beta) only when some a_k is not: a basis element
+        # on one side, as in every bracket with e_i, needs one anchor at most
         if not self._anchor_is_zero:
-            rho_alpha = self.anchor_of(alpha)
-            rho_beta = self.anchor_of(beta)
-            for k in range(self.n):
-                if beta.coeffs[k]:
-                    out[k] = out[k] + rho_alpha(beta.coeffs[k])
-                if alpha.coeffs[k]:
-                    out[k] = out[k] - rho_beta(alpha.coeffs[k])
+            if not all(b.is_constant() for b in beta.coeffs):
+                rho_alpha = self.anchor_of(alpha)
+                for k, b in enumerate(beta.coeffs):
+                    if b:
+                        out[k] = out[k] + rho_alpha(b)
+            if not all(a.is_constant() for a in alpha.coeffs):
+                rho_beta = self.anchor_of(beta)
+                for k, a in enumerate(alpha.coeffs):
+                    if a:
+                        out[k] = out[k] - rho_beta(a)
         return LElement(tuple(out))
 
     # -- axiom checking ----------------------------------------------

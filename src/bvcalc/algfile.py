@@ -100,6 +100,11 @@ def _parse_indices(bracket_part: str, count: int, line_no: int) -> tuple[int, ..
     return indices
 
 
+def _shorten(text: str, limit: int = 20) -> str:
+    """`text`, or its first `limit` characters and `...` when it is longer."""
+    return text if len(text) <= limit else text[:limit] + "..."
+
+
 def _parse_vector(m: int, value: str, line_no: int, column: int) -> tuple[PolyElement, ...]:
     """Parse a stripped `[p, ...]` value that starts at 0-based `column` of its line."""
     if not (value.startswith("[") and value.endswith("]")):
@@ -113,7 +118,7 @@ def _parse_vector(m: int, value: str, line_no: int, column: int) -> tuple[PolyEl
         try:
             out.append(parse_poly(piece, m))
         except PolyParseError as exc:
-            raise AlgebraFileError(f"bad polynomial {piece.strip()!r}: {exc.message}",
+            raise AlgebraFileError(f"bad polynomial {_shorten(piece.strip())!r}: {exc.message}",
                                    line_no, column + exc.column + 1) from exc
         column += len(piece) + 1
     return tuple(out)

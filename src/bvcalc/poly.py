@@ -14,6 +14,22 @@ that involves a ``Fraction`` stays a ``Fraction`` even when its value is
 an integer; that is harmless, since ``int`` and ``Fraction`` of equal
 value compare equal, hash equal and print the same.
 
+Terms are kept in the order arithmetic produces them, and that order is
+what a report prints.  The arithmetic skips work that cannot change the
+result:
+
+- a product with a one-term constant operand scales the other operand's
+  terms in their order, and returns that operand itself when the
+  constant is 1;
+- a sum with a zero operand, or a difference with a zero right side,
+  returns the other operand;
+- a derivation applied to a constant is zero at once.
+
+Each shortcut gives the same terms, in the same order, as the general
+double loop of ``__mul__`` and the loops of ``__add__`` and ``__sub__``;
+the oracle tests in ``tests/test_poly.py`` pin that.  Since a result may
+be one of its operands, no code changes a ``terms`` dict in place.
+
 No floating point appears anywhere.
 """
 
@@ -21,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from collections.abc import Iterable, Iterator, Mapping
 
 
@@ -107,13 +124,17 @@ class PolyElement:
         if other is None:
             return NotImplemented
         self._check_same_ring(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         acc = dict(self.terms)
         for exps, c in other.terms.items():
             s = acc.get(exps)
             s = c if s is None else s + c
             if s:
                 acc[exps] = s
-            elif exps in acc:
+            else:
                 del acc[exps]
         return PolyElement._make(self.m, acc)
 
@@ -126,7 +147,18 @@ class PolyElement:
         other = self._promote(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        self._check_same_ring(other)
+        if not other.terms:
+            return self
+        acc = dict(self.terms)
+        for exps, c in other.terms.items():
+            s = acc.get(exps)
+            s = -c if s is None else s - c
+            if s:
+                acc[exps] = s
+            else:
+                del acc[exps]
+        return PolyElement._make(self.m, acc)
 
     def __rsub__(self, other) -> "PolyElement":
         return (-self) + other
@@ -136,10 +168,22 @@ class PolyElement:
         if other is None:
             return NotImplemented
         self._check_same_ring(other)
+        terms1, terms2 = self.terms, other.terms
+        # a nonzero constant operand scales the other's terms in their order
+        if len(terms2) == 1 and not any(next(iter(terms2))):
+            c2 = next(iter(terms2.values()))
+            if c2 == 1:
+                return self
+            return PolyElement._make(self.m, {e: c1 * c2 for e, c1 in terms1.items()})
+        if len(terms1) == 1 and not any(next(iter(terms1))):
+            c1 = next(iter(terms1.values()))
+            if c1 == 1:
+                return other
+            return PolyElement._make(self.m, {e: c1 * c2 for e, c2 in terms2.items()})
         acc: dict[tuple[int, ...], int | Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
+        for e1, c1 in terms1.items():
+            for e2, c2 in terms2.items():
+                exps = tuple(map(add, e1, e2))
                 c = c1 * c2
                 s = acc.get(exps)
                 s = c if s is None else s + c
@@ -189,7 +233,9 @@ class PolyElement:
         return PolyElement._make(self.m, {e: c for e, c in acc.items() if c})
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        # the keys are distinct, so a constant has at most one term, keyed (0, .., 0)
+        terms = self.terms
+        return not terms or (len(terms) == 1 and not any(next(iter(terms))))
 
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial, always as a Fraction.
@@ -363,7 +409,7 @@ class DerivationOfA:
         if p.m != self.m:
             raise ValueError(f"mismatched variable counts: {self.m} vs {p.m}")
         out = PolyElement.zero(self.m)
-        if not p:
+        if p.is_constant():
             return out
         for j, comp in enumerate(self.components):
             if comp:
