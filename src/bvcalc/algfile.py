@@ -163,11 +163,11 @@ def loads(text: str, source: str = "<string>") -> LoadedAlgebra:
         located = (value, line_no, len(raw) - len(raw.split("=", 1)[1].lstrip()))
         match = _KEY_RE.match(key_part)
         if not match:
-            raise AlgebraFileError(f"malformed key {key_part!r}", line_no)
+            raise AlgebraFileError(f"malformed key {_shorten(key_part)!r}", line_no)
         key, brackets = match.group(1), match.group(2)
         seen = (key, _indices(brackets, line_no))
         if seen in first_line:
-            raise AlgebraFileError(f"duplicate key {key_part!r}, first set on line "
+            raise AlgebraFileError(f"duplicate key {_shorten(key_part)!r}, first set on line "
                                    f"{first_line[seen]}", line_no)
         first_line[seen] = line_no
 
@@ -205,7 +205,7 @@ def loads(text: str, source: str = "<string>") -> LoadedAlgebra:
                 raise AlgebraFileError(f"unknown suite(s): {', '.join(unknown)}; "
                                        f"choose from {', '.join(SUITE_NAMES)}", line_no)
         else:
-            raise AlgebraFileError(f"unknown key {key!r}", line_no)
+            raise AlgebraFileError(f"unknown key {_shorten(key)!r}", line_no)
 
     if m is None or n is None:
         raise AlgebraFileError("file must set both m and n")

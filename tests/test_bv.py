@@ -604,6 +604,30 @@ def test_is_generator_catches_a_non_linear_operator(catalog):
         False, "D((2)*e{1,2})=(-4)*e{3} 2*D(e{1,2})=(-2)*e{3}")
 
 
+def test_m_positive_witness_keeps_its_term_order(catalog, monkeypatch):
+    # the explicit generator with the anchor term of 1 o alpha dropped, at
+    # m = 2; the witness prints terms in the order the polynomial kernel
+    # makes them, so this pins that order through brackets and products
+    # (the defect here changes if the product loop runs over its operands
+    # in the other order)
+    def one_circ_without_anchor(alg, conn, alpha):
+        out = PolyElement.zero(alg.m)
+        for coeff, r in zip(alpha.coeffs, conn.r):
+            if coeff and r:
+                out = out + coeff * r
+        return out
+
+    loaded = catalog["poisson-linear-2d"]
+    alg = loaded.algebra
+    gen = GeneratorD(alg, loaded.right_connection())
+    assert is_generator(alg, gen, trials=1, seed=37) == (True, None)
+    monkeypatch.setattr(bv, "one_circ", one_circ_without_anchor)
+    assert is_generator(alg, gen, trials=1, seed=37) == (
+        False, "u=(8*x1^2*x2 - 1*x2)*e{1} v=(x1*x2^2 - 2*x1)*e{2} "
+               "defect=(-8*x1^3*x2^3 + x1*x2^3 + 16*x1^3*x2 - 2*x1*x2)*e{1} "
+               "+ (16*x1^4*x2^2 - 2*x1^2*x2^2)*e{2}")
+
+
 def test_ground_generator_identity_has_no_seed_or_trial_count(catalog):
     seen = set()
     for name, loaded in catalog.items():

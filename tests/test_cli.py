@@ -256,17 +256,22 @@ def test_file_integer_other_than_ascii_digits_is_an_input_error(tmp_path, lines,
     assert "Traceback" not in done.stderr
 
 
-def test_bad_vector_entry_is_quoted_by_a_short_prefix(tmp_path):
-    # the whole 5,000-digit entry used to be repeated in the message
-    path = tmp_path / "huge.alg"
-    path.write_text(f"name = huge\nm = 0\nn = 2\ngamma = [{HUGE}, 0]\n", encoding="utf-8")
+@pytest.mark.parametrize("line, message", [
+    (f"gamma = [{HUGE}, 0]", "bad polynomial '11111111111111111111...': "
+                             "number has too many digits (5000) (line 4, column 10)"),
+    (f"{'k' * 5000} = 1", "unknown key 'kkkkkkkkkkkkkkkkkkkk...' (line 4)"),
+    (f"c[1][2][{'x' * 5000}] = 1", "malformed key 'c[1][2][xxxxxxxxxxxx...' (line 4)"),
+], ids=["huge-vector-entry", "long-unknown-key", "long-malformed-key"])
+def test_long_bad_piece_is_quoted_by_a_short_prefix(tmp_path, line, message):
+    # the whole 5,000-character piece used to be repeated in the message
+    path = tmp_path / "long.alg"
+    path.write_text(f"name = long\nm = 0\nn = 2\n{line}\n", encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(Path(bvcalc.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-m", "bvcalc.cli", "check", str(path)],
                           capture_output=True, encoding="utf-8", env=env, timeout=60)
     assert done.returncode == 2, done.stderr
     assert len(done.stderr) < 200, done.stderr
-    assert done.stderr.endswith(
-        "'11111111111111111111...': number has too many digits (5000) (line 4, column 10)\n")
+    assert done.stderr.endswith(message + "\n"), done.stderr
 
 
 def test_check_rejects_rank_zero_file(capsys, tmp_path):

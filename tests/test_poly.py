@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bvcalc.poly import DerivationOfA, PolyElement, PolyParseError, parse_poly
@@ -202,3 +202,89 @@ def test_bool_coefficient_prints_as_one():
     assert str(PolyElement(0, {(): True})) == "1"
     assert str(PolyElement.const(1, True)) == "1"
     assert type(p.terms[(1, 0)]) is int
+
+
+# -- term order of the fast paths ----------------------------------------
+# Reports print terms in the order arithmetic makes them.  The oracle is
+# the general loops of __mul__, __add__ and __sub__ as they stood before
+# the constant and zero shortcuts; every result must match its terms in
+# order, not only as a set.
+
+
+def oracle_add(p: PolyElement, q: PolyElement) -> PolyElement:
+    acc = dict(p.terms)
+    for exps, c in q.terms.items():
+        s = acc.get(exps)
+        s = c if s is None else s + c
+        if s:
+            acc[exps] = s
+        elif exps in acc:
+            del acc[exps]
+    return PolyElement._make(p.m, acc)
+
+
+def oracle_sub(p: PolyElement, q: PolyElement) -> PolyElement:
+    return oracle_add(p, PolyElement._make(q.m, {e: -c for e, c in q.terms.items()}))
+
+
+def oracle_mul(p: PolyElement, q: PolyElement) -> PolyElement:
+    acc = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            exps = tuple(a + b for a, b in zip(e1, e2))
+            c = c1 * c2
+            s = acc.get(exps)
+            s = c if s is None else s + c
+            if s:
+                acc[exps] = s
+            elif exps in acc:
+                del acc[exps]
+    return PolyElement._make(p.m, acc)
+
+
+def with_fraction_coefficients(p: PolyElement) -> PolyElement:
+    # every coefficient a Fraction of integer value, as arithmetic leaves it
+    return p * Fraction(1, 2) * 2
+
+
+def operands(m: int):
+    small = st.integers(min_value=-9, max_value=9)
+    return st.one_of(
+        polys(m),
+        polys(m).map(with_fraction_coefficients),
+        st.just(PolyElement.zero(m)),
+        small.map(lambda c: PolyElement.const(m, c)),
+        st.fractions(min_value=-5, max_value=5, max_denominator=6)
+        .map(lambda c: PolyElement.const(m, c)),
+        st.just(with_fraction_coefficients(PolyElement.one(m))),  # the constant Fraction(1)
+    )
+
+
+@pytest.mark.parametrize("m", range(4))
+@given(data=st.data())
+@settings(max_examples=60)
+def test_arithmetic_keeps_the_general_loops_term_order(m, data):
+    # r is always a general polynomial, so two multi-term operands meet often
+    p, q, r = data.draw(operands(m)), data.draw(operands(m)), data.draw(polys(m))
+    for a, b in ((p, q), (p, r), (r, q)):
+        for result, expected in ((a * b, oracle_mul(a, b)), (b * a, oracle_mul(b, a)),
+                                 (a + b, oracle_add(a, b)), (b + a, oracle_add(b, a)),
+                                 (a - b, oracle_sub(a, b)), (b - a, oracle_sub(b, a))):
+            assert list(result.terms.items()) == list(expected.terms.items())
+            assert str(result) == str(expected)
+
+
+@pytest.mark.parametrize("m", range(4))
+def test_the_constant_fraction_one_really_is_a_fraction(m):
+    one = with_fraction_coefficients(PolyElement.one(m))
+    assert list(one.terms.items()) == [((0,) * m, 1)]
+    assert type(one.terms[(0,) * m]) is Fraction
+
+
+@given(p=polys(2), c=st.integers(min_value=-9, max_value=9))
+def test_constant_operands_take_the_shortcut(p, c):
+    one, zero = PolyElement.one(2), PolyElement.zero(2)
+    assert p * one is p and p + zero is p and p - zero is p
+    if not p.is_constant():  # else p itself is the constant side of one * p
+        assert one * p is p and zero + p is p
+    assert DerivationOfA((p, p))(PolyElement.const(2, c)).terms == {}
