@@ -100,9 +100,9 @@ def _parse_indices(bracket_part: str, count: int, line_no: int) -> tuple[int, ..
     return indices
 
 
-def _shorten(text: str, limit: int = 20) -> str:
-    """`text`, or its first `limit` characters and `...` when it is longer."""
-    return text if len(text) <= limit else text[:limit] + "..."
+def _shorten(text: str) -> str:
+    """`text` for a message: its first 20 characters and `...` when it is longer."""
+    return text if len(text) <= 20 else text[:20] + "..."
 
 
 def _parse_vector(m: int, value: str, line_no: int, column: int) -> tuple[PolyElement, ...]:
@@ -200,7 +200,7 @@ def loads(text: str, source: str = "<string>") -> LoadedAlgebra:
             expect_nonflat = value == "true"
         elif key == "suites":
             suites = tuple(s.strip() for s in value.split(",") if s.strip())
-            unknown = [s for s in suites if s not in SUITE_NAMES]
+            unknown = [_shorten(s) for s in suites if s not in SUITE_NAMES]
             if unknown:
                 raise AlgebraFileError(f"unknown suite(s): {', '.join(unknown)}; "
                                        f"choose from {', '.join(SUITE_NAMES)}", line_no)

@@ -122,6 +122,14 @@ def test_unknown_key_rejected():
         loads("m = 0\nn = 1\nbogus = 3\n")
 
 
+def test_long_unknown_suite_is_quoted_by_a_short_prefix():
+    with pytest.raises(AlgebraFileError) as excinfo:
+        loads(f"m = 0\nn = 1\nsuites = axioms, {'s' * 5000}\n")
+    assert str(excinfo.value) == (
+        "unknown suite(s): ssssssssssssssssssss...; choose from axioms, generator, "
+        "bijections, duality, bracket-expansion, linear-connection, homology (line 3)")
+
+
 def test_inconsistent_r_and_gamma_rejected():
     # nonabelian: gamma = (0,0) corresponds to r = (0,-1), not (0,0)
     with pytest.raises(AlgebraFileError, match="do not correspond"):
