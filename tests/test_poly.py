@@ -206,9 +206,9 @@ def test_bool_coefficient_prints_as_one():
 
 # -- term order of the fast paths ----------------------------------------
 # Reports print terms in the order arithmetic makes them.  The oracle is
-# the general loops of __mul__, __add__ and __sub__ as they stood before
-# the constant and zero shortcuts; every result must match its terms in
-# order, not only as a set.
+# the general loops of __mul__ and __add__ with no shortcut, and __sub__
+# as adding the negation; every result must match its terms in order,
+# not only as a set.
 
 
 def oracle_add(p: PolyElement, q: PolyElement) -> PolyElement:
