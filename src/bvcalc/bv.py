@@ -21,10 +21,11 @@ In the ground-field case m = 0 the anchor vanishes and both operations
 are Q-linear in each coefficient, so the m = 0 checks read bitmask
 basis tables (`bvcalc.ground`): [e_S, e_T] for all 4^n pairs in one
 table on the algebra, filled once by `bracket_table` from the bracket
-code alone, and D(e_S) on the `GeneratorD`, each entry filled on first
-need by `ground_generator` from the explicit formula above, reading only
-r and the structure constants; neither table is derived from the other,
-and `apply_generator` stays the m > 0 path and the oracle for the second.
+code alone, and D(e_S) on the `GeneratorD`, read by `GeneratorD.ground`,
+which fills each entry on first need by `ground_generator` from the
+explicit formula above, reading only r and the structure constants;
+neither table is derived from the other, and `apply_generator` stays
+the m > 0 path and the oracle for the second.
 
 The same linearity makes the m = 0 checks exact.  The generator
 identity is Q-bilinear in the coefficients of u and v once the operator
@@ -180,8 +181,8 @@ class GeneratorD:
     Every generator arises from a right connection on A, so the data is
     just the connection; calling the object applies the operator.  When
     m = 0, `table` maps the bitmask of S to D(e_S) as a ground map, each
-    entry built by `ground_generator` the first time it is needed, and a
-    call sums the entries of its terms; for m > 0 a call is `apply_generator`.
+    entry built by `ground_generator` the first time `ground` needs it, and
+    a call sums the entries of its terms; for m > 0 a call is `apply_generator`.
     """
 
     alg: LieRinehartAlgebra
@@ -196,12 +197,15 @@ class GeneratorD:
             raise ValueError("rank mismatch")
         out = {}
         for key, coeff in u.components.items():
-            s = ground.to_mask(key)
-            image = self.table.get(s)
-            if image is None:
-                image = self.table[s] = ground_generator(alg, self.connection, s)
-            ground.add_multiple(out, image, ground.value(coeff))
+            ground.add_multiple(out, self.ground(ground.to_mask(key)), ground.value(coeff))
         return ground.to_multivector(alg.n, out)
+
+    def ground(self, s: int) -> dict:
+        """D(e_S) for m = 0 as a ground map: the `table` entry, filled on first need."""
+        image = self.table.get(s)
+        if image is None:
+            image = self.table[s] = ground_generator(self.alg, self.connection, s)
+        return image
 
 
 # -- the bracket ------------------------------------------------------

@@ -123,9 +123,12 @@ def connection_apply_l(alg: LieRinehartAlgebra, conn: LeftConnectionOnL,
                        alpha: LElement, xi: LElement) -> LElement:
     """nabla_alpha xi for general elements of L."""
     out = [PolyElement.zero(alg.m) for _ in range(alg.n)]
-    rho_alpha = alg.anchor_of(alpha)
-    for k in range(alg.n):
-        out[k] = rho_alpha(xi.coeffs[k])
+    # the anchor kills constants, so rho(alpha) is built only when some
+    # coefficient of xi is not constant, as in `LieRinehartAlgebra.bracket`
+    if not all(b.is_constant() for b in xi.coeffs):
+        rho_alpha = alg.anchor_of(alpha)
+        for k in range(alg.n):
+            out[k] = rho_alpha(xi.coeffs[k])
     for i, a in enumerate(alpha.coeffs):
         if not a:
             continue

@@ -241,8 +241,7 @@ class PolyElement:
         """The value of a constant polynomial, always as a Fraction.
 
         The stored coefficient may be an ``int``; callers such as
-        `homology.exact_rank` and `divergence_rank_one` get a ``Fraction``
-        whatever the storage.
+        `divergence_rank_one` get a ``Fraction`` whatever the storage.
         """
         if not self.terms:
             return Fraction(0)

@@ -220,6 +220,11 @@ def test_criterion_7_homology_golden_values():
         assert flat_r.r == (PolyElement.zero(0), PolyElement.const(0, -1))
 
 
+def _rows(columns, height):
+    """Sparse boundary columns {row: value} as `height` dense rows."""
+    return [[column.get(i, Fraction(0)) for column in columns] for i in range(height)]
+
+
 def test_criterion_8_boundary_squares_to_zero_matching_generator_square():
     with criterion(8, "chain boundaries square to zero exactly"):
         for name, loaded in CATALOG.items():
@@ -238,8 +243,8 @@ def test_criterion_8_boundary_squares_to_zero_matching_generator_square():
             complex_ = rinehart_complex(alg, gen)
             assert complex_.d_squared_is_zero(), name
             for p in range(1, alg.n):
-                d_p = complex_.boundary(p)
-                d_next = complex_.boundary(p + 1)
+                d_p = _rows(complex_.boundaries[p - 1], complex_.dims[p - 1])
+                d_next = _rows(complex_.boundaries[p], complex_.dims[p])
                 product = [[sum((d_p[i][k] * d_next[k][j] for k in range(len(d_next))),
                                 Fraction(0))
                             for j in range(len(d_next[0]))]

@@ -266,6 +266,28 @@ def test_phi_map_examples():
     assert endo.images[1].is_zero()
 
 
+def test_phi_map_builds_an_anchor_only_for_a_non_constant_coefficient(monkeypatch):
+    calls = []
+    original = LieRinehartAlgebra.anchor_of
+    monkeypatch.setattr(LieRinehartAlgebra, "anchor_of",
+                        lambda self, alpha: calls.append(alpha) or original(self, alpha))
+    conn = LeftConnectionOnL(random_christoffel(check_rng(5, "anchor-count"), COORD))
+    # phi_map applies the bracket and the connection to each basis e_j, whose
+    # coefficients are constant: connection_apply_l builds no rho(alpha), and
+    # the bracket builds rho(e_j) only because alpha = x e_1 is not constant
+    phi_map(COORD, conn, COORD.basis_l(0).scale(X))
+    assert calls == [COORD.basis_l(0), COORD.basis_l(1)]
+    calls.clear()
+    phi_map(COORD, conn, COORD.basis_l(1))
+    assert calls == []
+    # a non-constant coefficient of xi still gets its derivative: with
+    # Gamma = 0, nabla_(e_1) (x e_2) = d/dx(x) e_2 = e_2
+    zero = LeftConnectionOnL.zero(COORD)
+    assert connection_apply_l(COORD, zero, COORD.basis_l(0), COORD.basis_l(1).scale(X)) \
+        == COORD.basis_l(1)
+    assert calls == [COORD.basis_l(0)]
+
+
 @given(a=polys(2, max_degree=2), xi=lelements(COORD, max_degree=1, max_terms=1),
        alpha=lelements(COORD, max_degree=1, max_terms=1))
 @settings(max_examples=15)

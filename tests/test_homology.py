@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,29 @@ from bvcalc.poly import PolyElement
 
 def right_connection(alg, values):
     return RightConnectionOnA(tuple(PolyElement.const(0, v) for v in values))
+
+
+# -- dense rows <-> sparse columns ------------------------------------------
+# `ChainComplex` and `exact_rank` take a matrix as sparse columns
+# {row: value}; the tests below write matrices as dense rows.
+
+def to_columns(rows, width):
+    """Dense rows -> `width` columns {row: value}, zeros kept as stored zeros."""
+    return tuple({i: row[j] for i, row in enumerate(rows)} for j in range(width))
+
+
+def to_rows(columns, height):
+    """Sparse columns -> `height` dense rows; a missing entry reads 0."""
+    return [[column.get(i, 0) for column in columns] for i in range(height)]
+
+
+def rank_of_rows(rows):
+    return exact_rank(to_columns(rows, len(rows[0]) if rows else 0))
+
+
+def complex_from_rows(dims, boundaries):
+    return ChainComplex(dims=dims, boundaries=tuple(
+        to_columns(d, dims[p]) for p, d in enumerate(boundaries, start=1)))
 
 
 # -- independent oracle --------------------------------------------------
@@ -107,16 +131,52 @@ def oracle_betti(n, brackets, r):
 
 def test_exact_rank_known_values():
     assert exact_rank([]) == 0
-    assert exact_rank([[Fraction(0), Fraction(0)]]) == 0
-    assert exact_rank([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]) == 1
-    assert exact_rank([[Fraction(1, 2), Fraction(0)], [Fraction(0), Fraction(3, 7)]]) == 2
+    assert rank_of_rows([]) == 0
+    assert rank_of_rows([[Fraction(0), Fraction(0)]]) == 0
+    assert rank_of_rows([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]) == 1
+    assert rank_of_rows([[Fraction(1, 2), Fraction(0)], [Fraction(0), Fraction(3, 7)]]) == 2
+    # stored zeros: one in the lowest row would divide by zero as a pivot
+    assert exact_rank([{0: 0, 1: Fraction(0)}, {1: 0}]) == 0
+    assert exact_rank([{0: 1, 1: 0}, {0: 2, 1: Fraction(0)}]) == 1
+    assert exact_rank([{0: 2, 3: 0}, {0: 0, 3: 5}]) == 2
 
 
-@given(st.lists(st.lists(st.fractions(min_value=-5, max_value=5), min_size=3, max_size=3),
-                min_size=1, max_size=4))
+def test_exact_rank_is_exact_on_int_columns():
+    # each second column is the first times a non-integer; an int / int
+    # quotient in floating point leaves a residue and would count rank 2
+    assert exact_rank([{0: 3, 1: 7}, {0: 1, 1: Fraction(7, 3)}]) == 1
+    assert exact_rank([{0: 25, 1: 25}, {0: 7, 1: 7}]) == 1  # 7 - (7 / 25) * 25 != 0 in floats
+    assert exact_rank([{0: 25, 1: 25}, {0: 7, 1: 7}, {0: 1}]) == 2
+
+
+RANK_ENTRIES = st.one_of(st.integers(min_value=-5, max_value=5),
+                         st.fractions(min_value=-5, max_value=5, max_denominator=7))
+
+
+@given(st.lists(st.lists(RANK_ENTRIES, min_size=3, max_size=3), min_size=1, max_size=4))
 def test_exact_rank_matches_gauss_oracle(rows):
+    # int entries reach exact_rank as ints; the oracle gets Fractions
     matrix = [[Fraction(v) for v in row] for row in rows]
-    assert exact_rank(matrix) == oracle_rank(matrix)
+    assert rank_of_rows(rows) == oracle_rank(matrix)
+
+
+@st.composite
+def low_rank_products(draw):
+    """A product of an a x k and a k x b matrix: its rank is at most k."""
+    a, k, b = (draw(st.integers(min_value=1, max_value=5)) for _ in range(3))
+    left = [[draw(RANK_ENTRIES) for _ in range(k)] for _ in range(a)]
+    right = [[draw(RANK_ENTRIES) for _ in range(b)] for _ in range(k)]
+    rows = [[sum((left[i][t] * right[t][j] for t in range(k)), 0) for j in range(b)]
+            for i in range(a)]
+    return k, rows
+
+
+@given(low_rank_products())
+def test_exact_rank_matches_gauss_oracle_on_rank_deficient_products(drawn):
+    k, rows = drawn
+    rank = rank_of_rows(rows)
+    assert rank == oracle_rank([[Fraction(v) for v in row] for row in rows])
+    assert rank <= k
 
 
 # -- rinehart complex -----------------------------------------------------
@@ -127,7 +187,8 @@ def test_abelian_complex_has_zero_boundaries():
     gen = GeneratorD(alg, right_connection(alg, (0, 0)))
     complex_ = rinehart_complex(alg, gen)
     assert complex_.dims == (1, 2, 1)
-    assert all(not entry for matrix in complex_.boundaries for row in matrix for entry in row)
+    assert [len(d) for d in complex_.boundaries] == [2, 1]
+    assert all(column == {} for d in complex_.boundaries for column in d)
     assert homology_dims(complex_) == (1, 2, 1)
 
 
@@ -135,8 +196,8 @@ def test_nonabelian_boundaries_by_hand():
     alg = LieRinehartAlgebra.from_structure_constants(2, {(0, 1): (1, 0)})
     gen = GeneratorD(alg, right_connection(alg, (0, -1)))
     complex_ = rinehart_complex(alg, gen)
-    assert complex_.boundary(1) == [[Fraction(0), Fraction(-1)]]
-    assert complex_.boundary(2) == [[Fraction(0)], [Fraction(0)]]
+    assert to_rows(complex_.boundaries[0], 1) == [[Fraction(0), Fraction(-1)]]
+    assert to_rows(complex_.boundaries[1], 2) == [[Fraction(0)], [Fraction(0)]]
     assert homology_dims(complex_) == (0, 1, 1)
 
 
@@ -183,7 +244,7 @@ def test_rinehart_complex_raises_boundary_square_error(sl2, monkeypatch):
 
 
 def test_homology_dims_rejects_broken_complex():
-    broken = ChainComplex(dims=(1, 2, 1), boundaries=(
+    broken = complex_from_rows((1, 2, 1), (
         ((Fraction(1), Fraction(0)),),
         ((Fraction(1),), (Fraction(0),)),
     ))
@@ -192,23 +253,28 @@ def test_homology_dims_rejects_broken_complex():
 
 
 def test_chain_complex_rejects_boundary_of_wrong_shape():
-    with pytest.raises(ValueError, match=r"d_1 \(degree 1 to 0\) has shape 1x2, expected 1x3"):
+    # a 1x2 d_1 where degree 1 has dimension 3: two columns, not three
+    with pytest.raises(ValueError, match=r"d_1 \(degree 1 to 0\) has 2 columns, expected 3"):
         ChainComplex(dims=(1, 3, 1), boundaries=(
-            ((Fraction(1), Fraction(0)),),
-            ((Fraction(0),), (Fraction(1),)),
+            to_columns([[Fraction(1), Fraction(0)]], 2),
+            to_columns([[Fraction(0)], [Fraction(1)]], 1),
         ))
-    with pytest.raises(ValueError, match=r"d_1 \(degree 1 to 0\) has shape 1x1, expected 2x1"):
-        ChainComplex(dims=(2, 1), boundaries=(((Fraction(1),),),))
-    with pytest.raises(ValueError, match=r"d_2 \(degree 2 to 1\) has shape 2x1/2, expected 2x1"):
+    # a 2x1 d_1 where degree 0 has dimension 1: row 1 is out of range
+    with pytest.raises(ValueError, match=r"d_1 \(degree 1 to 0\) has row 1 in column 0, "
+                                         r"expected rows 0\.\.0"):
+        ChainComplex(dims=(1, 1), boundaries=(to_columns([[Fraction(1)], [Fraction(0)]], 1),))
+    # a 3x1 d_2 where degree 1 has dimension 2: row 2 is out of range
+    with pytest.raises(ValueError, match=r"d_2 \(degree 2 to 1\) has row 2 in column 0, "
+                                         r"expected rows 0\.\.1"):
         ChainComplex(dims=(1, 2, 1), boundaries=(
-            ((Fraction(1), Fraction(0)),),
-            ((Fraction(1),), (Fraction(0), Fraction(1))),
+            to_columns([[Fraction(1), Fraction(0)]], 2),
+            ({0: Fraction(1), 2: Fraction(1)},),
         ))
 
 
 def test_chain_complex_rejects_wrong_number_of_boundaries():
     with pytest.raises(ValueError, match="3 degrees need 2 boundaries, got 1"):
-        ChainComplex(dims=(1, 2, 1), boundaries=(((Fraction(1), Fraction(0)),),))
+        ChainComplex(dims=(1, 2, 1), boundaries=(to_columns([[Fraction(1), Fraction(0)]], 2),))
 
 
 # -- d o d against a dense product -----------------------------------------
@@ -241,7 +307,7 @@ def sparse_complexes(draw):
 @given(sparse_complexes())
 def test_d_squared_is_zero_matches_dense_product(drawn):
     dims, boundaries = drawn
-    complex_ = ChainComplex(dims=dims, boundaries=boundaries)
+    complex_ = complex_from_rows(dims, boundaries)
     assert complex_.d_squared_is_zero() == dense_d_squared_is_zero(dims, boundaries)
 
 
@@ -264,7 +330,7 @@ def _fractions(rows):
     ((2, 0, 2), (((), ()), ()), True),
 ], ids=["cancelling", "zero-row", "second-degree", "zero-space"])
 def test_d_squared_is_zero_fixed_complexes(dims, boundaries, verdict):
-    complex_ = ChainComplex(dims=dims, boundaries=boundaries)
+    complex_ = complex_from_rows(dims, boundaries)
     assert dense_d_squared_is_zero(dims, boundaries) is verdict
     assert complex_.d_squared_is_zero() is verdict
 
@@ -304,7 +370,7 @@ def test_generated_family_complex_matches_oracle(name, r):
     complex_ = rinehart_complex(alg, GeneratorD(alg, right_connection(alg, r)))
     expected = oracle_boundaries(n, brackets, r)
     for p in range(1, n + 1):
-        assert complex_.boundary(p) == expected[p - 1], p
+        assert to_rows(complex_.boundaries[p - 1], complex_.dims[p - 1]) == expected[p - 1], p
     assert homology_dims(complex_) == oracle_betti(n, brackets, r)
 
 
@@ -360,3 +426,36 @@ def test_flat_character_scan_matches_oracle(catalog, name, flat_count, nonzero):
     assert sum(len(chars) for chars in groups.values()) == flat_count
     zero = (0,) * (alg.n + 1)
     assert {b: chars for b, chars in groups.items() if b != zero} == nonzero
+
+
+# -- Betti numbers at rank 11 and above, against closed forms ----------------
+# Structure constants (i, j, k) -> c with [e_i, e_j] = c e_k, 1-based; r is the
+# right connection of the zero top connection, as for a file with no r.
+
+
+def heisenberg_constants(k):
+    """[e_i, e_(i+k)] = e_(2k+1) for i <= k."""
+    return {(i, i + k, 2 * k + 1): 1 for i in range(1, k + 1)}
+
+
+def heisenberg_betti(k):
+    """Santharoubane (1983): b_p = C(2k, p) - C(2k, p - 2) for p <= k, mirrored above k."""
+    low = [comb(2 * k, p) - (comb(2 * k, p - 2) if p >= 2 else 0) for p in range(k + 1)]
+    return tuple(low + low[::-1])
+
+
+HIGH_RANK = {  # name -> (n, constants, Betti numbers)
+    "heisenberg-11": (11, heisenberg_constants(5), heisenberg_betti(5)),
+    "heisenberg-13": (13, heisenberg_constants(6), heisenberg_betti(6)),
+    # [e_i, e_11] = e_i for i < 11
+    "book-11": (11, {(i, 11, i): 1 for i in range(1, 11)}, (0,) * 10 + (1, 1)),
+    "abelian-12": (12, {}, tuple(comb(12, p) for p in range(13))),
+}
+
+
+@pytest.mark.parametrize("name", list(HIGH_RANK))
+def test_betti_numbers_at_high_rank_match_closed_forms(name):
+    n, constants, betti = HIGH_RANK[name]
+    alg = LieRinehartAlgebra.from_structure_constants(n, _brackets(n, constants), name=name)
+    right = right_from_top(alg, TopConnection((PolyElement.zero(0),) * n))
+    assert homology_dims(rinehart_complex(alg, GeneratorD(alg, right))) == betti
