@@ -39,6 +39,7 @@ from .connections import (
     lie_derivative_top,
     lie_trace,
     phi_map,
+    phi_trace,
     torsion,
     trace_endo,
 )

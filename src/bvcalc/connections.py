@@ -16,6 +16,13 @@ degree-q input form:
 The absolute argument labels j, k run from p to n; getting this offset
 right matters, since the duality checks in `correspond` are sensitive to
 a global sign per degree.
+
+The endomorphism phi_alpha : xi -> [alpha, xi] - nabla_alpha xi has two
+entry points.  `phi_trace` gives its trace from the diagonal alone; the
+trace and divergence identities of `suites.run_linear_connection` and
+`correspond.generator_from_linear_connection` use it.  `phi_map` builds
+the whole map; the torsion-free-lift check applies it to a random xi,
+and the tests use its `trace_endo` as the oracle for `phi_trace`.
 """
 
 from __future__ import annotations
@@ -103,7 +110,11 @@ def lie_derivative_top(alg: LieRinehartAlgebra, alpha: LElement,
     """Lie derivative on the top power: a derivation over the anchor."""
     if x.n != alg.n:
         raise ValueError("rank mismatch")
-    coeff = alg.anchor_apply(alpha, x.coefficient) + x.coefficient * lie_trace(alg, alpha)
+    coeff = x.coefficient * lie_trace(alg, alpha)
+    # the anchor kills constants, so rho(alpha) is built only for a
+    # non-constant coefficient, as in `connection_apply_l`
+    if not x.coefficient.is_constant():
+        coeff = alg.anchor_apply(alpha, x.coefficient) + coeff
     return TopElement(alg.n, coeff)
 
 
@@ -115,7 +126,9 @@ def connection_apply_top(alg: LieRinehartAlgebra, conn: TopConnection,
     g = PolyElement.zero(alg.m)
     for a, gi in zip(alpha.coeffs, conn.gamma):
         g = g + a * gi
-    coeff = alg.anchor_apply(alpha, x.coefficient) + x.coefficient * g
+    coeff = x.coefficient * g
+    if not x.coefficient.is_constant():  # as in `lie_derivative_top`
+        coeff = alg.anchor_apply(alpha, x.coefficient) + coeff
     return TopElement(alg.n, coeff)
 
 
@@ -153,7 +166,13 @@ def torsion(alg: LieRinehartAlgebra, conn: LeftConnectionOnL) -> list[list[LElem
 
 
 def is_torsion_free(alg: LieRinehartAlgebra, conn: LeftConnectionOnL) -> bool:
-    return all(entry.is_zero() for row in torsion(alg, conn) for entry in row)
+    """Whether `torsion` vanishes, tested on the pairs i < j alone.
+
+    T[i][i] = 0 and T[j][i] = -T[i][j] hold by construction.
+    """
+    table = conn.table
+    return all((table[i][j] - table[j][i] - alg.bracket_basis(i, j)).is_zero()
+               for i in range(alg.n) for j in range(i + 1, alg.n))
 
 
 def curvature_top(alg: LieRinehartAlgebra, conn: TopConnection) -> list[list[PolyElement]]:
@@ -247,6 +266,27 @@ def phi_map(alg: LieRinehartAlgebra, conn: LeftConnectionOnL,
                    - connection_apply_l(alg, conn, alpha, alg.basis_l(j))
                    for j in range(alg.n))
     return EndoOfL(images)
+
+
+def phi_trace(alg: LieRinehartAlgebra, conn: LeftConnectionOnL,
+              alpha: LElement) -> PolyElement:
+    """Tr phi_alpha, read off the diagonal of `phi_map` without building it.
+
+    e_j has constant coefficients, so the e_j coefficient of
+    phi_alpha(e_j) = [alpha, e_j] - nabla_alpha e_j is
+    sum_i a_i (c^j_ij - Gamma[i][j]_j) - rho_j(a_j), and the trace is
+    sum_i a_i t_i - sum_j rho_j(a_j) with t_i = sum_j (c^j_ij - Gamma[i][j]_j).
+    """
+    out = PolyElement.zero(alg.m)
+    for i, a in enumerate(alpha.coeffs):
+        if a:
+            t = PolyElement.zero(alg.m)
+            for j, entry in enumerate(conn.table[i]):
+                t = t + alg.bracket_basis(i, j).coeffs[j] - entry.coeffs[j]
+            out = out + a * t
+    for rho, a in zip(alg.anchor, alpha.coeffs):
+        out = out - rho(a)
+    return out
 
 
 def induced_top_connection(alg: LieRinehartAlgebra,

@@ -38,8 +38,7 @@ from .connections import (
     covariant_derivative,
     induced_top_connection,
     lie_trace,
-    phi_map,
-    trace_endo,
+    phi_trace,
 )
 from .exterior import Multivector, basis_label, full_tuple, phi_iso
 from .poly import PolyElement
@@ -202,7 +201,7 @@ def generator_from_linear_connection(alg: LieRinehartAlgebra,
     No torsion hypothesis is needed, and the result depends only on the
     induced top connection.
     """
-    r = tuple(trace_endo(phi_map(alg, conn, alg.basis_l(i))) for i in range(alg.n))
+    r = tuple(phi_trace(alg, conn, alg.basis_l(i)) for i in range(alg.n))
     return GeneratorD(alg, RightConnectionOnA(r))
 
 

@@ -81,8 +81,8 @@ class PolyElement:
 
     @classmethod
     def _make(cls, m: int, canonical: dict) -> "PolyElement":
-        # fast path for arithmetic: `canonical` already has tuple keys and
-        # nonzero int or Fraction values
+        # fast path for arithmetic and `sampling.random_poly`: `canonical`
+        # already has tuple keys and nonzero int or Fraction values
         self = object.__new__(cls)
         self.m = m
         self.terms = canonical

@@ -15,7 +15,7 @@ from itertools import combinations
 
 from .algebra import LElement
 from .exterior import Multivector
-from .poly import PolyElement
+from .poly import PolyElement, _term_order
 
 COEFF_MIN, COEFF_MAX = -9, 9
 MAX_TERMS = 3
@@ -27,14 +27,21 @@ def check_rng(seed: int, label: str) -> random.Random:
 
 
 def random_poly(rng: random.Random, m: int, degree_bound: int = 3) -> PolyElement:
-    terms = []
+    """Draws merged by exponent, zeros dropped, in the kernel's term order.
+
+    That is what `PolyElement(m, draws)` makes of the same draws, without
+    its checks on exponents and coefficients, which integer draws pass.
+    """
+    acc: dict[tuple[int, ...], int] = {}
     for _ in range(rng.randint(1, MAX_TERMS)):
         exps = [0] * m
         if m:
             for _ in range(rng.randint(0, degree_bound)):
                 exps[rng.randrange(m)] += 1
-        terms.append((tuple(exps), rng.randint(COEFF_MIN, COEFF_MAX)))
-    return PolyElement(m, terms)
+        key = tuple(exps)
+        acc[key] = acc.get(key, 0) + rng.randint(COEFF_MIN, COEFF_MAX)
+    return PolyElement._make(m, dict(sorted(((e, c) for e, c in acc.items() if c),
+                                            key=_term_order, reverse=True)))
 
 
 def random_poly_vector(rng: random.Random, m: int, length: int,

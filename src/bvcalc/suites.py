@@ -33,7 +33,7 @@ from .connections import (
     is_torsion_free,
     lie_derivative_top,
     phi_map,
-    trace_endo,
+    phi_trace,
 )
 from .correspond import (
     check_bracket_pairing_identity,
@@ -276,7 +276,7 @@ class _SuiteRunner:
         for _ in range(self.trials):
             conn = LeftConnectionOnL(random_christoffel(rng, alg, self.degree_bound))
             alpha = random_lelement(rng, alg, self.degree_bound)
-            trace = trace_endo(phi_map(alg, conn, alpha))
+            trace = phi_trace(alg, conn, alpha)
             induced = induced_top_connection(alg, conn)
             lie = lie_derivative_top(alg, alpha, volume)
             nabla = connection_apply_top(alg, induced, alpha, volume)
@@ -323,7 +323,7 @@ class _SuiteRunner:
             ident = identity_top_form(alg)
             div = divergence_rank_one(
                 lambda f: generalized_lie_derivative(alg, induced, alpha, f), ident)
-            if -div != trace_endo(phi_map(alg, conn, alpha)):
+            if -div != phi_trace(alg, conn, alpha):
                 bad = f"divergence identity fails for alpha={alpha}"
                 break
         self.record("linear-connection", "divergence-identity", not bad, witness=bad)

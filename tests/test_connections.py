@@ -22,13 +22,15 @@ from bvcalc.connections import (
     is_torsion_free,
     lie_derivative_top,
     phi_map,
+    phi_trace,
     torsion,
     trace_endo,
 )
+from bvcalc import correspond, suites
 from bvcalc.bv import one_circ
-from bvcalc.correspond import right_from_top
+from bvcalc.correspond import right_from_top, torsionfree_lift
 from bvcalc.exterior import AltForm, TopElement, full_tuple
-from bvcalc.poly import PolyElement
+from bvcalc.poly import PolyElement, parse_poly
 from bvcalc.sampling import (
     check_rng,
     random_christoffel,
@@ -86,6 +88,52 @@ def test_torsion_examples():
     t = torsion(NONAB, LeftConnectionOnL.zero(NONAB))
     assert t[0][1] == -NONAB.basis_l(0)
     assert is_torsion_free(NONAB, half_structure_connection(NONAB))
+
+
+def test_top_operators_build_no_anchor_for_a_constant_coefficient(monkeypatch):
+    calls = []
+    original = LieRinehartAlgebra.anchor_of
+    monkeypatch.setattr(LieRinehartAlgebra, "anchor_of",
+                        lambda self, alpha: calls.append(alpha) or original(self, alpha))
+    alpha = COORD.l_element((parse_poly("x1*x2 + 1", 2), parse_poly("x1^2 - x2", 2)))
+    gamma = TopConnection((Y, PolyElement.const(2, 3)))
+    five = TopElement(2, PolyElement.const(2, 5))
+    # lie_trace brackets alpha with each e_j, which builds rho(e_j) because
+    # alpha is not constant; rho(alpha) itself is never built
+    assert str(lie_derivative_top(COORD, alpha, five).coefficient) == "-5*x2 + 5"
+    assert calls == [COORD.basis_l(0), COORD.basis_l(1)]
+    calls.clear()
+    assert str(connection_apply_top(COORD, gamma, alpha, five).coefficient) \
+        == "5*x1*x2^2 - 10*x2 + 15*x1^2"
+    assert calls == []
+    # a non-constant coefficient still gets alpha's derivative, in the same terms
+    assert str(lie_derivative_top(COORD, alpha, TopElement(2, X)).coefficient) == "1 + x1"
+    assert alpha in calls
+    calls.clear()
+    assert str(connection_apply_top(COORD, gamma, alpha, TopElement(2, X)).coefficient) \
+        == "-1*x1*x2 + 1 + x1^2*x2^2 + 3*x1^3"
+    assert calls == [alpha]
+
+
+def test_is_torsion_free_agrees_with_the_torsion_table(catalog):
+    def every_entry_zero(alg, conn):
+        return all(entry.is_zero() for row in torsion(alg, conn) for entry in row)
+
+    for name, loaded in catalog.items():
+        alg = loaded.algebra
+        rng = check_rng(73, f"torsion-free:{name}")
+        for _ in range(4):
+            conn = LeftConnectionOnL(random_christoffel(rng, alg))
+            assert not every_entry_zero(alg, conn) and not is_torsion_free(alg, conn), name
+            lift = torsionfree_lift(alg, TopConnection(random_poly_vector(rng, alg.m, alg.n)))
+            assert every_entry_zero(alg, lift) and is_torsion_free(alg, lift), name
+            # one entry above or below the diagonal, bumped by e_1
+            for i, j in ((0, 1), (1, 0)):
+                rows = [list(row) for row in lift.table]
+                rows[i][j] = rows[i][j] + alg.basis_l(0)
+                bumped = LeftConnectionOnL(tuple(map(tuple, rows)))
+                assert not every_entry_zero(alg, bumped), (name, i, j)
+                assert not is_torsion_free(alg, bumped), (name, i, j)
 
 
 @given(a=polys(2, max_degree=2), alpha=lelements(COORD, max_degree=1, max_terms=1),
@@ -298,6 +346,76 @@ def test_phi_map_is_a_linear_in_xi(a, xi, alpha):
     direct = (COORD.bracket(alpha, xi.scale(a))
               - connection_apply_l(COORD, conn, alpha, xi.scale(a)))
     assert direct == endo.apply(xi).scale(a)
+
+
+def test_phi_trace_is_the_trace_of_phi_map(catalog):
+    # random tables are not torsion-free; alpha is random or a basis element
+    ground_ranks = set()
+    for name, loaded in catalog.items():
+        alg = loaded.algebra
+        ground_ranks.add(alg.m == 0)
+        rng = check_rng(71, f"phi-trace:{name}")
+        for _ in range(6):
+            conn = LeftConnectionOnL(random_christoffel(rng, alg))
+            assert not is_torsion_free(alg, conn), name
+            for alpha in (random_lelement(rng, alg),) + tuple(map(alg.basis_l, range(alg.n))):
+                assert phi_trace(alg, conn, alpha) == trace_endo(phi_map(alg, conn, alpha)), \
+                    (name, str(alpha))
+    assert ground_ranks == {True, False}
+
+
+def trace_mutant(anchor: bool = True, slot=lambda i, j: j):
+    """The sum of `phi_trace`, written out; `anchor=False` drops the anchor term
+    and `slot` picks the coefficient of Gamma[i][j] that it reads."""
+    def mutant(alg, conn, alpha):
+        out = PolyElement.zero(alg.m)
+        for i, a in enumerate(alpha.coeffs):
+            for j in range(alg.n):
+                out = out + a * (alg.bracket_basis(i, j).coeffs[j]
+                                 - conn.table[i][j].coeffs[slot(i, j)])
+        if anchor:
+            for rho, a in zip(alg.anchor, alpha.coeffs):
+                out = out - rho(a)
+        return out
+    return mutant
+
+
+def linear_connection_outcomes(loaded):
+    report = suites.run_suite(loaded, suites=("linear-connection",), trials=4)
+    return {o.name: o for o in report.outcomes}
+
+
+@pytest.mark.parametrize("name, mutant", [
+    ("coordinate-2d", trace_mutant(anchor=False)),
+    ("heisenberg-dim3", trace_mutant(slot=lambda i, j: i)),
+], ids=["no-anchor-term", "reads-gamma-ij-i"])
+def test_trace_identity_catches_phi_trace_mutants(catalog, monkeypatch, name, mutant):
+    loaded = catalog[name]
+    monkeypatch.setattr(suites, "phi_trace", trace_mutant())
+    assert linear_connection_outcomes(loaded)["trace-identity"].status == "pass"
+    monkeypatch.setattr(suites, "phi_trace", mutant)
+    outcome = linear_connection_outcomes(loaded)["trace-identity"]
+    assert outcome.status == "fail"
+    assert outcome.witness.startswith("trace identity fails for alpha="), outcome.witness
+
+
+@pytest.mark.parametrize("name", ["coordinate-2d", "sl2"])
+def test_torsionfree_lift_check_catches_an_off_diagonal_bump(catalog, monkeypatch, name):
+    # e_1 added to Gamma[0][1] alone: the induced top connection is unchanged,
+    # and only T[0][1] (and T[1][0] = -T[0][1]) can see it
+    original = correspond.torsionfree_lift
+
+    def bumped_lift(alg, target, base=None):
+        rows = [list(row) for row in original(alg, target, base).table]
+        rows[0][1] = rows[0][1] + alg.basis_l(0)
+        return LeftConnectionOnL(tuple(map(tuple, rows)))
+
+    loaded = catalog[name]
+    assert linear_connection_outcomes(loaded)["torsionfree-lift"].status == "pass"
+    monkeypatch.setattr(suites, "torsionfree_lift", bumped_lift)
+    outcome = linear_connection_outcomes(loaded)["torsionfree-lift"]
+    assert outcome.status == "fail"
+    assert outcome.witness.startswith("lift has torsion for gamma="), outcome.witness
 
 
 def test_trace_endo_examples():

@@ -5,8 +5,19 @@ while these draws stay the same, so each expected value below is a
 literal that was printed by an earlier version of `bvcalc.sampling`.
 """
 
+import random
+
 from bvcalc.catalog import load_catalog
-from bvcalc.sampling import check_rng, random_christoffel, random_multivector, random_poly
+from bvcalc.poly import PolyElement
+from bvcalc.sampling import (
+    COEFF_MAX,
+    COEFF_MIN,
+    MAX_TERMS,
+    check_rng,
+    random_christoffel,
+    random_multivector,
+    random_poly,
+)
 
 
 def test_ground_field_polynomials():
@@ -34,3 +45,29 @@ def test_multivector_on_coordinate_2d():
     mv = random_multivector(check_rng(0, "pin"), load_catalog("coordinate-2d").algebra)
     assert sorted((key, str(a)) for key, a in mv.components.items()) == [
         ((0, 1), "-5*x1*x2 + 3*x2 + 2"), ((1,), "-8*x2^2")]
+
+
+def constructor_draws(rng, m, degree_bound):
+    """The draws of `random_poly`, in their order, unmerged, for `PolyElement(m, ...)`."""
+    terms = []
+    for _ in range(rng.randint(1, MAX_TERMS)):
+        exps = [0] * m
+        if m:
+            for _ in range(rng.randint(0, degree_bound)):
+                exps[rng.randrange(m)] += 1
+        terms.append((tuple(exps), rng.randint(COEFF_MIN, COEFF_MAX)))
+    return terms
+
+
+def test_random_poly_is_the_constructor_on_the_same_draws():
+    # same terms in the same order, the same text, and the stream left where
+    # the constructor's draws leave it
+    for m in range(4):
+        for degree_bound in range(6):
+            for seed in range(1000):
+                rng, oracle = random.Random(seed), random.Random(seed)
+                p = random_poly(rng, m, degree_bound)
+                q = PolyElement(m, constructor_draws(oracle, m, degree_bound))
+                assert list(p.terms.items()) == list(q.terms.items()), (m, degree_bound, seed)
+                assert str(p) == str(q)
+                assert rng.getstate() == oracle.getstate(), (m, degree_bound, seed)
