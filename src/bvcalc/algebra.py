@@ -78,8 +78,9 @@ class LieRinehartAlgebra:
     anchor: tuple[DerivationOfA, ...]
     structure: Mapping[tuple[int, int], LElement] = field(default_factory=dict)
     name: str = ""
-    # (S, T) bitmasks -> [e_S, e_T] as a bvcalc.ground map when m = 0,
-    # all 4^n pairs filled at once by bvcalc.bv.bracket_table
+    # (S, T) bitmasks -> [e_S, e_T] as a bvcalc.ground map, constants at
+    # m = 0 and polynomials at m > 0; all 4^n pairs filled at once by
+    # bvcalc.bv.bracket_table on first use
     gerstenhaber_table: dict = field(default_factory=dict, init=False, repr=False,
                                      compare=False)
     # lie_trace(e_i) for i < n, filled on first use by bvcalc.correspond
@@ -110,6 +111,10 @@ class LieRinehartAlgebra:
         object.__setattr__(self, "_zero_l", zero_l)
         object.__setattr__(self, "_basis", basis)
         object.__setattr__(self, "_bracket_table", table)
+        object.__setattr__(self, "_bracket_terms",
+                           tuple(tuple(tuple((k, c) for k, c in enumerate(br.coeffs) if c)
+                                       for br in row)
+                                 for row in table))
         object.__setattr__(self, "_anchor_is_zero",
                            all(d.is_zero() for d in self.anchor))
 
@@ -172,6 +177,10 @@ class LieRinehartAlgebra:
     def bracket_basis(self, i: int, j: int) -> LElement:
         """[e_i, e_j] for any i, j, with structural antisymmetry."""
         return self._bracket_table[i][j]
+
+    def bracket_terms(self, i: int, j: int) -> tuple[tuple[int, PolyElement], ...]:
+        """The nonzero components (k, c^k_ij) of [e_i, e_j], k increasing."""
+        return self._bracket_terms[i][j]
 
     def bracket(self, alpha: LElement, beta: LElement) -> LElement:
         """Bracket of general elements by the Leibniz extension."""

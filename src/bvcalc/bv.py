@@ -17,15 +17,20 @@ bracket in the sense checked by `is_generator`, and that identity pins
 the sign conventions: the two code paths (recursive bracket, explicit
 operator) are kept independent so they can be tested against each other.
 
-In the ground-field case m = 0 the anchor vanishes and both operations
-are Q-linear in each coefficient, so the m = 0 checks read bitmask
-basis tables (`bvcalc.ground`): [e_S, e_T] for all 4^n pairs in one
-table on the algebra, filled once by `bracket_table` from the bracket
-code alone, and D(e_S) on the `GeneratorD`, read by `GeneratorD.ground`,
-which fills each entry on first need by `ground_generator` from the
-explicit formula above, reading only r and the structure constants;
-neither table is derived from the other, and `apply_generator` stays
-the m > 0 path and the oracle for the second.
+The generator identity reads [e_S, e_T] for all 4^n pairs from one
+bitmask table on the algebra (`bvcalc.ground`), filled once by
+`bracket_table` from the bracket code alone, at every m: its values are
+constants at m = 0 and polynomials at m > 0.  At m = 0 the anchor
+vanishes and both operations are Q-linear in each coefficient, so the
+pairing identity of `bvcalc.correspond` reads the same table, and D(e_S)
+is a second table on the `GeneratorD`, read by `GeneratorD.ground`, which
+fills each entry on first need by `ground_generator` from the explicit
+formula above, reading only r and the structure constants; neither table
+is derived from the other, and `apply_generator` stays the m > 0 path of
+D and the oracle for the second table.  At m > 0 the bracket of a e_S and
+b e_T is ab [e_S, e_T] plus two terms in the anchor derivatives of a and
+b (`mask_bracket`).  `gerstenhaber_bracket` stays the public bracket at
+every m, the bracket of the m > 0 pairing identity, and the tests' oracle.
 
 The same linearity makes the m = 0 checks exact.  The generator
 identity is Q-bilinear in the coefficients of u and v once the operator
@@ -147,8 +152,8 @@ def ground_generator(alg: LieRinehartAlgebra, conn: RightConnectionOnA, s: int) 
     With S = {s_0 < .. < s_(p-1)} and [e_a, e_b] = sum_l c^l_ab e_l, the
     terms are (-1)^i r_(s_i) e_(S - s_i) and, for j < k,
     (-1)^(j+k) c^l_(s_j s_k) e_l ^ e_R with R = S - s_j - s_k, whose sign is
-    `ground.wedge_sign`.  Reads only r and `alg.bracket_basis`: never the
-    bracket table, never `apply_generator`.
+    `ground.wedge_sign`; only the nonzero c^l_ab are visited.  Reads only r
+    and `alg.bracket_terms`: never the bracket table, never `apply_generator`.
     """
     out = {}
     indices = ground.to_key(s)
@@ -161,12 +166,11 @@ def ground_generator(alg: LieRinehartAlgebra, conn: RightConnectionOnA, s: int) 
             b = indices[k]
             rest = s ^ (1 << a) ^ (1 << b)
             sign = -1 if (j + k) % 2 else 1
-            for l, coeff in enumerate(alg.bracket_basis(a, b).coeffs):
-                c = ground.value(coeff)
-                w = ground.wedge_sign(1 << l, rest) if c else 0
+            for l, coeff in alg.bracket_terms(a, b):
+                w = ground.wedge_sign(1 << l, rest)
                 if w:
                     mask = rest | (1 << l)
-                    total = out.get(mask, 0) + sign * w * c
+                    total = out.get(mask, 0) + sign * w * ground.value(coeff)
                     if total:
                         out[mask] = total
                     else:
@@ -285,24 +289,26 @@ def gerstenhaber_bracket(alg: LieRinehartAlgebra, u: Multivector,
 
 
 def bracket_table(alg: LieRinehartAlgebra) -> dict:
-    """`alg.gerstenhaber_table` for m = 0: (S, T) bitmasks -> [e_S, e_T] as a ground map.
+    """`alg.gerstenhaber_table`: (S, T) bitmasks -> [e_S, e_T] as a `bvcalc.ground` map.
 
+    The values are int or Fraction at m = 0 and `PolyElement` at m > 0.
     Filled on the first call, S in increasing mask order: entries with
-    |S| <= 1 come from `_term_bracket`, and the others by its peel rule
-    from entries already filled, with s0 the lowest bit of S and S' the rest:
+    |S| <= 1 come from `_term_bracket` at coefficient 1, and the others by
+    its peel rule from entries already filled, with s0 the lowest bit of S
+    and S' the rest:
     [e_s0 ^ e_S', e_T] = (-1)^((q-1)(p-1)) [e_s0, e_T] ^ e_S' + e_s0 ^ [e_S', e_T].
     """
     table = alg.gerstenhaber_table
     if table:
         return table
-    one = PolyElement.one(0)
+    one = PolyElement.one(alg.m)
     size = 1 << alg.n
     for s in range(size):
         p, low = s.bit_count(), s & -s
         for t in range(size):
             if p <= 1:
-                mv = _term_bracket(alg, one, ground.to_key(s), one, ground.to_key(t))
-                entry = {ground.to_mask(key): ground.value(c) for key, c in mv.components.items()}
+                entry = ground.from_multivector(
+                    _term_bracket(alg, one, ground.to_key(s), one, ground.to_key(t)))
             else:
                 entry = {}
                 ground.add_wedge_basis(entry, table[low, t], s ^ low,
@@ -310,6 +316,40 @@ def bracket_table(alg: LieRinehartAlgebra) -> dict:
                 ground.add_basis_wedge(entry, low, table[s ^ low, t])
             table[s, t] = entry
     return table
+
+
+def _scalar_bracket_map(s: int, db: Sequence[PolyElement]) -> dict:
+    """[b, e_S] as a `bvcalc.ground` map, given db[i] = e_i(b).
+
+    With S = {s_0 < s_1 < ..}, [b, e_S] = sum_k (-1)^(k+1) e_(s_k)(b) e_(S - s_k):
+    the odd-derivation expansion of `_scalar_bracket`, where [b, e_i] = -e_i(b).
+    """
+    return {s ^ (1 << i): db[i] if k % 2 else -db[i]
+            for k, i in enumerate(ground.to_key(s)) if db[i]}
+
+
+def mask_bracket(table: dict, u: tuple, v: tuple, ab: PolyElement) -> dict:
+    """[a e_S, b e_T] for m > 0 as a `bvcalc.ground` map, by the Leibniz rule.
+
+    u = (S, a, da) and v = (T, b, db) carry a bitmask, a coefficient and its
+    anchor derivatives da[i] = e_i(a); ab = a b.  With p = |S| and q = |T|,
+
+        [a e_S, b e_T] = ab [e_S, e_T] + (-1)^p a [b, e_S] ^ e_T
+                         - (-1)^((p-1)(q-1)+q) b [a, e_T] ^ e_S,
+
+    the biderivation extending the anchor (Koszul 1985), with [e_S, e_T]
+    read from `table` (`bracket_table`) and the last two terms from the
+    derivatives alone.
+    """
+    s, a, da = u
+    t, b, db = v
+    p, q = s.bit_count(), t.bit_count()
+    out = {}
+    ground.add_multiple(out, table[s, t], ab)
+    ground.add_wedge_basis(out, _scalar_bracket_map(s, db), t, -a if p % 2 else a)
+    ground.add_wedge_basis(out, _scalar_bracket_map(t, da), s,
+                           b if ((p - 1) * (q - 1) + q) % 2 else -b)
+    return out
 
 
 # -- generator checks --------------------------------------------------
@@ -330,27 +370,52 @@ def is_generator(alg: LieRinehartAlgebra, op: Operator, trials: int = 32,
     coefficient 1, so it has no seed or trial count: `trials`, `seed`
     and `degree_bound` make no difference (see `_ground_is_generator`).
     When m > 0, each of `trials` passes gives every basis subset one
-    random coefficient and checks all ordered pairs.
+    random coefficient and checks all ordered pairs.  `op` is called on
+    every drawn a e_S, then on u ^ v for every ordered pair (u, v), zero
+    products included, and nowhere else.  With sign = (-1)^|S| the defect
+
+        [u, v] - sign D(u ^ v) + sign b D(u) ^ e_T + a e_S ^ D(v)
+
+    of u = a e_S and v = b e_T accumulates in one mask map, the bracket
+    from `mask_bracket` and the anchor derivatives e_i(a) formed once per
+    drawn a.  The first nonzero defect is printed from `gerstenhaber_bracket`
+    and `Multivector` wedges, whose term order the report keeps.
     """
     if not alg.m:
         return _ground_is_generator(alg, op)
     rng = check_rng(seed, "is_generator")
     n = alg.n
     subsets = [s for p in range(n + 1) for s in combinations(range(n), p)]
+    table = bracket_table(alg)
     for _ in range(max(trials, 1)):
         terms = [(key, random_poly(rng, alg.m, degree_bound)) for key in subsets]
         elements = [Multivector(n, [(key, a)]) for key, a in terms]
         images = [op(u) for u in elements]
-        for (s_key, a), u, du in zip(terms, elements, images):
-            even = len(s_key) % 2 == 0
-            for (t_key, b), v, dv in zip(terms, elements, images):
-                lhs = gerstenhaber_bracket(alg, u, v)
-                inner = op(u.wedge(v)) - du.wedge(v)
-                inner = inner - u.wedge(dv) if even else inner + u.wedge(dv)
-                rhs = inner if even else -inner
-                if lhs != rhs:
-                    return False, (f"u=({a})*{basis_label(s_key)} v=({b})*{basis_label(t_key)} "
-                                   f"defect={lhs - rhs}")
+        # (S, a, (e_1(a), .., e_n(a))) and D(a e_S) as a mask map, per drawn a e_S
+        drawn = [((ground.to_mask(key), a, tuple(rho(a) for rho in alg.anchor)),
+                  ground.from_multivector(du)) for (key, a), du in zip(terms, images)]
+        for i, (su, ds) in enumerate(drawn):
+            s, a, _ = su
+            sign = -1 if s.bit_count() % 2 else 1
+            for j, (tv, dt) in enumerate(drawn):
+                t, b, _ = tv
+                ab = a * b
+                w = ground.wedge_sign(s, t) if ab else 0
+                # u ^ v, the same terms `Multivector.wedge` gives
+                duv = op(Multivector._make(n, {ground.to_key(s | t): ab if w > 0 else -ab}
+                                           if w else {}))
+                defect = mask_bracket(table, su, tv, ab)
+                ground.add_multiple(defect, ground.from_multivector(duv), -sign)
+                ground.add_wedge_basis(defect, ds, t, sign * b)
+                ground.add_basis_wedge(defect, s, dt, a)
+                if defect:
+                    u, v, du, dv = elements[i], elements[j], images[i], images[j]
+                    inner = duv - du.wedge(v)
+                    inner = inner - u.wedge(dv) if sign > 0 else inner + u.wedge(dv)
+                    rhs = inner if sign > 0 else -inner
+                    return False, (f"u=({a})*{basis_label(terms[i][0])} "
+                                   f"v=({b})*{basis_label(terms[j][0])} "
+                                   f"defect={gerstenhaber_bracket(alg, u, v) - rhs}")
     return True, None
 
 

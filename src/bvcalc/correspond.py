@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import ground
-from .algebra import LieRinehartAlgebra
+from .algebra import LElement, LieRinehartAlgebra
 from .bv import GeneratorD, RightConnectionOnA, bracket_table, gerstenhaber_bracket
 from .connections import (
     LeftConnectionOnL,
@@ -213,7 +213,9 @@ def torsionfree_lift(alg: LieRinehartAlgebra, target: TopConnection,
     default), measure the defect phi_i of its induced top connection
     against the target, and correct by the symmetric A-linear family
     Phi(e_i)e_j = (phi_i e_j + phi_j e_i) / (n + 1), whose row traces are
-    exactly phi_i.  Any torsion-free base yields the postconditions.
+    exactly phi_i.  Any torsion-free base yields the postconditions.  The
+    k-th coefficient of entry (i, j) is Gamma^k_ij + [k = j] phi_i / (n + 1)
+    + [k = i] phi_j / (n + 1), with each phi_i / (n + 1) formed once.
     """
     n = alg.n
     if base is None:
@@ -222,13 +224,15 @@ def torsionfree_lift(alg: LieRinehartAlgebra, target: TopConnection,
                                              for j in range(n))
                                        for i in range(n)))
     induced = induced_top_connection(alg, base)
-    phi = [t - g for t, g in zip(target.gamma, induced.gamma)]
     inv = PolyElement.const(alg.m, Fraction(1, n + 1))
+    shares = [(t - g) * inv for t, g in zip(target.gamma, induced.gamma)]  # phi_i / (n + 1)
     rows = []
     for i in range(n):
         row = []
         for j in range(n):
-            correction = alg.basis_l(j).scale(phi[i]) + alg.basis_l(i).scale(phi[j])
-            row.append(base.table[i][j] + correction.scale(inv))
+            coeffs = list(base.table[i][j].coeffs)
+            coeffs[j] = coeffs[j] + shares[i]
+            coeffs[i] = coeffs[i] + shares[j]
+            row.append(LElement(tuple(coeffs)))
         rows.append(tuple(row))
     return LeftConnectionOnL(tuple(rows))

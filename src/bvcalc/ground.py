@@ -1,16 +1,18 @@
-"""Ground-field (m = 0) multivectors as maps from bitmasks to scalars.
+"""Multivectors as maps from bitmasks to coefficients.
 
-When A = Q every coefficient is a constant, so a multivector is a map
-{mask: int | Fraction} with nonzero values, where bit i of the mask
-stands for e_{i+1} (the bitmap form of basis blades in Dorst, Fontijne
-and Mann, *Geometric Algebra for Computer Science*, 2007).  The sign of
-e_S ^ e_T is then a parity of bit counts, with no sorting of index
-tuples.  `Multivector` stays the public type: these maps are the working
-form of the m = 0 basis passes of `bv.is_generator` and
-`correspond.check_bracket_pairing_identity`, of the one bracket table
+A multivector is a map {mask: value} with nonzero values, where bit i of
+the mask stands for e_{i+1} (the bitmap form of basis blades in Dorst,
+Fontijne and Mann, *Geometric Algebra for Computer Science*, 2007).  The
+sign of e_S ^ e_T is then a parity of bit counts, with no sorting of index
+tuples.  When A = Q (m = 0) every value is an int or Fraction; when
+m > 0 it is a `PolyElement`, and the helpers below take either, since they
+only add, negate and multiply values.  `Multivector` stays the public
+type: these maps are the working form of the m = 0 basis passes of
+`bv.is_generator` and `correspond.check_bracket_pairing_identity`, of the
+m > 0 pair loop of `bv.is_generator`, of the one bracket table
 `bv.bracket_table` fills per algebra, and of the D(e_S) table on each
-`bv.GeneratorD`.  Every wedge those need has a basis element e_S on one
-side, so there is no general product of two maps.
+m = 0 `bv.GeneratorD`.  Every wedge those need has a basis element e_S on
+one side, so there is no general product of two maps.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ def wedge_sign(s: int, t: int) -> int:
 
 
 def add_multiple(acc: dict, u: dict, c) -> None:
-    """acc += c * u in place, dropping zeros."""
+    """acc += c * u in place, dropping zeros; c is a constant or a `PolyElement`."""
     for mask, x in u.items():
         total = acc.get(mask, 0) + c * x
         if total:
@@ -90,10 +92,11 @@ def add_basis_wedge(acc: dict, s: int, v: dict, c=1) -> None:
 
 
 def from_multivector(u: Multivector) -> dict:
-    """An m = 0 multivector as {mask: value}, read off its constant coefficients."""
-    return {to_mask(key): value(coeff) for key, coeff in u.components.items()}
+    """u as {mask: value}: the int or Fraction constant at m = 0, the coefficient itself at m > 0."""
+    return {to_mask(key): coeff if coeff.m else value(coeff)
+            for key, coeff in u.components.items()}
 
 
 def to_multivector(n: int, u: dict) -> Multivector:
-    """Back to a rank-n `Multivector`; used to print witnesses."""
+    """An m = 0 map back to a rank-n `Multivector`; used to print witnesses."""
     return Multivector(n, [(to_key(mask), PolyElement.const(0, c)) for mask, c in u.items()])

@@ -136,3 +136,13 @@ def test_catalog_matches_builder(catalog):
     shipped = catalog["poisson-linear-2d"].algebra
     assert built.structure == shipped.structure
     assert built.anchor == shipped.anchor
+
+
+def test_bracket_terms_are_the_nonzero_components_of_bracket_basis(catalog):
+    for loaded in catalog.values():
+        alg = loaded.algebra
+        for i in range(alg.n):
+            for j in range(alg.n):
+                coeffs = alg.bracket_basis(i, j).coeffs
+                assert alg.bracket_terms(i, j) == tuple((k, c) for k, c in enumerate(coeffs) if c)
+                assert all(c is coeffs[k] for k, c in alg.bracket_terms(i, j))

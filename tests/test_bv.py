@@ -819,3 +819,187 @@ def test_ground_random_connections_has_no_seed_or_trial_count(catalog, monkeypat
                        .outcomes[1] for trials, seed in ((1, 0), (8, 0), (8, 5))}
             assert len(results) == 1, (name, results)
             assert next(iter(results)).name == "random-connections"
+
+
+# -- the m > 0 pair loop ----------------------------------------------------
+
+
+def polynomial_names(catalog):
+    return [name for name, loaded in catalog.items() if loaded.algebra.m]
+
+
+def drawn(alg, key, a):
+    """The (S, a, e_i(a) for every i) record that `bv.mask_bracket` takes."""
+    return to_mask(key), a, tuple(rho(a) for rho in alg.anchor)
+
+
+def masked(u):
+    return {to_mask(key): c for key, c in u.components.items()}
+
+
+def test_polynomial_bracket_table_is_the_term_bracket_at_coefficient_one(catalog, monkeypatch):
+    for name in polynomial_names(catalog):
+        alg = ground_algebra(catalog, name)
+        one = PolyElement.one(alg.m)
+        seen = []
+
+        def counting(alg, a, s_key, b, t_key):
+            seen.append(len(s_key))
+            return _term_bracket(alg, a, s_key, b, t_key)
+
+        monkeypatch.setattr(bv, "_term_bracket", counting)
+        table = bracket_table(alg)
+        monkeypatch.undo()
+        assert len(table) == 4 ** alg.n and max(seen) == 1
+        assert len(seen) == (alg.n + 1) * 2 ** alg.n
+        assert all(isinstance(c, PolyElement) for entry in table.values() for c in entry.values())
+        for (s, t), entry in table.items():
+            assert entry == masked(_term_bracket(alg, one, to_key(s), one, to_key(t))), (name, s, t)
+
+
+def test_mask_bracket_equals_gerstenhaber_bracket_on_single_terms(catalog):
+    for name in polynomial_names(catalog):
+        alg = catalog[name].algebra
+        table = bracket_table(alg)
+        rng = check_rng(15, f"mask-bracket-{name}")
+        for s_key in subsets(alg.n):
+            for t_key in subsets(alg.n):
+                for _ in range(3):
+                    a = random_poly(rng, alg.m, 3)
+                    b = random_poly(rng, alg.m, 3)
+                    got = bv.mask_bracket(table, drawn(alg, s_key, a), drawn(alg, t_key, b), a * b)
+                    want = gerstenhaber_bracket(alg, Multivector(alg.n, [(s_key, a)]),
+                                                Multivector(alg.n, [(t_key, b)]))
+                    assert got == masked(want), (name, s_key, t_key, str(a), str(b))
+
+
+def scalar_bracket_map(s, db):
+    """[b, e_S] = sum_k (-1)^(k+1) e_(s_k)(b) e_(S - s_k) as a mask map."""
+    out = {}
+    for k, i in enumerate(to_key(s)):
+        if db[i]:
+            out[s ^ (1 << i)] = db[i] if k % 2 else -db[i]
+    return out
+
+
+def mask_bracket_without(dropped=None):
+    """`bv.mask_bracket` written out term by term, with the named term left out."""
+    def bracket(table, u, v, ab):
+        s, a, da = u
+        t, b, db = v
+        p, q = s.bit_count(), t.bit_count()
+        out = {}
+        add_multiple(out, table[s, t], ab)
+        if dropped != "[b, e_S]":
+            add_wedge_basis(out, scalar_bracket_map(s, db), t, -a if p % 2 else a)
+        if dropped != "[a, e_T]":
+            add_wedge_basis(out, scalar_bracket_map(t, da), s,
+                            b if ((p - 1) * (q - 1) + q) % 2 else -b)
+        return out
+    return bracket
+
+
+def identity_outcome(loaded, trials=4, seed=0):
+    report = run_suite(loaded, suites=("generator",), trials=trials, seed=seed)
+    outcome = report.outcomes[0]
+    assert outcome.name == "identity"
+    return outcome
+
+
+@pytest.mark.parametrize("name", ["coordinate-2d", "poisson-linear-2d"])
+@pytest.mark.parametrize("dropped", ["[b, e_S]", "[a, e_T]"])
+def test_generator_identity_catches_a_dropped_anchor_term(catalog, monkeypatch, name, dropped):
+    loaded = catalog[name]
+    monkeypatch.setattr(bv, "mask_bracket", mask_bracket_without())
+    assert identity_outcome(loaded).status == "pass"
+    monkeypatch.setattr(bv, "mask_bracket", mask_bracket_without(dropped))
+    outcome = identity_outcome(loaded)
+    assert outcome.status == "fail"
+    assert outcome.witness.startswith("u=("), outcome.witness
+
+
+def test_every_sign_flip_of_a_polynomial_table_entry_fails_on_its_own(catalog, monkeypatch):
+    loaded = catalog["poisson-linear-2d"]
+    alg = loaded.algebra
+    gen = GeneratorD(alg, loaded.right_connection())
+    assert is_generator(alg, gen, trials=4) == (True, None)
+    flipped = 0
+    for key, entry in bracket_table(alg).items():
+        if not entry:
+            continue
+        table = dict(bracket_table(alg))
+        table[key] = negated(entry)
+        monkeypatch.setattr(bv, "bracket_table", lambda alg, table=table: table)
+        ok, witness = is_generator(alg, gen, trials=4)
+        assert not ok and witness.startswith("u=("), key
+        assert identity_outcome(loaded).status == "fail"
+        monkeypatch.undo()
+        flipped += 1
+    assert flipped == 4
+
+
+def expected_polynomial_calls(alg, trials, seed, degree_bound=3):
+    """The operator arguments of `is_generator` at m > 0, built with `Multivector.wedge`:
+    a e_S for every drawn element, then u ^ v for every ordered pair, per trial."""
+    rng = check_rng(seed, "is_generator")
+    out = []
+    for _ in range(trials):
+        elements = [Multivector(alg.n, [(key, random_poly(rng, alg.m, degree_bound))])
+                    for key in subsets(alg.n)]
+        out += elements + [u.wedge(v) for u in elements for v in elements]
+    return out
+
+
+def test_polynomial_pair_loop_calls_the_operator_on_every_element_and_wedge(catalog):
+    loaded = catalog["coordinate-2d"]
+    alg = loaded.algebra
+    op, calls = recorded(GeneratorD(alg, loaded.right_connection()))
+    assert is_generator(alg, op, trials=2, seed=5) == (True, None)
+    expected = expected_polynomial_calls(alg, trials=2, seed=5)
+    assert len(calls) == 2 * (2 ** alg.n + 4 ** alg.n)
+    assert calls == expected
+    assert [str(u) for u in calls] == [str(u) for u in expected]
+    assert any(u.is_zero() for u in calls)  # e_S ^ e_T with S and T overlapping
+
+
+def one_circ_without_anchor(alg, conn, alpha):
+    out = PolyElement.zero(alg.m)
+    for coeff, r in zip(alpha.coeffs, conn.r):
+        if coeff and r:
+            out = out + coeff * r
+    return out
+
+
+def test_coordinate_3d_witness_and_calls_up_to_the_failing_pair(catalog, monkeypatch):
+    # the explicit generator for r = (x2, x3, x1) with the anchor term of
+    # 1 o alpha dropped; the witness text is pinned from the Multivector loop
+    alg = catalog["coordinate-3d"].algebra
+    x1, x2, x3 = (PolyElement.variable(3, i) for i in range(3))
+    gen = GeneratorD(alg, RightConnectionOnA((x2, x3, x1)))
+    assert is_generator(alg, gen, trials=2, seed=67) == (True, None)
+    monkeypatch.setattr(bv, "one_circ", one_circ_without_anchor)
+    op, calls = recorded(gen)
+    assert is_generator(alg, op, trials=1, seed=67) == (
+        False, "u=(7*x1*x2^2 - 8*x2*x3^2 - 3*x1*x2)*e{1} v=(6*x2^2*x3 + x1*x2 + 8*x1)*e{2} "
+               "defect=(84*x1*x2^3*x3 - 96*x2^2*x3^3 - 36*x1*x2^2*x3 + 7*x1^2*x2^2 "
+               "- 8*x1*x2*x3^2 - 3*x1^2*x2)*e{1} + (7*x1*x2^3 + 53*x1*x2^2 - 8*x2^2*x3^2 "
+               "- 64*x2*x3^2 - 24*x1*x2)*e{2}")
+    # the 8 elements, then the pairs in order up to (e{1}, e{2}), the 11th pair
+    expected = expected_polynomial_calls(alg, trials=1, seed=67)
+    assert calls == expected[:8 + 8 + 3]
+
+
+def test_ground_generator_equals_apply_generator_on_dense_structure_constants():
+    # several nonzero c^l_ab in every bracket; Jacobi is not needed, since
+    # both sides evaluate the explicit formula
+    rng = random.Random("dense-brackets")
+    n = 4
+    alg = LieRinehartAlgebra.from_structure_constants(n, {
+        (i, j): tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n))
+        for i, j in combinations(range(n), 2)})
+    assert min(len(alg.bracket_terms(i, j)) for i, j in combinations(range(n), 2)) >= 2
+    conn = RightConnectionOnA(tuple(PolyElement.const(0, Fraction(rng.randint(-3, 3), 2))
+                                    for _ in range(n)))
+    for key in subsets(n):
+        assert to_multivector(n, bv.ground_generator(alg, conn, to_mask(key))) == \
+            apply_generator(alg, conn, Multivector.basis(n, key, m=0)), key

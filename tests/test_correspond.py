@@ -243,6 +243,37 @@ def test_torsionfree_lift_phi_symmetry_and_trace():
             assert trace == defect[i]
 
 
+def lift_from_scaled_basis_vectors(alg, target, base=None):
+    """The lift as `LElement` arithmetic: base + (phi_i e_j + phi_j e_i) / (n + 1)."""
+    n = alg.n
+    if base is None:
+        half = PolyElement.const(alg.m, Fraction(1, 2))
+        base = LeftConnectionOnL(tuple(tuple(alg.bracket_basis(i, j).scale(half)
+                                             for j in range(n)) for i in range(n)))
+    phi = [t - g for t, g in zip(target.gamma, induced_top_connection(alg, base).gamma)]
+    inv = PolyElement.const(alg.m, Fraction(1, n + 1))
+    return LeftConnectionOnL(tuple(
+        tuple(base.table[i][j] + (alg.basis_l(j).scale(phi[i])
+                                  + alg.basis_l(i).scale(phi[j])).scale(inv)
+              for j in range(n))
+        for i in range(n)))
+
+
+def test_torsionfree_lift_equals_the_scaled_basis_vector_form_on_the_catalog(catalog):
+    for name, loaded in catalog.items():
+        alg = loaded.algebra
+        rng = check_rng(1501, f"lift-oracle-{name}")
+        for _ in range(8):
+            target = TopConnection(random_poly_vector(rng, alg.m, alg.n))
+            assert torsionfree_lift(alg, target) == lift_from_scaled_basis_vectors(alg, target)
+            sym = [[alg.l_element(random_poly_vector(rng, alg.m, alg.n, 1))
+                    for _ in range(alg.n)] for _ in range(alg.n)]
+            base = LeftConnectionOnL(tuple(tuple(sym[min(i, j)][max(i, j)]
+                                                 for j in range(alg.n)) for i in range(alg.n)))
+            assert torsionfree_lift(alg, target, base) == \
+                lift_from_scaled_basis_vectors(alg, target, base)
+
+
 def test_torsionfree_lift_alternative_base():
     # any torsion-free base yields the postconditions; perturb by a
     # symmetric correction
