@@ -20,17 +20,20 @@ operator) are kept independent so they can be tested against each other.
 The generator identity reads [e_S, e_T] for all 4^n pairs from one
 bitmask table on the algebra (`bvcalc.ground`), filled once by
 `bracket_table` from the bracket code alone, at every m: its values are
-constants at m = 0 and polynomials at m > 0.  At m = 0 the anchor
-vanishes and both operations are Q-linear in each coefficient, so the
-pairing identity of `bvcalc.correspond` reads the same table, and D(e_S)
-is a second table on the `GeneratorD`, read by `GeneratorD.ground`, which
-fills each entry on first need by `ground_generator` from the explicit
-formula above, reading only r and the structure constants; neither table
-is derived from the other, and `apply_generator` stays the m > 0 path of
-D and the oracle for the second table.  At m > 0 the bracket of a e_S and
-b e_T is ab [e_S, e_T] plus two terms in the anchor derivatives of a and
-b (`mask_bracket`).  `gerstenhaber_bracket` stays the public bracket at
-every m, the bracket of the m > 0 pairing identity, and the tests' oracle.
+constants at m = 0 and polynomials at m > 0.  D(e_S) is a second table,
+on the `GeneratorD`, at every m: `GeneratorD.ground` fills each entry on
+first need by `ground_generator` from the explicit formula above, reading
+only r and the structure constants, and a call on a e_S adds to
+a D(e_S) the anchor terms [a, e_S], formed from the anchor alone.
+Neither table is derived from the other, and `apply_generator` is the
+oracle the tests compare the second table against; the product path
+reaches D nowhere else.  At m = 0 the anchor vanishes and both operations
+are Q-linear in each coefficient, so the pairing identity of
+`bvcalc.correspond` reads the bracket table too.  At m > 0 the bracket
+of a e_S and b e_T is ab [e_S, e_T] plus two terms in the anchor
+derivatives of a and b (`mask_bracket`).  `gerstenhaber_bracket` stays
+the public bracket at every m, the bracket of the m > 0 pairing
+identity, and the tests' oracle.
 
 The same linearity makes the m = 0 checks exact.  The generator
 identity is Q-bilinear in the coefficients of u and v once the operator
@@ -132,7 +135,8 @@ def apply_generator(alg: LieRinehartAlgebra, conn: RightConnectionOnA,
     """Apply the generator induced by a right connection to a multivector.
 
     Each term a*e_S is evaluated with the coefficient carried by the
-    first factor; degree-0 terms map to 0.
+    first factor; degree-0 terms map to 0.  The reference that the tests
+    compare `GeneratorD` against; no check calls it.
     """
     if u.n != alg.n:
         raise ValueError("rank mismatch")
@@ -147,13 +151,14 @@ def apply_generator(alg: LieRinehartAlgebra, conn: RightConnectionOnA,
 
 
 def ground_generator(alg: LieRinehartAlgebra, conn: RightConnectionOnA, s: int) -> dict:
-    """D(e_S) for m = 0 as a ground map {mask: value}, from the explicit formula.
+    """D(e_S) as a ground map {mask: value}, at every m, from the explicit formula.
 
     With S = {s_0 < .. < s_(p-1)} and [e_a, e_b] = sum_l c^l_ab e_l, the
     terms are (-1)^i r_(s_i) e_(S - s_i) and, for j < k,
-    (-1)^(j+k) c^l_(s_j s_k) e_l ^ e_R with R = S - s_j - s_k, whose sign is
-    `ground.wedge_sign`; only the nonzero c^l_ab are visited.  Reads only r
-    and `alg.bracket_terms`: never the bracket table, never `apply_generator`.
+    (-1)^(j+k) c^l_(s_j s_k) e_l ^ e_R with R = S - s_j - s_k; only the
+    nonzero c^l_ab are visited.  The values follow `ground.value`: constants
+    at m = 0, polynomials at m > 0.  Reads only r and `alg.bracket_terms`:
+    never the bracket table, never `apply_generator`.
     """
     out = {}
     indices = ground.to_key(s)
@@ -165,16 +170,9 @@ def ground_generator(alg: LieRinehartAlgebra, conn: RightConnectionOnA, s: int) 
         for k in range(j + 1, len(indices)):
             b = indices[k]
             rest = s ^ (1 << a) ^ (1 << b)
-            sign = -1 if (j + k) % 2 else 1
             for l, coeff in alg.bracket_terms(a, b):
-                w = ground.wedge_sign(1 << l, rest)
-                if w:
-                    mask = rest | (1 << l)
-                    total = out.get(mask, 0) + sign * w * ground.value(coeff)
-                    if total:
-                        out[mask] = total
-                    else:
-                        out.pop(mask, None)
+                ground.add_wedge_basis(out, {1 << l: ground.value(coeff)}, rest,
+                                       sign=-1 if (j + k) % 2 else 1)
     return out
 
 
@@ -183,10 +181,18 @@ class GeneratorD:
     """Degree -1 operator generating the Gerstenhaber bracket.
 
     Every generator arises from a right connection on A, so the data is
-    just the connection; calling the object applies the operator.  When
-    m = 0, `table` maps the bitmask of S to D(e_S) as a ground map, each
-    entry built by `ground_generator` the first time `ground` needs it, and
-    a call sums the entries of its terms; for m > 0 a call is `apply_generator`.
+    just the connection; calling the object applies the operator.  `table`
+    maps the bitmask of S to D(e_S) as a ground map, each entry built by
+    `ground_generator` the first time `ground` needs it, at every m.  A call
+    sums, over the terms a e_S of its argument, the generator identity with
+    the degree-0 argument a (Koszul 1985; Huebschmann 1998):
+
+        D(a e_S) = a D(e_S) + [a, e_S],
+        [a, e_S] = sum_k (-1)^(k+1) e_(s_k)(a) e_(S - s_k),
+
+    with k the 0-based position in S.  The last sum vanishes when a is a
+    constant, so always at m = 0; it is formed here from `alg.anchor`, never
+    from the bracket code.  `apply_generator` stays the test oracle.
     """
 
     alg: LieRinehartAlgebra
@@ -195,17 +201,20 @@ class GeneratorD:
 
     def __call__(self, u: Multivector) -> Multivector:
         alg = self.alg
-        if alg.m:
-            return apply_generator(alg, self.connection, u)
         if u.n != alg.n:
             raise ValueError("rank mismatch")
         out = {}
         for key, coeff in u.components.items():
-            ground.add_multiple(out, self.ground(ground.to_mask(key)), ground.value(coeff))
-        return ground.to_multivector(alg.n, out)
+            s = ground.to_mask(key)
+            ground.add_multiple(out, self.ground(s), ground.value(coeff))
+            if not coeff.is_constant():
+                anchor_terms = {s ^ (1 << i): d if k % 2 else -d
+                                for k, i in enumerate(key) if (d := alg.anchor[i](coeff))}
+                ground.add_multiple(out, anchor_terms)
+        return ground.to_multivector(alg.n, out, alg.m)
 
     def ground(self, s: int) -> dict:
-        """D(e_S) for m = 0 as a ground map: the `table` entry, filled on first need."""
+        """D(e_S) as a ground map: the `table` entry, filled on first need."""
         image = self.table.get(s)
         if image is None:
             image = self.table[s] = ground_generator(self.alg, self.connection, s)
@@ -312,7 +321,7 @@ def bracket_table(alg: LieRinehartAlgebra) -> dict:
             else:
                 entry = {}
                 ground.add_wedge_basis(entry, table[low, t], s ^ low,
-                                       -1 if (t.bit_count() - 1) * (p - 1) % 2 else 1)
+                                       sign=-1 if (t.bit_count() - 1) * (p - 1) % 2 else 1)
                 ground.add_basis_wedge(entry, low, table[s ^ low, t])
             table[s, t] = entry
     return table
@@ -363,8 +372,12 @@ def is_generator(alg: LieRinehartAlgebra, op: Operator, trials: int = 32,
     """Check the generator identity on all pairs of basis subsets.
 
     The identity is [u, v] = (-1)^|u| (D(u ^ v) - D(u) ^ v - (-1)^|u| u ^ D(v)).
-    Accepts any degree -1 operator as a callable; returns (True, None) or
-    (False, witness) with the first violating pair.
+    Accepts any operator as a callable; returns (True, None) or
+    (False, witness) with the first violating pair.  The identity sees
+    only the Koszul bracket of D, which adding an odd derivation of any
+    degree leaves unchanged, so once the pairs pass, every image D(a e_S)
+    the check holds must be of degree |S| - 1 (`_degree_witness`); the
+    witness then names S.
 
     When m = 0 the result is that of one pass over the basis with
     coefficient 1, so it has no seed or trial count: `trials`, `seed`
@@ -379,7 +392,8 @@ def is_generator(alg: LieRinehartAlgebra, op: Operator, trials: int = 32,
     of u = a e_S and v = b e_T accumulates in one mask map, the bracket
     from `mask_bracket` and the anchor derivatives e_i(a) formed once per
     drawn a.  The first nonzero defect is printed from `gerstenhaber_bracket`
-    and `Multivector` wedges, whose term order the report keeps.
+    and `Multivector` wedges, whose term order the report keeps.  The degree
+    check follows the pairs of each trial.
     """
     if not alg.m:
         return _ground_is_generator(alg, op)
@@ -405,8 +419,8 @@ def is_generator(alg: LieRinehartAlgebra, op: Operator, trials: int = 32,
                 duv = op(Multivector._make(n, {ground.to_key(s | t): ab if w > 0 else -ab}
                                            if w else {}))
                 defect = mask_bracket(table, su, tv, ab)
-                ground.add_multiple(defect, ground.from_multivector(duv), -sign)
-                ground.add_wedge_basis(defect, ds, t, sign * b)
+                ground.add_multiple(defect, ground.from_multivector(duv), sign=-sign)
+                ground.add_wedge_basis(defect, ds, t, b, sign)
                 ground.add_basis_wedge(defect, s, dt, a)
                 if defect:
                     u, v, du, dv = elements[i], elements[j], images[i], images[j]
@@ -416,7 +430,20 @@ def is_generator(alg: LieRinehartAlgebra, op: Operator, trials: int = 32,
                     return False, (f"u=({a})*{basis_label(terms[i][0])} "
                                    f"v=({b})*{basis_label(terms[j][0])} "
                                    f"defect={gerstenhaber_bracket(alg, u, v) - rhs}")
+        witness = _degree_witness(alg, ((key, a, ds) for (key, a), (_, ds) in zip(terms, drawn)))
+        if witness:
+            return False, witness
     return True, None
+
+
+def _degree_witness(alg: LieRinehartAlgebra, images) -> str | None:
+    """The first (S, a, D(a e_S) as a ground map) of `images` whose image is
+    not homogeneous of degree |S| - 1, as a witness naming S; None if there is none."""
+    for key, a, image in images:
+        if any(mask.bit_count() != len(key) - 1 for mask in image):
+            return (f"D(({a})*{basis_label(key)})={ground.to_multivector(alg.n, image, alg.m)} "
+                    f"is not of degree {len(key) - 1}")
+    return None
 
 
 def _ground_is_generator(alg: LieRinehartAlgebra, op: Operator) -> tuple[bool, str | None]:
@@ -435,7 +462,8 @@ def _ground_is_generator(alg: LieRinehartAlgebra, op: Operator) -> tuple[bool, s
     the basis element e_T or e_S on one side and costs one sign and one add
     per term of the image.  The bracket is read from the mask table
     `bracket_table(alg)` on every pair, so an edited entry is seen; the
-    defect accumulates into a copy of the entry.
+    defect accumulates into a copy of the entry.  The degree check of
+    `is_generator` follows the pairs.
     """
     n = alg.n
     masks = [(key, ground.to_mask(key))
@@ -457,13 +485,15 @@ def _ground_is_generator(alg: LieRinehartAlgebra, op: Operator) -> tuple[bool, s
             defect = dict(table[s, t])
             w = ground.wedge_sign(s, t)
             if w:
-                ground.add_multiple(defect, images[s | t], -sign * w)
-            ground.add_wedge_basis(defect, ds, t, sign)
+                ground.add_multiple(defect, images[s | t], sign=-sign * w)
+            ground.add_wedge_basis(defect, ds, t, sign=sign)
             ground.add_basis_wedge(defect, s, images[t])
             if defect:
                 return False, (f"u=(1)*{basis_label(s_key)} v=(1)*{basis_label(t_key)} "
                                f"defect={ground.to_multivector(n, defect)}")
-    return True, None
+    one = PolyElement.one(0)
+    witness = _degree_witness(alg, ((key, one, images[r]) for key, r in masks))
+    return (False, witness) if witness else (True, None)
 
 
 def certify_every_connection(alg: LieRinehartAlgebra,
@@ -518,9 +548,9 @@ def certify_every_connection(alg: LieRinehartAlgebra,
             label = basis_label(key)
             where = f"i={i + 1} R={label}: "
             once = delta[s] = dict(shifted[0][s])
-            ground.add_multiple(once, base[s], -1)
+            ground.add_multiple(once, base[s], sign=-1)
             twice = dict(shifted[1][s])
-            ground.add_multiple(twice, base[s], -1)
+            ground.add_multiple(twice, base[s], sign=-1)
             doubled = {mask: 2 * c for mask, c in once.items()}
             if twice != doubled:
                 return False, (f"{where}D[r+2e_{i + 1}]({label}) - D[r]({label})={show(twice)} "
@@ -534,17 +564,17 @@ def certify_every_connection(alg: LieRinehartAlgebra,
                 low = s & -s
                 expected = {}
                 ground.add_wedge_basis(expected, delta[low], s ^ low)
-                ground.add_basis_wedge(expected, low, delta[s ^ low], -1)
+                ground.add_basis_wedge(expected, low, delta[s ^ low], sign=-1)
                 if once != expected:
                     head, tail = basis_label(key[:1]), basis_label(key[1:])
                     return False, (f"{where}{d}({label})={show(once)} but "
                                    f"{d}({head})^{tail} - {head}^{d}({tail})={show(expected)}, "
                                    f"{not_contraction}")
-            ground.add_multiple(total[s], once, 1)
+            ground.add_multiple(total[s], once)
     diagonal = images(tuple(c + 1 for c in conn.r))
     for key, s in masks:
         moved = dict(diagonal[s])
-        ground.add_multiple(moved, base[s], -1)
+        ground.add_multiple(moved, base[s], sign=-1)
         if moved != total[s]:
             label = basis_label(key)
             return False, (f"i=1..{n} R={label}: D[r+e_1+..+e_{n}]({label}) - D[r]({label})="

@@ -328,24 +328,16 @@ def dual_right_connection(alg: LieRinehartAlgebra, conn: TopConnection,
     return -generalized_lie_derivative(alg, conn, alpha, f)
 
 
-def divergence_rank_one(endo: Callable, basis) -> PolyElement:
-    """Scalar of an endomorphism of a rank-one free module: E(b) = div * b.
+def divergence_rank_one(endo: Callable, basis: AltForm) -> PolyElement:
+    """Scalar of an endomorphism of the top-degree forms, free of rank one: E(b) = div * b.
 
-    Works for the two rank-one modules in play, the top power and the
-    top-degree forms; the chosen basis coefficient must be a nonzero
-    rational constant so that it is a unit of A.
+    The basis form's coefficient must be a nonzero rational constant so
+    that it is a unit of A.
     """
-    image = endo(basis)
-    if isinstance(basis, TopElement):
-        base_coeff, image_coeff = basis.coefficient, image.coefficient
-    elif isinstance(basis, AltForm):
-        if basis.degree != basis.n:
-            raise ValueError("basis form must have top degree")
-        key = full_tuple(basis.n)
-        base_coeff = basis.value_on_increasing(key)
-        image_coeff = image.value_on_increasing(key)
-    else:
-        raise TypeError(f"unsupported rank-one module element: {type(basis).__name__}")
+    if basis.degree != basis.n:
+        raise ValueError("basis form must have top degree")
+    key = full_tuple(basis.n)
+    base_coeff = basis.value_on_increasing(key)
     if not base_coeff.is_constant() or not base_coeff:
         raise ValueError("basis coefficient must be a nonzero constant")
-    return image_coeff * (Fraction(1) / base_coeff.constant_value())
+    return endo(basis).value_on_increasing(key) * (Fraction(1) / base_coeff.constant_value())

@@ -4,15 +4,18 @@ A multivector is a map {mask: value} with nonzero values, where bit i of
 the mask stands for e_{i+1} (the bitmap form of basis blades in Dorst,
 Fontijne and Mann, *Geometric Algebra for Computer Science*, 2007).  The
 sign of e_S ^ e_T is then a parity of bit counts, with no sorting of index
-tuples.  When A = Q (m = 0) every value is an int or Fraction; when
-m > 0 it is a `PolyElement`, and the helpers below take either, since they
-only add, negate and multiply values.  `Multivector` stays the public
-type: these maps are the working form of the m = 0 basis passes of
-`bv.is_generator` and `correspond.check_bracket_pairing_identity`, of the
-m > 0 pair loop of `bv.is_generator`, of the one bracket table
+tuples.  `value` and `coefficient` hold the one value convention, each the
+other's inverse: when A = Q (m = 0) a value is an int or Fraction, and
+when m > 0 it is the `PolyElement` coefficient itself.  The helpers below
+take either, since they only add, negate and multiply values; a sign is
+applied by negation, and no int sign or zero start value meets a
+`PolyElement`, so no product or sum promotes an int.  `Multivector` stays
+the public type: these maps are the working form of the m = 0 basis
+passes of `bv.is_generator` and `correspond.check_bracket_pairing_identity`,
+of the m > 0 pair loop of `bv.is_generator`, of the one bracket table
 `bv.bracket_table` fills per algebra, and of the D(e_S) table on each
-m = 0 `bv.GeneratorD`.  Every wedge those need has a basis element e_S on
-one side, so there is no general product of two maps.
+`bv.GeneratorD`, at every m.  Every wedge those need has a basis element
+e_S on one side, so there is no general product of two maps.
 """
 
 from __future__ import annotations
@@ -22,8 +25,14 @@ from .poly import PolyElement
 
 
 def value(coeff: PolyElement):
-    """The int or Fraction value of an m = 0 coefficient; 0 for zero."""
-    return coeff.terms.get((), 0)
+    """A coefficient as a map value: its int or Fraction constant (0 for zero) at m = 0,
+    the `PolyElement` itself at m > 0."""
+    return coeff if coeff.m else coeff.terms.get((), 0)
+
+
+def coefficient(m: int, c) -> PolyElement:
+    """The inverse of `value`: a map value as a coefficient in Q[x1..xm]."""
+    return c if m else PolyElement.const(0, c)
 
 
 def to_mask(key: tuple[int, ...]) -> int:
@@ -55,36 +64,51 @@ def wedge_sign(s: int, t: int) -> int:
     return -1 if inversions & 1 else 1
 
 
-def add_multiple(acc: dict, u: dict, c) -> None:
-    """acc += c * u in place, dropping zeros; c is a constant or a `PolyElement`."""
+def add_multiple(acc: dict, u: dict, c=None, sign: int = 1) -> None:
+    """acc += sign * c * u in place, dropping zeros; c is a value (1 if None), sign 1 or -1."""
     for mask, x in u.items():
-        total = acc.get(mask, 0) + c * x
+        if c is not None:
+            x = c * x
+        if sign < 0:
+            x = -x
+        prev = acc.get(mask)
+        total = x if prev is None else prev + x
         if total:
             acc[mask] = total
         else:
             acc.pop(mask, None)
 
 
-def add_wedge_basis(acc: dict, u: dict, t: int, c=1) -> None:
-    """acc += c * (u ^ e_T) in place, dropping zeros: one sign and one add per term of u."""
+def add_wedge_basis(acc: dict, u: dict, t: int, c=None, sign: int = 1) -> None:
+    """acc += sign * c * (u ^ e_T) in place, dropping zeros: one sign and one add per term of u."""
     for s, a in u.items():
-        sign = wedge_sign(s, t)
-        if sign:
+        w = wedge_sign(s, t)
+        if w:
+            if c is not None:
+                a = c * a
+            if w != sign:
+                a = -a
             mask = s | t
-            total = acc.get(mask, 0) + sign * c * a
+            prev = acc.get(mask)
+            total = a if prev is None else prev + a
             if total:
                 acc[mask] = total
             else:
                 acc.pop(mask, None)
 
 
-def add_basis_wedge(acc: dict, s: int, v: dict, c=1) -> None:
-    """acc += c * (e_S ^ v) in place, dropping zeros: one sign and one add per term of v."""
+def add_basis_wedge(acc: dict, s: int, v: dict, c=None, sign: int = 1) -> None:
+    """acc += sign * c * (e_S ^ v) in place, dropping zeros: one sign and one add per term of v."""
     for t, b in v.items():
-        sign = wedge_sign(s, t)
-        if sign:
+        w = wedge_sign(s, t)
+        if w:
+            if c is not None:
+                b = c * b
+            if w != sign:
+                b = -b
             mask = s | t
-            total = acc.get(mask, 0) + sign * c * b
+            prev = acc.get(mask)
+            total = b if prev is None else prev + b
             if total:
                 acc[mask] = total
             else:
@@ -92,11 +116,10 @@ def add_basis_wedge(acc: dict, s: int, v: dict, c=1) -> None:
 
 
 def from_multivector(u: Multivector) -> dict:
-    """u as {mask: value}: the int or Fraction constant at m = 0, the coefficient itself at m > 0."""
-    return {to_mask(key): coeff if coeff.m else value(coeff)
-            for key, coeff in u.components.items()}
+    """u as {mask: value}, each coefficient through `value`."""
+    return {to_mask(key): value(coeff) for key, coeff in u.components.items()}
 
 
-def to_multivector(n: int, u: dict) -> Multivector:
-    """An m = 0 map back to a rank-n `Multivector`; used to print witnesses."""
-    return Multivector(n, [(to_key(mask), PolyElement.const(0, c)) for mask, c in u.items()])
+def to_multivector(n: int, u: dict, m: int = 0) -> Multivector:
+    """A map back to a rank-n `Multivector` over Q[x1..xm], each value through `coefficient`."""
+    return Multivector._make(n, {to_key(mask): coefficient(m, c) for mask, c in u.items()})

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from bvcalc import bv
-from bvcalc.algebra import LieRinehartAlgebra
+from bvcalc.algebra import LieRinehartAlgebra, build_poisson_cotangent
 from bvcalc.algfile import LoadedAlgebra
 from bvcalc.bv import (
     GeneratorD,
@@ -311,13 +311,13 @@ def test_tables_agree_with_direct_formulas(catalog, name):
     assert nonflat_seen
 
 
-def test_polynomial_case_fills_no_table():
+def test_polynomial_case_fills_the_d_table_of_its_terms_only():
     alg = LieRinehartAlgebra.coordinate(2)
     gen = GeneratorD(alg, RightConnectionOnA((X, Y)))
     u = Multivector(2, [((0,), X), ((0, 1), Y)])
     assert gen(u) == apply_generator(alg, gen.connection, u)
     assert gerstenhaber_bracket(alg, u, u) == direct_bracket(alg, u, u)
-    assert not gen.table and not alg.gerstenhaber_table
+    assert sorted(gen.table) == [0b01, 0b11] and not alg.gerstenhaber_table
 
 
 def test_is_generator_fails_on_sign_flipped_generator_entry(sl2):
@@ -619,10 +619,10 @@ def test_m_positive_witness_keeps_its_term_order(catalog, monkeypatch):
 
     loaded = catalog["poisson-linear-2d"]
     alg = loaded.algebra
-    gen = GeneratorD(alg, loaded.right_connection())
-    assert is_generator(alg, gen, trials=1, seed=37) == (True, None)
+    conn = loaded.right_connection()
+    assert is_generator(alg, GeneratorD(alg, conn), trials=1, seed=37) == (True, None)
     monkeypatch.setattr(bv, "one_circ", one_circ_without_anchor)
-    assert is_generator(alg, gen, trials=1, seed=37) == (
+    assert is_generator(alg, lambda u: bv.apply_generator(alg, conn, u), trials=1, seed=37) == (
         False, "u=(8*x1^2*x2 - 1*x2)*e{1} v=(x1*x2^2 - 2*x1)*e{2} "
                "defect=(-8*x1^3*x2^3 + x1*x2^3 + 16*x1^3*x2 - 2*x1*x2)*e{1} "
                "+ (16*x1^4*x2^2 - 2*x1^2*x2^2)*e{2}")
@@ -975,10 +975,10 @@ def test_coordinate_3d_witness_and_calls_up_to_the_failing_pair(catalog, monkeyp
     # 1 o alpha dropped; the witness text is pinned from the Multivector loop
     alg = catalog["coordinate-3d"].algebra
     x1, x2, x3 = (PolyElement.variable(3, i) for i in range(3))
-    gen = GeneratorD(alg, RightConnectionOnA((x2, x3, x1)))
-    assert is_generator(alg, gen, trials=2, seed=67) == (True, None)
+    conn = RightConnectionOnA((x2, x3, x1))
+    assert is_generator(alg, GeneratorD(alg, conn), trials=2, seed=67) == (True, None)
     monkeypatch.setattr(bv, "one_circ", one_circ_without_anchor)
-    op, calls = recorded(gen)
+    op, calls = recorded(lambda u: bv.apply_generator(alg, conn, u))
     assert is_generator(alg, op, trials=1, seed=67) == (
         False, "u=(7*x1*x2^2 - 8*x2*x3^2 - 3*x1*x2)*e{1} v=(6*x2^2*x3 + x1*x2 + 8*x1)*e{2} "
                "defect=(84*x1*x2^3*x3 - 96*x2^2*x3^3 - 36*x1*x2^2*x3 + 7*x1^2*x2^2 "
@@ -1003,3 +1003,119 @@ def test_ground_generator_equals_apply_generator_on_dense_structure_constants():
     for key in subsets(n):
         assert to_multivector(n, bv.ground_generator(alg, conn, to_mask(key))) == \
             apply_generator(alg, conn, Multivector.basis(n, key, m=0)), key
+
+
+# -- one D path at every m ----------------------------------------------------
+
+def one_d_algebras(catalog):
+    """The m > 0 catalog algebras, coordinate-4, and the cotangent algebra of pi12 = x1 x2,
+    whose structure functions are not constant."""
+    x1, x2 = PolyElement.variable(2, 0), PolyElement.variable(2, 1)
+    zero = PolyElement.zero(2)
+    poisson = build_poisson_cotangent([[zero, x1 * x2], [-(x1 * x2), zero]])
+    assert poisson.is_valid()
+    assert any(not c.is_constant() for i, j in combinations(range(2), 2)
+               for _, c in poisson.bracket_terms(i, j))
+    return ([(name, catalog[name].algebra) for name in polynomial_names(catalog)]
+            + [("coordinate-4", LieRinehartAlgebra.coordinate(4)), ("poisson-x1x2", poisson)])
+
+
+def test_generator_table_equals_apply_generator_at_m_positive(catalog, monkeypatch):
+    # D(a e_S) = a D(e_S) + [a, e_S] from the table and the anchor, against the
+    # product path, on multi-term u and random r; D reads no bracket code
+    def forbidden(*args):
+        raise AssertionError("D called the product path or the bracket code")
+
+    for name, alg in one_d_algebras(catalog):
+        rng = check_rng(16, f"one-d-{name}")
+        multi_term = 0
+        for _ in range(10):
+            conn = RightConnectionOnA(random_poly_vector(rng, alg.m, alg.n))
+            gen = GeneratorD(alg, conn)
+            elements = [random_multivector(rng, alg) for _ in range(5)]
+            for attr in ("apply_generator", "generator_on_factors", "one_circ", "bracket_table",
+                         "_scalar_bracket_map", "gerstenhaber_bracket", "mask_bracket"):
+                monkeypatch.setattr(bv, attr, forbidden)
+            images = [gen(u) for u in elements]
+            monkeypatch.undo()
+            for u, du in zip(elements, images):
+                assert du == apply_generator(alg, conn, u), (name, str(u))
+                multi_term += len(u.components) > 1
+            assert all(isinstance(c, PolyElement) for entry in gen.table.values()
+                       for c in entry.values())
+        assert multi_term >= 25, name
+
+
+def coordinate_2d_with_r(catalog):
+    """coordinate-2d with r = (x1 x2, x1 + x2), so every D(e_S) with S nonempty is nonzero."""
+    return LoadedAlgebra(algebra=catalog["coordinate-2d"].algebra,
+                         r=RightConnectionOnA((X * Y, X + Y)))
+
+
+def test_generator_identity_catches_a_sign_flipped_polynomial_d_table_entry(catalog, monkeypatch):
+    loaded = coordinate_2d_with_r(catalog)
+    assert identity_outcome(loaded).status == "pass"
+    for s in (0b01, 0b10, 0b11):
+        def flipped(alg, conn, mask, s=s):
+            entry = GROUND_GENERATOR(alg, conn, mask)
+            return negated(entry) if mask == s else entry
+
+        assert GROUND_GENERATOR(loaded.algebra, loaded.right_connection(), s), s
+        monkeypatch.setattr(bv, "ground_generator", flipped)
+        outcome = identity_outcome(loaded)
+        assert outcome.status == "fail" and outcome.witness.startswith("u=("), s
+        monkeypatch.undo()
+
+
+def generator_call(anchor_terms=True):
+    """`GeneratorD.__call__` written out, with or without the anchor terms [a, e_S] of D(a e_S)."""
+    def call(self, u):
+        out = {}
+        for key, coeff in u.components.items():
+            s = to_mask(key)
+            add_multiple(out, self.ground(s), value(coeff))
+            if anchor_terms:
+                for k, i in enumerate(key):
+                    d = self.alg.anchor[i](coeff)
+                    if d:
+                        add_multiple(out, {s ^ (1 << i): d if k % 2 else -d})
+        return to_multivector(self.alg.n, out, self.alg.m)
+    return call
+
+
+def test_generator_identity_catches_dropped_anchor_terms_of_d(catalog, monkeypatch):
+    loaded = coordinate_2d_with_r(catalog)
+    monkeypatch.setattr(GeneratorD, "__call__", generator_call())
+    assert identity_outcome(loaded).status == "pass"
+    monkeypatch.setattr(GeneratorD, "__call__", generator_call(anchor_terms=False))
+    outcome = identity_outcome(loaded)
+    assert outcome.status == "fail" and outcome.witness.startswith("u=("), outcome.witness
+
+
+# -- the degree check of is_generator -------------------------------------------
+
+def plus_degree_one_derivation(op):
+    """op + E, with E the odd derivation of degree +1 given by E(a) = 0, E(e_1) = e_1 ^ e_2
+    and E(e_i) = 0 for i > 1: E(a e_S) = a e_1 ^ e_2 ^ e_(S - 1) when 1 is in S and 2 is not."""
+    def shifted(u):
+        return op(u) + Multivector(u.n, [((0, 1) + key[1:], a) for key, a in u.components.items()
+                                         if key[:1] == (0,) and 1 not in key])
+    return shifted
+
+
+@pytest.mark.parametrize("name", ["sl2", "heisenberg-dim3", "coordinate-2d", "poisson-linear-2d"])
+def test_degree_check_catches_an_odd_derivation_of_degree_one(catalog, monkeypatch, name):
+    loaded = catalog[name]
+    alg = loaded.algebra
+    gen = GeneratorD(alg, loaded.right_connection())
+    assert is_generator(alg, gen, trials=4) == (True, None)
+    shifted = plus_degree_one_derivation(gen)
+    # the pairs alone cannot see E: the Koszul bracket of an odd derivation vanishes
+    monkeypatch.setattr(bv, "_degree_witness", lambda alg, images: None)
+    assert is_generator(alg, shifted, trials=4) == (True, None)
+    monkeypatch.undo()
+    ok, witness = is_generator(alg, shifted, trials=4)
+    assert not ok
+    assert re.fullmatch(r"D\(\(.+\)\*e\{1\}\)=.*\*e\{1,2\}.* is not of degree 0", witness), witness
+    if not alg.m:
+        assert witness == "D((1)*e{1})=(1)*e{1,2} is not of degree 0"
