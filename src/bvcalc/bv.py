@@ -27,13 +27,13 @@ only r and the structure constants, and a call on a e_S adds to
 a D(e_S) the anchor terms [a, e_S], formed from the anchor alone.
 Neither table is derived from the other, and `apply_generator` is the
 oracle the tests compare the second table against; the product path
-reaches D nowhere else.  At m = 0 the anchor vanishes and both operations
-are Q-linear in each coefficient, so the pairing identity of
-`bvcalc.correspond` reads the bracket table too.  At m > 0 the bracket
-of a e_S and b e_T is ab [e_S, e_T] plus two terms in the anchor
-derivatives of a and b (`mask_bracket`).  `gerstenhaber_bracket` stays
-the public bracket at every m, the bracket of the m > 0 pairing
-identity, and the tests' oracle.
+reaches D nowhere else.  The bracket of a e_S and b e_T is ab [e_S, e_T]
+plus two terms in the anchor derivatives of a and b, which vanish for a
+constant coefficient and so always at m = 0 (`mask_bracket`); the
+generator identity at m > 0 and the pairing identity of
+`bvcalc.correspond` at every m read it so.  `gerstenhaber_bracket` stays
+the public bracket at every m, the tests' oracle, and the printer of an
+m > 0 `is_generator` witness.
 
 The same linearity makes the m = 0 checks exact.  The generator
 identity is Q-bilinear in the coefficients of u and v once the operator
@@ -337,27 +337,32 @@ def _scalar_bracket_map(s: int, db: Sequence[PolyElement]) -> dict:
             for k, i in enumerate(ground.to_key(s)) if db[i]}
 
 
-def mask_bracket(table: dict, u: tuple, v: tuple, ab: PolyElement) -> dict:
-    """[a e_S, b e_T] for m > 0 as a `bvcalc.ground` map, by the Leibniz rule.
+def mask_bracket(table: dict, u: tuple, v: tuple, ab) -> dict:
+    """[a e_S, b e_T] as a `bvcalc.ground` map, by the Leibniz rule.
 
-    u = (S, a, da) and v = (T, b, db) carry a bitmask, a coefficient and its
-    anchor derivatives da[i] = e_i(a); ab = a b.  With p = |S| and q = |T|,
+    u = (S, a, da) and v = (T, b, db) carry a bitmask, a coefficient as a
+    `ground.value` and its anchor derivatives da[i] = e_i(a); ab = a b.
+    With p = |S| and q = |T|,
 
         [a e_S, b e_T] = ab [e_S, e_T] + (-1)^p a [b, e_S] ^ e_T
                          - (-1)^((p-1)(q-1)+q) b [a, e_T] ^ e_S,
 
     the biderivation extending the anchor (Koszul 1985), with [e_S, e_T]
     read from `table` (`bracket_table`) and the last two terms from the
-    derivatives alone.
+    derivatives alone.  A constant coefficient, so every coefficient at
+    m = 0, has no anchor derivatives: passing its da or db as () skips its
+    term, which is then zero.
     """
     s, a, da = u
     t, b, db = v
     p, q = s.bit_count(), t.bit_count()
     out = {}
     ground.add_multiple(out, table[s, t], ab)
-    ground.add_wedge_basis(out, _scalar_bracket_map(s, db), t, -a if p % 2 else a)
-    ground.add_wedge_basis(out, _scalar_bracket_map(t, da), s,
-                           b if ((p - 1) * (q - 1) + q) % 2 else -b)
+    if db:
+        ground.add_wedge_basis(out, _scalar_bracket_map(s, db), t, -a if p % 2 else a)
+    if da:
+        ground.add_wedge_basis(out, _scalar_bracket_map(t, da), s,
+                               b if ((p - 1) * (q - 1) + q) % 2 else -b)
     return out
 
 

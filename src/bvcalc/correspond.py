@@ -10,11 +10,13 @@ For L free of rank n the following data determine each other exactly:
 `check_generator_duality` verifies the diagram relating a generator to a
 top connection through the pairing adjoint: phi_{D(u)} = -d(phi_u) in
 every degree.  `check_bracket_pairing_identity` verifies the companion
-expansion d(phi_u)(v) = (-1)^p (u ^ Dv + [u, v]) on complementary pairs.
-When m = 0 the diagram is Q-linear in u and the expansion Q-bilinear in
-(u, v), so both run one pass over the basis with coefficient 1 and their
-result has no seed or trial count; when m > 0 they evaluate random
-polynomial coefficients.
+expansion d(phi_u)(v) = (-1)^p (u ^ Dv + [u, v]) on complementary pairs,
+with one loop for every m: one coefficient per basis subset and pass, the
+form d(phi_u) once per S, D once per T, and [u, v] from the bracket table
+through `bv.mask_bracket`.  When m = 0 the diagram is Q-linear in u and
+the expansion Q-bilinear in (u, v), so both run one pass over the basis
+with coefficient 1 and their result has no seed or trial count; when
+m > 0 they evaluate random polynomial coefficients.
 
 The linear-connection layer: any connection on L induces one on the top
 power by tracing its Christoffel rows, the endomorphisms
@@ -31,7 +33,7 @@ from itertools import combinations
 
 from . import ground
 from .algebra import LElement, LieRinehartAlgebra
-from .bv import GeneratorD, RightConnectionOnA, bracket_table, gerstenhaber_bracket
+from .bv import GeneratorD, RightConnectionOnA, bracket_table, mask_bracket
 from .connections import (
     LeftConnectionOnL,
     TopConnection,
@@ -40,7 +42,7 @@ from .connections import (
     lie_trace,
     phi_trace,
 )
-from .exterior import Multivector, basis_label, full_tuple, phi_iso
+from .exterior import Multivector, basis_label, phi_iso
 from .poly import PolyElement
 from .sampling import check_rng, random_poly
 
@@ -115,82 +117,60 @@ def check_bracket_pairing_identity(alg: LieRinehartAlgebra, gen: GeneratorD,
                                    degree_bound: int = 3) -> tuple[bool, str | None]:
     """Verify d(phi_u)(v) = (-1)^p (u ^ D(v) + [u, v]) on the top power.
 
-    Here u is homogeneous of degree p and v has the complementary degree
-    n - p + 1, so both sides are multiples of the volume element.  When
-    m = 0 the result is that of one pass with coefficient 1 (see
-    `_ground_pairing_identity`); `trials`, `seed` and `degree_bound` make
-    no difference.  When m > 0, each of `trials` passes draws random
-    coefficients for u and v on every pair of subsets.
+    Here u = a e_S is homogeneous of degree p >= 1 and v = b e_T has the
+    complementary degree n - p + 1, so both sides are multiples of the
+    volume element; at p = 0 the form d(phi_a) would lie above the top
+    degree, so it is zero by construction and not checked.  For each p a
+    pass draws one b per T and calls `gen` once on each b e_T, largest T
+    first, then draws one a per S and differentiates phi_{a e_S} once: the
+    form is A-linear in its argument, so lhs = b d(phi_{a e_S})(e_T).  The
+    top coefficient of a e_S ^ D(b e_T) is the term of D(b e_T) on the
+    complement of S, and that of [a e_S, b e_T] is read from `mask_bracket`
+    on the bracket table, with no anchor terms for a constant coefficient.
+    When m = 0 both sides are Q-bilinear in (a, b), so one pass with
+    a = b = 1 decides; `trials`, `seed` and `degree_bound` make no
+    difference.  When m > 0, each of `trials` passes draws random
+    polynomial coefficients.
     """
-    if not alg.m:
-        return _ground_pairing_identity(alg, gen, conn)
     rng = check_rng(seed, "bracket_pairing")
     n, m = alg.n, alg.m
-    top = full_tuple(n)
-    for _ in range(max(trials, 1)):
-        # p = 0: the form lands one degree above the top, so both sides vanish
-        a = random_poly(rng, m, degree_bound)
-        form = covariant_derivative(alg, conn, phi_iso(Multivector.scalar(n, a), m, degree=0))
-        if not form.is_zero():
-            return False, f"p=0 u=({a}): derivative of the top-degree form is {form}"
+    full = (1 << n) - 1
+    zero = ground.value(PolyElement.zero(m))
+    one = PolyElement.one(0)
+    table = bracket_table(alg)
+
+    def draw(key: tuple[int, ...]) -> tuple[PolyElement, tuple]:
+        """A coefficient for e_key, and the (mask, value, derivatives) of `mask_bracket`."""
+        c = random_poly(rng, m, degree_bound) if m else one
+        derivatives = () if c.is_constant() else tuple(rho(c) for rho in alg.anchor)
+        return c, (ground.to_mask(key), ground.value(c), derivatives)
+
+    for _ in range(max(trials, 1) if m else 1):
         for p in range(1, n + 1):
-            q = n - p + 1
+            right = []
+            for t_key in combinations(range(n), n - p + 1):
+                b, v = draw(t_key)
+                image = ground.from_multivector(gen(Multivector(n, [(t_key, b)])))
+                right.append((t_key, b, v, image))
             for s_key in combinations(range(n), p):
-                for t_key in combinations(range(n), q):
-                    a = random_poly(rng, m, degree_bound)
-                    b = random_poly(rng, m, degree_bound)
-                    u = Multivector(n, [(s_key, a)])
-                    v = Multivector(n, [(t_key, b)])
-                    form = covariant_derivative(alg, conn, phi_iso(u, m, degree=p))
-                    lhs = form.evaluate_on_multivector(v).coefficient
-                    rhs = (u.wedge(gen(v)).component(top, m)
-                           + gerstenhaber_bracket(alg, u, v).component(top, m))
+                a, u = draw(s_key)
+                s, av, _ = u
+                rest = full ^ s
+                form = covariant_derivative(alg, conn, phi_iso(Multivector(n, [(s_key, a)]),
+                                                               m, degree=p))
+                values = {key: ground.value(c) for key, c in form.components.items()}
+                # a e_S ^ e_rest = signed_a e_full
+                signed_a = av if ground.wedge_sign(s, rest) > 0 else -av
+                for t_key, b, v, image in right:
+                    lhs = v[1] * values.get(t_key, zero)
+                    rhs = mask_bracket(table, u, v, av * v[1]).get(full, zero)
+                    if rest in image:
+                        rhs = rhs + signed_a * image[rest]
                     if p % 2:
                         rhs = -rhs
                     if lhs != rhs:
-                        witness = (f"p={p} u=({a})*{basis_label(s_key)} "
-                                   f"v=({b})*{basis_label(t_key)} lhs={lhs} rhs={rhs}")
-                        return False, witness
-    return True, None
-
-
-def _ground_pairing_identity(alg: LieRinehartAlgebra, gen: GeneratorD,
-                             conn: TopConnection) -> tuple[bool, str | None]:
-    """`check_bracket_pairing_identity` for m = 0, with coefficient 1.
-
-    At m = 0 both sides are Q-bilinear in the coefficients of u = a e_S
-    and v = b e_T, so the pairs (e_S, e_T) decide.  The form d(phi_{e_S})
-    is computed once per S and D(e_T) once per T, and the top coefficients
-    are compared as scalars: e_S ^ D(e_T) has the one term of D(e_T) on
-    the complement of S, and [e_S, e_T] is read from the mask table on
-    every pair.
-    """
-    n = alg.n
-    full = (1 << n) - 1
-    table = bracket_table(alg)
-    form = covariant_derivative(alg, conn, phi_iso(Multivector.scalar(n, PolyElement.one(0)),
-                                                    0, degree=0))
-    if not form.is_zero():
-        return False, f"p=0 u=(1): derivative of the top-degree form is {form}"
-    for p in range(1, n + 1):
-        t_keys = list(combinations(range(n), n - p + 1))
-        images = [ground.from_multivector(gen(Multivector.basis(n, t_key, m=0)))
-                  for t_key in t_keys]
-        for s_key in combinations(range(n), p):
-            s = ground.to_mask(s_key)
-            form = covariant_derivative(alg, conn,
-                                        phi_iso(Multivector.basis(n, s_key, m=0), 0, degree=p))
-            wedge_sign = ground.wedge_sign(s, full ^ s)
-            for t_key, dv in zip(t_keys, images):
-                lhs = ground.value(form.value_on_increasing(t_key))
-                rhs = (wedge_sign * dv.get(full ^ s, 0)
-                       + table[s, ground.to_mask(t_key)].get(full, 0))
-                if p % 2:
-                    rhs = -rhs
-                if lhs != rhs:
-                    witness = (f"p={p} u=(1)*{basis_label(s_key)} "
-                               f"v=(1)*{basis_label(t_key)} lhs={lhs} rhs={rhs}")
-                    return False, witness
+                        return False, (f"p={p} u=({a})*{basis_label(s_key)} "
+                                       f"v=({b})*{basis_label(t_key)} lhs={lhs} rhs={rhs}")
     return True, None
 
 

@@ -10,12 +10,11 @@ when m > 0 it is the `PolyElement` coefficient itself.  The helpers below
 take either, since they only add, negate and multiply values; a sign is
 applied by negation, and no int sign or zero start value meets a
 `PolyElement`, so no product or sum promotes an int.  `Multivector` stays
-the public type: these maps are the working form of the m = 0 basis
-passes of `bv.is_generator` and `correspond.check_bracket_pairing_identity`,
-of the m > 0 pair loop of `bv.is_generator`, of the one bracket table
-`bv.bracket_table` fills per algebra, and of the D(e_S) table on each
-`bv.GeneratorD`, at every m.  Every wedge those need has a basis element
-e_S on one side, so there is no general product of two maps.
+the public type: these maps are the working form of the pair loops of
+`bv.is_generator` and `correspond.check_bracket_pairing_identity`, of the
+one bracket table `bv.bracket_table` fills per algebra, and of the D(e_S)
+table on each `bv.GeneratorD`, at every m.  Every wedge those need has a
+basis element e_S on one side, so there is no general product of two maps.
 """
 
 from __future__ import annotations

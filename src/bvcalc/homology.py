@@ -104,17 +104,15 @@ def rinehart_complex(alg: LieRinehartAlgebra, gen: GeneratorD) -> ChainComplex:
 
     Requires m = 0 (otherwise the exterior powers are infinite
     dimensional over Q) and an exact generator; both are refused with a
-    diagnostic, the latter carrying the square witness.  At m = 0 the
-    generator is Q-linear, so `generator_square`'s basis pass decides
-    exactness and nothing here is random.  The basis of degree p is the
-    p-subsets in `combinations` order, and column S of d_p is the table
-    entry `gen.ground(S)` with its masks renamed to row indices.
+    diagnostic.  The basis of degree p is the p-subsets in `combinations`
+    order, and column S of d_p is the table entry `gen.ground(S)` with its
+    masks renamed to row indices.  At m = 0 the generator is Q-linear, so
+    the columns compose to zero exactly when D^2 = 0; only when they do not
+    is `generator_square` called, to raise `NonExactGeneratorError` with its
+    witness, or `BoundarySquareError` if D^2 = 0.  Nothing here is random.
     """
     if alg.m != 0:
         raise ValueError(f"homology needs the ground-field case m=0, got m={alg.m}")
-    square = generator_square(alg, gen)
-    if not square.is_exact:
-        raise NonExactGeneratorError(f"generator does not square to zero: {square.witness}")
     n = alg.n
     bases = [[ground.to_mask(key) for key in combinations(range(n), p)]
              for p in range(n + 1)]
@@ -126,6 +124,9 @@ def rinehart_complex(alg: LieRinehartAlgebra, gen: GeneratorD) -> ChainComplex:
     complex_ = ChainComplex(dims=tuple(comb(n, p) for p in range(n + 1)),
                             boundaries=tuple(boundaries))
     if not complex_.d_squared_is_zero():
+        square = generator_square(alg, gen)
+        if not square.is_exact:
+            raise NonExactGeneratorError(f"generator does not square to zero: {square.witness}")
         raise BoundarySquareError("boundary matrices do not compose to zero")
     return complex_
 

@@ -873,6 +873,25 @@ def test_mask_bracket_equals_gerstenhaber_bracket_on_single_terms(catalog):
                     assert got == masked(want), (name, s_key, t_key, str(a), str(b))
 
 
+def test_mask_bracket_takes_no_derivatives_as_zero_derivatives(catalog):
+    # da = () or db = () skips that anchor term; it must equal n zero derivatives
+    for name, loaded in catalog.items():
+        alg = loaded.algebra
+        table = bracket_table(alg)
+        zeros = (value(PolyElement.zero(alg.m)),) * alg.n
+        rng = check_rng(17, f"mask-bracket-no-derivatives-{name}")
+        for s in range(1 << alg.n):
+            for t in range(1 << alg.n):
+                a, b = (random_poly(rng, alg.m, 3) for _ in range(2))
+                da, db = (tuple(value(rho(c)) for rho in alg.anchor) for c in (a, b))
+                a, b = value(a), value(b)
+                for left, right in (((), db), (da, ()), ((), ())):
+                    want = bv.mask_bracket(table, (s, a, left or zeros), (t, b, right or zeros),
+                                           a * b)
+                    got = bv.mask_bracket(table, (s, a, left), (t, b, right), a * b)
+                    assert got == want, (name, s, t, left, right)
+
+
 def scalar_bracket_map(s, db):
     """[b, e_S] = sum_k (-1)^(k+1) e_(s_k)(b) e_(S - s_k) as a mask map."""
     out = {}

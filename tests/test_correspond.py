@@ -2,11 +2,12 @@ from fractions import Fraction
 from itertools import combinations
 
 from bvcalc.algebra import LieRinehartAlgebra
-from bvcalc.bv import GeneratorD, RightConnectionOnA, generator_square
+from bvcalc.bv import GeneratorD, RightConnectionOnA, generator_square, gerstenhaber_bracket
 from bvcalc.catalog import CATALOG_NAMES, load_catalog
 from bvcalc.connections import (
     LeftConnectionOnL,
     TopConnection,
+    covariant_derivative,
     induced_top_connection,
     is_flat,
     is_torsion_free,
@@ -22,8 +23,8 @@ from bvcalc.correspond import (
     top_from_right,
     torsionfree_lift,
 )
-from bvcalc.exterior import Multivector
-from bvcalc.poly import PolyElement
+from bvcalc.exterior import Multivector, basis_label, full_tuple, phi_iso
+from bvcalc.poly import PolyElement, parse_poly
 from bvcalc.sampling import check_rng, random_poly, random_poly_vector
 
 COORD = LieRinehartAlgebra.coordinate(2)
@@ -367,3 +368,146 @@ def test_ground_duality_and_pairing_have_no_seed_or_trial_count(catalog):
                 assert ok == (conn is gamma) and (ok or witness), (name, check.__name__)
                 seen.add(name)
     assert len(seen) == 5
+
+
+# -- the pairing identity at m > 0 -------------------------------------------
+
+
+def perturbations(gamma):
+    """gamma_1 + 1, gamma_1 + 1/2 and gamma_n + x_1 (gamma_n + 1 at m = 0)."""
+    g = gamma.gamma
+    m = g[0].m
+    last = PolyElement.variable(m, 0) if m else 1
+    return (TopConnection((g[0] + 1,) + g[1:]),
+            TopConnection((g[0] + Fraction(1, 2),) + g[1:]),
+            TopConnection(g[:-1] + (g[-1] + last,)))
+
+
+def pairing_draws(alg, trials, seed, degree_bound=3):
+    """The coefficients of `check_bracket_pairing_identity`, in its draw order.
+
+    Per pass and per p = 1..n: one b for each (n - p + 1)-subset T, then one
+    a for each p-subset S; coefficient 1 and one pass at m = 0.
+    """
+    rng = check_rng(seed, "bracket_pairing")
+    n, m = alg.n, alg.m
+
+    def draw():
+        return random_poly(rng, m, degree_bound) if m else PolyElement.one(0)
+
+    for _ in range(trials if m else 1):
+        for p in range(1, n + 1):
+            right = [(t_key, draw()) for t_key in combinations(range(n), n - p + 1)]
+            left = [(s_key, draw()) for s_key in combinations(range(n), p)]
+            yield p, left, right
+
+
+def reference_pairing_identity(alg, gen, conn, trials, seed):
+    """The pairing identity pair by pair on `Multivector`s, fed the check's draws.
+
+    Each side is a top coefficient: d(phi_u) evaluated on v, and
+    u ^ gen(v) plus the recursive `gerstenhaber_bracket(u, v)`.
+    """
+    n, m = alg.n, alg.m
+    top = full_tuple(n)
+    for p, left, right in pairing_draws(alg, trials, seed):
+        for s_key, a in left:
+            u = Multivector(n, [(s_key, a)])
+            form = covariant_derivative(alg, conn, phi_iso(u, m, degree=p))
+            for t_key, b in right:
+                v = Multivector(n, [(t_key, b)])
+                lhs = form.evaluate_on_multivector(v).coefficient
+                rhs = (u.wedge(gen(v)).component(top, m)
+                       + gerstenhaber_bracket(alg, u, v).component(top, m))
+                if p % 2:
+                    rhs = -rhs
+                if lhs != rhs:
+                    return False, (f"p={p} u=({a})*{basis_label(s_key)} "
+                                   f"v=({b})*{basis_label(t_key)} lhs={lhs} rhs={rhs}")
+    return True, None
+
+
+def test_m_positive_pairing_identity_fails_on_every_perturbed_gamma(catalog):
+    names = [name for name, loaded in catalog.items() if loaded.algebra.m]
+    assert len(names) == 4
+    for name in names:
+        loaded = catalog[name]
+        alg = loaded.algebra
+        gamma = loaded.top_connection()
+        gen = generator_from_top(alg, gamma)
+        for seed in range(3):
+            assert check_bracket_pairing_identity(alg, gen, gamma, trials=2,
+                                                  seed=seed) == (True, None), (name, seed)
+            for conn in perturbations(gamma):
+                ok, witness = check_bracket_pairing_identity(alg, gen, conn, trials=2, seed=seed)
+                assert not ok and witness.startswith("p="), (name, seed, witness)
+
+
+def split_witness(witness, m):
+    """'p=.. u=.. v=.. lhs=L rhs=R' as (the text up to v, L, R), L and R as polynomials."""
+    head, sides = witness.split(" lhs=")
+    lhs, rhs = sides.split(" rhs=")
+    return head, parse_poly(lhs, m), parse_poly(rhs, m)
+
+
+def test_pairing_identity_matches_the_multivector_reference(catalog):
+    # the same verdict, the same first failing (p, S, T) with its coefficients,
+    # and equal sides as the per-pair Multivector evaluation on the same draws;
+    # only the term order of a printed polynomial may differ
+    failures = 0
+    for name, loaded in catalog.items():
+        alg = loaded.algebra
+        gamma = loaded.top_connection()
+        gen = generator_from_top(alg, gamma)
+        for conn in (gamma,) + perturbations(gamma):
+            for trials, seed in ((2, 0), (2, 1), (1, 2)):
+                ok, witness = check_bracket_pairing_identity(alg, gen, conn, trials=trials,
+                                                             seed=seed)
+                ref_ok, ref_witness = reference_pairing_identity(alg, gen, conn, trials, seed)
+                assert ok == ref_ok, (name, trials, seed, witness, ref_witness)
+                if not ok:
+                    failures += 1
+                    assert split_witness(witness, alg.m) == split_witness(ref_witness, alg.m), \
+                        (name, trials, seed, witness, ref_witness)
+                    if not alg.m:
+                        assert witness == ref_witness
+    assert failures == 9 * 3 * 3
+
+
+def test_m_positive_pairing_loop_calls_the_generator_once_per_t_per_pass(catalog):
+    for name, loaded in catalog.items():
+        alg = loaded.algebra
+        if not alg.m:
+            continue
+        gamma = loaded.top_connection()
+        gen = generator_from_top(alg, gamma)
+        for trials, seed in ((3, 0), (1, 4)):
+            expected = [Multivector(alg.n, [(t_key, b)])
+                        for _, _, right in pairing_draws(alg, trials, seed)
+                        for t_key, b in right]
+            assert len(expected) == trials * (2 ** alg.n - 1)
+            calls = []
+
+            def recording(v):
+                calls.append(v)
+                return gen(v)
+
+            assert check_bracket_pairing_identity(alg, recording, gamma, trials=trials,
+                                                  seed=seed) == (True, None)
+            assert calls == expected, name
+
+
+def test_default_trials_evaluate_every_m_positive_pair_with_nonzero_coefficients(catalog):
+    # at the suite's 8 passes no complementary (S, T) passes only on a = 0 or b = 0
+    for name, loaded in catalog.items():
+        alg = loaded.algebra
+        if not alg.m:
+            continue
+        n = alg.n
+        pairs = {(s_key, t_key) for p in range(1, n + 1)
+                 for s_key in combinations(range(n), p)
+                 for t_key in combinations(range(n), n - p + 1)}
+        for seed in (0, 7, 11, 1001):
+            seen = {(s_key, t_key) for _, left, right in pairing_draws(alg, 8, seed)
+                    for s_key, a in left if a for t_key, b in right if b}
+            assert seen == pairs, (name, seed, pairs - seen)
