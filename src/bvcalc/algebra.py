@@ -16,17 +16,19 @@ by multilinearity that suffices for general elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .poly import DerivationOfA, PolyElement
+from .record import Record
 
 
-@dataclass(frozen=True)
-class LElement:
+class LElement(Record):
     """Element of L in basis coordinates: alpha = sum_i coeffs[i] * e_i."""
 
-    coeffs: tuple[PolyElement, ...]
+    _fields = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[PolyElement, ...]):
+        self.coeffs = coeffs
 
     @property
     def n(self) -> int:
@@ -54,69 +56,68 @@ class LElement:
         return " + ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class AxiomViolation:
-    kind: str  # "anchor_homomorphism" or "jacobi"
-    indices: tuple[int, ...]  # 0-based basis indices
-    detail: str
+class AxiomViolation(Record):
+    _fields = ("kind", "indices", "detail")
+
+    def __init__(self, kind: str, indices: tuple[int, ...], detail: str):
+        self.kind = kind  # "anchor_homomorphism" or "jacobi"
+        self.indices = indices  # 0-based basis indices
+        self.detail = detail
 
     def __str__(self) -> str:
         human = ", ".join(f"e{i + 1}" for i in self.indices)
         return f"{self.kind} fails on ({human}): {self.detail}"
 
 
-@dataclass(frozen=True)
-class LieRinehartAlgebra:
+class LieRinehartAlgebra(Record):
     """(A, L) with A = Q[x1..xm] and L free with basis e_1..e_n.
 
     ``structure`` maps (i, j) with i < j (0-based) to [e_i, e_j]; missing
     pairs mean the bracket vanishes.
     """
 
-    m: int
-    n: int
-    anchor: tuple[DerivationOfA, ...]
-    structure: Mapping[tuple[int, int], LElement] = field(default_factory=dict)
-    name: str = ""
-    # (S, T) bitmasks -> [e_S, e_T] as a bvcalc.ground map, constants at
-    # m = 0 and polynomials at m > 0; all 4^n pairs filled at once by
-    # bvcalc.bv.bracket_table on first use
-    gerstenhaber_table: dict = field(default_factory=dict, init=False, repr=False,
-                                     compare=False)
-    # lie_trace(e_i) for i < n, filled on first use by bvcalc.correspond
-    lie_traces: list = field(default_factory=list, init=False, repr=False, compare=False)
+    _fields = ("m", "n", "anchor", "structure", "name")
 
-    def __post_init__(self):
-        if len(self.anchor) != self.n:
-            raise ValueError(f"anchor has {len(self.anchor)} rows, expected n={self.n}")
-        for d in self.anchor:
-            if d.m != self.m:
+    def __init__(self, m: int, n: int, anchor: tuple[DerivationOfA, ...],
+                 structure: Mapping[tuple[int, int], LElement] | None = None, name: str = ""):
+        structure = {} if structure is None else structure
+        if len(anchor) != n:
+            raise ValueError(f"anchor has {len(anchor)} rows, expected n={n}")
+        for d in anchor:
+            if d.m != m:
                 raise ValueError("anchor derivation has wrong variable count")
-        for (i, j), value in self.structure.items():
-            if not 0 <= i < j < self.n:
+        for (i, j), value in structure.items():
+            if not 0 <= i < j < n:
                 raise ValueError(f"structure key {(i, j)} must satisfy 0 <= i < j < n")
-            if value.n != self.n:
+            if value.n != n:
                 raise ValueError(f"structure value at {(i, j)} has wrong rank")
-        # caches; the object is frozen so these are set once
-        zero_l = LElement(tuple(PolyElement.zero(self.m) for _ in range(self.n)))
-        basis = tuple(LElement(tuple(PolyElement.one(self.m) if j == i
-                                     else PolyElement.zero(self.m)
-                                     for j in range(self.n)))
-                      for i in range(self.n))
-        table = tuple(tuple(self.structure[(i, j)] if i < j and (i, j) in self.structure
-                            else (-self.structure[(j, i)] if j < i and (j, i) in self.structure
-                                  else zero_l)
-                            for j in range(self.n))
-                      for i in range(self.n))
-        object.__setattr__(self, "_zero_l", zero_l)
-        object.__setattr__(self, "_basis", basis)
-        object.__setattr__(self, "_bracket_table", table)
-        object.__setattr__(self, "_bracket_terms",
-                           tuple(tuple(tuple((k, c) for k, c in enumerate(br.coeffs) if c)
-                                       for br in row)
-                                 for row in table))
-        object.__setattr__(self, "_anchor_is_zero",
-                           all(d.is_zero() for d in self.anchor))
+        self.m = m
+        self.n = n
+        self.anchor = anchor
+        self.structure = structure
+        self.name = name
+        # (S, T) bitmasks -> [e_S, e_T] as a bvcalc.ground map, constants at
+        # m = 0 and polynomials at m > 0; all 4^n pairs filled at once by
+        # bvcalc.bv.bracket_table on first use
+        self.gerstenhaber_table = {}
+        # lie_trace(e_i) for i < n, filled on first use by bvcalc.correspond
+        self.lie_traces = []
+        # derived from the fields, which no code changes, so set once here
+        self._zero_l = LElement(tuple(PolyElement.zero(m) for _ in range(n)))
+        self._basis = tuple(LElement(tuple(PolyElement.one(m) if j == i
+                                           else PolyElement.zero(m)
+                                           for j in range(n)))
+                            for i in range(n))
+        table = tuple(tuple(structure[(i, j)] if i < j and (i, j) in structure
+                            else (-structure[(j, i)] if j < i and (j, i) in structure
+                                  else self._zero_l)
+                            for j in range(n))
+                      for i in range(n))
+        self._bracket_table = table
+        self._bracket_terms = tuple(tuple(tuple((k, c) for k, c in enumerate(br.coeffs) if c)
+                                          for br in row)
+                                    for row in table)
+        self._anchor_is_zero = all(d.is_zero() for d in anchor)
 
     # -- constructors ------------------------------------------------
 

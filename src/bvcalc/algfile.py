@@ -23,7 +23,6 @@ with the offending basis tuple.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from pathlib import Path
 
 from .algebra import LElement, LieRinehartAlgebra
@@ -31,6 +30,7 @@ from .bv import RightConnectionOnA
 from .connections import LeftConnectionOnL, TopConnection
 from .correspond import right_from_top, top_from_right
 from .poly import DerivationOfA, PolyElement, PolyParseError, parse_poly
+from .record import Record
 
 # The names a `suites =` line may use; `bvcalc.suites` runs them in this order.
 SUITE_NAMES = ("axioms", "generator", "bijections", "duality",
@@ -49,17 +49,22 @@ class AlgebraFileError(ValueError):
         self.column = column
 
 
-@dataclass
-class LoadedAlgebra:
+class LoadedAlgebra(Record):
     """An algebra plus the optional connection blocks found in its file."""
 
-    algebra: LieRinehartAlgebra
-    gamma: TopConnection | None = None
-    r: RightConnectionOnA | None = None
-    Gamma: LeftConnectionOnL | None = None
-    expect_nonflat: bool = False
-    suites: tuple[str, ...] | None = None
-    source: str = ""
+    _fields = ("algebra", "gamma", "r", "Gamma", "expect_nonflat", "suites", "source")
+
+    def __init__(self, algebra: LieRinehartAlgebra, gamma: TopConnection | None = None,
+                 r: RightConnectionOnA | None = None, Gamma: LeftConnectionOnL | None = None,
+                 expect_nonflat: bool = False, suites: tuple[str, ...] | None = None,
+                 source: str = ""):
+        self.algebra = algebra
+        self.gamma = gamma
+        self.r = r
+        self.Gamma = Gamma
+        self.expect_nonflat = expect_nonflat
+        self.suites = suites
+        self.source = source
 
     def top_connection(self) -> TopConnection:
         """The effective top connection: explicit gamma, from r, or flat zero."""

@@ -60,7 +60,6 @@ probe proves it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Sequence
 
@@ -68,14 +67,17 @@ from . import ground
 from .algebra import LElement, LieRinehartAlgebra
 from .exterior import Multivector, basis_label
 from .poly import PolyElement
+from .record import Record
 from .sampling import check_rng, random_poly
 
 
-@dataclass(frozen=True)
-class RightConnectionOnA:
+class RightConnectionOnA(Record):
     """Right connection data on A: r[i] is 1 o e_i."""
 
-    r: tuple[PolyElement, ...]
+    _fields = ("r",)
+
+    def __init__(self, r: tuple[PolyElement, ...]):
+        self.r = r
 
     @property
     def n(self) -> int:
@@ -176,8 +178,7 @@ def ground_generator(alg: LieRinehartAlgebra, conn: RightConnectionOnA, s: int) 
     return out
 
 
-@dataclass(frozen=True)
-class GeneratorD:
+class GeneratorD(Record):
     """Degree -1 operator generating the Gerstenhaber bracket.
 
     Every generator arises from a right connection on A, so the data is
@@ -195,9 +196,12 @@ class GeneratorD:
     from the bracket code.  `apply_generator` stays the test oracle.
     """
 
-    alg: LieRinehartAlgebra
-    connection: RightConnectionOnA
-    table: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _fields = ("alg", "connection")
+
+    def __init__(self, alg: LieRinehartAlgebra, connection: RightConnectionOnA):
+        self.alg = alg
+        self.connection = connection
+        self.table = {}
 
     def __call__(self, u: Multivector) -> Multivector:
         alg = self.alg
@@ -588,13 +592,15 @@ def certify_every_connection(alg: LieRinehartAlgebra,
     return True, None
 
 
-@dataclass(frozen=True)
-class SquareResult:
+class SquareResult(Record):
     """Outcome of testing whether an operator squares to zero."""
 
-    is_exact: bool
-    witness: str | None
-    basis_table: dict  # S -> D(D(e_S)) on pure basis multivectors
+    _fields = ("is_exact", "witness", "basis_table")
+
+    def __init__(self, is_exact: bool, witness: str | None, basis_table: dict):
+        self.is_exact = is_exact
+        self.witness = witness
+        self.basis_table = basis_table  # S -> D(D(e_S)) on pure basis multivectors
 
 
 def generator_square(alg: LieRinehartAlgebra, op: Operator, trials: int = 8,

@@ -53,7 +53,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run only this suite (repeatable)")
     check.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     check.add_argument("--trials", type=_positive_int, default=32,
-                       help="trials per randomized identity (at least 1)")
+                       help="trials per randomized identity (at least 1); "
+                            "generator.random-connections (m > 0), the D^2 draws of "
+                            "generator.square-zero and flatness-coherence, "
+                            "duality.matched-pair and bracket-expansion run at most 8")
     check.add_argument("--degree-bound", type=_nonnegative_int, default=3,
                        help="degree bound for random polynomial coefficients (at least 0)")
     check.add_argument("--format", choices=FORMATS, default="text")

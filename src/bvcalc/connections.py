@@ -27,7 +27,6 @@ and the tests use its `trace_endo` as the oracle for `phi_trace`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -35,24 +34,29 @@ from . import ground
 from .algebra import LElement, LieRinehartAlgebra
 from .exterior import AltForm, TopElement, full_tuple
 from .poly import PolyElement
+from .record import Record
 
 
-@dataclass(frozen=True)
-class TopConnection:
+class TopConnection(Record):
     """Connection on the top exterior power: one coefficient per basis direction."""
 
-    gamma: tuple[PolyElement, ...]
+    _fields = ("gamma",)
+
+    def __init__(self, gamma: tuple[PolyElement, ...]):
+        self.gamma = gamma
 
     @property
     def n(self) -> int:
         return len(self.gamma)
 
 
-@dataclass(frozen=True)
-class LeftConnectionOnL:
+class LeftConnectionOnL(Record):
     """Connection on L via its Christoffel table: table[i][j] = nabla_{e_i} e_j."""
 
-    table: tuple[tuple[LElement, ...], ...]
+    _fields = ("table",)
+
+    def __init__(self, table: tuple[tuple[LElement, ...], ...]):
+        self.table = table
 
     @property
     def n(self) -> int:
@@ -63,11 +67,13 @@ class LeftConnectionOnL:
         return cls(tuple(tuple(alg.zero_l() for _ in range(alg.n)) for _ in range(alg.n)))
 
 
-@dataclass(frozen=True)
-class EndoOfL:
+class EndoOfL(Record):
     """A-linear endomorphism of L; images[j] = E(e_j) in basis coordinates."""
 
-    images: tuple[LElement, ...]
+    _fields = ("images",)
+
+    def __init__(self, images: tuple[LElement, ...]):
+        self.images = images
 
     @property
     def n(self) -> int:

@@ -11,11 +11,11 @@ free L that adjoint is a signed re-indexing on complements, which is how
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from .algebra import LElement
 from .poly import PolyElement
+from .record import Record
 
 
 def sort_with_sign(indices: Sequence[int]) -> tuple[tuple[int, ...], int]:
@@ -199,12 +199,14 @@ class Multivector:
         return f"Multivector(n={self.n}, {self!s})"
 
 
-@dataclass(frozen=True)
-class TopElement:
+class TopElement(Record):
     """Element of the top exterior power, as a multiple of e_1^...^e_n."""
 
-    n: int
-    coefficient: PolyElement
+    _fields = ("n", "coefficient")
+
+    def __init__(self, n: int, coefficient: PolyElement):
+        self.n = n
+        self.coefficient = coefficient
 
     def __add__(self, other: "TopElement") -> "TopElement":
         if self.n != other.n:

@@ -12,7 +12,6 @@ is checked by composing those columns, and Betti numbers come from
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -20,6 +19,7 @@ from math import comb
 from . import ground
 from .algebra import LieRinehartAlgebra
 from .bv import GeneratorD, generator_square
+from .record import Record
 
 
 def exact_rank(columns) -> int:
@@ -60,30 +60,30 @@ class BoundarySquareError(ValueError):
     """The boundary matrices of an exact generator do not compose to zero."""
 
 
-@dataclass(frozen=True)
-class ChainComplex:
+class ChainComplex(Record):
     """Finite chain complex over Q; d_p maps degree p to p - 1.
 
     `boundaries[p - 1]` holds d_p as `dims[p]` sparse columns
     {row: value} with rows in range(dims[p - 1]).
     """
 
-    dims: tuple[int, ...]
-    boundaries: tuple[tuple[dict, ...], ...]
+    _fields = ("dims", "boundaries")
 
-    def __post_init__(self) -> None:
-        if len(self.boundaries) != len(self.dims) - 1:
-            raise ValueError(f"{len(self.dims)} degrees need {len(self.dims) - 1} "
-                             f"boundaries, got {len(self.boundaries)}")
-        for p, d in enumerate(self.boundaries, start=1):
+    def __init__(self, dims: tuple[int, ...], boundaries: tuple[tuple[dict, ...], ...]):
+        if len(boundaries) != len(dims) - 1:
+            raise ValueError(f"{len(dims)} degrees need {len(dims) - 1} "
+                             f"boundaries, got {len(boundaries)}")
+        for p, d in enumerate(boundaries, start=1):
             where = f"boundary d_{p} (degree {p} to {p - 1})"
-            if len(d) != self.dims[p]:
-                raise ValueError(f"{where} has {len(d)} columns, expected {self.dims[p]}")
+            if len(d) != dims[p]:
+                raise ValueError(f"{where} has {len(d)} columns, expected {dims[p]}")
             for j, column in enumerate(d):
-                bad = [row for row in column if not 0 <= row < self.dims[p - 1]]
+                bad = [row for row in column if not 0 <= row < dims[p - 1]]
                 if bad:
                     raise ValueError(f"{where} has row {bad[0]} in column {j}, "
-                                     f"expected rows 0..{self.dims[p - 1] - 1}")
+                                     f"expected rows 0..{dims[p - 1] - 1}")
+        self.dims = dims
+        self.boundaries = boundaries
 
     def d_squared_is_zero(self) -> bool:
         """d_p o d_{p+1} = 0 in every degree, composing the sparse columns."""

@@ -35,10 +35,11 @@ No floating point appears anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 from collections.abc import Iterable, Iterator, Mapping
+
+from .record import Record
 
 
 def _coerce_coeff(value) -> int | Fraction:
@@ -382,14 +383,16 @@ def parse_poly(text: str, m: int) -> PolyElement:
     return result
 
 
-@dataclass(frozen=True)
-class DerivationOfA:
+class DerivationOfA(Record):
     """A derivation of A, written sum_j components[j] * d/dx_{j+1}.
 
     Anchors of Lie-Rinehart algebras take values here.
     """
 
-    components: tuple[PolyElement, ...]
+    _fields = ("components",)
+
+    def __init__(self, components: tuple[PolyElement, ...]):
+        self.components = components
 
     @property
     def m(self) -> int:

@@ -9,7 +9,6 @@ timing appears only in the human-readable rendering.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 from .algfile import SUITE_NAMES, LoadedAlgebra
 from .bv import (
@@ -53,6 +52,7 @@ from .homology import (
     rinehart_complex,
 )
 from .poly import PolyElement
+from .record import Record
 from .sampling import (
     check_rng,
     random_christoffel,
@@ -63,28 +63,34 @@ from .sampling import (
 PASS, FAIL, EXPECTED_FAIL, SKIP = "pass", "fail", "expected-fail", "skip"
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
-    suite: str
-    name: str
-    status: str  # pass | fail | expected-fail | skip
-    detail: str = ""
-    witness: str = ""
+class CheckOutcome(Record):
+    _fields = ("suite", "name", "status", "detail", "witness")
+
+    def __init__(self, suite: str, name: str, status: str, detail: str = "",
+                 witness: str = ""):
+        self.suite = suite
+        self.name = name
+        self.status = status  # pass | fail | expected-fail | skip
+        self.detail = detail
+        self.witness = witness
 
     @property
     def counts_as_failure(self) -> bool:
         return self.status == FAIL
 
 
-@dataclass
-class VerificationReport:
-    source: str
-    algebra: str
-    seed: int
-    trials: int
-    degree_bound: int
-    outcomes: list[CheckOutcome] = field(default_factory=list)
-    elapsed: float = 0.0
+class VerificationReport(Record):
+    _fields = ("source", "algebra", "seed", "trials", "degree_bound", "outcomes", "elapsed")
+
+    def __init__(self, source: str, algebra: str, seed: int, trials: int, degree_bound: int,
+                 outcomes: list[CheckOutcome] | None = None, elapsed: float = 0.0):
+        self.source = source
+        self.algebra = algebra
+        self.seed = seed
+        self.trials = trials
+        self.degree_bound = degree_bound
+        self.outcomes = [] if outcomes is None else outcomes
+        self.elapsed = elapsed
 
     @property
     def passed(self) -> bool:

@@ -38,6 +38,11 @@ def polys(m: int, max_degree: int = 3, max_terms: int = 4):
     return st.lists(term, max_size=max_terms).map(lambda terms: PolyElement(m, terms))
 
 
+def fresh_copy(alg: LieRinehartAlgebra) -> LieRinehartAlgebra:
+    """The same algebra with new, empty caches."""
+    return LieRinehartAlgebra(alg.m, alg.n, alg.anchor, alg.structure, alg.name)
+
+
 def lelements(alg: LieRinehartAlgebra, max_degree: int = 2, max_terms: int = 2):
     return st.tuples(*[polys(alg.m, max_degree, max_terms) for _ in range(alg.n)]) \
         .map(lambda cs: LElement(tuple(cs)))

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import re
 from fractions import Fraction
@@ -38,7 +37,7 @@ from bvcalc.poly import PolyElement
 from bvcalc.sampling import check_rng, random_multivector, random_poly, random_poly_vector
 from bvcalc.suites import run_suite
 
-from conftest import RANK5, multivectors, polys
+from conftest import RANK5, fresh_copy, multivectors, polys
 
 COORD = LieRinehartAlgebra.coordinate(2)
 NONAB = LieRinehartAlgebra.from_structure_constants(2, {(0, 1): (1, 0)}, name="nonabelian-dim2")
@@ -397,8 +396,7 @@ def test_one_element_wedges_match_multivector_wedge():
 
 
 def ground_algebra(catalog, name):
-    # a fresh copy: new, empty tables on the same structure constants
-    return dataclasses.replace(RANK5 if name == "rank5" else catalog[name].algebra)
+    return fresh_copy(RANK5 if name == "rank5" else catalog[name].algebra)
 
 
 @pytest.mark.parametrize("name", ["sl2", "heisenberg-dim3", "nonabelian-dim2", "rank5"])
@@ -410,7 +408,7 @@ def test_bracket_table_filled_through_itself_equals_direct_recursion(catalog, na
 
 
 def assert_table_equals_term_bracket(alg):
-    direct = dataclasses.replace(alg)
+    direct = fresh_copy(alg)
     one = PolyElement.one(0)
     for (s, t), entry in bracket_table(alg).items():
         assert to_multivector(alg.n, entry) == \

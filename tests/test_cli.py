@@ -9,6 +9,7 @@ import bvcalc
 from bvcalc.catalog import CATALOG_NAMES
 from bvcalc.cli import main
 from bvcalc.homology import ChainComplex
+from bvcalc import suites
 from bvcalc.suites import SUITE_NAMES, run_suite
 from bvcalc.catalog import load_catalog
 
@@ -384,3 +385,44 @@ def test_homology_rejects_unknown_suite_in_file(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "unknown suite(s): bogus" in err and "line 3" in err
+
+
+def test_importing_the_cli_does_not_load_dataclasses():
+    # every invocation pays for what `import bvcalc.cli` loads; dataclasses
+    # and the methods it generated for the record types were about 25 ms
+    env = dict(os.environ, PYTHONPATH=str(Path(bvcalc.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c",
+                           "import sys, bvcalc.cli; print('dataclasses' in sys.modules)"],
+                          capture_output=True, encoding="utf-8", env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+
+
+def test_trials_reach_each_check_as_the_help_says(monkeypatch):
+    # --trials 20 at m > 0: the identity, bijections and linear-connection use
+    # all 20, the random connections, D^2 draws, duality and pairing at most 8
+    seen = []
+
+    def spy(name):
+        real = getattr(suites, name)
+
+        def call(*args, **kwargs):
+            seen.append((name, kwargs.get("trials")))
+            return real(*args, **kwargs)
+        return call
+
+    for name in ("is_generator", "generator_square", "check_generator_duality",
+                 "check_bracket_pairing_identity", "right_from_generator",
+                 "torsionfree_lift"):
+        monkeypatch.setattr(suites, name, spy(name))
+    report = run_suite(load_catalog("coordinate-2d"), trials=20,
+                       suites=("generator", "bijections", "duality", "bracket-expansion",
+                               "linear-connection"))
+    assert report.passed and report.trials == 20
+    assert seen.count(("is_generator", 20)) == 1
+    assert seen.count(("is_generator", 1)) == 8
+    assert ("generator_square", 8) in seen
+    assert [t for name, t in seen if name == "check_generator_duality"] == [8, 3]
+    assert ("check_bracket_pairing_identity", 8) in seen
+    assert seen.count(("right_from_generator", None)) == 1 + 20 + 20
+    assert seen.count(("torsionfree_lift", None)) == 20
