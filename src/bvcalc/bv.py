@@ -30,21 +30,21 @@ oracle the tests compare the second table against; the product path
 reaches D nowhere else.  The bracket of a e_S and b e_T is ab [e_S, e_T]
 plus two terms in the anchor derivatives of a and b, which vanish for a
 constant coefficient and so always at m = 0 (`mask_bracket`); the
-generator identity at m > 0 and the pairing identity of
-`bvcalc.correspond` at every m read it so.  `gerstenhaber_bracket` stays
-the public bracket at every m, the tests' oracle, and the printer of an
-m > 0 `is_generator` witness.
+generator identity and the pairing identity of `bvcalc.correspond` read
+it so at every m, each drawing its coefficients by `draw_term`, and a
+generator identity witness prints the defect map the check summed.
+`gerstenhaber_bracket` stays the public bracket at every m and the
+tests' oracle; no check calls it.
 
 The same linearity makes the m = 0 checks exact.  The generator
 identity is Q-bilinear in the coefficients of u and v once the operator
 is Q-linear, so `is_generator` evaluates it once on every basis pair
-(e_S, e_T) with coefficient 1, on the bitmask maps of `bvcalc.ground`
-and reading the bracket table on every pair, and `generator_square`
-evaluates D^2 once on every e_S.  The operator under test stays a black
-box: `is_generator` calls it on e_R and on 2 e_R for every subset R, and
-an operator that fails that probe of the linearity the proof assumes
-fails the check.  For m > 0 the coefficients are random polynomials,
-and a passing check is evidence, not proof.
+(e_S, e_T) with coefficient 1, and `generator_square` evaluates D^2
+once on every e_S.  The operator under test stays a black box:
+`is_generator` calls it on e_R and on 2 e_R for every subset R, and an
+operator that fails that probe of the linearity the proof assumes fails
+the check.  For m > 0 the coefficients are random polynomials, and a
+passing check is evidence, not proof.
 
 At m = 0 one certificate then covers every right connection, not only
 the file's r0: D_r is affine in r, and two generators differ by an odd
@@ -360,14 +360,29 @@ def mask_bracket(table: dict, u: tuple, v: tuple, ab) -> dict:
     s, a, da = u
     t, b, db = v
     p, q = s.bit_count(), t.bit_count()
-    out = {}
-    ground.add_multiple(out, table[s, t], ab)
+    if ab == 1:  # every pair at m = 0
+        out = dict(table[s, t])
+    else:  # a product of nonzero values is nonzero, so only ab = 0 makes zeros
+        out = {mask: ab * c for mask, c in table[s, t].items()} if ab else {}
     if db:
         ground.add_wedge_basis(out, _scalar_bracket_map(s, db), t, -a if p % 2 else a)
     if da:
         ground.add_wedge_basis(out, _scalar_bracket_map(t, da), s,
                                b if ((p - 1) * (q - 1) + q) % 2 else -b)
     return out
+
+
+def draw_term(alg: LieRinehartAlgebra, rng, key: tuple[int, ...],
+              degree_bound: int) -> tuple[PolyElement, tuple]:
+    """A coefficient c for e_key and the (mask, value, derivatives) of c e_key for `mask_bracket`.
+
+    c is 1 at m = 0 and one `random_poly` draw from `rng` at m > 0; the
+    derivatives e_i(c) are () for a constant c.  Both pair identities, the
+    generator identity and `bvcalc.correspond`'s pairing identity, draw so.
+    """
+    c = random_poly(rng, alg.m, degree_bound) if alg.m else PolyElement.one(0)
+    derivatives = () if c.is_constant() else tuple(rho(c) for rho in alg.anchor)
+    return c, (ground.to_mask(key), ground.value(c), derivatives)
 
 
 # -- generator checks --------------------------------------------------
@@ -382,127 +397,84 @@ def is_generator(alg: LieRinehartAlgebra, op: Operator, trials: int = 32,
 
     The identity is [u, v] = (-1)^|u| (D(u ^ v) - D(u) ^ v - (-1)^|u| u ^ D(v)).
     Accepts any operator as a callable; returns (True, None) or
-    (False, witness) with the first violating pair.  The identity sees
-    only the Koszul bracket of D, which adding an odd derivation of any
-    degree leaves unchanged, so once the pairs pass, every image D(a e_S)
-    the check holds must be of degree |S| - 1 (`_degree_witness`); the
-    witness then names S.
-
-    When m = 0 the result is that of one pass over the basis with
-    coefficient 1, so it has no seed or trial count: `trials`, `seed`
-    and `degree_bound` make no difference (see `_ground_is_generator`).
-    When m > 0, each of `trials` passes gives every basis subset one
-    random coefficient and checks all ordered pairs.  `op` is called on
-    every drawn a e_S, then on u ^ v for every ordered pair (u, v), zero
-    products included, and nowhere else.  With sign = (-1)^|S| the defect
+    (False, witness) with the first violating pair.  One loop serves
+    every m.  A pass gives every basis subset S, in subset order, one
+    coefficient a from `draw_term` and calls `op` on a e_S; with
+    sign = (-1)^|S| the defect
 
         [u, v] - sign D(u ^ v) + sign b D(u) ^ e_T + a e_S ^ D(v)
 
-    of u = a e_S and v = b e_T accumulates in one mask map, the bracket
-    from `mask_bracket` and the anchor derivatives e_i(a) formed once per
-    drawn a.  The first nonzero defect is printed from `gerstenhaber_bracket`
-    and `Multivector` wedges, whose term order the report keeps.  The degree
-    check follows the pairs of each trial.
+    of u = a e_S and v = b e_T then accumulates for every ordered pair in
+    one mask map, the bracket from `mask_bracket` on the bracket table,
+    which is read on every pair, so an edited entry is seen.  The witness
+    prints that map.  The identity sees only the Koszul bracket of D,
+    which adding an odd derivation of any degree leaves unchanged, so
+    once the pairs of a pass hold, every image D(a e_S) of the pass must
+    be of degree |S| - 1 (`_degree_witness`); the witness then names S.
+
+    When m = 0 both sides are Q-bilinear in (a, b) once `op` is Q-linear,
+    so one pass with a = 1 decides, and `trials`, `seed` and
+    `degree_bound` make no difference.  `op` is called on e_R and then on
+    2 e_R for every R, and nowhere else: an operator with
+    op(2 e_R) != 2 op(e_R) fails at e_R, and with e_S ^ e_T = w e_(S | T)
+    the pair reads D(u ^ v) as w D(e_(S | T)) from the images so probed.
+    When m > 0, each of `trials` passes draws random polynomial
+    coefficients, and `op` is called on every drawn a e_S, then on u ^ v
+    for every ordered pair (u, v), zero products included.
     """
-    if not alg.m:
-        return _ground_is_generator(alg, op)
     rng = check_rng(seed, "is_generator")
-    n = alg.n
-    subsets = [s for p in range(n + 1) for s in combinations(range(n), p)]
+    n, m = alg.n, alg.m
+    subsets = [key for p in range(n + 1) for key in combinations(range(n), p)]
+    two = PolyElement.const(0, 2)
     table = bracket_table(alg)
-    for _ in range(max(trials, 1)):
-        terms = [(key, random_poly(rng, alg.m, degree_bound)) for key in subsets]
-        elements = [Multivector(n, [(key, a)]) for key, a in terms]
-        images = [op(u) for u in elements]
-        # (S, a, (e_1(a), .., e_n(a))) and D(a e_S) as a mask map, per drawn a e_S
-        drawn = [((ground.to_mask(key), a, tuple(rho(a) for rho in alg.anchor)),
-                  ground.from_multivector(du)) for (key, a), du in zip(terms, images)]
-        for i, (su, ds) in enumerate(drawn):
-            s, a, _ = su
+    for _ in range(max(trials, 1) if m else 1):
+        # (a, `mask_bracket`'s (S, a, e_i(a)), D(a e_S) as a mask map) per drawn a e_S
+        drawn, images = [], {}
+        for key in subsets:
+            a, u = draw_term(alg, rng, key, degree_bound)
+            image = op(Multivector(n, [(key, a)]))
+            if not m:
+                doubled = op(Multivector.basis(n, key, two))
+                if doubled != image.scale(two):
+                    label = basis_label(key)
+                    return False, f"D((2)*{label})={doubled} 2*D({label})={image.scale(two)}"
+            ds = images[u[0]] = ground.from_multivector(image)
+            drawn.append((a, u, ds))
+        for a, u, ds in drawn:
+            s, x, _ = u
             sign = -1 if s.bit_count() % 2 else 1
-            for j, (tv, dt) in enumerate(drawn):
-                t, b, _ = tv
-                ab = a * b
+            for b, v, dt in drawn:
+                t, y, _ = v
+                ab = x * y
                 w = ground.wedge_sign(s, t) if ab else 0
-                # u ^ v, the same terms `Multivector.wedge` gives
-                duv = op(Multivector._make(n, {ground.to_key(s | t): ab if w > 0 else -ab}
-                                           if w else {}))
-                defect = mask_bracket(table, su, tv, ab)
-                ground.add_multiple(defect, ground.from_multivector(duv), sign=-sign)
-                ground.add_wedge_basis(defect, ds, t, b, sign)
-                ground.add_basis_wedge(defect, s, dt, a)
+                defect = mask_bracket(table, u, v, ab)
+                if m:  # the black box on u ^ v
+                    duv = op(Multivector._make(n, {ground.to_key(s | t): ab if w > 0 else -ab}
+                                               if w else {}))
+                    ground.add_multiple(defect, ground.from_multivector(duv), sign=-sign)
+                elif w:
+                    ground.add_multiple(defect, images[s | t], sign=-sign * w)
+                ground.add_wedge_basis(defect, ds, t, y, sign)
+                ground.add_basis_wedge(defect, s, dt, x)
                 if defect:
-                    u, v, du, dv = elements[i], elements[j], images[i], images[j]
-                    inner = duv - du.wedge(v)
-                    inner = inner - u.wedge(dv) if sign > 0 else inner + u.wedge(dv)
-                    rhs = inner if sign > 0 else -inner
-                    return False, (f"u=({a})*{basis_label(terms[i][0])} "
-                                   f"v=({b})*{basis_label(terms[j][0])} "
-                                   f"defect={gerstenhaber_bracket(alg, u, v) - rhs}")
-        witness = _degree_witness(alg, ((key, a, ds) for (key, a), (_, ds) in zip(terms, drawn)))
+                    return False, (f"u=({a})*{basis_label(ground.to_key(s))} "
+                                   f"v=({b})*{basis_label(ground.to_key(t))} "
+                                   f"defect={ground.to_multivector(n, defect, m)}")
+        witness = _degree_witness(alg, drawn)
         if witness:
             return False, witness
     return True, None
 
 
-def _degree_witness(alg: LieRinehartAlgebra, images) -> str | None:
-    """The first (S, a, D(a e_S) as a ground map) of `images` whose image is
-    not homogeneous of degree |S| - 1, as a witness naming S; None if there is none."""
-    for key, a, image in images:
-        if any(mask.bit_count() != len(key) - 1 for mask in image):
-            return (f"D(({a})*{basis_label(key)})={ground.to_multivector(alg.n, image, alg.m)} "
-                    f"is not of degree {len(key) - 1}")
+def _degree_witness(alg: LieRinehartAlgebra, drawn: list) -> str | None:
+    """The first drawn a e_S of `is_generator` whose image D(a e_S) is not
+    homogeneous of degree |S| - 1, as a witness naming S; None if there is none."""
+    for a, (s, _, _), image in drawn:
+        degree = s.bit_count() - 1
+        if any(mask.bit_count() != degree for mask in image):
+            return (f"D(({a})*{basis_label(ground.to_key(s))})="
+                    f"{ground.to_multivector(alg.n, image, alg.m)} is not of degree {degree}")
     return None
-
-
-def _ground_is_generator(alg: LieRinehartAlgebra, op: Operator) -> tuple[bool, str | None]:
-    """`is_generator` for m = 0: one pass over the basis with coefficient 1.
-
-    At m = 0 both sides of the identity are Q-bilinear in the two
-    coefficients, once `op` is Q-linear, so the pairs (e_S, e_T) decide it.
-    `op` is called on e_R and on 2 e_R for every subset R, in subset
-    order, and nowhere else.  The second call probes homogeneity; an
-    operator with op(2 e_R) != 2 op(e_R) fails at e_R.  With sign =
-    (-1)^|S| and e_S ^ e_T = w e_{S | T}, the defect of the pair is
-
-        [e_S, e_T] - sign w D(e_{S | T}) + sign D(e_S) ^ e_T + e_S ^ D(e_T),
-
-    evaluated on the bitmask maps of `bvcalc.ground`, where each wedge has
-    the basis element e_T or e_S on one side and costs one sign and one add
-    per term of the image.  The bracket is read from the mask table
-    `bracket_table(alg)` on every pair, so an edited entry is seen; the
-    defect accumulates into a copy of the entry.  The degree check of
-    `is_generator` follows the pairs.
-    """
-    n = alg.n
-    masks = [(key, ground.to_mask(key))
-             for p in range(n + 1) for key in combinations(range(n), p)]
-    two = PolyElement.const(0, 2)
-    images = {}
-    for key, r in masks:
-        image = op(Multivector.basis(n, key, m=0))
-        doubled = op(Multivector.basis(n, key, two))
-        if doubled != image.scale(two):
-            label = basis_label(key)
-            return False, f"D((2)*{label})={doubled} 2*D({label})={image.scale(two)}"
-        images[r] = ground.from_multivector(image)
-    table = bracket_table(alg)
-    for s_key, s in masks:
-        sign = -1 if len(s_key) % 2 else 1
-        ds = images[s]
-        for t_key, t in masks:
-            defect = dict(table[s, t])
-            w = ground.wedge_sign(s, t)
-            if w:
-                ground.add_multiple(defect, images[s | t], sign=-sign * w)
-            ground.add_wedge_basis(defect, ds, t, sign=sign)
-            ground.add_basis_wedge(defect, s, images[t])
-            if defect:
-                return False, (f"u=(1)*{basis_label(s_key)} v=(1)*{basis_label(t_key)} "
-                               f"defect={ground.to_multivector(n, defect)}")
-    one = PolyElement.one(0)
-    witness = _degree_witness(alg, ((key, one, images[r]) for key, r in masks))
-    return (False, witness) if witness else (True, None)
 
 
 def certify_every_connection(alg: LieRinehartAlgebra,

@@ -33,7 +33,7 @@ from itertools import combinations
 
 from . import ground
 from .algebra import LElement, LieRinehartAlgebra
-from .bv import GeneratorD, RightConnectionOnA, bracket_table, mask_bracket
+from .bv import GeneratorD, RightConnectionOnA, bracket_table, draw_term, mask_bracket
 from .connections import (
     LeftConnectionOnL,
     TopConnection,
@@ -136,24 +136,16 @@ def check_bracket_pairing_identity(alg: LieRinehartAlgebra, gen: GeneratorD,
     n, m = alg.n, alg.m
     full = (1 << n) - 1
     zero = ground.value(PolyElement.zero(m))
-    one = PolyElement.one(0)
     table = bracket_table(alg)
-
-    def draw(key: tuple[int, ...]) -> tuple[PolyElement, tuple]:
-        """A coefficient for e_key, and the (mask, value, derivatives) of `mask_bracket`."""
-        c = random_poly(rng, m, degree_bound) if m else one
-        derivatives = () if c.is_constant() else tuple(rho(c) for rho in alg.anchor)
-        return c, (ground.to_mask(key), ground.value(c), derivatives)
-
     for _ in range(max(trials, 1) if m else 1):
         for p in range(1, n + 1):
             right = []
             for t_key in combinations(range(n), n - p + 1):
-                b, v = draw(t_key)
+                b, v = draw_term(alg, rng, t_key, degree_bound)
                 image = ground.from_multivector(gen(Multivector(n, [(t_key, b)])))
                 right.append((t_key, b, v, image))
             for s_key in combinations(range(n), p):
-                a, u = draw(s_key)
+                a, u = draw_term(alg, rng, s_key, degree_bound)
                 s, av, _ = u
                 rest = full ^ s
                 form = covariant_derivative(alg, conn, phi_iso(Multivector(n, [(s_key, a)]),

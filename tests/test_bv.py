@@ -1,14 +1,16 @@
+import importlib.util
 import random
 import re
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
 from bvcalc import bv
 from bvcalc.algebra import LieRinehartAlgebra, build_poisson_cotangent
-from bvcalc.algfile import LoadedAlgebra
+from bvcalc.algfile import LoadedAlgebra, loads
 from bvcalc.bv import (
     GeneratorD,
     RightConnectionOnA,
@@ -22,7 +24,7 @@ from bvcalc.bv import (
     one_circ,
 )
 from bvcalc.correspond import right_from_generator
-from bvcalc.exterior import Multivector, full_tuple, merge_sign
+from bvcalc.exterior import Multivector, basis_label, full_tuple, merge_sign
 from bvcalc.ground import (
     add_basis_wedge,
     add_multiple,
@@ -604,10 +606,10 @@ def test_is_generator_catches_a_non_linear_operator(catalog):
 
 def test_m_positive_witness_keeps_its_term_order(catalog, monkeypatch):
     # the explicit generator with the anchor term of 1 o alpha dropped, at
-    # m = 2; the witness prints terms in the order the polynomial kernel
-    # makes them, so this pins that order through brackets and products
-    # (the defect here changes if the product loop runs over its operands
-    # in the other order)
+    # m = 2; the witness prints the defect map in the order the mask loop
+    # sums it and the polynomial kernel makes its terms, so this pins that
+    # order through brackets and products (the defect here changes if the
+    # product loop runs over its operands in the other order)
     def one_circ_without_anchor(alg, conn, alpha):
         out = PolyElement.zero(alg.m)
         for coeff, r in zip(alpha.coeffs, conn.r):
@@ -622,7 +624,7 @@ def test_m_positive_witness_keeps_its_term_order(catalog, monkeypatch):
     monkeypatch.setattr(bv, "one_circ", one_circ_without_anchor)
     assert is_generator(alg, lambda u: bv.apply_generator(alg, conn, u), trials=1, seed=37) == (
         False, "u=(8*x1^2*x2 - 1*x2)*e{1} v=(x1*x2^2 - 2*x1)*e{2} "
-               "defect=(-8*x1^3*x2^3 + x1*x2^3 + 16*x1^3*x2 - 2*x1*x2)*e{1} "
+               "defect=(-8*x1^3*x2^3 + 16*x1^3*x2 + x1*x2^3 - 2*x1*x2)*e{1} "
                "+ (16*x1^4*x2^2 - 2*x1^2*x2^2)*e{2}")
 
 
@@ -663,6 +665,51 @@ def test_every_sign_flip_of_a_table_entry_fails_on_its_own(catalog, name):
             flipped += 1
         assert flipped
     assert is_generator(alg, gen) == (True, None)
+
+
+def load_generated(name, seed=0):
+    """The `perfbench/inputs.py` file for `name` at `seed`, loaded as a user file."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return loads(inputs.algebra_text(name, seed))
+
+
+def first_failing_pair(alg, op):
+    """The first basis pair (e_S, e_T), in subset order, with a nonzero defect
+    [u, v] - (-1)^|u| (D(u ^ v) - D(u) ^ v - (-1)^|u| u ^ D(v)), written out on
+    `Multivector`s with `gerstenhaber_bracket` and `op`; None if every pair holds."""
+    for s_key in subsets(alg.n):
+        u = Multivector.basis(alg.n, s_key, m=0)
+        for t_key in subsets(alg.n):
+            v = Multivector.basis(alg.n, t_key, m=0)
+            inner = op(u.wedge(v)) - op(u).wedge(v)
+            inner = inner - u.wedge(op(v)) if len(s_key) % 2 == 0 else inner + u.wedge(op(v))
+            rhs = inner if len(s_key) % 2 == 0 else -inner
+            defect = gerstenhaber_bracket(alg, u, v) - rhs
+            if not defect.is_zero():
+                return s_key, t_key, defect
+    return None
+
+
+@pytest.mark.parametrize("name", ["book-4", "heisenberg-5", "filiform-5"])
+def test_mask_loop_names_the_first_failing_pair_of_the_reference(name):
+    alg = load_generated(name).algebra
+    gen = GeneratorD(alg, fraction_connection(alg, f"first-pair-{name}"))
+    assert is_generator(alg, gen) == (True, None)
+    assert first_failing_pair(alg, gen) is None
+    flipped = 0
+    for s, entry in list(gen.table.items()):
+        if not entry:
+            continue
+        gen.table[s] = negated(entry)
+        s_key, t_key, defect = first_failing_pair(alg, gen)
+        assert is_generator(alg, gen) == (
+            False, f"u=(1)*{basis_label(s_key)} v=(1)*{basis_label(t_key)} defect={defect}"), s
+        gen.table[s] = entry
+        flipped += 1
+    assert flipped >= 2 ** alg.n - 2  # D(1) = 0, and at most one more entry vanishes
 
 
 # -- the m = 0 certificate for every right connection -------------------
@@ -907,9 +954,9 @@ def mask_bracket_without(dropped=None):
         p, q = s.bit_count(), t.bit_count()
         out = {}
         add_multiple(out, table[s, t], ab)
-        if dropped != "[b, e_S]":
+        if dropped != "[b, e_S]" and db:  # () for a constant b
             add_wedge_basis(out, scalar_bracket_map(s, db), t, -a if p % 2 else a)
-        if dropped != "[a, e_T]":
+        if dropped != "[a, e_T]" and da:
             add_wedge_basis(out, scalar_bracket_map(t, da), s,
                             b if ((p - 1) * (q - 1) + q) % 2 else -b)
         return out
@@ -955,6 +1002,18 @@ def test_every_sign_flip_of_a_polynomial_table_entry_fails_on_its_own(catalog, m
     assert flipped == 4
 
 
+def test_m_positive_witness_prints_the_defect_of_an_edited_table_entry(catalog):
+    # the witness prints the map the check summed, so a wrong table entry
+    # shows: -2 ab [e1, e2] = (96*x1^2 + 108) e1 with ab = (-6)(8*x1^2 + 9)
+    loaded = catalog["poisson-linear-2d"]
+    alg = fresh_copy(loaded.algebra)
+    table = bracket_table(alg)
+    assert table[0b01, 0b10] == {0b01: PolyElement.one(2)}
+    table[0b01, 0b10] = negated(table[0b01, 0b10])
+    assert is_generator(alg, GeneratorD(alg, loaded.right_connection()), trials=4, seed=0) == (
+        False, "u=(-6)*e{1} v=(8*x1^2 + 9)*e{2} defect=(96*x1^2 + 108)*e{1}")
+
+
 def expected_polynomial_calls(alg, trials, seed, degree_bound=3):
     """The operator arguments of `is_generator` at m > 0, built with `Multivector.wedge`:
     a e_S for every drawn element, then u ^ v for every ordered pair, per trial."""
@@ -989,7 +1048,7 @@ def one_circ_without_anchor(alg, conn, alpha):
 
 def test_coordinate_3d_witness_and_calls_up_to_the_failing_pair(catalog, monkeypatch):
     # the explicit generator for r = (x2, x3, x1) with the anchor term of
-    # 1 o alpha dropped; the witness text is pinned from the Multivector loop
+    # 1 o alpha dropped; the witness text, first pinned from the Multivector loop, still holds
     alg = catalog["coordinate-3d"].algebra
     x1, x2, x3 = (PolyElement.variable(3, i) for i in range(3))
     conn = RightConnectionOnA((x2, x3, x1))
