@@ -228,18 +228,6 @@ class GeneratorD(Record):
 # -- the bracket ------------------------------------------------------
 
 
-def _insert_at_slot(alg: LieRinehartAlgebra, key: tuple[int, ...], slot: int,
-                    value: LElement) -> Multivector:
-    """e_{key[0]} ^ .. ^ value ^ .. ^ e_{key[-1]} with value at `slot`."""
-    n = alg.n
-    out = Multivector.from_lelement(value)
-    if slot:
-        out = Multivector.basis(n, key[:slot], m=alg.m).wedge(out)
-    if slot + 1 < len(key):
-        out = out.wedge(Multivector.basis(n, key[slot + 1:], m=alg.m))
-    return out
-
-
 def _vector_bracket(alg: LieRinehartAlgebra, a: PolyElement, i: int,
                     b: PolyElement, key: tuple[int, ...]) -> Multivector:
     """[a e_i, b e_key] for an increasing tuple key.
@@ -248,13 +236,11 @@ def _vector_bracket(alg: LieRinehartAlgebra, a: PolyElement, i: int,
     slot signs appear: [alpha, b e_T] = alpha(b) e_T + b sum_t (...[alpha, e_t]...).
     """
     alpha = alg.basis_l(i).scale(a)
-    out = Multivector(alg.n, [(key, alg.anchor_apply(alpha, b))])
+    items = [(key, alg.anchor_apply(alpha, b))]
     for t in range(len(key)):
         br = alg.bracket(alpha, alg.basis_l(key[t]))
-        if br.is_zero():
-            continue
-        out = out + _insert_at_slot(alg, key, t, br).scale(b)
-    return out
+        items += [(key[:t] + (l,) + key[t + 1:], b * c) for l, c in enumerate(br.coeffs) if c]
+    return Multivector(alg.n, items)
 
 
 def _scalar_bracket(alg: LieRinehartAlgebra, a: PolyElement, b: PolyElement,
@@ -504,8 +490,12 @@ def certify_every_connection(alg: LieRinehartAlgebra,
     first, then the diagonal; returns (True, None) or (False, witness)
     naming the first failing i (i=1..n for the diagonal) and R.  Together
     with `is_generator` passing at r0, and for an operator affine in r,
-    this proves the identity for every right connection.
+    this proves the identity for every right connection.  Its probes are
+    constant shifts of r, which prove nothing about A-valued r, so m > 0 is
+    refused with a ValueError.
     """
+    if alg.m:
+        raise ValueError(f"certify_every_connection needs m = 0, got m = {alg.m}")
     n = alg.n
     masks = [(key, ground.to_mask(key))
              for p in range(n + 1) for key in combinations(range(n), p)]

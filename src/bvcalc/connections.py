@@ -220,9 +220,8 @@ def covariant_derivative(alg: LieRinehartAlgebra, conn: TopConnection,
     """
     n, m = alg.n, alg.m
     q = f.degree
-    out = AltForm(n, m, min(q + 1, n + 1))
     if q >= n:
-        return out
+        return AltForm(n, m, n + 1)
     p = n - q  # first absolute argument label in the sign convention
     # the nonzero c^l_ab, with a < b in increasing order as the formula sums them
     brackets = [(a, b, [(l, c) for l, c in enumerate(br.coeffs) if c])
@@ -258,8 +257,7 @@ def covariant_derivative(alg: LieRinehartAlgebra, conn: TopConnection,
                 t = (target & ((1 << b) - 1)).bit_count()
                 slot = (k & ((1 << l) - 1)).bit_count()
                 add(target, c * v, (p + 1 + s + t + slot) % 2)
-    out.components = {ground.to_key(mask): value for mask, value in acc.items() if value}
-    return out
+    return AltForm(n, m, q + 1, [(ground.to_key(mask), value) for mask, value in acc.items()])
 
 
 # -- the endomorphism-valued map and traces -------------------------------

@@ -84,11 +84,12 @@ def check_generator_duality(alg: LieRinehartAlgebra, gen: GeneratorD,
     """Verify phi_{D(u)} = -d(phi_u) for all degrees 0..n.
 
     Holds exactly when the generator and the top connection correspond;
-    a perturbed pair fails with a concrete witness.  When m = 0 both
-    sides are Q-linear in the coefficient of u = a e_S, so one pass with
-    a = 1 evaluates each subset once and decides; `trials`, `seed` and
-    `degree_bound` make no difference.  When m > 0, each of `trials`
-    passes draws a random coefficient for every subset.
+    a perturbed pair fails with a concrete witness, and so does an image
+    D(u) of u = a e_S that is not homogeneous of degree p - 1.  When m = 0
+    both sides are Q-linear in a, so one pass with a = 1 evaluates each
+    subset once and decides; `trials`, `seed` and `degree_bound` make no
+    difference.  When m > 0, each of `trials` passes draws a random
+    coefficient for every subset.
     """
     rng = check_rng(seed, "generator_duality")
     n, m = alg.n, alg.m
@@ -99,13 +100,15 @@ def check_generator_duality(alg: LieRinehartAlgebra, gen: GeneratorD,
                 a = random_poly(rng, m, degree_bound) if m else one
                 u = Multivector(n, [(key, a)])
                 image = gen(u)
-                lhs = phi_iso(image, m, degree=max(p - 1, 0)) if p else None
                 rhs = -covariant_derivative(alg, conn, phi_iso(u, m, degree=p))
                 if p == 0:
                     # both sides live one degree above the top, i.e. vanish
                     if not (image.is_zero() and rhs.is_zero()):
                         return False, f"degree 0 witness: u=({a}), D(u)={image}, rhs={rhs}"
                     continue
+                if any(len(k) != p - 1 for k in image.components):
+                    return False, f"D(({a})*{basis_label(key)})={image} is not of degree {p - 1}"
+                lhs = phi_iso(image, m, degree=p - 1)
                 if lhs != rhs:
                     witness = f"u=({a})*{basis_label(key)} phi_D(u)=[{lhs}] -d(phi_u)=[{rhs}]"
                     return False, witness

@@ -1,12 +1,18 @@
 """Exterior algebra of a free rank-n module, the top power, and duality.
 
 Multivectors are stored sparsely on strictly increasing basis index
-tuples; construction normalizes arbitrary tuples with the permutation
-sign.  The canonical pairing wedges a degree-p and a degree-(n-p)
-multivector into the top power, and its adjoint identifies degree-p
-multivectors with alternating (n-p)-forms valued in the top power.  For
-free L that adjoint is a signed re-indexing on complements, which is how
-`phi_inverse` computes it.
+tuples; construction normalizes arbitrary tuples: it sorts each key with
+its permutation sign (`sort_with_sign`), sends a repeated index to 0,
+merges equal keys and drops zeros.  Sums, wedge products and scalings of
+`Multivector` and `AltForm` are built by passing their terms to that
+constructor, so the normalization is written once per type.  The
+canonical pairing wedges a degree-p and a degree-(n-p) multivector into
+the top power, and its adjoint identifies degree-p multivectors with
+alternating (n-p)-forms valued in the top power.  `phi_iso` builds that
+adjoint from wedges, so its signs come from the insertion sort; for free
+L it is also a signed re-indexing on complements, which is how
+`phi_inverse` computes it, with `merge_sign` counting inversions.  The
+two halves share no sign code, so each is the other's test.
 """
 
 from __future__ import annotations
@@ -133,15 +139,7 @@ class Multivector:
     def __add__(self, other: "Multivector") -> "Multivector":
         if self.n != other.n:
             raise ValueError("rank mismatch")
-        acc = dict(self.components)
-        for k, v in other.components.items():
-            s = acc.get(k)
-            s = v if s is None else s + v
-            if s:
-                acc[k] = s
-            elif k in acc:
-                del acc[k]
-        return Multivector._make(self.n, acc)
+        return Multivector(self.n, [*self.components.items(), *other.components.items()])
 
     def __sub__(self, other: "Multivector") -> "Multivector":
         return self + (-other)
@@ -150,34 +148,15 @@ class Multivector:
         return Multivector._make(self.n, {k: -v for k, v in self.components.items()})
 
     def scale(self, p) -> "Multivector":
-        acc = {}
-        for k, v in self.components.items():
-            s = p * v
-            if s:
-                acc[k] = s
-        return Multivector._make(self.n, acc)
+        return Multivector(self.n, [(k, p * v) for k, v in self.components.items()])
 
     def wedge(self, other: "Multivector") -> "Multivector":
-        """Exterior product with Koszul signs from interleaving."""
+        """Exterior product: the constructor sorts each joined key with its Koszul sign."""
         if self.n != other.n:
             raise ValueError("rank mismatch")
-        acc: dict[tuple[int, ...], PolyElement] = {}
-        for s_key, s_val in self.components.items():
-            for t_key, t_val in other.components.items():
-                sign = merge_sign(s_key, t_key)
-                if sign == 0:
-                    continue
-                key, _ = sort_with_sign(s_key + t_key)
-                value = s_val * t_val
-                if sign == -1:
-                    value = -value
-                prev = acc.get(key)
-                total = value if prev is None else prev + value
-                if total:
-                    acc[key] = total
-                elif key in acc:
-                    del acc[key]
-        return Multivector._make(self.n, acc)
+        return Multivector(self.n, [(s_key + t_key, s_val * t_val)
+                                    for s_key, s_val in self.components.items()
+                                    for t_key, t_val in other.components.items()])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Multivector):
@@ -318,30 +297,18 @@ class AltForm:
     def __add__(self, other: "AltForm") -> "AltForm":
         if (self.n, self.m, self.degree) != (other.n, other.m, other.degree):
             raise ValueError("form shape mismatch")
-        acc = dict(self.components)
-        for k, v in other.components.items():
-            s = acc.get(k)
-            s = v if s is None else s + v
-            if s:
-                acc[k] = s
-            elif k in acc:
-                del acc[k]
-        out = AltForm(self.n, self.m, self.degree)
-        out.components = acc
-        return out
+        return AltForm(self.n, self.m, self.degree,
+                       [*self.components.items(), *other.components.items()])
 
     def __sub__(self, other: "AltForm") -> "AltForm":
         return self + (-other)
 
     def __neg__(self) -> "AltForm":
-        out = AltForm(self.n, self.m, self.degree)
-        out.components = {k: -v for k, v in self.components.items()}
-        return out
+        return AltForm(self.n, self.m, self.degree, [(k, -v) for k, v in self.components.items()])
 
     def scale(self, p) -> "AltForm":
-        out = AltForm(self.n, self.m, self.degree)
-        out.components = {k: s for k, v in self.components.items() if (s := p * v)}
-        return out
+        return AltForm(self.n, self.m, self.degree,
+                       [(k, p * v) for k, v in self.components.items()])
 
     def is_zero(self) -> bool:
         return not self.components
@@ -384,15 +351,10 @@ def phi_iso(u: Multivector, m: int, degree: int | None = None) -> AltForm:
         p = degree
     elif degree is not None and degree != p:
         raise ValueError(f"multivector has degree {p}, not {degree}")
-    form = AltForm(n, m, n - p)
-    acc = {}
     complements = sorted(tuple(i for i in range(n) if i not in s_key) for s_key in u.components)
-    for t_key in complements:
-        value = u.wedge(Multivector.basis(n, t_key, m=m)).component(full_tuple(n), m)
-        if value:
-            acc[t_key] = value
-    form.components = acc
-    return form
+    return AltForm(n, m, n - p, [
+        (t_key, u.wedge(Multivector.basis(n, t_key, m=m)).component(full_tuple(n), m))
+        for t_key in complements])
 
 
 def phi_inverse(f: AltForm) -> Multivector:

@@ -64,18 +64,10 @@ def wedge_sign(s: int, t: int) -> int:
 
 
 def add_multiple(acc: dict, u: dict, c=None, sign: int = 1) -> None:
-    """acc += sign * c * u in place, dropping zeros; c is a value (1 if None), sign 1 or -1."""
-    for mask, x in u.items():
-        if c is not None:
-            x = c * x
-        if sign < 0:
-            x = -x
-        prev = acc.get(mask)
-        total = x if prev is None else prev + x
-        if total:
-            acc[mask] = total
-        else:
-            acc.pop(mask, None)
+    """acc += sign * c * u in place, dropping zeros; c is a value (1 if None), sign 1 or -1.
+
+    It is the wedge u ^ e_(empty set)."""
+    add_wedge_basis(acc, u, 0, c, sign)
 
 
 def add_wedge_basis(acc: dict, u: dict, t: int, c=None, sign: int = 1) -> None:

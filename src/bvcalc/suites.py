@@ -372,6 +372,10 @@ def run_suite(loaded: LoadedAlgebra, suites: tuple[str, ...] | None = None,
     if unknown:
         raise ValueError(f"unknown suite(s): {', '.join(unknown)}; "
                          f"choose from {', '.join(SUITE_NAMES)}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if degree_bound < 0:
+        raise ValueError(f"degree_bound must be at least 0, got {degree_bound}")
     runner = _SuiteRunner(loaded, seed=seed, trials=trials, degree_bound=degree_bound)
     started = time.perf_counter()
     dispatch = {

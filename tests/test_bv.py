@@ -817,6 +817,15 @@ def test_certificate_witnesses_name_the_direction_and_the_subset(monkeypatch):
         assert bv.certify_every_connection(alg, zero) == (False, witness)
 
 
+def test_certificate_refuses_m_above_zero(catalog):
+    # its probes are constant shifts of r, which prove nothing about A-valued r
+    for name in ("coordinate-2d", "poisson-linear-2d", "coordinate-3d"):
+        alg = catalog[name].algebra
+        conn = RightConnectionOnA(tuple(PolyElement.zero(alg.m) for _ in range(alg.n)))
+        with pytest.raises(ValueError, match=f"needs m = 0, got m = {alg.m}"):
+            bv.certify_every_connection(alg, conn)
+
+
 @pytest.mark.parametrize("mutant, r", [
     (r_term_on_s_mutant, (1, 0, 0, 0, 0, 0)),
     (mixed_direction_mutant, (1, 1, 1, 1, 1, 1))], ids=["r-term-on-e_S", "mixed-direction"])

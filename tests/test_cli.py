@@ -120,6 +120,18 @@ def test_run_suite_rejects_unknown_suite():
         run_suite(loaded, suites=("nope",))
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"trials": 0}, "trials must be at least 1, got 0"),
+    ({"trials": -5}, "trials must be at least 1, got -5"),
+    ({"degree_bound": -1}, "degree_bound must be at least 0, got -1"),
+])
+def test_run_suite_rejects_out_of_range_trials_and_degree_bound(kwargs, message):
+    # trials=0 ran no bijections or linear-connection trial and still passed;
+    # degree_bound=-1 stopped inside randrange
+    with pytest.raises(ValueError, match=message):
+        run_suite(load_catalog("coordinate-2d"), **kwargs)
+
+
 def test_all_suites_on_rank_one_algebra(capsys, tmp_path):
     # rank 1 exercises the empty-subset edges of every suite
     path = tmp_path / "rank-one.alg"

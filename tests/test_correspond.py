@@ -127,6 +127,24 @@ def test_duality_true_exactly_for_the_corresponding_connection():
     assert ok
 
 
+def test_duality_fails_on_an_image_of_the_wrong_degree(catalog):
+    # D + (the degree-1 part of its argument) sends e_1 to an image of degree
+    # 1, which phi_iso cannot read as a form of degree n - 0: a failed check
+    # naming u, not a ValueError
+    for name, witness in [
+        ("sl2", "D((1)*e{1})=(1)*e{1} is not of degree 0"),
+        ("coordinate-2d", "D((4*x1*x2 + 7*x1)*e{1})=(-4*x2 - 7) + (4*x1*x2 + 7*x1)*e{1} "
+                          "is not of degree 0"),
+    ]:
+        loaded = catalog[name]
+        gamma = loaded.top_connection()
+        gen = generator_from_top(loaded.algebra, gamma)
+        assert check_generator_duality(loaded.algebra, gen, gamma, trials=2, seed=0) == (True, None)
+        op = lambda u: gen(u) + u.homogeneous_part(1)
+        assert check_generator_duality(loaded.algebra, op, gamma, trials=2,
+                                       seed=0) == (False, witness), name
+
+
 def test_bracket_pairing_identity_on_catalog(catalog):
     for name in ("abelian-dim2", "nonabelian-dim2", "coordinate-2d", "sl2"):
         loaded = catalog[name]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bvcalc import exterior
 from bvcalc.algebra import LElement
 from bvcalc.exterior import (
     AltForm,
@@ -149,6 +150,33 @@ def test_phi_round_trip_starting_from_forms(coeffs, more):
         components = dict(zip(keys, [coeffs, more] * 2))
         form = AltForm(3, 2, q, components)
         assert phi_iso(phi_inverse(form), 2, degree=3 - q) == form
+
+
+def positive_merge_sign(left, right):
+    return 0 if set(left) & set(right) else 1
+
+
+def positive_sort_with_sign(indices):
+    key = tuple(sorted(indices))
+    return key, 0 if len(set(key)) < len(key) else 1
+
+
+@pytest.mark.parametrize("name, fault", [("merge_sign", positive_merge_sign),
+                                         ("sort_with_sign", positive_sort_with_sign)])
+def test_phi_round_trip_catches_a_sign_fault_in_either_half(monkeypatch, name, fault):
+    # phi_iso takes its signs from the constructor's insertion sort and
+    # phi_inverse from merge_sign's inversion count, so a sign helper that
+    # answers +1 on every disjoint input breaks exactly one half of the pair
+    n = 4
+    subsets = [key for p in range(n + 1) for key in combinations(range(n), p)]
+    for key in subsets:
+        e_s = Multivector.basis(n, key, m=0)
+        assert phi_inverse(phi_iso(e_s, 0)) == e_s
+    monkeypatch.setattr(exterior, name, fault)
+    broken = [key for key in subsets
+              if phi_inverse(phi_iso(Multivector.basis(n, key, m=0), 0))
+              != Multivector.basis(n, key, m=0)]
+    assert broken
 
 
 @given(u=multivectors(2, 2), a=polys(2, max_degree=2))
