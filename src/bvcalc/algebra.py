@@ -40,7 +40,9 @@ class LElement(Record):
         return LElement(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "LElement") -> "LElement":
-        return self + (-other)
+        if self.n != other.n:
+            raise ValueError("rank mismatch")
+        return LElement(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "LElement":
         return LElement(tuple(-a for a in self.coeffs))

@@ -68,7 +68,7 @@ from .algebra import LElement, LieRinehartAlgebra
 from .exterior import Multivector, basis_label
 from .poly import PolyElement
 from .record import Record
-from .sampling import check_rng, random_poly
+from .sampling import check_draw_arguments, check_rng, random_poly
 
 
 class RightConnectionOnA(Record):
@@ -406,14 +406,16 @@ def is_generator(alg: LieRinehartAlgebra, op: Operator, trials: int = 32,
     the pair reads D(u ^ v) as w D(e_(S | T)) from the images so probed.
     When m > 0, each of `trials` passes draws random polynomial
     coefficients, and `op` is called on every drawn a e_S, then on u ^ v
-    for every ordered pair (u, v), zero products included.
+    for every ordered pair (u, v), zero products included.  `trials`
+    below 1 or `degree_bound` below 0 raises ``ValueError`` at every m.
     """
+    check_draw_arguments(trials, degree_bound)
     rng = check_rng(seed, "is_generator")
     n, m = alg.n, alg.m
     subsets = [key for p in range(n + 1) for key in combinations(range(n), p)]
     two = PolyElement.const(0, 2)
     table = bracket_table(alg)
-    for _ in range(max(trials, 1) if m else 1):
+    for _ in range(trials if m else 1):
         # (a, `mask_bracket`'s (S, a, e_i(a)), D(a e_S) as a mask map) per drawn a e_S
         drawn, images = [], {}
         for key in subsets:
@@ -574,8 +576,10 @@ def generator_square(alg: LieRinehartAlgebra, op: Operator, trials: int = 8,
     the basis pass decides, and `trials`, `seed` and `degree_bound` make
     no difference.  When m > 0, D^2(a e_S) can be nonzero although D^2(e_S)
     is zero, so up to `trials` passes with random coefficients follow
-    an exact basis pass.
+    an exact basis pass.  `trials` below 1 or `degree_bound` below 0
+    raises ``ValueError`` at every m.
     """
+    check_draw_arguments(trials, degree_bound)
     rng = check_rng(seed, "generator_square")
     n = alg.n
     subsets = [s for p in range(n + 1) for s in combinations(range(n), p)]
@@ -588,7 +592,7 @@ def generator_square(alg: LieRinehartAlgebra, op: Operator, trials: int = 8,
         if not table[s_key].is_zero() and witness is None:
             exact = False
             witness = f"D^2({basis_label(s_key)}) = {table[s_key]}"
-    for _ in range(max(trials, 1)):
+    for _ in range(trials):
         if not exact or not alg.m:
             break
         for s_key in subsets:

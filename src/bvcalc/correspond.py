@@ -44,7 +44,7 @@ from .connections import (
 )
 from .exterior import Multivector, basis_label, phi_iso
 from .poly import PolyElement
-from .sampling import check_rng, random_poly
+from .sampling import check_draw_arguments, check_rng, random_poly
 
 
 def right_from_generator(alg: LieRinehartAlgebra, gen: GeneratorD) -> RightConnectionOnA:
@@ -89,12 +89,14 @@ def check_generator_duality(alg: LieRinehartAlgebra, gen: GeneratorD,
     both sides are Q-linear in a, so one pass with a = 1 evaluates each
     subset once and decides; `trials`, `seed` and `degree_bound` make no
     difference.  When m > 0, each of `trials` passes draws a random
-    coefficient for every subset.
+    coefficient for every subset.  `trials` below 1 or `degree_bound`
+    below 0 raises ``ValueError`` at every m.
     """
+    check_draw_arguments(trials, degree_bound)
     rng = check_rng(seed, "generator_duality")
     n, m = alg.n, alg.m
     one = PolyElement.one(0)
-    for _ in range(max(trials, 1) if m else 1):
+    for _ in range(trials if m else 1):
         for p in range(n + 1):
             for key in combinations(range(n), p):
                 a = random_poly(rng, m, degree_bound) if m else one
@@ -133,14 +135,16 @@ def check_bracket_pairing_identity(alg: LieRinehartAlgebra, gen: GeneratorD,
     When m = 0 both sides are Q-bilinear in (a, b), so one pass with
     a = b = 1 decides; `trials`, `seed` and `degree_bound` make no
     difference.  When m > 0, each of `trials` passes draws random
-    polynomial coefficients.
+    polynomial coefficients.  `trials` below 1 or `degree_bound` below 0
+    raises ``ValueError`` at every m.
     """
+    check_draw_arguments(trials, degree_bound)
     rng = check_rng(seed, "bracket_pairing")
     n, m = alg.n, alg.m
     full = (1 << n) - 1
     zero = ground.value(PolyElement.zero(m))
     table = bracket_table(alg)
-    for _ in range(max(trials, 1) if m else 1):
+    for _ in range(trials if m else 1):
         for p in range(1, n + 1):
             right = []
             for t_key in combinations(range(n), n - p + 1):

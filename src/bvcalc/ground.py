@@ -26,7 +26,7 @@ from .poly import PolyElement
 def value(coeff: PolyElement):
     """A coefficient as a map value: its int or Fraction constant (0 for zero) at m = 0,
     the `PolyElement` itself at m > 0."""
-    return coeff if coeff.m else coeff.terms.get((), 0)
+    return coeff if coeff.m else coeff.constant_term()
 
 
 def coefficient(m: int, c) -> PolyElement:

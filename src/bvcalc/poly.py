@@ -2,10 +2,29 @@
 
 The base algebra everywhere in this package is A = Q[x1..xm] with
 arbitrary-precision rational coefficients.  A polynomial is stored as a
-map from exponent tuples (length m) to nonzero coefficients, each an
-``int`` or a ``Fraction``; zero coefficients are never kept, so ``==`` is
-structural equality and agrees with mathematical equality.  m = 0 is
-allowed and gives A = Q, the ground-field case.
+map from monomial keys to nonzero coefficients, each an ``int`` or a
+``Fraction``; zero coefficients are never kept, so ``==`` is structural
+equality and agrees with mathematical equality.  m = 0 is allowed and
+gives A = Q, the ground-field case.
+
+A monomial x1^e1 .. xm^em is keyed by one ``int`` of m + 1 fields of
+W = 32 bits each (packed exponent vectors, as in Monagan and Pearce,
+"Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors", CASC 2007):
+
+    key = (e1 + .. + em) << W*m | e1 << W*(m-1) | .. | em
+
+The total degree is the top field and the exponents of x1..xm follow in
+that order, so the graded lexicographic order, total degree first and
+then exponents, is plain integer order, the constant monomial is key 0,
+the key of a product of monomials is the sum of their keys, and
+d/dx_{i+1} lowers a key by one fixed step.  Only this module knows the
+layout: the constructor takes, and `items` yields, exponent tuples.  A
+field must not carry into the next one, so every key has total degree
+below 2^W: the constructor and every product raise ``ValueError``
+rather than return a larger one.  `parse_poly` caps each k in ``x^k``
+at MAX_EXPONENT = 2^16 - 1, so a product reaches degree 2^W only if it
+multiplies 2^16 such powers together, far more than any check forms.
 
 Integer values enter as ``int`` (a ``Fraction`` with denominator 1 is
 stored as its numerator), so the integer-coefficient data that most
@@ -14,9 +33,9 @@ that involves a ``Fraction`` stays a ``Fraction`` even when its value is
 an integer; that is harmless, since ``int`` and ``Fraction`` of equal
 value compare equal, hash equal and print the same.
 
-Terms are kept in the order arithmetic produces them, and that order is
-what a report prints.  The arithmetic skips work that cannot change the
-result:
+The constructor sorts terms by descending key.  Arithmetic keeps terms
+in the order it produces them, and that order is what a report prints.
+The arithmetic skips work that cannot change the result:
 
 - a product with a one-term constant operand scales the other operand's
   terms in their order, and returns that operand itself when the
@@ -36,10 +55,32 @@ No floating point appears anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
 from collections.abc import Iterable, Iterator, Mapping
 
 from .record import Record
+
+W = 32  # bits per key field
+_FIELD = (1 << W) - 1  # the largest value of a field
+MAX_EXPONENT = (1 << 16) - 1  # the largest k `parse_poly` accepts in x^k
+
+_STEPS: dict[int, tuple[int, ...]] = {}
+
+
+def monomial_steps(m: int) -> tuple[int, ...]:
+    """The key increments that multiply a monomial by x1, .., xm.
+
+    Adding steps to key 0 builds the key of any monomial, whatever the
+    order of the additions.
+    """
+    steps = _STEPS.get(m)
+    if steps is None:
+        top = 1 << W * m
+        steps = _STEPS[m] = tuple(top + (1 << W * (m - 1 - i)) for i in range(m))
+    return steps
+
+
+def _exponents(key: int, m: int) -> tuple[int, ...]:
+    return tuple(key >> W * (m - 1 - i) & _FIELD for i in range(m))
 
 
 def _coerce_coeff(value) -> int | Fraction:
@@ -50,10 +91,12 @@ def _coerce_coeff(value) -> int | Fraction:
     raise TypeError(f"exact coefficient expected (int or Fraction), got {type(value).__name__}")
 
 
-def _term_order(item):
-    # graded lexicographic: total degree first, then exponents
-    exps = item[0]
-    return (sum(exps), exps)
+def _make(m: int, terms: dict) -> "PolyElement":
+    """A polynomial on `terms` as they are: monomial keys, nonzero int or Fraction values."""
+    self = object.__new__(PolyElement)
+    self.m = m
+    self.terms = terms
+    return self
 
 
 class PolyElement:
@@ -65,53 +108,45 @@ class PolyElement:
         if m < 0:
             raise ValueError("variable count must be non-negative")
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[tuple[int, ...], int | Fraction] = {}
+        steps = monomial_steps(m)
+        acc: dict[int, int | Fraction] = {}
         for exps, coeff in items:
             exps = tuple(exps)
             if len(exps) != m:
                 raise ValueError(f"exponent vector {exps} has length {len(exps)}, expected {m}")
             if any(e < 0 or not isinstance(e, int) for e in exps):
                 raise ValueError(f"exponents must be non-negative integers: {exps}")
-            c = acc.get(exps, 0) + _coerce_coeff(coeff)
+            if sum(exps) > _FIELD:
+                raise ValueError(f"total degree of {exps} is above 2^{W} - 1")
+            key = sum(e * step for e, step in zip(exps, steps))
+            c = acc.get(key, 0) + _coerce_coeff(coeff)
             if c:
-                acc[exps] = c
-            elif exps in acc:
-                del acc[exps]
+                acc[key] = c
+            elif key in acc:
+                del acc[key]
         self.m = m
-        self.terms = dict(sorted(acc.items(), key=_term_order, reverse=True))
+        self.terms = dict(sorted(acc.items(), reverse=True))
 
-    @classmethod
-    def _make(cls, m: int, canonical: dict) -> "PolyElement":
-        # fast path for arithmetic and `sampling.random_poly`: `canonical`
-        # already has tuple keys and nonzero int or Fraction values
-        self = object.__new__(cls)
-        self.m = m
-        self.terms = canonical
-        return self
+    _make = staticmethod(_make)  # the name perfbench/layers.py counts constructions under
 
     @classmethod
     def zero(cls, m: int) -> "PolyElement":
-        return cls._make(m, {})
+        return _make(m, {})
 
     @classmethod
     def const(cls, m: int, value) -> "PolyElement":
         c = _coerce_coeff(value)
-        return cls._make(m, {(0,) * m: c} if c else {})
+        return _make(m, {0: c} if c else {})
 
     @classmethod
     def one(cls, m: int) -> "PolyElement":
-        return cls.const(m, 1)
+        return _make(m, {0: 1})
 
     @classmethod
     def variable(cls, m: int, i: int) -> "PolyElement":
         if not 0 <= i < m:
             raise ValueError(f"variable index {i} out of range for m={m}")
-        exps = tuple(1 if j == i else 0 for j in range(m))
-        return cls._make(m, {exps: 1})
-
-    def _check_same_ring(self, other: "PolyElement") -> None:
-        if self.m != other.m:
-            raise ValueError(f"mismatched variable counts: {self.m} vs {other.m}")
+        return _make(m, {monomial_steps(m)[i]: 1})
 
     def _promote(self, other) -> "PolyElement | None":
         if isinstance(other, PolyElement):
@@ -120,79 +155,93 @@ class PolyElement:
             return PolyElement.const(self.m, other)
         return None
 
+    def _mismatch(self, other: "PolyElement") -> ValueError:
+        return ValueError(f"mismatched variable counts: {self.m} vs {other.m}")
+
     def __add__(self, other) -> "PolyElement":
-        other = self._promote(other)
-        if other is None:
-            return NotImplemented
-        self._check_same_ring(other)
+        if other.__class__ is not PolyElement:
+            other = self._promote(other)
+            if other is None:
+                return NotImplemented
+        if self.m != other.m:
+            raise self._mismatch(other)
         if not other.terms:
             return self
         if not self.terms:
             return other
         acc = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = acc.get(exps)
+        for key, c in other.terms.items():
+            s = acc.get(key)
             s = c if s is None else s + c
             if s:
-                acc[exps] = s
+                acc[key] = s
             else:
-                del acc[exps]
-        return PolyElement._make(self.m, acc)
+                del acc[key]
+        return _make(self.m, acc)
 
     __radd__ = __add__
 
     def __neg__(self) -> "PolyElement":
-        return PolyElement._make(self.m, {e: -c for e, c in self.terms.items()})
+        return _make(self.m, {key: -c for key, c in self.terms.items()})
 
     def __sub__(self, other) -> "PolyElement":
-        other = self._promote(other)
-        if other is None:
-            return NotImplemented
-        self._check_same_ring(other)
+        if other.__class__ is not PolyElement:
+            other = self._promote(other)
+            if other is None:
+                return NotImplemented
+        if self.m != other.m:
+            raise self._mismatch(other)
         if not other.terms:
             return self
         acc = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = acc.get(exps)
+        for key, c in other.terms.items():
+            s = acc.get(key)
             s = -c if s is None else s - c
             if s:
-                acc[exps] = s
+                acc[key] = s
             else:
-                del acc[exps]
-        return PolyElement._make(self.m, acc)
+                del acc[key]
+        return _make(self.m, acc)
 
     def __rsub__(self, other) -> "PolyElement":
         return (-self) + other
 
     def __mul__(self, other) -> "PolyElement":
-        other = self._promote(other)
-        if other is None:
-            return NotImplemented
-        self._check_same_ring(other)
+        if other.__class__ is not PolyElement:
+            other = self._promote(other)
+            if other is None:
+                return NotImplemented
+        m = self.m
+        if m != other.m:
+            raise self._mismatch(other)
         terms1, terms2 = self.terms, other.terms
         # a nonzero constant operand scales the other's terms in their order
-        if len(terms2) == 1 and not any(next(iter(terms2))):
-            c2 = next(iter(terms2.values()))
+        if len(terms2) == 1 and 0 in terms2:
+            c2 = terms2[0]
             if c2 == 1:
                 return self
-            return PolyElement._make(self.m, {e: c1 * c2 for e, c1 in terms1.items()})
-        if len(terms1) == 1 and not any(next(iter(terms1))):
-            c1 = next(iter(terms1.values()))
+            return _make(m, {key: c1 * c2 for key, c1 in terms1.items()})
+        if len(terms1) == 1 and 0 in terms1:
+            c1 = terms1[0]
             if c1 == 1:
                 return other
-            return PolyElement._make(self.m, {e: c1 * c2 for e, c2 in terms2.items()})
-        acc: dict[tuple[int, ...], int | Fraction] = {}
-        for e1, c1 in terms1.items():
-            for e2, c2 in terms2.items():
-                exps = tuple(map(add, e1, e2))
+            return _make(m, {key: c1 * c2 for key, c2 in terms2.items()})
+        acc: dict[int, int | Fraction] = {}
+        for k1, c1 in terms1.items():
+            for k2, c2 in terms2.items():
+                key = k1 + k2
                 c = c1 * c2
-                s = acc.get(exps)
+                s = acc.get(key)
                 s = c if s is None else s + c
                 if s:
-                    acc[exps] = s
-                elif exps in acc:
-                    del acc[exps]
-        return PolyElement._make(self.m, acc)
+                    acc[key] = s
+                elif key in acc:
+                    del acc[key]
+        # the largest key, the sum of the operands' largest, comes from one pair
+        # and never cancels, and it holds the largest degree
+        if acc and max(acc) >> W * m > _FIELD:
+            raise ValueError(f"product degree is above 2^{W} - 1")
+        return _make(m, acc)
 
     __rmul__ = __mul__
 
@@ -204,14 +253,16 @@ class PolyElement:
         while exponent:
             if exponent & 1:
                 result = result * base
-            base = base * base
             exponent >>= 1
+            if exponent:
+                base = base * base
         return result
 
     def __eq__(self, other) -> bool:
-        other = self._promote(other)
-        if other is None:
-            return NotImplemented
+        if other.__class__ is not PolyElement:
+            other = self._promote(other)
+            if other is None:
+                return NotImplemented
         return self.m == other.m and self.terms == other.terms
 
     def __hash__(self):
@@ -222,21 +273,22 @@ class PolyElement:
 
     def diff(self, i: int) -> "PolyElement":
         """Formal partial derivative with respect to x_{i+1} (0-based i)."""
-        if not 0 <= i < self.m:
-            raise ValueError(f"variable index {i} out of range for m={self.m}")
-        acc: dict[tuple[int, ...], int | Fraction] = {}
-        for exps, c in self.terms.items():
-            e = exps[i]
-            if e == 0:
-                continue
-            new = exps[:i] + (e - 1,) + exps[i + 1:]
-            acc[new] = acc.get(new, 0) + c * e
-        return PolyElement._make(self.m, {e: c for e, c in acc.items() if c})
+        m = self.m
+        if not 0 <= i < m:
+            raise ValueError(f"variable index {i} out of range for m={m}")
+        shift = W * (m - 1 - i)
+        step = monomial_steps(m)[i]
+        return _make(m, {key - step: c * e for key, c in self.terms.items()
+                         if (e := key >> shift & _FIELD)})
 
     def is_constant(self) -> bool:
-        # the keys are distinct, so a constant has at most one term, keyed (0, .., 0)
+        # the keys are distinct, so a constant has at most one term, keyed 0
         terms = self.terms
-        return not terms or (len(terms) == 1 and not any(next(iter(terms))))
+        return not terms or (len(terms) == 1 and 0 in terms)
+
+    def constant_term(self) -> int | Fraction:
+        """The coefficient of the monomial 1, as stored (0 when there is none)."""
+        return self.terms.get(0, 0)
 
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial, always as a Fraction.
@@ -244,22 +296,22 @@ class PolyElement:
         The stored coefficient may be an ``int``; callers such as
         `divergence_rank_one` get a ``Fraction`` whatever the storage.
         """
-        if not self.terms:
-            return Fraction(0)
         if not self.is_constant():
             raise ValueError(f"not a constant polynomial: {self}")
-        return Fraction(next(iter(self.terms.values())))
+        return Fraction(self.constant_term())
 
     def items(self) -> Iterator[tuple[tuple[int, ...], int | Fraction]]:
-        return iter(self.terms.items())
+        """(exponent tuple, coefficient) for each term, in the stored order."""
+        m = self.m
+        return ((_exponents(key, m), c) for key, c in self.terms.items())
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
         parts = []
-        for exps, c in self.terms.items():
+        for exps, c in self.items():
             factors = []
-            if c != 1 or sum(exps) == 0:
+            if c != 1 or not any(exps):
                 factors.append(str(c))
             for i, e in enumerate(exps):
                 if e == 1:
@@ -289,8 +341,8 @@ def parse_poly(text: str, m: int) -> PolyElement:
     """Parse polynomial text like ``3/2*x1^2*x2 - x2`` exactly.
 
     Grammar: terms joined by + and -, each term a '*'-separated product of
-    rational constants and powers ``xi^k`` of the variables x1..xm.  No
-    parentheses and no floating point.
+    rational constants and powers ``xi^k`` of the variables x1..xm, with
+    k at most MAX_EXPONENT.  No parentheses and no floating point.
     """
     pos = 0
     n = len(text)
@@ -350,7 +402,9 @@ def parse_poly(text: str, m: int) -> PolyElement:
             skip_ws()
             col = pos
             exp = parse_uint()
-            return atom ** exp if col != pos else atom  # parse_uint raised otherwise
+            if exp > MAX_EXPONENT:
+                raise PolyParseError(f"exponent {exp} is above {MAX_EXPONENT}", col)
+            return atom ** exp
         return atom
 
     def parse_term() -> PolyElement:

@@ -54,6 +54,7 @@ from .homology import (
 from .poly import PolyElement
 from .record import Record
 from .sampling import (
+    check_draw_arguments,
     check_rng,
     random_christoffel,
     random_lelement,
@@ -322,11 +323,11 @@ class _SuiteRunner:
         self.record("linear-connection", "torsionfree-lift", not bad, witness=bad)
 
         bad = ""
+        ident = identity_top_form(alg)
         for _ in range(self.trials):
             conn = LeftConnectionOnL(random_christoffel(rng, alg, self.degree_bound))
             induced = induced_top_connection(alg, conn)
             alpha = random_lelement(rng, alg, self.degree_bound)
-            ident = identity_top_form(alg)
             div = divergence_rank_one(
                 lambda f: generalized_lie_derivative(alg, induced, alpha, f), ident)
             if -div != phi_trace(alg, conn, alpha):
@@ -372,10 +373,7 @@ def run_suite(loaded: LoadedAlgebra, suites: tuple[str, ...] | None = None,
     if unknown:
         raise ValueError(f"unknown suite(s): {', '.join(unknown)}; "
                          f"choose from {', '.join(SUITE_NAMES)}")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    if degree_bound < 0:
-        raise ValueError(f"degree_bound must be at least 0, got {degree_bound}")
+    check_draw_arguments(trials, degree_bound)
     runner = _SuiteRunner(loaded, seed=seed, trials=trials, degree_bound=degree_bound)
     started = time.perf_counter()
     dispatch = {

@@ -27,6 +27,14 @@ RANK5 = LieRinehartAlgebra.from_structure_constants(5, {
 }, name="rank5")
 
 
+# out-of-range arguments of a randomized check, each with its ValueError message
+BAD_DRAW_ARGUMENTS = [
+    ({"trials": 0}, "trials must be at least 1, got 0"),
+    ({"trials": -3}, "trials must be at least 1, got -3"),
+    ({"degree_bound": -1}, "degree_bound must be at least 0, got -1"),
+]
+
+
 def exponent_vectors(m: int, max_degree: int = 3):
     return st.lists(st.integers(min_value=0, max_value=max_degree), min_size=m, max_size=m) \
         .filter(lambda exps: sum(exps) <= max_degree).map(tuple)

@@ -39,6 +39,8 @@ from bvcalc.poly import PolyElement
 from bvcalc.sampling import check_rng, random_multivector, random_poly, random_poly_vector
 from bvcalc.suites import run_suite
 
+from conftest import BAD_DRAW_ARGUMENTS
+
 from conftest import RANK5, fresh_copy, multivectors, polys
 
 COORD = LieRinehartAlgebra.coordinate(2)
@@ -1204,3 +1206,36 @@ def test_degree_check_catches_an_odd_derivation_of_degree_one(catalog, monkeypat
     assert re.fullmatch(r"D\(\(.+\)\*e\{1\}\)=.*\*e\{1,2\}.* is not of degree 0", witness), witness
     if not alg.m:
         assert witness == "D((1)*e{1})=(1)*e{1,2} is not of degree 0"
+
+
+def _refuse_draws(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew before checking the arguments")
+    monkeypatch.setattr(bv, "random_poly", no_draw)
+
+
+@pytest.mark.parametrize("name", ["sl2", "coordinate-2d"])
+@pytest.mark.parametrize("kwargs, message", BAD_DRAW_ARGUMENTS)
+def test_is_generator_rejects_bad_trials_and_degree_bound(catalog, monkeypatch, name, kwargs,
+                                                          message):
+    # trials=0 returned (True, None) after the operator calls of trials=1
+    alg = catalog[name].algebra
+    gen = GeneratorD(alg, catalog[name].right_connection())
+    calls = []
+    _refuse_draws(monkeypatch)
+    with pytest.raises(ValueError, match=message):
+        is_generator(alg, lambda u: calls.append(u) or gen(u), **kwargs)
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", ["sl2", "coordinate-2d"])
+@pytest.mark.parametrize("kwargs, message", BAD_DRAW_ARGUMENTS)
+def test_generator_square_rejects_bad_trials_and_degree_bound(catalog, monkeypatch, name, kwargs,
+                                                              message):
+    alg = catalog[name].algebra
+    gen = GeneratorD(alg, catalog[name].right_connection())
+    calls = []
+    _refuse_draws(monkeypatch)
+    with pytest.raises(ValueError, match=message):
+        generator_square(alg, lambda u: calls.append(u) or gen(u), **kwargs)
+    assert calls == []

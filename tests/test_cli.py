@@ -9,6 +9,7 @@ import bvcalc
 from bvcalc.catalog import CATALOG_NAMES
 from bvcalc.cli import main
 from bvcalc.homology import ChainComplex
+from bvcalc.poly import MAX_EXPONENT
 from bvcalc import suites
 from bvcalc.suites import SUITE_NAMES, run_suite
 from bvcalc.catalog import load_catalog
@@ -267,6 +268,16 @@ def test_file_integer_other_than_ascii_digits_is_an_input_error(tmp_path, lines,
     assert done.stdout == ""
     assert done.stderr.endswith(message + "\n"), done.stderr
     assert "Traceback" not in done.stderr
+
+
+def test_exponent_above_the_cap_is_an_input_error(capsys, tmp_path):
+    # past the cap a product could carry one field of a monomial key into the next
+    path = tmp_path / "power.alg"
+    path.write_text(f"m = 1\nn = 1\nanchor[1][1] = 2*x1^{MAX_EXPONENT + 1}\n", encoding="utf-8")
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path}: exponent 65536 is above 65535 (line 3, column 21)\n"
 
 
 @pytest.mark.parametrize("line, message", [

@@ -1,6 +1,9 @@
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
+
+from bvcalc import correspond
 from bvcalc.algebra import LieRinehartAlgebra
 from bvcalc.bv import GeneratorD, RightConnectionOnA, generator_square, gerstenhaber_bracket
 from bvcalc.catalog import CATALOG_NAMES, load_catalog
@@ -26,6 +29,8 @@ from bvcalc.correspond import (
 from bvcalc.exterior import Multivector, basis_label, full_tuple, phi_iso
 from bvcalc.poly import PolyElement, parse_poly
 from bvcalc.sampling import check_rng, random_poly, random_poly_vector
+
+from conftest import BAD_DRAW_ARGUMENTS
 
 COORD = LieRinehartAlgebra.coordinate(2)
 NONAB = LieRinehartAlgebra.from_structure_constants(2, {(0, 1): (1, 0)}, name="nonabelian-dim2")
@@ -529,3 +534,21 @@ def test_default_trials_evaluate_every_m_positive_pair_with_nonzero_coefficients
             seen = {(s_key, t_key) for _, left, right in pairing_draws(alg, 8, seed)
                     for s_key, a in left if a for t_key, b in right if b}
             assert seen == pairs, (name, seed, pairs - seen)
+
+
+@pytest.mark.parametrize("check", [check_generator_duality, check_bracket_pairing_identity],
+                         ids=["duality", "pairing"])
+@pytest.mark.parametrize("name", ["sl2", "coordinate-2d"])
+@pytest.mark.parametrize("kwargs, message", BAD_DRAW_ARGUMENTS)
+def test_pairing_checks_reject_bad_trials_and_degree_bound(catalog, monkeypatch, check, name,
+                                                           kwargs, message):
+    # trials=-3 passed the pairing identity; degree_bound=-1 raised from randrange
+    def no_draw(*args):
+        raise AssertionError("drew before checking the arguments")
+
+    monkeypatch.setattr(correspond, "random_poly", no_draw)
+    monkeypatch.setattr(correspond, "draw_term", no_draw)
+    loaded = catalog[name]
+    top = loaded.top_connection()
+    with pytest.raises(ValueError, match=message):
+        check(loaded.algebra, generator_from_top(loaded.algebra, top), top, **kwargs)

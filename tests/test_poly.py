@@ -4,7 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bvcalc.poly import DerivationOfA, PolyElement, PolyParseError, parse_poly
+from bvcalc.poly import (
+    MAX_EXPONENT,
+    DerivationOfA,
+    PolyElement,
+    PolyParseError,
+    W,
+    monomial_steps,
+    parse_poly,
+)
 
 from conftest import exponent_vectors, polys
 
@@ -115,6 +123,55 @@ def test_parse_error_carries_column():
     assert excinfo.value.column == 5  # points at the 'x' of the bad variable
 
 
+def test_exponent_cap_of_the_parser():
+    assert parse_poly(f"x2^{MAX_EXPONENT}", 2) == Y ** MAX_EXPONENT
+    with pytest.raises(PolyParseError) as excinfo:
+        parse_poly(f"x1 + 3*x2^{MAX_EXPONENT + 1}", 2)
+    assert excinfo.value.column == 10  # the first digit of the exponent
+
+
+# -- monomial keys ---------------------------------------------------------
+
+
+def test_no_key_field_carries_into_the_next():
+    x = PolyElement.variable(1, 0)
+    top = 2 ** W - 1  # the largest total degree a key holds
+    assert list((x ** top).items()) == [((top,), 1)]
+    with pytest.raises(ValueError):
+        x ** 2 ** W
+    with pytest.raises(ValueError):
+        PolyElement(2, {(top, 1): 1})
+    half = PolyElement(2, {(2 ** (W - 1), 0): 1, (0, 0): 1})
+    with pytest.raises(ValueError):  # a one-term operand
+        half * PolyElement(2, {(0, 2 ** (W - 1)): 1})
+    with pytest.raises(ValueError):  # the general product
+        half * half
+
+
+@pytest.mark.parametrize("m", range(7))
+@given(data=st.data())
+def test_keys_round_trip_add_and_order_by_degree_then_exponents(m, data):
+    exps = st.lists(st.integers(min_value=0, max_value=MAX_EXPONENT), min_size=m, max_size=m) \
+        .map(tuple)
+    terms = st.lists(st.tuples(exps, st.integers(min_value=-9, max_value=9)), max_size=4)
+    t1, t2 = data.draw(terms), data.draw(terms)
+    p, q = PolyElement(m, t1), PolyElement(m, t2)
+    items = list(p.items())
+    assert dict(items) == ref_poly(t1)
+    assert PolyElement(m, items) == p
+    assert list(PolyElement(m, items[::-1]).items()) == items
+    assert [e for e, _ in items] == sorted((e for e, _ in items), key=lambda e: (sum(e), e),
+                                           reverse=True)
+    assert dict((p * q).items()) == ref_mul(ref_poly(t1), ref_poly(t2))
+    e1, e2 = data.draw(exps), data.draw(exps)
+    product = PolyElement(m, {e1: 2}) * PolyElement(m, {e2: -3})
+    assert list(product.items()) == [(tuple(a + b for a, b in zip(e1, e2)), -6)]
+    for i in range(m):
+        if e1[i]:
+            lowered = e1[:i] + (e1[i] - 1,) + e1[i + 1:]
+            assert list(PolyElement(m, {e1: 2}).diff(i).items()) == [(lowered, 2 * e1[i])]
+
+
 # -- int and Fraction coefficients ---------------------------------------
 # Integer values are stored as ints and the rest as Fractions.  The
 # reference below keeps every coefficient a Fraction and works on plain
@@ -151,8 +208,8 @@ def ref_diff(p: dict, i: int) -> dict:
 
 
 def assert_matches(poly: PolyElement, ref: dict) -> None:
-    assert poly.terms == ref
-    assert all(type(c) in (int, Fraction) and c for c in poly.terms.values())
+    assert dict(poly.items()) == ref
+    assert all(type(c) in (int, Fraction) and c for _, c in poly.items())
 
 
 @given(t1=mixed_terms(2), t2=mixed_terms(2), c1=mixed_terms(2), c2=mixed_terms(2))
@@ -176,7 +233,7 @@ def test_mixed_coefficient_arithmetic_matches_fraction_reference(t1, t2, c1, c2)
 def test_integer_coefficients_stay_ints(p, q):
     # integer data never enters Fraction arithmetic
     for result in (p, p + q, p - q, p * q, p.diff(0), DerivationOfA((q, p))(p)):
-        assert all(type(c) is int for c in result.terms.values())
+        assert all(type(c) is int for _, c in result.items())
 
 
 def test_int_and_fraction_coefficients_are_interchangeable():
@@ -186,7 +243,7 @@ def test_int_and_fraction_coefficients_are_interchangeable():
         assert as_int == as_fraction
         assert hash(as_int) == hash(as_fraction)
         assert str(as_int) == str(as_fraction)
-        assert type(as_fraction.terms[e]) is int
+        assert type(dict(as_fraction.items())[e]) is int
     assert str(PolyElement(2, {(1, 0): Fraction(-6, 4)})) == "-3/2*x1"
 
 
@@ -201,7 +258,7 @@ def test_bool_coefficient_prints_as_one():
     assert str(p) == "x1"
     assert str(PolyElement(0, {(): True})) == "1"
     assert str(PolyElement.const(1, True)) == "1"
-    assert type(p.terms[(1, 0)]) is int
+    assert type(dict(p.items())[(1, 0)]) is int
 
 
 # -- term order of the fast paths ----------------------------------------
@@ -211,26 +268,30 @@ def test_bool_coefficient_prints_as_one():
 # not only as a set.
 
 
-def oracle_add(p: PolyElement, q: PolyElement) -> PolyElement:
-    acc = dict(p.terms)
-    for exps, c in q.terms.items():
+# Each oracle works on the (exponents, coefficient) pairs of `items()` and
+# returns them in its order.
+
+
+def oracle_add(p: PolyElement, q: PolyElement) -> list:
+    acc = dict(p.items())
+    for exps, c in q.items():
         s = acc.get(exps)
         s = c if s is None else s + c
         if s:
             acc[exps] = s
         elif exps in acc:
             del acc[exps]
-    return PolyElement._make(p.m, acc)
+    return list(acc.items())
 
 
-def oracle_sub(p: PolyElement, q: PolyElement) -> PolyElement:
-    return oracle_add(p, PolyElement._make(q.m, {e: -c for e, c in q.terms.items()}))
+def oracle_sub(p: PolyElement, q: PolyElement) -> list:
+    return oracle_add(p, in_order(q.m, [(e, -c) for e, c in q.items()]))
 
 
-def oracle_mul(p: PolyElement, q: PolyElement) -> PolyElement:
+def oracle_mul(p: PolyElement, q: PolyElement) -> list:
     acc = {}
-    for e1, c1 in p.terms.items():
-        for e2, c2 in q.terms.items():
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
             exps = tuple(a + b for a, b in zip(e1, e2))
             c = c1 * c2
             s = acc.get(exps)
@@ -239,7 +300,15 @@ def oracle_mul(p: PolyElement, q: PolyElement) -> PolyElement:
                 acc[exps] = s
             elif exps in acc:
                 del acc[exps]
-    return PolyElement._make(p.m, acc)
+    return list(acc.items())
+
+
+def in_order(m: int, items: list) -> PolyElement:
+    # the polynomial with these terms kept in this order, as arithmetic keeps them;
+    # a monomial's key is the sum of one step per variable factor
+    steps = monomial_steps(m)
+    return PolyElement._make(m, {sum(e * step for e, step in zip(exps, steps)): c
+                                 for exps, c in items})
 
 
 def with_fraction_coefficients(p: PolyElement) -> PolyElement:
@@ -270,15 +339,15 @@ def test_arithmetic_keeps_the_general_loops_term_order(m, data):
         for result, expected in ((a * b, oracle_mul(a, b)), (b * a, oracle_mul(b, a)),
                                  (a + b, oracle_add(a, b)), (b + a, oracle_add(b, a)),
                                  (a - b, oracle_sub(a, b)), (b - a, oracle_sub(b, a))):
-            assert list(result.terms.items()) == list(expected.terms.items())
-            assert str(result) == str(expected)
+            assert list(result.items()) == expected
+            assert str(result) == str(in_order(m, expected))
 
 
 @pytest.mark.parametrize("m", range(4))
 def test_the_constant_fraction_one_really_is_a_fraction(m):
     one = with_fraction_coefficients(PolyElement.one(m))
-    assert list(one.terms.items()) == [((0,) * m, 1)]
-    assert type(one.terms[(0,) * m]) is Fraction
+    assert list(one.items()) == [((0,) * m, 1)]
+    assert type(dict(one.items())[(0,) * m]) is Fraction
 
 
 @given(p=polys(2), c=st.integers(min_value=-9, max_value=9))
@@ -287,4 +356,4 @@ def test_constant_operands_take_the_shortcut(p, c):
     assert p * one is p and p + zero is p and p - zero is p
     if not p.is_constant():  # else p itself is the constant side of one * p
         assert one * p is p and zero + p is p
-    assert DerivationOfA((p, p))(PolyElement.const(2, c)).terms == {}
+    assert list(DerivationOfA((p, p))(PolyElement.const(2, c)).items()) == []

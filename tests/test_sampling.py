@@ -7,6 +7,8 @@ literal that was printed by an earlier version of `bvcalc.sampling`.
 
 import random
 
+import pytest
+
 from bvcalc.catalog import load_catalog
 from bvcalc.poly import PolyElement
 from bvcalc.sampling import (
@@ -45,6 +47,17 @@ def test_multivector_on_coordinate_2d():
     mv = random_multivector(check_rng(0, "pin"), load_catalog("coordinate-2d").algebra)
     assert sorted((key, str(a)) for key, a in mv.components.items()) == [
         ((0, 1), "-5*x1*x2 + 3*x2 + 2"), ((1,), "-8*x2^2")]
+
+
+@pytest.mark.parametrize("m", [0, 2])
+def test_random_poly_rejects_a_negative_degree_bound_before_any_draw(m):
+    # randint(0, -1) raised from randrange, and a bare getrandbits rejection
+    # loop on an empty range would never return
+    rng = check_rng(0, "pin")
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="degree_bound must be at least 0, got -1"):
+        random_poly(rng, m, degree_bound=-1)
+    assert rng.getstate() == state
 
 
 def constructor_draws(rng, m, degree_bound):
