@@ -19,12 +19,16 @@ operator) are kept independent so they can be tested against each other.
 
 The generator identity reads [e_S, e_T] for all 4^n pairs from one
 bitmask table on the algebra (`bvcalc.ground`), filled once by
-`bracket_table` from the bracket code alone, at every m: its values are
-constants at m = 0 and polynomials at m > 0.  D(e_S) is a second table,
-on the `GeneratorD`, at every m: `GeneratorD.ground` fills each entry on
-first need by `ground_generator` from the explicit formula above, reading
-only r and the structure constants, and a call on a e_S adds to
-a D(e_S) the anchor terms [a, e_S], formed from the anchor alone.
+`bracket_table` at every m from the Lie bracket alone: rows with |S| = 1
+spread the n^2 brackets `alg.bracket(e_i, e_j)` over T by the derivation
+rule, and the rows with |S| >= 2 follow from them by the peel rule of
+`_term_bracket`.  Its values are constants at m = 0 and polynomials at
+m > 0.  D(e_S) is a second table, on the `GeneratorD`, at every m:
+`GeneratorD.ground` fills each entry on first need by
+`ground_generator` from the explicit formula above, reading only r and
+the structure constants through `alg.bracket_terms`, which the table
+never reads, and a call on a e_S adds to a D(e_S) the anchor terms
+[a, e_S], formed from the anchor alone.
 Neither table is derived from the other, and `apply_generator` is the
 oracle the tests compare the second table against; the product path
 reaches D nowhere else.  The bracket of a e_S and b e_T is ab [e_S, e_T]
@@ -291,25 +295,34 @@ def bracket_table(alg: LieRinehartAlgebra) -> dict:
     """`alg.gerstenhaber_table`: (S, T) bitmasks -> [e_S, e_T] as a `bvcalc.ground` map.
 
     The values are int or Fraction at m = 0 and `PolyElement` at m > 0.
-    Filled on the first call, S in increasing mask order: entries with
-    |S| <= 1 come from `_term_bracket` at coefficient 1, and the others by
-    its peel rule from entries already filled, with s0 the lowest bit of S
-    and S' the rest:
+    Filled on the first call, S in increasing mask order, by the rules of
+    `_term_bracket` at coefficient 1.  Row S = {} is zero, since the anchor
+    kills 1.  Row S = {i} is the even derivation
+    [e_i, e_T] = sum_k (-1)^k [e_i, e_(t_k)] ^ e_(T - t_k), with k the
+    0-based position of t_k in T, spread over T from the n^2 Lie brackets
+    `alg.bracket(e_i, e_j)`, each computed once as a map {bit of l: c^l_ij};
+    a term with l in T - t_k is zero.  The other rows follow the peel rule
+    from entries already filled, with s0 the lowest bit of S and S' the rest:
     [e_s0 ^ e_S', e_T] = (-1)^((q-1)(p-1)) [e_s0, e_T] ^ e_S' + e_s0 ^ [e_S', e_T].
     """
     table = alg.gerstenhaber_table
     if table:
         return table
-    one = PolyElement.one(alg.m)
-    size = 1 << alg.n
+    n, size = alg.n, 1 << alg.n
+    lie = [[{1 << l: ground.value(c)
+             for l, c in enumerate(alg.bracket(alg.basis_l(i), alg.basis_l(j)).coeffs) if c}
+            for j in range(n)] for i in range(n)]
     for s in range(size):
         p, low = s.bit_count(), s & -s
         for t in range(size):
-            if p <= 1:
-                entry = ground.from_multivector(
-                    _term_bracket(alg, one, ground.to_key(s), one, ground.to_key(t)))
-            else:
-                entry = {}
+            entry = {}
+            if p == 1:
+                row = lie[low.bit_length() - 1]
+                for k, j in enumerate(ground.to_key(t)):
+                    if row[j]:
+                        ground.add_wedge_basis(entry, row[j], t ^ (1 << j),
+                                               sign=-1 if k % 2 else 1)
+            elif p:
                 ground.add_wedge_basis(entry, table[low, t], s ^ low,
                                        sign=-1 if (t.bit_count() - 1) * (p - 1) % 2 else 1)
                 ground.add_basis_wedge(entry, low, table[s ^ low, t])
@@ -317,14 +330,18 @@ def bracket_table(alg: LieRinehartAlgebra) -> dict:
     return table
 
 
-def _scalar_bracket_map(s: int, db: Sequence[PolyElement]) -> dict:
-    """[b, e_S] as a `bvcalc.ground` map, given db[i] = e_i(b).
+def _scalar_bracket_map(s: int, db: Sequence[PolyElement]) -> tuple[dict, dict]:
+    """[b, e_S] = odd - even as two `bvcalc.ground` maps, given db[i] = e_i(b).
 
     With S = {s_0 < s_1 < ..}, [b, e_S] = sum_k (-1)^(k+1) e_(s_k)(b) e_(S - s_k):
     the odd-derivation expansion of `_scalar_bracket`, where [b, e_i] = -e_i(b).
+    `odd` holds the terms of odd k and `even` those of even k, neither negated.
     """
-    return {s ^ (1 << i): db[i] if k % 2 else -db[i]
-            for k, i in enumerate(ground.to_key(s)) if db[i]}
+    odd, even = {}, {}
+    for k, i in enumerate(ground.to_key(s)):
+        if db[i]:
+            (odd if k % 2 else even)[s ^ (1 << i)] = db[i]
+    return odd, even
 
 
 def mask_bracket(table: dict, u: tuple, v: tuple, ab) -> dict:
@@ -351,10 +368,15 @@ def mask_bracket(table: dict, u: tuple, v: tuple, ab) -> dict:
     else:  # a product of nonzero values is nonzero, so only ab = 0 makes zeros
         out = {mask: ab * c for mask, c in table[s, t].items()} if ab else {}
     if db:
-        ground.add_wedge_basis(out, _scalar_bracket_map(s, db), t, -a if p % 2 else a)
+        sign = -1 if p % 2 else 1
+        odd, even = _scalar_bracket_map(s, db)
+        ground.add_wedge_basis(out, odd, t, a, sign)
+        ground.add_wedge_basis(out, even, t, a, -sign)
     if da:
-        ground.add_wedge_basis(out, _scalar_bracket_map(t, da), s,
-                               b if ((p - 1) * (q - 1) + q) % 2 else -b)
+        sign = 1 if ((p - 1) * (q - 1) + q) % 2 else -1
+        odd, even = _scalar_bracket_map(t, da)
+        ground.add_wedge_basis(out, odd, s, b, sign)
+        ground.add_wedge_basis(out, even, s, b, -sign)
     return out
 
 
@@ -420,13 +442,14 @@ def is_generator(alg: LieRinehartAlgebra, op: Operator, trials: int = 32,
         drawn, images = [], {}
         for key in subsets:
             a, u = draw_term(alg, rng, key, degree_bound)
-            image = op(Multivector(n, [(key, a)]))
+            # keys from combinations are increasing, so no constructor sorts them
+            image = op(Multivector._make(n, {key: a} if a else {}))
+            ds = images[u[0]] = ground.from_multivector(image)
             if not m:
-                doubled = op(Multivector.basis(n, key, two))
-                if doubled != image.scale(two):
+                doubled = op(Multivector._make(n, {key: two}))
+                if ground.from_multivector(doubled) != {mask: 2 * c for mask, c in ds.items()}:
                     label = basis_label(key)
                     return False, f"D((2)*{label})={doubled} 2*D({label})={image.scale(two)}"
-            ds = images[u[0]] = ground.from_multivector(image)
             drawn.append((a, u, ds))
         for a, u, ds in drawn:
             s, x, _ = u
@@ -501,10 +524,12 @@ def certify_every_connection(alg: LieRinehartAlgebra,
     n = alg.n
     masks = [(key, ground.to_mask(key))
              for p in range(n + 1) for key in combinations(range(n), p)]
+    one = PolyElement.one(0)
 
     def images(r: tuple[PolyElement, ...]) -> dict:
         op = GeneratorD(alg, RightConnectionOnA(r))
-        return {s: ground.from_multivector(op(Multivector.basis(n, key, m=0)))
+        # keys from combinations are increasing, so no constructor sorts them
+        return {s: ground.from_multivector(op(Multivector._make(n, {key: one})))
                 for key, s in masks}
 
     def show(u: dict) -> Multivector:

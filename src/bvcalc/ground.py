@@ -7,17 +7,20 @@ sign of e_S ^ e_T is then a parity of bit counts, with no sorting of index
 tuples.  `value` and `coefficient` hold the one value convention, each the
 other's inverse: when A = Q (m = 0) a value is an int or Fraction, and
 when m > 0 it is the `PolyElement` coefficient itself.  The helpers below
-take either, since they only add, negate and multiply values; a sign is
-applied by negation, and no int sign or zero start value meets a
-`PolyElement`, so no product or sum promotes an int.  `Multivector` stays
-the public type: these maps are the working form of the pair loops of
-`bv.is_generator` and `correspond.check_bracket_pairing_identity`, of the
-one bracket table `bv.bracket_table` fills per algebra, and of the D(e_S)
-table on each `bv.GeneratorD`, at every m.  Every wedge those need has a
+take either, since they only add, subtract, negate and multiply values; a
+sign is applied by subtracting, or by negating where the sum has no entry
+yet, and no int sign or zero start value meets a `PolyElement`, so no
+product or sum promotes an int.  `Multivector` stays the public type:
+these maps are the working form of the pair loops of `bv.is_generator`
+and `correspond.check_bracket_pairing_identity`, of the one bracket
+table `bv.bracket_table` fills per algebra, and of the D(e_S) table on
+each `bv.GeneratorD`, at every m.  Every wedge those need has a
 basis element e_S on one side, so there is no general product of two maps.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 from .exterior import Multivector
 from .poly import PolyElement
@@ -42,8 +45,9 @@ def to_mask(key: tuple[int, ...]) -> int:
     return mask
 
 
+@cache
 def to_key(mask: int) -> tuple[int, ...]:
-    """The increasing index tuple of a bitmask."""
+    """The increasing index tuple of a bitmask, memoized: at most 2^n masks per rank n in use."""
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
@@ -71,39 +75,45 @@ def add_multiple(acc: dict, u: dict, c=None, sign: int = 1) -> None:
 
 
 def add_wedge_basis(acc: dict, u: dict, t: int, c=None, sign: int = 1) -> None:
-    """acc += sign * c * (u ^ e_T) in place, dropping zeros: one sign and one add per term of u."""
+    """acc += sign * c * (u ^ e_T) in place, dropping zeros: one add or subtract per term of u,
+    and a negation only where acc has no entry yet."""
     for s, a in u.items():
         w = wedge_sign(s, t)
         if w:
             if c is not None:
                 a = c * a
-            if w != sign:
-                a = -a
             mask = s | t
             prev = acc.get(mask)
-            total = a if prev is None else prev + a
-            if total:
-                acc[mask] = total
+            if prev is None:
+                if a:
+                    acc[mask] = a if w == sign else -a
             else:
-                acc.pop(mask, None)
+                total = prev + a if w == sign else prev - a
+                if total:
+                    acc[mask] = total
+                else:
+                    del acc[mask]
 
 
 def add_basis_wedge(acc: dict, s: int, v: dict, c=None, sign: int = 1) -> None:
-    """acc += sign * c * (e_S ^ v) in place, dropping zeros: one sign and one add per term of v."""
+    """acc += sign * c * (e_S ^ v) in place, dropping zeros: one add or subtract per term of v,
+    and a negation only where acc has no entry yet."""
     for t, b in v.items():
         w = wedge_sign(s, t)
         if w:
             if c is not None:
                 b = c * b
-            if w != sign:
-                b = -b
             mask = s | t
             prev = acc.get(mask)
-            total = b if prev is None else prev + b
-            if total:
-                acc[mask] = total
+            if prev is None:
+                if b:
+                    acc[mask] = b if w == sign else -b
             else:
-                acc.pop(mask, None)
+                total = prev + b if w == sign else prev - b
+                if total:
+                    acc[mask] = total
+                else:
+                    del acc[mask]
 
 
 def from_multivector(u: Multivector) -> dict:

@@ -506,23 +506,80 @@ def test_right_from_generator_fills_exactly_n_entries(catalog, name):
     assert sorted(gen.table) == [1 << i for i in range(alg.n)]
 
 
-@pytest.mark.parametrize("name", ["sl2", "rank5"])
-def test_filling_the_table_runs_term_bracket_only_for_small_s(catalog, monkeypatch, name):
-    alg = ground_algebra(catalog, name)
-    seen = []
+def count_fill_calls(alg, monkeypatch):
+    """Record the |S| of every `_term_bracket` call and the basis index pair (i, j) of
+    every `alg.bracket(e_i, e_j)` call; an `alg.bracket` call off the basis raises."""
+    seen, pairs = [], []
+    basis = [alg.basis_l(i) for i in range(alg.n)]
+    lie_bracket = alg.bracket
 
     def counting(alg, a, s_key, b, t_key):
         seen.append(len(s_key))
         return _term_bracket(alg, a, s_key, b, t_key)
 
+    def bracketing(alpha, beta):
+        pairs.append((basis.index(alpha), basis.index(beta)))
+        return lie_bracket(alpha, beta)
+
     monkeypatch.setattr(bv, "_term_bracket", counting)
+    monkeypatch.setattr(alg, "bracket", bracketing)
+    return seen, pairs
+
+
+def basis_pairs(n):
+    return [(i, j) for i in range(n) for j in range(n)]
+
+
+@pytest.mark.parametrize("name", ["sl2", "rank5"])
+def test_filling_the_table_runs_n_squared_lie_brackets_and_no_term_bracket(catalog, monkeypatch,
+                                                                         name):
+    alg = ground_algebra(catalog, name)
+    seen, pairs = count_fill_calls(alg, monkeypatch)
     table = bracket_table(alg)
     assert len(table) == 4 ** alg.n
-    assert len(seen) == (alg.n + 1) * 2 ** alg.n
-    assert max(seen) == 1
+    assert seen == []
+    # each [e_i, e_j] once, whatever the rank of the table
+    assert sorted(pairs) == basis_pairs(alg.n)
     # filled once per algebra: a second call reads the same table
     assert bracket_table(alg) is table
-    assert len(seen) == (alg.n + 1) * 2 ** alg.n
+    assert seen == [] and sorted(pairs) == basis_pairs(alg.n)
+
+
+@pytest.mark.parametrize("name", ["sl2", "heisenberg-dim3", "book-4"])
+def test_a_sign_flip_in_either_bracket_source_alone_fails_the_identity(catalog, monkeypatch,
+                                                                        name):
+    # D reads the structure constants through `alg.bracket_terms` and the table
+    # through `alg.bracket`; neither is derived from the other, so a flip in one
+    # source alone must break the generator identity
+    def load():
+        if name == "book-4":
+            return family_algebra("book", 4, 0)
+        return fresh_copy(catalog[name].algebra)
+
+    alg = load()
+    conn = fraction_connection(alg, f"independence-{name}")
+    assert is_generator(alg, GeneratorD(alg, conn)) == (True, None)
+    i, j = next((i, j) for i, j in basis_pairs(alg.n) if i < j and alg.bracket_terms(i, j))
+
+    alg = load()
+    terms = [list(row) for row in alg._bracket_terms]
+    terms[i][j] = tuple((k, -c) for k, c in terms[i][j])
+    monkeypatch.setattr(alg, "_bracket_terms", tuple(map(tuple, terms)))
+    verdict, witness = is_generator(alg, GeneratorD(alg, conn))
+    assert not verdict and witness, name
+    monkeypatch.undo()
+
+    alg = load()
+    lie_bracket = alg.bracket
+    e_i, e_j = alg.basis_l(i), alg.basis_l(j)
+
+    def flipped(alpha, beta):
+        out = lie_bracket(alpha, beta)
+        return -out if (alpha, beta) == (e_i, e_j) else out
+
+    monkeypatch.setattr(alg, "bracket", flipped)
+    verdict, witness = is_generator(alg, GeneratorD(alg, conn))
+    assert not verdict and witness, name
 
 
 def recorded(op):
@@ -897,17 +954,11 @@ def test_polynomial_bracket_table_is_the_term_bracket_at_coefficient_one(catalog
     for name in polynomial_names(catalog):
         alg = ground_algebra(catalog, name)
         one = PolyElement.one(alg.m)
-        seen = []
-
-        def counting(alg, a, s_key, b, t_key):
-            seen.append(len(s_key))
-            return _term_bracket(alg, a, s_key, b, t_key)
-
-        monkeypatch.setattr(bv, "_term_bracket", counting)
+        seen, pairs = count_fill_calls(alg, monkeypatch)
         table = bracket_table(alg)
         monkeypatch.undo()
-        assert len(table) == 4 ** alg.n and max(seen) == 1
-        assert len(seen) == (alg.n + 1) * 2 ** alg.n
+        assert len(table) == 4 ** alg.n and seen == []
+        assert sorted(pairs) == basis_pairs(alg.n)
         assert all(isinstance(c, PolyElement) for entry in table.values() for c in entry.values())
         for (s, t), entry in table.items():
             assert entry == masked(_term_bracket(alg, one, to_key(s), one, to_key(t))), (name, s, t)
