@@ -52,14 +52,14 @@ passing check is evidence, not proof.
 
 At m = 0 one certificate then covers every right connection, not only
 the file's r0: D_r is affine in r, and two generators differ by an odd
-derivation, so `certify_every_connection` checks that each
-delta_i = D_(r0 + e_i) - D_r0 is a contraction, on the black-box
-operators for r0, r0 + e_i, r0 + 2 e_i and r0 + e_1 + .. + e_n, without
-the bracket table.  With `is_generator` passing at r0 that proves the
-identity for all r, provided the operator is affine in r: the
-certificate probes that along each axis and on the diagonal, which
-catches an operator that is not affine on those points, but no finite
-probe proves it.
+derivation, at m = 0 a contraction with a constant 1-form theta,
+iota_theta(e_R) = sum_k (-1)^k theta[r_k] e_(R - r_k).  So
+`certify_every_connection` checks each probe as one row: on every e_R,
+D_(r0 + v)(e_R) - D_r0(e_R) = iota_theta(v)(e_R) for the shifts
+v = e_i, 2 e_i and e_1 + .. + e_n of black-box operators, without the
+bracket table.  With `is_generator` passing at r0 that proves the
+identity for all r, provided the operator is affine in r, which the last
+two shifts probe but no finite probe proves.
 """
 
 from __future__ import annotations
@@ -216,9 +216,9 @@ class GeneratorD(Record):
             s = ground.to_mask(key)
             ground.add_multiple(out, self.ground(s), ground.value(coeff))
             if not coeff.is_constant():
-                anchor_terms = {s ^ (1 << i): d if k % 2 else -d
-                                for k, i in enumerate(key) if (d := alg.anchor[i](coeff))}
-                ground.add_multiple(out, anchor_terms)
+                for k, i in enumerate(key):
+                    if d := alg.anchor[i](coeff):
+                        ground.add_multiple(out, {s ^ (1 << i): d}, sign=1 if k % 2 else -1)
         return ground.to_multivector(alg.n, out, alg.m)
 
     def ground(self, s: int) -> dict:
@@ -496,28 +496,26 @@ def certify_every_connection(alg: LieRinehartAlgebra,
     D_r0 + sum_i (r - r0)_i delta_i, so the defect of the generator identity
     at r is its defect at r0 plus sum_i (r - r0)_i times the derivation
     defect of delta_i.  That vanishes for every r exactly when each delta_i
-    is an odd derivation, a contraction with a 1-form (Koszul 1985; Xu 1999),
-    which holds exactly when delta_i(1) = 0, each delta_i(e_R) is of degree
-    |R| - 1 (so delta_i(e_l) is a scalar), and, for |R| >= 2 with l the
-    lowest element of R,
-
-        delta_i(e_R) = delta_i(e_l) ^ e_(R - l) - e_l ^ delta_i(e_(R - l)).
-
-    The `GeneratorD` operators for r0, r0 + e_i, r0 + 2 e_i and the
-    diagonal r0 + e_1 + .. + e_n stay black boxes, each called on every e_R
-    ((2n + 2) 2^n calls); the bracket table is never read.  The last two
-    probe the affinity in r that the argument assumes:
-    D_(r0 + 2 e_i) - D_r0 = 2 delta_i and
-    D_(r0 + e_1 + .. + e_n) - D_r0 = delta_1 + .. + delta_n on every e_R.
-    The probes catch an operator that is not affine on those points, for
-    instance a term mixing two directions, but cannot prove affinity.
-    Directions i go in increasing order and R in subset order, degree
-    first, then the diagonal; returns (True, None) or (False, witness)
-    naming the first failing i (i=1..n for the diagonal) and R.  Together
-    with `is_generator` passing at r0, and for an operator affine in r,
-    this proves the identity for every right connection.  Its probes are
-    constant shifts of r, which prove nothing about A-valued r, so m > 0 is
-    refused with a ValueError.
+    is an odd derivation (Koszul 1985; Xu 1999).  An operator of degree -1
+    that kills 1 and obeys the derivation rule is the contraction with the
+    1-form it takes on degree 1, here theta_i[l] = the constant term of
+    delta_i(e_l); iota_theta(e_R) = sum_k (-1)^k theta[r_k] e_(R - r_k), k the
+    0-based position of r_k in R, is formed here, not from `ground_generator`.
+    Each probe is one row (v, theta(v), reason), checked on every e_R as
+    D_(r0 + v)(e_R) - D_r0(e_R) = iota_theta(v)(e_R): axis i has the rows
+    (e_i, theta_i) and (2 e_i, 2 theta_i), and the diagonal row
+    (e_1 + .. + e_n, theta_1 + .. + theta_n) comes last.  The last two kinds
+    probe the affinity in r that the argument assumes; they catch an
+    operator that is not affine on those points, such as a term mixing two
+    directions, but cannot prove affinity.  The operators for r0 and each
+    shift stay black boxes, each called on every e_R ((2n + 2) 2^n calls);
+    the bracket table is never read.  For each axis, then the diagonal, R
+    runs in subset order, degree first, through the rows in turn; returns
+    (True, None) or (False, witness) naming the first failing i (i=1..n for
+    the diagonal) and R.  Together with `is_generator` passing at r0, and
+    for an operator affine in r, this proves the identity for every right
+    connection.  Its probes are constant shifts of r, which prove nothing
+    about A-valued r, so m > 0 is refused with a ValueError.
     """
     if alg.m:
         raise ValueError(f"certify_every_connection needs m = 0, got m = {alg.m}")
@@ -532,52 +530,41 @@ def certify_every_connection(alg: LieRinehartAlgebra,
         return {s: ground.from_multivector(op(Multivector._make(n, {key: one})))
                 for key, s in masks}
 
-    def show(u: dict) -> Multivector:
-        return ground.to_multivector(n, u)
-
     base = images(conn.r)
-    total = {s: {} for _, s in masks}
+
+    def moved(v: Sequence[int]) -> dict:
+        """D_(r0 + v)(e_R) - D_r0(e_R) for every R."""
+        out = images(tuple(c + k for c, k in zip(conn.r, v)))
+        for s, image in out.items():
+            ground.add_multiple(image, base[s], sign=-1)
+        return out
+
+    def contraction(theta: list, s: int) -> dict:
+        return {s ^ (1 << l): -theta[l] if k % 2 else theta[l]
+                for k, l in enumerate(ground.to_key(s)) if theta[l]}
+
+    probes, total = [], [0] * n  # (i, rows), each row (v, D_(r0 + v) - D_r0, theta(v), reason)
     for i in range(n):
-        shifted = [images(conn.r[:i] + (conn.r[i] + k,) + conn.r[i + 1:]) for k in (1, 2)]
-        d = f"delta_{i + 1}"
-        not_contraction = f"so {d} = D[r+e_{i + 1}] - D[r] is not a contraction"
-        delta = {}
+        axis = [int(j == i) for j in range(n)]
+        once = moved(axis)
+        theta = [once[1 << l].get(0, 0) for l in range(n)]
+        total = [a + b for a, b in zip(total, theta)]
+        probes.append((f"{i + 1}", [
+            (f"e_{i + 1}", once, theta,
+             f"delta_{i + 1} = D[r+e_{i + 1}] - D[r] is not a contraction"),
+            (f"2e_{i + 1}", moved([2 * k for k in axis]), [2 * c for c in theta],
+             "D is not affine in r")]))
+    probes.append((f"1..{n}", [(f"e_1+..+e_{n}", moved([1] * n), total, "D is not affine in r")]))
+    for i, rows in probes:
         for key, s in masks:
-            label = basis_label(key)
-            where = f"i={i + 1} R={label}: "
-            once = delta[s] = dict(shifted[0][s])
-            ground.add_multiple(once, base[s], sign=-1)
-            twice = dict(shifted[1][s])
-            ground.add_multiple(twice, base[s], sign=-1)
-            doubled = {mask: 2 * c for mask, c in once.items()}
-            if twice != doubled:
-                return False, (f"{where}D[r+2e_{i + 1}]({label}) - D[r]({label})={show(twice)} "
-                               f"but 2*{d}({label})={show(doubled)}, so D is not affine in r")
-            if not s and once:
-                return False, f"{where}{d}(1)={show(once)}, {not_contraction}"
-            if any(mask.bit_count() != len(key) - 1 for mask in once):
-                return False, (f"{where}{d}({label})={show(once)} is not of degree "
-                               f"{len(key) - 1}, {not_contraction}")
-            if s.bit_count() >= 2:
-                low = s & -s
-                expected = {}
-                ground.add_wedge_basis(expected, delta[low], s ^ low)
-                ground.add_basis_wedge(expected, low, delta[s ^ low], sign=-1)
-                if once != expected:
-                    head, tail = basis_label(key[:1]), basis_label(key[1:])
-                    return False, (f"{where}{d}({label})={show(once)} but "
-                                   f"{d}({head})^{tail} - {head}^{d}({tail})={show(expected)}, "
-                                   f"{not_contraction}")
-            ground.add_multiple(total[s], once)
-    diagonal = images(tuple(c + 1 for c in conn.r))
-    for key, s in masks:
-        moved = dict(diagonal[s])
-        ground.add_multiple(moved, base[s], sign=-1)
-        if moved != total[s]:
-            label = basis_label(key)
-            return False, (f"i=1..{n} R={label}: D[r+e_1+..+e_{n}]({label}) - D[r]({label})="
-                           f"{show(moved)} but delta_1+..+delta_{n}({label})={show(total[s])}, "
-                           f"so D is not affine in r")
+            for v, delta, theta, reason in rows:
+                expected = contraction(theta, s)
+                if delta[s] != expected:
+                    label = basis_label(key)
+                    return False, (f"i={i} R={label}: D[r+{v}]({label}) - D[r]({label})="
+                                   f"{ground.to_multivector(n, delta[s])} but the contraction "
+                                   f"with ({', '.join(map(str, theta))}) gives "
+                                   f"{ground.to_multivector(n, expected)}, so {reason}")
     return True, None
 
 

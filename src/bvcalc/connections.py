@@ -80,6 +80,8 @@ class EndoOfL(Record):
         return len(self.images)
 
     def apply(self, xi: LElement) -> LElement:
+        if xi.n != self.n:
+            raise ValueError("rank mismatch")
         out = None
         for coeff, image in zip(xi.coeffs, self.images):
             term = image.scale(coeff)
@@ -141,6 +143,8 @@ def connection_apply_top(alg: LieRinehartAlgebra, conn: TopConnection,
 def connection_apply_l(alg: LieRinehartAlgebra, conn: LeftConnectionOnL,
                        alpha: LElement, xi: LElement) -> LElement:
     """nabla_alpha xi for general elements of L."""
+    if conn.n != alg.n or alpha.n != alg.n or xi.n != alg.n:
+        raise ValueError("rank mismatch")
     out = [PolyElement.zero(alg.m) for _ in range(alg.n)]
     # the anchor kills constants, so rho(alpha) is built only when some
     # coefficient of xi is not constant, as in `LieRinehartAlgebra.bracket`
@@ -281,6 +285,8 @@ def phi_trace(alg: LieRinehartAlgebra, conn: LeftConnectionOnL,
     sum_i a_i (c^j_ij - Gamma[i][j]_j) - rho_j(a_j), and the trace is
     sum_i a_i t_i - sum_j rho_j(a_j) with t_i = sum_j (c^j_ij - Gamma[i][j]_j).
     """
+    if conn.n != alg.n or alpha.n != alg.n:
+        raise ValueError("rank mismatch")
     out = PolyElement.zero(alg.m)
     for i, a in enumerate(alpha.coeffs):
         if a:
@@ -296,6 +302,8 @@ def phi_trace(alg: LieRinehartAlgebra, conn: LeftConnectionOnL,
 def induced_top_connection(alg: LieRinehartAlgebra,
                            conn: LeftConnectionOnL) -> TopConnection:
     """gamma_i = sum_k Gamma[i][k][k], the trace of the Christoffel rows."""
+    if conn.n != alg.n:
+        raise ValueError("rank mismatch")
     gamma = []
     for i in range(alg.n):
         g = PolyElement.zero(alg.m)

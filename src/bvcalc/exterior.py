@@ -193,6 +193,8 @@ class TopElement(Record):
         return TopElement(self.n, self.coefficient + other.coefficient)
 
     def __sub__(self, other: "TopElement") -> "TopElement":
+        if self.n != other.n:
+            raise ValueError("rank mismatch")
         return TopElement(self.n, self.coefficient - other.coefficient)
 
     def __neg__(self) -> "TopElement":

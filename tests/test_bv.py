@@ -848,27 +848,31 @@ def test_certificate_witnesses_name_the_direction_and_the_subset(monkeypatch):
     original = bv.ground_generator
     cases = [
         (r_term_mutant(2, -1),
-         "i=3 R=e{1,2,3}: delta_3(e{1,2,3})=(-1)*e{1,2} but "
-         "delta_3(e{1})^e{2,3} - e{1}^delta_3(e{2,3})=(1)*e{1,2}, "
+         "i=3 R=e{1,2,3}: D[r+e_3](e{1,2,3}) - D[r](e{1,2,3})=(-1)*e{1,2} but the "
+         "contraction with (0, 0, 1, 0, 0, 0) gives (1)*e{1,2}, "
          "so delta_3 = D[r+e_3] - D[r] is not a contraction"),
         (r_term_mutant(1, 0),
-         "i=2 R=e{1,2}: delta_2(e{1,2})=0 but "
-         "delta_2(e{1})^e{2} - e{1}^delta_2(e{2})=(-1)*e{1}, "
+         "i=2 R=e{1,2}: D[r+e_2](e{1,2}) - D[r](e{1,2})=0 but the "
+         "contraction with (0, 1, 0, 0, 0, 0) gives (-1)*e{1}, "
          "so delta_2 = D[r+e_2] - D[r] is not a contraction"),
         # each value squared: D_r0 = 0 still passes, but D is not affine in r
         (lambda alg, conn, s: {mask: c * c for mask, c in original(alg, conn, s).items()},
-         "i=1 R=e{1}: D[r+2e_1](e{1}) - D[r](e{1})=(4) but 2*delta_1(e{1})=(2), "
-         "so D is not affine in r"),
+         "i=1 R=e{1}: D[r+2e_1](e{1}) - D[r](e{1})=(4) but the "
+         "contraction with (2, 0, 0, 0, 0, 0) gives (2), so D is not affine in r"),
         (lambda alg, conn, s: original(alg, conn, s) if s else {0: value(conn.r[0])},
-         "i=1 R=e{}: delta_1(1)=(1), so delta_1 = D[r+e_1] - D[r] is not a contraction"),
-        # delta_i(e_R) = (-1)^slot e_R passes every recursion check
+         "i=1 R=e{}: D[r+e_1](e{}) - D[r](e{})=(1) but the "
+         "contraction with (1, 0, 0, 0, 0, 0) gives 0, "
+         "so delta_1 = D[r+e_1] - D[r] is not a contraction"),
+        # delta_i(e_R) = (-1)^slot e_R keeps the derivation rule, but not the degree
         (r_term_on_s_mutant,
-         "i=1 R=e{1}: delta_1(e{1})=(1)*e{1} is not of degree 0, "
+         "i=1 R=e{1}: D[r+e_1](e{1}) - D[r](e{1})=(1)*e{1} but the "
+         "contraction with (0, 0, 0, 0, 0, 0) gives 0, "
          "so delta_1 = D[r+e_1] - D[r] is not a contraction"),
         # affine along every axis from r0 = 0, not on the diagonal
         (mixed_direction_mutant,
          "i=1..6 R=e{1,2}: D[r+e_1+..+e_6](e{1,2}) - D[r](e{1,2})=(-2)*e{1} + (1)*e{2} "
-         "but delta_1+..+delta_6(e{1,2})=(-1)*e{1} + (1)*e{2}, so D is not affine in r"),
+         "but the contraction with (1, 1, 1, 1, 1, 1) gives (-1)*e{1} + (1)*e{2}, "
+         "so D is not affine in r"),
     ]
     for mutant, witness in cases:
         monkeypatch.setattr(bv, "ground_generator", mutant)
@@ -920,6 +924,47 @@ def test_certificate_passes_without_the_bracket_table(family, n, monkeypatch):
     assert bv.certify_every_connection(alg, conn) == (True, None)
     assert len(calls) == (2 * n + 2) * 2 ** n
     assert not alg.gerstenhaber_table
+
+
+# a fixed integer matrix A for the 1-form theta = A r of `contraction_mutant`
+CONTRACTION_MATRIX = [[(3 * l + 2 * j) % 5 - 2 for j in range(5)] for l in range(5)]
+
+
+def contraction_mutant(alg, conn, s):
+    """`ground_generator` plus the contraction with theta = A r, written out on e_S as
+    sum_k (-1)^k theta[s_k] e_(S - s_k): D_r plus an odd derivation, so still a generator."""
+    out = GROUND_GENERATOR(alg, conn, s)
+    for k, l in enumerate(to_key(s)):
+        theta = sum(a * value(r) for a, r in zip(CONTRACTION_MATRIX[l], conn.r))
+        add_multiple(out, {s ^ (1 << l): theta}, sign=-1 if k % 2 else 1)
+    return out
+
+
+def r_term_at_mutant(j, key, drop_lowest):
+    """`ground_generator` plus r_j e_key at e_key alone, or r_j e_(key - lowest) if `drop_lowest`:
+    at |key| >= 2 neither is the value of a contraction at e_key."""
+    def mutated(alg, conn, s):
+        out = GROUND_GENERATOR(alg, conn, s)
+        if s == to_mask(key):
+            add_multiple(out, {to_mask(key[1:] if drop_lowest else key): value(conn.r[j])})
+        return out
+    return mutated
+
+
+@pytest.mark.parametrize("family", ["abelian", "book", "heisenberg"])
+def test_certificate_accepts_contraction_shifts_and_rejects_other_r_terms(family, monkeypatch):
+    # the acceptance set, seen from outside: D_r + iota_(A r) is still a generator
+    # at every r, and an r_j term off the contractions fails at axis j and at its R
+    alg = family_algebra(family, 5, 0)
+    conn, other = (fraction_connection(alg, f"acceptance-{family}-{k}") for k in (0, 1))
+    monkeypatch.setattr(bv, "ground_generator", contraction_mutant)
+    assert bv.certify_every_connection(alg, conn) == (True, None)
+    for r in (conn, other):
+        assert is_generator(alg, GeneratorD(alg, r)) == (True, None)
+    for j, key, drop_lowest in ((1, (0, 2), False), (3, (0, 2, 4), True), (4, (2,), False)):
+        monkeypatch.setattr(bv, "ground_generator", r_term_at_mutant(j, key, drop_lowest))
+        ok, witness = bv.certify_every_connection(alg, conn)
+        assert not ok and witness.startswith(f"i={j + 1} R={basis_label(key)}: "), witness
 
 
 def test_ground_random_connections_has_no_seed_or_trial_count(catalog, monkeypatch):

@@ -364,6 +364,23 @@ def test_phi_trace_is_the_trace_of_phi_map(catalog):
     assert ground_ranks == {True, False}
 
 
+RANK2_ZERO = LeftConnectionOnL.zero(ABELIAN)
+ABELIAN3 = LieRinehartAlgebra.abelian(3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: TopElement(2, PolyElement.one(0)) - TopElement(3, PolyElement.one(0)),
+    lambda: EndoOfL((ABELIAN.basis_l(0), ABELIAN.basis_l(1))).apply(ABELIAN3.basis_l(2)),
+    lambda: phi_trace(ABELIAN3, RANK2_ZERO, ABELIAN3.basis_l(0)),
+    lambda: connection_apply_l(ABELIAN3, RANK2_ZERO, ABELIAN3.basis_l(0), ABELIAN3.basis_l(1)),
+    lambda: induced_top_connection(ABELIAN3, RANK2_ZERO),
+], ids=["top-sub", "endo-apply", "phi-trace", "connection-apply-l", "induced-top-connection"])
+def test_connection_layer_rejects_a_rank_mismatch(call):
+    # as `one_circ` does: no zip truncates and no index runs past a row
+    with pytest.raises(ValueError, match="rank mismatch"):
+        call()
+
+
 def trace_mutant(anchor: bool = True, slot=lambda i, j: j):
     """The sum of `phi_trace`, written out; `anchor=False` drops the anchor term
     and `slot` picks the coefficient of Gamma[i][j] that it reads."""
