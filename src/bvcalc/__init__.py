@@ -14,8 +14,6 @@ from .algebra import (
 from .bv import (
     GeneratorD,
     RightConnectionOnA,
-    apply_generator,
-    generator_on_factors,
     generator_square,
     gerstenhaber_bracket,
     is_generator,

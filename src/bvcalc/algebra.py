@@ -153,12 +153,6 @@ class LieRinehartAlgebra(Record):
             raise ValueError(f"basis index {i} out of range")
         return self._basis[i]
 
-    def l_element(self, coeffs: Sequence[PolyElement]) -> LElement:
-        coeffs = tuple(coeffs)
-        if len(coeffs) != self.n:
-            raise ValueError("wrong number of coefficients")
-        return LElement(coeffs)
-
     # -- anchor and bracket ------------------------------------------
 
     def anchor_of(self, alpha: LElement) -> DerivationOfA:
@@ -250,9 +244,6 @@ class LieRinehartAlgebra(Record):
                             kind="jacobi", indices=(i, j, k),
                             detail=f"cyclic sum = {total}"))
         return violations
-
-    def is_valid(self) -> bool:
-        return not self.verify_axioms()
 
 
 def build_poisson_cotangent(pi: Sequence[Sequence[PolyElement]],

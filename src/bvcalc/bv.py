@@ -29,16 +29,17 @@ m > 0.  D(e_S) is a second table, on the `GeneratorD`, at every m:
 the structure constants through `alg.bracket_terms`, which the table
 never reads, and a call on a e_S adds to a D(e_S) the anchor terms
 [a, e_S], formed from the anchor alone.
-Neither table is derived from the other, and `apply_generator` is the
-oracle the tests compare the second table against; the product path
-reaches D nowhere else.  The bracket of a e_S and b e_T is ab [e_S, e_T]
-plus two terms in the anchor derivatives of a and b, which vanish for a
-constant coefficient and so always at m = 0 (`mask_bracket`); the
-generator identity and the pairing identity of `bvcalc.correspond` read
-it so at every m, each drawing its coefficients by `draw_term`, and a
-generator identity witness prints the defect map the check summed.
-`gerstenhaber_bracket` stays the public bracket at every m and the
-tests' oracle; no check calls it.
+Neither table is derived from the other.  The tests compare the second
+table against `apply_generator` in `tests/reference.py`, the explicit
+formula on `Multivector` factors, which the package does not ship; the
+product path reaches D only through `GeneratorD`.  The bracket of a e_S
+and b e_T is ab [e_S, e_T] plus two terms in the anchor derivatives of a
+and b, which vanish for a constant coefficient and so always at m = 0
+(`mask_bracket`); the generator identity and the pairing identity of
+`bvcalc.correspond` read it so at every m, each drawing its coefficients
+by `draw_term`, and a generator identity witness prints the defect map
+the check summed.  `gerstenhaber_bracket` stays the public bracket at
+every m and the tests' oracle; no check calls it.
 
 The same linearity makes the m = 0 checks exact.  The generator
 identity is Q-bilinear in the coefficients of u and v once the operator
@@ -102,60 +103,6 @@ def one_circ(alg: LieRinehartAlgebra, conn: RightConnectionOnA, alpha: LElement)
     return out
 
 
-def generator_on_factors(alg: LieRinehartAlgebra, conn: RightConnectionOnA,
-                         thetas: Sequence[LElement]) -> Multivector:
-    """The generator evaluated on a list of degree-1 factors.
-
-    Implements the explicit operator formula literally, with general
-    module elements in every slot; used both by `apply_generator` and by
-    the well-definedness tests that move coefficients between slots.
-    """
-    p = len(thetas)
-    n = alg.n
-    out = Multivector.zero(n)
-    for i in range(p):
-        coeff = one_circ(alg, conn, thetas[i])
-        if not coeff:
-            continue
-        rest = Multivector.scalar(n, coeff)
-        for t, theta in enumerate(thetas):
-            if t != i:
-                rest = rest.wedge(Multivector.from_lelement(theta))
-        out = out + rest if i % 2 == 0 else out - rest
-    for j in range(p):
-        for k in range(j + 1, p):
-            br = alg.bracket(thetas[j], thetas[k])
-            if br.is_zero():
-                continue
-            term = Multivector.from_lelement(br)
-            for t, theta in enumerate(thetas):
-                if t != j and t != k:
-                    term = term.wedge(Multivector.from_lelement(theta))
-            # (j+1) + (k+1) is even exactly when j + k is
-            out = out + term if (j + k) % 2 == 0 else out - term
-    return out
-
-
-def apply_generator(alg: LieRinehartAlgebra, conn: RightConnectionOnA,
-                    u: Multivector) -> Multivector:
-    """Apply the generator induced by a right connection to a multivector.
-
-    Each term a*e_S is evaluated with the coefficient carried by the
-    first factor; degree-0 terms map to 0.  The reference that the tests
-    compare `GeneratorD` against; no check calls it.
-    """
-    if u.n != alg.n:
-        raise ValueError("rank mismatch")
-    out = Multivector.zero(alg.n)
-    for key, coeff in u.components.items():
-        if not key:
-            continue
-        thetas = [alg.basis_l(i).scale(coeff) if t == 0 else alg.basis_l(i)
-                  for t, i in enumerate(key)]
-        out = out + generator_on_factors(alg, conn, thetas)
-    return out
-
-
 def ground_generator(alg: LieRinehartAlgebra, conn: RightConnectionOnA, s: int) -> dict:
     """D(e_S) as a ground map {mask: value}, at every m, from the explicit formula.
 
@@ -164,7 +111,8 @@ def ground_generator(alg: LieRinehartAlgebra, conn: RightConnectionOnA, s: int) 
     (-1)^(j+k) c^l_(s_j s_k) e_l ^ e_R with R = S - s_j - s_k; only the
     nonzero c^l_ab are visited.  The values follow `ground.value`: constants
     at m = 0, polynomials at m > 0.  Reads only r and `alg.bracket_terms`:
-    never the bracket table, never `apply_generator`.
+    never the bracket table, never the tests' `apply_generator` in
+    `tests/reference.py`.
     """
     out = {}
     indices = ground.to_key(s)
@@ -197,7 +145,8 @@ class GeneratorD(Record):
 
     with k the 0-based position in S.  The last sum vanishes when a is a
     constant, so always at m = 0; it is formed here from `alg.anchor`, never
-    from the bracket code.  `apply_generator` stays the test oracle.
+    from the bracket code.  `apply_generator` in `tests/reference.py` is the
+    tests' oracle for it.
     """
 
     _fields = ("alg", "connection")

@@ -19,7 +19,7 @@ from .algfile import AlgebraFileError, load
 from .bv import GeneratorD
 from .catalog import CATALOG_NAMES, catalog_path, resolve
 from .homology import BoundarySquareError, homology_dims, rinehart_complex
-from .suites import SUITE_NAMES, render_machine, render_text, run_suite
+from .suites import SUITE_NAMES, TRIALS_CAP, render_machine, render_text, run_suite
 
 EXIT_PASS, EXIT_FAIL, EXIT_INPUT = 0, 1, 2
 FORMATS = ("text", "machine")
@@ -56,7 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="trials per randomized identity (at least 1); "
                             "generator.random-connections (m > 0), the D^2 draws of "
                             "generator.square-zero and flatness-coherence, "
-                            "duality.matched-pair and bracket-expansion run at most 8")
+                            "duality.matched-pair and bracket-expansion run at most "
+                            f"{TRIALS_CAP}")
     check.add_argument("--degree-bound", type=_nonnegative_int, default=3,
                        help="degree bound for random polynomial coefficients (at least 0)")
     check.add_argument("--format", choices=FORMATS, default="text")

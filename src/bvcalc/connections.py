@@ -86,11 +86,7 @@ class EndoOfL(Record):
         for coeff, image in zip(xi.coeffs, self.images):
             term = image.scale(coeff)
             out = term if out is None else out + term
-        return out
-
-    def entry(self, j: int, k: int) -> PolyElement:
-        """Coefficient of e_k in E(e_j)."""
-        return self.images[j].coeffs[k]
+        return LElement(()) if out is None else out  # rank 0 has no terms
 
 
 def trace_endo(endo: EndoOfL) -> PolyElement:
@@ -169,20 +165,23 @@ def connection_apply_l(alg: LieRinehartAlgebra, conn: LeftConnectionOnL,
 
 
 def torsion(alg: LieRinehartAlgebra, conn: LeftConnectionOnL) -> list[list[LElement]]:
-    """T[i][j] = nabla_{e_i} e_j - nabla_{e_j} e_i - [e_i, e_j]."""
-    return [[conn.table[i][j] - conn.table[j][i] - alg.bracket_basis(i, j)
-             for j in range(alg.n)]
-            for i in range(alg.n)]
+    """T[i][j] = nabla_{e_i} e_j - nabla_{e_j} e_i - [e_i, e_j].
+
+    Evaluated on the pairs i < j alone: T[i][i] = 0 and T[j][i] = -T[i][j]
+    hold by construction.
+    """
+    n = alg.n
+    out = [[alg.zero_l()] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            t = conn.table[i][j] - conn.table[j][i] - alg.bracket_basis(i, j)
+            out[i][j], out[j][i] = t, -t
+    return out
 
 
 def is_torsion_free(alg: LieRinehartAlgebra, conn: LeftConnectionOnL) -> bool:
-    """Whether `torsion` vanishes, tested on the pairs i < j alone.
-
-    T[i][i] = 0 and T[j][i] = -T[i][j] hold by construction.
-    """
-    table = conn.table
-    return all((table[i][j] - table[j][i] - alg.bracket_basis(i, j)).is_zero()
-               for i in range(alg.n) for j in range(i + 1, alg.n))
+    """Whether every entry of `torsion` vanishes."""
+    return all(t.is_zero() for row in torsion(alg, conn) for t in row)
 
 
 def curvature_top(alg: LieRinehartAlgebra, conn: TopConnection) -> list[list[PolyElement]]:

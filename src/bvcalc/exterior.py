@@ -132,10 +132,6 @@ class Multivector:
             raise ValueError("inhomogeneous multivector has no degree")
         return degrees.pop()
 
-    def homogeneous_part(self, p: int) -> "Multivector":
-        return Multivector._make(self.n, {k: v for k, v in self.components.items()
-                                          if len(k) == p})
-
     def __add__(self, other: "Multivector") -> "Multivector":
         if self.n != other.n:
             raise ValueError("rank mismatch")
@@ -258,43 +254,6 @@ class AltForm:
 
     def value_on_increasing(self, key: tuple[int, ...]) -> PolyElement:
         return self.components.get(key, PolyElement.zero(self.m))
-
-    def value_on_basis_tuple(self, indices: Sequence[int]) -> PolyElement:
-        """Value on an arbitrary basis tuple, with the alternating sign."""
-        key, sign = sort_with_sign(tuple(indices))
-        if sign == 0:
-            return PolyElement.zero(self.m)
-        value = self.value_on_increasing(key)
-        return value if sign == 1 else -value
-
-    def evaluate(self, args: Sequence[LElement]) -> TopElement:
-        """Multilinear alternating evaluation on general module elements."""
-        if len(args) != self.degree:
-            raise ValueError(f"expected {self.degree} arguments, got {len(args)}")
-        total = PolyElement.zero(self.m)
-        supports = [[i for i, c in enumerate(a.coeffs) if c] for a in args]
-
-        def walk(slot: int, picked: tuple[int, ...], coeff: PolyElement):
-            nonlocal total
-            if slot == len(args):
-                total = total + coeff * self.value_on_basis_tuple(picked)
-                return
-            for i in supports[slot]:
-                walk(slot + 1, picked + (i,), coeff * args[slot].coeffs[i])
-
-        walk(0, (), PolyElement.one(self.m))
-        return TopElement(self.n, total)
-
-    def evaluate_on_multivector(self, u: Multivector) -> TopElement:
-        """Pair with a multivector of matching degree, term by term."""
-        if u.n != self.n:
-            raise ValueError("rank mismatch")
-        total = PolyElement.zero(self.m)
-        for key, coeff in u.components.items():
-            if len(key) != self.degree:
-                raise ValueError("multivector degree does not match form degree")
-            total = total + coeff * self.value_on_increasing(key)
-        return TopElement(self.n, total)
 
     def __add__(self, other: "AltForm") -> "AltForm":
         if (self.n, self.m, self.degree) != (other.n, other.m, other.degree):

@@ -20,10 +20,8 @@ streams to literals.
 from __future__ import annotations
 
 import random
-from itertools import combinations
 
 from .algebra import LElement
-from .exterior import Multivector
 from .poly import PolyElement, monomial_steps
 
 COEFF_MIN, COEFF_MAX = -9, 9
@@ -81,18 +79,6 @@ def random_poly_vector(rng: random.Random, m: int, length: int,
 
 def random_lelement(rng: random.Random, alg, degree_bound: int = 3) -> LElement:
     return LElement(random_poly_vector(rng, alg.m, alg.n, degree_bound))
-
-
-def random_multivector(rng: random.Random, alg, degree_bound: int = 3) -> Multivector:
-    """Random mixed multivector: each basis subset is kept with probability 1/2."""
-    n = alg.n
-    terms = []
-    for p in range(n + 1):
-        for key in combinations(range(n), p):
-            if rng.random() < 0.5:
-                continue
-            terms.append((key, random_poly(rng, alg.m, degree_bound)))
-    return Multivector(n, terms)
 
 
 def random_christoffel(rng: random.Random, alg, degree_bound: int = 3):

@@ -62,6 +62,10 @@ from .sampling import (
 )
 
 PASS, FAIL, EXPECTED_FAIL, SKIP = "pass", "fail", "expected-fail", "skip"
+# generator.random-connections (m > 0), the D^2 draws of generator.square-zero
+# and flatness-coherence, duality.matched-pair and bracket-expansion run at
+# most this many of the trials
+TRIALS_CAP = 8
 
 
 class CheckOutcome(Record):
@@ -192,7 +196,7 @@ class _SuiteRunner:
         bad = ""
         if alg.m:
             rng = self.rng("generator.random-connections")
-            for k in range(min(self.trials, 8)):
+            for k in range(min(self.trials, TRIALS_CAP)):
                 conn = RightConnectionOnA(random_poly_vector(rng, alg.m, alg.n,
                                                              self.degree_bound))
                 ok_k, wit_k = is_generator(alg, GeneratorD(alg, conn), trials=1,
@@ -206,7 +210,7 @@ class _SuiteRunner:
             bad = "generator.identity fails at the file's r, so no r is certified"
         self.record("generator", "random-connections", not bad, witness=bad)
 
-        square = generator_square(alg, self.gen, trials=min(self.trials, 8),
+        square = generator_square(alg, self.gen, trials=min(self.trials, TRIALS_CAP),
                                   seed=self.seed, degree_bound=self.degree_bound)
         flat = is_flat(alg, self.top)
         self.record("generator", "flatness-coherence", square.is_exact == flat,
@@ -258,8 +262,8 @@ class _SuiteRunner:
 
     def run_duality(self) -> None:
         ok, witness = check_generator_duality(self.alg, self.gen, self.top,
-                                              trials=min(self.trials, 8), seed=self.seed,
-                                              degree_bound=self.degree_bound)
+                                              trials=min(self.trials, TRIALS_CAP),
+                                              seed=self.seed, degree_bound=self.degree_bound)
         self.record("duality", "matched-pair", ok, witness=witness or "")
 
         perturbed = TopConnection((self.top.gamma[0] + 1,) + self.top.gamma[1:])
@@ -270,7 +274,8 @@ class _SuiteRunner:
 
     def run_bracket_expansion(self) -> None:
         ok, witness = check_bracket_pairing_identity(self.alg, self.gen, self.top,
-                                                     trials=min(self.trials, 8), seed=self.seed,
+                                                     trials=min(self.trials, TRIALS_CAP),
+                                                     seed=self.seed,
                                                      degree_bound=self.degree_bound)
         self.record("bracket-expansion", "pairing-identity", ok, witness=witness or "")
 

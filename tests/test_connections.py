@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
-from bvcalc.algebra import LieRinehartAlgebra
+from bvcalc.algebra import LElement, LieRinehartAlgebra
 from bvcalc.connections import (
     EndoOfL,
     LeftConnectionOnL,
@@ -40,6 +40,7 @@ from bvcalc.sampling import (
 )
 
 from conftest import RANK5, lelements, polys
+from reference import value_on_basis_tuple
 
 COORD = LieRinehartAlgebra.coordinate(2)
 NONAB = LieRinehartAlgebra.from_structure_constants(2, {(0, 1): (1, 0)}, name="nonabelian-dim2")
@@ -95,7 +96,7 @@ def test_top_operators_build_no_anchor_for_a_constant_coefficient(monkeypatch):
     original = LieRinehartAlgebra.anchor_of
     monkeypatch.setattr(LieRinehartAlgebra, "anchor_of",
                         lambda self, alpha: calls.append(alpha) or original(self, alpha))
-    alpha = COORD.l_element((parse_poly("x1*x2 + 1", 2), parse_poly("x1^2 - x2", 2)))
+    alpha = LElement((parse_poly("x1*x2 + 1", 2), parse_poly("x1^2 - x2", 2)))
     gamma = TopConnection((Y, PolyElement.const(2, 3)))
     five = TopElement(2, PolyElement.const(2, 5))
     # lie_trace brackets alpha with each e_j, which builds rho(e_j) because
@@ -117,7 +118,11 @@ def test_top_operators_build_no_anchor_for_a_constant_coefficient(monkeypatch):
 
 def test_is_torsion_free_agrees_with_the_torsion_table(catalog):
     def every_entry_zero(alg, conn):
-        return all(entry.is_zero() for row in torsion(alg, conn) for entry in row)
+        # the formula on every pair (i, j), the diagonal and i > j included
+        full = [[conn.table[i][j] - conn.table[j][i] - alg.bracket_basis(i, j)
+                 for j in range(alg.n)] for i in range(alg.n)]
+        assert torsion(alg, conn) == full
+        return all(entry.is_zero() for row in full for entry in row)
 
     for name, loaded in catalog.items():
         alg = loaded.algebra
@@ -268,7 +273,7 @@ def gather_covariant_derivative(alg, conn, f):
                 inner = PolyElement.zero(m)
                 for l, cl in enumerate(br.coeffs):
                     if cl:
-                        inner = inner + cl * f.value_on_basis_tuple((l,) + rest)
+                        inner = inner + cl * value_on_basis_tuple(f, (l,) + rest)
                 value = value + inner if (p + 1 + s + t) % 2 == 0 else value - inner
         if value:
             acc[key] = value
@@ -306,8 +311,9 @@ def test_covariant_derivative_equals_the_gather_loop(catalog, name):
 def test_phi_map_examples():
     # coordinate algebra, Gamma = 0, alpha = x d/dx: diag(-1, 0)
     endo = phi_map(COORD, LeftConnectionOnL.zero(COORD), COORD.basis_l(0).scale(X))
-    assert endo.entry(0, 0) == PolyElement.const(2, -1)
-    assert not endo.entry(0, 1) and not endo.entry(1, 0) and not endo.entry(1, 1)
+    assert endo.images[0].coeffs[0] == PolyElement.const(2, -1)
+    assert not endo.images[0].coeffs[1] and not endo.images[1].coeffs[0] \
+        and not endo.images[1].coeffs[1]
     # Gamma = 0 on a ground-field algebra: Phi_alpha = ad_alpha
     endo = phi_map(NONAB, LeftConnectionOnL.zero(NONAB), NONAB.basis_l(1))
     assert endo.images[0] == NONAB.bracket_basis(1, 0)
@@ -379,6 +385,11 @@ def test_connection_layer_rejects_a_rank_mismatch(call):
     # as `one_circ` does: no zip truncates and no index runs past a row
     with pytest.raises(ValueError, match="rank mismatch"):
         call()
+
+
+def test_rank_zero_endomorphism_maps_to_the_zero_element():
+    # with no images there is no term to sum
+    assert EndoOfL(()).apply(LElement(())) == LElement(())
 
 
 def trace_mutant(anchor: bool = True, slot=lambda i, j: j):

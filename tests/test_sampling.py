@@ -17,9 +17,10 @@ from bvcalc.sampling import (
     MAX_TERMS,
     check_rng,
     random_christoffel,
-    random_multivector,
     random_poly,
 )
+
+from reference import random_multivector
 
 
 def test_ground_field_polynomials():
