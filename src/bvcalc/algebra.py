@@ -98,10 +98,6 @@ class LieRinehartAlgebra(Record):
         self.anchor = anchor
         self.structure = structure
         self.name = name
-        # (S, T) bitmasks -> [e_S, e_T] as a bvcalc.ground map, constants at
-        # m = 0 and polynomials at m > 0; all 4^n pairs filled at once by
-        # bvcalc.bv.bracket_table on first use
-        self.gerstenhaber_table = {}
         # lie_trace(e_i) for i < n, filled on first use by bvcalc.correspond
         self.lie_traces = []
         # derived from the fields, which no code changes, so set once here
@@ -115,7 +111,7 @@ class LieRinehartAlgebra(Record):
                                   else self._zero_l)
                             for j in range(n))
                       for i in range(n))
-        self._bracket_table = table
+        self._lie_table = table
         self._bracket_terms = tuple(tuple(tuple((k, c) for k, c in enumerate(br.coeffs) if c)
                                           for br in row)
                                     for row in table)
@@ -173,7 +169,7 @@ class LieRinehartAlgebra(Record):
 
     def bracket_basis(self, i: int, j: int) -> LElement:
         """[e_i, e_j] for any i, j, with structural antisymmetry."""
-        return self._bracket_table[i][j]
+        return self._lie_table[i][j]
 
     def bracket_terms(self, i: int, j: int) -> tuple[tuple[int, PolyElement], ...]:
         """The nonzero components (k, c^k_ij) of [e_i, e_j], k increasing."""

@@ -17,19 +17,19 @@ bracket in the sense checked by `is_generator`, and that identity pins
 the sign conventions: the two code paths (recursive bracket, explicit
 operator) are kept independent so they can be tested against each other.
 
-The generator identity reads [e_S, e_T] for all 4^n pairs from one
-bitmask table on the algebra (`bvcalc.ground`), filled once by
-`bracket_table` at every m from the Lie bracket alone: rows with |S| = 1
-spread the n^2 brackets `alg.bracket(e_i, e_j)` over T by the derivation
-rule, and the rows with |S| >= 2 follow from them by the peel rule of
-`_term_bracket`.  Its values are constants at m = 0 and polynomials at
-m > 0.  D(e_S) is a second table, on the `GeneratorD`, at every m:
+The generator identity computes [e_S, e_T] on each pair it visits, at
+every m, from the Lie bracket alone: `lie_brackets` reads the n^2
+brackets `alg.bracket(e_i, e_j)` once per check call, and
+`basis_bracket` extends them by the closed form of the biderivation
+(Koszul 1985), a sum over one index of S and one of T.  Its values are
+constants at m = 0 and polynomials at m > 0, and nothing is kept per
+pair.  D(e_S) is a table on the `GeneratorD`, at every m:
 `GeneratorD.ground` fills each entry on first need by
 `ground_generator` from the explicit formula above, reading only r and
-the structure constants through `alg.bracket_terms`, which the table
-never reads, and a call on a e_S adds to a D(e_S) the anchor terms
-[a, e_S], formed from the anchor alone.
-Neither table is derived from the other.  The tests compare the second
+the structure constants through `alg.bracket_terms`, which
+`lie_brackets` never reads, and a call on a e_S adds to a D(e_S) the
+anchor terms [a, e_S], formed from the anchor alone.
+Neither side is derived from the other.  The tests compare the D
 table against `apply_generator` in `tests/reference.py`, the explicit
 formula on `Multivector` factors, which the package does not ship; the
 product path reaches D only through `GeneratorD`.  The bracket of a e_S
@@ -57,8 +57,8 @@ derivation, at m = 0 a contraction with a constant 1-form theta,
 iota_theta(e_R) = sum_k (-1)^k theta[r_k] e_(R - r_k).  So
 `certify_every_connection` checks each probe as one row: on every e_R,
 D_(r0 + v)(e_R) - D_r0(e_R) = iota_theta(v)(e_R) for the shifts
-v = e_i, 2 e_i and e_1 + .. + e_n of black-box operators, without the
-bracket table.  With `is_generator` passing at r0 that proves the
+v = e_i, 2 e_i and e_1 + .. + e_n of black-box operators, without any
+bracket.  With `is_generator` passing at r0 that proves the
 identity for all r, provided the operator is affine in r, which the last
 two shifts probe but no finite probe proves.
 """
@@ -111,8 +111,8 @@ def ground_generator(alg: LieRinehartAlgebra, conn: RightConnectionOnA, s: int) 
     (-1)^(j+k) c^l_(s_j s_k) e_l ^ e_R with R = S - s_j - s_k; only the
     nonzero c^l_ab are visited.  The values follow `ground.value`: constants
     at m = 0, polynomials at m > 0.  Reads only r and `alg.bracket_terms`:
-    never the bracket table, never the tests' `apply_generator` in
-    `tests/reference.py`.
+    never `alg.bracket` or `basis_bracket`, never the tests' `apply_generator`
+    in `tests/reference.py`.
     """
     out = {}
     indices = ground.to_key(s)
@@ -240,43 +240,50 @@ def gerstenhaber_bracket(alg: LieRinehartAlgebra, u: Multivector,
     return out
 
 
-def bracket_table(alg: LieRinehartAlgebra) -> dict:
-    """`alg.gerstenhaber_table`: (S, T) bitmasks -> [e_S, e_T] as a `bvcalc.ground` map.
+def lie_brackets(alg: LieRinehartAlgebra) -> list:
+    """The nonzero [e_a, e_b] as (bit of a, bit of b, {bit of l: c^l_ab}), a and b in order.
 
-    The values are int or Fraction at m = 0 and `PolyElement` at m > 0.
-    Filled on the first call, S in increasing mask order, by the rules of
-    `_term_bracket` at coefficient 1.  Row S = {} is zero, since the anchor
-    kills 1.  Row S = {i} is the even derivation
-    [e_i, e_T] = sum_k (-1)^k [e_i, e_(t_k)] ^ e_(T - t_k), with k the
-    0-based position of t_k in T, spread over T from the n^2 Lie brackets
-    `alg.bracket(e_i, e_j)`, each computed once as a map {bit of l: c^l_ij};
-    a term with l in T - t_k is zero.  The other rows follow the peel rule
-    from entries already filled, with s0 the lowest bit of S and S' the rest:
-    [e_s0 ^ e_S', e_T] = (-1)^((q-1)(p-1)) [e_s0, e_T] ^ e_S' + e_s0 ^ [e_S', e_T].
+    Read from `alg.bracket` on all n^2 ordered basis pairs, once per check
+    call; the values follow `ground.value`.
     """
-    table = alg.gerstenhaber_table
-    if table:
-        return table
-    n, size = alg.n, 1 << alg.n
-    lie = [[{1 << l: ground.value(c)
-             for l, c in enumerate(alg.bracket(alg.basis_l(i), alg.basis_l(j)).coeffs) if c}
-            for j in range(n)] for i in range(n)]
-    for s in range(size):
-        p, low = s.bit_count(), s & -s
-        for t in range(size):
-            entry = {}
-            if p == 1:
-                row = lie[low.bit_length() - 1]
-                for k, j in enumerate(ground.to_key(t)):
-                    if row[j]:
-                        ground.add_wedge_basis(entry, row[j], t ^ (1 << j),
-                                               sign=-1 if k % 2 else 1)
-            elif p:
-                ground.add_wedge_basis(entry, table[low, t], s ^ low,
-                                       sign=-1 if (t.bit_count() - 1) * (p - 1) % 2 else 1)
-                ground.add_basis_wedge(entry, low, table[s ^ low, t])
-            table[s, t] = entry
-    return table
+    basis = [alg.basis_l(i) for i in range(alg.n)]
+    out = []
+    for a, e_a in enumerate(basis):
+        for b, e_b in enumerate(basis):
+            terms = {1 << l: ground.value(c) for l, c in enumerate(alg.bracket(e_a, e_b).coeffs)
+                     if c}
+            if terms:
+                out.append((1 << a, 1 << b, terms))
+    return out
+
+
+def basis_bracket(lie: list, s: int, t: int) -> dict:
+    """[e_S, e_T] as a `bvcalc.ground` map, from the `lie_brackets` list `lie`.
+
+    The bracket is the biderivation extending the Lie bracket, and on basis
+    blades it has the closed form (Koszul 1985; Kosmann-Schwarzbach 1996)
+
+        [e_S, e_T] = sum_(i, j) (-1)^(i+j) [e_(s_i), e_(t_j)] ^ e_(S - s_i) ^ e_(T - t_j),
+
+    with i and j the 0-based positions of s_i in S and t_j in T.  A unit
+    coefficient has no anchor derivatives, so no anchor term appears, and
+    the values are constants at m = 0 and polynomials at m > 0.  A term
+    is zero unless S - s_i and T - t_j are disjoint, so [e_S, e_T] = 0
+    when S and T share more than two indices.
+    """
+    out = {}
+    if (s & t).bit_count() > 2:
+        return out
+    for a, b, terms in lie:
+        if s & a and t & b:
+            rest_s, rest_t = s ^ a, t ^ b
+            if rest_s & rest_t:
+                continue
+            w = ground.wedge_sign(rest_s, rest_t)
+            if ((s & (a - 1)).bit_count() + (t & (b - 1)).bit_count()) % 2:
+                w = -w
+            ground.add_wedge_basis(out, terms, rest_s | rest_t, sign=w)
+    return out
 
 
 def _scalar_bracket_map(s: int, db: Sequence[PolyElement]) -> tuple[dict, dict]:
@@ -293,7 +300,7 @@ def _scalar_bracket_map(s: int, db: Sequence[PolyElement]) -> tuple[dict, dict]:
     return odd, even
 
 
-def mask_bracket(table: dict, u: tuple, v: tuple, ab) -> dict:
+def mask_bracket(lie: list, u: tuple, v: tuple, ab) -> dict:
     """[a e_S, b e_T] as a `bvcalc.ground` map, by the Leibniz rule.
 
     u = (S, a, da) and v = (T, b, db) carry a bitmask, a coefficient as a
@@ -304,18 +311,18 @@ def mask_bracket(table: dict, u: tuple, v: tuple, ab) -> dict:
                          - (-1)^((p-1)(q-1)+q) b [a, e_T] ^ e_S,
 
     the biderivation extending the anchor (Koszul 1985), with [e_S, e_T]
-    read from `table` (`bracket_table`) and the last two terms from the
-    derivatives alone.  A constant coefficient, so every coefficient at
-    m = 0, has no anchor derivatives: passing its da or db as () skips its
-    term, which is then zero.
+    from `basis_bracket` on the `lie_brackets` list `lie` and the last two
+    terms from the derivatives alone.  A constant coefficient, so every
+    coefficient at m = 0, has no anchor derivatives: passing its da or db
+    as () skips its term, which is then zero.
     """
     s, a, da = u
     t, b, db = v
     p, q = s.bit_count(), t.bit_count()
     if ab == 1:  # every pair at m = 0
-        out = dict(table[s, t])
+        out = basis_bracket(lie, s, t)
     else:  # a product of nonzero values is nonzero, so only ab = 0 makes zeros
-        out = {mask: ab * c for mask, c in table[s, t].items()} if ab else {}
+        out = {mask: ab * c for mask, c in basis_bracket(lie, s, t).items()} if ab else {}
     if db:
         sign = -1 if p % 2 else 1
         odd, even = _scalar_bracket_map(s, db)
@@ -362,12 +369,13 @@ def is_generator(alg: LieRinehartAlgebra, op: Operator, trials: int = 32,
         [u, v] - sign D(u ^ v) + sign b D(u) ^ e_T + a e_S ^ D(v)
 
     of u = a e_S and v = b e_T then accumulates for every ordered pair in
-    one mask map, the bracket from `mask_bracket` on the bracket table,
-    which is read on every pair, so an edited entry is seen.  The witness
-    prints that map.  The identity sees only the Koszul bracket of D,
-    which adding an odd derivation of any degree leaves unchanged, so
-    once the pairs of a pass hold, every image D(a e_S) of the pass must
-    be of degree |S| - 1 (`_degree_witness`); the witness then names S.
+    one mask map, the bracket from `mask_bracket`, which computes
+    [e_S, e_T] by `basis_bracket` on every pair, so an edited value is
+    seen.  The witness prints that map.  The identity sees only the
+    Koszul bracket of D, which adding an odd derivation of any degree
+    leaves unchanged, so once the pairs of a pass hold, every image
+    D(a e_S) of the pass must be of degree |S| - 1 (`_degree_witness`);
+    the witness then names S.
 
     When m = 0 both sides are Q-bilinear in (a, b) once `op` is Q-linear,
     so one pass with a = 1 decides, and `trials`, `seed` and
@@ -385,7 +393,7 @@ def is_generator(alg: LieRinehartAlgebra, op: Operator, trials: int = 32,
     n, m = alg.n, alg.m
     subsets = [key for p in range(n + 1) for key in combinations(range(n), p)]
     two = PolyElement.const(0, 2)
-    table = bracket_table(alg)
+    lie = lie_brackets(alg)
     for _ in range(trials if m else 1):
         # (a, `mask_bracket`'s (S, a, e_i(a)), D(a e_S) as a mask map) per drawn a e_S
         drawn, images = [], {}
@@ -407,7 +415,7 @@ def is_generator(alg: LieRinehartAlgebra, op: Operator, trials: int = 32,
                 t, y, _ = v
                 ab = x * y
                 w = ground.wedge_sign(s, t) if ab else 0
-                defect = mask_bracket(table, u, v, ab)
+                defect = mask_bracket(lie, u, v, ab)
                 if m:  # the black box on u ^ v
                     duv = op(Multivector._make(n, {ground.to_key(s | t): ab if w > 0 else -ab}
                                                if w else {}))
@@ -458,7 +466,7 @@ def certify_every_connection(alg: LieRinehartAlgebra,
     operator that is not affine on those points, such as a term mixing two
     directions, but cannot prove affinity.  The operators for r0 and each
     shift stay black boxes, each called on every e_R ((2n + 2) 2^n calls);
-    the bracket table is never read.  For each axis, then the diagonal, R
+    no bracket is computed.  For each axis, then the diagonal, R
     runs in subset order, degree first, through the rows in turn; returns
     (True, None) or (False, witness) naming the first failing i (i=1..n for
     the diagonal) and R.  Together with `is_generator` passing at r0, and
@@ -520,19 +528,19 @@ def certify_every_connection(alg: LieRinehartAlgebra,
 class SquareResult(Record):
     """Outcome of testing whether an operator squares to zero."""
 
-    _fields = ("is_exact", "witness", "basis_table")
+    _fields = ("is_exact", "witness")
 
-    def __init__(self, is_exact: bool, witness: str | None, basis_table: dict):
+    def __init__(self, is_exact: bool, witness: str | None):
         self.is_exact = is_exact
         self.witness = witness
-        self.basis_table = basis_table  # S -> D(D(e_S)) on pure basis multivectors
 
 
 def generator_square(alg: LieRinehartAlgebra, op: Operator, trials: int = 8,
                      seed: int = 0, degree_bound: int = 3) -> SquareResult:
     """Test D(D(u)) = 0 on basis multivectors, then with random coefficients.
 
-    The basis pass evaluates D^2(e_S) for every subset S.  When m = 0,
+    The basis pass evaluates D^2(e_S) for every subset S in subset order
+    and stops at the first nonzero one, which is the witness.  When m = 0,
     A = Q and a degree -1 operator is Q-linear, so D^2(a e_S) = a D^2(e_S):
     the basis pass decides, and `trials`, `seed` and `degree_bound` make
     no difference.  When m > 0, D^2(a e_S) can be nonzero although D^2(e_S)
@@ -544,25 +552,18 @@ def generator_square(alg: LieRinehartAlgebra, op: Operator, trials: int = 8,
     rng = check_rng(seed, "generator_square")
     n = alg.n
     subsets = [s for p in range(n + 1) for s in combinations(range(n), p)]
-    table = {}
-    witness = None
-    exact = True
     one = PolyElement.one(alg.m)
     for s_key in subsets:
-        table[s_key] = op(op(Multivector(n, [(s_key, one)])))
-        if not table[s_key].is_zero() and witness is None:
-            exact = False
-            witness = f"D^2({basis_label(s_key)}) = {table[s_key]}"
-    for _ in range(trials):
-        if not exact or not alg.m:
-            break
+        square = op(op(Multivector(n, [(s_key, one)])))
+        if not square.is_zero():
+            return SquareResult(is_exact=False, witness=f"D^2({basis_label(s_key)}) = {square}")
+    for _ in range(trials if alg.m else 0):
         for s_key in subsets:
             a = random_poly(rng, alg.m, degree_bound)
             if not a:
                 continue
             square = op(op(Multivector(n, [(s_key, a)])))
             if not square.is_zero():
-                exact = False
-                witness = f"D^2(({a})*{basis_label(s_key)}) = {square}"
-                break
-    return SquareResult(is_exact=exact, witness=witness, basis_table=table)
+                return SquareResult(is_exact=False,
+                                    witness=f"D^2(({a})*{basis_label(s_key)}) = {square}")
+    return SquareResult(is_exact=True, witness=None)

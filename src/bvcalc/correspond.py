@@ -12,11 +12,11 @@ top connection through the pairing adjoint: phi_{D(u)} = -d(phi_u) in
 every degree.  `check_bracket_pairing_identity` verifies the companion
 expansion d(phi_u)(v) = (-1)^p (u ^ Dv + [u, v]) on complementary pairs,
 with one loop for every m: one coefficient per basis subset and pass, the
-form d(phi_u) once per S, D once per T, and [u, v] from the bracket table
-through `bv.mask_bracket`.  When m = 0 the diagram is Q-linear in u and
-the expansion Q-bilinear in (u, v), so both run one pass over the basis
-with coefficient 1 and their result has no seed or trial count; when
-m > 0 they evaluate random polynomial coefficients.
+form d(phi_u) once per S, D once per T, and [u, v] through
+`bv.mask_bracket` from the n^2 Lie brackets.  When m = 0 the diagram is
+Q-linear in u and the expansion Q-bilinear in (u, v), so both run one
+pass over the basis with coefficient 1 and their result has no seed or
+trial count; when m > 0 they evaluate random polynomial coefficients.
 
 The linear-connection layer: any connection on L induces one on the top
 power by tracing its Christoffel rows, the endomorphisms
@@ -33,7 +33,7 @@ from itertools import combinations
 
 from . import ground
 from .algebra import LElement, LieRinehartAlgebra
-from .bv import GeneratorD, RightConnectionOnA, bracket_table, draw_term, mask_bracket
+from .bv import GeneratorD, RightConnectionOnA, draw_term, lie_brackets, mask_bracket
 from .connections import (
     LeftConnectionOnL,
     TopConnection,
@@ -131,7 +131,8 @@ def check_bracket_pairing_identity(alg: LieRinehartAlgebra, gen: GeneratorD,
     form is A-linear in its argument, so lhs = b d(phi_{a e_S})(e_T).  The
     top coefficient of a e_S ^ D(b e_T) is the term of D(b e_T) on the
     complement of S, and that of [a e_S, b e_T] is read from `mask_bracket`
-    on the bracket table, with no anchor terms for a constant coefficient.
+    on the `lie_brackets` list, with no anchor terms for a constant
+    coefficient.
     When m = 0 both sides are Q-bilinear in (a, b), so one pass with
     a = b = 1 decides; `trials`, `seed` and `degree_bound` make no
     difference.  When m > 0, each of `trials` passes draws random
@@ -143,7 +144,7 @@ def check_bracket_pairing_identity(alg: LieRinehartAlgebra, gen: GeneratorD,
     n, m = alg.n, alg.m
     full = (1 << n) - 1
     zero = ground.value(PolyElement.zero(m))
-    table = bracket_table(alg)
+    lie = lie_brackets(alg)
     for _ in range(trials if m else 1):
         for p in range(1, n + 1):
             right = []
@@ -162,7 +163,7 @@ def check_bracket_pairing_identity(alg: LieRinehartAlgebra, gen: GeneratorD,
                 signed_a = av if ground.wedge_sign(s, rest) > 0 else -av
                 for t_key, b, v, image in right:
                     lhs = v[1] * values.get(t_key, zero)
-                    rhs = mask_bracket(table, u, v, av * v[1]).get(full, zero)
+                    rhs = mask_bracket(lie, u, v, av * v[1]).get(full, zero)
                     if rest in image:
                         rhs = rhs + signed_a * image[rest]
                     if p % 2:

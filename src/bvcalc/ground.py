@@ -12,10 +12,11 @@ sign is applied by subtracting, or by negating where the sum has no entry
 yet, and no int sign or zero start value meets a `PolyElement`, so no
 product or sum promotes an int.  `Multivector` stays the public type:
 these maps are the working form of the pair loops of `bv.is_generator`
-and `correspond.check_bracket_pairing_identity`, of the one bracket
-table `bv.bracket_table` fills per algebra, and of the D(e_S) table on
-each `bv.GeneratorD`, at every m.  Every wedge those need has a
-basis element e_S on one side, so there is no general product of two maps.
+and `correspond.check_bracket_pairing_identity`, of the bracket
+[e_S, e_T] that `bv.basis_bracket` computes on each pair, and of the
+D(e_S) table on each `bv.GeneratorD`, at every m.  Every wedge those
+need has a basis element e_S on one side, so there is no general
+product of two maps.
 """
 
 from __future__ import annotations

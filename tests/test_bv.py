@@ -15,10 +15,11 @@ from bvcalc.bv import (
     GeneratorD,
     RightConnectionOnA,
     _term_bracket,
-    bracket_table,
+    basis_bracket,
     generator_square,
     gerstenhaber_bracket,
     is_generator,
+    lie_brackets,
     one_circ,
 )
 from bvcalc.correspond import right_from_generator
@@ -27,6 +28,7 @@ from bvcalc.ground import (
     add_basis_wedge,
     add_multiple,
     add_wedge_basis,
+    from_multivector,
     to_key,
     to_mask,
     to_multivector,
@@ -211,12 +213,18 @@ def test_generator_square_flat_cases():
     assert generator_square(NONAB, GeneratorD(NONAB, R_FLAT_NONAB), trials=2).is_exact
 
 
+def squares(op, n, m):
+    """D^2(e_S) for every subset S, in subset order."""
+    return [op(op(Multivector.basis(n, key, m=m))) for key in subsets(n)]
+
+
 def test_generator_square_nonflat_case():
     bad = RightConnectionOnA((PolyElement.one(0), PolyElement.zero(0)))
-    result = generator_square(NONAB, GeneratorD(NONAB, bad), trials=2)
+    gen = GeneratorD(NONAB, bad)
+    result = generator_square(NONAB, gen, trials=2)
     assert not result.is_exact
     assert result.witness
-    assert any(not mv.is_zero() for mv in result.basis_table.values())
+    assert any(not mv.is_zero() for mv in squares(gen, 2, 0))
 
 
 def test_ground_field_square_is_decided_by_the_basis_pass(catalog):
@@ -232,7 +240,10 @@ def test_ground_field_square_is_decided_by_the_basis_pass(catalog):
         for result in results[1:]:
             assert result.is_exact == results[0].is_exact
             assert result.witness == results[0].witness
-            assert result.basis_table == results[0].basis_table
+        # the basis pass stops at the first nonzero D^2(e_S), in subset order
+        first = next(((key, sq) for key, sq in zip(subsets(alg.n), squares(gen, alg.n, 0))
+                      if not sq.is_zero()), None)
+        assert results[0].witness == (first and f"D^2({basis_label(first[0])}) = {first[1]}")
         seen.add((name, results[0].is_exact))
     assert ("nonabelian-dim2-nonflat", False) in seen and ("sl2", True) in seen
 
@@ -249,7 +260,7 @@ def test_polynomial_square_runs_the_random_pass():
         return out
 
     result = generator_square(COORD, op, trials=8, seed=0)
-    assert all(mv.is_zero() for mv in result.basis_table.values())
+    assert all(mv.is_zero() for mv in squares(op, 2, 2))
     assert not result.is_exact
     assert result.witness == "D^2((3*x1^2*x2)*e{1,2}) = (6*x2)"
 
@@ -281,13 +292,14 @@ def direct_bracket(alg, u, v):
     return out
 
 
-def table_bracket(alg, u, v):
-    """The sum of a b [e_S, e_T] over the terms a e_S of u and b e_T of v, from the mask table."""
-    table = bracket_table(alg)
+def closed_form_bracket(alg, u, v):
+    """The sum of a b [e_S, e_T] over the terms a e_S of u and b e_T of v, by `basis_bracket`."""
+    lie = lie_brackets(alg)
     out = {}
     for s_key, a in u.components.items():
         for t_key, b in v.components.items():
-            add_multiple(out, table[to_mask(s_key), to_mask(t_key)], value(a) * value(b))
+            add_multiple(out, basis_bracket(lie, to_mask(s_key), to_mask(t_key)),
+                         value(a) * value(b))
     return to_multivector(alg.n, out)
 
 
@@ -308,18 +320,29 @@ def test_tables_agree_with_direct_formulas(catalog, name):
             v = random_multivector(rng, alg)
             assert gen(u) == apply_generator(alg, conn, u)
             assert gerstenhaber_bracket(alg, u, v) == direct_bracket(alg, u, v)
-            assert table_bracket(alg, u, v) == direct_bracket(alg, u, v)
-        assert gen.table and alg.gerstenhaber_table
+            assert closed_form_bracket(alg, u, v) == direct_bracket(alg, u, v)
+        assert gen.table
     assert nonflat_seen
 
 
-def test_polynomial_case_fills_the_d_table_of_its_terms_only():
+def forbid_the_closed_form(monkeypatch):
+    """Make every call of `bv.lie_brackets` or `bv.basis_bracket` fail the test."""
+    def forbidden(*args):
+        raise AssertionError("reached the closed-form bracket")
+
+    for attr in ("lie_brackets", "basis_bracket"):
+        monkeypatch.setattr(bv, attr, forbidden)
+
+
+def test_polynomial_case_fills_the_d_table_of_its_terms_only(monkeypatch):
     alg = LieRinehartAlgebra.coordinate(2)
     gen = GeneratorD(alg, RightConnectionOnA((X, Y)))
     u = Multivector(2, [((0,), X), ((0, 1), Y)])
+    # neither D nor the recursive bracket reaches the closed form
+    forbid_the_closed_form(monkeypatch)
     assert gen(u) == apply_generator(alg, gen.connection, u)
     assert gerstenhaber_bracket(alg, u, u) == direct_bracket(alg, u, u)
-    assert sorted(gen.table) == [0b01, 0b11] and not alg.gerstenhaber_table
+    assert sorted(gen.table) == [0b01, 0b11]
 
 
 def test_is_generator_fails_on_sign_flipped_generator_entry(sl2):
@@ -332,14 +355,24 @@ def test_is_generator_fails_on_sign_flipped_generator_entry(sl2):
     assert witness
 
 
-def test_is_generator_fails_on_sign_flipped_bracket_entry():
-    # a private copy of sl2, so the shared catalog algebra keeps a true table
+BASIS_BRACKET = bv.basis_bracket
+
+
+def edited_basis_bracket(key, edit):
+    """`basis_bracket` with `edit` applied to its value at the (S, T) bitmask pair `key`."""
+    def edited(lie, s, t):
+        out = BASIS_BRACKET(lie, s, t)
+        return edit(out) if (s, t) == key else out
+    return edited
+
+
+def test_is_generator_fails_on_sign_flipped_bracket_entry(monkeypatch):
     alg = LieRinehartAlgebra.from_structure_constants(
         3, {(0, 1): (0, 0, 1), (0, 2): (-2, 0, 0), (1, 2): (0, 2, 0)})
     gen = GeneratorD(alg, RightConnectionOnA(tuple(PolyElement.zero(0) for _ in range(3))))
     assert is_generator(alg, gen, trials=1, seed=0) == (True, None)
     key = (to_mask((0,)), to_mask((1,)))
-    alg.gerstenhaber_table[key] = negated(alg.gerstenhaber_table[key])
+    monkeypatch.setattr(bv, "basis_bracket", edited_basis_bracket(key, negated))
     ok, witness = is_generator(alg, gen, trials=1, seed=0)
     assert not ok
     assert "e{1} v=" in witness
@@ -403,20 +436,24 @@ def ground_algebra(catalog, name):
 
 
 @pytest.mark.parametrize("name", ["sl2", "heisenberg-dim3", "nonabelian-dim2", "rank5"])
-def test_bracket_table_filled_through_itself_equals_direct_recursion(catalog, name):
+def test_basis_bracket_equals_direct_recursion(catalog, monkeypatch, name):
     alg = ground_algebra(catalog, name)
-    assert bracket_table(alg) is alg.gerstenhaber_table
-    assert len(alg.gerstenhaber_table) == 4 ** alg.n
-    assert_table_equals_term_bracket(alg)
+    assert_closed_form_equals_term_bracket(alg, monkeypatch)
 
 
-def assert_table_equals_term_bracket(alg):
-    direct = fresh_copy(alg)
-    one = PolyElement.one(0)
-    for (s, t), entry in bracket_table(alg).items():
-        assert to_multivector(alg.n, entry) == \
-            _term_bracket(direct, one, to_key(s), one, to_key(t)), (s, t)
-    assert not direct.gerstenhaber_table
+def assert_closed_form_equals_term_bracket(alg, monkeypatch):
+    """`basis_bracket` equals `_term_bracket` at coefficient 1 on all 4^n pairs (S, T),
+    and the recursion reaches neither `lie_brackets` nor `basis_bracket`."""
+    one = PolyElement.one(alg.m)
+    lie = lie_brackets(alg)
+    pairs = [(s, t) for s in range(1 << alg.n) for t in range(1 << alg.n)]
+    closed = [basis_bracket(lie, s, t) for s, t in pairs]
+    forbid_the_closed_form(monkeypatch)
+    for (s, t), entry in zip(pairs, closed):
+        want = _term_bracket(alg, one, to_key(s), one, to_key(t))
+        assert entry == from_multivector(want), (s, t)
+    monkeypatch.undo()
+    assert len(closed) == 4 ** alg.n
 
 
 # four families of ground-field Lie algebras as 0-based structure constants
@@ -453,13 +490,12 @@ def family_algebra(family, n, seed):
 @pytest.mark.parametrize("family, n", [
     *((family, n) for family in ("abelian", "book", "filiform") for n in range(1, 6)),
     ("heisenberg", 3), ("heisenberg", 5)])
-def test_bracket_table_equals_term_bracket_on_generated_families(family, n):
-    # the mask table (the m = 0 kernel) against the generic path
+def test_basis_bracket_equals_term_bracket_on_generated_families(family, n, monkeypatch):
+    # the closed form (the m = 0 kernel) against the generic path
     for seed in (0, 1):
         alg = family_algebra(family, n, seed)
         assert not alg.verify_axioms()
-        assert len(bracket_table(alg)) == 4 ** n
-        assert_table_equals_term_bracket(alg)
+        assert_closed_form_equals_term_bracket(alg, monkeypatch)
 
 
 def fraction_connection(alg, label):
@@ -473,7 +509,7 @@ def fraction_connection(alg, label):
 @pytest.mark.parametrize("family, n", [
     *((family, n) for family in ("abelian", "book", "filiform") for n in range(1, 6)),
     ("heisenberg", 3), ("heisenberg", 5)])
-def test_generator_table_equals_apply_generator_on_generated_families(family, n):
+def test_generator_table_equals_apply_generator_on_generated_families(family, n, monkeypatch):
     # the mask D table (the m = 0 kernel) against the generic path
     for seed in (0, 1):
         alg = family_algebra(family, n, seed)
@@ -483,14 +519,15 @@ def test_generator_table_equals_apply_generator_on_generated_families(family, n)
         gen = GeneratorD(alg, conn)
         # the D table cannot call apply_generator: the package does not ship it
         assert not hasattr(bv, "apply_generator")
+        # the D table never reaches the closed-form bracket
+        forbid_the_closed_form(monkeypatch)
         for s in range(1 << n):
             gen(Multivector.basis(n, to_key(s), m=0))
+        monkeypatch.undo()
         assert sorted(gen.table) == list(range(1 << n))
         for s, entry in gen.table.items():
             assert to_multivector(n, entry) == \
                 apply_generator(alg, conn, Multivector.basis(n, to_key(s), m=0)), (s, entry)
-        # the D table never reads the bracket table
-        assert not alg.gerstenhaber_table
 
 
 @pytest.mark.parametrize("name", ["sl2", "heisenberg-dim3", "rank5"])
@@ -526,18 +563,15 @@ def basis_pairs(n):
 
 
 @pytest.mark.parametrize("name", ["sl2", "rank5"])
-def test_filling_the_table_runs_n_squared_lie_brackets_and_no_term_bracket(catalog, monkeypatch,
-                                                                         name):
+def test_is_generator_runs_n_squared_lie_brackets_and_no_term_bracket(catalog, monkeypatch,
+                                                                       name):
     alg = ground_algebra(catalog, name)
+    gen = GeneratorD(alg, fraction_connection(alg, f"lie-brackets-{name}"))
     seen, pairs = count_fill_calls(alg, monkeypatch)
-    table = bracket_table(alg)
-    assert len(table) == 4 ** alg.n
+    assert is_generator(alg, gen) == (True, None)
     assert seen == []
-    # each [e_i, e_j] once, whatever the rank of the table
+    # each [e_i, e_j] once per pass, whatever the number of pairs (S, T) it visits
     assert sorted(pairs) == basis_pairs(alg.n)
-    # filled once per algebra: a second call reads the same table
-    assert bracket_table(alg) is table
-    assert seen == [] and sorted(pairs) == basis_pairs(alg.n)
 
 
 @pytest.mark.parametrize("name", ["sl2", "heisenberg-dim3", "book-4"])
@@ -615,13 +649,11 @@ def test_ground_pair_loop_exits_on_the_first_failing_pair(sl2, monkeypatch):
     op, calls = recorded(gen)
     reads = []
 
-    class RecordingTable(dict):
-        def __getitem__(self, key):
-            reads.append(key)
-            return super().__getitem__(key)
+    def recording(lie, s, t):
+        reads.append((s, t))
+        return BASIS_BRACKET(lie, s, t)
 
-    table = RecordingTable(bracket_table(sl2))
-    monkeypatch.setattr(bv, "bracket_table", lambda alg: table)
+    monkeypatch.setattr(bv, "basis_bracket", recording)
     ok, witness = is_generator(sl2, op, trials=2, seed=0)
     # e_{} pairs cannot see D(e1 ^ e2); (e1, e2) is the first pair that does
     assert (ok, witness) == (
@@ -632,14 +664,14 @@ def test_ground_pair_loop_exits_on_the_first_failing_pair(sl2, monkeypatch):
     assert reads[-1] == (to_mask((0,)), to_mask((1,))) and len(reads) < len(pairs)
 
 
-def test_is_generator_witness_after_a_scaled_bracket_entry():
+def test_is_generator_witness_after_a_scaled_bracket_entry(monkeypatch):
     alg = LieRinehartAlgebra.from_structure_constants(
         3, {(0, 1): (0, 0, 1), (0, 2): (-2, 0, 0), (1, 2): (0, 2, 0)})
     gen = GeneratorD(alg, RightConnectionOnA(tuple(PolyElement.zero(0) for _ in range(3))))
     assert is_generator(alg, gen, trials=1, seed=0) == (True, None)
     key = (to_mask((0,)), to_mask((1, 2)))
-    alg.gerstenhaber_table[key] = {
-        mask: c * Fraction(1, 2) for mask, c in alg.gerstenhaber_table[key].items()}
+    monkeypatch.setattr(bv, "basis_bracket", edited_basis_bracket(
+        key, lambda entry: {mask: c * Fraction(1, 2) for mask, c in entry.items()}))
     assert is_generator(alg, gen, trials=3, seed=4) == (
         False, "u=(1)*e{1} v=(1)*e{2,3} defect=(-1)*e{1,2}")
 
@@ -702,22 +734,34 @@ def test_ground_generator_identity_has_no_seed_or_trial_count(catalog):
 
 
 @pytest.mark.parametrize("name", ["sl2", "heisenberg-dim3"])
-def test_every_sign_flip_of_a_table_entry_fails_on_its_own(catalog, name):
+def test_every_sign_flip_of_a_table_entry_fails_on_its_own(catalog, monkeypatch, name):
+    # each nonzero D(e_S) of the table, and each nonzero [e_S, e_T] of `basis_bracket`
     alg = ground_algebra(catalog, name)
     gen = GeneratorD(alg, catalog[name].right_connection())
     assert is_generator(alg, gen) == (True, None)
-    for table, size in ((gen.table, 2 ** alg.n), (alg.gerstenhaber_table, 4 ** alg.n)):
-        assert len(table) == size
-        flipped = 0
-        for key, entry in list(table.items()):
-            if is_zero_entry(entry):
-                continue
-            table[key] = negated(entry)
-            ok, witness = is_generator(alg, gen)
-            table[key] = entry
-            assert not ok and witness, (key, entry)
-            flipped += 1
-        assert flipped
+    assert len(gen.table) == 2 ** alg.n
+    flipped = 0
+    for key, entry in list(gen.table.items()):
+        if is_zero_entry(entry):
+            continue
+        gen.table[key] = negated(entry)
+        ok, witness = is_generator(alg, gen)
+        gen.table[key] = entry
+        assert not ok and witness, (key, entry)
+        flipped += 1
+    assert flipped
+    lie = lie_brackets(alg)
+    pairs = [(s, t) for s in range(1 << alg.n) for t in range(1 << alg.n)]
+    flipped = 0
+    for key in pairs:
+        if not BASIS_BRACKET(lie, *key):
+            continue
+        monkeypatch.setattr(bv, "basis_bracket", edited_basis_bracket(key, negated))
+        ok, witness = is_generator(alg, gen)
+        monkeypatch.undo()
+        assert not ok and witness, key
+        flipped += 1
+    assert flipped
     assert is_generator(alg, gen) == (True, None)
 
 
@@ -904,9 +948,10 @@ def test_certificate_fails_mutants_that_break_the_identity_away_from_r0(monkeypa
 @pytest.mark.parametrize("family, n", [
     *((family, n) for family in ("abelian", "book", "filiform") for n in range(1, 6)),
     ("heisenberg", 3), ("heisenberg", 5)])
-def test_certificate_passes_without_the_bracket_table(family, n, monkeypatch):
+def test_certificate_passes_without_any_bracket(family, n, monkeypatch):
     # (2n + 2) 2^n operator calls, each D(e_R) built once per operator
     alg = family_algebra(family, n, 0)
+    forbid_the_closed_form(monkeypatch)
     conn = fraction_connection(alg, f"certificate-{family}-{n}")
     calls = []
     original = bv.ground_generator
@@ -918,7 +963,6 @@ def test_certificate_passes_without_the_bracket_table(family, n, monkeypatch):
     monkeypatch.setattr(bv, "ground_generator", counting)
     assert bv.certify_every_connection(alg, conn) == (True, None)
     assert len(calls) == (2 * n + 2) * 2 ** n
-    assert not alg.gerstenhaber_table
 
 
 # a fixed integer matrix A for the 1-form theta = A r of `contraction_mutant`
@@ -990,31 +1034,77 @@ def masked(u):
     return {to_mask(key): c for key, c in u.components.items()}
 
 
-def test_polynomial_bracket_table_is_the_term_bracket_at_coefficient_one(catalog, monkeypatch):
+def test_polynomial_basis_bracket_is_the_term_bracket_at_coefficient_one(catalog, monkeypatch):
     for name in polynomial_names(catalog):
         alg = ground_algebra(catalog, name)
-        one = PolyElement.one(alg.m)
         seen, pairs = count_fill_calls(alg, monkeypatch)
-        table = bracket_table(alg)
+        lie = lie_brackets(alg)
         monkeypatch.undo()
-        assert len(table) == 4 ** alg.n and seen == []
-        assert sorted(pairs) == basis_pairs(alg.n)
-        assert all(isinstance(c, PolyElement) for entry in table.values() for c in entry.values())
-        for (s, t), entry in table.items():
-            assert entry == masked(_term_bracket(alg, one, to_key(s), one, to_key(t))), (name, s, t)
+        assert seen == [] and sorted(pairs) == basis_pairs(alg.n)
+        assert all(isinstance(c, PolyElement) for s in range(1 << alg.n)
+                   for t in range(1 << alg.n) for c in basis_bracket(lie, s, t).values())
+        assert_closed_form_equals_term_bracket(alg, monkeypatch)
+
+
+def cotangent_algebras():
+    """Cotangent algebras of Poisson bivectors with non-constant structure functions."""
+    x1, x2 = PolyElement.variable(2, 0), PolyElement.variable(2, 1)
+    y1, y2, y3 = (PolyElement.variable(3, i) for i in range(3))
+    out = []
+    for m, pi12 in ((2, x1 * x2), (2, x1 * x1 * x2 + PolyElement.const(2, 3) * x2 * x2),
+                    (3, y1 * y2 * y3)):
+        zero = PolyElement.zero(m)
+        pi = [[zero] * m for _ in range(m)]
+        pi[0][1], pi[1][0] = pi12, -pi12
+        alg = build_poisson_cotangent(pi, name=f"pi12={pi12}")
+        assert not alg.verify_axioms()
+        assert any(not c.is_constant() for _, c in alg.bracket_terms(0, 1))
+        out.append(alg)
+    return out
+
+
+def closed_form_by_wedges(alg, s_key, t_key, parity):
+    """sum_(i, j) (-1)^parity(i, j) [e_(s_i), e_(t_j)] ^ e_(S - s_i) ^ e_(T - t_j), on
+    `Multivector` wedges, with the Lie brackets from `alg.bracket_terms`."""
+    n, m = alg.n, alg.m
+    out = Multivector.zero(n)
+    for i, a in enumerate(s_key):
+        rest_s = Multivector.basis(n, s_key[:i] + s_key[i + 1:], m=m)
+        for j, b in enumerate(t_key):
+            rest_t = Multivector.basis(n, t_key[:j] + t_key[j + 1:], m=m)
+            lie = Multivector(n, [((l,), c) for l, c in alg.bracket_terms(a, b)])
+            term = lie.wedge(rest_s).wedge(rest_t)
+            out = out - term if parity(i, j) % 2 else out + term
+    return out
+
+
+def test_basis_bracket_is_the_term_bracket_on_non_constant_structure_functions(monkeypatch):
+    # the catalog's m > 0 entries have only zero or constant c^l_ab
+    for alg in cotangent_algebras():
+        assert_closed_form_equals_term_bracket(alg, monkeypatch)
+        one = PolyElement.one(alg.m)
+        keys = subsets(alg.n)
+        terms = {(s_key, t_key): _term_bracket(alg, one, s_key, one, t_key)
+                 for s_key in keys for t_key in keys}
+        assert all(closed_form_by_wedges(alg, s_key, t_key, lambda i, j: i + j) == want
+                   for (s_key, t_key), want in terms.items()), alg.name
+        # the test tells the sign conventions apart
+        for parity in (lambda i, j: i + j + 1, lambda i, j: i, lambda i, j: j):
+            assert any(closed_form_by_wedges(alg, s_key, t_key, parity) != want
+                       for (s_key, t_key), want in terms.items()), alg.name
 
 
 def test_mask_bracket_equals_gerstenhaber_bracket_on_single_terms(catalog):
     for name in polynomial_names(catalog):
         alg = catalog[name].algebra
-        table = bracket_table(alg)
+        lie = lie_brackets(alg)
         rng = check_rng(15, f"mask-bracket-{name}")
         for s_key in subsets(alg.n):
             for t_key in subsets(alg.n):
                 for _ in range(3):
                     a = random_poly(rng, alg.m, 3)
                     b = random_poly(rng, alg.m, 3)
-                    got = bv.mask_bracket(table, drawn(alg, s_key, a), drawn(alg, t_key, b), a * b)
+                    got = bv.mask_bracket(lie, drawn(alg, s_key, a), drawn(alg, t_key, b), a * b)
                     want = gerstenhaber_bracket(alg, Multivector(alg.n, [(s_key, a)]),
                                                 Multivector(alg.n, [(t_key, b)]))
                     assert got == masked(want), (name, s_key, t_key, str(a), str(b))
@@ -1024,7 +1114,7 @@ def test_mask_bracket_takes_no_derivatives_as_zero_derivatives(catalog):
     # da = () or db = () skips that anchor term; it must equal n zero derivatives
     for name, loaded in catalog.items():
         alg = loaded.algebra
-        table = bracket_table(alg)
+        lie = lie_brackets(alg)
         zeros = (value(PolyElement.zero(alg.m)),) * alg.n
         rng = check_rng(17, f"mask-bracket-no-derivatives-{name}")
         for s in range(1 << alg.n):
@@ -1033,9 +1123,9 @@ def test_mask_bracket_takes_no_derivatives_as_zero_derivatives(catalog):
                 da, db = (tuple(value(rho(c)) for rho in alg.anchor) for c in (a, b))
                 a, b = value(a), value(b)
                 for left, right in (((), db), (da, ()), ((), ())):
-                    want = bv.mask_bracket(table, (s, a, left or zeros), (t, b, right or zeros),
+                    want = bv.mask_bracket(lie, (s, a, left or zeros), (t, b, right or zeros),
                                            a * b)
-                    got = bv.mask_bracket(table, (s, a, left), (t, b, right), a * b)
+                    got = bv.mask_bracket(lie, (s, a, left), (t, b, right), a * b)
                     assert got == want, (name, s, t, left, right)
 
 
@@ -1050,12 +1140,12 @@ def scalar_bracket_map(s, db):
 
 def mask_bracket_without(dropped=None):
     """`bv.mask_bracket` written out term by term, with the named term left out."""
-    def bracket(table, u, v, ab):
+    def bracket(lie, u, v, ab):
         s, a, da = u
         t, b, db = v
         p, q = s.bit_count(), t.bit_count()
         out = {}
-        add_multiple(out, table[s, t], ab)
+        add_multiple(out, bv.basis_bracket(lie, s, t), ab)
         if dropped != "[b, e_S]" and db:  # () for a constant b
             add_wedge_basis(out, scalar_bracket_map(s, db), t, -a if p % 2 else a)
         if dropped != "[a, e_T]" and da:
@@ -1089,13 +1179,12 @@ def test_every_sign_flip_of_a_polynomial_table_entry_fails_on_its_own(catalog, m
     alg = loaded.algebra
     gen = GeneratorD(alg, loaded.right_connection())
     assert is_generator(alg, gen, trials=4) == (True, None)
+    lie = lie_brackets(alg)
     flipped = 0
-    for key, entry in bracket_table(alg).items():
-        if not entry:
+    for key in [(s, t) for s in range(1 << alg.n) for t in range(1 << alg.n)]:
+        if not BASIS_BRACKET(lie, *key):
             continue
-        table = dict(bracket_table(alg))
-        table[key] = negated(entry)
-        monkeypatch.setattr(bv, "bracket_table", lambda alg, table=table: table)
+        monkeypatch.setattr(bv, "basis_bracket", edited_basis_bracket(key, negated))
         ok, witness = is_generator(alg, gen, trials=4)
         assert not ok and witness.startswith("u=("), key
         assert identity_outcome(loaded).status == "fail"
@@ -1104,14 +1193,13 @@ def test_every_sign_flip_of_a_polynomial_table_entry_fails_on_its_own(catalog, m
     assert flipped == 4
 
 
-def test_m_positive_witness_prints_the_defect_of_an_edited_table_entry(catalog):
-    # the witness prints the map the check summed, so a wrong table entry
+def test_m_positive_witness_prints_the_defect_of_an_edited_table_entry(catalog, monkeypatch):
+    # the witness prints the map the check summed, so a wrong [e_S, e_T]
     # shows: -2 ab [e1, e2] = (96*x1^2 + 108) e1 with ab = (-6)(8*x1^2 + 9)
     loaded = catalog["poisson-linear-2d"]
-    alg = fresh_copy(loaded.algebra)
-    table = bracket_table(alg)
-    assert table[0b01, 0b10] == {0b01: PolyElement.one(2)}
-    table[0b01, 0b10] = negated(table[0b01, 0b10])
+    alg = loaded.algebra
+    assert basis_bracket(lie_brackets(alg), 0b01, 0b10) == {0b01: PolyElement.one(2)}
+    monkeypatch.setattr(bv, "basis_bracket", edited_basis_bracket((0b01, 0b10), negated))
     assert is_generator(alg, GeneratorD(alg, loaded.right_connection()), trials=4, seed=0) == (
         False, "u=(-6)*e{1} v=(8*x1^2 + 9)*e{2} defect=(96*x1^2 + 108)*e{1}")
 
@@ -1214,7 +1302,7 @@ def test_generator_table_equals_apply_generator_at_m_positive(catalog, monkeypat
             # the package does not ship the reference generator, so D cannot call it
             assert not any(hasattr(bv, attr) for attr in ("apply_generator",
                                                           "generator_on_factors"))
-            for attr in ("one_circ", "bracket_table",
+            for attr in ("one_circ", "lie_brackets", "basis_bracket",
                          "_scalar_bracket_map", "gerstenhaber_bracket", "mask_bracket"):
                 monkeypatch.setattr(bv, attr, forbidden)
             images = [gen(u) for u in elements]
