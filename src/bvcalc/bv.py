@@ -61,6 +61,11 @@ v = e_i, 2 e_i and e_1 + .. + e_n of black-box operators, without any
 bracket.  With `is_generator` passing at r0 that proves the
 identity for all r, provided the operator is affine in r, which the last
 two shifts probe but no finite probe proves.
+
+A `Multivector` is keyed by the bitmask of each S, as the maps of
+`bvcalc.ground` are, so a call of D, a probe of `is_generator` and a
+witness move components between the two by their values alone
+(`ground.values`, `ground.coefficient`), never by their keys.
 """
 
 from __future__ import annotations
@@ -130,6 +135,11 @@ def ground_generator(alg: LieRinehartAlgebra, conn: RightConnectionOnA, s: int) 
     return out
 
 
+def _multivector(n: int, m: int, u: dict) -> Multivector:
+    """A ground map as a rank-n `Multivector` over Q[x1..xm], each value through `coefficient`."""
+    return Multivector._make(n, {s: ground.coefficient(m, c) for s, c in u.items()})
+
+
 class GeneratorD(Record):
     """Degree -1 operator generating the Gerstenhaber bracket.
 
@@ -161,14 +171,14 @@ class GeneratorD(Record):
         if u.n != alg.n:
             raise ValueError("rank mismatch")
         out = {}
-        for key, coeff in u.components.items():
-            s = ground.to_mask(key)
+        for s, coeff in u.components.items():
             ground.add_multiple(out, self.ground(s), ground.value(coeff))
             if not coeff.is_constant():
-                for k, i in enumerate(key):
-                    if d := alg.anchor[i](coeff):
+                for i in range(alg.n):
+                    if s >> i & 1 and (d := alg.anchor[i](coeff)):
+                        k = (s & ((1 << i) - 1)).bit_count()  # the position of i in S
                         ground.add_multiple(out, {s ^ (1 << i): d}, sign=1 if k % 2 else -1)
-        return ground.to_multivector(alg.n, out, alg.m)
+        return _multivector(alg.n, alg.m, out)
 
     def ground(self, s: int) -> dict:
         """D(e_S) as a ground map: the `table` entry, filled on first need."""
@@ -234,8 +244,8 @@ def gerstenhaber_bracket(alg: LieRinehartAlgebra, u: Multivector,
     if u.n != alg.n or v.n != alg.n:
         raise ValueError("rank mismatch")
     out = Multivector.zero(alg.n)
-    for s_key, a in u.components.items():
-        for t_key, b in v.components.items():
+    for s_key, a in u.terms():
+        for t_key, b in v.terms():
             out = out + _term_bracket(alg, a, s_key, b, t_key)
     return out
 
@@ -319,7 +329,7 @@ def mask_bracket(lie: list, u: tuple, v: tuple, ab) -> dict:
     s, a, da = u
     t, b, db = v
     p, q = s.bit_count(), t.bit_count()
-    if ab == 1:  # every pair at m = 0
+    if ab.__class__ is not PolyElement and ab == 1:  # every pair at m = 0; builds no poly 1
         out = basis_bracket(lie, s, t)
     else:  # a product of nonzero values is nonzero, so only ab = 0 makes zeros
         out = {mask: ab * c for mask, c in basis_bracket(lie, s, t).items()} if ab else {}
@@ -336,9 +346,9 @@ def mask_bracket(lie: list, u: tuple, v: tuple, ab) -> dict:
     return out
 
 
-def draw_term(alg: LieRinehartAlgebra, rng, key: tuple[int, ...],
+def draw_term(alg: LieRinehartAlgebra, rng, s: int,
               degree_bound: int) -> tuple[PolyElement, tuple]:
-    """A coefficient c for e_key and the (mask, value, derivatives) of c e_key for `mask_bracket`.
+    """A coefficient c for e_S and the (S, value, derivatives) of c e_S for `mask_bracket`.
 
     c is 1 at m = 0 and one `random_poly` draw from `rng` at m > 0; the
     derivatives e_i(c) are () for a constant c.  Both pair identities, the
@@ -346,7 +356,7 @@ def draw_term(alg: LieRinehartAlgebra, rng, key: tuple[int, ...],
     """
     c = random_poly(rng, alg.m, degree_bound) if alg.m else PolyElement.one(0)
     derivatives = () if c.is_constant() else tuple(rho(c) for rho in alg.anchor)
-    return c, (ground.to_mask(key), ground.value(c), derivatives)
+    return c, (s, ground.value(c), derivatives)
 
 
 # -- generator checks --------------------------------------------------
@@ -391,21 +401,20 @@ def is_generator(alg: LieRinehartAlgebra, op: Operator, trials: int = 32,
     check_draw_arguments(trials, degree_bound)
     rng = check_rng(seed, "is_generator")
     n, m = alg.n, alg.m
-    subsets = [key for p in range(n + 1) for key in combinations(range(n), p)]
+    subsets = [ground.to_mask(key) for p in range(n + 1) for key in combinations(range(n), p)]
     two = PolyElement.const(0, 2)
     lie = lie_brackets(alg)
     for _ in range(trials if m else 1):
         # (a, `mask_bracket`'s (S, a, e_i(a)), D(a e_S) as a mask map) per drawn a e_S
         drawn, images = [], {}
-        for key in subsets:
-            a, u = draw_term(alg, rng, key, degree_bound)
-            # keys from combinations are increasing, so no constructor sorts them
-            image = op(Multivector._make(n, {key: a} if a else {}))
-            ds = images[u[0]] = ground.from_multivector(image)
+        for s in subsets:
+            a, u = draw_term(alg, rng, s, degree_bound)
+            image = op(Multivector._make(n, {s: a} if a else {}))
+            ds = images[s] = ground.values(image.components)
             if not m:
-                doubled = op(Multivector._make(n, {key: two}))
-                if ground.from_multivector(doubled) != {mask: 2 * c for mask, c in ds.items()}:
-                    label = basis_label(key)
+                doubled = op(Multivector._make(n, {s: two}))
+                if ground.values(doubled.components) != {mask: 2 * c for mask, c in ds.items()}:
+                    label = basis_label(ground.to_key(s))
                     return False, f"D((2)*{label})={doubled} 2*D({label})={image.scale(two)}"
             drawn.append((a, u, ds))
         for a, u, ds in drawn:
@@ -417,9 +426,8 @@ def is_generator(alg: LieRinehartAlgebra, op: Operator, trials: int = 32,
                 w = ground.wedge_sign(s, t) if ab else 0
                 defect = mask_bracket(lie, u, v, ab)
                 if m:  # the black box on u ^ v
-                    duv = op(Multivector._make(n, {ground.to_key(s | t): ab if w > 0 else -ab}
-                                               if w else {}))
-                    ground.add_multiple(defect, ground.from_multivector(duv), sign=-sign)
+                    duv = op(Multivector._make(n, {s | t: ab if w > 0 else -ab} if w else {}))
+                    ground.add_multiple(defect, ground.values(duv.components), sign=-sign)
                 elif w:
                     ground.add_multiple(defect, images[s | t], sign=-sign * w)
                 ground.add_wedge_basis(defect, ds, t, y, sign)
@@ -427,7 +435,7 @@ def is_generator(alg: LieRinehartAlgebra, op: Operator, trials: int = 32,
                 if defect:
                     return False, (f"u=({a})*{basis_label(ground.to_key(s))} "
                                    f"v=({b})*{basis_label(ground.to_key(t))} "
-                                   f"defect={ground.to_multivector(n, defect, m)}")
+                                   f"defect={_multivector(n, m, defect)}")
         witness = _degree_witness(alg, drawn)
         if witness:
             return False, witness
@@ -441,7 +449,7 @@ def _degree_witness(alg: LieRinehartAlgebra, drawn: list) -> str | None:
         degree = s.bit_count() - 1
         if any(mask.bit_count() != degree for mask in image):
             return (f"D(({a})*{basis_label(ground.to_key(s))})="
-                    f"{ground.to_multivector(alg.n, image, alg.m)} is not of degree {degree}")
+                    f"{_multivector(alg.n, alg.m, image)} is not of degree {degree}")
     return None
 
 
@@ -477,15 +485,12 @@ def certify_every_connection(alg: LieRinehartAlgebra,
     if alg.m:
         raise ValueError(f"certify_every_connection needs m = 0, got m = {alg.m}")
     n = alg.n
-    masks = [(key, ground.to_mask(key))
-             for p in range(n + 1) for key in combinations(range(n), p)]
+    masks = [ground.to_mask(key) for p in range(n + 1) for key in combinations(range(n), p)]
     one = PolyElement.one(0)
 
     def images(r: tuple[PolyElement, ...]) -> dict:
         op = GeneratorD(alg, RightConnectionOnA(r))
-        # keys from combinations are increasing, so no constructor sorts them
-        return {s: ground.from_multivector(op(Multivector._make(n, {key: one})))
-                for key, s in masks}
+        return {s: ground.values(op(Multivector._make(n, {s: one})).components) for s in masks}
 
     base = images(conn.r)
 
@@ -513,15 +518,15 @@ def certify_every_connection(alg: LieRinehartAlgebra,
              "D is not affine in r")]))
     probes.append((f"1..{n}", [(f"e_1+..+e_{n}", moved([1] * n), total, "D is not affine in r")]))
     for i, rows in probes:
-        for key, s in masks:
+        for s in masks:
             for v, delta, theta, reason in rows:
                 expected = contraction(theta, s)
                 if delta[s] != expected:
-                    label = basis_label(key)
+                    label = basis_label(ground.to_key(s))
                     return False, (f"i={i} R={label}: D[r+{v}]({label}) - D[r]({label})="
-                                   f"{ground.to_multivector(n, delta[s])} but the contraction "
+                                   f"{_multivector(n, 0, delta[s])} but the contraction "
                                    f"with ({', '.join(map(str, theta))}) gives "
-                                   f"{ground.to_multivector(n, expected)}, so {reason}")
+                                   f"{_multivector(n, 0, expected)}, so {reason}")
     return True, None
 
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable
 
-from . import ground
 from .algebra import LElement, LieRinehartAlgebra
 from .exterior import AltForm, TopElement, full_tuple
 from .poly import PolyElement
@@ -238,8 +237,7 @@ def covariant_derivative(alg: LieRinehartAlgebra, conn: TopConnection,
         else:
             acc[mask] = prev - value if negative else prev + value
 
-    for key, v in f.components.items():
-        k = ground.to_mask(key)
+    for k, v in f.components.items():
         for i in range(n):
             if k >> i & 1:
                 continue
@@ -260,7 +258,7 @@ def covariant_derivative(alg: LieRinehartAlgebra, conn: TopConnection,
                 t = (target & ((1 << b) - 1)).bit_count()
                 slot = (k & ((1 << l) - 1)).bit_count()
                 add(target, c * v, (p + 1 + s + t + slot) % 2)
-    return AltForm(n, m, q + 1, [(ground.to_key(mask), value) for mask, value in acc.items()])
+    return AltForm._make(n, m, q + 1, {mask: value for mask, value in acc.items() if value})
 
 
 # -- the endomorphism-valued map and traces -------------------------------

@@ -1,18 +1,21 @@
 """Exterior algebra of a free rank-n module, the top power, and duality.
 
-Multivectors are stored sparsely on strictly increasing basis index
-tuples; construction normalizes arbitrary tuples: it sorts each key with
-its permutation sign (`sort_with_sign`), sends a repeated index to 0,
-merges equal keys and drops zeros.  Sums, wedge products and scalings of
-`Multivector` and `AltForm` are built by passing their terms to that
-constructor, so the normalization is written once per type.  The
-canonical pairing wedges a degree-p and a degree-(n-p) multivector into
-the top power, and its adjoint identifies degree-p multivectors with
-alternating (n-p)-forms valued in the top power.  `phi_iso` builds that
-adjoint from wedges, so its signs come from the insertion sort; for free
-L it is also a signed re-indexing on complements, which is how
-`phi_inverse` computes it, with `merge_sign` counting inversions.  The
-two halves share no sign code, so each is the other's test.
+`Multivector` and `AltForm` store their nonzero components sparsely, each
+keyed by the bitmask of its basis subset, bit i standing for e_{i+1}, as
+every map of `bvcalc.ground` is.  Index tuples enter only through the
+constructors, `component` and `value_on_increasing`, and leave only
+through `terms` and the printed labels.  A constructor normalizes
+arbitrary tuples: it sorts each key with its permutation sign
+(`sort_with_sign`), sends a repeated index to 0, merges equal keys and
+drops zeros.  Sums, negations and scalings act on the masks, and the
+wedge product takes its signs from `ground.wedge_sign`.  The canonical
+pairing wedges a degree-p and a degree-(n-p) multivector into the top
+power, and its adjoint identifies degree-p multivectors with alternating
+(n-p)-forms valued in the top power.  `phi_iso` builds that adjoint from
+wedges, so its signs come from `wedge_sign`; for free L it is also a
+signed re-indexing on complements, which is how `phi_inverse` computes
+it, with `merge_sign` counting the inversions of index tuples.  The two
+halves share no sign code, so each is the other's test.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from .algebra import LElement
+from .ground import add_basis_wedge, add_multiple, to_key, to_mask
 from .poly import PolyElement
 from .record import Record
 
@@ -57,26 +61,24 @@ def basis_label(key: Sequence[int]) -> str:
 
 
 class Multivector:
-    """Element of the exterior algebra over A, possibly inhomogeneous."""
+    """Element of the exterior algebra over A, possibly inhomogeneous.
+
+    `components` maps the bitmask of each basis subset S to the nonzero
+    coefficient of e_S; the constructor takes (index tuple, coefficient) pairs.
+    """
 
     __slots__ = ("n", "components")
 
     def __init__(self, n: int, components: Mapping | Iterable = ()):
         items = components.items() if isinstance(components, Mapping) else components
-        acc: dict[tuple[int, ...], PolyElement] = {}
+        acc: dict[int, PolyElement] = {}
         for key, coeff in items:
             sorted_key, sign = sort_with_sign(tuple(key))
             if sign == 0 or not coeff:
                 continue
             if any(not 0 <= i < n for i in sorted_key):
                 raise ValueError(f"index {key} out of range for rank {n}")
-            value = coeff if sign == 1 else -coeff
-            prev = acc.get(sorted_key)
-            total = value if prev is None else prev + value
-            if total:
-                acc[sorted_key] = total
-            elif sorted_key in acc:
-                del acc[sorted_key]
+            add_multiple(acc, {to_mask(sorted_key): coeff}, sign=sign)
         self.n = n
         self.components = acc
 
@@ -93,7 +95,7 @@ class Multivector:
 
     @classmethod
     def scalar(cls, n: int, coeff: PolyElement) -> "Multivector":
-        return cls._make(n, {(): coeff} if coeff else {})
+        return cls._make(n, {0: coeff} if coeff else {})
 
     @classmethod
     def basis(cls, n: int, indices: Sequence[int], coeff: PolyElement | None = None,
@@ -106,26 +108,26 @@ class Multivector:
 
     @classmethod
     def from_lelement(cls, le: LElement) -> "Multivector":
-        return cls._make(le.n, {(i,): c for i, c in enumerate(le.coeffs) if c})
+        return cls._make(le.n, {1 << i: c for i, c in enumerate(le.coeffs) if c})
 
     def component(self, indices: Sequence[int], m: int) -> PolyElement:
         key, sign = sort_with_sign(tuple(indices))
-        if sign == 0:
-            return PolyElement.zero(m)
-        value = self.components.get(key)
+        value = self.components.get(to_mask(key)) if sign else None
         if value is None:
             return PolyElement.zero(m)
         return value if sign == 1 else -value
 
     def terms(self) -> Iterator[tuple[tuple[int, ...], PolyElement]]:
-        return iter(sorted(self.components.items(), key=lambda kv: (len(kv[0]), kv[0])))
+        """The (increasing index tuple, coefficient) pairs, by degree, then by tuple."""
+        return iter(sorted(((to_key(s), c) for s, c in self.components.items()),
+                           key=lambda kv: (len(kv[0]), kv[0])))
 
     def is_zero(self) -> bool:
         return not self.components
 
     def degree(self) -> int | None:
         """Exterior degree of a homogeneous multivector; None if zero."""
-        degrees = {len(k) for k in self.components}
+        degrees = {s.bit_count() for s in self.components}
         if not degrees:
             return None
         if len(degrees) > 1:
@@ -135,7 +137,9 @@ class Multivector:
     def __add__(self, other: "Multivector") -> "Multivector":
         if self.n != other.n:
             raise ValueError("rank mismatch")
-        return Multivector(self.n, [*self.components.items(), *other.components.items()])
+        acc = dict(self.components)
+        add_multiple(acc, other.components)
+        return Multivector._make(self.n, acc)
 
     def __sub__(self, other: "Multivector") -> "Multivector":
         return self + (-other)
@@ -144,15 +148,16 @@ class Multivector:
         return Multivector._make(self.n, {k: -v for k, v in self.components.items()})
 
     def scale(self, p) -> "Multivector":
-        return Multivector(self.n, [(k, p * v) for k, v in self.components.items()])
+        return Multivector._make(self.n, {k: w for k, v in self.components.items() if (w := p * v)})
 
     def wedge(self, other: "Multivector") -> "Multivector":
-        """Exterior product: the constructor sorts each joined key with its Koszul sign."""
+        """Exterior product: e_S ^ e_T = `wedge_sign`(S, T) e_(S | T), term by term."""
         if self.n != other.n:
             raise ValueError("rank mismatch")
-        return Multivector(self.n, [(s_key + t_key, s_val * t_val)
-                                    for s_key, s_val in self.components.items()
-                                    for t_key, t_val in other.components.items()])
+        acc: dict[int, PolyElement] = {}
+        for s, a in self.components.items():
+            add_basis_wedge(acc, s, other.components, a)
+        return Multivector._make(self.n, acc)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Multivector):
@@ -224,9 +229,11 @@ def top_pairing(u: Multivector, v: Multivector, m: int) -> TopElement:
 class AltForm:
     """Alternating A-multilinear form on L valued in the top power.
 
-    A form of degree q stores its values on increasing q-tuples of basis
-    elements, each value the coefficient on e_1^...^e_n.  Values on
-    arbitrary arguments follow by multilinear alternating expansion.
+    A form of degree q stores its nonzero values on increasing q-tuples of
+    basis elements, keyed by the bitmask of the tuple, each value the
+    coefficient on e_1^...^e_n; the constructor takes (increasing tuple,
+    value) pairs.  Values on arbitrary arguments follow by multilinear
+    alternating expansion.
     Degree n+1 is admitted as the zero space (no increasing tuples exist).
     """
 
@@ -236,40 +243,48 @@ class AltForm:
         if not 0 <= degree <= n + 1:
             raise ValueError(f"form degree {degree} out of range for rank {n}")
         items = components.items() if isinstance(components, Mapping) else components
-        acc: dict[tuple[int, ...], PolyElement] = {}
+        acc: dict[int, PolyElement] = {}
         for key, value in items:
             key = tuple(key)
             if len(key) != degree or any(a >= b for a, b in zip(key, key[1:])):
                 raise ValueError(f"key {key} is not an increasing {degree}-tuple")
             if any(not 0 <= i < n for i in key):
                 raise ValueError(f"key {key} out of range for rank {n}")
-            if value:
-                acc[key] = acc.get(key, PolyElement.zero(m)) + value
-                if not acc[key]:
-                    del acc[key]
+            add_multiple(acc, {to_mask(key): value})
         self.n = n
         self.m = m
         self.degree = degree
         self.components = acc
 
+    @classmethod
+    def _make(cls, n: int, m: int, degree: int, canonical: dict) -> "AltForm":
+        out = object.__new__(cls)
+        out.n, out.m, out.degree, out.components = n, m, degree, canonical
+        return out
+
     def value_on_increasing(self, key: tuple[int, ...]) -> PolyElement:
-        return self.components.get(key, PolyElement.zero(self.m))
+        """The value on an increasing index tuple; 0 on any other tuple."""
+        mask = to_mask(key)
+        value = self.components.get(mask) if to_key(mask) == tuple(key) else None
+        return PolyElement.zero(self.m) if value is None else value
 
     def __add__(self, other: "AltForm") -> "AltForm":
         if (self.n, self.m, self.degree) != (other.n, other.m, other.degree):
             raise ValueError("form shape mismatch")
-        return AltForm(self.n, self.m, self.degree,
-                       [*self.components.items(), *other.components.items()])
+        acc = dict(self.components)
+        add_multiple(acc, other.components)
+        return AltForm._make(self.n, self.m, self.degree, acc)
 
     def __sub__(self, other: "AltForm") -> "AltForm":
         return self + (-other)
 
     def __neg__(self) -> "AltForm":
-        return AltForm(self.n, self.m, self.degree, [(k, -v) for k, v in self.components.items()])
+        return AltForm._make(self.n, self.m, self.degree,
+                             {k: -v for k, v in self.components.items()})
 
     def scale(self, p) -> "AltForm":
-        return AltForm(self.n, self.m, self.degree,
-                       [(k, p * v) for k, v in self.components.items()])
+        return AltForm._make(self.n, self.m, self.degree,
+                             {k: w for k, v in self.components.items() if (w := p * v)})
 
     def is_zero(self) -> bool:
         return not self.components
@@ -288,9 +303,9 @@ class AltForm:
         if not self.components:
             return f"0-form(deg {self.degree})"
         parts = []
-        for key in sorted(self.components):
+        for key, value in sorted((to_key(k), v) for k, v in self.components.items()):
             label = "(" + ",".join(str(i + 1) for i in key) + ")"
-            parts.append(f"{label} -> {self.components[key]}")
+            parts.append(f"{label} -> {value}")
         return "; ".join(parts)
 
 
@@ -298,10 +313,9 @@ def phi_iso(u: Multivector, m: int, degree: int | None = None) -> AltForm:
     """Adjoint of the top pairing: a degree-p multivector as an (n-p)-form.
 
     The form's value on a basis tuple T is the top coefficient of
-    u ^ e_T.  That coefficient can be nonzero only when T is the
-    complement of a key of u, so u is wedged with those e_T alone, in
-    increasing order as `itertools.combinations` lists them; every other
-    value is 0.  The optional degree argument disambiguates the zero
+    u ^ e_T.  That coefficient is nonzero only when T is the complement
+    of a key of u, so u is wedged with those e_T alone; every other value
+    is 0.  The optional degree argument disambiguates the zero
     multivector; nonzero input must be homogeneous.
     """
     n = u.n
@@ -309,13 +323,13 @@ def phi_iso(u: Multivector, m: int, degree: int | None = None) -> AltForm:
     if p is None:
         if degree is None:
             raise ValueError("zero multivector needs an explicit degree")
-        p = degree
-    elif degree is not None and degree != p:
+        return AltForm(n, m, n - degree)
+    if degree is not None and degree != p:
         raise ValueError(f"multivector has degree {p}, not {degree}")
-    complements = sorted(tuple(i for i in range(n) if i not in s_key) for s_key in u.components)
-    return AltForm(n, m, n - p, [
-        (t_key, u.wedge(Multivector.basis(n, t_key, m=m)).component(full_tuple(n), m))
-        for t_key in complements])
+    full, one = (1 << n) - 1, PolyElement.one(m)
+    return AltForm._make(n, m, n - p, {
+        full ^ s: u.wedge(Multivector._make(n, {full ^ s: one})).components[full]
+        for s in u.components})
 
 
 def phi_inverse(f: AltForm) -> Multivector:
@@ -323,9 +337,9 @@ def phi_inverse(f: AltForm) -> Multivector:
     n = f.n
     if f.degree > n:
         return Multivector.zero(n)
+    full = (1 << n) - 1
     acc = {}
-    for t_key, value in f.components.items():
-        s_key = tuple(i for i in range(n) if i not in t_key)
-        sign = merge_sign(s_key, t_key)
-        acc[s_key] = value if sign == 1 else -value
-    return Multivector(n, acc)
+    for t, value in f.components.items():
+        sign = merge_sign(to_key(full ^ t), to_key(t))
+        acc[full ^ t] = value if sign == 1 else -value
+    return Multivector._make(n, acc)

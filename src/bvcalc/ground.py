@@ -1,29 +1,39 @@
-"""Multivectors as maps from bitmasks to coefficients.
+"""Bitmask keys, the sign of the wedge on them, and maps from bitmasks to values.
 
-A multivector is a map {mask: value} with nonzero values, where bit i of
-the mask stands for e_{i+1} (the bitmap form of basis blades in Dorst,
-Fontijne and Mann, *Geometric Algebra for Computer Science*, 2007).  The
-sign of e_S ^ e_T is then a parity of bit counts, with no sorting of index
-tuples.  `value` and `coefficient` hold the one value convention, each the
-other's inverse: when A = Q (m = 0) a value is an int or Fraction, and
-when m > 0 it is the `PolyElement` coefficient itself.  The helpers below
-take either, since they only add, subtract, negate and multiply values; a
-sign is applied by subtracting, or by negating where the sum has no entry
-yet, and no int sign or zero start value meets a `PolyElement`, so no
-product or sum promotes an int.  `Multivector` stays the public type:
-these maps are the working form of the pair loops of `bv.is_generator`
-and `correspond.check_bracket_pairing_identity`, of the bracket
-[e_S, e_T] that `bv.basis_bracket` computes on each pair, and of the
-D(e_S) table on each `bv.GeneratorD`, at every m.  Every wedge those
-need has a basis element e_S on one side, so there is no general
-product of two maps.
+The exterior algebra has one key: the bitmask of a basis subset S, where
+bit i stands for e_{i+1} (the bitmap form of basis blades in Dorst,
+Fontijne and Mann, *Geometric Algebra for Computer Science*, 2007).
+`Multivector` and `AltForm` store their components on these masks, and
+index tuples appear only where callers pass them in and where labels
+print, through `to_mask` and `to_key`.  The sign of e_S ^ e_T is a parity
+of bit counts (`wedge_sign`), with no sorting of index tuples.
+
+The pair loops of `bv.is_generator` and
+`correspond.check_bracket_pairing_identity`, the bracket [e_S, e_T] that
+`bv.basis_bracket` computes on each pair, and the D(e_S) table on each
+`bv.GeneratorD` work on maps {mask: value} with nonzero values, keyed as
+`Multivector.components` is, so only values are converted between the
+two.  `value` and `coefficient` hold the one value convention, each the
+other's inverse, and `values` applies `value` to a whole map: when A = Q
+(m = 0) a value is an int or Fraction, and when m > 0 it is the
+`PolyElement` coefficient itself.  The m = 0 values stay plain numbers
+because maps of `PolyElement` constants made the `generator` suite about
+40% slower on generated abelian-6, book-5 and book-8 (234-273 ms rose
+to 326-371 ms per run at 4 trials, the minimum of 9 runs).
+
+The add helpers below take either kind of value, and `PolyElement`
+coefficients too, as `Multivector` and `AltForm` pass them, since they
+only add, subtract, negate and multiply values; a sign is applied by
+subtracting, or by negating where the sum has no entry yet, and no int
+sign or zero start value meets a `PolyElement`, so no product or sum
+promotes an int.  Each helper wedges a map with one basis element e_S;
+`Multivector.wedge` adds one such wedge per term of its left factor.
 """
 
 from __future__ import annotations
 
 from functools import cache
 
-from .exterior import Multivector
 from .poly import PolyElement
 
 
@@ -117,11 +127,6 @@ def add_basis_wedge(acc: dict, s: int, v: dict, c=None, sign: int = 1) -> None:
                     del acc[mask]
 
 
-def from_multivector(u: Multivector) -> dict:
-    """u as {mask: value}, each coefficient through `value`."""
-    return {to_mask(key): value(coeff) for key, coeff in u.components.items()}
-
-
-def to_multivector(n: int, u: dict, m: int = 0) -> Multivector:
-    """A map back to a rank-n `Multivector` over Q[x1..xm], each value through `coefficient`."""
-    return Multivector._make(n, {to_key(mask): coefficient(m, c) for mask, c in u.items()})
+def values(u: dict) -> dict:
+    """A map of coefficients, such as `Multivector.components`, as a map of values."""
+    return {mask: value(coeff) for mask, coeff in u.items()}

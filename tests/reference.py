@@ -3,9 +3,12 @@
 `apply_generator` evaluates the explicit operator formula of the `bvcalc.bv`
 docstring literally, on `Multivector` factors, and is the oracle for the
 `D(e_S)` table of `GeneratorD`.  It calls `bv.one_circ` through the module,
-so a test that monkeypatches `bv.one_circ` reaches it here too.  The other
+so a test that monkeypatches `bv.one_circ` reaches it here too.  Other
 helpers draw mixed multivectors and read multivectors and forms on
 general arguments, which the package's checks never need.
+`TupleMultivector` and `TupleAltForm` key their components by increasing
+index tuples, normalized by `sort_with_sign`, and are the oracles for the
+bitmask keys of `Multivector` and `AltForm`.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Sequence
 
 from bvcalc import bv
 from bvcalc.algebra import LElement, LieRinehartAlgebra
-from bvcalc.exterior import AltForm, Multivector, TopElement, sort_with_sign
+from bvcalc.exterior import AltForm, Multivector, TopElement, basis_label, sort_with_sign
 from bvcalc.poly import PolyElement
 from bvcalc.sampling import random_poly
 
@@ -65,7 +68,7 @@ def apply_generator(alg: LieRinehartAlgebra, conn: bv.RightConnectionOnA,
     if u.n != alg.n:
         raise ValueError("rank mismatch")
     out = Multivector.zero(alg.n)
-    for key, coeff in u.components.items():
+    for key, coeff in u.terms():
         if not key:
             continue
         thetas = [alg.basis_l(i).scale(coeff) if t == 0 else alg.basis_l(i)
@@ -88,7 +91,7 @@ def random_multivector(rng: random.Random, alg, degree_bound: int = 3) -> Multiv
 
 def homogeneous_part(u: Multivector, p: int) -> Multivector:
     """The terms of u of exterior degree p."""
-    return Multivector(u.n, {k: v for k, v in u.components.items() if len(k) == p})
+    return Multivector(u.n, [(k, v) for k, v in u.terms() if len(k) == p])
 
 
 def value_on_basis_tuple(f: AltForm, indices: Sequence[int]) -> PolyElement:
@@ -124,8 +127,100 @@ def evaluate_on_multivector(f: AltForm, u: Multivector) -> TopElement:
     if u.n != f.n:
         raise ValueError("rank mismatch")
     total = PolyElement.zero(f.m)
-    for key, coeff in u.components.items():
+    for key, coeff in u.terms():
         if len(key) != f.degree:
             raise ValueError("multivector degree does not match form degree")
         total = total + coeff * f.value_on_increasing(key)
     return TopElement(f.n, total)
+
+
+class TupleMultivector:
+    """`Multivector` keyed by increasing index tuples: the oracle for its bitmask keys.
+
+    Every result is built by the constructor, which sorts each key with its
+    permutation sign (`sort_with_sign`), sends a repeated index to 0,
+    merges equal keys and drops zeros; the wedge joins keys and lets the
+    constructor sort them.
+    """
+
+    def __init__(self, n: int, components=()):
+        items = components.items() if isinstance(components, dict) else components
+        acc = {}
+        for key, coeff in items:
+            sorted_key, sign = sort_with_sign(tuple(key))
+            if sign == 0 or not coeff:
+                continue
+            if any(not 0 <= i < n for i in sorted_key):
+                raise ValueError(f"index {key} out of range for rank {n}")
+            value = coeff if sign == 1 else -coeff
+            prev = acc.get(sorted_key)
+            total = value if prev is None else prev + value
+            if total:
+                acc[sorted_key] = total
+            elif sorted_key in acc:
+                del acc[sorted_key]
+        self.n = n
+        self.components = acc
+
+    def component(self, indices: Sequence[int], m: int) -> PolyElement:
+        key, sign = sort_with_sign(tuple(indices))
+        value = self.components.get(key) if sign else None
+        if value is None:
+            return PolyElement.zero(m)
+        return value if sign == 1 else -value
+
+    def terms(self) -> list:
+        return sorted(self.components.items(), key=lambda kv: (len(kv[0]), kv[0]))
+
+    def degree(self) -> int | None:
+        degrees = {len(k) for k in self.components}
+        if len(degrees) > 1:
+            raise ValueError("inhomogeneous multivector has no degree")
+        return degrees.pop() if degrees else None
+
+    def __add__(self, other: "TupleMultivector") -> "TupleMultivector":
+        return TupleMultivector(self.n, [*self.components.items(), *other.components.items()])
+
+    def __sub__(self, other: "TupleMultivector") -> "TupleMultivector":
+        return self + TupleMultivector(other.n, [(k, -v) for k, v in other.components.items()])
+
+    def scale(self, p) -> "TupleMultivector":
+        return TupleMultivector(self.n, [(k, p * v) for k, v in self.components.items()])
+
+    def wedge(self, other: "TupleMultivector") -> "TupleMultivector":
+        return TupleMultivector(self.n, [(s_key + t_key, s_val * t_val)
+                                         for s_key, s_val in self.components.items()
+                                         for t_key, t_val in other.components.items()])
+
+    def __str__(self) -> str:
+        if not self.components:
+            return "0"
+        return " + ".join(f"({value})*{basis_label(key)}" if key else f"({value})"
+                          for key, value in self.terms())
+
+
+class TupleAltForm:
+    """`AltForm` keyed by increasing index tuples: the oracle for its bitmask keys."""
+
+    def __init__(self, n: int, m: int, degree: int, components=()):
+        acc = {}
+        for key, value in components:
+            key = tuple(key)
+            if len(key) != degree or any(a >= b for a, b in zip(key, key[1:])):
+                raise ValueError(f"key {key} is not an increasing {degree}-tuple")
+            if value:
+                acc[key] = acc.get(key, PolyElement.zero(m)) + value
+                if not acc[key]:
+                    del acc[key]
+        self.m = m
+        self.degree = degree
+        self.components = acc
+
+    def value_on_increasing(self, key: tuple[int, ...]) -> PolyElement:
+        return self.components.get(key, PolyElement.zero(self.m))
+
+    def __str__(self) -> str:
+        if not self.components:
+            return f"0-form(deg {self.degree})"
+        return "; ".join("(" + ",".join(str(i + 1) for i in key) + f") -> {self.components[key]}"
+                         for key in sorted(self.components))

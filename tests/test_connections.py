@@ -277,8 +277,7 @@ def gather_covariant_derivative(alg, conn, f):
                 value = value + inner if (p + 1 + s + t) % 2 == 0 else value - inner
         if value:
             acc[key] = value
-    out.components = acc
-    return out
+    return AltForm(n, m, q + 1, acc)
 
 
 @pytest.mark.parametrize("name", ["sl2", "heisenberg-dim3", "coordinate-2d",

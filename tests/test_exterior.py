@@ -3,10 +3,10 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bvcalc import exterior
+from bvcalc import exterior, ground
 from bvcalc.algebra import LElement
 from bvcalc.exterior import (
     AltForm,
@@ -18,11 +18,12 @@ from bvcalc.exterior import (
     sort_with_sign,
     top_pairing,
 )
+from bvcalc.ground import to_key
 from bvcalc.poly import PolyElement
 from bvcalc.sampling import random_poly
 
 from conftest import multivectors, polys
-from reference import evaluate, homogeneous_part
+from reference import TupleAltForm, TupleMultivector, evaluate, homogeneous_part
 
 X = PolyElement.variable(2, 0)
 Y = PolyElement.variable(2, 1)
@@ -129,9 +130,9 @@ def test_phi_inverse_by_brute_force_rank_three():
         sign = merge_sign(key, (0, 2))
         if sign:
             candidates[key] = sign  # alpha_key * sign must equal f((0,2)) = 1
-    assert set(alpha.components) == set(candidates)
+    assert {key for key, _ in alpha.terms()} == set(candidates)
     for key, sign in candidates.items():
-        assert alpha.components[key].constant_value() == sign
+        assert alpha.component(key, 0).constant_value() == sign
     # fully fixed by the round trip as well
     assert phi_iso(alpha, 0) == f
 
@@ -157,27 +158,28 @@ def positive_merge_sign(left, right):
     return 0 if set(left) & set(right) else 1
 
 
-def positive_sort_with_sign(indices):
-    key = tuple(sorted(indices))
-    return key, 0 if len(set(key)) < len(key) else 1
+def positive_wedge_sign(s, t):
+    return 0 if s & t else 1
 
 
 @pytest.mark.parametrize("name, fault", [("merge_sign", positive_merge_sign),
-                                         ("sort_with_sign", positive_sort_with_sign)])
+                                         ("wedge_sign", positive_wedge_sign)])
 def test_phi_round_trip_catches_a_sign_fault_in_either_half(monkeypatch, name, fault):
-    # phi_iso takes its signs from the constructor's insertion sort and
+    # phi_iso takes its signs from the wedge, so from ground.wedge_sign, and
     # phi_inverse from merge_sign's inversion count, so a sign helper that
     # answers +1 on every disjoint input breaks exactly one half of the pair
     n = 4
-    subsets = [key for p in range(n + 1) for key in combinations(range(n), p)]
-    for key in subsets:
-        e_s = Multivector.basis(n, key, m=0)
-        assert phi_inverse(phi_iso(e_s, 0)) == e_s
-    monkeypatch.setattr(exterior, name, fault)
-    broken = [key for key in subsets
-              if phi_inverse(phi_iso(Multivector.basis(n, key, m=0), 0))
-              != Multivector.basis(n, key, m=0)]
+    basis = [Multivector.basis(n, key, m=0)
+             for p in range(n + 1) for key in combinations(range(n), p)]
+    forms = [phi_iso(e_s, 0) for e_s in basis]
+    for e_s, form in zip(basis, forms):
+        assert phi_inverse(form) == e_s
+    monkeypatch.setattr(exterior if name == "merge_sign" else ground, name, fault)
+    broken = [e_s for e_s in basis if phi_inverse(phi_iso(e_s, 0)) != e_s]
     assert broken
+    iso_broken = any(phi_iso(e_s, 0) != form for e_s, form in zip(basis, forms))
+    inverse_broken = any(phi_inverse(form) != e_s for e_s, form in zip(basis, forms))
+    assert (iso_broken, inverse_broken) == (name == "wedge_sign", name == "merge_sign")
 
 
 @given(u=multivectors(2, 2), a=polys(2, max_degree=2))
@@ -193,7 +195,7 @@ def all_subsets_phi_iso(u, m, p):
     out = {}
     for t_key in combinations(range(n), n - p):
         total = PolyElement.zero(m)
-        for s_key, coeff in u.components.items():
+        for s_key, coeff in u.terms():
             if sorted(s_key + t_key) == list(range(n)):
                 total = total + coeff * brute_force_sign(s_key + t_key)
         if total:
@@ -205,7 +207,8 @@ def all_subsets_phi_iso(u, m, p):
 @pytest.mark.parametrize("m", [0, 2])
 def test_phi_iso_equals_the_all_subsets_definition(n, m):
     # dense multi-term input of every degree: Fraction coefficients at
-    # m = 0, polynomials at m > 0; the component order must match as well
+    # m = 0, polynomials at m > 0; the form holds one value per key S of u,
+    # on the complement of S, in the order of u's keys
     rng = random.Random(f"phi-iso-{n}-{m}")
     for p in range(n + 1):
         for trial in range(3):
@@ -220,7 +223,10 @@ def test_phi_iso_equals_the_all_subsets_definition(n, m):
             u = Multivector(n, terms)
             form = phi_iso(u, m, degree=p)
             assert form.degree == n - p
-            assert list(form.components.items()) == list(all_subsets_phi_iso(u, m, p).items())
+            full = (1 << n) - 1
+            assert [full ^ t for t in form.components] == list(u.components)
+            assert {to_key(t): c for t, c in form.components.items()} == \
+                all_subsets_phi_iso(u, m, p)
             assert phi_inverse(form) == u
 
 
@@ -265,3 +271,64 @@ def test_basis_construction_normalizes(perm):
     u = Multivector.basis(3, tuple(perm), m=0)
     expected_sign = brute_force_sign(tuple(perm))
     assert u.component((0, 1, 2), 0).constant_value() == expected_sign
+
+
+# -- the bitmask keys against the tuple-keyed definitions ---------------------
+
+
+def index_tuples(n, max_size):
+    """Index tuples in any order: mostly distinct indices, sometimes with repeats."""
+    distinct = st.lists(st.integers(min_value=0, max_value=n - 1), unique=True,
+                        max_size=min(n, max_size)).flatmap(st.permutations).map(tuple)
+    repeated = st.lists(st.integers(min_value=0, max_value=n - 1), max_size=max_size).map(tuple)
+    return st.one_of(distinct, distinct, distinct, repeated)
+
+
+def nonzero_polys(m):
+    return polys(m, max_degree=2, max_terms=2).filter(bool)
+
+
+def assert_same_multivector(u, ref):
+    assert {to_key(s): c for s, c in u.components.items()} == ref.components
+    assert list(u.terms()) == list(ref.terms())
+    assert str(u) == str(ref)
+
+
+@given(data=st.data(), n=st.integers(min_value=1, max_value=5), m=st.sampled_from([0, 2]))
+@settings(max_examples=150)
+def test_mask_keyed_multivector_equals_the_tuple_keyed_definition(data, n, m):
+    terms = st.lists(st.tuples(index_tuples(n, n + 1), nonzero_polys(m)), max_size=6)
+    left, right = data.draw(terms), data.draw(terms)
+    u, v = Multivector(n, left), Multivector(n, right)
+    ref_u, ref_v = TupleMultivector(n, left), TupleMultivector(n, right)
+    assert_same_multivector(u, ref_u)
+    assert_same_multivector(u + v, ref_u + ref_v)
+    assert_same_multivector(u - v, ref_u - ref_v)
+    assert_same_multivector(u.wedge(v), ref_u.wedge(ref_v))
+    p = data.draw(polys(m, max_degree=1, max_terms=2))
+    assert_same_multivector(u.scale(p), ref_u.scale(p))
+    for key in data.draw(st.lists(index_tuples(n, n), max_size=4)):
+        assert u.component(key, m) == ref_u.component(key, m)
+    try:
+        degree = ref_u.degree()
+    except ValueError:
+        with pytest.raises(ValueError):
+            u.degree()
+    else:
+        assert u.degree() == degree
+
+
+@given(data=st.data(), n=st.integers(min_value=1, max_value=5), m=st.sampled_from([0, 2]))
+@settings(max_examples=150)
+def test_mask_keyed_alt_form_equals_the_tuple_keyed_definition(data, n, m):
+    q = data.draw(st.integers(min_value=0, max_value=n + 1))
+    keys = list(combinations(range(n), q))
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(keys) if keys else st.just(()),
+                                         polys(m, max_degree=2, max_terms=2)),
+                               max_size=8 if keys else 0))
+    f, ref = AltForm(n, m, q, pairs), TupleAltForm(n, m, q, pairs)
+    assert {to_key(t): c for t, c in f.components.items()} == ref.components
+    # each increasing key, then the same indices reversed and with the first one repeated
+    for probe in [probe for key in keys for probe in (key, key[::-1], key[:1] + key)]:
+        assert f.value_on_increasing(probe) == ref.value_on_increasing(probe)
+    assert str(f) == str(ref)

@@ -46,7 +46,7 @@ def test_christoffel_table_on_nonabelian_dim2():
 
 def test_multivector_on_coordinate_2d():
     mv = random_multivector(check_rng(0, "pin"), load_catalog("coordinate-2d").algebra)
-    assert sorted((key, str(a)) for key, a in mv.components.items()) == [
+    assert sorted((key, str(a)) for key, a in mv.terms()) == [
         ((0, 1), "-5*x1*x2 + 3*x2 + 2"), ((1,), "-8*x2^2")]
 
 
