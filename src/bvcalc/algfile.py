@@ -205,6 +205,9 @@ def loads(text: str, source: str = "<string>") -> LoadedAlgebra:
             expect_nonflat = value == "true"
         elif key == "suites":
             suites = tuple(s.strip() for s in value.split(",") if s.strip())
+            if not suites:  # run_suite would read () as unset and run every suite
+                raise AlgebraFileError("suites must name at least one suite; "
+                                       f"choose from {', '.join(SUITE_NAMES)}", line_no)
             unknown = [_shorten(s) for s in suites if s not in SUITE_NAMES]
             if unknown:
                 raise AlgebraFileError(f"unknown suite(s): {', '.join(unknown)}; "

@@ -18,11 +18,13 @@ right matters, since the duality checks in `correspond` are sensitive to
 a global sign per degree.
 
 The endomorphism phi_alpha : xi -> [alpha, xi] - nabla_alpha xi has two
-entry points.  `phi_trace` gives its trace from the diagonal alone; the
-trace and divergence identities of `suites.run_linear_connection` and
-`correspond.generator_from_linear_connection` use it.  `phi_map` builds
-the whole map; the torsion-free-lift check applies it to a random xi,
-and the tests use its `trace_endo` as the oracle for `phi_trace`.
+entry points.  `phi_trace` gives its trace from the diagonal alone;
+`correspond.generator_from_linear_connection` uses it, and
+`suites.run_linear_connection` computes it once per trial for both the
+trace and the divergence identity.  `phi_map` builds the whole map; the
+torsion-free-lift check applies it to the same trial's random xi, and the
+tests use its `trace_endo` as the oracle for `phi_trace`.  One draw per
+trial of Gamma, alpha, xi and a lift target serves all three identities.
 """
 
 from __future__ import annotations

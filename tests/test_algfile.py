@@ -208,3 +208,11 @@ def test_rank_zero_rejected_on_its_line():
 def test_unknown_suite_rejected_on_its_line():
     with pytest.raises(AlgebraFileError, match=r"unknown suite\(s\): bogus; .*\(line 4\)"):
         loads("m = 0\nn = 1\n# defaults\nsuites = axioms, bogus\n")
+
+
+@pytest.mark.parametrize("value", ["", " ,", ", ,  ,"])
+def test_empty_suite_list_rejected_on_its_line(value):
+    # an empty selection would otherwise read as unset and run every suite
+    with pytest.raises(AlgebraFileError, match=r"at least one suite") as info:
+        loads(f"m = 0\nn = 1\nsuites ={value}\n")
+    assert info.value.line == 3

@@ -410,6 +410,15 @@ def test_homology_rejects_unknown_suite_in_file(capsys, tmp_path):
     assert "unknown suite(s): bogus" in err and "line 3" in err
 
 
+def test_check_rejects_an_empty_suite_list_in_file(capsys, tmp_path):
+    path = tmp_path / "empty.alg"
+    path.write_text("m = 0\nn = 1\n# defaults\nsuites =\n", encoding="utf-8")
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2
+    assert out == ""
+    assert "suites must name at least one suite" in err and "line 4" in err
+
+
 def test_importing_the_cli_does_not_load_dataclasses():
     # every invocation pays for what `import bvcalc.cli` loads; dataclasses
     # and the methods it generated for the record types were about 25 ms
@@ -436,7 +445,7 @@ def test_trials_reach_each_check_as_the_help_says(monkeypatch):
 
     for name in ("is_generator", "generator_square", "check_generator_duality",
                  "check_bracket_pairing_identity", "right_from_generator",
-                 "torsionfree_lift"):
+                 "torsionfree_lift", "divergence_rank_one"):
         monkeypatch.setattr(suites, name, spy(name))
     report = run_suite(load_catalog("coordinate-2d"), trials=20,
                        suites=("generator", "bijections", "duality", "bracket-expansion",
@@ -449,3 +458,4 @@ def test_trials_reach_each_check_as_the_help_says(monkeypatch):
     assert ("check_bracket_pairing_identity", 8) in seen
     assert seen.count(("right_from_generator", None)) == 1 + 20 + 20
     assert seen.count(("torsionfree_lift", None)) == 20
+    assert seen.count(("divergence_rank_one", None)) == 20

@@ -427,6 +427,27 @@ def test_trace_identity_catches_phi_trace_mutants(catalog, monkeypatch, name, mu
 
 
 @pytest.mark.parametrize("name", ["coordinate-2d", "sl2"])
+def test_trace_identity_catches_a_trace_that_adds_off_diagonal_entries(catalog, monkeypatch,
+                                                                       name):
+    # phi_trace reads only the components Gamma[i][j]_j; the suite draws full
+    # tables, so a trace that also reads the other components of Gamma[i][j] is
+    # caught, which it would not be on tables with only those components
+    def mutant(alg, conn, alpha):
+        out = phi_trace(alg, conn, alpha)
+        for i, a in enumerate(alpha.coeffs):
+            for j in range(alg.n):
+                for k in range(alg.n):
+                    if k != j:
+                        out = out - a * conn.table[i][j].coeffs[k]
+        return out
+
+    monkeypatch.setattr(suites, "phi_trace", mutant)
+    outcome = linear_connection_outcomes(catalog[name])["trace-identity"]
+    assert outcome.status == "fail"
+    assert outcome.witness.startswith("trace identity fails for alpha="), outcome.witness
+
+
+@pytest.mark.parametrize("name", ["coordinate-2d", "sl2"])
 def test_torsionfree_lift_check_catches_an_off_diagonal_bump(catalog, monkeypatch, name):
     # e_1 added to Gamma[0][1] alone: the induced top connection is unchanged,
     # and only T[0][1] (and T[1][0] = -T[0][1]) can see it
@@ -443,6 +464,22 @@ def test_torsionfree_lift_check_catches_an_off_diagonal_bump(catalog, monkeypatc
     outcome = linear_connection_outcomes(loaded)["torsionfree-lift"]
     assert outcome.status == "fail"
     assert outcome.witness.startswith("lift has torsion for gamma="), outcome.witness
+
+
+@pytest.mark.parametrize("name", ["sl2", "coordinate-2d"])
+def test_divergence_identity_catches_a_negated_lie_derivative(catalog, monkeypatch, name):
+    # only the divergence line reads the generalized Lie derivative; the other
+    # two lines of the shared draw must not notice
+    original = suites.generalized_lie_derivative
+    loaded = catalog[name]
+    monkeypatch.setattr(suites, "generalized_lie_derivative",
+                        lambda *args: -original(*args))
+    outcomes = linear_connection_outcomes(loaded)
+    assert outcomes["trace-identity"].status == "pass"
+    assert outcomes["torsionfree-lift"].status == "pass"
+    outcome = outcomes["divergence-identity"]
+    assert outcome.status == "fail"
+    assert outcome.witness.startswith("divergence identity fails for alpha="), outcome.witness
 
 
 def test_trace_endo_examples():
