@@ -110,22 +110,24 @@ def _shorten(text: str) -> str:
     return text if len(text) <= 20 else text[:20] + "..."
 
 
-def _parse_vector(m: int, value: str, line_no: int, column: int) -> tuple[PolyElement, ...]:
-    """Parse a stripped `[p, ...]` value that starts at 0-based `column` of its line."""
+def _parse_vector(m: int, n: int, key: str, value: str, line_no: int,
+                  column: int) -> tuple[PolyElement, ...]:
+    """Parse the stripped `[p, ...]` value of `key`, which starts at 0-based
+    `column` of its line and must hold `n` entries."""
     if not (value.startswith("[") and value.endswith("]")):
         raise AlgebraFileError("expected a bracketed vector like [0, 1]", line_no)
     inner = value[1:-1]
-    if not inner.strip():
-        return ()
     out = []
     column += 1
-    for piece in inner.split(","):
+    for piece in inner.split(",") if inner.strip() else ():
         try:
             out.append(parse_poly(piece, m))
         except PolyParseError as exc:
             raise AlgebraFileError(f"bad polynomial {_shorten(piece.strip())!r}: {exc.message}",
                                    line_no, column + exc.column + 1) from exc
         column += len(piece) + 1
+    if len(out) != n:
+        raise AlgebraFileError(f"{key} must have {n} entries", line_no)
     return tuple(out)
 
 
@@ -248,19 +250,8 @@ def loads(text: str, source: str = "<string>") -> LoadedAlgebra:
     if violations:
         raise AlgebraFileError("axioms fail: " + "; ".join(str(v) for v in violations))
 
-    gamma = None
-    if gamma_line is not None:
-        vec = _parse_vector(m, *gamma_line)
-        if len(vec) != n:
-            raise AlgebraFileError(f"gamma must have {n} entries", gamma_line[1])
-        gamma = TopConnection(vec)
-
-    r = None
-    if r_line is not None:
-        vec = _parse_vector(m, *r_line)
-        if len(vec) != n:
-            raise AlgebraFileError(f"r must have {n} entries", r_line[1])
-        r = RightConnectionOnA(vec)
+    gamma = TopConnection(_parse_vector(m, n, "gamma", *gamma_line)) if gamma_line else None
+    r = RightConnectionOnA(_parse_vector(m, n, "r", *r_line)) if r_line else None
 
     if gamma is not None and r is not None:
         if right_from_top(algebra, gamma).r != r.r:

@@ -228,8 +228,7 @@ def covariant_derivative(alg: LieRinehartAlgebra, conn: TopConnection,
         return AltForm(n, m, n + 1)
     p = n - q  # first absolute argument label in the sign convention
     # the nonzero c^l_ab, with a < b in increasing order as the formula sums them
-    brackets = [(a, b, [(l, c) for l, c in enumerate(br.coeffs) if c])
-                for (a, b), br in sorted(alg.structure.items())]
+    brackets = [(a, b, alg.bracket_terms(a, b)) for a, b in sorted(alg.structure)]
     acc: dict[int, PolyElement] = {}
 
     def add(mask: int, value: PolyElement, negative: int) -> None:

@@ -7,15 +7,18 @@ constructors, `component` and `value_on_increasing`, and leave only
 through `terms` and the printed labels.  A constructor normalizes
 arbitrary tuples: it sorts each key with its permutation sign
 (`sort_with_sign`), sends a repeated index to 0, merges equal keys and
-drops zeros.  Sums, negations and scalings act on the masks, and the
-wedge product takes its signs from `ground.wedge_sign`.  The canonical
-pairing wedges a degree-p and a degree-(n-p) multivector into the top
-power, and its adjoint identifies degree-p multivectors with alternating
-(n-p)-forms valued in the top power.  `phi_iso` builds that adjoint from
-wedges, so its signs come from `wedge_sign`; for free L it is also a
-signed re-indexing on complements, which is how `phi_inverse` computes
-it, with `merge_sign` counting the inversions of index tuples.  The two
-halves share no sign code, so each is the other's test.
+drops zeros.  The two types share one implementation of their
+arithmetic, `_Blades`: sums, negations, scalings, the zero test,
+equality and hashing act on the masks, and each type adds only the
+shape two operands must share.  The wedge product takes its signs from
+`ground.wedge_sign`.  The canonical pairing wedges a degree-p and a
+degree-(n-p) multivector into the top power, and its adjoint identifies
+degree-p multivectors with alternating (n-p)-forms valued in the top
+power.  `phi_iso` builds that adjoint from wedges, so its signs come
+from `wedge_sign`; for free L it is also a signed re-indexing on
+complements, which is how `phi_inverse` computes it, with `merge_sign`
+counting the inversions of index tuples.  The two halves share no sign
+code, so each is the other's test.
 """
 
 from __future__ import annotations
@@ -60,7 +63,49 @@ def basis_label(key: Sequence[int]) -> str:
     return "e{" + ",".join(str(i + 1) for i in key) + "}"
 
 
-class Multivector:
+class _Blades:
+    """The arithmetic of a map `components` from subset bitmasks to nonzero values.
+
+    A subclass gives `_shape()`, the tuple two operands must share, a
+    classmethod `_make(*shape, components)` that builds it on a canonical
+    map, and the `_mismatch` message for operands of different shapes.
+    """
+
+    __slots__ = ()
+
+    def _like(self, components: dict):
+        return self._make(*self._shape(), components)
+
+    def is_zero(self) -> bool:
+        return not self.components
+
+    def __add__(self, other):
+        if self._shape() != other._shape():
+            raise ValueError(self._mismatch)
+        acc = dict(self.components)
+        add_multiple(acc, other.components)
+        return self._like(acc)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._like({k: -v for k, v in self.components.items()})
+
+    def scale(self, p):
+        return self._like({k: w for k, v in self.components.items() if (w := p * v)})
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._shape() == other._shape() and self.components == other.components
+
+    def __hash__(self):
+        return hash((*self._shape(),
+                     frozenset((k, hash(v)) for k, v in self.components.items())))
+
+
+class Multivector(_Blades):
     """Element of the exterior algebra over A, possibly inhomogeneous.
 
     `components` maps the bitmask of each basis subset S to the nonzero
@@ -68,6 +113,7 @@ class Multivector:
     """
 
     __slots__ = ("n", "components")
+    _mismatch = "rank mismatch"
 
     def __init__(self, n: int, components: Mapping | Iterable = ()):
         items = components.items() if isinstance(components, Mapping) else components
@@ -122,8 +168,8 @@ class Multivector:
         return iter(sorted(((to_key(s), c) for s, c in self.components.items()),
                            key=lambda kv: (len(kv[0]), kv[0])))
 
-    def is_zero(self) -> bool:
-        return not self.components
+    def _shape(self) -> tuple[int]:
+        return (self.n,)
 
     def degree(self) -> int | None:
         """Exterior degree of a homogeneous multivector; None if zero."""
@@ -134,22 +180,6 @@ class Multivector:
             raise ValueError("inhomogeneous multivector has no degree")
         return degrees.pop()
 
-    def __add__(self, other: "Multivector") -> "Multivector":
-        if self.n != other.n:
-            raise ValueError("rank mismatch")
-        acc = dict(self.components)
-        add_multiple(acc, other.components)
-        return Multivector._make(self.n, acc)
-
-    def __sub__(self, other: "Multivector") -> "Multivector":
-        return self + (-other)
-
-    def __neg__(self) -> "Multivector":
-        return Multivector._make(self.n, {k: -v for k, v in self.components.items()})
-
-    def scale(self, p) -> "Multivector":
-        return Multivector._make(self.n, {k: w for k, v in self.components.items() if (w := p * v)})
-
     def wedge(self, other: "Multivector") -> "Multivector":
         """Exterior product: e_S ^ e_T = `wedge_sign`(S, T) e_(S | T), term by term."""
         if self.n != other.n:
@@ -158,14 +188,6 @@ class Multivector:
         for s, a in self.components.items():
             add_basis_wedge(acc, s, other.components, a)
         return Multivector._make(self.n, acc)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Multivector):
-            return NotImplemented
-        return self.n == other.n and self.components == other.components
-
-    def __hash__(self):
-        return hash((self.n, frozenset((k, hash(v)) for k, v in self.components.items())))
 
     def __str__(self) -> str:
         if not self.components:
@@ -226,7 +248,7 @@ def top_pairing(u: Multivector, v: Multivector, m: int) -> TopElement:
     return TopElement(n, u.wedge(v).component(full_tuple(n), m))
 
 
-class AltForm:
+class AltForm(_Blades):
     """Alternating A-multilinear form on L valued in the top power.
 
     A form of degree q stores its nonzero values on increasing q-tuples of
@@ -238,6 +260,7 @@ class AltForm:
     """
 
     __slots__ = ("n", "m", "degree", "components")
+    _mismatch = "form shape mismatch"
 
     def __init__(self, n: int, m: int, degree: int, components: Mapping | Iterable = ()):
         if not 0 <= degree <= n + 1:
@@ -268,36 +291,8 @@ class AltForm:
         value = self.components.get(mask) if to_key(mask) == tuple(key) else None
         return PolyElement.zero(self.m) if value is None else value
 
-    def __add__(self, other: "AltForm") -> "AltForm":
-        if (self.n, self.m, self.degree) != (other.n, other.m, other.degree):
-            raise ValueError("form shape mismatch")
-        acc = dict(self.components)
-        add_multiple(acc, other.components)
-        return AltForm._make(self.n, self.m, self.degree, acc)
-
-    def __sub__(self, other: "AltForm") -> "AltForm":
-        return self + (-other)
-
-    def __neg__(self) -> "AltForm":
-        return AltForm._make(self.n, self.m, self.degree,
-                             {k: -v for k, v in self.components.items()})
-
-    def scale(self, p) -> "AltForm":
-        return AltForm._make(self.n, self.m, self.degree,
-                             {k: w for k, v in self.components.items() if (w := p * v)})
-
-    def is_zero(self) -> bool:
-        return not self.components
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AltForm):
-            return NotImplemented
-        return ((self.n, self.m, self.degree) == (other.n, other.m, other.degree)
-                and self.components == other.components)
-
-    def __hash__(self):
-        return hash((self.n, self.m, self.degree,
-                     frozenset((k, hash(v)) for k, v in self.components.items())))
+    def _shape(self) -> tuple[int, int, int]:
+        return (self.n, self.m, self.degree)
 
     def __str__(self) -> str:
         if not self.components:

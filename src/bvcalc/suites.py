@@ -372,8 +372,12 @@ def _lift_fault(alg, target: TopConnection, alpha, xi) -> str:
 def run_suite(loaded: LoadedAlgebra, suites: tuple[str, ...] | None = None,
               seed: int = 0, trials: int = 32, degree_bound: int = 3) -> VerificationReport:
     """Run the selected suites (all applicable by default) and report."""
-    selected = suites or loaded.suites or SUITE_NAMES
-    unknown = [s for s in selected if s not in SUITE_NAMES]
+    if suites is None:  # only None means unset; an empty selection is an error
+        suites = SUITE_NAMES if loaded.suites is None else loaded.suites
+    if not suites:
+        raise ValueError("suites must name at least one suite; "
+                         f"choose from {', '.join(SUITE_NAMES)}")
+    unknown = [s for s in suites if s not in SUITE_NAMES]
     if unknown:
         raise ValueError(f"unknown suite(s): {', '.join(unknown)}; "
                          f"choose from {', '.join(SUITE_NAMES)}")
@@ -390,7 +394,7 @@ def run_suite(loaded: LoadedAlgebra, suites: tuple[str, ...] | None = None,
         "homology": runner.run_homology,
     }
     for name in SUITE_NAMES:  # fixed order regardless of selection order
-        if name in selected:
+        if name in suites:
             dispatch[name]()
     report = VerificationReport(
         source=loaded.source, algebra=loaded.algebra.name, seed=seed, trials=trials,

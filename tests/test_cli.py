@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import bvcalc
+from bvcalc.algfile import LoadedAlgebra
 from bvcalc.catalog import CATALOG_NAMES
 from bvcalc.cli import main
 from bvcalc.homology import ChainComplex
@@ -119,6 +120,18 @@ def test_run_suite_rejects_unknown_suite():
     loaded = load_catalog("abelian-dim2")
     with pytest.raises(ValueError, match="unknown suite"):
         run_suite(loaded, suites=("nope",))
+
+
+def test_run_suite_rejects_an_empty_suite_selection():
+    # () once read as unset and ran every suite; only None means unset
+    loaded = load_catalog("sl2")
+    message = "suites must name at least one suite; choose from " + ", ".join(SUITE_NAMES)
+    for selection in ((), []):
+        with pytest.raises(ValueError, match=message):
+            run_suite(loaded, suites=selection, trials=1)
+    with pytest.raises(ValueError, match=message):
+        run_suite(LoadedAlgebra(loaded.algebra, suites=()), trials=1)
+    assert len(run_suite(loaded, suites=None, trials=1).outcomes) == 16
 
 
 @pytest.mark.parametrize("kwargs, message", [

@@ -15,15 +15,18 @@ no anchor and no bracket code of the package.
 """
 
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
 from bvcalc import bv, ground
 from bvcalc.algebra import build_poisson_cotangent
+from bvcalc.algfile import LoadedAlgebra
 from bvcalc.bv import GeneratorD, RightConnectionOnA, is_generator
 from bvcalc.exterior import Multivector
 from bvcalc.poly import PolyElement
 from bvcalc.sampling import check_rng, random_poly
+from bvcalc.suites import run_suite
 
 
 def _add(form, key, coeff):
@@ -160,3 +163,50 @@ def test_a_flipped_bracket_term_fails_the_oracle_and_the_generator_identity(name
                for form in random_forms(name, alg.m)), name
     ok, witness = is_generator(alg, gen, trials=4, seed=27)
     assert not ok and witness, name
+
+
+# -- every suite on structure functions that are not constant ----------------
+# The catalog's m > 0 entries and the CI's coordinate algebras all have c = 0.
+# A log-canonical bivector {x_i, x_j} = a_ij x_i x_j gives c[i][j] = a_ij
+# (x_j dx_i + x_i dx_j), whose constant terms are all 0.
+
+LOG_CANONICAL = {  # m -> the skew integer matrix a, as its entries a_ij for i < j
+    3: {(0, 1): 1, (0, 2): -2, (1, 2): 3},
+    4: {(0, 1): 1, (0, 2): -2, (0, 3): 3, (1, 2): 1, (1, 3): -1, (2, 3): 2},
+}
+
+
+def log_canonical(m):
+    x = [PolyElement.variable(m, i) for i in range(m)]
+    pi = bivector(m, {(i, j): PolyElement.const(m, a) * x[i] * x[j]
+                      for (i, j), a in LOG_CANONICAL[m].items()})
+    alg = build_poisson_cotangent(pi, name=f"log-canonical-{m}")
+    assert not alg.verify_axioms()
+    assert any(not c.is_constant() for br in alg.structure.values() for c in br.coeffs)
+    return LoadedAlgebra(alg)
+
+
+def constant_structure_functions(original):
+    """`ground_generator` reading each structure function c^l_ab as its constant term."""
+    def mutant(alg, conn, s):
+        def bracket_terms(a, b):
+            return tuple((l, PolyElement.const(alg.m, c.constant_term()))
+                         for l, c in alg.bracket_terms(a, b) if c.constant_term())
+        return original(SimpleNamespace(bracket_terms=bracket_terms), conn, s)
+    return mutant
+
+
+@pytest.mark.parametrize("m", list(LOG_CANONICAL))
+def test_every_suite_passes_on_a_log_canonical_algebra(m):
+    report = run_suite(log_canonical(m), trials=4)
+    assert [(o.suite, o.name) for o in report.outcomes if o.status != "pass"] == \
+        [("homology", "betti")]
+    assert report.outcomes[-1].status == "skip"
+
+
+def test_constant_structure_functions_fail_the_generator_identity(monkeypatch):
+    monkeypatch.setattr(bv, "ground_generator",
+                        constant_structure_functions(bv.ground_generator))
+    report = run_suite(log_canonical(3), suites=("generator",), trials=4)
+    identity, = (o for o in report.outcomes if o.name == "identity")
+    assert identity.status == "fail" and identity.witness
