@@ -65,12 +65,14 @@ two shifts probe but no finite probe proves.
 A `Multivector` is keyed by the bitmask of each S, as the maps of
 `bvcalc.ground` are, so a call of D, a probe of `is_generator` and a
 witness move components between the two by their values alone
-(`ground.values`, `ground.coefficient`), never by their keys.
+(`ground.values`, `ground.coefficient`), never by their keys.  Each
+check walks the subsets S in the one subset order that `ground.subsets`
+defines, and builds each argument a e_S on its mask; index tuples
+appear only in witness labels.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Callable, Sequence
 
 from . import ground
@@ -401,13 +403,12 @@ def is_generator(alg: LieRinehartAlgebra, op: Operator, trials: int = 32,
     check_draw_arguments(trials, degree_bound)
     rng = check_rng(seed, "is_generator")
     n, m = alg.n, alg.m
-    subsets = [ground.to_mask(key) for p in range(n + 1) for key in combinations(range(n), p)]
     two = PolyElement.const(0, 2)
     lie = lie_brackets(alg)
     for _ in range(trials if m else 1):
         # (a, `mask_bracket`'s (S, a, e_i(a)), D(a e_S) as a mask map) per drawn a e_S
         drawn, images = [], {}
-        for s in subsets:
+        for s in ground.subsets(n):
             a, u = draw_term(alg, rng, s, degree_bound)
             image = op(Multivector._make(n, {s: a} if a else {}))
             ds = images[s] = ground.values(image.components)
@@ -474,8 +475,10 @@ def certify_every_connection(alg: LieRinehartAlgebra,
     operator that is not affine on those points, such as a term mixing two
     directions, but cannot prove affinity.  The operators for r0 and each
     shift stay black boxes, each called on every e_R ((2n + 2) 2^n calls);
-    no bracket is computed.  For each axis, then the diagonal, R
-    runs in subset order, degree first, through the rows in turn; returns
+    no bracket is computed.  The shifted tables are built one axis at a
+    time, so only the base table and that axis's tables are alive at once.
+    For each axis, then the diagonal, R runs in subset order
+    (`ground.subsets`), through the rows in turn; returns
     (True, None) or (False, witness) naming the first failing i (i=1..n for
     the diagonal) and R.  Together with `is_generator` passing at r0, and
     for an operator affine in r, this proves the identity for every right
@@ -485,7 +488,7 @@ def certify_every_connection(alg: LieRinehartAlgebra,
     if alg.m:
         raise ValueError(f"certify_every_connection needs m = 0, got m = {alg.m}")
     n = alg.n
-    masks = [ground.to_mask(key) for p in range(n + 1) for key in combinations(range(n), p)]
+    masks = ground.subsets(n)
     one = PolyElement.one(0)
 
     def images(r: tuple[PolyElement, ...]) -> dict:
@@ -505,19 +508,22 @@ def certify_every_connection(alg: LieRinehartAlgebra,
         return {s ^ (1 << l): -theta[l] if k % 2 else theta[l]
                 for k, l in enumerate(ground.to_key(s)) if theta[l]}
 
-    probes, total = [], [0] * n  # (i, rows), each row (v, D_(r0 + v) - D_r0, theta(v), reason)
-    for i in range(n):
-        axis = [int(j == i) for j in range(n)]
-        once = moved(axis)
-        theta = [once[1 << l].get(0, 0) for l in range(n)]
-        total = [a + b for a, b in zip(total, theta)]
-        probes.append((f"{i + 1}", [
-            (f"e_{i + 1}", once, theta,
-             f"delta_{i + 1} = D[r+e_{i + 1}] - D[r] is not a contraction"),
-            (f"2e_{i + 1}", moved([2 * k for k in axis]), [2 * c for c in theta],
-             "D is not affine in r")]))
-    probes.append((f"1..{n}", [(f"e_1+..+e_{n}", moved([1] * n), total, "D is not affine in r")]))
-    for i, rows in probes:
+    def probes():
+        """(i, rows), each row (v, D_(r0 + v) - D_r0, theta(v), reason), one axis at a time."""
+        total = [0] * n
+        for i in range(n):
+            axis = [int(j == i) for j in range(n)]
+            once = moved(axis)
+            theta = [once[1 << l].get(0, 0) for l in range(n)]
+            total = [a + b for a, b in zip(total, theta)]
+            yield f"{i + 1}", [
+                (f"e_{i + 1}", once, theta,
+                 f"delta_{i + 1} = D[r+e_{i + 1}] - D[r] is not a contraction"),
+                (f"2e_{i + 1}", moved([2 * k for k in axis]), [2 * c for c in theta],
+                 "D is not affine in r")]
+        yield f"1..{n}", [(f"e_1+..+e_{n}", moved([1] * n), total, "D is not affine in r")]
+
+    for i, rows in probes():
         for s in masks:
             for v, delta, theta, reason in rows:
                 expected = contraction(theta, s)
@@ -544,31 +550,28 @@ def generator_square(alg: LieRinehartAlgebra, op: Operator, trials: int = 8,
                      seed: int = 0, degree_bound: int = 3) -> SquareResult:
     """Test D(D(u)) = 0 on basis multivectors, then with random coefficients.
 
-    The basis pass evaluates D^2(e_S) for every subset S in subset order
-    and stops at the first nonzero one, which is the witness.  When m = 0,
-    A = Q and a degree -1 operator is Q-linear, so D^2(a e_S) = a D^2(e_S):
-    the basis pass decides, and `trials`, `seed` and `degree_bound` make
-    no difference.  When m > 0, D^2(a e_S) can be nonzero although D^2(e_S)
-    is zero, so up to `trials` passes with random coefficients follow
-    an exact basis pass.  `trials` below 1 or `degree_bound` below 0
+    One walk of passes over every subset S in subset order stops at the
+    first nonzero D^2(a e_S), which is the witness.  Pass 0 is the basis
+    pass: a = 1, and nothing is drawn.  When m = 0, A = Q and a degree -1
+    operator is Q-linear, so D^2(a e_S) = a D^2(e_S): the basis pass
+    decides, and `trials`, `seed` and `degree_bound` make no difference.
+    When m > 0, D^2(a e_S) can be nonzero although D^2(e_S) is zero, so
+    `trials` passes follow, each drawing a random a for every S and
+    skipping a zero draw.  `trials` below 1 or `degree_bound` below 0
     raises ``ValueError`` at every m.
     """
     check_draw_arguments(trials, degree_bound)
     rng = check_rng(seed, "generator_square")
-    n = alg.n
-    subsets = [s for p in range(n + 1) for s in combinations(range(n), p)]
-    one = PolyElement.one(alg.m)
-    for s_key in subsets:
-        square = op(op(Multivector(n, [(s_key, one)])))
-        if not square.is_zero():
-            return SquareResult(is_exact=False, witness=f"D^2({basis_label(s_key)}) = {square}")
-    for _ in range(trials if alg.m else 0):
-        for s_key in subsets:
-            a = random_poly(rng, alg.m, degree_bound)
+    n, m = alg.n, alg.m
+    one = PolyElement.one(m)
+    for trial in range(1 + (trials if m else 0)):  # pass 0 is the basis pass
+        for s in ground.subsets(n):
+            a = random_poly(rng, m, degree_bound) if trial else one
             if not a:
                 continue
-            square = op(op(Multivector(n, [(s_key, a)])))
+            square = op(op(Multivector._make(n, {s: a})))
             if not square.is_zero():
-                return SquareResult(is_exact=False,
-                                    witness=f"D^2(({a})*{basis_label(s_key)}) = {square}")
+                term = f"({a})*" if trial else ""
+                return SquareResult(is_exact=False, witness=(
+                    f"D^2({term}{basis_label(ground.to_key(s))}) = {square}"))
     return SquareResult(is_exact=True, witness=None)

@@ -13,10 +13,13 @@ every degree.  `check_bracket_pairing_identity` verifies the companion
 expansion d(phi_u)(v) = (-1)^p (u ^ Dv + [u, v]) on complementary pairs,
 with one loop for every m: one coefficient per basis subset and pass, the
 form d(phi_u) once per S, D once per T, and [u, v] through
-`bv.mask_bracket` from the n^2 Lie brackets.  When m = 0 the diagram is
-Q-linear in u and the expansion Q-bilinear in (u, v), so both run one
-pass over the basis with coefficient 1 and their result has no seed or
-trial count; when m > 0 they evaluate random polynomial coefficients.
+`bv.mask_bracket` from the n^2 Lie brackets.  Both walk the subsets in
+the subset order of `ground.subsets` and build each argument a e_S on
+its mask; index tuples appear only in witness labels.  When m = 0 the
+diagram is Q-linear in u and the expansion Q-bilinear in (u, v), so both
+run one pass over the basis with coefficient 1 and their result has no
+seed or trial count; when m > 0 they evaluate random polynomial
+coefficients.
 
 The linear-connection layer: any connection on L induces one on the top
 power by tracing its Christoffel rows, the endomorphisms
@@ -29,7 +32,6 @@ symmetrically, which is where invertibility of n + 1 over Q is used).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 
 from . import ground
 from .algebra import LElement, LieRinehartAlgebra
@@ -97,23 +99,23 @@ def check_generator_duality(alg: LieRinehartAlgebra, gen: GeneratorD,
     n, m = alg.n, alg.m
     one = PolyElement.one(0)
     for _ in range(trials if m else 1):
-        for p in range(n + 1):
-            for key in combinations(range(n), p):
-                a = random_poly(rng, m, degree_bound) if m else one
-                u = Multivector(n, [(key, a)])
-                image = gen(u)
-                rhs = -covariant_derivative(alg, conn, phi_iso(u, m, degree=p))
-                if p == 0:
-                    # both sides live one degree above the top, i.e. vanish
-                    if not (image.is_zero() and rhs.is_zero()):
-                        return False, f"degree 0 witness: u=({a}), D(u)={image}, rhs={rhs}"
-                    continue
-                if any(s.bit_count() != p - 1 for s in image.components):
-                    return False, f"D(({a})*{basis_label(key)})={image} is not of degree {p - 1}"
-                lhs = phi_iso(image, m, degree=p - 1)
-                if lhs != rhs:
-                    witness = f"u=({a})*{basis_label(key)} phi_D(u)=[{lhs}] -d(phi_u)=[{rhs}]"
-                    return False, witness
+        for s in ground.subsets(n):
+            p = s.bit_count()
+            a = random_poly(rng, m, degree_bound) if m else one
+            u = Multivector._make(n, {s: a} if a else {})
+            image = gen(u)
+            rhs = -covariant_derivative(alg, conn, phi_iso(u, m, degree=p))
+            if p == 0:
+                # both sides live one degree above the top, i.e. vanish
+                if not (image.is_zero() and rhs.is_zero()):
+                    return False, f"degree 0 witness: u=({a}), D(u)={image}, rhs={rhs}"
+                continue
+            label = basis_label(ground.to_key(s))
+            if any(t.bit_count() != p - 1 for t in image.components):
+                return False, f"D(({a})*{label})={image} is not of degree {p - 1}"
+            lhs = phi_iso(image, m, degree=p - 1)
+            if lhs != rhs:
+                return False, f"u=({a})*{label} phi_D(u)=[{lhs}] -d(phi_u)=[{rhs}]"
     return True, None
 
 
@@ -148,20 +150,20 @@ def check_bracket_pairing_identity(alg: LieRinehartAlgebra, gen: GeneratorD,
     for _ in range(trials if m else 1):
         for p in range(1, n + 1):
             right = []
-            for t_key in combinations(range(n), n - p + 1):
-                b, v = draw_term(alg, rng, ground.to_mask(t_key), degree_bound)
-                image = ground.values(gen(Multivector(n, [(t_key, b)])).components)
-                right.append((t_key, b, v, image))
-            for s_key in combinations(range(n), p):
-                a, u = draw_term(alg, rng, ground.to_mask(s_key), degree_bound)
-                s, av, _ = u
+            for t in ground.subsets(n, n - p + 1):
+                b, v = draw_term(alg, rng, t, degree_bound)
+                image = ground.values(gen(Multivector._make(n, {t: b} if b else {})).components)
+                right.append((b, v, image))
+            for s in ground.subsets(n, p):
+                a, u = draw_term(alg, rng, s, degree_bound)
+                av = u[1]
                 rest = full ^ s
-                form = covariant_derivative(alg, conn, phi_iso(Multivector(n, [(s_key, a)]),
-                                                               m, degree=p))
+                form = covariant_derivative(alg, conn, phi_iso(
+                    Multivector._make(n, {s: a} if a else {}), m, degree=p))
                 values = ground.values(form.components)
                 # a e_S ^ e_rest = signed_a e_full
                 signed_a = av if ground.wedge_sign(s, rest) > 0 else -av
-                for t_key, b, v, image in right:
+                for b, v, image in right:
                     lhs = v[1] * values.get(v[0], zero)
                     rhs = mask_bracket(lie, u, v, av * v[1]).get(full, zero)
                     if rest in image:
@@ -169,8 +171,9 @@ def check_bracket_pairing_identity(alg: LieRinehartAlgebra, gen: GeneratorD,
                     if p % 2:
                         rhs = -rhs
                     if lhs != rhs:
-                        return False, (f"p={p} u=({a})*{basis_label(s_key)} "
-                                       f"v=({b})*{basis_label(t_key)} lhs={lhs} rhs={rhs}")
+                        return False, (f"p={p} u=({a})*{basis_label(ground.to_key(s))} "
+                                       f"v=({b})*{basis_label(ground.to_key(v[0]))} "
+                                       f"lhs={lhs} rhs={rhs}")
     return True, None
 
 

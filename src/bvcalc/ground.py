@@ -6,7 +6,11 @@ Fontijne and Mann, *Geometric Algebra for Computer Science*, 2007).
 `Multivector` and `AltForm` store their components on these masks, and
 index tuples appear only where callers pass them in and where labels
 print, through `to_mask` and `to_key`.  The sign of e_S ^ e_T is a parity
-of bit counts (`wedge_sign`), with no sorting of index tuples.
+of bit counts (`wedge_sign`), with no sorting of index tuples.  Every
+exact check walks the subsets in one order, the masks of `subsets`: by
+degree, then in `itertools.combinations` order.  That order decides each
+first-failure witness and the row order of the `homology` boundary
+matrices, and no other module enumerates subsets.
 
 The pair loops of `bv.is_generator` and
 `correspond.check_bracket_pairing_identity`, the bracket [e_S, e_T] that
@@ -33,6 +37,7 @@ promotes an int.  Each helper wedges a map with one basis element e_S;
 from __future__ import annotations
 
 from functools import cache
+from itertools import combinations
 
 from .poly import PolyElement
 
@@ -60,6 +65,15 @@ def to_mask(key: tuple[int, ...]) -> int:
 def to_key(mask: int) -> tuple[int, ...]:
     """The increasing index tuple of a bitmask, memoized: at most 2^n masks per rank n in use."""
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+@cache
+def subsets(n: int, degree: int | None = None) -> tuple[int, ...]:
+    """The masks of the `degree`-subsets of range(n) in `combinations` order, memoized;
+    with no degree, every subset, by degree and then in that order."""
+    if degree is None:
+        return tuple(s for p in range(n + 1) for s in subsets(n, p))
+    return tuple(to_mask(key) for key in combinations(range(n), degree))
 
 
 def wedge_sign(s: int, t: int) -> int:

@@ -4,7 +4,9 @@ When A = Q (no polynomial variables), the exterior powers of L are
 finite-dimensional Q-vector spaces and an exact generator turns them
 into a chain complex: d_p sends the basis element e_S of degree p to
 D(e_S).  Each d_p is kept as sparse columns {row: value}, one per
-subset S, read straight from the generator's D(e_S) table.  d o d = 0
+subset S, read straight from the generator's D(e_S) table; the rows and
+columns of degree p follow `ground.subsets(n, p)`, the one subset order
+of every exact check.  d o d = 0
 is checked by composing those columns, and Betti numbers come from
 `exact_rank`, an exact column elimination over Q; every value is an
 `int` or a `Fraction`, and no tolerance appears anywhere.
@@ -13,8 +15,6 @@ is checked by composing those columns, and Betti numbers come from
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
-from math import comb
 
 from . import ground
 from .algebra import LieRinehartAlgebra
@@ -104,24 +104,25 @@ def rinehart_complex(alg: LieRinehartAlgebra, gen: GeneratorD) -> ChainComplex:
 
     Requires m = 0 (otherwise the exterior powers are infinite
     dimensional over Q) and an exact generator; both are refused with a
-    diagnostic.  The basis of degree p is the p-subsets in `combinations`
-    order, and column S of d_p is the table entry `gen.ground(S)` with its
-    masks renamed to row indices.  At m = 0 the generator is Q-linear, so
-    the columns compose to zero exactly when D^2 = 0; only when they do not
-    is `generator_square` called, to raise `NonExactGeneratorError` with its
-    witness, or `BoundarySquareError` if D^2 = 0.  Nothing here is random.
+    diagnostic.  The basis of degree p is the masks of the p-subsets in
+    the subset order of `ground.subsets`, its length is dims[p], and
+    column S of d_p is the table entry `gen.ground(S)` with its masks
+    renamed to row indices.  At m = 0 the generator is Q-linear, so the
+    columns compose to zero exactly when D^2 = 0; only when they do not
+    is `generator_square` called, to raise `NonExactGeneratorError` with
+    its witness, or `BoundarySquareError` if D^2 = 0.  Nothing here is
+    random.
     """
     if alg.m != 0:
         raise ValueError(f"homology needs the ground-field case m=0, got m={alg.m}")
     n = alg.n
-    bases = [[ground.to_mask(key) for key in combinations(range(n), p)]
-             for p in range(n + 1)]
+    bases = [ground.subsets(n, p) for p in range(n + 1)]
     boundaries = []
     for p in range(1, n + 1):
         row_of = {mask: row for row, mask in enumerate(bases[p - 1])}
         boundaries.append(tuple({row_of[t]: value for t, value in gen.ground(s).items()}
                                 for s in bases[p]))
-    complex_ = ChainComplex(dims=tuple(comb(n, p) for p in range(n + 1)),
+    complex_ = ChainComplex(dims=tuple(len(basis) for basis in bases),
                             boundaries=tuple(boundaries))
     if not complex_.d_squared_is_zero():
         square = generator_square(alg, gen)

@@ -22,9 +22,10 @@ d/dx_{i+1} lowers a key by one fixed step.  Only this module knows the
 layout: the constructor takes, and `items` yields, exponent tuples.  A
 field must not carry into the next one, so every key has total degree
 below 2^W: the constructor and every product raise ``ValueError``
-rather than return a larger one.  `parse_poly` caps each k in ``x^k``
-at MAX_EXPONENT = 2^16 - 1, so a product reaches degree 2^W only if it
-multiplies 2^16 such powers together, far more than any check forms.
+rather than return a larger one.  `parse_poly` caps each k in ``x^k``,
+and the total degree of each polynomial it returns, at MAX_EXPONENT =
+2^16 - 1: a product reaches degree 2^W only if it multiplies 2^16 such
+polynomials together, far more than the loader or any check forms.
 
 Integer values enter as ``int`` (a ``Fraction`` with denominator 1 is
 stored as its numerator), so the integer-coefficient data that most
@@ -342,7 +343,9 @@ def parse_poly(text: str, m: int) -> PolyElement:
 
     Grammar: terms joined by + and -, each term a '*'-separated product of
     rational constants and powers ``xi^k`` of the variables x1..xm, with
-    k at most MAX_EXPONENT.  No parentheses and no floating point.
+    k at most MAX_EXPONENT.  No parentheses and no floating point.  A term
+    of total degree above MAX_EXPONENT is an error at the factor that
+    takes it there, so no product the parser forms nears 2^W.
     """
     pos = 0
     n = len(text)
@@ -413,7 +416,13 @@ def parse_poly(text: str, m: int) -> PolyElement:
         skip_ws()
         while pos < n and text[pos] == "*":
             pos += 1
+            skip_ws()
+            col = pos
             result = result * parse_factor()
+            # a term is one monomial: its key, if any, holds the degree
+            degree = max(result.terms, default=0) >> W * m
+            if degree > MAX_EXPONENT:
+                raise PolyParseError(f"total degree {degree} is above {MAX_EXPONENT}", col)
             skip_ws()
         return result
 

@@ -11,6 +11,7 @@ identities (trace, torsion-free lift, divergence).
 
 from __future__ import annotations
 
+import shlex
 import time
 
 from .algfile import SUITE_NAMES, LoadedAlgebra
@@ -105,7 +106,8 @@ class VerificationReport(Record):
         return not any(o.counts_as_failure for o in self.outcomes)
 
     def rerun_command(self, suite: str) -> str:
-        return (f"bvcalc check {self.source} --suite {suite} --seed {self.seed} "
+        """The command that reruns one suite, its source path quoted for a POSIX shell."""
+        return (f"bvcalc check {shlex.quote(self.source)} --suite {suite} --seed {self.seed} "
                 f"--trials {self.trials} --degree-bound {self.degree_bound}")
 
 

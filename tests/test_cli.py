@@ -1,4 +1,5 @@
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -172,6 +173,28 @@ def test_witness_rerun_command_is_replayable(capsys, tmp_path):
     assert code2 == 1  # same failure reproduces
 
 
+@pytest.mark.parametrize("fmt", ["machine", "text"])
+def test_rerun_command_quotes_a_path_with_a_space(capsys, tmp_path, fmt):
+    # nonabelian-dim2 with a curved gamma: [e_1, e_2] = e_1, so gamma_1 != 0 is not flat
+    path = tmp_path / "my algs" / "g2.alg"
+    path.parent.mkdir()
+    path.write_text("m = 0\nn = 2\nc[1][2][1] = 1\ngamma = [1, 0]\n", encoding="utf-8")
+    code, out, _ = run(capsys, "check", str(path), "--trials", "3", "--format", fmt)
+    assert code == 1
+    if fmt == "machine":
+        line = next(line for line in out.splitlines()
+                    if line.startswith("check=generator.square-zero status=fail"))
+        rerun = line.split(' rerun="')[1][:-1]
+    else:
+        rerun = next(line for line in out.splitlines() if "rerun:" in line).split("rerun:")[1]
+    argv = shlex.split(rerun)
+    assert argv == ["bvcalc", "check", str(path), "--suite", "generator", "--seed", "0",
+                    "--trials", "3", "--degree-bound", "3"]
+    code2, out2, _ = run(capsys, *argv[1:], "--format", fmt)
+    assert code2 == 1
+    assert "generator.square-zero" in out2
+
+
 def test_all_suites_pass_on_polynomial_catalog_entry(capsys):
     code, out, _ = run(capsys, "check", "coordinate-2d", "--trials", "2",
                        "--format", "machine")
@@ -291,6 +314,22 @@ def test_exponent_above_the_cap_is_an_input_error(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err == f"error: {path}: exponent 65536 is above 65535 (line 3, column 21)\n"
+
+
+def test_degree_above_the_cap_is_an_input_error(capsys, tmp_path):
+    # every power is within the cap; the product of the term is not
+    path = tmp_path / "degree.alg"
+    path.write_text(f"m = 1\nn = 1\nanchor[1][1] = x1^{MAX_EXPONENT}*x1\n", encoding="utf-8")
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path}: total degree 65536 is above 65535 (line 3, column 25)\n"
+    assert "Traceback" not in err
+    path.write_text(f"m = 2\nn = 1\nanchor[1][1] = x1^{MAX_EXPONENT} + x2^{MAX_EXPONENT}\n",
+                    encoding="utf-8")
+    code, out, err = run(capsys, "check", str(path), "--suite", "axioms", "--format", "machine")
+    assert (code, err) == (0, "")
+    assert "check=axioms.structure status=pass" in out
 
 
 @pytest.mark.parametrize("line, message", [

@@ -130,6 +130,20 @@ def test_exponent_cap_of_the_parser():
     assert excinfo.value.column == 10  # the first digit of the exponent
 
 
+def test_degree_cap_of_the_parser():
+    # each power is within the cap, but their product is not; the parser stops at the
+    # factor that crosses it, long before a product could leave the 32-bit key field
+    assert parse_poly(f"x1^{MAX_EXPONENT} + 2*x2^{MAX_EXPONENT}", 2).terms
+    assert parse_poly(f"x1^{MAX_EXPONENT - 1}*3*x1", 2) == 3 * X ** MAX_EXPONENT
+    assert not parse_poly(f"0*x1^{MAX_EXPONENT}*x1", 2)
+    for text, column in [(f"x1^{MAX_EXPONENT}*x1", 9), (f"x2*x1^{MAX_EXPONENT}", 3),
+                         ("*".join([f"x1^{MAX_EXPONENT}"] * 65538), 9)]:
+        with pytest.raises(PolyParseError) as excinfo:
+            parse_poly(text, 2)
+        assert excinfo.value.column == column
+        assert excinfo.value.message.startswith("total degree ")
+
+
 # -- monomial keys ---------------------------------------------------------
 
 
