@@ -14,8 +14,9 @@ degree -1 operator on multivectors by
 
 where 1 o (b e_i) = b r_i - e_i(b).  The operator so built generates the
 bracket in the sense checked by `is_generator`, and that identity pins
-the sign conventions: the two code paths (recursive bracket, explicit
-operator) are kept independent so they can be tested against each other.
+the sign conventions: the two code paths (the closed-form bracket below,
+the explicit operator) are kept independent so they can be tested
+against each other.
 
 The generator identity computes [e_S, e_T] on each pair it visits, at
 every m, from the Lie bracket alone: `lie_brackets` reads the n^2
@@ -38,8 +39,11 @@ and b, which vanish for a constant coefficient and so always at m = 0
 (`mask_bracket`); the generator identity and the pairing identity of
 `bvcalc.correspond` read it so at every m, each drawing its coefficients
 by `draw_term`, and a generator identity witness prints the defect map
-the check summed.  `gerstenhaber_bracket` stays the public bracket at
-every m and the tests' oracle; no check calls it.
+the check summed.  `gerstenhaber_bracket`, the public bracket at every
+m, is `mask_bracket` summed over the term pairs of its arguments; no
+check calls it.  The tests compare it with `recursive_bracket` in
+`tests/reference.py`, the bracket built by peeling one factor at a time,
+which the package does not ship.
 
 The same linearity makes the m = 0 checks exact.  The generator
 identity is Q-bilinear in the coefficients of u and v once the operator
@@ -164,6 +168,8 @@ class GeneratorD(Record):
     _fields = ("alg", "connection")
 
     def __init__(self, alg: LieRinehartAlgebra, connection: RightConnectionOnA):
+        if connection.n != alg.n:
+            raise ValueError("rank mismatch")
         self.alg = alg
         self.connection = connection
         self.table = {}
@@ -191,65 +197,6 @@ class GeneratorD(Record):
 
 
 # -- the bracket ------------------------------------------------------
-
-
-def _vector_bracket(alg: LieRinehartAlgebra, a: PolyElement, i: int,
-                    b: PolyElement, key: tuple[int, ...]) -> Multivector:
-    """[a e_i, b e_key] for an increasing tuple key.
-
-    The bracket with a degree-1 element is an even derivation, so no
-    slot signs appear: [alpha, b e_T] = alpha(b) e_T + b sum_t (...[alpha, e_t]...).
-    """
-    alpha = alg.basis_l(i).scale(a)
-    items = [(key, alg.anchor_apply(alpha, b))]
-    for t in range(len(key)):
-        br = alg.bracket(alpha, alg.basis_l(key[t]))
-        items += [(key[:t] + (l,) + key[t + 1:], b * c) for l, c in enumerate(br.coeffs) if c]
-    return Multivector(alg.n, items)
-
-
-def _scalar_bracket(alg: LieRinehartAlgebra, a: PolyElement, b: PolyElement,
-                    key: tuple[int, ...]) -> Multivector:
-    """[a, b e_key] for a of degree 0: the odd-derivation expansion."""
-    n = alg.n
-    out = Multivector.zero(n)
-    for t, i in enumerate(key):
-        value = alg.anchor[i](a) * b
-        if not value:
-            continue
-        term = Multivector(n, [(key[:t] + key[t + 1:], value)])
-        # slot signs of an odd derivation, with [a, e_i] = -e_i(a)
-        out = out - term if t % 2 == 0 else out + term
-    return out
-
-
-def _term_bracket(alg: LieRinehartAlgebra, a: PolyElement, s_key: tuple[int, ...],
-                  b: PolyElement, t_key: tuple[int, ...]) -> Multivector:
-    p, q = len(s_key), len(t_key)
-    if p == 0:
-        return _scalar_bracket(alg, a, b, t_key)
-    if p == 1:
-        return _vector_bracket(alg, a, s_key[0], b, t_key)
-    # peel the first factor: [u ^ w, v] = (-1)^((q-1)(p-1)) [u,v] ^ w + u ^ [w,v]
-    head = _vector_bracket(alg, a, s_key[0], b, t_key)
-    part1 = head.wedge(Multivector.basis(alg.n, s_key[1:], m=alg.m))
-    if ((q - 1) * (p - 1)) % 2:
-        part1 = -part1
-    tail = _term_bracket(alg, PolyElement.one(alg.m), s_key[1:], b, t_key)
-    part2 = Multivector(alg.n, [((s_key[0],), a)]).wedge(tail)
-    return part1 + part2
-
-
-def gerstenhaber_bracket(alg: LieRinehartAlgebra, u: Multivector,
-                         v: Multivector) -> Multivector:
-    """The degree -1 bracket on multivectors."""
-    if u.n != alg.n or v.n != alg.n:
-        raise ValueError("rank mismatch")
-    out = Multivector.zero(alg.n)
-    for s_key, a in u.terms():
-        for t_key, b in v.terms():
-            out = out + _term_bracket(alg, a, s_key, b, t_key)
-    return out
 
 
 def lie_brackets(alg: LieRinehartAlgebra) -> list:
@@ -302,7 +249,7 @@ def _scalar_bracket_map(s: int, db: Sequence[PolyElement]) -> tuple[dict, dict]:
     """[b, e_S] = odd - even as two `bvcalc.ground` maps, given db[i] = e_i(b).
 
     With S = {s_0 < s_1 < ..}, [b, e_S] = sum_k (-1)^(k+1) e_(s_k)(b) e_(S - s_k):
-    the odd-derivation expansion of `_scalar_bracket`, where [b, e_i] = -e_i(b).
+    the bracket with b of degree 0 is an odd derivation, and [b, e_i] = -e_i(b).
     `odd` holds the terms of odd k and `even` those of even k, neither negated.
     """
     odd, even = {}, {}
@@ -348,17 +295,37 @@ def mask_bracket(lie: list, u: tuple, v: tuple, ab) -> dict:
     return out
 
 
+def _term(alg: LieRinehartAlgebra, s: int, c: PolyElement) -> tuple:
+    """The (S, value, derivatives) of c e_S that `mask_bracket` takes; the derivatives
+    e_i(c) are () for a constant c."""
+    return s, ground.value(c), () if c.is_constant() else tuple(rho(c) for rho in alg.anchor)
+
+
+def gerstenhaber_bracket(alg: LieRinehartAlgebra, u: Multivector,
+                         v: Multivector) -> Multivector:
+    """The degree -1 bracket on multivectors: `mask_bracket` summed over the term pairs."""
+    if u.n != alg.n or v.n != alg.n:
+        raise ValueError("rank mismatch")
+    lie = lie_brackets(alg)
+    right = [_term(alg, t, b) for t, b in v.components.items()]
+    out = {}
+    for s, a in u.components.items():
+        left = _term(alg, s, a)
+        for term in right:
+            ground.add_multiple(out, mask_bracket(lie, left, term, left[1] * term[1]))
+    return _multivector(alg.n, alg.m, out)
+
+
 def draw_term(alg: LieRinehartAlgebra, rng, s: int,
               degree_bound: int) -> tuple[PolyElement, tuple]:
-    """A coefficient c for e_S and the (S, value, derivatives) of c e_S for `mask_bracket`.
+    """A coefficient c for e_S and the `_term` of c e_S for `mask_bracket`.
 
-    c is 1 at m = 0 and one `random_poly` draw from `rng` at m > 0; the
-    derivatives e_i(c) are () for a constant c.  Both pair identities, the
-    generator identity and `bvcalc.correspond`'s pairing identity, draw so.
+    c is 1 at m = 0 and one `random_poly` draw from `rng` at m > 0.  Both
+    pair identities, the generator identity and `bvcalc.correspond`'s
+    pairing identity, draw so.
     """
     c = random_poly(rng, alg.m, degree_bound) if alg.m else PolyElement.one(0)
-    derivatives = () if c.is_constant() else tuple(rho(c) for rho in alg.anchor)
-    return c, (s, ground.value(c), derivatives)
+    return c, _term(alg, s, c)
 
 
 # -- generator checks --------------------------------------------------

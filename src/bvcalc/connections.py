@@ -222,6 +222,8 @@ def covariant_derivative(alg: LieRinehartAlgebra, conn: TopConnection,
     more) maps to the zero form one degree up: there are no increasing
     tuples of that length left.
     """
+    if conn.n != alg.n or f.n != alg.n:
+        raise ValueError("rank mismatch")
     n, m = alg.n, alg.m
     q = f.degree
     if q >= n:

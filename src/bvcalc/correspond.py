@@ -67,11 +67,15 @@ def _lie_traces(alg: LieRinehartAlgebra) -> tuple[PolyElement, ...]:
 
 def top_from_right(alg: LieRinehartAlgebra, conn: RightConnectionOnA) -> TopConnection:
     """The unique top connection with r_i x = lambda_{e_i}(x) - nabla_{e_i}(x)."""
+    if conn.n != alg.n:
+        raise ValueError("rank mismatch")
     traces = _lie_traces(alg)
     return TopConnection(tuple(t - r for t, r in zip(traces, conn.r)))
 
 
 def right_from_top(alg: LieRinehartAlgebra, conn: TopConnection) -> RightConnectionOnA:
+    if conn.n != alg.n:
+        raise ValueError("rank mismatch")
     traces = _lie_traces(alg)
     return RightConnectionOnA(tuple(t - g for t, g in zip(traces, conn.gamma)))
 

@@ -3,9 +3,16 @@
 `apply_generator` evaluates the explicit operator formula of the `bvcalc.bv`
 docstring literally, on `Multivector` factors, and is the oracle for the
 `D(e_S)` table of `GeneratorD`.  It calls `bv.one_circ` through the module,
-so a test that monkeypatches `bv.one_circ` reaches it here too.  Other
-helpers draw mixed multivectors and read multivectors and forms on
-general arguments, which the package's checks never need.
+so a test that monkeypatches `bv.one_circ` reaches it here too.
+`recursive_bracket` builds the Gerstenhaber bracket term by term: it peels
+the first factor of each e_S (`_term_bracket`) down to the even derivation
+of a degree-1 element (`_vector_bracket`) and the odd derivation of a
+degree-0 one (`_scalar_bracket`).  It reads the Lie bracket on `LElement`s
+and the anchor, never `bv.lie_brackets`, `bv.basis_bracket` or
+`bv.mask_bracket`, and is the oracle for the closed form behind
+`bv.gerstenhaber_bracket`.  Other helpers draw mixed multivectors and read
+multivectors and forms on general arguments, which the package's checks
+never need.
 `TupleMultivector` and `TupleAltForm` key their components by increasing
 index tuples, normalized by `sort_with_sign`, and are the oracles for the
 bitmask keys of `Multivector` and `AltForm`.
@@ -74,6 +81,65 @@ def apply_generator(alg: LieRinehartAlgebra, conn: bv.RightConnectionOnA,
         thetas = [alg.basis_l(i).scale(coeff) if t == 0 else alg.basis_l(i)
                   for t, i in enumerate(key)]
         out = out + generator_on_factors(alg, conn, thetas)
+    return out
+
+
+def _vector_bracket(alg: LieRinehartAlgebra, a: PolyElement, i: int,
+                    b: PolyElement, key: tuple[int, ...]) -> Multivector:
+    """[a e_i, b e_key] for an increasing tuple key.
+
+    The bracket with a degree-1 element is an even derivation, so no
+    slot signs appear: [alpha, b e_T] = alpha(b) e_T + b sum_t (...[alpha, e_t]...).
+    """
+    alpha = alg.basis_l(i).scale(a)
+    items = [(key, alg.anchor_apply(alpha, b))]
+    for t in range(len(key)):
+        br = alg.bracket(alpha, alg.basis_l(key[t]))
+        items += [(key[:t] + (l,) + key[t + 1:], b * c) for l, c in enumerate(br.coeffs) if c]
+    return Multivector(alg.n, items)
+
+
+def _scalar_bracket(alg: LieRinehartAlgebra, a: PolyElement, b: PolyElement,
+                    key: tuple[int, ...]) -> Multivector:
+    """[a, b e_key] for a of degree 0: the odd-derivation expansion."""
+    n = alg.n
+    out = Multivector.zero(n)
+    for t, i in enumerate(key):
+        value = alg.anchor[i](a) * b
+        if not value:
+            continue
+        term = Multivector(n, [(key[:t] + key[t + 1:], value)])
+        # slot signs of an odd derivation, with [a, e_i] = -e_i(a)
+        out = out - term if t % 2 == 0 else out + term
+    return out
+
+
+def _term_bracket(alg: LieRinehartAlgebra, a: PolyElement, s_key: tuple[int, ...],
+                  b: PolyElement, t_key: tuple[int, ...]) -> Multivector:
+    p, q = len(s_key), len(t_key)
+    if p == 0:
+        return _scalar_bracket(alg, a, b, t_key)
+    if p == 1:
+        return _vector_bracket(alg, a, s_key[0], b, t_key)
+    # peel the first factor: [u ^ w, v] = (-1)^((q-1)(p-1)) [u,v] ^ w + u ^ [w,v]
+    head = _vector_bracket(alg, a, s_key[0], b, t_key)
+    part1 = head.wedge(Multivector.basis(alg.n, s_key[1:], m=alg.m))
+    if ((q - 1) * (p - 1)) % 2:
+        part1 = -part1
+    tail = _term_bracket(alg, PolyElement.one(alg.m), s_key[1:], b, t_key)
+    part2 = Multivector(alg.n, [((s_key[0],), a)]).wedge(tail)
+    return part1 + part2
+
+
+def recursive_bracket(alg: LieRinehartAlgebra, u: Multivector,
+                      v: Multivector) -> Multivector:
+    """The degree -1 bracket on multivectors, by peeling the first factor of each term."""
+    if u.n != alg.n or v.n != alg.n:
+        raise ValueError("rank mismatch")
+    out = Multivector.zero(alg.n)
+    for s_key, a in u.terms():
+        for t_key, b in v.terms():
+            out = out + _term_bracket(alg, a, s_key, b, t_key)
     return out
 
 

@@ -14,7 +14,6 @@ from bvcalc.algfile import LoadedAlgebra, loads
 from bvcalc.bv import (
     GeneratorD,
     RightConnectionOnA,
-    _term_bracket,
     basis_bracket,
     generator_square,
     gerstenhaber_bracket,
@@ -22,6 +21,7 @@ from bvcalc.bv import (
     lie_brackets,
     one_circ,
 )
+from bvcalc.catalog import load_catalog
 from bvcalc.correspond import right_from_generator
 from bvcalc.exterior import Multivector, basis_label, full_tuple, merge_sign
 from bvcalc.ground import (
@@ -41,8 +41,16 @@ from bvcalc.suites import run_suite
 
 from conftest import BAD_DRAW_ARGUMENTS
 
+import reference
 from conftest import RANK5, fresh_copy, multivectors, polys
-from reference import apply_generator, generator_on_factors, homogeneous_part, random_multivector
+from reference import (
+    _term_bracket,
+    apply_generator,
+    generator_on_factors,
+    homogeneous_part,
+    random_multivector,
+    recursive_bracket,
+)
 
 COORD = LieRinehartAlgebra.coordinate(2)
 NONAB = LieRinehartAlgebra.from_structure_constants(2, {(0, 1): (1, 0)}, name="nonabelian-dim2")
@@ -52,6 +60,15 @@ Y = PolyElement.variable(2, 1)
 
 R_ZERO_COORD = RightConnectionOnA((PolyElement.zero(2), PolyElement.zero(2)))
 R_FLAT_NONAB = RightConnectionOnA((PolyElement.zero(0), PolyElement.const(0, -1)))
+
+# the product bracket and the tests' recursion, each held to the bracket's properties
+BRACKETS = pytest.mark.parametrize("bracket", [gerstenhaber_bracket, recursive_bracket],
+                                   ids=["closed-form", "recursive"])
+# m = n = 2 algebras with zero, constant and linear structure functions: coordinate-2d
+# and the cotangent algebras of pi12 = x1 (poisson-linear-2d) and of pi12 = x1 x2
+ALGEBRAS_2D = [COORD, load_catalog("poisson-linear-2d").algebra,
+               build_poisson_cotangent([[PolyElement.zero(2), X * Y],
+                                        [-(X * Y), PolyElement.zero(2)]], name="pi12=x1*x2")]
 
 
 def scalar(alg, value):
@@ -68,79 +85,87 @@ def to_multivector(n, u, m=0):
     return Multivector._make(n, {s: coefficient(m, c) for s, c in u.items()})
 
 
-def test_bracket_base_cases():
+@BRACKETS
+def test_bracket_base_cases(bracket):
     ddx = Multivector.basis(2, (0,), m=2)
     x_mv = Multivector.scalar(2, X)
-    assert gerstenhaber_bracket(COORD, ddx, x_mv) == scalar(COORD, 1)
+    assert bracket(COORD, ddx, x_mv) == scalar(COORD, 1)
     # degree 0 with degree 0 vanishes
-    assert gerstenhaber_bracket(COORD, x_mv, Multivector.scalar(2, Y)).is_zero()
+    assert bracket(COORD, x_mv, Multivector.scalar(2, Y)).is_zero()
     # abelian algebra, constant coefficients: everything vanishes
     u = Multivector.basis(2, (0,), m=0) + Multivector.basis(2, (0, 1), m=0)
     v = Multivector.basis(2, (1,), m=0)
-    assert gerstenhaber_bracket(ABELIAN, u, v).is_zero()
+    assert bracket(ABELIAN, u, v).is_zero()
 
 
-def test_bracket_degree_one_agrees_with_lie_bracket():
+@BRACKETS
+def test_bracket_degree_one_agrees_with_lie_bracket(bracket):
     x_ddx = Multivector(2, [((0,), X)])
     ddx = Multivector.basis(2, (0,), m=2)
-    result = gerstenhaber_bracket(COORD, x_ddx, ddx)
+    result = bracket(COORD, x_ddx, ddx)
     assert result == -ddx
 
 
-def test_bracket_against_generator_identity_example():
-    # [dx ^ dy, x] computed by the recursion must satisfy the generator
-    # identity for the operator built from r = 0.
+@BRACKETS
+def test_bracket_against_generator_identity_example(bracket):
+    # [dx ^ dy, x] must satisfy the generator identity for the operator
+    # built from r = 0.
     u = Multivector.basis(2, (0, 1), m=2)
     v = Multivector.scalar(2, X)
     gen = GeneratorD(COORD, R_ZERO_COORD)
-    lhs = gerstenhaber_bracket(COORD, u, v)
+    lhs = bracket(COORD, u, v)
     rhs = gen(u.wedge(v)) - gen(u).wedge(v) - u.wedge(gen(v))
     assert lhs == rhs  # (-1)^{|u|} = +1 for |u| = 2
 
 
+@BRACKETS
 @given(u=multivectors(2, 2, max_degree=1), v=multivectors(2, 2, max_degree=1))
 @settings(max_examples=20)
-def test_graded_antisymmetry(u, v):
-    for p in range(3):
-        for q in range(3):
-            up, vq = homogeneous_part(u, p), homogeneous_part(v, q)
-            lhs = gerstenhaber_bracket(COORD, up, vq)
-            rhs = gerstenhaber_bracket(COORD, vq, up)
-            sign = -1 if ((p - 1) * (q - 1)) % 2 == 0 else 1
-            assert lhs == (rhs.scale(PolyElement.const(2, sign)))
+def test_graded_antisymmetry(bracket, u, v):
+    for alg in ALGEBRAS_2D:
+        for p in range(3):
+            for q in range(3):
+                up, vq = homogeneous_part(u, p), homogeneous_part(v, q)
+                lhs = bracket(alg, up, vq)
+                rhs = bracket(alg, vq, up)
+                sign = -1 if ((p - 1) * (q - 1)) % 2 == 0 else 1
+                assert lhs == (rhs.scale(PolyElement.const(2, sign))), alg.name
 
 
+@BRACKETS
 @given(u=multivectors(2, 2, max_degree=1, max_terms=1),
        v=multivectors(2, 2, max_degree=1, max_terms=1),
        w=multivectors(2, 2, max_degree=1, max_terms=1))
 @settings(max_examples=15)
-def test_biderivation_rule(u, v, w):
+def test_biderivation_rule(bracket, u, v, w):
     for p in range(3):
         up = homogeneous_part(u, p)
         for q in range(3):
             vq = homogeneous_part(v, q)
-            lhs = gerstenhaber_bracket(COORD, up, vq.wedge(w))
-            rhs = gerstenhaber_bracket(COORD, up, vq).wedge(w)
-            tail = vq.wedge(gerstenhaber_bracket(COORD, up, w))
+            lhs = bracket(COORD, up, vq.wedge(w))
+            rhs = bracket(COORD, up, vq).wedge(w)
+            tail = vq.wedge(bracket(COORD, up, w))
             if ((p - 1) * q) % 2:
                 tail = -tail
             assert lhs == rhs + tail
 
 
+@BRACKETS
 @given(u=multivectors(2, 2, max_degree=1, max_terms=1),
        v=multivectors(2, 2, max_degree=1, max_terms=1),
        w=multivectors(2, 2, max_degree=1, max_terms=1))
 @settings(max_examples=15)
-def test_graded_jacobi(u, v, w):
-    for p in range(3):
-        for q in range(3):
-            up, vq = homogeneous_part(u, p), homogeneous_part(v, q)
-            lhs = gerstenhaber_bracket(COORD, up, gerstenhaber_bracket(COORD, vq, w))
-            first = gerstenhaber_bracket(COORD, gerstenhaber_bracket(COORD, up, vq), w)
-            second = gerstenhaber_bracket(COORD, vq, gerstenhaber_bracket(COORD, up, w))
-            if ((p - 1) * (q - 1)) % 2:
-                second = -second
-            assert lhs == first + second
+def test_graded_jacobi(bracket, u, v, w):
+    for alg in ALGEBRAS_2D:
+        for p in range(3):
+            for q in range(3):
+                up, vq = homogeneous_part(u, p), homogeneous_part(v, q)
+                lhs = bracket(alg, up, bracket(alg, vq, w))
+                first = bracket(alg, bracket(alg, up, vq), w)
+                second = bracket(alg, vq, bracket(alg, up, w))
+                if ((p - 1) * (q - 1)) % 2:
+                    second = -second
+                assert lhs == first + second, alg.name
 
 
 def test_apply_generator_examples():
@@ -288,19 +313,13 @@ def test_generator_is_not_a_linear(a, u):
 def test_rank_mismatch_errors():
     with pytest.raises(ValueError):
         one_circ(COORD, RightConnectionOnA((X,)), COORD.basis_l(0))
+    with pytest.raises(ValueError, match="rank mismatch"):
+        GeneratorD(COORD, RightConnectionOnA((X,)))
     with pytest.raises(ValueError):
         apply_generator(COORD, R_ZERO_COORD, Multivector.basis(3, (0,), m=2))
 
 
 # -- the m = 0 basis tables ------------------------------------------------
-
-def direct_bracket(alg, u, v):
-    out = Multivector.zero(alg.n)
-    for s_key, a in u.terms():
-        for t_key, b in v.terms():
-            out = out + _term_bracket(alg, a, s_key, b, t_key)
-    return out
-
 
 def closed_form_bracket(alg, u, v):
     """The sum of a b [e_S, e_T] over the terms a e_S of u and b e_T of v, by `basis_bracket`."""
@@ -328,8 +347,9 @@ def test_tables_agree_with_direct_formulas(catalog, name):
             u = random_multivector(rng, alg)
             v = random_multivector(rng, alg)
             assert gen(u) == apply_generator(alg, conn, u)
-            assert gerstenhaber_bracket(alg, u, v) == direct_bracket(alg, u, v)
-            assert closed_form_bracket(alg, u, v) == direct_bracket(alg, u, v)
+            want = recursive_bracket(alg, u, v)
+            assert gerstenhaber_bracket(alg, u, v) == want
+            assert closed_form_bracket(alg, u, v) == want
         assert gen.table
     assert nonflat_seen
 
@@ -350,7 +370,9 @@ def test_polynomial_case_fills_the_d_table_of_its_terms_only(monkeypatch):
     # neither D nor the recursive bracket reaches the closed form
     forbid_the_closed_form(monkeypatch)
     assert gen(u) == apply_generator(alg, gen.connection, u)
-    assert gerstenhaber_bracket(alg, u, u) == direct_bracket(alg, u, u)
+    want = recursive_bracket(alg, u, u)
+    monkeypatch.undo()
+    assert gerstenhaber_bracket(alg, u, u) == want
     assert sorted(gen.table) == [0b01, 0b11]
 
 
@@ -548,8 +570,9 @@ def test_right_from_generator_fills_exactly_n_entries(catalog, name):
 
 
 def count_fill_calls(alg, monkeypatch):
-    """Record the |S| of every `_term_bracket` call and the basis index pair (i, j) of
-    every `alg.bracket(e_i, e_j)` call; an `alg.bracket` call off the basis raises."""
+    """Record the |S| of every call of the tests' `_term_bracket` and the basis index
+    pair (i, j) of every `alg.bracket(e_i, e_j)` call; an `alg.bracket` call off the
+    basis raises."""
     seen, pairs = [], []
     basis = [alg.basis_l(i) for i in range(alg.n)]
     lie_bracket = alg.bracket
@@ -562,7 +585,7 @@ def count_fill_calls(alg, monkeypatch):
         pairs.append((basis.index(alpha), basis.index(beta)))
         return lie_bracket(alpha, beta)
 
-    monkeypatch.setattr(bv, "_term_bracket", counting)
+    monkeypatch.setattr(reference, "_term_bracket", counting)
     monkeypatch.setattr(alg, "bracket", bracketing)
     return seen, pairs
 
@@ -576,6 +599,8 @@ def test_is_generator_runs_n_squared_lie_brackets_and_no_term_bracket(catalog, m
                                                                        name):
     alg = ground_algebra(catalog, name)
     gen = GeneratorD(alg, fraction_connection(alg, f"lie-brackets-{name}"))
+    # the package does not ship the recursion, so the check cannot call it
+    assert not hasattr(bv, "_term_bracket")
     seen, pairs = count_fill_calls(alg, monkeypatch)
     assert is_generator(alg, gen) == (True, None)
     assert seen == []
@@ -786,7 +811,7 @@ def load_generated(name, seed=0):
 def first_failing_pair(alg, op):
     """The first basis pair (e_S, e_T), in subset order, with a nonzero defect
     [u, v] - (-1)^|u| (D(u ^ v) - D(u) ^ v - (-1)^|u| u ^ D(v)), written out on
-    `Multivector`s with `gerstenhaber_bracket` and `op`; None if every pair holds."""
+    `Multivector`s with `recursive_bracket` and `op`; None if every pair holds."""
     for s_key in subsets(alg.n):
         u = Multivector.basis(alg.n, s_key, m=0)
         for t_key in subsets(alg.n):
@@ -794,7 +819,7 @@ def first_failing_pair(alg, op):
             inner = op(u.wedge(v)) - op(u).wedge(v)
             inner = inner - u.wedge(op(v)) if len(s_key) % 2 == 0 else inner + u.wedge(op(v))
             rhs = inner if len(s_key) % 2 == 0 else -inner
-            defect = gerstenhaber_bracket(alg, u, v) - rhs
+            defect = recursive_bracket(alg, u, v) - rhs
             if not defect.is_zero():
                 return s_key, t_key, defect
     return None
@@ -1042,6 +1067,7 @@ def drawn(alg, key, a):
 def test_polynomial_basis_bracket_is_the_term_bracket_at_coefficient_one(catalog, monkeypatch):
     for name in polynomial_names(catalog):
         alg = ground_algebra(catalog, name)
+        assert not hasattr(bv, "_term_bracket")
         seen, pairs = count_fill_calls(alg, monkeypatch)
         lie = lie_brackets(alg)
         monkeypatch.undo()
@@ -1110,8 +1136,8 @@ def test_mask_bracket_equals_gerstenhaber_bracket_on_single_terms(catalog):
                     a = random_poly(rng, alg.m, 3)
                     b = random_poly(rng, alg.m, 3)
                     got = bv.mask_bracket(lie, drawn(alg, s_key, a), drawn(alg, t_key, b), a * b)
-                    want = gerstenhaber_bracket(alg, Multivector(alg.n, [(s_key, a)]),
-                                                Multivector(alg.n, [(t_key, b)]))
+                    want = recursive_bracket(alg, Multivector(alg.n, [(s_key, a)]),
+                                             Multivector(alg.n, [(t_key, b)]))
                     assert got == want.components, (name, s_key, t_key, str(a), str(b))
 
 

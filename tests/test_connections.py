@@ -27,8 +27,8 @@ from bvcalc.connections import (
     trace_endo,
 )
 from bvcalc import correspond, suites
-from bvcalc.bv import one_circ
-from bvcalc.correspond import right_from_top, torsionfree_lift
+from bvcalc.bv import RightConnectionOnA, one_circ
+from bvcalc.correspond import right_from_top, top_from_right, torsionfree_lift
 from bvcalc.exterior import AltForm, TopElement, full_tuple
 from bvcalc.poly import PolyElement, parse_poly
 from bvcalc.sampling import (
@@ -371,6 +371,7 @@ def test_phi_trace_is_the_trace_of_phi_map(catalog):
 
 RANK2_ZERO = LeftConnectionOnL.zero(ABELIAN)
 ABELIAN3 = LieRinehartAlgebra.abelian(3)
+ZEROS2 = (PolyElement.zero(0),) * 2
 
 
 @pytest.mark.parametrize("call", [
@@ -379,7 +380,15 @@ ABELIAN3 = LieRinehartAlgebra.abelian(3)
     lambda: phi_trace(ABELIAN3, RANK2_ZERO, ABELIAN3.basis_l(0)),
     lambda: connection_apply_l(ABELIAN3, RANK2_ZERO, ABELIAN3.basis_l(0), ABELIAN3.basis_l(1)),
     lambda: induced_top_connection(ABELIAN3, RANK2_ZERO),
-], ids=["top-sub", "endo-apply", "phi-trace", "connection-apply-l", "induced-top-connection"])
+    lambda: covariant_derivative(ABELIAN3, TopConnection(ZEROS2),
+                                 AltForm(3, 0, 1, {(0,): PolyElement.one(0)})),
+    lambda: covariant_derivative(ABELIAN3, TopConnection(ZEROS2 + ZEROS2[:1]),
+                                 AltForm(2, 0, 1, {(0,): PolyElement.one(0)})),
+    lambda: top_from_right(ABELIAN3, RightConnectionOnA(ZEROS2)),
+    lambda: right_from_top(ABELIAN3, TopConnection(ZEROS2)),
+], ids=["top-sub", "endo-apply", "phi-trace", "connection-apply-l", "induced-top-connection",
+        "covariant-derivative-gamma", "covariant-derivative-form", "top-from-right",
+        "right-from-top"])
 def test_connection_layer_rejects_a_rank_mismatch(call):
     # as `one_circ` does: no zip truncates and no index runs past a row
     with pytest.raises(ValueError, match="rank mismatch"):

@@ -5,7 +5,7 @@ import pytest
 
 from bvcalc import correspond
 from bvcalc.algebra import LElement, LieRinehartAlgebra
-from bvcalc.bv import GeneratorD, RightConnectionOnA, generator_square, gerstenhaber_bracket
+from bvcalc.bv import GeneratorD, RightConnectionOnA, generator_square
 from bvcalc.catalog import CATALOG_NAMES, load_catalog
 from bvcalc.connections import (
     LeftConnectionOnL,
@@ -31,7 +31,7 @@ from bvcalc.poly import PolyElement, parse_poly
 from bvcalc.sampling import check_rng, random_poly, random_poly_vector
 
 from conftest import BAD_DRAW_ARGUMENTS
-from reference import evaluate_on_multivector, homogeneous_part
+from reference import evaluate_on_multivector, homogeneous_part, recursive_bracket
 
 COORD = LieRinehartAlgebra.coordinate(2)
 NONAB = LieRinehartAlgebra.from_structure_constants(2, {(0, 1): (1, 0)}, name="nonabelian-dim2")
@@ -430,7 +430,7 @@ def reference_pairing_identity(alg, gen, conn, trials, seed):
     """The pairing identity pair by pair on `Multivector`s, fed the check's draws.
 
     Each side is a top coefficient: d(phi_u) evaluated on v, and
-    u ^ gen(v) plus the recursive `gerstenhaber_bracket(u, v)`.
+    u ^ gen(v) plus the tests' `recursive_bracket(u, v)`.
     """
     n, m = alg.n, alg.m
     top = full_tuple(n)
@@ -442,7 +442,7 @@ def reference_pairing_identity(alg, gen, conn, trials, seed):
                 v = Multivector(n, [(t_key, b)])
                 lhs = evaluate_on_multivector(form, v).coefficient
                 rhs = (u.wedge(gen(v)).component(top, m)
-                       + gerstenhaber_bracket(alg, u, v).component(top, m))
+                       + recursive_bracket(alg, u, v).component(top, m))
                 if p % 2:
                     rhs = -rhs
                 if lhs != rhs:
