@@ -100,6 +100,9 @@ class LieRinehartAlgebra(Record):
         self.name = name
         # lie_trace(e_i) for i < n, filled on first use by bvcalc.correspond
         self.lie_traces = []
+        # D_0(e_S) by the mask of S, the bracket part of every generator's D(e_S),
+        # filled on first use by bvcalc.bv.bracket_part
+        self.bracket_parts = {}
         # derived from the fields, which no code changes, so set once here
         self._zero_l = LElement(tuple(PolyElement.zero(m) for _ in range(n)))
         self._basis = tuple(LElement(tuple(PolyElement.one(m) if j == i

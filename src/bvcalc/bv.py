@@ -26,9 +26,13 @@ brackets `alg.bracket(e_i, e_j)` once per check call, and
 constants at m = 0 and polynomials at m > 0, and nothing is kept per
 pair.  D(e_S) is a table on the `GeneratorD`, at every m:
 `GeneratorD.ground` fills each entry on first need by
-`ground_generator` from the explicit formula above, reading only r and
-the structure constants through `alg.bracket_terms`, which
-`lie_brackets` never reads, and a call on a e_S adds to a D(e_S) the
+`ground_generator` from the explicit formula above, D_r = D_0 + (r terms).
+The bracket part D_0(e_S), the sum over j < k, does not depend on r;
+`bracket_part` builds it once per algebra from the structure constants
+through `alg.bracket_terms`, which `lie_brackets` never reads, and keeps
+it on the algebra, so the 2n + 2 operators of `certify_every_connection`
+and the complex of `bvcalc.homology` share it, and `ground_generator`
+adds the r terms to a copy.  A call on a e_S adds to a D(e_S) the
 anchor terms [a, e_S], formed from the anchor alone.
 Neither side is derived from the other.  The tests compare the D
 table against `apply_generator` in `tests/reference.py`, the explicit
@@ -47,13 +51,32 @@ which the package does not ship.
 
 The same linearity makes the m = 0 checks exact.  The generator
 identity is Q-bilinear in the coefficients of u and v once the operator
-is Q-linear, so `is_generator` evaluates it once on every basis pair
-(e_S, e_T) with coefficient 1, and `generator_square` evaluates D^2
-once on every e_S.  The operator under test stays a black box:
-`is_generator` calls it on e_R and on 2 e_R for every subset R, and an
-operator that fails that probe of the linearity the proof assumes fails
-the check.  For m > 0 the coefficients are random polynomials, and a
-passing check is evidence, not proof.
+is Q-linear, so `is_generator` evaluates it once on each basis pair
+(e_S, e_T) it visits, with coefficient 1, and `generator_square`
+evaluates D^2 once on every e_S.  The operator under test stays a
+black box: `is_generator` calls it on e_R and on 2 e_R for every subset
+R, and an operator that fails that probe of the linearity the proof
+assumes fails the check.  For m > 0 the coefficients are random
+polynomials, and a passing check is evidence, not proof.
+
+Koszul's argument (Koszul 1985; Huebschmann 1998) says which pairs
+decide the identity: the rows, the pairs with |S| <= 1.  If the identity
+holds on them, the row S = () gives D(1) = 0 and D(a w) = a D(w) + [a, w].
+Let r_i be the degree-0 part of D(e_i) and E = D - D_r.  The rows
+S = {i} give E(e_i ^ w) = E(e_i) ^ w - e_i ^ E(w) for every w, so E is
+the odd derivation with the values E(e_i): D differs from the generator
+D_r by a derivation, which leaves the Koszul bracket unchanged, and so
+the identity holds on every pair.  The degree check then gives E = 0.
+So above rank `FULL_PASS_MAX_RANK` = 3, `is_generator` visits only the
+(n + 1) 2^n row pairs, not all 4^n.  Up to that rank it visits every
+pair: that covers every catalog algebra, at no more than 64 pairs a
+pass, and it is the one check that compares the closed-form [e_S, e_T]
+with D at |S| >= 2 too.  The witness is the same either way: if any
+pair fails, a row fails, and the pass walks S in subset order, which
+puts () and the singletons first, so the first failing pair of the full
+pass lies in a row.  At m > 0 each trial checks the rows on random
+coefficients, as the full pass checked every pair, and a passing check
+stays evidence.
 
 At m = 0 one certificate then covers every right connection, not only
 the file's r0: D_r is affine in r, and two generators differ by an odd
@@ -115,30 +138,47 @@ def one_circ(alg: LieRinehartAlgebra, conn: RightConnectionOnA, alpha: LElement)
 
 
 def ground_generator(alg: LieRinehartAlgebra, conn: RightConnectionOnA, s: int) -> dict:
-    """D(e_S) as a ground map {mask: value}, at every m, from the explicit formula.
+    """D_r(e_S) = (r terms) + D_0(e_S) as a new ground map {mask: value}, at every m.
 
-    With S = {s_0 < .. < s_(p-1)} and [e_a, e_b] = sum_l c^l_ab e_l, the
-    terms are (-1)^i r_(s_i) e_(S - s_i) and, for j < k,
-    (-1)^(j+k) c^l_(s_j s_k) e_l ^ e_R with R = S - s_j - s_k; only the
-    nonzero c^l_ab are visited.  The values follow `ground.value`: constants
-    at m = 0, polynomials at m > 0.  Reads only r and `alg.bracket_terms`:
-    never `alg.bracket` or `basis_bracket`, never the tests' `apply_generator`
-    in `tests/reference.py`.
+    With S = {s_0 < .. < s_(p-1)} the r terms are (-1)^i r_(s_i) e_(S - s_i),
+    and the bracket part D_0(e_S) comes from `bracket_part`, built once per
+    algebra.  The values follow `ground.value`: constants at m = 0,
+    polynomials at m > 0.  Reads only r and, through `bracket_part`,
+    `alg.bracket_terms`: never `alg.bracket` or `basis_bracket`, never the
+    tests' `apply_generator` in `tests/reference.py`.  The map is new on
+    every call, so editing it never reaches the algebra's D_0.
     """
     out = {}
-    indices = ground.to_key(s)
-    for i, a in enumerate(indices):
+    for i, a in enumerate(ground.to_key(s)):
         c = ground.value(conn.r[a])
         if c:
             out[s ^ (1 << a)] = -c if i % 2 else c
-    for j, a in enumerate(indices):
-        for k in range(j + 1, len(indices)):
-            b = indices[k]
-            rest = s ^ (1 << a) ^ (1 << b)
-            for l, coeff in alg.bracket_terms(a, b):
-                ground.add_wedge_basis(out, {1 << l: ground.value(coeff)}, rest,
-                                       sign=-1 if (j + k) % 2 else 1)
+    ground.add_multiple(out, bracket_part(alg, s))
     return out
+
+
+def bracket_part(alg: LieRinehartAlgebra, s: int) -> dict:
+    """D_0(e_S), the part of every D_r(e_S) that does not depend on r, as a ground map.
+
+    With S = {s_0 < .. < s_(p-1)} and [e_a, e_b] = sum_l c^l_ab e_l, it is the
+    sum over j < k of (-1)^(j+k) c^l_(s_j s_k) e_l ^ e_R, R = S - s_j - s_k;
+    only the nonzero c^l_ab are visited, read through `alg.bracket_terms`.
+    Built on first need and kept on the algebra in `alg.bracket_parts`, as
+    `bvcalc.correspond` keeps `alg.lie_traces`; callers copy it and never
+    change it in place.
+    """
+    part = alg.bracket_parts.get(s)
+    if part is None:
+        part = alg.bracket_parts[s] = {}
+        indices = ground.to_key(s)
+        for j, a in enumerate(indices):
+            for k in range(j + 1, len(indices)):
+                b = indices[k]
+                rest = s ^ (1 << a) ^ (1 << b)
+                for l, coeff in alg.bracket_terms(a, b):
+                    ground.add_wedge_basis(part, {1 << l: ground.value(coeff)}, rest,
+                                           sign=-1 if (j + k) % 2 else 1)
+    return part
 
 
 def _multivector(n: int, m: int, u: dict) -> Multivector:
@@ -152,7 +192,10 @@ class GeneratorD(Record):
     Every generator arises from a right connection on A, so the data is
     just the connection; calling the object applies the operator.  `table`
     maps the bitmask of S to D(e_S) as a ground map, each entry built by
-    `ground_generator` the first time `ground` needs it, at every m.  A call
+    `ground_generator` the first time `ground` needs it, at every m, as
+    D_r(e_S) = D_0(e_S) + (r terms): the bracket part D_0 is kept on the
+    algebra and shared by its generators, and each entry is a map of this
+    generator's own, so editing `table` reaches no other generator.  A call
     sums, over the terms a e_S of its argument, the generator identity with
     the degree-0 argument a (Koszul 1985; Huebschmann 1998):
 
@@ -333,10 +376,16 @@ def draw_term(alg: LieRinehartAlgebra, rng, s: int,
 
 Operator = Callable[[Multivector], Multivector]
 
+# `is_generator` visits every pair (u, v) up to this rank n, and above it the pairs
+# with |S| <= 1, which decide the identity.  Every catalog algebra has n <= 3, where
+# the full pass is at most 64 pairs a pass, and the full pass is the one check that
+# compares the closed-form [e_S, e_T] with D on every pair, |S| >= 2 included.
+FULL_PASS_MAX_RANK = 3
+
 
 def is_generator(alg: LieRinehartAlgebra, op: Operator, trials: int = 32,
                  seed: int = 0, degree_bound: int = 3) -> tuple[bool, str | None]:
-    """Check the generator identity on all pairs of basis subsets.
+    """Check the generator identity on the pairs of basis subsets that decide it.
 
     The identity is [u, v] = (-1)^|u| (D(u ^ v) - D(u) ^ v - (-1)^|u| u ^ D(v)).
     Accepts any operator as a callable; returns (True, None) or
@@ -347,10 +396,15 @@ def is_generator(alg: LieRinehartAlgebra, op: Operator, trials: int = 32,
 
         [u, v] - sign D(u ^ v) + sign b D(u) ^ e_T + a e_S ^ D(v)
 
-    of u = a e_S and v = b e_T then accumulates for every ordered pair in
-    one mask map, the bracket from `mask_bracket`, which computes
-    [e_S, e_T] by `basis_bracket` on every pair, so an edited value is
-    seen.  The witness prints that map.  The identity sees only the
+    of u = a e_S and v = b e_T then accumulates for every ordered pair it
+    visits in one mask map: every pair up to rank `FULL_PASS_MAX_RANK`,
+    and above it the rows |S| <= 1, which decide the identity by Koszul's
+    argument in the module docstring.  S runs in subset order, so the rows
+    come first, and when a row fails its first failing pair is the first
+    failing pair of all 4^n: the witness is the one the full pass gives.
+    The bracket comes from `mask_bracket`, which computes [e_S, e_T] by
+    `basis_bracket` on every pair visited, so an edited value there is
+    seen.  The witness prints the defect map.  The identity sees only the
     Koszul bracket of D, which adding an odd derivation of any degree
     leaves unchanged, so once the pairs of a pass hold, every image
     D(a e_S) of the pass must be of degree |S| - 1 (`_degree_witness`);
@@ -364,7 +418,7 @@ def is_generator(alg: LieRinehartAlgebra, op: Operator, trials: int = 32,
     the pair reads D(u ^ v) as w D(e_(S | T)) from the images so probed.
     When m > 0, each of `trials` passes draws random polynomial
     coefficients, and `op` is called on every drawn a e_S, then on u ^ v
-    for every ordered pair (u, v), zero products included.  `trials`
+    for every ordered pair (u, v) visited, zero products included.  `trials`
     below 1 or `degree_bound` below 0 raises ``ValueError`` at every m.
     """
     check_draw_arguments(trials, degree_bound)
@@ -385,7 +439,8 @@ def is_generator(alg: LieRinehartAlgebra, op: Operator, trials: int = 32,
                     label = basis_label(ground.to_key(s))
                     return False, f"D((2)*{label})={doubled} 2*D({label})={image.scale(two)}"
             drawn.append((a, u, ds))
-        for a, u, ds in drawn:
+        # drawn follows `ground.subsets`, so its first n + 1 entries are e_() and the e_i
+        for a, u, ds in drawn if n <= FULL_PASS_MAX_RANK else drawn[:n + 1]:
             s, x, _ = u
             sign = -1 if s.bit_count() % 2 else 1
             for b, v, dt in drawn:

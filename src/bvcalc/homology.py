@@ -102,9 +102,10 @@ class ChainComplex(Record):
 def rinehart_complex(alg: LieRinehartAlgebra, gen: GeneratorD) -> ChainComplex:
     """The chain complex of an exact generator in the ground-field case.
 
-    Requires m = 0 (otherwise the exterior powers are infinite
-    dimensional over Q) and an exact generator; both are refused with a
-    diagnostic.  The basis of degree p is the masks of the p-subsets in
+    Requires a generator of `alg` itself, m = 0 (otherwise the exterior
+    powers are infinite dimensional over Q) and an exact generator; each is
+    refused with a diagnostic, a generator of another algebra with a
+    ``ValueError``, "rank mismatch" if its rank differs.  The basis of degree p is the masks of the p-subsets in
     the subset order of `ground.subsets`, its length is dims[p], and
     column S of d_p is the table entry `gen.ground(S)` with its masks
     renamed to row indices.  At m = 0 the generator is Q-linear, so the
@@ -113,6 +114,10 @@ def rinehart_complex(alg: LieRinehartAlgebra, gen: GeneratorD) -> ChainComplex:
     its witness, or `BoundarySquareError` if D^2 = 0.  Nothing here is
     random.
     """
+    if gen.alg != alg:
+        raise ValueError("rank mismatch" if gen.alg.n != alg.n else
+                         f"the generator belongs to another algebra: {gen.alg.name!r}, "
+                         f"not {alg.name!r}")
     if alg.m != 0:
         raise ValueError(f"homology needs the ground-field case m=0, got m={alg.m}")
     n = alg.n

@@ -10,7 +10,9 @@ of a degree-1 element (`_vector_bracket`) and the odd derivation of a
 degree-0 one (`_scalar_bracket`).  It reads the Lie bracket on `LElement`s
 and the anchor, never `bv.lie_brackets`, `bv.basis_bracket` or
 `bv.mask_bracket`, and is the oracle for the closed form behind
-`bv.gerstenhaber_bracket`.  Other helpers draw mixed multivectors and read
+`bv.gerstenhaber_bracket`.  `is_generator_on_every_pair` is `bv.is_generator`
+with its pair loop over all 4^n pairs at every rank, the oracle for the rows
+pass the package runs above `bv.FULL_PASS_MAX_RANK`.  Other helpers draw mixed multivectors and read
 multivectors and forms on general arguments, which the package's checks
 never need.
 `TupleMultivector` and `TupleAltForm` key their components by increasing
@@ -24,11 +26,11 @@ import random
 from itertools import combinations
 from typing import Sequence
 
-from bvcalc import bv
+from bvcalc import bv, ground
 from bvcalc.algebra import LElement, LieRinehartAlgebra
 from bvcalc.exterior import AltForm, Multivector, TopElement, basis_label, sort_with_sign
 from bvcalc.poly import PolyElement
-from bvcalc.sampling import random_poly
+from bvcalc.sampling import check_draw_arguments, check_rng, random_poly
 
 
 def generator_on_factors(alg: LieRinehartAlgebra, conn: bv.RightConnectionOnA,
@@ -141,6 +143,56 @@ def recursive_bracket(alg: LieRinehartAlgebra, u: Multivector,
         for t_key, b in v.terms():
             out = out + _term_bracket(alg, a, s_key, b, t_key)
     return out
+
+
+def is_generator_on_every_pair(alg: LieRinehartAlgebra, op, trials: int = 32, seed: int = 0,
+                               degree_bound: int = 3) -> tuple[bool, str | None]:
+    """`bv.is_generator` with its pair loop over every ordered pair (u, v) at every rank.
+
+    The same draws, probes, defect, witness and degree check as the package's
+    check, which visits only the rows |S| <= 1 above `bv.FULL_PASS_MAX_RANK`;
+    the tests compare the two on operators that are not generators.
+    """
+    check_draw_arguments(trials, degree_bound)
+    rng = check_rng(seed, "is_generator")
+    n, m = alg.n, alg.m
+    two = PolyElement.const(0, 2)
+    lie = bv.lie_brackets(alg)
+    for _ in range(trials if m else 1):
+        drawn, images = [], {}
+        for s in ground.subsets(n):
+            a, u = bv.draw_term(alg, rng, s, degree_bound)
+            image = op(Multivector._make(n, {s: a} if a else {}))
+            ds = images[s] = ground.values(image.components)
+            if not m:
+                doubled = op(Multivector._make(n, {s: two}))
+                if ground.values(doubled.components) != {mask: 2 * c for mask, c in ds.items()}:
+                    label = basis_label(ground.to_key(s))
+                    return False, f"D((2)*{label})={doubled} 2*D({label})={image.scale(two)}"
+            drawn.append((a, u, ds))
+        for a, u, ds in drawn:
+            s, x, _ = u
+            sign = -1 if s.bit_count() % 2 else 1
+            for b, v, dt in drawn:
+                t, y, _ = v
+                ab = x * y
+                w = ground.wedge_sign(s, t) if ab else 0
+                defect = bv.mask_bracket(lie, u, v, ab)
+                if m:
+                    duv = op(Multivector._make(n, {s | t: ab if w > 0 else -ab} if w else {}))
+                    ground.add_multiple(defect, ground.values(duv.components), sign=-sign)
+                elif w:
+                    ground.add_multiple(defect, images[s | t], sign=-sign * w)
+                ground.add_wedge_basis(defect, ds, t, y, sign)
+                ground.add_basis_wedge(defect, s, dt, x)
+                if defect:
+                    return False, (f"u=({a})*{basis_label(ground.to_key(s))} "
+                                   f"v=({b})*{basis_label(ground.to_key(t))} "
+                                   f"defect={bv._multivector(n, m, defect)}")
+        witness = bv._degree_witness(alg, drawn)
+        if witness:
+            return False, witness
+    return True, None
 
 
 def random_multivector(rng: random.Random, alg, degree_bound: int = 3) -> Multivector:

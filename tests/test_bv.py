@@ -21,9 +21,10 @@ from bvcalc.bv import (
     lie_brackets,
     one_circ,
 )
-from bvcalc.catalog import load_catalog
+from bvcalc.catalog import CATALOG_NAMES, load_catalog
 from bvcalc.correspond import right_from_generator
 from bvcalc.exterior import Multivector, basis_label, full_tuple, merge_sign
+from bvcalc.ground import subsets as ground_subsets
 from bvcalc.ground import (
     add_basis_wedge,
     add_multiple,
@@ -842,6 +843,155 @@ def test_mask_loop_names_the_first_failing_pair_of_the_reference(name):
         gen.table[s] = entry
         flipped += 1
     assert flipped >= 2 ** alg.n - 2  # D(1) = 0, and at most one more entry vanishes
+
+
+def log_canonical_algebra(m):
+    """The cotangent algebra of {x_i, x_j} = (j - i) x_i x_j, as `build_poisson_cotangent`
+    builds it: every structure function is linear with no constant term."""
+    x = [PolyElement.variable(m, i) for i in range(m)]
+    pi = [[PolyElement.const(m, j - i) * x[i] * x[j] if i != j else PolyElement.zero(m)
+           for j in range(m)] for i in range(m)]
+    return build_poisson_cotangent(pi, name=f"log-canonical-{m}")
+
+
+def generator_mutants(alg, conn):
+    """(label, operator) pairs: entries of D(e_S) negated at |S| >= 2, a degree-0 term
+    added at e_(1, 2), an operator that is not Q-linear, and D for r shifted by e_1, which
+    is a generator too."""
+    gen = GeneratorD(alg, conn)
+    out = []
+    for s in ground_subsets(alg.n):
+        entry = gen.ground(s)
+        if s.bit_count() >= 2 and entry:
+            negated_gen = GeneratorD(alg, conn)
+            negated_gen.table[s] = negated(entry)
+            out.append((f"negated D({basis_label(to_key(s))})", negated_gen))
+
+    def degree_zero_term(u):
+        return gen(u) + Multivector.scalar(alg.n, u.component((0, 1), alg.m))
+
+    def not_linear(u):
+        first = next(iter(u.components.values()), PolyElement.zero(alg.m))
+        return gen(u).scale(first)
+
+    shifted = RightConnectionOnA((conn.r[0] + 1,) + conn.r[1:])
+    return out + [("degree-0 term", degree_zero_term), ("not Q-linear", not_linear),
+                  ("r + e_1", GeneratorD(alg, shifted))]
+
+
+@pytest.mark.parametrize("name", ["book-5", "heisenberg-5", "coordinate-4", "log-canonical-4"])
+def test_rows_pass_gives_the_verdict_and_witness_of_the_full_pass(name):
+    # above the bound `is_generator` visits only the pairs with |S| <= 1; the
+    # reference visits all 4^n, with the same draws, at m = 0 and at m > 0
+    if name.startswith(("book", "heisenberg")):
+        alg = family_algebra(name.split("-")[0], 5, 0)
+        conn = fraction_connection(alg, f"rows-{name}")
+    else:
+        alg = LieRinehartAlgebra.coordinate(4) if name == "coordinate-4" \
+            else log_canonical_algebra(4)
+        conn = RightConnectionOnA(random_poly_vector(check_rng(3, f"rows-{name}"), 4, 4, 2))
+    assert alg.n > bv.FULL_PASS_MAX_RANK and not alg.verify_axioms()
+    assert is_generator(alg, GeneratorD(alg, conn), trials=2) == (True, None)
+    verdicts = []
+    for label, op in generator_mutants(alg, conn):
+        rows = is_generator(alg, op, trials=2, seed=5)
+        assert rows == reference.is_generator_on_every_pair(alg, op, trials=2, seed=5), label
+        verdicts.append((label, rows[0]))
+    assert [label for label, ok in verdicts if ok] == ["r + e_1"]
+    assert len(verdicts) > 10
+
+
+def count_mask_brackets(monkeypatch):
+    pairs = []
+    mask_bracket = bv.mask_bracket
+
+    def counting(lie, u, v, ab):
+        pairs.append((u[0], v[0]))
+        return mask_bracket(lie, u, v, ab)
+
+    monkeypatch.setattr(bv, "mask_bracket", counting)
+    return pairs
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_rows_pass_visits_the_rows_above_the_bound_and_every_pair_up_to_it(n, monkeypatch):
+    alg = family_algebra("heisenberg" if n % 2 else "book", n, 0)
+    conn = fraction_connection(alg, f"row-count-{n}")
+    pairs = count_mask_brackets(monkeypatch)
+    assert is_generator(alg, GeneratorD(alg, conn)) == (True, None)
+    masks = ground_subsets(n)
+    rows = masks if n <= bv.FULL_PASS_MAX_RANK else masks[:n + 1]
+    assert rows[:n + 1] == (0,) + tuple(1 << i for i in range(n))
+    assert pairs == [(s, t) for s in rows for t in masks]
+
+
+def interleaved_algebras(pair):
+    """Two algebras of equal rank, each with a fresh D_0 cache, and three r for each:
+    the file's r and two seeded fractional ones."""
+    out = []
+    for name in pair:
+        loaded = load_catalog(name) if name in CATALOG_NAMES else load_generated(name)
+        alg = fresh_copy(loaded.algebra)
+        out.append((alg, [loaded.right_connection()] + [
+            fraction_connection(alg, f"d0-{name}-{k}") for k in (0, 1)]))
+    return out
+
+
+@pytest.mark.parametrize("pair", [("sl2", "heisenberg-dim3"), ("book-5", "heisenberg-5")])
+def test_bracket_part_is_kept_per_algebra(pair):
+    algebras = interleaved_algebras(pair)
+    assert algebras[0][0].n == algebras[1][0].n
+    for k in range(3):
+        for alg, conns in algebras:  # one algebra, then the other, at every r
+            gen = GeneratorD(alg, conns[k])
+            for s in ground_subsets(alg.n):
+                assert to_multivector(alg.n, gen.ground(s)) == apply_generator(
+                    alg, conns[k], Multivector.basis(alg.n, to_key(s), m=0)), (alg.name, k, s)
+    for alg, _ in algebras:
+        assert sorted(alg.bracket_parts) == list(range(1 << alg.n))
+        assert "bracket_parts" not in repr(alg)
+    assert algebras[0][0].bracket_parts != algebras[1][0].bracket_parts
+
+
+def test_an_edited_table_reaches_no_other_generator_of_the_algebra():
+    alg = family_algebra("heisenberg", 5, 0)
+    conn = fraction_connection(alg, "edited-table")
+    gen = GeneratorD(alg, conn)
+    for s in ground_subsets(alg.n):
+        gen.ground(s)
+    edited = [s for s, entry in gen.table.items() if s.bit_count() >= 2 and entry]
+    for s in edited:
+        gen.table[s] = negated(gen.table[s])
+    gen.table[0b111][0b1] = 7  # and one entry changed in place
+    assert not is_generator(alg, gen)[0]
+    other = GeneratorD(alg, conn)
+    for s in ground_subsets(alg.n):
+        assert to_multivector(alg.n, other.ground(s)) == \
+            apply_generator(alg, conn, Multivector.basis(alg.n, to_key(s), m=0)), s
+    assert is_generator(alg, other) == (True, None)
+
+
+@pytest.mark.parametrize("family", ["book", "heisenberg"])
+def test_certificate_mutants_fail_once_the_bracket_part_is_built(family, monkeypatch):
+    # the mutants edit the map `ground_generator` returns; with D_0 already kept
+    # on the algebra they must still fail, and must leave D_0 as it was
+    alg = family_algebra(family, 5, 0)
+    conn = fraction_connection(alg, f"built-{family}")
+    assert bv.certify_every_connection(alg, conn) == (True, None)
+    assert len(alg.bracket_parts) == 1 << alg.n
+    mutants = [r_term_mutant(2, -1), r_term_mutant(1, 0), r_term_on_s_mutant,
+               mixed_direction_mutant, r_term_at_mutant(1, (0, 2), False),
+               r_term_at_mutant(3, (0, 2, 4), True), r_term_at_mutant(4, (2,), False)]
+    for mutant in mutants:
+        monkeypatch.setattr(bv, "ground_generator", mutant)
+        ok, witness = bv.certify_every_connection(alg, conn)
+        assert not ok and CERTIFICATE_WITNESS.match(witness), witness
+    monkeypatch.undo()
+    assert bv.certify_every_connection(alg, conn) == (True, None)
+    gen = GeneratorD(alg, conn)
+    for s in ground_subsets(alg.n):
+        assert to_multivector(alg.n, gen.ground(s)) == \
+            apply_generator(alg, conn, Multivector.basis(alg.n, to_key(s), m=0)), s
 
 
 # -- the m = 0 certificate for every right connection -------------------

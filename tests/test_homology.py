@@ -19,6 +19,8 @@ from bvcalc.homology import (
 )
 from bvcalc.poly import PolyElement
 
+from conftest import fresh_copy
+
 
 def right_connection(alg, values):
     return RightConnectionOnA(tuple(PolyElement.const(0, v) for v in values))
@@ -226,6 +228,20 @@ def test_rejects_polynomial_base():
     gen = GeneratorD(alg, RightConnectionOnA((PolyElement.zero(2), PolyElement.zero(2))))
     with pytest.raises(ValueError, match="m=0"):
         rinehart_complex(alg, gen)
+
+
+def test_rejects_a_generator_of_another_algebra(catalog):
+    sl2, heisenberg = catalog["sl2"].algebra, catalog["heisenberg-dim3"].algebra
+    abelian = GeneratorD(catalog["abelian-dim2"].algebra, right_connection(sl2, (0, 0)))
+    with pytest.raises(ValueError, match="rank mismatch"):
+        rinehart_complex(sl2, abelian)
+    # the same rank, but heisenberg-dim3's D(e_S), which would give its complex
+    foreign = GeneratorD(heisenberg, catalog["heisenberg-dim3"].right_connection())
+    with pytest.raises(ValueError, match="another algebra: 'heisenberg-dim3', not 'sl2'"):
+        rinehart_complex(sl2, foreign)
+    # an equal copy of sl2 is the same algebra
+    own = GeneratorD(fresh_copy(sl2), right_connection(sl2, (0, 0, 0)))
+    assert homology_dims(rinehart_complex(sl2, own)) == (1, 0, 0, 1)
 
 
 def test_rejects_non_exact_generator_with_witness():

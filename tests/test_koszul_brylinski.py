@@ -192,7 +192,8 @@ def constant_structure_functions(original):
         def bracket_terms(a, b):
             return tuple((l, PolyElement.const(alg.m, c.constant_term()))
                          for l, c in alg.bracket_terms(a, b) if c.constant_term())
-        return original(SimpleNamespace(bracket_terms=bracket_terms), conn, s)
+        # an empty D_0 cache of its own, so the bracket part is built from these terms
+        return original(SimpleNamespace(bracket_terms=bracket_terms, bracket_parts={}), conn, s)
     return mutant
 
 

@@ -96,8 +96,10 @@ def test_a_generator_equals_its_fresh_copy_after_its_table_is_filled(name):
     for s in range(1 << alg.n):
         gen.ground(s)
     assert len(gen.table) == 1 << alg.n and not copy.table
+    assert len(alg.bracket_parts) == 1 << alg.n and not copy.alg.bracket_parts
     assert gen == copy
     assert repr(gen) == repr(copy) and "table" not in repr(gen)
+    assert "bracket_parts" not in repr(gen)
     shifted = RightConnectionOnA((conn.r[0] + 1,) + conn.r[1:])
     assert gen != GeneratorD(alg, shifted)
 
