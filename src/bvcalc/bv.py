@@ -30,24 +30,26 @@ pair.  D(e_S) is a table on the `GeneratorD`, at every m:
 The bracket part D_0(e_S), the sum over j < k, does not depend on r;
 `bracket_part` builds it once per algebra from the structure constants
 through `alg.bracket_terms`, which `lie_brackets` never reads, and keeps
-it on the algebra, so the 2n + 2 operators of `certify_every_connection`
-and the complex of `bvcalc.homology` share it, and `ground_generator`
-adds the r terms to a copy.  A call on a e_S adds to a D(e_S) the
-anchor terms [a, e_S], formed from the anchor alone.
+it on the algebra, so every generator, the 2n + 2 image tables of
+`certify_every_connection` and the complex of `bvcalc.homology` share it,
+and `ground_generator` adds the r terms to a copy.  A call on a e_S adds
+to a D(e_S) the anchor terms [a, e_S], formed from the anchor alone.
 Neither side is derived from the other.  The tests compare the D
 table against `apply_generator` in `tests/reference.py`, the explicit
 formula on `Multivector` factors, which the package does not ship; the
-product path reaches D only through `GeneratorD`.  The bracket of a e_S
-and b e_T is ab [e_S, e_T] plus two terms in the anchor derivatives of a
-and b, which vanish for a constant coefficient and so always at m = 0
-(`mask_bracket`); the generator identity and the pairing identity of
-`bvcalc.correspond` read it so at every m, each drawing its coefficients
-by `draw_term`, and a generator identity witness prints the defect map
-the check summed.  `gerstenhaber_bracket`, the public bracket at every
-m, is `mask_bracket` summed over the term pairs of its arguments; no
-check calls it.  The tests compare it with `recursive_bracket` in
-`tests/reference.py`, the bracket built by peeling one factor at a time,
-which the package does not ship.
+product forms D(e_S) only in `ground_generator`, which fills every
+`GeneratorD` table and which the m = 0 certificate below reads
+directly.  The bracket of a e_S and b e_T is ab [e_S, e_T] plus two
+terms in the anchor derivatives of a and b, which vanish for a constant
+coefficient and so always at m = 0 (`mask_bracket`); the generator
+identity and the pairing identity of `bvcalc.correspond` read it so at
+every m, each drawing its coefficients by `draw_term`, and a generator
+identity witness prints the defect map the check summed.
+`gerstenhaber_bracket`, the public bracket at every m, is `mask_bracket`
+summed over the term pairs of its arguments; no check calls it.  The
+tests compare it with `recursive_bracket` in `tests/reference.py`, the
+bracket built by peeling one factor at a time, which the package does
+not ship.
 
 The same linearity makes the m = 0 checks exact.  The generator
 identity is Q-bilinear in the coefficients of u and v once the operator
@@ -84,10 +86,14 @@ derivation, at m = 0 a contraction with a constant 1-form theta,
 iota_theta(e_R) = sum_k (-1)^k theta[r_k] e_(R - r_k).  So
 `certify_every_connection` checks each probe as one row: on every e_R,
 D_(r0 + v)(e_R) - D_r0(e_R) = iota_theta(v)(e_R) for the shifts
-v = e_i, 2 e_i and e_1 + .. + e_n of black-box operators, without any
-bracket.  With `is_generator` passing at r0 that proves the
-identity for all r, provided the operator is affine in r, which the last
-two shifts probe but no finite probe proves.
+v = e_i, 2 e_i and e_1 + .. + e_n, without any bracket.  It reads each
+D_r(e_R) from `ground_generator`, the one code that forms it, and builds
+no `GeneratorD`: at m = 0 a call of `GeneratorD` is the Q-linear
+extension of that table, the same for every r, and `is_generator` calls
+the suite's own `GeneratorD` as a black box at r0, so the call stays
+covered.  With `is_generator` passing at r0 that proves the identity for
+all r, provided the table is affine in r, which the last two shifts
+probe but no finite probe proves.
 
 A `Multivector` is keyed by the bitmask of each S, as the maps of
 `bvcalc.ground` are, so a call of D, a probe of `is_generator` and a
@@ -495,33 +501,38 @@ def certify_every_connection(alg: LieRinehartAlgebra,
     (e_1 + .. + e_n, theta_1 + .. + theta_n) comes last.  The last two kinds
     probe the affinity in r that the argument assumes; they catch an
     operator that is not affine on those points, such as a term mixing two
-    directions, but cannot prove affinity.  The operators for r0 and each
-    shift stay black boxes, each called on every e_R ((2n + 2) 2^n calls);
-    no bracket is computed.  The shifted tables are built one axis at a
-    time, so only the base table and that axis's tables are alive at once.
+    directions, but cannot prove affinity.  The images D_r(e_R) for r0 and
+    each shift are the maps `ground_generator` returns, one call per e_R
+    ((2n + 2) 2^n calls), with no `GeneratorD` or `Multivector` between;
+    each map is new, so subtracting the base in place changes nothing
+    else.  `GeneratorD.__call__` is the linear extension of these maps at
+    m = 0, and the identity check calls it at r0.  No bracket is computed.
+    The shifted tables are built one axis at a time, so only the base
+    table and that axis's tables are alive at once.
     For each axis, then the diagonal, R runs in subset order
     (`ground.subsets`), through the rows in turn; returns
     (True, None) or (False, witness) naming the first failing i (i=1..n for
     the diagonal) and R.  Together with `is_generator` passing at r0, and
-    for an operator affine in r, this proves the identity for every right
+    for a D affine in r, this proves the identity for every right
     connection.  Its probes are constant shifts of r, which prove nothing
-    about A-valued r, so m > 0 is refused with a ValueError.
+    about A-valued r, so m > 0 is refused with a ValueError, and so is a
+    connection whose rank is not n ("rank mismatch").
     """
     if alg.m:
         raise ValueError(f"certify_every_connection needs m = 0, got m = {alg.m}")
+    if conn.n != alg.n:
+        raise ValueError("rank mismatch")
     n = alg.n
     masks = ground.subsets(n)
-    one = PolyElement.one(0)
 
-    def images(r: tuple[PolyElement, ...]) -> dict:
-        op = GeneratorD(alg, RightConnectionOnA(r))
-        return {s: ground.values(op(Multivector._make(n, {s: one})).components) for s in masks}
+    def images(r: RightConnectionOnA) -> dict:
+        return {s: ground_generator(alg, r, s) for s in masks}
 
-    base = images(conn.r)
+    base = images(conn)
 
     def moved(v: Sequence[int]) -> dict:
         """D_(r0 + v)(e_R) - D_r0(e_R) for every R."""
-        out = images(tuple(c + k for c, k in zip(conn.r, v)))
+        out = images(RightConnectionOnA(tuple(c + k for c, k in zip(conn.r, v))))
         for s, image in out.items():
             ground.add_multiple(image, base[s], sign=-1)
         return out

@@ -12,9 +12,13 @@ and the anchor, never `bv.lie_brackets`, `bv.basis_bracket` or
 `bv.mask_bracket`, and is the oracle for the closed form behind
 `bv.gerstenhaber_bracket`.  `is_generator_on_every_pair` is `bv.is_generator`
 with its pair loop over all 4^n pairs at every rank, the oracle for the rows
-pass the package runs above `bv.FULL_PASS_MAX_RANK`.  Other helpers draw mixed multivectors and read
-multivectors and forms on general arguments, which the package's checks
-never need.
+pass the package runs above `bv.FULL_PASS_MAX_RANK`.
+`certify_every_connection_by_operators` is `bv.certify_every_connection`
+with every image D_r(e_R) read from a call of a `bv.GeneratorD` on e_R,
+the oracle for the package's certificate, which reads the maps of
+`ground_generator` directly.  Other helpers draw mixed multivectors and
+read multivectors and forms on general arguments, which the package's
+checks never need.
 `TupleMultivector` and `TupleAltForm` key their components by increasing
 index tuples, normalized by `sort_with_sign`, and are the oracles for the
 bitmask keys of `Multivector` and `AltForm`.
@@ -192,6 +196,65 @@ def is_generator_on_every_pair(alg: LieRinehartAlgebra, op, trials: int = 32, se
         witness = bv._degree_witness(alg, drawn)
         if witness:
             return False, witness
+    return True, None
+
+
+def certify_every_connection_by_operators(alg: LieRinehartAlgebra,
+                                          conn: bv.RightConnectionOnA) -> tuple[bool, str | None]:
+    """`bv.certify_every_connection` with each image D_r(e_R) taken from a `GeneratorD` call.
+
+    The same probe rows, order, witnesses and refusals as the package's
+    certificate, which reads D_r(e_R) from `ground_generator` itself; here
+    every image is a call of a new `bv.GeneratorD` on the `Multivector` e_R,
+    read back through `ground.values`.  The tests compare the two on
+    `ground_generator` mutants.
+    """
+    if alg.m:
+        raise ValueError(f"certify_every_connection needs m = 0, got m = {alg.m}")
+    n = alg.n
+    masks = ground.subsets(n)
+    one = PolyElement.one(0)
+
+    def images(r: tuple[PolyElement, ...]) -> dict:
+        op = bv.GeneratorD(alg, bv.RightConnectionOnA(r))
+        return {s: ground.values(op(Multivector._make(n, {s: one})).components) for s in masks}
+
+    base = images(conn.r)
+
+    def moved(v: Sequence[int]) -> dict:
+        out = images(tuple(c + k for c, k in zip(conn.r, v)))
+        for s, image in out.items():
+            ground.add_multiple(image, base[s], sign=-1)
+        return out
+
+    def contraction(theta: list, s: int) -> dict:
+        return {s ^ (1 << l): -theta[l] if k % 2 else theta[l]
+                for k, l in enumerate(ground.to_key(s)) if theta[l]}
+
+    def probes():
+        total = [0] * n
+        for i in range(n):
+            axis = [int(j == i) for j in range(n)]
+            once = moved(axis)
+            theta = [once[1 << l].get(0, 0) for l in range(n)]
+            total = [a + b for a, b in zip(total, theta)]
+            yield f"{i + 1}", [
+                (f"e_{i + 1}", once, theta,
+                 f"delta_{i + 1} = D[r+e_{i + 1}] - D[r] is not a contraction"),
+                (f"2e_{i + 1}", moved([2 * k for k in axis]), [2 * c for c in theta],
+                 "D is not affine in r")]
+        yield f"1..{n}", [(f"e_1+..+e_{n}", moved([1] * n), total, "D is not affine in r")]
+
+    for i, rows in probes():
+        for s in masks:
+            for v, delta, theta, reason in rows:
+                expected = contraction(theta, s)
+                if delta[s] != expected:
+                    label = basis_label(ground.to_key(s))
+                    return False, (f"i={i} R={label}: D[r+{v}]({label}) - D[r]({label})="
+                                   f"{bv._multivector(n, 0, delta[s])} but the contraction "
+                                   f"with ({', '.join(map(str, theta))}) gives "
+                                   f"{bv._multivector(n, 0, expected)}, so {reason}")
     return True, None
 
 

@@ -316,6 +316,10 @@ def test_rank_mismatch_errors():
         one_circ(COORD, RightConnectionOnA((X,)), COORD.basis_l(0))
     with pytest.raises(ValueError, match="rank mismatch"):
         GeneratorD(COORD, RightConnectionOnA((X,)))
+    for r in ((1,), (1, 1, 1)):  # a short and a long r at m = 0
+        with pytest.raises(ValueError, match="rank mismatch"):
+            bv.certify_every_connection(NONAB, RightConnectionOnA(
+                tuple(PolyElement.const(0, c) for c in r)))
     with pytest.raises(ValueError):
         apply_generator(COORD, R_ZERO_COORD, Multivector.basis(3, (0,), m=2))
 
@@ -1036,6 +1040,16 @@ def mixed_direction_mutant(alg, conn, s):
     return out
 
 
+def squared_mutant(alg, conn, s):
+    """`ground_generator` with each value squared."""
+    return {mask: c * c for mask, c in GROUND_GENERATOR(alg, conn, s).items()}
+
+
+def empty_set_mutant(alg, conn, s):
+    """`ground_generator` with D(e_()) = r_1, which stores a zero value whenever r_1 = 0."""
+    return GROUND_GENERATOR(alg, conn, s) if s else {0: value(conn.r[0])}
+
+
 def generator_outcomes(alg, trials=4, seed=0):
     report = run_suite(LoadedAlgebra(algebra=alg), suites=("generator",), trials=trials,
                        seed=seed)
@@ -1068,7 +1082,6 @@ def test_certificate_catches_r_term_mutants(monkeypatch, slot, factor):
 def test_certificate_witnesses_name_the_direction_and_the_subset(monkeypatch):
     alg = family_algebra("abelian", 6, 0)
     zero = RightConnectionOnA(tuple(PolyElement.zero(0) for _ in range(6)))
-    original = bv.ground_generator
     cases = [
         (r_term_mutant(2, -1),
          "i=3 R=e{1,2,3}: D[r+e_3](e{1,2,3}) - D[r](e{1,2,3})=(-1)*e{1,2} but the "
@@ -1079,10 +1092,10 @@ def test_certificate_witnesses_name_the_direction_and_the_subset(monkeypatch):
          "contraction with (0, 1, 0, 0, 0, 0) gives (-1)*e{1}, "
          "so delta_2 = D[r+e_2] - D[r] is not a contraction"),
         # each value squared: D_r0 = 0 still passes, but D is not affine in r
-        (lambda alg, conn, s: {mask: c * c for mask, c in original(alg, conn, s).items()},
+        (squared_mutant,
          "i=1 R=e{1}: D[r+2e_1](e{1}) - D[r](e{1})=(4) but the "
          "contraction with (2, 0, 0, 0, 0, 0) gives (2), so D is not affine in r"),
-        (lambda alg, conn, s: original(alg, conn, s) if s else {0: value(conn.r[0])},
+        (empty_set_mutant,
          "i=1 R=e{}: D[r+e_1](e{}) - D[r](e{})=(1) but the "
          "contraction with (1, 0, 0, 0, 0, 0) gives 0, "
          "so delta_1 = D[r+e_1] - D[r] is not a contraction"),
@@ -1150,7 +1163,7 @@ def test_certificate_passes_without_any_bracket(family, n, monkeypatch):
 
 
 # a fixed integer matrix A for the 1-form theta = A r of `contraction_mutant`
-CONTRACTION_MATRIX = [[(3 * l + 2 * j) % 5 - 2 for j in range(5)] for l in range(5)]
+CONTRACTION_MATRIX = [[(3 * l + 2 * j) % 5 - 2 for j in range(6)] for l in range(6)]
 
 
 def contraction_mutant(alg, conn, s):
@@ -1188,6 +1201,54 @@ def test_certificate_accepts_contraction_shifts_and_rejects_other_r_terms(family
         monkeypatch.setattr(bv, "ground_generator", r_term_at_mutant(j, key, drop_lowest))
         ok, witness = bv.certify_every_connection(alg, conn)
         assert not ok and witness.startswith(f"i={j + 1} R={basis_label(key)}: "), witness
+
+
+def certificate_mutants():
+    """(label, `ground_generator` mutant) for every mutant the certificate tests above use,
+    and the unmutated map."""
+    return [
+        ("unmutated", GROUND_GENERATOR),
+        ("flip-third", r_term_mutant(2, -1)),
+        ("drop-second", r_term_mutant(1, 0)),
+        ("r-term-on-e_S", r_term_on_s_mutant),
+        ("mixed-direction", mixed_direction_mutant),
+        ("contraction", contraction_mutant),
+        *((f"r_{j}-at-{key}", r_term_at_mutant(j, key, drop_lowest))
+          for j, key, drop_lowest in ((1, (0, 2), False), (3, (0, 2, 4), True), (4, (2,), False))),
+        ("squared", squared_mutant),
+        ("r_1-at-e_()", empty_set_mutant),
+    ]
+
+
+@pytest.mark.parametrize("name", ["abelian-6", "book-5", "heisenberg-5"])
+def test_certificate_equals_the_operator_certificate_on_every_mutant(name, monkeypatch):
+    # the package reads D_r(e_R) from `ground_generator`; the reference calls a
+    # `GeneratorD` on each e_R, and both must give the same verdict and witness
+    loaded = load_generated(name)
+    alg = loaded.algebra
+    verdicts = {}
+    for conn in (loaded.right_connection(), fraction_connection(alg, f"oracle-{name}")):
+        for label, mutant in certificate_mutants():
+            monkeypatch.setattr(bv, "ground_generator", mutant)
+            result = bv.certify_every_connection(alg, conn)
+            assert result == reference.certify_every_connection_by_operators(alg, conn), label
+            verdicts.setdefault(label, set()).add(result[0])
+    assert verdicts.pop("unmutated") == verdicts.pop("contraction") == {True}
+    assert set().union(*verdicts.values()) == {False}
+
+
+def test_certificate_never_calls_a_generator(monkeypatch):
+    def forbidden(self, u):
+        raise AssertionError("called a GeneratorD")
+
+    monkeypatch.setattr(bv.GeneratorD, "__call__", forbidden)
+    for name in ("abelian-6", "book-5", "heisenberg-5"):
+        loaded = load_generated(name)
+        alg = loaded.algebra
+        with pytest.raises(AssertionError, match="called a GeneratorD"):
+            GeneratorD(alg, loaded.right_connection())(Multivector.basis(alg.n, (0,), m=0))
+        for conn in (loaded.right_connection(), fraction_connection(alg, f"no-call-{name}")):
+            assert bv.certify_every_connection(alg, conn) == (True, None), name
 
 
 def test_ground_random_connections_has_no_seed_or_trial_count(catalog, monkeypatch):
