@@ -16,7 +16,7 @@ by multilinearity that suffices for general elements.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 from .poly import DerivationOfA, PolyElement
 from .record import Record

@@ -106,7 +106,7 @@ appear only in witness labels.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from . import ground
 from .algebra import LElement, LieRinehartAlgebra
@@ -182,8 +182,8 @@ def bracket_part(alg: LieRinehartAlgebra, s: int) -> dict:
                 b = indices[k]
                 rest = s ^ (1 << a) ^ (1 << b)
                 for l, coeff in alg.bracket_terms(a, b):
-                    ground.add_wedge_basis(part, {1 << l: ground.value(coeff)}, rest,
-                                           sign=-1 if (j + k) % 2 else 1)
+                    ground.add_wedge(part, {1 << l: ground.value(coeff)}, rest,
+                                     sign=-1 if (j + k) % 2 else 1)
     return part
 
 
@@ -290,7 +290,7 @@ def basis_bracket(lie: list, s: int, t: int) -> dict:
             w = ground.wedge_sign(rest_s, rest_t)
             if ((s & (a - 1)).bit_count() + (t & (b - 1)).bit_count()) % 2:
                 w = -w
-            ground.add_wedge_basis(out, terms, rest_s | rest_t, sign=w)
+            ground.add_wedge(out, terms, rest_s | rest_t, sign=w)
     return out
 
 
@@ -334,13 +334,13 @@ def mask_bracket(lie: list, u: tuple, v: tuple, ab) -> dict:
     if db:
         sign = -1 if p % 2 else 1
         odd, even = _scalar_bracket_map(s, db)
-        ground.add_wedge_basis(out, odd, t, a, sign)
-        ground.add_wedge_basis(out, even, t, a, -sign)
+        ground.add_wedge(out, odd, t, a, sign)
+        ground.add_wedge(out, even, t, a, -sign)
     if da:
         sign = 1 if ((p - 1) * (q - 1) + q) % 2 else -1
         odd, even = _scalar_bracket_map(t, da)
-        ground.add_wedge_basis(out, odd, s, b, sign)
-        ground.add_wedge_basis(out, even, s, b, -sign)
+        ground.add_wedge(out, odd, s, b, sign)
+        ground.add_wedge(out, even, s, b, -sign)
     return out
 
 
@@ -459,8 +459,8 @@ def is_generator(alg: LieRinehartAlgebra, op: Operator, trials: int = 32,
                     ground.add_multiple(defect, ground.values(duv.components), sign=-sign)
                 elif w:
                     ground.add_multiple(defect, images[s | t], sign=-sign * w)
-                ground.add_wedge_basis(defect, ds, t, y, sign)
-                ground.add_basis_wedge(defect, s, dt, x)
+                ground.add_wedge(defect, ds, t, y, sign)
+                ground.add_wedge(defect, s, dt, x)
                 if defect:
                     return False, (f"u=({a})*{basis_label(ground.to_key(s))} "
                                    f"v=({b})*{basis_label(ground.to_key(t))} "

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from importlib import resources
+import os
 from pathlib import Path
 
 from .algfile import LoadedAlgebra, load
@@ -23,7 +23,7 @@ CATALOG_NAMES = (
 def catalog_path(name: str) -> Path:
     if name not in CATALOG_NAMES:
         raise KeyError(f"no catalog algebra named {name!r}")
-    return Path(str(resources.files(__package__) / "catalog" / f"{name}.alg"))
+    return Path(os.path.dirname(__file__), "catalog", f"{name}.alg")
 
 
 def load_catalog(name: str) -> LoadedAlgebra:

@@ -29,8 +29,8 @@ trial of Gamma, alpha, xi and a lift target serves all three identities.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable
 
 from .algebra import LElement, LieRinehartAlgebra
 from .exterior import AltForm, TopElement, full_tuple

@@ -21,6 +21,17 @@ run one pass over the basis with coefficient 1 and their result has no
 seed or trial count; when m > 0 they evaluate random polynomial
 coefficients.
 
+The expansion follows from the diagram and the generator identity of
+`bv.is_generator`.  With |u| = p and |v| = n - p + 1, u ^ v has degree
+n + 1, so u ^ v = 0 and D(u ^ v) = 0.  The diagram gives
+d(phi_u)(v) = -phi_{D(u)}(v) = -D(u) ^ v.  The generator identity on
+(u, v) gives (-1)^p [u, v] = -D(u) ^ v - (-1)^p u ^ D(v).  Together,
+(-1)^p (u ^ D(v) + [u, v]) = -D(u) ^ v = d(phi_u)(v).  At m = 0 the
+three checks are exact over the same generator and top connection, so
+the expansion can fail only when `check_generator_duality` or the
+generator identity fails; `tests/test_report_faults.py` checks that on
+every fault of its table.
+
 The linear-connection layer: any connection on L induces one on the top
 power by tracing its Christoffel rows, the endomorphisms
 xi -> [alpha, xi] - nabla_alpha xi have traces equal to 1 o alpha = D(alpha),

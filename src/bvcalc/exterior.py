@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from .algebra import LElement
-from .ground import add_basis_wedge, add_multiple, to_key, to_mask
+from .ground import add_multiple, add_wedge, to_key, to_mask
 from .poly import PolyElement
 from .record import Record
 
@@ -79,15 +79,18 @@ class _Blades:
     def is_zero(self) -> bool:
         return not self.components
 
-    def __add__(self, other):
+    def _plus(self, other, sign: int):
         if self._shape() != other._shape():
             raise ValueError(self._mismatch)
         acc = dict(self.components)
-        add_multiple(acc, other.components)
+        add_multiple(acc, other.components, sign=sign)
         return self._like(acc)
 
+    def __add__(self, other):
+        return self._plus(other, 1)
+
     def __sub__(self, other):
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __neg__(self):
         return self._like({k: -v for k, v in self.components.items()})
@@ -186,7 +189,7 @@ class Multivector(_Blades):
             raise ValueError("rank mismatch")
         acc: dict[int, PolyElement] = {}
         for s, a in self.components.items():
-            add_basis_wedge(acc, s, other.components, a)
+            add_wedge(acc, s, other.components, a)
         return Multivector._make(self.n, acc)
 
     def __str__(self) -> str:

@@ -25,13 +25,15 @@ because maps of `PolyElement` constants made the `generator` suite about
 40% slower on generated abelian-6, book-5 and book-8 (234-273 ms rose
 to 326-371 ms per run at 4 trials, the minimum of 9 runs).
 
-The add helpers below take either kind of value, and `PolyElement`
-coefficients too, as `Multivector` and `AltForm` pass them, since they
-only add, subtract, negate and multiply values; a sign is applied by
-subtracting, or by negating where the sum has no entry yet, and no int
-sign or zero start value meets a `PolyElement`, so no product or sum
-promotes an int.  Each helper wedges a map with one basis element e_S;
-`Multivector.wedge` adds one such wedge per term of its left factor.
+Every signed sum of maps goes through one loop, `add_wedge`, which adds
+the wedge of a map with one basis element e_S, on either side; the sum
+of two maps, `add_multiple`, is its case S = (), and `Multivector.wedge`
+adds one such wedge per term of its left factor.  It takes either kind
+of value, and `PolyElement` coefficients too, as `Multivector` and
+`AltForm` pass them, since it only adds, subtracts, negates and
+multiplies values; a sign is applied by subtracting, or by negating
+where the sum has no entry yet, and no int sign or zero start value
+meets a `PolyElement`, so no product or sum promotes an int.
 """
 
 from __future__ import annotations
@@ -96,45 +98,27 @@ def add_multiple(acc: dict, u: dict, c=None, sign: int = 1) -> None:
     """acc += sign * c * u in place, dropping zeros; c is a value (1 if None), sign 1 or -1.
 
     It is the wedge u ^ e_(empty set)."""
-    add_wedge_basis(acc, u, 0, c, sign)
+    add_wedge(acc, u, 0, c, sign)
 
 
-def add_wedge_basis(acc: dict, u: dict, t: int, c=None, sign: int = 1) -> None:
-    """acc += sign * c * (u ^ e_T) in place, dropping zeros: one add or subtract per term of u,
-    and a negation only where acc has no entry yet."""
-    for s, a in u.items():
-        w = wedge_sign(s, t)
+def add_wedge(acc: dict, u, v, c=None, sign: int = 1) -> None:
+    """acc += sign * c * (u ^ v) in place, dropping zeros, where exactly one of u and v is
+    the bitmask of a basis element e_S and the other a map: one add or subtract per term
+    of the map, and a negation only where acc has no entry yet."""
+    left = isinstance(u, int)
+    blade, terms = (u, v) if left else (v, u)
+    for key, a in terms.items():
+        w = wedge_sign(blade, key) if left else wedge_sign(key, blade)
         if w:
             if c is not None:
                 a = c * a
-            mask = s | t
+            mask = key | blade
             prev = acc.get(mask)
             if prev is None:
                 if a:
                     acc[mask] = a if w == sign else -a
             else:
                 total = prev + a if w == sign else prev - a
-                if total:
-                    acc[mask] = total
-                else:
-                    del acc[mask]
-
-
-def add_basis_wedge(acc: dict, s: int, v: dict, c=None, sign: int = 1) -> None:
-    """acc += sign * c * (e_S ^ v) in place, dropping zeros: one add or subtract per term of v,
-    and a negation only where acc has no entry yet."""
-    for t, b in v.items():
-        w = wedge_sign(s, t)
-        if w:
-            if c is not None:
-                b = c * b
-            mask = s | t
-            prev = acc.get(mask)
-            if prev is None:
-                if b:
-                    acc[mask] = b if w == sign else -b
-            else:
-                total = prev + b if w == sign else prev - b
                 if total:
                     acc[mask] = total
                 else:

@@ -6,10 +6,10 @@ into a chain complex: d_p sends the basis element e_S of degree p to
 D(e_S).  Each d_p is kept as sparse columns {row: value}, one per
 subset S, read straight from the generator's D(e_S) table; the rows and
 columns of degree p follow `ground.subsets(n, p)`, the one subset order
-of every exact check.  d o d = 0
-is checked by composing those columns, and Betti numbers come from
-`exact_rank`, an exact column elimination over Q; every value is an
-`int` or a `Fraction`, and no tolerance appears anywhere.
+of every exact check.  d o d = 0 is checked once per complex by
+composing those columns, and Betti numbers come from `exact_rank`, an
+exact column elimination over Q; every value is an `int` or a
+`Fraction`, and no tolerance appears anywhere.
 """
 
 from __future__ import annotations
@@ -84,19 +84,28 @@ class ChainComplex(Record):
                                      f"expected rows 0..{dims[p - 1] - 1}")
         self.dims = dims
         self.boundaries = boundaries
+        self._square_is_zero = None
 
     def d_squared_is_zero(self) -> bool:
-        """d_p o d_{p+1} = 0 in every degree, composing the sparse columns."""
-        for d_p, d_next in zip(self.boundaries, self.boundaries[1:]):
-            for column in d_next:
-                image = {}
-                for k, value in column.items():
-                    if value:
-                        for i, entry in d_p[k].items():
-                            image[i] = image.get(i, 0) + entry * value
-                if any(image.values()):
-                    return False
-        return True
+        """d_p o d_{p+1} = 0 in every degree, composing the sparse columns on the first call
+        only: the verdict is kept outside `_fields`, so `rinehart_complex` and
+        `homology_dims` share one composition."""
+        if self._square_is_zero is None:
+            self._square_is_zero = _composes_to_zero(self.boundaries)
+        return self._square_is_zero
+
+
+def _composes_to_zero(boundaries) -> bool:
+    for d_p, d_next in zip(boundaries, boundaries[1:]):
+        for column in d_next:
+            image = {}
+            for k, value in column.items():
+                if value:
+                    for i, entry in d_p[k].items():
+                        image[i] = image.get(i, 0) + entry * value
+            if any(image.values()):
+                return False
+    return True
 
 
 def rinehart_complex(alg: LieRinehartAlgebra, gen: GeneratorD) -> ChainComplex:

@@ -187,8 +187,8 @@ def is_generator_on_every_pair(alg: LieRinehartAlgebra, op, trials: int = 32, se
                     ground.add_multiple(defect, ground.values(duv.components), sign=-sign)
                 elif w:
                     ground.add_multiple(defect, images[s | t], sign=-sign * w)
-                ground.add_wedge_basis(defect, ds, t, y, sign)
-                ground.add_basis_wedge(defect, s, dt, x)
+                ground.add_wedge(defect, ds, t, y, sign)
+                ground.add_wedge(defect, s, dt, x)
                 if defect:
                     return False, (f"u=({a})*{basis_label(ground.to_key(s))} "
                                    f"v=({b})*{basis_label(ground.to_key(t))} "

@@ -26,9 +26,8 @@ from bvcalc.correspond import right_from_generator
 from bvcalc.exterior import Multivector, basis_label, full_tuple, merge_sign
 from bvcalc.ground import subsets as ground_subsets
 from bvcalc.ground import (
-    add_basis_wedge,
     add_multiple,
-    add_wedge_basis,
+    add_wedge,
     coefficient,
     to_key,
     to_mask,
@@ -457,8 +456,8 @@ def test_one_element_wedges_match_multivector_wedge():
                 basis = Multivector.basis(n, to_key(e), m=0)
                 start = to_multivector(n, acc)
                 right, left = dict(acc), dict(acc)
-                add_wedge_basis(right, u, e, c)
-                add_basis_wedge(left, e, u, c)
+                add_wedge(right, u, e, c)
+                add_wedge(left, e, u, c)
                 scale = PolyElement.const(0, c)
                 assert to_multivector(n, right) == \
                     start + to_multivector(n, u).wedge(basis).scale(scale)
@@ -1389,10 +1388,10 @@ def mask_bracket_without(dropped=None):
         out = {}
         add_multiple(out, bv.basis_bracket(lie, s, t), ab)
         if dropped != "[b, e_S]" and db:  # () for a constant b
-            add_wedge_basis(out, scalar_bracket_map(s, db), t, -a if p % 2 else a)
+            add_wedge(out, scalar_bracket_map(s, db), t, -a if p % 2 else a)
         if dropped != "[a, e_T]" and da:
-            add_wedge_basis(out, scalar_bracket_map(t, da), s,
-                            b if ((p - 1) * (q - 1) + q) % 2 else -b)
+            add_wedge(out, scalar_bracket_map(t, da), s,
+                      b if ((p - 1) * (q - 1) + q) % 2 else -b)
         return out
     return bracket
 

@@ -268,6 +268,32 @@ def test_homology_dims_rejects_broken_complex():
         homology_dims(broken)
 
 
+class CountedInt(int):
+    """An int that counts the products it is the left factor of."""
+    products = 0
+
+    def __mul__(self, other):
+        CountedInt.products += 1
+        return int(self) * other
+
+
+def test_homology_of_a_rinehart_complex_composes_d_o_d_once(monkeypatch):
+    # abelian of rank 3 with r = (1, 2, 3): D is the contraction with r, and every
+    # d_p o d_{p+1} has products
+    alg = LieRinehartAlgebra.from_structure_constants(3, {})
+    gen = GeneratorD(alg, right_connection(alg, (1, 2, 3)))
+    plain = rinehart_complex(alg, gen)
+    # d_p o d_{p+1} takes one product per entry of d_p met by a nonzero entry of d_{p+1}
+    products = sum(len(d_p[k]) for d_p, d_next in zip(plain.boundaries, plain.boundaries[1:])
+                   for column in d_next for k, value in column.items() if value)
+    assert products
+    gen.table = {s: {t: CountedInt(value) for t, value in image.items()}
+                 for s, image in gen.table.items()}
+    monkeypatch.setattr(CountedInt, "products", 0)
+    assert homology_dims(rinehart_complex(alg, gen)) == (0, 0, 0, 0)
+    assert CountedInt.products == products
+
+
 def test_chain_complex_rejects_boundary_of_wrong_shape():
     # a 1x2 d_1 where degree 1 has dimension 3: two columns, not three
     with pytest.raises(ValueError, match=r"d_1 \(degree 1 to 0\) has 2 columns, expected 3"):

@@ -149,7 +149,7 @@ def flipped_first_bracket_term(original):
             rest = s ^ (1 << a) ^ (1 << b)
             for l, coeff in alg.bracket_terms(a, b):
                 # the term entered with sign (-1)^(0 + 1); adding it twice flips it
-                ground.add_wedge_basis(out, {1 << l: ground.value(coeff + coeff)}, rest)
+                ground.add_wedge(out, {1 << l: ground.value(coeff + coeff)}, rest)
         return out
     return mutant
 

@@ -244,3 +244,16 @@ def test_a_fault_makes_the_line_fail(monkeypatch, line, entry, extra, fault, als
         assert failed == also
     else:
         assert failed == {line} | also
+
+
+@pytest.mark.parametrize("line, entry, extra, fault, also", ROWS, ids=[row[0] for row in ROWS])
+def test_the_pairing_identity_fails_only_with_the_lines_that_imply_it(
+        monkeypatch, line, entry, extra, fault, also):
+    # duality.matched-pair and generator.identity together imply
+    # bracket-expansion.pairing-identity (the proof is in the correspond docstring),
+    # so no fault fails the pairing line alone
+    loaded = load_row(entry, extra)
+    fault(monkeypatch, loaded)
+    failed = {name for name, o in outcomes(loaded).items() if o.status == FAIL}
+    if "bracket-expansion.pairing-identity" in failed:
+        assert failed & {"generator.identity", "duality.matched-pair"}
