@@ -34,6 +34,7 @@ from fractions import Fraction
 
 from .algebra import LElement, LieRinehartAlgebra
 from .exterior import AltForm, TopElement, full_tuple
+from .ground import add_multiple
 from .poly import PolyElement
 from .record import Record
 
@@ -218,9 +219,11 @@ def covariant_derivative(alg: LieRinehartAlgebra, conn: TopConnection,
     labels j < k.  That is the module's formula, with the sign convention
     unchanged, summed over the entries of f instead of over the output
     tuples, so a form with one nonzero value, such as phi_iso(e_S), costs
-    one entry.  Input of degree n (or
-    more) maps to the zero form one degree up: there are no increasing
-    tuples of that length left.
+    one entry.  Each term is added with `ground.add_multiple`, a negative
+    one as the sum at sign -1; the signs are the slot counts above, not
+    `wedge_sign`, since the duality check compares this code with D.
+    Input of degree n (or more) maps to the zero form one degree up:
+    there are no increasing tuples of that length left.
     """
     if conn.n != alg.n or f.n != alg.n:
         raise ValueError("rank mismatch")
@@ -233,13 +236,6 @@ def covariant_derivative(alg: LieRinehartAlgebra, conn: TopConnection,
     brackets = [(a, b, alg.bracket_terms(a, b)) for a, b in sorted(alg.structure)]
     acc: dict[int, PolyElement] = {}
 
-    def add(mask: int, value: PolyElement, negative: int) -> None:
-        prev = acc.get(mask)
-        if prev is None:
-            acc[mask] = -value if negative else value
-        else:
-            acc[mask] = prev - value if negative else prev + value
-
     for k, v in f.components.items():
         for i in range(n):
             if k >> i & 1:
@@ -249,7 +245,7 @@ def covariant_derivative(alg: LieRinehartAlgebra, conn: TopConnection,
                 nabla = alg.anchor[i](v) + nabla
             if nabla:
                 t = (k & ((1 << i) - 1)).bit_count()
-                add(k | (1 << i), nabla, (p + t - 1) % 2)
+                add_multiple(acc, {k | (1 << i): nabla}, sign=-1 if (p + t - 1) % 2 else 1)
         for a, b, terms in brackets:
             pair = (1 << a) | (1 << b)
             for l, c in terms:
@@ -260,8 +256,8 @@ def covariant_derivative(alg: LieRinehartAlgebra, conn: TopConnection,
                 s = (target & ((1 << a) - 1)).bit_count()
                 t = (target & ((1 << b) - 1)).bit_count()
                 slot = (k & ((1 << l) - 1)).bit_count()
-                add(target, c * v, (p + 1 + s + t + slot) % 2)
-    return AltForm._make(n, m, q + 1, {mask: value for mask, value in acc.items() if value})
+                add_multiple(acc, {target: c * v}, sign=-1 if (p + 1 + s + t + slot) % 2 else 1)
+    return AltForm._make(n, m, q + 1, acc)
 
 
 # -- the endomorphism-valued map and traces -------------------------------

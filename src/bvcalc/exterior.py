@@ -4,10 +4,10 @@
 keyed by the bitmask of its basis subset, bit i standing for e_{i+1}, as
 every map of `bvcalc.ground` is.  Index tuples enter only through the
 constructors, `component` and `value_on_increasing`, and leave only
-through `terms` and the printed labels.  A constructor normalizes
-arbitrary tuples: it sorts each key with its permutation sign
-(`sort_with_sign`), sends a repeated index to 0, merges equal keys and
-drops zeros.  The two types share one implementation of their
+through `terms` and the printed labels.  A constructor checks that
+every index is an int in range(n), then normalizes arbitrary tuples: it
+sorts each key with its permutation sign (`sort_with_sign`), sends a
+repeated index to 0, merges equal keys and drops zeros.  The two types share one implementation of their
 arithmetic, `_Blades`: sums, negations, scalings, the zero test,
 equality and hashing act on the masks, and each type adds only the
 shape two operands must share.  The wedge product takes its signs from
@@ -122,11 +122,12 @@ class Multivector(_Blades):
         items = components.items() if isinstance(components, Mapping) else components
         acc: dict[int, PolyElement] = {}
         for key, coeff in items:
-            sorted_key, sign = sort_with_sign(tuple(key))
+            indices = tuple(key)
+            if any(not isinstance(i, int) or not 0 <= i < n for i in indices):
+                raise ValueError(f"index {key} out of range for rank {n}")
+            sorted_key, sign = sort_with_sign(indices)
             if sign == 0 or not coeff:
                 continue
-            if any(not 0 <= i < n for i in sorted_key):
-                raise ValueError(f"index {key} out of range for rank {n}")
             add_multiple(acc, {to_mask(sorted_key): coeff}, sign=sign)
         self.n = n
         self.components = acc
@@ -272,10 +273,10 @@ class AltForm(_Blades):
         acc: dict[int, PolyElement] = {}
         for key, value in items:
             key = tuple(key)
+            if any(not isinstance(i, int) or not 0 <= i < n for i in key):
+                raise ValueError(f"key {key} out of range for rank {n}")
             if len(key) != degree or any(a >= b for a, b in zip(key, key[1:])):
                 raise ValueError(f"key {key} is not an increasing {degree}-tuple")
-            if any(not 0 <= i < n for i in key):
-                raise ValueError(f"key {key} out of range for rank {n}")
             add_multiple(acc, {to_mask(key): value})
         self.n = n
         self.m = m

@@ -25,10 +25,17 @@ because maps of `PolyElement` constants made the `generator` suite about
 40% slower on generated abelian-6, book-5 and book-8 (234-273 ms rose
 to 326-371 ms per run at 4 trials, the minimum of 9 runs).
 
-Every signed sum of maps goes through one loop, `add_wedge`, which adds
-the wedge of a map with one basis element e_S, on either side; the sum
-of two maps, `add_multiple`, is its case S = (), and `Multivector.wedge`
-adds one such wedge per term of its left factor.  It takes either kind
+Every signed sum of maps in the package goes through one loop,
+`add_wedge`, which adds the wedge of a map with one basis element e_S,
+on either side; the sum of two maps, `add_multiple`, is its case
+S = (), and `Multivector.wedge` adds one such wedge per term of its
+left factor.  A difference is the sum at sign -1.  At S = () a key is
+read only through `key | 0`, so any int keys will do: the scatter terms
+of `connections.covariant_derivative`, and the row-indexed boundary
+columns of `homology` in the `d o d` composition and in `exact_rank`'s
+elimination, are summed with `add_multiple` too.  The one deliberate
+exception is `PolyElement`, which sums its monomial terms in its own
+loop, since this module imports `poly`.  It takes either kind
 of value, and `PolyElement` coefficients too, as `Multivector` and
 `AltForm` pass them, since it only adds, subtracts, negates and
 multiplies values; a sign is applied by subtracting, or by negating
@@ -97,7 +104,9 @@ def wedge_sign(s: int, t: int) -> int:
 def add_multiple(acc: dict, u: dict, c=None, sign: int = 1) -> None:
     """acc += sign * c * u in place, dropping zeros; c is a value (1 if None), sign 1 or -1.
 
-    It is the wedge u ^ e_(empty set)."""
+    It is the wedge u ^ e_(empty set), so it reads each key only through
+    `key | 0`: any int keys, such as the row indices of a boundary column,
+    are summed alike.  A difference is the sum at sign -1."""
     add_wedge(acc, u, 0, c, sign)
 
 

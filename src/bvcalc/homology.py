@@ -8,8 +8,9 @@ subset S, read straight from the generator's D(e_S) table; the rows and
 columns of degree p follow `ground.subsets(n, p)`, the one subset order
 of every exact check.  d o d = 0 is checked once per complex by
 composing those columns, and Betti numbers come from `exact_rank`, an
-exact column elimination over Q; every value is an `int` or a
-`Fraction`, and no tolerance appears anywhere.
+exact column elimination over Q.  Both sum columns with
+`ground.add_multiple`, a difference as the sum at sign -1; every value
+is an `int` or a `Fraction`, and no tolerance appears anywhere.
 """
 
 from __future__ import annotations
@@ -27,10 +28,10 @@ def exact_rank(columns) -> int:
 
     Column elimination with the pivot at the lowest nonzero row: while
     the lowest row of a column holds a pivot, that entry is removed and
-    the rest of the pivot column, times the quotient, is subtracted; a
-    column left nonzero becomes the pivot of its lowest row.  Every
-    quotient is a `Fraction`, and a stored zero is dropped before it
-    could become a pivot.
+    the rest of the pivot column, times the quotient, is subtracted, as
+    the sum `ground.add_multiple` at sign -1; a column left nonzero
+    becomes the pivot of its lowest row.  Every quotient is a `Fraction`,
+    and a stored zero is dropped before it could become a pivot.
     """
     pivots = {}  # lowest row -> (its value, the rest of the pivot column)
     for column in columns:
@@ -42,13 +43,7 @@ def exact_rank(columns) -> int:
                 pivots[low] = (column.pop(low), column)
                 break
             head, rest = pivot
-            quotient = Fraction(column.pop(low)) / head
-            for row, value in rest.items():
-                total = column.get(row, 0) - quotient * value
-                if total:
-                    column[row] = total
-                else:
-                    column.pop(row, None)
+            ground.add_multiple(column, rest, Fraction(column.pop(low)) / head, sign=-1)
     return len(pivots)
 
 
@@ -101,9 +96,8 @@ def _composes_to_zero(boundaries) -> bool:
             image = {}
             for k, value in column.items():
                 if value:
-                    for i, entry in d_p[k].items():
-                        image[i] = image.get(i, 0) + entry * value
-            if any(image.values()):
+                    ground.add_multiple(image, d_p[k], value)
+            if image:
                 return False
     return True
 

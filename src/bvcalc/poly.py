@@ -46,9 +46,13 @@ The arithmetic skips work that cannot change the result:
 - a derivation applied to a constant is zero at once.
 
 Each shortcut gives the same terms, in the same order, as the general
-double loop of ``__mul__`` and the loops of ``__add__`` and ``__sub__``;
-the oracle tests in ``tests/test_poly.py`` pin that.  Since a result may
-be one of its operands, no code changes a ``terms`` dict in place.
+double loop of ``__mul__`` and the loop of ``__add__``; a difference is
+the sum with the negation, ``self + -other``.  The oracle tests in
+``tests/test_poly.py`` pin that.  These loops are the one deliberate
+exception to `bvcalc.ground`'s single accumulation loop: ``ground``
+imports this module, and ``__mul__`` is the package's hottest code.
+Since a result may be one of its operands, no code changes a ``terms``
+dict in place.
 
 No floating point appears anywhere.
 """
@@ -115,7 +119,7 @@ class PolyElement:
             exps = tuple(exps)
             if len(exps) != m:
                 raise ValueError(f"exponent vector {exps} has length {len(exps)}, expected {m}")
-            if any(e < 0 or not isinstance(e, int) for e in exps):
+            if any(not isinstance(e, int) or e < 0 for e in exps):
                 raise ValueError(f"exponents must be non-negative integers: {exps}")
             if sum(exps) > _FIELD:
                 raise ValueError(f"total degree of {exps} is above 2^{W} - 1")
@@ -190,19 +194,7 @@ class PolyElement:
             other = self._promote(other)
             if other is None:
                 return NotImplemented
-        if self.m != other.m:
-            raise self._mismatch(other)
-        if not other.terms:
-            return self
-        acc = dict(self.terms)
-        for key, c in other.terms.items():
-            s = acc.get(key)
-            s = -c if s is None else s - c
-            if s:
-                acc[key] = s
-            else:
-                del acc[key]
-        return _make(self.m, acc)
+        return self + -other
 
     def __rsub__(self, other) -> "PolyElement":
         return (-self) + other

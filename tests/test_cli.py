@@ -511,3 +511,25 @@ def test_trials_reach_each_check_as_the_help_says(monkeypatch):
     assert seen.count(("right_from_generator", None)) == 1 + 20 + 20
     assert seen.count(("torsionfree_lift", None)) == 20
     assert seen.count(("divergence_rank_one", None)) == 20
+
+
+@pytest.mark.parametrize("command, reports", [(["check", "--trials", "4"], 5), (["homology"], 2)],
+                         ids=["check", "homology"])
+def test_machine_reports_do_not_depend_on_the_hash_seed(tmp_path, command, reports):
+    # the benchmark pins PYTHONHASHSEED=0, and every other test runs under one random
+    # seed; a rank-5 book file runs the generator identity on its rows and the m = 0
+    # certificate; homology refuses the two m > 0 entries and the curved one
+    book = tmp_path / "book-5.alg"
+    book.write_text("name = book-5\nm = 0\nn = 5\n"
+                    + "".join(f"c[{i}][5][{i}] = 1\n" for i in range(1, 5)), encoding="utf-8")
+    names = ["sl2", "coordinate-3d", "poisson-linear-2d", "nonabelian-dim2-nonflat", str(book)]
+    argv = [sys.executable, "-m", "bvcalc.cli", command[0], *names, "--format", "machine",
+            *command[1:]]
+    runs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=str(Path(bvcalc.__file__).parents[1]),
+                   PYTHONHASHSEED=seed)
+        done = subprocess.run(argv, capture_output=True, encoding="utf-8", env=env, timeout=120)
+        runs.append((done.returncode, done.stdout, done.stderr))
+    assert runs[0] == runs[1]
+    assert runs[0][1].count("algebra=") == reports

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -71,6 +72,20 @@ def test_wedge_associativity(u, v, w):
 def test_wedge_rank_mismatch():
     with pytest.raises(ValueError):
         Multivector.basis(2, (0,), m=0).wedge(Multivector.basis(3, (0,), m=0))
+
+
+@pytest.mark.parametrize("key", [(5, 5), (-1, -1), (2, 0, 2), ("a",), (1.0,), (5,), (0, 2)])
+def test_constructors_reject_an_index_outside_the_rank_before_normalizing(key):
+    # the range is checked before a repeated index can send the term to 0
+    with pytest.raises(ValueError, match=rf"index {re.escape(str(key))} out of range for rank 2"):
+        Multivector(2, [(key, X)])
+    with pytest.raises(ValueError, match=rf"key {re.escape(str(key))} out of range for rank 2"):
+        AltForm(2, 2, len(key), {key: X})
+
+
+def test_constructors_send_an_in_range_repeat_to_zero():
+    assert Multivector(2, [((1, 1), X)]).is_zero()
+    assert Multivector(2, [((1, 1), X), ((1, 0), Y)]) == Multivector(2, [((0, 1), -Y)])
 
 
 def test_top_pairing_examples():

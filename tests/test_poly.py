@@ -33,6 +33,17 @@ def test_mismatched_variable_counts_rejected():
         X * PolyElement.one(1)
 
 
+@pytest.mark.parametrize("exps", [("a",), (1.5,), (None,), (-1,), ((1,),)])
+def test_exponents_must_be_non_negative_integers(exps):
+    # the type is checked before the comparison with 0, which a str or None cannot take
+    with pytest.raises(ValueError, match="exponents must be non-negative integers"):
+        PolyElement(1, [(exps, 1)])
+
+
+def test_bool_exponents_are_integers():
+    assert PolyElement(2, [((True, False), 3)]) == 3 * PolyElement.variable(2, 0)
+
+
 @given(p=polys(2), q=polys(2), r=polys(2))
 def test_ring_axioms(p, q, r):
     assert p + q == q + p
