@@ -2,7 +2,9 @@
 
 A file is line oriented: ``key = value`` with ``#`` comments, each key
 (with its indices) at most once.  Indices in files are 1-based;
-everything becomes 0-based on load.
+everything becomes 0-based on load.  `KEYS` lists every key with its
+index count: ``anchor`` takes two, ``c`` and ``Gamma`` three, and the
+scalar keys take no ``[i]``, so ``n[1] = 2`` is rejected on its line.
 
     name = nonabelian-dim2
     m = 0                     # variable count of A = Q[x1..xm]
@@ -23,6 +25,7 @@ with the offending basis tuple.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable, Iterator
 from pathlib import Path
 
 from .algebra import LElement, LieRinehartAlgebra
@@ -81,6 +84,10 @@ class LoadedAlgebra(Record):
         return right_from_top(self.algebra, self.top_connection())
 
 
+# Every key of the file format and the number of `[i]` indices it takes.
+KEYS = {"name": 0, "m": 0, "n": 0, "gamma": 0, "r": 0, "expect_nonflat": 0, "suites": 0,
+        "anchor": 2, "c": 3, "Gamma": 3}
+
 # ASCII digits only: other Unicode digits pass `str.isdigit` and `\d`
 _KEY_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)((?:\[\d+\])*)$", re.ASCII)
 _UINT_RE = re.compile(r"[0-9]+")
@@ -96,13 +103,6 @@ def _uint(text: str, what: str, line_no: int) -> int:
 
 def _indices(bracket_part: str, line_no: int) -> tuple[int, ...]:
     return tuple(_uint(s, "index", line_no) for s in re.findall(r"\[(\d+)\]", bracket_part))
-
-
-def _parse_indices(bracket_part: str, count: int, line_no: int) -> tuple[int, ...]:
-    indices = _indices(bracket_part, line_no)
-    if len(indices) != count:
-        raise AlgebraFileError(f"expected {count} indices, found {len(indices)}", line_no)
-    return indices
 
 
 def _shorten(text: str) -> str:
@@ -147,16 +147,11 @@ def load(path: str | Path) -> LoadedAlgebra:
 
 
 def loads(text: str, source: str = "<string>") -> LoadedAlgebra:
-    name = ""
     m = n = None
-    # (value, line, 0-based column of the value in its line)
-    anchor_entries: dict[tuple[int, int], tuple[str, int, int]] = {}
-    c_entries: dict[tuple[int, int, int], tuple[str, int, int]] = {}
-    big_gamma_entries: dict[tuple[int, int, int], tuple[str, int, int]] = {}
-    gamma_line = r_line = None
     expect_nonflat = False
     suites: tuple[str, ...] | None = None
-    first_line: dict[tuple[str, tuple[int, ...]], int] = {}
+    # key -> 1-based indices -> (value, line, 0-based column of the value in its line)
+    located: dict[str, dict[tuple[int, ...], tuple[str, int, int]]] = {key: {} for key in KEYS}
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -167,20 +162,22 @@ def loads(text: str, source: str = "<string>") -> LoadedAlgebra:
         key_part, value = line.split("=", 1)
         key_part = key_part.strip()
         value = value.strip()
-        located = (value, line_no, len(raw) - len(raw.split("=", 1)[1].lstrip()))
         match = _KEY_RE.match(key_part)
         if not match:
             raise AlgebraFileError(f"malformed key {_shorten(key_part)!r}", line_no)
-        key, brackets = match.group(1), match.group(2)
-        seen = (key, _indices(brackets, line_no))
-        if seen in first_line:
+        key = match.group(1)
+        indices = _indices(match.group(2), line_no)
+        if key not in KEYS:
+            raise AlgebraFileError(f"unknown key {_shorten(key)!r}", line_no)
+        if len(indices) != KEYS[key]:
+            raise AlgebraFileError(f"expected {KEYS[key]} indices, found {len(indices)}", line_no)
+        entries = located[key]
+        if indices in entries:
             raise AlgebraFileError(f"duplicate key {_shorten(key_part)!r}, first set on line "
-                                   f"{first_line[seen]}", line_no)
-        first_line[seen] = line_no
+                                   f"{entries[indices][1]}", line_no)
+        entries[indices] = (value, line_no, len(raw) - len(raw.split("=", 1)[1].lstrip()))
 
-        if key == "name":
-            name = value
-        elif key in ("m", "n"):
+        if key in ("m", "n"):
             if not _UINT_RE.fullmatch(value):
                 raise AlgebraFileError(f"{key} must be a non-negative integer", line_no)
             number = _uint(value, key, line_no)
@@ -191,16 +188,6 @@ def loads(text: str, source: str = "<string>") -> LoadedAlgebra:
                                        line_no)
             else:
                 n = number
-        elif key == "anchor":
-            anchor_entries[_parse_indices(brackets, 2, line_no)] = located
-        elif key == "c":
-            c_entries[_parse_indices(brackets, 3, line_no)] = located
-        elif key == "Gamma":
-            big_gamma_entries[_parse_indices(brackets, 3, line_no)] = located
-        elif key == "gamma":
-            gamma_line = located
-        elif key == "r":
-            r_line = located
         elif key == "expect_nonflat":
             if value not in ("true", "false"):
                 raise AlgebraFileError("expect_nonflat must be true or false", line_no)
@@ -214,32 +201,35 @@ def loads(text: str, source: str = "<string>") -> LoadedAlgebra:
             if unknown:
                 raise AlgebraFileError(f"unknown suite(s): {', '.join(unknown)}; "
                                        f"choose from {', '.join(SUITE_NAMES)}", line_no)
-        else:
-            raise AlgebraFileError(f"unknown key {_shorten(key)!r}", line_no)
 
     if m is None or n is None:
         raise AlgebraFileError("file must set both m and n")
 
-    def parse_entry(value: str, line_no: int, column: int) -> PolyElement:
-        try:
-            return parse_poly(value, m)
-        except PolyParseError as exc:
-            raise AlgebraFileError(exc.message, line_no, column + exc.column + 1) from exc
+    def walk(key: str, in_range: Callable[..., bool],
+             bound: str) -> Iterator[tuple[tuple[int, ...], PolyElement]]:
+        """The 0-based indices and parsed polynomial of each `key` entry; an
+        entry whose 1-based indices fail `in_range` is rejected with `bound`."""
+        for indices, (value, line_no, column) in located[key].items():
+            if not in_range(*indices):
+                label = key + "".join(f"[{i}]" for i in indices)
+                raise AlgebraFileError(f"{label} {bound}", line_no)
+            try:
+                poly = parse_poly(value, m)
+            except PolyParseError as exc:
+                raise AlgebraFileError(exc.message, line_no, column + exc.column + 1) from exc
+            yield tuple(i - 1 for i in indices), poly
 
     anchor_rows = [[PolyElement.zero(m) for _ in range(m)] for _ in range(n)]
-    for (i, j), (value, line_no, column) in anchor_entries.items():
-        if not (1 <= i <= n and 1 <= j <= m):
-            raise AlgebraFileError(f"anchor[{i}][{j}] out of range for n={n}, m={m}", line_no)
-        anchor_rows[i - 1][j - 1] = parse_entry(value, line_no, column)
+    for (i, j), poly in walk("anchor", lambda i, j: 1 <= i <= n and 1 <= j <= m,
+                             f"out of range for n={n}, m={m}"):
+        anchor_rows[i][j] = poly
 
     structure: dict[tuple[int, int], list[PolyElement]] = {}
-    for (i, j, k), (value, line_no, column) in c_entries.items():
-        if not (1 <= i < j <= n and 1 <= k <= n):
-            raise AlgebraFileError(
-                f"c[{i}][{j}][{k}] needs 1 <= i < j <= n and 1 <= k <= n (n={n})", line_no)
-        row = structure.setdefault((i - 1, j - 1), [PolyElement.zero(m) for _ in range(n)])
-        row[k - 1] = parse_entry(value, line_no, column)
+    for (i, j, k), poly in walk("c", lambda i, j, k: 1 <= i < j <= n and 1 <= k <= n,
+                                f"needs 1 <= i < j <= n and 1 <= k <= n (n={n})"):
+        structure.setdefault((i, j), [PolyElement.zero(m) for _ in range(n)])[k] = poly
 
+    name = located["name"].get((), ("",))[0]
     algebra = LieRinehartAlgebra(
         m=m, n=n,
         anchor=tuple(DerivationOfA(tuple(row)) for row in anchor_rows),
@@ -250,20 +240,21 @@ def loads(text: str, source: str = "<string>") -> LoadedAlgebra:
     if violations:
         raise AlgebraFileError("axioms fail: " + "; ".join(str(v) for v in violations))
 
+    gamma_line, r_line = located["gamma"].get(()), located["r"].get(())
     gamma = TopConnection(_parse_vector(m, n, "gamma", *gamma_line)) if gamma_line else None
     r = RightConnectionOnA(_parse_vector(m, n, "r", *r_line)) if r_line else None
 
     if gamma is not None and r is not None:
         if right_from_top(algebra, gamma).r != r.r:
-            raise AlgebraFileError("gamma and r are both given but do not correspond")
+            raise AlgebraFileError("gamma and r are both given but do not correspond",
+                                   max(gamma_line[1], r_line[1]))
 
     big_gamma = None
-    if big_gamma_entries:
+    if located["Gamma"]:
         table = [[[PolyElement.zero(m) for _ in range(n)] for _ in range(n)] for _ in range(n)]
-        for (i, j, k), (value, line_no, column) in big_gamma_entries.items():
-            if not all(1 <= idx <= n for idx in (i, j, k)):
-                raise AlgebraFileError(f"Gamma[{i}][{j}][{k}] out of range (n={n})", line_no)
-            table[i - 1][j - 1][k - 1] = parse_entry(value, line_no, column)
+        for (i, j, k), poly in walk("Gamma", lambda *idx: all(1 <= i <= n for i in idx),
+                                    f"out of range (n={n})"):
+            table[i][j][k] = poly
         big_gamma = LeftConnectionOnL(tuple(tuple(LElement(tuple(table[i][j]))
                                                   for j in range(n))
                                             for i in range(n)))

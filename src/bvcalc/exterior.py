@@ -31,6 +31,14 @@ from .poly import PolyElement
 from .record import Record
 
 
+def _in_range(key: Iterable, n: int, what: str) -> tuple[int, ...]:
+    """`key` as a tuple; ValueError names it as `what` unless each entry is an int in range(n)."""
+    indices = tuple(key)
+    if any(not isinstance(i, int) or not 0 <= i < n for i in indices):
+        raise ValueError(f"{what} {key} out of range for rank {n}")
+    return indices
+
+
 def sort_with_sign(indices: Sequence[int]) -> tuple[tuple[int, ...], int]:
     """Sort an index tuple, returning (sorted, sign); sign 0 on repeats."""
     idx = list(indices)
@@ -122,10 +130,7 @@ class Multivector(_Blades):
         items = components.items() if isinstance(components, Mapping) else components
         acc: dict[int, PolyElement] = {}
         for key, coeff in items:
-            indices = tuple(key)
-            if any(not isinstance(i, int) or not 0 <= i < n for i in indices):
-                raise ValueError(f"index {key} out of range for rank {n}")
-            sorted_key, sign = sort_with_sign(indices)
+            sorted_key, sign = sort_with_sign(_in_range(key, n, "index"))
             if sign == 0 or not coeff:
                 continue
             add_multiple(acc, {to_mask(sorted_key): coeff}, sign=sign)
@@ -161,7 +166,7 @@ class Multivector(_Blades):
         return cls._make(le.n, {1 << i: c for i, c in enumerate(le.coeffs) if c})
 
     def component(self, indices: Sequence[int], m: int) -> PolyElement:
-        key, sign = sort_with_sign(tuple(indices))
+        key, sign = sort_with_sign(_in_range(indices, self.n, "index"))
         value = self.components.get(to_mask(key)) if sign else None
         if value is None:
             return PolyElement.zero(m)
@@ -272,9 +277,7 @@ class AltForm(_Blades):
         items = components.items() if isinstance(components, Mapping) else components
         acc: dict[int, PolyElement] = {}
         for key, value in items:
-            key = tuple(key)
-            if any(not isinstance(i, int) or not 0 <= i < n for i in key):
-                raise ValueError(f"key {key} out of range for rank {n}")
+            key = _in_range(key, n, "key")
             if len(key) != degree or any(a >= b for a, b in zip(key, key[1:])):
                 raise ValueError(f"key {key} is not an increasing {degree}-tuple")
             add_multiple(acc, {to_mask(key): value})
@@ -291,8 +294,9 @@ class AltForm(_Blades):
 
     def value_on_increasing(self, key: tuple[int, ...]) -> PolyElement:
         """The value on an increasing index tuple; 0 on any other tuple."""
+        key = _in_range(key, self.n, "key")
         mask = to_mask(key)
-        value = self.components.get(mask) if to_key(mask) == tuple(key) else None
+        value = self.components.get(mask) if to_key(mask) == key else None
         return PolyElement.zero(self.m) if value is None else value
 
     def _shape(self) -> tuple[int, int, int]:

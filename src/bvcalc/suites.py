@@ -186,6 +186,7 @@ class _SuiteRunner:
         return check_rng(self.seed, label)
 
     # -- suites -------------------------------------------------------
+    # run_suite runs suite `s` of SUITE_NAMES as `run_<s>`, dashes as underscores
 
     def run_axioms(self) -> None:
         violations = self.alg.verify_axioms()
@@ -386,18 +387,9 @@ def run_suite(loaded: LoadedAlgebra, suites: tuple[str, ...] | None = None,
     check_draw_arguments(trials, degree_bound)
     runner = _SuiteRunner(loaded, seed=seed, trials=trials, degree_bound=degree_bound)
     started = time.perf_counter()
-    dispatch = {
-        "axioms": runner.run_axioms,
-        "generator": runner.run_generator,
-        "bijections": runner.run_bijections,
-        "duality": runner.run_duality,
-        "bracket-expansion": runner.run_bracket_expansion,
-        "linear-connection": runner.run_linear_connection,
-        "homology": runner.run_homology,
-    }
     for name in SUITE_NAMES:  # fixed order regardless of selection order
         if name in suites:
-            dispatch[name]()
+            getattr(runner, "run_" + name.replace("-", "_"))()
     report = VerificationReport(
         source=loaded.source, algebra=loaded.algebra.name, seed=seed, trials=trials,
         degree_bound=degree_bound, outcomes=runner.outcomes,

@@ -1,6 +1,6 @@
 import pytest
 
-from bvcalc.algfile import AlgebraFileError, load, loads
+from bvcalc.algfile import KEYS, AlgebraFileError, load, loads
 from bvcalc.catalog import CATALOG_NAMES, catalog_path, load_catalog, resolve
 from bvcalc.poly import PolyElement
 
@@ -132,8 +132,13 @@ def test_long_unknown_suite_is_quoted_by_a_short_prefix():
 
 def test_inconsistent_r_and_gamma_rejected():
     # nonabelian: gamma = (0,0) corresponds to r = (0,-1), not (0,0)
-    with pytest.raises(AlgebraFileError, match="do not correspond"):
+    with pytest.raises(AlgebraFileError, match="do not correspond") as info:
         loads("m = 0\nn = 2\nc[1][2][1] = 1\ngamma = [0, 0]\nr = [0, 0]\n")
+    assert info.value.line == 5
+    # the later of the two lines is named, whichever key it sets
+    with pytest.raises(AlgebraFileError, match="do not correspond") as info:
+        loads("m = 0\nn = 2\nr = [0, 0]\ngamma = [0, 0]\nc[1][2][1] = 1\n")
+    assert info.value.line == 4
 
 
 def test_consistent_r_and_gamma_accepted():
@@ -191,6 +196,39 @@ def test_duplicate_key_rejected_naming_both_lines(repeat, first_line):
     with pytest.raises(AlgebraFileError, match=f"first set on line {first_line}") as info:
         loads(BASE + repeat + "\n")
     assert "duplicate key" in str(info.value)
+    assert info.value.line == 7
+
+
+# (line, index count of its key, index count found): one index too many for
+# every key of KEYS, and one too few for each indexed key
+WRONG_INDEX_COUNTS = [
+    ("name[1] = other", 0, 1),
+    ("m[1] = 1", 0, 1),
+    ("n[1] = 3", 0, 1),
+    ("gamma[1] = [0, 0]", 0, 1),
+    ("r[1] = [0, 0]", 0, 1),
+    ("expect_nonflat[1] = true", 0, 1),
+    ("suites[1] = axioms", 0, 1),
+    ("anchor[1][1][1] = 1", 2, 3),
+    ("anchor[1] = 1", 2, 1),
+    ("c[1][2][1][1] = 1", 3, 4),
+    ("c[1][2] = 1", 3, 2),
+    ("Gamma[1][2][2][1] = 1", 3, 4),
+    ("Gamma[1][2] = 1", 3, 2),
+]
+
+
+def test_wrong_index_counts_cover_every_key():
+    assert {line.split("[", 1)[0]: count for line, count, _ in WRONG_INDEX_COUNTS} == KEYS
+
+
+@pytest.mark.parametrize("line, count, found", WRONG_INDEX_COUNTS)
+def test_wrong_index_count_rejected_on_its_line(line, count, found):
+    # a bracketed scalar key would pass the duplicate-key check and override
+    # the value set without brackets
+    with pytest.raises(AlgebraFileError, match=rf"^expected {count} indices, found {found} "
+                                               r"\(line 7\)$") as info:
+        loads(BASE + line + "\n")
     assert info.value.line == 7
 
 

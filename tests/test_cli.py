@@ -96,6 +96,25 @@ def test_check_input_error_exits_two(capsys, tmp_path):
     assert "line 3" in err
 
 
+@pytest.mark.parametrize("text, line", [
+    ("m = 0\nn = 3\nn[1] = 2\n", 3),
+    ("m = 0\nn = 2\ngamma = [0, 0]\ngamma[1] = [1, 0]\n", 4),
+    # curved: [e_1, e_2] = e_1 with gamma_1 != 0 fails generator.square-zero
+    ("name = curved\nm = 0\nn = 2\nc[1][2][1] = 1\ngamma = [1, 0]\n"
+     "expect_nonflat = false\nexpect_nonflat[9] = true\n", 7),
+])
+def test_check_rejects_a_bracketed_scalar_key_that_overrides_a_value(capsys, tmp_path, text,
+                                                                      line):
+    # each second line passes the duplicate-key check: read as a value, it would
+    # load the first file as rank 2 and turn the third's failure into an expected one
+    path = tmp_path / "override.alg"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.endswith(f"expected 0 indices, found 1 (line {line})\n")
+
+
 def test_homology_command(capsys):
     code, out, _ = run(capsys, "homology", "sl2")
     assert code == 0

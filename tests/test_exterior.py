@@ -88,6 +88,23 @@ def test_constructors_send_an_in_range_repeat_to_zero():
     assert Multivector(2, [((1, 1), X), ((1, 0), Y)]) == Multivector(2, [((0, 1), -Y)])
 
 
+@pytest.mark.parametrize("key", [(5,), (7,), (-1,), ("a",)])
+def test_lookups_reject_an_index_outside_the_rank(key):
+    u = Multivector(2, [((0,), X), ((1,), Y)])
+    f = AltForm(2, 2, 1, {(0,): X, (1,): Y})
+    with pytest.raises(ValueError, match=rf"index {re.escape(str(key))} out of range for rank 2"):
+        u.component(key, 2)
+    with pytest.raises(ValueError, match=rf"key {re.escape(str(key))} out of range for rank 2"):
+        f.value_on_increasing(key)
+
+
+def test_value_on_increasing_reads_zero_on_a_repeat_or_a_tuple_that_is_not_increasing():
+    f = AltForm(2, 2, 2, {(0, 1): X})
+    assert f.value_on_increasing((1, 1)) == PolyElement.zero(2)
+    assert f.value_on_increasing((1, 0)) == PolyElement.zero(2)
+    assert f.value_on_increasing((0, 1)) == X
+
+
 def test_top_pairing_examples():
     e1 = Multivector.basis(2, (0,), m=0)
     e2 = Multivector.basis(2, (1,), m=0)
