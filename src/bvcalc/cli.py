@@ -53,11 +53,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run only this suite (repeatable)")
     check.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     check.add_argument("--trials", type=_positive_int, default=32,
-                       help="trials per randomized identity (at least 1); "
-                            "generator.random-connections (m > 0), the D^2 draws of "
-                            "generator.square-zero and flatness-coherence, "
-                            "duality.matched-pair and bracket-expansion run at most "
-                            f"{TRIALS_CAP}")
+                       help="trials per randomized identity (at least 1); at most "
+                            f"{TRIALS_CAP} for generator.random-connections (m > 0), "
+                            "the D^2 draws of generator.square-zero and "
+                            "generator.flatness-coherence, duality.matched-pair, "
+                            "bracket-expansion.pairing-identity, and, after exact probes "
+                            "at 0, e_1, .., e_n, bijections.right-roundtrips, "
+                            "bijections.top-cycles and linear-connection.torsionfree-lift")
     check.add_argument("--degree-bound", type=_nonnegative_int, default=3,
                        help="degree bound for random polynomial coefficients (at least 0)")
     check.add_argument("--format", choices=FORMATS, default="text")

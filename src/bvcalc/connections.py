@@ -23,8 +23,11 @@ entry points.  `phi_trace` gives its trace from the diagonal alone;
 `suites.run_linear_connection` computes it once per trial for both the
 trace and the divergence identity.  `phi_map` builds the whole map; the
 torsion-free-lift check applies it to the same trial's random xi, and the
-tests use its `trace_endo` as the oracle for `phi_trace`.  One draw per
-trial of Gamma, alpha, xi and a lift target serves all three identities.
+tests use its `trace_endo` as the oracle for `phi_trace`.  Each trial
+draws Gamma, alpha, xi and a lift target; the trace and divergence
+identities read every trial, and the lift's three identities the first
+TRIALS_CAP, after its torsion and induced connection are proved on the
+unit targets 0, e_1, .., e_n (`suites._unit_probes`).
 """
 
 from __future__ import annotations
@@ -182,8 +185,10 @@ def torsion(alg: LieRinehartAlgebra, conn: LeftConnectionOnL) -> list[list[LElem
 
 
 def is_torsion_free(alg: LieRinehartAlgebra, conn: LeftConnectionOnL) -> bool:
-    """Whether every entry of `torsion` vanishes."""
-    return all(t.is_zero() for row in torsion(alg, conn) for t in row)
+    """Whether every entry of `torsion` vanishes, read off the pairs i < j
+    as `torsion` does, up to the first that does not."""
+    return all(conn.table[i][j] == conn.table[j][i] + alg.bracket_basis(i, j)
+               for i in range(alg.n) for j in range(i + 1, alg.n))
 
 
 def curvature_top(alg: LieRinehartAlgebra, conn: TopConnection) -> list[list[PolyElement]]:

@@ -1,4 +1,5 @@
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -501,9 +502,10 @@ def test_importing_the_cli_does_not_load_dataclasses():
     assert done.stdout == "False\n"
 
 
-def test_trials_reach_each_check_as_the_help_says(monkeypatch):
-    # --trials 20 at m > 0: the identity, bijections and linear-connection use
-    # all 20, the random connections, D^2 draws, duality and pairing at most 8
+def spied_calls(monkeypatch) -> list:
+    """(function, trials keyword) for each call the suites make, at trials=20 on
+    coordinate-2d (m > 0), to the functions their randomized checks call once per
+    trial."""
     seen = []
 
     def spy(name):
@@ -516,20 +518,70 @@ def test_trials_reach_each_check_as_the_help_says(monkeypatch):
 
     for name in ("is_generator", "generator_square", "check_generator_duality",
                  "check_bracket_pairing_identity", "right_from_generator",
-                 "torsionfree_lift", "divergence_rank_one"):
+                 "generator_from_top", "torsionfree_lift",
+                 "generator_from_linear_connection", "divergence_rank_one"):
         monkeypatch.setattr(suites, name, spy(name))
     report = run_suite(load_catalog("coordinate-2d"), trials=20,
                        suites=("generator", "bijections", "duality", "bracket-expansion",
                                "linear-connection"))
     assert report.passed and report.trials == 20
+    return seen
+
+
+def test_trials_reach_each_check_as_the_help_says(monkeypatch):
+    # --trials 20 at m > 0: the identity, trace and divergence use all 20; the
+    # random connections, D^2 draws, duality, pairing, bijections and the lift at
+    # most 8, the last two after the n + 1 = 3 unit probes
+    seen = spied_calls(monkeypatch)
     assert seen.count(("is_generator", 20)) == 1
     assert seen.count(("is_generator", 1)) == 8
     assert ("generator_square", 8) in seen
     assert [t for name, t in seen if name == "check_generator_duality"] == [8, 3]
     assert ("check_bracket_pairing_identity", 8) in seen
-    assert seen.count(("right_from_generator", None)) == 1 + 20 + 20
-    assert seen.count(("torsionfree_lift", None)) == 20
+    assert seen.count(("right_from_generator", None)) == 1 + 3 + 8 + 3 + 8
+    assert seen.count(("torsionfree_lift", None)) == 3 + 8
     assert seen.count(("divergence_rank_one", None)) == 20
+
+
+def test_the_help_and_the_readme_name_the_capped_checks(monkeypatch, capsys):
+    # the random trials each randomized check runs at --trials 20 on coordinate-2d
+    # (n = 2), read off the calls it makes once per trial; the file's r and the
+    # n + 1 unit probes are not random
+    seen = spied_calls(monkeypatch)
+    count = [name for name, _ in seen].count
+    trials = {name: t for name, t in reversed(seen)}  # each function's first trials=
+    draws = {
+        "generator.identity": trials["is_generator"],
+        "generator.random-connections": seen.count(("is_generator", 1)),
+        "generator.square-zero": trials["generator_square"],
+        "generator.flatness-coherence": trials["generator_square"],
+        "bijections.right-roundtrips":
+            count("right_from_generator") - count("generator_from_top") - 1 - 3,
+        "bijections.top-cycles": count("generator_from_top") - 3,
+        "duality.matched-pair": trials["check_generator_duality"],
+        "bracket-expansion.pairing-identity": trials["check_bracket_pairing_identity"],
+        "linear-connection.trace-identity": count("generator_from_linear_connection"),
+        "linear-connection.torsionfree-lift": count("torsionfree_lift") - 3,
+        "linear-connection.divergence-identity": count("divergence_rank_one"),
+    }
+    assert set(draws.values()) == {suites.TRIALS_CAP, 20}
+    capped = {check for check, k in draws.items() if k == suites.TRIALS_CAP}
+    uncapped = set(draws) - capped
+
+    monkeypatch.setenv("COLUMNS", "1000")  # one line per option, no hyphen breaks
+    code, out, _ = run(capsys, "check", "--help")
+    assert code == 0
+    help_line = next(line for line in out.splitlines() if line.startswith("  --trials "))
+    assert f"at most {suites.TRIALS_CAP} for " in help_line
+    assert set(re.findall(r"\b[a-z-]+\.[a-z-]+\b", help_line)) == capped
+
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md")
+                      .read_text(encoding="utf-8").split())
+    every, at_most = re.search(r"(`generator\.identity`.*?) run every one of the `--trials`\. "
+                               rf"These checks run at most {suites.TRIALS_CAP}, whatever "
+                               r"`--trials` says: (.*?)\. The last three", readme).groups()
+    assert set(re.findall(r"`([a-z-]+\.[a-z-]+)`", every)) == uncapped
+    assert set(re.findall(r"`([a-z-]+\.[a-z-]+)`", at_most)) == capped
 
 
 @pytest.mark.parametrize("command, reports", [(["check", "--trials", "4"], 5), (["homology"], 2)],

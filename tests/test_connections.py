@@ -472,7 +472,71 @@ def test_torsionfree_lift_check_catches_an_off_diagonal_bump(catalog, monkeypatc
     monkeypatch.setattr(suites, "torsionfree_lift", bumped_lift)
     outcome = linear_connection_outcomes(loaded)["torsionfree-lift"]
     assert outcome.status == "fail"
-    assert outcome.witness.startswith("lift has torsion for gamma="), outcome.witness
+    # the first unit target, gamma = 0, already has the torsion
+    zeros = ", ".join(["0"] * loaded.algebra.n)
+    assert outcome.witness == f"lift has torsion for gamma=({zeros})", outcome.witness
+
+
+def lift_plus(term):
+    """torsionfree_lift with term(gamma_1) added to Gamma[0][0]_0, which moves
+    the induced gamma_1 alone and leaves the torsion as it is."""
+    original = correspond.torsionfree_lift
+
+    def lift(alg, target, base=None):
+        rows = [list(row) for row in original(alg, target, base).table]
+        coeffs = list(rows[0][0].coeffs)
+        coeffs[0] = coeffs[0] + term(target.gamma[0])
+        rows[0][0] = LElement(tuple(coeffs))
+        return LeftConnectionOnL(tuple(map(tuple, rows)))
+    return lift
+
+
+@pytest.mark.parametrize("trials", [32, 2])
+@pytest.mark.parametrize("name, term", [
+    ("sl2", lambda g: g * g - g),
+    ("nonabelian-dim2", lambda g: g * g - g),
+    ("coordinate-2d", lambda g: g * g - g),
+    # Q-linear in gamma but not A-linear
+    ("coordinate-2d", lambda g: g.diff(0)),
+    ("poisson-linear-2d", lambda g: g.diff(0)),
+], ids=["square-sl2", "square-nonabelian-dim2", "square-coordinate-2d",
+        "derivative-coordinate-2d", "derivative-poisson-linear-2d"])
+def test_lift_draws_catch_what_the_unit_targets_cannot(catalog, monkeypatch, name, term,
+                                                        trials):
+    # each term vanishes on the constants 0 and 1, so the lift of every unit
+    # target is right and only a random target shows the fault
+    loaded = catalog[name]
+    alg = loaded.algebra
+    monkeypatch.setattr(suites, "torsionfree_lift", lift_plus(term))
+    assert all(suites._lift_fault(alg, TopConnection(v)) == ""
+               for v in suites._unit_probes(alg))
+    report = suites.run_suite(loaded, suites=("linear-connection",), trials=trials)
+    outcome = {o.name: o for o in report.outcomes}["torsionfree-lift"]
+    assert outcome.status == "fail"
+    assert outcome.witness.startswith("lift induces the wrong connection for ("), \
+        outcome.witness
+
+
+@pytest.mark.parametrize("trials", [32, 2])
+@pytest.mark.parametrize("name", ["sl2", "abelian-dim2", "coordinate-2d"])
+def test_bijection_draws_catch_a_round_trip_not_affine_in_r(catalog, monkeypatch, name, trials):
+    # each r_i read back as r_i^2, which is r_i at the unit probes; the file's r
+    # is 0 on these entries, so only a random r can show it
+    original = correspond.right_from_generator
+
+    def squared(alg, gen):
+        return RightConnectionOnA(tuple(c * c for c in original(alg, gen).r))
+
+    loaded = catalog[name]
+    alg = loaded.algebra
+    assert not any(loaded.right_connection().r)
+    monkeypatch.setattr(suites, "right_from_generator", squared)
+    assert all(squared(alg, suites.GeneratorD(alg, RightConnectionOnA(v))).r == v
+               for v in suites._unit_probes(alg))
+    report = suites.run_suite(loaded, suites=("bijections",), trials=trials)
+    outcome = {o.name: o for o in report.outcomes}["right-roundtrips"]
+    assert outcome.status == "fail"
+    assert outcome.witness.startswith("generator round trip moved r=("), outcome.witness
 
 
 @pytest.mark.parametrize("name", ["sl2", "coordinate-2d"])
