@@ -23,10 +23,10 @@ entry points.  `phi_trace` gives its trace from the diagonal alone;
 `suites.run_linear_connection` computes it once per trial for both the
 trace and the divergence identity.  `phi_map` builds the whole map; the
 torsion-free-lift check applies it to the same trial's random xi, and the
-tests use its `trace_endo` as the oracle for `phi_trace`.  Each trial
-draws Gamma, alpha, xi and a lift target; the trace and divergence
-identities read every trial, and the lift's three identities the first
-TRIALS_CAP, after its torsion and induced connection are proved on the
+tests use its `trace_endo` as the oracle for `phi_trace`.  Each of the
+first TRIALS_CAP trials draws Gamma, alpha, xi and a lift target, which
+the trace and divergence identities and the lift's three identities
+read; the lift's torsion and induced connection are first proved on the
 unit targets 0, e_1, .., e_n (`suites._unit_probes`).
 """
 

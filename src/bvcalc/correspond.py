@@ -62,9 +62,10 @@ from .sampling import check_draw_arguments, check_rng, random_poly
 
 def right_from_generator(alg: LieRinehartAlgebra, gen: GeneratorD) -> RightConnectionOnA:
     """Read the right connection back off a generator: r_i = D(e_i)."""
+    one = PolyElement.one(alg.m)
     r = []
     for i in range(alg.n):
-        image = gen(Multivector.basis(alg.n, (i,), m=alg.m))
+        image = gen(Multivector._make(alg.n, {1 << i: one}))  # e_i on its mask
         r.append(image.component((), alg.m))
     return RightConnectionOnA(tuple(r))
 

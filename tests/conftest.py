@@ -1,8 +1,12 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 from bvcalc.algebra import LElement, LieRinehartAlgebra
+from bvcalc.algfile import loads
 from bvcalc.catalog import CATALOG_NAMES, load_catalog
 from bvcalc.exterior import Multivector
 from bvcalc.poly import PolyElement
@@ -81,3 +85,12 @@ def nonabelian_dim2(catalog):
 @pytest.fixture(scope="session")
 def sl2(catalog):
     return catalog["sl2"].algebra
+
+
+def load_generated(name, seed=0):
+    """The `perfbench/inputs.py` file for `name` at `seed`, loaded as a user file."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return loads(inputs.algebra_text(name, seed))

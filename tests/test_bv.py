@@ -1,16 +1,14 @@
-import importlib.util
 import random
 import re
 from fractions import Fraction
 from itertools import combinations
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
 from bvcalc import bv
 from bvcalc.algebra import LieRinehartAlgebra, build_poisson_cotangent
-from bvcalc.algfile import LoadedAlgebra, loads
+from bvcalc.algfile import LoadedAlgebra
 from bvcalc.bv import (
     GeneratorD,
     RightConnectionOnA,
@@ -42,7 +40,7 @@ from bvcalc.suites import run_suite
 from conftest import BAD_DRAW_ARGUMENTS
 
 import reference
-from conftest import RANK5, fresh_copy, multivectors, polys
+from conftest import RANK5, fresh_copy, load_generated, multivectors, polys
 from reference import (
     _term_bracket,
     apply_generator,
@@ -801,15 +799,6 @@ def test_every_sign_flip_of_a_table_entry_fails_on_its_own(catalog, monkeypatch,
         flipped += 1
     assert flipped
     assert is_generator(alg, gen) == (True, None)
-
-
-def load_generated(name, seed=0):
-    """The `perfbench/inputs.py` file for `name` at `seed`, loaded as a user file."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
-    inputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
-    return loads(inputs.algebra_text(name, seed))
 
 
 def first_failing_pair(alg, op):

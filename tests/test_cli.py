@@ -17,6 +17,8 @@ from bvcalc import suites
 from bvcalc.suites import SUITE_NAMES, run_suite
 from bvcalc.catalog import load_catalog
 
+from conftest import load_generated
+
 
 def run(capsys, *argv):
     try:
@@ -529,9 +531,9 @@ def spied_calls(monkeypatch) -> list:
 
 
 def test_trials_reach_each_check_as_the_help_says(monkeypatch):
-    # --trials 20 at m > 0: the identity, trace and divergence use all 20; the
-    # random connections, D^2 draws, duality, pairing, bijections and the lift at
-    # most 8, the last two after the n + 1 = 3 unit probes
+    # --trials 20 at m > 0: the identity uses all 20; the random connections, D^2
+    # draws, duality, pairing, bijections, the lift, trace and divergence at most
+    # 8, bijections and the lift after the n + 1 = 3 unit probes
     seen = spied_calls(monkeypatch)
     assert seen.count(("is_generator", 20)) == 1
     assert seen.count(("is_generator", 1)) == 8
@@ -540,7 +542,22 @@ def test_trials_reach_each_check_as_the_help_says(monkeypatch):
     assert ("check_bracket_pairing_identity", 8) in seen
     assert seen.count(("right_from_generator", None)) == 1 + 3 + 8 + 3 + 8
     assert seen.count(("torsionfree_lift", None)) == 3 + 8
-    assert seen.count(("divergence_rank_one", None)) == 20
+    assert seen.count(("divergence_rank_one", None)) == suites.TRIALS_CAP
+
+
+@pytest.mark.parametrize("name", [*CATALOG_NAMES, "heisenberg-7"])
+def test_linear_connection_lines_do_not_move_above_the_cap(name):
+    # every linear-connection line reads the first TRIALS_CAP = 8 draws alone, so
+    # on a passing input its report lines are the same at 8, 32 and 64 trials
+    loaded = load_generated(name, seed=1) if name == "heisenberg-7" else load_catalog(name)
+
+    def lines(trials):
+        report = run_suite(loaded, suites=("linear-connection",), trials=trials)
+        return [line for line in suites.render_machine(report).splitlines()
+                if line.startswith("check=linear-connection.")]
+
+    assert lines(8)
+    assert lines(8) == lines(32) == lines(64)
 
 
 def test_the_help_and_the_readme_name_the_capped_checks(monkeypatch, capsys):
@@ -577,7 +594,7 @@ def test_the_help_and_the_readme_name_the_capped_checks(monkeypatch, capsys):
 
     readme = " ".join((Path(__file__).resolve().parents[1] / "README.md")
                       .read_text(encoding="utf-8").split())
-    every, at_most = re.search(r"(`generator\.identity`.*?) run every one of the `--trials`\. "
+    every, at_most = re.search(r"(`generator\.identity`) runs every one of the `--trials`\. "
                                rf"These checks run at most {suites.TRIALS_CAP}, whatever "
                                r"`--trials` says: (.*?)\. The last three", readme).groups()
     assert set(re.findall(r"`([a-z-]+\.[a-z-]+)`", every)) == uncapped

@@ -26,7 +26,7 @@ from bvcalc.connections import (
     torsion,
     trace_endo,
 )
-from bvcalc import correspond, suites
+from bvcalc import connections, correspond, suites
 from bvcalc.bv import RightConnectionOnA, one_circ
 from bvcalc.correspond import right_from_top, top_from_right, torsionfree_lift
 from bvcalc.exterior import AltForm, TopElement, full_tuple
@@ -431,6 +431,32 @@ def test_trace_identity_catches_phi_trace_mutants(catalog, monkeypatch, name, mu
     assert linear_connection_outcomes(loaded)["trace-identity"].status == "pass"
     monkeypatch.setattr(suites, "phi_trace", mutant)
     outcome = linear_connection_outcomes(loaded)["trace-identity"]
+    assert outcome.status == "fail"
+    assert outcome.witness.startswith("trace identity fails for alpha="), outcome.witness
+
+
+@pytest.mark.parametrize("trials", [32, 1])
+@pytest.mark.parametrize("name", ["sl2", "coordinate-2d"])
+def test_trace_identity_catches_a_trace_that_skips_one_christoffel_entry(catalog, monkeypatch,
+                                                                        name, trials):
+    # phi_trace without Gamma[n-1][n-1]_(n-1), in every module that holds it: a
+    # fault in the Gamma direction, which the comparison at e_1, .., e_n sees for
+    # every alpha, alpha = 0 included, so one trial catches it
+    def mutant(alg, conn, alpha):
+        k = alg.n - 1
+        return phi_trace(alg, conn, alpha) + alpha.coeffs[k] * conn.table[k][k].coeffs[k]
+
+    loaded = catalog[name]
+    alg = loaded.algebra
+    for module in (connections, correspond, suites):
+        monkeypatch.setattr(module, "phi_trace", mutant)
+    conn = LeftConnectionOnL(random_christoffel(check_rng(0, "skip-one-entry"), alg, 2))
+    zero = alg.zero_l()
+    assert suites._trace_fault(alg, conn, zero, mutant(alg, conn, zero),
+                               induced_top_connection(alg, conn), volume(alg)) \
+        == "generator differs from the induced-connection one"
+    report = suites.run_suite(loaded, suites=("linear-connection",), trials=trials)
+    outcome = {o.name: o for o in report.outcomes}["trace-identity"]
     assert outcome.status == "fail"
     assert outcome.witness.startswith("trace identity fails for alpha="), outcome.witness
 

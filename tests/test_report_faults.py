@@ -214,8 +214,8 @@ def load_row(entry: str, extra: str) -> LoadedAlgebra:
     return loads(text, source=entry)
 
 
-def outcomes(loaded: LoadedAlgebra) -> dict:
-    report = run_suite(loaded, seed=0, trials=4, degree_bound=2)
+def outcomes(loaded: LoadedAlgebra, trials: int = 4) -> dict:
+    report = run_suite(loaded, seed=0, trials=trials, degree_bound=2)
     return {f"{o.suite}.{o.name}": o for o in report.outcomes}
 
 
@@ -244,6 +244,21 @@ def test_a_fault_makes_the_line_fail(monkeypatch, line, entry, extra, fault, als
         assert failed == also
     else:
         assert failed == {line} | also
+
+
+DRAWN_GAMMA_ROWS = [row for row in ROWS if row[0] in {"linear-connection.trace-identity",
+                                                       "linear-connection.divergence-identity"}]
+
+
+@pytest.mark.parametrize("line, entry, extra, fault, also", DRAWN_GAMMA_ROWS,
+                         ids=[row[0] for row in DRAWN_GAMMA_ROWS])
+def test_the_trace_and_divergence_faults_fail_at_one_trial(monkeypatch, line, entry, extra,
+                                                           fault, also):
+    # both lines draw Gamma on at most TRIALS_CAP trials; the first draw must do
+    loaded = load_row(entry, extra)
+    fault(monkeypatch, loaded)
+    failed = {name for name, o in outcomes(loaded, trials=1).items() if o.status == FAIL}
+    assert failed == {line} | also
 
 
 @pytest.mark.parametrize("line, entry, extra, fault, also", ROWS, ids=[row[0] for row in ROWS])
