@@ -182,17 +182,13 @@ class LieRinehartAlgebra(Record):
         """Bracket of general elements by the Leibniz extension."""
         if alpha.n != self.n or beta.n != self.n:
             raise ValueError("rank mismatch")
-        out = [PolyElement.zero(self.m) for _ in range(self.n)]
-        # sum_{i<j} (a_i b_j - a_j b_i) [e_i, e_j]
+        zero = PolyElement.zero(self.m)
+        out = [zero] * self.n
+        a, b = alpha.coeffs, beta.coeffs
+        # sum_{i<j} (a_i b_j - a_j b_i) [e_i, e_j]; a product with a zero factor is skipped
         for (i, j), cij in self.structure.items():
-            left = alpha.coeffs[i] * beta.coeffs[j] if alpha.coeffs[i] and beta.coeffs[j] \
-                else None
-            right = alpha.coeffs[j] * beta.coeffs[i] if alpha.coeffs[j] and beta.coeffs[i] \
-                else None
-            if left is None and right is None:
-                continue
-            coeff = left - right if left is not None and right is not None \
-                else (left if left is not None else -right)
+            coeff = ((a[i] * b[j] if a[i] and b[j] else zero)
+                     - (a[j] * b[i] if a[j] and b[i] else zero))
             if coeff:
                 for k, ck in enumerate(cij.coeffs):
                     if ck:
@@ -202,16 +198,16 @@ class LieRinehartAlgebra(Record):
         # constant, and rho(beta) only when some a_k is not: a basis element
         # on one side, as in every bracket with e_i, needs one anchor at most
         if not self._anchor_is_zero:
-            if not all(b.is_constant() for b in beta.coeffs):
+            if not all(c.is_constant() for c in b):
                 rho_alpha = self.anchor_of(alpha)
-                for k, b in enumerate(beta.coeffs):
-                    if b:
-                        out[k] = out[k] + rho_alpha(b)
-            if not all(a.is_constant() for a in alpha.coeffs):
+                for k, c in enumerate(b):
+                    if c:
+                        out[k] = out[k] + rho_alpha(c)
+            if not all(c.is_constant() for c in a):
                 rho_beta = self.anchor_of(beta)
-                for k, a in enumerate(alpha.coeffs):
-                    if a:
-                        out[k] = out[k] - rho_beta(a)
+                for k, c in enumerate(a):
+                    if c:
+                        out[k] = out[k] - rho_beta(c)
         return LElement(tuple(out))
 
     # -- axiom checking ----------------------------------------------

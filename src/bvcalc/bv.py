@@ -43,8 +43,9 @@ directly.  The bracket of a e_S and b e_T is ab [e_S, e_T] plus two
 terms in the anchor derivatives of a and b, which vanish for a constant
 coefficient and so always at m = 0 (`mask_bracket`); the generator
 identity and the pairing identity of `bvcalc.correspond` read it so at
-every m, each drawing its coefficients by `draw_term`, and a generator
-identity witness prints the defect map the check summed.
+every m, each taking its coefficients from the passes of
+`sampling.coefficient_passes` and its argument from `_term`, and a
+generator identity witness prints the defect map the check summed.
 `gerstenhaber_bracket`, the public bracket at every m, is `mask_bracket`
 summed over the term pairs of its arguments; no check calls it.  The
 tests compare it with `recursive_bracket` in `tests/reference.py`, the
@@ -113,7 +114,7 @@ from .algebra import LElement, LieRinehartAlgebra
 from .exterior import Multivector, basis_label
 from .poly import PolyElement
 from .record import Record
-from .sampling import check_draw_arguments, check_rng, random_poly
+from .sampling import coefficient_passes
 
 
 class RightConnectionOnA(Record):
@@ -365,18 +366,6 @@ def gerstenhaber_bracket(alg: LieRinehartAlgebra, u: Multivector,
     return _multivector(alg.n, alg.m, out)
 
 
-def draw_term(alg: LieRinehartAlgebra, rng, s: int,
-              degree_bound: int) -> tuple[PolyElement, tuple]:
-    """A coefficient c for e_S and the `_term` of c e_S for `mask_bracket`.
-
-    c is 1 at m = 0 and one `random_poly` draw from `rng` at m > 0.  Both
-    pair identities, the generator identity and `bvcalc.correspond`'s
-    pairing identity, draw so.
-    """
-    c = random_poly(rng, alg.m, degree_bound) if alg.m else PolyElement.one(0)
-    return c, _term(alg, s, c)
-
-
 # -- generator checks --------------------------------------------------
 
 
@@ -396,8 +385,8 @@ def is_generator(alg: LieRinehartAlgebra, op: Operator, trials: int = 32,
     The identity is [u, v] = (-1)^|u| (D(u ^ v) - D(u) ^ v - (-1)^|u| u ^ D(v)).
     Accepts any operator as a callable; returns (True, None) or
     (False, witness) with the first violating pair.  One loop serves
-    every m.  A pass gives every basis subset S, in subset order, one
-    coefficient a from `draw_term` and calls `op` on a e_S; with
+    every m.  A pass of `sampling.coefficient_passes` gives every basis
+    subset S, in subset order, one coefficient a and calls `op` on a e_S; with
     sign = (-1)^|S| the defect
 
         [u, v] - sign D(u ^ v) + sign b D(u) ^ e_T + a e_S ^ D(v)
@@ -417,26 +406,22 @@ def is_generator(alg: LieRinehartAlgebra, op: Operator, trials: int = 32,
     the witness then names S.
 
     When m = 0 both sides are Q-bilinear in (a, b) once `op` is Q-linear,
-    so one pass with a = 1 decides, and `trials`, `seed` and
-    `degree_bound` make no difference.  `op` is called on e_R and then on
+    so the one pass of 1s decides.  `op` is called on e_R and then on
     2 e_R for every R, and nowhere else: an operator with
     op(2 e_R) != 2 op(e_R) fails at e_R, and with e_S ^ e_T = w e_(S | T)
     the pair reads D(u ^ v) as w D(e_(S | T)) from the images so probed.
-    When m > 0, each of `trials` passes draws random polynomial
-    coefficients, and `op` is called on every drawn a e_S, then on u ^ v
-    for every ordered pair (u, v) visited, zero products included.  `trials`
-    below 1 or `degree_bound` below 0 raises ``ValueError`` at every m.
+    When m > 0, `op` is called on every drawn a e_S, then on u ^ v for
+    every ordered pair (u, v) visited, zero products included.
     """
-    check_draw_arguments(trials, degree_bound)
-    rng = check_rng(seed, "is_generator")
+    passes = coefficient_passes(alg.m, trials, seed, "is_generator", degree_bound)
     n, m = alg.n, alg.m
     two = PolyElement.const(0, 2)
     lie = lie_brackets(alg)
-    for _ in range(trials if m else 1):
+    for draw in passes:
         # (a, `mask_bracket`'s (S, a, e_i(a)), D(a e_S) as a mask map) per drawn a e_S
         drawn, images = [], {}
         for s in ground.subsets(n):
-            a, u = draw_term(alg, rng, s, degree_bound)
+            a = draw()
             image = op(Multivector._make(n, {s: a} if a else {}))
             ds = images[s] = ground.values(image.components)
             if not m:
@@ -444,7 +429,7 @@ def is_generator(alg: LieRinehartAlgebra, op: Operator, trials: int = 32,
                 if ground.values(doubled.components) != {mask: 2 * c for mask, c in ds.items()}:
                     label = basis_label(ground.to_key(s))
                     return False, f"D((2)*{label})={doubled} 2*D({label})={image.scale(two)}"
-            drawn.append((a, u, ds))
+            drawn.append((a, _term(alg, s, a), ds))
         # drawn follows `ground.subsets`, so its first n + 1 entries are e_() and the e_i
         for a, u, ds in drawn if n <= FULL_PASS_MAX_RANK else drawn[:n + 1]:
             s, x, _ = u
@@ -586,20 +571,18 @@ def generator_square(alg: LieRinehartAlgebra, op: Operator, trials: int = 8,
     One walk of passes over every subset S in subset order stops at the
     first nonzero D^2(a e_S), which is the witness.  Pass 0 is the basis
     pass: a = 1, and nothing is drawn.  When m = 0, A = Q and a degree -1
-    operator is Q-linear, so D^2(a e_S) = a D^2(e_S): the basis pass
-    decides, and `trials`, `seed` and `degree_bound` make no difference.
-    When m > 0, D^2(a e_S) can be nonzero although D^2(e_S) is zero, so
-    `trials` passes follow, each drawing a random a for every S and
-    skipping a zero draw.  `trials` below 1 or `degree_bound` below 0
-    raises ``ValueError`` at every m.
+    operator is Q-linear, so D^2(a e_S) = a D^2(e_S): the basis pass is
+    the one pass of `sampling.coefficient_passes`, and decides.  When
+    m > 0, D^2(a e_S) can be nonzero although D^2(e_S) is zero, so that
+    helper's random passes follow the basis pass, skipping a zero draw.
     """
-    check_draw_arguments(trials, degree_bound)
-    rng = check_rng(seed, "generator_square")
+    passes = coefficient_passes(alg.m, trials, seed, "generator_square", degree_bound)
     n, m = alg.n, alg.m
     one = PolyElement.one(m)
-    for trial in range(1 + (trials if m else 0)):  # pass 0 is the basis pass
+    # pass 0 is the basis pass; at m = 0 it is the one pass of 1s
+    for trial, draw in enumerate([lambda: one] + passes if m else passes):
         for s in ground.subsets(n):
-            a = random_poly(rng, m, degree_bound) if trial else one
+            a = draw()
             if not a:
                 continue
             square = op(op(Multivector._make(n, {s: a})))

@@ -21,9 +21,11 @@ The endomorphism phi_alpha : xi -> [alpha, xi] - nabla_alpha xi has two
 entry points.  `phi_trace` gives its trace from the diagonal alone;
 `correspond.generator_from_linear_connection` uses it, and
 `suites.run_linear_connection` computes it once per trial for both the
-trace and the divergence identity.  `phi_map` builds the whole map; the
-torsion-free-lift check applies it to the same trial's random xi, and the
-tests use its `trace_endo` as the oracle for `phi_trace`.  Each of the
+trace and the divergence identity.  `phi_map` builds the whole map; no
+check calls it, and it stays the tests' oracle for `phi_trace` (through
+`trace_endo`) and the README tour's example.  The torsion-free-lift
+check forms phi_alpha(xi) on the trial's random xi itself, one bracket
+and one nabla, as `suites._lift_fault` says.  Each of the
 first TRIALS_CAP trials draws Gamma, alpha, xi and a lift target, which
 the trace and divergence identities and the lift's three identities
 read; the lift's torsion and induced connection are first proved on the

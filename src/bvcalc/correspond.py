@@ -15,11 +15,10 @@ with one loop for every m: one coefficient per basis subset and pass, the
 form d(phi_u) once per S, D once per T, and [u, v] through
 `bv.mask_bracket` from the n^2 Lie brackets.  Both walk the subsets in
 the subset order of `ground.subsets` and build each argument a e_S on
-its mask; index tuples appear only in witness labels.  When m = 0 the
-diagram is Q-linear in u and the expansion Q-bilinear in (u, v), so both
-run one pass over the basis with coefficient 1 and their result has no
-seed or trial count; when m > 0 they evaluate random polynomial
-coefficients.
+its mask; index tuples appear only in witness labels.  The diagram is
+Q-linear in u and the expansion Q-bilinear in (u, v), so both take
+their coefficients from the passes of `sampling.coefficient_passes`:
+one pass of 1s at m = 0, random polynomials at m > 0.
 
 The expansion follows from the diagram and the generator identity of
 `bv.is_generator`.  With |u| = p and |v| = n - p + 1, u ^ v has degree
@@ -27,10 +26,15 @@ n + 1, so u ^ v = 0 and D(u ^ v) = 0.  The diagram gives
 d(phi_u)(v) = -phi_{D(u)}(v) = -D(u) ^ v.  The generator identity on
 (u, v) gives (-1)^p [u, v] = -D(u) ^ v - (-1)^p u ^ D(v).  Together,
 (-1)^p (u ^ D(v) + [u, v]) = -D(u) ^ v = d(phi_u)(v).  At m = 0 the
-three checks are exact over the same generator and top connection, so
-the expansion can fail only when `check_generator_duality` or the
-generator identity fails; `tests/test_report_faults.py` checks that on
-every fault of its table.
+three checks are exact over the same generator and top connection.  Up
+to rank `bv.FULL_PASS_MAX_RANK` = 3, where the generator identity visits
+every pair, the expansion can fail only when `check_generator_duality`
+or the generator identity fails; `tests/test_report_faults.py` checks
+that on every fault of its table.  Above that rank the generator
+identity visits only the rows |S| <= 1.  By Koszul's argument (the `bv`
+docstring) they decide the identity for D, but they never read the
+closed-form [e_S, e_T] at |S|, |T| >= 2; a fault there fails the
+expansion alone, and `tests/test_report_faults.py` pins that too.
 
 The linear-connection layer: any connection on L induces one on the top
 power by tracing its Christoffel rows, the endomorphisms
@@ -46,7 +50,7 @@ from fractions import Fraction
 
 from . import ground
 from .algebra import LElement, LieRinehartAlgebra
-from .bv import GeneratorD, RightConnectionOnA, draw_term, lie_brackets, mask_bracket
+from .bv import GeneratorD, RightConnectionOnA, _term, lie_brackets, mask_bracket
 from .connections import (
     LeftConnectionOnL,
     TopConnection,
@@ -57,7 +61,7 @@ from .connections import (
 )
 from .exterior import Multivector, basis_label, phi_iso
 from .poly import PolyElement
-from .sampling import check_draw_arguments, check_rng, random_poly
+from .sampling import coefficient_passes
 
 
 def right_from_generator(alg: LieRinehartAlgebra, gen: GeneratorD) -> RightConnectionOnA:
@@ -103,21 +107,16 @@ def check_generator_duality(alg: LieRinehartAlgebra, gen: GeneratorD,
 
     Holds exactly when the generator and the top connection correspond;
     a perturbed pair fails with a concrete witness, and so does an image
-    D(u) of u = a e_S that is not homogeneous of degree p - 1.  When m = 0
-    both sides are Q-linear in a, so one pass with a = 1 evaluates each
-    subset once and decides; `trials`, `seed` and `degree_bound` make no
-    difference.  When m > 0, each of `trials` passes draws a random
-    coefficient for every subset.  `trials` below 1 or `degree_bound`
-    below 0 raises ``ValueError`` at every m.
+    D(u) of u = a e_S that is not homogeneous of degree p - 1.  Both
+    sides are Q-linear in a, and each pass of `sampling.coefficient_passes`
+    gives every subset one coefficient.
     """
-    check_draw_arguments(trials, degree_bound)
-    rng = check_rng(seed, "generator_duality")
+    passes = coefficient_passes(alg.m, trials, seed, "generator_duality", degree_bound)
     n, m = alg.n, alg.m
-    one = PolyElement.one(0)
-    for _ in range(trials if m else 1):
+    for draw in passes:
         for s in ground.subsets(n):
             p = s.bit_count()
-            a = random_poly(rng, m, degree_bound) if m else one
+            a = draw()
             u = Multivector._make(n, {s: a} if a else {})
             image = gen(u)
             rhs = -covariant_derivative(alg, conn, phi_iso(u, m, degree=p))
@@ -150,28 +149,24 @@ def check_bracket_pairing_identity(alg: LieRinehartAlgebra, gen: GeneratorD,
     top coefficient of a e_S ^ D(b e_T) is the term of D(b e_T) on the
     complement of S, and that of [a e_S, b e_T] is read from `mask_bracket`
     on the `lie_brackets` list, with no anchor terms for a constant
-    coefficient.
-    When m = 0 both sides are Q-bilinear in (a, b), so one pass with
-    a = b = 1 decides; `trials`, `seed` and `degree_bound` make no
-    difference.  When m > 0, each of `trials` passes draws random
-    polynomial coefficients.  `trials` below 1 or `degree_bound` below 0
-    raises ``ValueError`` at every m.
+    coefficient.  Both sides are Q-bilinear in (a, b), and the
+    coefficients come from the passes of `sampling.coefficient_passes`.
     """
-    check_draw_arguments(trials, degree_bound)
-    rng = check_rng(seed, "bracket_pairing")
+    passes = coefficient_passes(alg.m, trials, seed, "bracket_pairing", degree_bound)
     n, m = alg.n, alg.m
     full = (1 << n) - 1
     zero = ground.value(PolyElement.zero(m))
     lie = lie_brackets(alg)
-    for _ in range(trials if m else 1):
+    for draw in passes:
         for p in range(1, n + 1):
             right = []
             for t in ground.subsets(n, n - p + 1):
-                b, v = draw_term(alg, rng, t, degree_bound)
+                b = draw()
                 image = ground.values(gen(Multivector._make(n, {t: b} if b else {})).components)
-                right.append((b, v, image))
+                right.append((b, _term(alg, t, b), image))
             for s in ground.subsets(n, p):
-                a, u = draw_term(alg, rng, s, degree_bound)
+                a = draw()
+                u = _term(alg, s, a)
                 av = u[1]
                 rest = full ^ s
                 form = covariant_derivative(alg, conn, phi_iso(

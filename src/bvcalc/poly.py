@@ -46,8 +46,10 @@ The arithmetic skips work that cannot change the result:
 - a derivation applied to a constant is zero at once.
 
 Each shortcut gives the same terms, in the same order, as the general
-double loop of ``__mul__`` and the loop of ``__add__``; a difference is
-the sum with the negation, ``self + -other``.  The oracle tests in
+double loop of ``__mul__`` and the loop of ``__add__``.  A difference is
+the sum at sign -1 in that one loop: it negates each term of its right
+side as it adds it, copies nothing more than a sum does, and gives the
+terms of ``self + -other`` in their order.  The oracle tests in
 ``tests/test_poly.py`` pin that.  These loops are the one deliberate
 exception to `bvcalc.ground`'s single accumulation loop: ``ground``
 imports this module, and ``__mul__`` is the package's hottest code.
@@ -163,7 +165,8 @@ class PolyElement:
     def _mismatch(self, other: "PolyElement") -> ValueError:
         return ValueError(f"mismatched variable counts: {self.m} vs {other.m}")
 
-    def __add__(self, other) -> "PolyElement":
+    def __add__(self, other, sign: int = 1) -> "PolyElement":
+        """self + sign * other, sign 1 or -1: other's terms follow self's, in their order."""
         if other.__class__ is not PolyElement:
             other = self._promote(other)
             if other is None:
@@ -173,15 +176,18 @@ class PolyElement:
         if not other.terms:
             return self
         if not self.terms:
-            return other
+            return other if sign > 0 else -other
         acc = dict(self.terms)
         for key, c in other.terms.items():
             s = acc.get(key)
-            s = c if s is None else s + c
-            if s:
-                acc[key] = s
+            if s is None:
+                acc[key] = c if sign > 0 else -c
             else:
-                del acc[key]
+                s = s + c if sign > 0 else s - c
+                if s:
+                    acc[key] = s
+                else:
+                    del acc[key]
         return _make(self.m, acc)
 
     __radd__ = __add__
@@ -190,11 +196,7 @@ class PolyElement:
         return _make(self.m, {key: -c for key, c in self.terms.items()})
 
     def __sub__(self, other) -> "PolyElement":
-        if other.__class__ is not PolyElement:
-            other = self._promote(other)
-            if other is None:
-                return NotImplemented
-        return self + -other
+        return self.__add__(other, -1)
 
     def __rsub__(self, other) -> "PolyElement":
         return (-self) + other
@@ -481,7 +483,9 @@ class DerivationOfA(Record):
         return DerivationOfA(tuple(a + b for a, b in zip(self.components, other.components)))
 
     def __sub__(self, other: "DerivationOfA") -> "DerivationOfA":
-        return self + other.scale(PolyElement.const(self.m, -1))
+        if self.m != other.m:
+            raise ValueError("mismatched variable counts")
+        return DerivationOfA(tuple(a - b for a, b in zip(self.components, other.components)))
 
     def scale(self, p: PolyElement) -> "DerivationOfA":
         return DerivationOfA(tuple(p * c if c else c for c in self.components))

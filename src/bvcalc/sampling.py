@@ -41,6 +41,26 @@ def check_draw_arguments(trials: int, degree_bound: int) -> None:
         raise ValueError(f"degree_bound must be at least 0, got {degree_bound}")
 
 
+def coefficient_passes(m: int, trials: int, seed: int, label: str, degree_bound: int) -> list:
+    """The passes of a randomized identity check, each a function giving its next coefficient.
+
+    Every identity the package checks is Q-linear in each coefficient
+    (Koszul 1985; Huebschmann 1999).  So at m = 0 one pass with every
+    coefficient 1 decides it, and `trials`, `seed` and `degree_bound`
+    make no difference.  At m > 0 there are `trials` passes of
+    `random_poly(rng, m, degree_bound)` draws on the one stream
+    `check_rng(seed, label)`, and a passing check is evidence, not proof.
+    `trials` below 1 or `degree_bound` below 0 raises ``ValueError`` at
+    every m, before anything is drawn.
+    """
+    check_draw_arguments(trials, degree_bound)
+    if not m:
+        one = PolyElement.one(0)
+        return [lambda: one]
+    rng = check_rng(seed, label)
+    return [lambda: random_poly(rng, m, degree_bound)] * trials
+
+
 def _below(getrandbits, n: int) -> int:
     # `Random._randbelow_with_getrandbits`, which `randrange` and `randint` call
     k = n.bit_length()

@@ -41,7 +41,6 @@ from .connections import (
     is_flat,
     is_torsion_free,
     lie_derivative_top,
-    phi_map,
     phi_trace,
 )
 from .correspond import (
@@ -413,13 +412,17 @@ def _unit_probes(alg) -> list[tuple[PolyElement, ...]]:
 def _lift_fault(alg, target: TopConnection, alpha=None, xi=None) -> str:
     """The torsion-free lift of `target`: zero torsion, inducing `target`,
     and, given alpha and xi, phi_alpha(xi) = -nabla_xi alpha; the first
-    that fails, or ""."""
+    that fails, or "".
+
+    phi_alpha(xi) = [alpha, xi] - nabla_alpha xi is formed on xi itself, one
+    bracket and one nabla, so the anchor terms alpha(xi_k) enter on both
+    sides, which phi_alpha on the basis never meets."""
     lifted = torsionfree_lift(alg, target)
     if not is_torsion_free(alg, lifted):
         return f"lift has torsion for gamma=({', '.join(map(str, target.gamma))})"
     if induced_top_connection(alg, lifted).gamma != target.gamma:
         return f"lift induces the wrong connection for ({', '.join(map(str, target.gamma))})"
-    if alpha is not None and (phi_map(alg, lifted, alpha).apply(xi)
+    if alpha is not None and (alg.bracket(alpha, xi) - connection_apply_l(alg, lifted, alpha, xi)
                               != -connection_apply_l(alg, lifted, xi, alpha)):
         return f"zero-torsion consequence fails for alpha={alpha}, xi={xi}"
     return ""

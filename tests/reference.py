@@ -34,7 +34,7 @@ from bvcalc import bv, ground
 from bvcalc.algebra import LElement, LieRinehartAlgebra
 from bvcalc.exterior import AltForm, Multivector, TopElement, basis_label, sort_with_sign
 from bvcalc.poly import PolyElement
-from bvcalc.sampling import check_draw_arguments, check_rng, random_poly
+from bvcalc.sampling import coefficient_passes, random_poly
 
 
 def generator_on_factors(alg: LieRinehartAlgebra, conn: bv.RightConnectionOnA,
@@ -157,15 +157,15 @@ def is_generator_on_every_pair(alg: LieRinehartAlgebra, op, trials: int = 32, se
     check, which visits only the rows |S| <= 1 above `bv.FULL_PASS_MAX_RANK`;
     the tests compare the two on operators that are not generators.
     """
-    check_draw_arguments(trials, degree_bound)
-    rng = check_rng(seed, "is_generator")
+    passes = coefficient_passes(alg.m, trials, seed, "is_generator", degree_bound)
     n, m = alg.n, alg.m
     two = PolyElement.const(0, 2)
     lie = bv.lie_brackets(alg)
-    for _ in range(trials if m else 1):
+    for draw in passes:
         drawn, images = [], {}
         for s in ground.subsets(n):
-            a, u = bv.draw_term(alg, rng, s, degree_bound)
+            a = draw()
+            u = bv._term(alg, s, a)
             image = op(Multivector._make(n, {s: a} if a else {}))
             ds = images[s] = ground.values(image.components)
             if not m:

@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from bvcalc.algebra import LieRinehartAlgebra, build_poisson_cotangent
 from bvcalc.poly import PolyElement
@@ -35,6 +36,35 @@ def test_bracket_leibniz_rule(alpha, beta, a):
     lhs = COORD.bracket(alpha, beta.scale(a))
     rhs = COORD.bracket(alpha, beta).scale(a) + beta.scale(COORD.anchor_apply(alpha, a))
     assert lhs == rhs
+
+
+LOG_CANONICAL = build_poisson_cotangent([[PolyElement.zero(2), X * Y],
+                                         [-(X * Y), PolyElement.zero(2)]])
+
+
+def bracket_by_negated_sums(alg, alpha, beta):
+    """`bracket` with every product formed and every difference written a + (-b)."""
+    a, b = alpha.coeffs, beta.coeffs
+    out = [PolyElement.zero(alg.m)] * alg.n
+    for (i, j), cij in alg.structure.items():
+        coeff = a[i] * b[j] + -(a[j] * b[i])
+        for k, ck in enumerate(cij.coeffs):
+            out[k] = out[k] + coeff * ck
+    for k in range(alg.n):
+        out[k] = out[k] + alg.anchor_of(alpha)(b[k]) + -alg.anchor_of(beta)(a[k])
+    return out
+
+
+@pytest.mark.parametrize("alg", [COORD, NONAB, LOG_CANONICAL], ids=lambda alg: alg.name or "log")
+@given(data=st.data())
+def test_bracket_terms_come_in_the_order_of_negated_sums(alg, data):
+    # zero coefficients on either side and equal arguments included
+    alpha = data.draw(lelements(alg, max_degree=2))
+    beta = data.draw(st.one_of(lelements(alg, max_degree=2), st.just(alpha)))
+    for x, y in ((alpha, beta), (beta, alpha)):
+        expected = bracket_by_negated_sums(alg, x, y)
+        assert [list(c.items()) for c in alg.bracket(x, y).coeffs] == \
+            [list(c.items()) for c in expected]
 
 
 @given(alpha=lelements(NONAB, max_degree=0), beta=lelements(NONAB, max_degree=0),

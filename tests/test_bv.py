@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
-from bvcalc import bv
+from bvcalc import bv, sampling
 from bvcalc.algebra import LieRinehartAlgebra, build_poisson_cotangent
 from bvcalc.algfile import LoadedAlgebra
 from bvcalc.bv import (
@@ -1622,7 +1622,7 @@ def test_degree_check_catches_an_odd_derivation_of_degree_one(catalog, monkeypat
 def _refuse_draws(monkeypatch):
     def no_draw(*args):
         raise AssertionError("drew before checking the arguments")
-    monkeypatch.setattr(bv, "random_poly", no_draw)
+    monkeypatch.setattr(sampling, "random_poly", no_draw)
 
 
 @pytest.mark.parametrize("name", ["sl2", "coordinate-2d"])

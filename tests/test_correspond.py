@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from bvcalc import correspond
+from bvcalc import sampling
 from bvcalc.algebra import LElement, LieRinehartAlgebra
 from bvcalc.bv import GeneratorD, RightConnectionOnA, generator_square
 from bvcalc.catalog import CATALOG_NAMES, load_catalog
@@ -547,8 +547,7 @@ def test_pairing_checks_reject_bad_trials_and_degree_bound(catalog, monkeypatch,
     def no_draw(*args):
         raise AssertionError("drew before checking the arguments")
 
-    monkeypatch.setattr(correspond, "random_poly", no_draw)
-    monkeypatch.setattr(correspond, "draw_term", no_draw)
+    monkeypatch.setattr(sampling, "random_poly", no_draw)
     loaded = catalog[name]
     top = loaded.top_connection()
     with pytest.raises(ValueError, match=message):

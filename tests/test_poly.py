@@ -369,6 +369,51 @@ def test_arithmetic_keeps_the_general_loops_term_order(m, data):
 
 
 @pytest.mark.parametrize("m", range(4))
+@given(data=st.data())
+@settings(max_examples=60)
+def test_a_difference_is_the_sum_with_the_negation_term_by_term(m, data):
+    # the sum at sign -1 in __add__'s one loop: the terms, their order and their
+    # types are those of a + (-b), for zero operands and for equal operands too
+    p, q = data.draw(operands(m)), data.draw(operands(m))
+    zero = PolyElement.zero(m)
+    for a, b in ((p, q), (q, p), (p, p), (p, zero), (zero, p), (zero, zero)):
+        result, expected = a - b, a + -b
+        assert [(e, c, type(c)) for e, c in result.items()] == \
+            [(e, c, type(c)) for e, c in expected.items()]
+        assert str(result) == str(expected)
+    assert not p - p
+
+
+@given(p=polys(2), q=polys(2))
+def test_a_difference_negates_no_copy_of_its_right_side(p, q):
+    # only a zero left side returns the negation of the right side whole
+    def refuse(self):
+        raise AssertionError("negated the right side")
+
+    if p:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(PolyElement, "__neg__", refuse)
+            result = list((p - q).items())
+        assert result == oracle_sub(p, q)
+
+
+@given(data=st.data())
+@settings(max_examples=40)
+def test_derivation_difference_is_componentwise(data):
+    # a difference component by component gives the terms of adding the other times -1
+    m = 2
+    d1 = DerivationOfA(tuple(data.draw(polys(m)) for _ in range(m)))
+    d2 = DerivationOfA(tuple(data.draw(polys(m)) for _ in range(m)))
+    minus_one = PolyElement.const(m, -1)
+    for a, b in ((d1, d2), (d2, d1), (d1, d1)):
+        expected = a + b.scale(minus_one)
+        assert [list(c.items()) for c in (a - b).components] == \
+            [list(c.items()) for c in expected.components]
+    with pytest.raises(ValueError, match="mismatched variable counts"):
+        d1 - DerivationOfA.zero(1)
+
+
+@pytest.mark.parametrize("m", range(4))
 def test_the_constant_fraction_one_really_is_a_fraction(m):
     one = with_fraction_coefficients(PolyElement.one(m))
     assert list(one.items()) == [((0,) * m, 1)]

@@ -16,11 +16,14 @@ from fractions import Fraction
 import pytest
 
 from bvcalc import bv, connections, correspond, exterior, homology
+from bvcalc.algebra import LElement, LieRinehartAlgebra
 from bvcalc.algfile import LoadedAlgebra, loads
 from bvcalc.catalog import catalog_path
 from bvcalc.connections import LeftConnectionOnL, TopConnection
 from bvcalc.poly import DerivationOfA, PolyElement
 from bvcalc.suites import FAIL, PASS, run_suite
+
+from conftest import load_generated
 
 
 def everywhere(monkeypatch, owner, name: str, make) -> None:
@@ -272,3 +275,54 @@ def test_the_pairing_identity_fails_only_with_the_lines_that_imply_it(
     failed = {name for name, o in outcomes(loaded).items() if o.status == FAIL}
     if "bracket-expansion.pairing-identity" in failed:
         assert failed & {"generator.identity", "duality.matched-pair"}
+
+
+def bracket_without_anchor_on_the_right(monkeypatch):
+    # [alpha, xi] drops rho(alpha)(xi_k) e_k for every non-constant xi_k; a bracket
+    # with a basis element on the right, as in phi_alpha(e_j), never has one
+    original = LieRinehartAlgebra.bracket
+
+    def bracket(self, alpha, beta):
+        rho = self.anchor_of(alpha)
+        return original(self, alpha, beta) - LElement(tuple(rho(b) for b in beta.coeffs))
+    monkeypatch.setattr(LieRinehartAlgebra, "bracket", bracket)
+
+
+@pytest.mark.parametrize("entry", ["coordinate-2d", "coordinate-3d", "poisson-linear-2d",
+                                   "poisson-symplectic-2d"])
+def test_the_lift_reads_the_anchor_terms_of_its_bracket(monkeypatch, entry):
+    # the third lift identity forms phi_alpha(xi) as [alpha, xi] - nabla_alpha xi on the
+    # drawn xi; built from phi_alpha on the basis it never met these terms, and every
+    # line passed under this fault
+    loaded = load_row(entry, "")
+    bracket_without_anchor_on_the_right(monkeypatch)
+    failed = {name for name, o in outcomes(loaded, trials=32).items() if o.status == FAIL}
+    assert failed == {"linear-connection.torsionfree-lift"}
+
+
+def bracket_negated_off_the_rows(monkeypatch):
+    # the closed form [e_S, e_T] negated where |S| >= 2 and |T| >= 2
+    def make(original):
+        def basis_bracket(lie, s, t):
+            out = original(lie, s, t)
+            if s.bit_count() >= 2 and t.bit_count() >= 2:
+                out = {mask: -c for mask, c in out.items()}
+            return out
+        return basis_bracket
+    everywhere(monkeypatch, bv, "basis_bracket", make)
+
+
+@pytest.mark.parametrize("name", ["book-4", "filiform-4", "book-5", "filiform-5",
+                                  "heisenberg-5"])
+def test_above_rank_three_the_pairing_line_alone_sees_the_bracket_off_the_rows(monkeypatch,
+                                                                               name):
+    # above bv.FULL_PASS_MAX_RANK the generator identity visits only the rows |S| <= 1,
+    # so it no longer implies bracket-expansion.pairing-identity: this fault fails that
+    # line alone (the correspond docstring)
+    clean = load_generated(name)
+    assert clean.algebra.n > bv.FULL_PASS_MAX_RANK
+    assert all(o.status != FAIL for o in outcomes(clean).values())
+    loaded = load_generated(name)
+    bracket_negated_off_the_rows(monkeypatch)
+    failed = {line for line, o in outcomes(loaded).items() if o.status == FAIL}
+    assert failed == {"bracket-expansion.pairing-identity"}

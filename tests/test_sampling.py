@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from bvcalc import sampling
 from bvcalc.catalog import load_catalog
 from bvcalc.poly import PolyElement
 from bvcalc.sampling import (
@@ -16,10 +17,12 @@ from bvcalc.sampling import (
     COEFF_MIN,
     MAX_TERMS,
     check_rng,
+    coefficient_passes,
     random_christoffel,
     random_poly,
 )
 
+from conftest import BAD_DRAW_ARGUMENTS
 from reference import random_multivector
 
 
@@ -85,3 +88,40 @@ def test_random_poly_is_the_constructor_on_the_same_draws():
                 assert list(p.terms.items()) == list(q.terms.items()), (m, degree_bound, seed)
                 assert str(p) == str(q)
                 assert rng.getstate() == oracle.getstate(), (m, degree_bound, seed)
+
+
+@pytest.mark.parametrize("trials, seed, degree_bound", [(1, 0, 0), (5, 7, 3), (64, 11, 9)])
+def test_coefficient_passes_at_m_zero_are_one_pass_of_ones(trials, seed, degree_bound):
+    # the checks are Q-linear in each coefficient, so the one pass of 1s decides
+    passes = coefficient_passes(0, trials, seed, "label", degree_bound)
+    assert len(passes) == 1
+    draws = [passes[0]() for _ in range(4)]
+    assert all(a == PolyElement.one(0) and a.m == 0 for a in draws)
+
+
+@pytest.mark.parametrize("m, trials, seed, degree_bound", [(1, 1, 0, 0), (2, 3, 7, 3),
+                                                           (3, 5, 11, 2)])
+def test_coefficient_passes_at_m_positive_draw_random_poly_on_the_check_stream(
+        m, trials, seed, degree_bound):
+    passes = coefficient_passes(m, trials, seed, "is_generator", degree_bound)
+    assert len(passes) == trials
+    rng = check_rng(seed, "is_generator")
+    for draw in passes:
+        for _ in range(6):
+            assert draw() == random_poly(rng, m, degree_bound)
+    # the passes share the one stream, which the oracle's stream followed draw by draw
+    assert passes[0]() == random_poly(rng, m, degree_bound)
+
+
+@pytest.mark.parametrize("m", [0, 2])
+@pytest.mark.parametrize("kwargs, message", BAD_DRAW_ARGUMENTS)
+def test_coefficient_passes_reject_bad_arguments_before_any_draw(monkeypatch, m, kwargs,
+                                                                 message):
+    def refuse(*args):
+        raise AssertionError("drew before checking the arguments")
+
+    monkeypatch.setattr(sampling, "random_poly", refuse)
+    monkeypatch.setattr(sampling, "check_rng", refuse)
+    arguments = {"trials": 4, "seed": 0, "degree_bound": 3, **kwargs}
+    with pytest.raises(ValueError, match=message):
+        coefficient_passes(m, label="is_generator", **arguments)
