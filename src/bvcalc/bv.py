@@ -38,7 +38,7 @@ Neither side is derived from the other.  The tests compare the D
 table against `apply_generator` in `tests/reference.py`, the explicit
 formula on `Multivector` factors, which the package does not ship; the
 product forms D(e_S) only in `ground_generator`, which fills every
-`GeneratorD` table and which the m = 0 certificate below reads
+`GeneratorD` table and which the certificate below reads
 directly.  The bracket of a e_S and b e_T is ab [e_S, e_T] plus two
 terms in the anchor derivatives of a and b, which vanish for a constant
 coefficient and so always at m = 0 (`mask_bracket`); the generator
@@ -81,20 +81,24 @@ pass lies in a row.  At m > 0 each trial checks the rows on random
 coefficients, as the full pass checked every pair, and a passing check
 stays evidence.
 
-At m = 0 one certificate then covers every right connection, not only
-the file's r0: D_r is affine in r, and two generators differ by an odd
-derivation, at m = 0 a contraction with a constant 1-form theta,
-iota_theta(e_R) = sum_k (-1)^k theta[r_k] e_(R - r_k).  So
-`certify_every_connection` checks each probe as one row: on every e_R,
-D_(r0 + v)(e_R) - D_r0(e_R) = iota_theta(v)(e_R) for the shifts
-v = e_i, 2 e_i and e_1 + .. + e_n, without any bracket.  It reads each
-D_r(e_R) from `ground_generator`, the one code that forms it, and builds
-no `GeneratorD`: at m = 0 a call of `GeneratorD` is the Q-linear
-extension of that table, the same for every r, and `is_generator` calls
-the suite's own `GeneratorD` as a black box at r0, so the call stays
-covered.  With `is_generator` passing at r0 that proves the identity for
-all r, provided the table is affine in r, which the last two shifts
-probe but no finite probe proves.
+One certificate then covers every right connection at every m, not
+only the file's r0.  Two generators differ by an odd derivation, for
+free L a contraction with an A-valued 1-form theta,
+iota_theta(e_R) = sum_k (-1)^k theta[r_k] e_(R - r_k), and a call of
+`GeneratorD` is D(a e_S) = a D_r(e_S) + [a, e_S], whose anchor part does
+not depend on r.  So `certify_every_connection` checks each probe as one
+row: on every e_R, D_(r0 + v)(e_R) - D_r0(e_R) = iota_theta(v)(e_R) for
+the shifts v = e_i, 2 e_i, x_k e_i (k = 1..m) and e_1 + .. + e_n,
+without any bracket.  If the table is A-affine in r, the rows v = e_i
+make D_r - D_r0 = iota_(theta(r - r0)) for every r in A^n, an A-linear
+odd derivation that leaves the Koszul bracket unchanged; the other rows
+are shape probes of that affinity, which no finite probe proves.  It
+reads each D_r(e_R) from `ground_generator`, the one code that forms it,
+and builds no `GeneratorD`; `is_generator` calls the suite's own
+`GeneratorD` as a black box at r0, so the call stays covered.  With
+`is_generator` passing at r0 that proves the identity for all r at
+m = 0, and at m > 0 it reduces every r to r0, where the identity stays
+the evidence of random passes.
 
 A `Multivector` is keyed by the bitmask of each S, as the maps of
 `bvcalc.ground` are, so a call of D, a probe of `is_generator` and a
@@ -469,53 +473,57 @@ def _degree_witness(alg: LieRinehartAlgebra, drawn: list) -> str | None:
 
 def certify_every_connection(alg: LieRinehartAlgebra,
                              conn: RightConnectionOnA) -> tuple[bool, str | None]:
-    """For m = 0: once D_r0 generates the bracket, so does D_r for every r in Q^n.
+    """Once D_r0 generates the bracket, so does D_r for every r in A^n, at every m.
 
-    With r0 = conn.r and delta_i = D_(r0 + e_i) - D_r0, the operator D_r is
-    D_r0 + sum_i (r - r0)_i delta_i, so the defect of the generator identity
-    at r is its defect at r0 plus sum_i (r - r0)_i times the derivation
-    defect of delta_i.  That vanishes for every r exactly when each delta_i
-    is an odd derivation (Koszul 1985; Xu 1999).  An operator of degree -1
-    that kills 1 and obeys the derivation rule is the contraction with the
-    1-form it takes on degree 1, here theta_i[l] = the constant term of
-    delta_i(e_l); iota_theta(e_R) = sum_k (-1)^k theta[r_k] e_(R - r_k), k the
-    0-based position of r_k in R, is formed here, not from `ground_generator`.
+    A call of `GeneratorD` is D(a e_R) = a D_r(e_R) + [a, e_R], and the
+    anchor part [a, e_R] does not depend on r, so D_r - D_r0 is read off
+    the tables D_r(e_R).  With r0 = conn.r and delta_i = D_(r0 + e_i) - D_r0,
+    a table A-affine in r is D_r0 + sum_i (r - r0)_i delta_i.  The identity's
+    defect at r is then its defect at r0 plus sum_i (r - r0)_i times the
+    derivation defect of delta_i, which vanishes for every r exactly when
+    each delta_i is an odd derivation (Koszul 1985; Xu 1999).  An operator
+    of degree -1 that kills 1 and obeys the derivation rule is the
+    contraction with the 1-form it takes on degree 1, here theta_i[l] = the
+    degree-0 part of delta_i(e_l); iota_theta(e_R) = sum_k (-1)^k theta[r_k]
+    e_(R - r_k), k the 0-based position of r_k in R, is formed here, not
+    from `ground_generator`.  So D_r - D_r0 = iota_(theta(r - r0)), an A-linear
+    odd derivation, which leaves the Koszul bracket unchanged.
     Each probe is one row (v, theta(v), reason), checked on every e_R as
     D_(r0 + v)(e_R) - D_r0(e_R) = iota_theta(v)(e_R): axis i has the rows
-    (e_i, theta_i) and (2 e_i, 2 theta_i), and the diagonal row
-    (e_1 + .. + e_n, theta_1 + .. + theta_n) comes last.  The last two kinds
-    probe the affinity in r that the argument assumes; they catch an
-    operator that is not affine on those points, such as a term mixing two
-    directions, but cannot prove affinity.  The images D_r(e_R) for r0 and
-    each shift are the maps `ground_generator` returns, one call per e_R
-    ((2n + 2) 2^n calls), with no `GeneratorD` or `Multivector` between;
-    each map is new, so subtracting the base in place changes nothing
-    else.  `GeneratorD.__call__` is the linear extension of these maps at
-    m = 0, and the identity check calls it at r0.  No bracket is computed.
-    The shifted tables are built one axis at a time, so only the base
-    table and that axis's tables are alive at once.
+    (e_i, theta_i), (2 e_i, 2 theta_i) and (x_k e_i, x_k theta_i) for
+    k = 1..m, and the diagonal row (e_1 + .. + e_n, theta_1 + .. + theta_n)
+    comes last.  All rows but the first of each axis are shape probes of
+    the A-affinity the argument assumes: they catch an operator that is not
+    affine, not A-linear or not additive on those points, such as a square
+    of r, a derivative of r or a term mixing two directions, but cannot
+    prove the shape.  The images D_r(e_R) for r0 and each shift are the maps
+    `ground_generator` returns, one call per e_R ((n (m + 2) + 2) 2^n calls),
+    with no `GeneratorD` or `Multivector` between; each map is new, so
+    subtracting the base in place changes nothing else.  No bracket is
+    computed.  The shifted tables are built one axis at a time, so only the
+    base table and that axis's tables are alive at once.
     For each axis, then the diagonal, R runs in subset order
     (`ground.subsets`), through the rows in turn; returns
     (True, None) or (False, witness) naming the first failing i (i=1..n for
     the diagonal) and R.  Together with `is_generator` passing at r0, and
-    for a D affine in r, this proves the identity for every right
-    connection.  Its probes are constant shifts of r, which prove nothing
-    about A-valued r, so m > 0 is refused with a ValueError, and so is a
-    connection whose rank is not n ("rank mismatch").
+    for a table of that shape, this gives the identity for every right
+    connection: a proof at m = 0, and at m > 0 a reduction of every r to
+    r0, where the identity stays the evidence of its random passes.  A
+    connection whose rank is not n raises ValueError ("rank mismatch").
     """
-    if alg.m:
-        raise ValueError(f"certify_every_connection needs m = 0, got m = {alg.m}")
     if conn.n != alg.n:
         raise ValueError("rank mismatch")
-    n = alg.n
+    n, m = alg.n, alg.m
     masks = ground.subsets(n)
+    zero = ground.value(PolyElement.zero(m))
+    variables = [PolyElement.variable(m, k) for k in range(m)]
 
     def images(r: RightConnectionOnA) -> dict:
         return {s: ground_generator(alg, r, s) for s in masks}
 
     base = images(conn)
 
-    def moved(v: Sequence[int]) -> dict:
+    def moved(v: Sequence) -> dict:
         """D_(r0 + v)(e_R) - D_r0(e_R) for every R."""
         out = images(RightConnectionOnA(tuple(c + k for c, k in zip(conn.r, v))))
         for s, image in out.items():
@@ -528,17 +536,19 @@ def certify_every_connection(alg: LieRinehartAlgebra,
 
     def probes():
         """(i, rows), each row (v, D_(r0 + v) - D_r0, theta(v), reason), one axis at a time."""
-        total = [0] * n
+        total = [zero] * n
         for i in range(n):
             axis = [int(j == i) for j in range(n)]
             once = moved(axis)
-            theta = [once[1 << l].get(0, 0) for l in range(n)]
+            theta = [once[1 << l].get(0, zero) for l in range(n)]
             total = [a + b for a, b in zip(total, theta)]
             yield f"{i + 1}", [
                 (f"e_{i + 1}", once, theta,
                  f"delta_{i + 1} = D[r+e_{i + 1}] - D[r] is not a contraction"),
                 (f"2e_{i + 1}", moved([2 * k for k in axis]), [2 * c for c in theta],
-                 "D is not affine in r")]
+                 "D is not affine in r"),
+                *((f"{x}*e_{i + 1}", moved([x * k for k in axis]), [x * c for c in theta],
+                   "D is not A-linear in r") for x in variables)]
         yield f"1..{n}", [(f"e_1+..+e_{n}", moved([1] * n), total, "D is not affine in r")]
 
     for i, rows in probes():
@@ -548,9 +558,9 @@ def certify_every_connection(alg: LieRinehartAlgebra,
                 if delta[s] != expected:
                     label = basis_label(ground.to_key(s))
                     return False, (f"i={i} R={label}: D[r+{v}]({label}) - D[r]({label})="
-                                   f"{_multivector(n, 0, delta[s])} but the contraction "
+                                   f"{_multivector(n, m, delta[s])} but the contraction "
                                    f"with ({', '.join(map(str, theta))}) gives "
-                                   f"{_multivector(n, 0, expected)}, so {reason}")
+                                   f"{_multivector(n, m, expected)}, so {reason}")
     return True, None
 
 

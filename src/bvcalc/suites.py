@@ -71,10 +71,10 @@ from .sampling import (
 )
 
 PASS, FAIL, EXPECTED_FAIL, SKIP = "pass", "fail", "expected-fail", "skip"
-# generator.random-connections (m > 0), the D^2 draws of generator.square-zero
-# and flatness-coherence, both bijections lines, duality.matched-pair,
-# bracket-expansion and the Christoffel draws of every linear-connection line
-# run at most this many of the trials; only generator.identity runs them all
+# the D^2 draws of generator.square-zero and flatness-coherence, both
+# bijections lines, duality.matched-pair, bracket-expansion and the
+# Christoffel draws of every linear-connection line run at most this many of
+# the trials; only generator.identity runs them all
 TRIALS_CAP = 8
 
 
@@ -188,9 +188,6 @@ class _SuiteRunner:
     def skip(self, suite: str, name: str, reason: str) -> None:
         self.outcomes.append(CheckOutcome(suite, name, SKIP, detail=reason))
 
-    def rng(self, label: str):
-        return check_rng(self.seed, label)
-
     # -- suites -------------------------------------------------------
     # run_suite runs suite `s` of SUITE_NAMES as `run_<s>`, dashes as underscores
 
@@ -205,18 +202,7 @@ class _SuiteRunner:
                                    degree_bound=self.degree_bound)
         self.record("generator", "identity", ok, witness=witness or "")
 
-        bad = ""
-        if alg.m:
-            rng = self.rng("generator.random-connections")
-            for k in range(min(self.trials, TRIALS_CAP)):
-                conn = RightConnectionOnA(random_poly_vector(rng, alg.m, alg.n,
-                                                             self.degree_bound))
-                ok_k, wit_k = is_generator(alg, GeneratorD(alg, conn), trials=1,
-                                           seed=self.seed + k, degree_bound=self.degree_bound)
-                if not ok_k:
-                    bad = f"r=({', '.join(str(p) for p in conn.r)}): {wit_k}"
-                    break
-        elif ok:  # at m = 0 one certificate covers every r, given the identity at the file's r
+        if ok:  # one certificate covers every r, given the identity at the file's r
             bad = certify_every_connection(alg, self.right)[1] or ""
         else:
             bad = "generator.identity fails at the file's r, so no r is certified"
@@ -243,7 +229,7 @@ class _SuiteRunner:
 
     def run_bijections(self) -> None:
         alg = self.alg
-        rng = self.rng("bijections")
+        rng = check_rng(self.seed, "bijections")
         units = _unit_probes(alg)
         draws = range(min(self.trials, TRIALS_CAP))
         rights = [self.right, *map(RightConnectionOnA, units),
@@ -296,7 +282,7 @@ class _SuiteRunner:
 
     def run_linear_connection(self) -> None:
         alg = self.alg
-        rng = self.rng("linear-connection")
+        rng = check_rng(self.seed, "linear-connection")
         volume = TopElement(alg.n, PolyElement.one(alg.m))
         ident = identity_top_form(alg)
         bad = dict.fromkeys(("trace-identity", "torsionfree-lift", "divergence-identity"), "")

@@ -1,4 +1,5 @@
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,10 @@ RANK5 = LieRinehartAlgebra.from_structure_constants(5, {
     (3, 4): (0, 0, 0, 1, 0),
 }, name="rank5")
 
+
+# the start of every `bv.certify_every_connection` witness: the failing direction i
+# (1..n for the diagonal) and the subset R
+CERTIFICATE_WITNESS = re.compile(r"i=\d+(\.\.\d+)? R=e\{[\d,]*\}: ")
 
 # out-of-range arguments of a randomized check, each with its ValueError message
 BAD_DRAW_ARGUMENTS = [

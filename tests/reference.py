@@ -204,16 +204,16 @@ def certify_every_connection_by_operators(alg: LieRinehartAlgebra,
     """`bv.certify_every_connection` with each image D_r(e_R) taken from a `GeneratorD` call.
 
     The same probe rows, order, witnesses and refusals as the package's
-    certificate, which reads D_r(e_R) from `ground_generator` itself; here
-    every image is a call of a new `bv.GeneratorD` on the `Multivector` e_R,
-    read back through `ground.values`.  The tests compare the two on
-    `ground_generator` mutants.
+    certificate, at every m, which reads D_r(e_R) from `ground_generator`
+    itself; here every image is a call of a new `bv.GeneratorD` on the
+    `Multivector` e_R, read back through `ground.values`.  The tests compare
+    the two on `ground_generator` mutants.
     """
-    if alg.m:
-        raise ValueError(f"certify_every_connection needs m = 0, got m = {alg.m}")
-    n = alg.n
+    n, m = alg.n, alg.m
     masks = ground.subsets(n)
-    one = PolyElement.one(0)
+    one = PolyElement.one(m)
+    zero = ground.value(PolyElement.zero(m))
+    variables = [PolyElement.variable(m, k) for k in range(m)]
 
     def images(r: tuple[PolyElement, ...]) -> dict:
         op = bv.GeneratorD(alg, bv.RightConnectionOnA(r))
@@ -221,7 +221,7 @@ def certify_every_connection_by_operators(alg: LieRinehartAlgebra,
 
     base = images(conn.r)
 
-    def moved(v: Sequence[int]) -> dict:
+    def moved(v: Sequence) -> dict:
         out = images(tuple(c + k for c, k in zip(conn.r, v)))
         for s, image in out.items():
             ground.add_multiple(image, base[s], sign=-1)
@@ -232,17 +232,20 @@ def certify_every_connection_by_operators(alg: LieRinehartAlgebra,
                 for k, l in enumerate(ground.to_key(s)) if theta[l]}
 
     def probes():
-        total = [0] * n
+        total = [zero] * n
         for i in range(n):
             axis = [int(j == i) for j in range(n)]
             once = moved(axis)
-            theta = [once[1 << l].get(0, 0) for l in range(n)]
+            theta = [once[1 << l].get(0, zero) for l in range(n)]
             total = [a + b for a, b in zip(total, theta)]
             yield f"{i + 1}", [
                 (f"e_{i + 1}", once, theta,
                  f"delta_{i + 1} = D[r+e_{i + 1}] - D[r] is not a contraction"),
                 (f"2e_{i + 1}", moved([2 * k for k in axis]), [2 * c for c in theta],
-                 "D is not affine in r")]
+                 "D is not affine in r"),
+                *((f"x{k + 1}*e_{i + 1}", moved([x * c for c in axis]),
+                   [x * c for c in theta], "D is not A-linear in r")
+                  for k, x in enumerate(variables))]
         yield f"1..{n}", [(f"e_1+..+e_{n}", moved([1] * n), total, "D is not affine in r")]
 
     for i, rows in probes():
@@ -252,9 +255,9 @@ def certify_every_connection_by_operators(alg: LieRinehartAlgebra,
                 if delta[s] != expected:
                     label = basis_label(ground.to_key(s))
                     return False, (f"i={i} R={label}: D[r+{v}]({label}) - D[r]({label})="
-                                   f"{bv._multivector(n, 0, delta[s])} but the contraction "
+                                   f"{bv._multivector(n, m, delta[s])} but the contraction "
                                    f"with ({', '.join(map(str, theta))}) gives "
-                                   f"{bv._multivector(n, 0, expected)}, so {reason}")
+                                   f"{bv._multivector(n, m, expected)}, so {reason}")
     return True, None
 
 

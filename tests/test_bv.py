@@ -37,10 +37,16 @@ from bvcalc.poly import PolyElement
 from bvcalc.sampling import check_rng, random_poly, random_poly_vector
 from bvcalc.suites import run_suite
 
-from conftest import BAD_DRAW_ARGUMENTS
-
 import reference
-from conftest import RANK5, fresh_copy, load_generated, multivectors, polys
+from conftest import (
+    BAD_DRAW_ARGUMENTS,
+    CERTIFICATE_WITNESS,
+    RANK5,
+    fresh_copy,
+    load_generated,
+    multivectors,
+    polys,
+)
 from reference import (
     _term_bracket,
     apply_generator,
@@ -917,12 +923,17 @@ def test_rows_pass_visits_the_rows_above_the_bound_and_every_pair_up_to_it(n, mo
     assert pairs == [(s, t) for s in rows for t in masks]
 
 
+def load_entry(name):
+    """A catalog entry, or else a `perfbench/inputs.py` file at seed 0."""
+    return load_catalog(name) if name in CATALOG_NAMES else load_generated(name)
+
+
 def interleaved_algebras(pair):
     """Two algebras of equal rank, each with a fresh D_0 cache, and three r for each:
     the file's r and two seeded fractional ones."""
     out = []
     for name in pair:
-        loaded = load_catalog(name) if name in CATALOG_NAMES else load_generated(name)
+        loaded = load_entry(name)
         alg = fresh_copy(loaded.algebra)
         out.append((alg, [loaded.right_connection()] + [
             fraction_connection(alg, f"d0-{name}-{k}") for k in (0, 1)]))
@@ -986,7 +997,7 @@ def test_certificate_mutants_fail_once_the_bracket_part_is_built(family, monkeyp
             apply_generator(alg, conn, Multivector.basis(alg.n, to_key(s), m=0)), s
 
 
-# -- the m = 0 certificate for every right connection -------------------
+# -- the certificate for every right connection ------------------------
 
 
 def r_term_mutant(slot, factor):
@@ -1044,7 +1055,17 @@ def generator_outcomes(alg, trials=4, seed=0):
     return {o.name: o for o in report.outcomes}
 
 
-CERTIFICATE_WITNESS = re.compile(r"i=\d+(\.\.\d+)? R=e\{[\d,]*\}: ")
+# the catalog entries with m > 0, where the certificate adds the x_k e_i rows
+POLYNOMIAL_ENTRIES = ["coordinate-2d", "coordinate-3d", "poisson-linear-2d",
+                      "poisson-symplectic-2d"]
+
+
+def other_connection(alg, label):
+    """A seeded right connection: `fraction_connection` at m = 0, random polynomials
+    of degree at most 2 at m > 0."""
+    if not alg.m:
+        return fraction_connection(alg, label)
+    return RightConnectionOnA(random_poly_vector(check_rng(0, label), alg.m, alg.n, 2))
 
 
 @pytest.mark.parametrize("slot, factor", [(2, -1), (1, 0)], ids=["flip-third", "drop-second"])
@@ -1104,13 +1125,19 @@ def test_certificate_witnesses_name_the_direction_and_the_subset(monkeypatch):
         assert bv.certify_every_connection(alg, zero) == (False, witness)
 
 
-def test_certificate_refuses_m_above_zero(catalog):
-    # its probes are constant shifts of r, which prove nothing about A-valued r
-    for name in ("coordinate-2d", "poisson-linear-2d", "coordinate-3d"):
-        alg = catalog[name].algebra
-        conn = RightConnectionOnA(tuple(PolyElement.zero(alg.m) for _ in range(alg.n)))
-        with pytest.raises(ValueError, match=f"needs m = 0, got m = {alg.m}"):
-            bv.certify_every_connection(alg, conn)
+def test_certificate_passes_at_m_above_zero_and_refuses_a_wrong_rank(catalog):
+    # the x_k e_i rows carry the argument to A-valued r, so every m > 0 entry
+    # passes at the file's r, at r = 0 and at a polynomial r
+    assert sorted(polynomial_names(catalog)) == POLYNOMIAL_ENTRIES
+    for name in POLYNOMIAL_ENTRIES:
+        loaded = catalog[name]
+        alg = loaded.algebra
+        zero = RightConnectionOnA(tuple(PolyElement.zero(alg.m) for _ in range(alg.n)))
+        for conn in (loaded.right_connection(), zero, other_connection(alg, f"m-{name}")):
+            assert bv.certify_every_connection(alg, conn) == (True, None), name
+        short = RightConnectionOnA(zero.r[1:])
+        with pytest.raises(ValueError, match="rank mismatch"):
+            bv.certify_every_connection(alg, short)
 
 
 @pytest.mark.parametrize("mutant, r", [
@@ -1130,14 +1157,44 @@ def test_certificate_fails_mutants_that_break_the_identity_away_from_r0(monkeypa
     assert CERTIFICATE_WITNESS.match(outcomes["random-connections"].witness)
 
 
+@pytest.mark.parametrize("name", POLYNOMIAL_ENTRIES)
+def test_certificate_fails_a_table_that_is_not_a_linear_in_r(name, monkeypatch):
+    # D_r + iota_(dr/dx1) is Q-linear in r but not A-linear, and still a generator at
+    # every r: D_r - D_0 = iota_(r + dr/dx1) is a contraction, so the identity holds at
+    # the file's r and at any r drawn at random.  The line fails it at its x1*e_1 row
+    # all the same, by design: a table off the A-affine shape the certificate's
+    # argument covers is a broken shape, as the m = 0 certificate fails `squared_mutant`.
+    # The bijections and the trace identity read r back off D(e_i), which the
+    # derivative moves.
+    loaded = load_catalog(name)
+    alg = loaded.algebra
+    monkeypatch.setattr(bv, "ground_generator", derivative_mutant)
+    assert is_generator(alg, GeneratorD(alg, other_connection(alg, f"a-linear-{name}")),
+                        trials=2) == (True, None)
+    outcomes = generator_outcomes(alg)
+    assert {line for line, o in outcomes.items() if o.status == "fail"} == \
+        {"random-connections"}
+    theta = ", ".join(["x1"] + ["0"] * (alg.n - 1))
+    assert outcomes["random-connections"].witness == (
+        f"i=1 R=e{{1}}: D[r+x1*e_1](e{{1}}) - D[r](e{{1}})=(x1 + 1) but the contraction "
+        f"with ({theta}) gives (x1), so D is not A-linear in r")
+    report = run_suite(loaded)
+    assert {f"{o.suite}.{o.name}" for o in report.outcomes if o.status == "fail"} == {
+        "generator.random-connections", "bijections.right-roundtrips", "bijections.top-cycles",
+        "linear-connection.trace-identity"}
+
+
 @pytest.mark.parametrize("family, n", [
     *((family, n) for family in ("abelian", "book", "filiform") for n in range(1, 6)),
-    ("heisenberg", 3), ("heisenberg", 5)])
+    ("heisenberg", 3), ("heisenberg", 5),
+    *(pytest.param(name, None, id=name) for name in POLYNOMIAL_ENTRIES)])
 def test_certificate_passes_without_any_bracket(family, n, monkeypatch):
-    # (2n + 2) 2^n operator calls, each D(e_R) built once per operator
-    alg = family_algebra(family, n, 0)
+    # (n (m + 2) + 2) 2^n operator calls, (2n + 2) 2^n at m = 0, each D(e_R) built
+    # once per operator; a catalog entry (n None) is read at its own n and m
+    alg = family_algebra(family, n, 0) if n else load_catalog(family).algebra
+    n, m = alg.n, alg.m
     forbid_the_closed_form(monkeypatch)
-    conn = fraction_connection(alg, f"certificate-{family}-{n}")
+    conn = other_connection(alg, f"certificate-{family}-{n}")
     calls = []
     original = bv.ground_generator
 
@@ -1147,7 +1204,7 @@ def test_certificate_passes_without_any_bracket(family, n, monkeypatch):
 
     monkeypatch.setattr(bv, "ground_generator", counting)
     assert bv.certify_every_connection(alg, conn) == (True, None)
-    assert len(calls) == (2 * n + 2) * 2 ** n
+    assert len(calls) == (n * (m + 2) + 2) * 2 ** n
 
 
 # a fixed integer matrix A for the 1-form theta = A r of `contraction_mutant`
@@ -1191,32 +1248,46 @@ def test_certificate_accepts_contraction_shifts_and_rejects_other_r_terms(family
         assert not ok and witness.startswith(f"i={j + 1} R={basis_label(key)}: "), witness
 
 
-def certificate_mutants():
-    """(label, `ground_generator` mutant) for every mutant the certificate tests above use,
-    and the unmutated map."""
+def derivative_mutant(alg, conn, s):
+    """`ground_generator` plus d(r_a)/dx1 beside each r term (-1)^i r_a e_(S - a): Q-linear
+    in r but not A-linear, and still a generator at every r, since the added terms are
+    the contraction with dr/dx1."""
+    out = GROUND_GENERATOR(alg, conn, s)
+    for i, a in enumerate(to_key(s)):
+        add_multiple(out, {s ^ (1 << a): conn.r[a].diff(0)}, sign=-1 if i % 2 else 1)
+    return out
+
+
+def certificate_mutants(alg):
+    """(label, `ground_generator` mutant) for every mutant the certificate tests above use
+    that changes a table of rank alg.n, and the unmutated map; at m > 0 also
+    `derivative_mutant`."""
+    n = alg.n
     return [
         ("unmutated", GROUND_GENERATOR),
-        ("flip-third", r_term_mutant(2, -1)),
+        *([("flip-third", r_term_mutant(2, -1))] if n > 2 else []),
         ("drop-second", r_term_mutant(1, 0)),
         ("r-term-on-e_S", r_term_on_s_mutant),
         ("mixed-direction", mixed_direction_mutant),
         ("contraction", contraction_mutant),
         *((f"r_{j}-at-{key}", r_term_at_mutant(j, key, drop_lowest))
-          for j, key, drop_lowest in ((1, (0, 2), False), (3, (0, 2, 4), True), (4, (2,), False))),
+          for j, key, drop_lowest in ((1, (0, 2), False), (3, (0, 2, 4), True), (4, (2,), False))
+          if max(j, *key) < n),
         ("squared", squared_mutant),
         ("r_1-at-e_()", empty_set_mutant),
+        *([("derivative", derivative_mutant)] if alg.m else []),
     ]
 
 
-@pytest.mark.parametrize("name", ["abelian-6", "book-5", "heisenberg-5"])
+@pytest.mark.parametrize("name", ["abelian-6", "book-5", "heisenberg-5", *POLYNOMIAL_ENTRIES])
 def test_certificate_equals_the_operator_certificate_on_every_mutant(name, monkeypatch):
     # the package reads D_r(e_R) from `ground_generator`; the reference calls a
     # `GeneratorD` on each e_R, and both must give the same verdict and witness
-    loaded = load_generated(name)
+    loaded = load_entry(name)
     alg = loaded.algebra
     verdicts = {}
-    for conn in (loaded.right_connection(), fraction_connection(alg, f"oracle-{name}")):
-        for label, mutant in certificate_mutants():
+    for conn in (loaded.right_connection(), other_connection(alg, f"oracle-{name}")):
+        for label, mutant in certificate_mutants(alg):
             monkeypatch.setattr(bv, "ground_generator", mutant)
             result = bv.certify_every_connection(alg, conn)
             assert result == reference.certify_every_connection_by_operators(alg, conn), label
@@ -1230,12 +1301,12 @@ def test_certificate_never_calls_a_generator(monkeypatch):
         raise AssertionError("called a GeneratorD")
 
     monkeypatch.setattr(bv.GeneratorD, "__call__", forbidden)
-    for name in ("abelian-6", "book-5", "heisenberg-5"):
-        loaded = load_generated(name)
+    for name in ("abelian-6", "book-5", "heisenberg-5", *POLYNOMIAL_ENTRIES):
+        loaded = load_entry(name)
         alg = loaded.algebra
         with pytest.raises(AssertionError, match="called a GeneratorD"):
-            GeneratorD(alg, loaded.right_connection())(Multivector.basis(alg.n, (0,), m=0))
-        for conn in (loaded.right_connection(), fraction_connection(alg, f"no-call-{name}")):
+            GeneratorD(alg, loaded.right_connection())(Multivector.basis(alg.n, (0,), m=alg.m))
+        for conn in (loaded.right_connection(), other_connection(alg, f"no-call-{name}")):
             assert bv.certify_every_connection(alg, conn) == (True, None), name
 
 
@@ -1243,8 +1314,6 @@ def test_ground_random_connections_has_no_seed_or_trial_count(catalog, monkeypat
     for mutant in (bv.ground_generator, r_term_mutant(2, -1)):
         monkeypatch.setattr(bv, "ground_generator", mutant)
         for name, loaded in catalog.items():
-            if loaded.algebra.m:
-                continue
             results = {run_suite(loaded, suites=("generator",), trials=trials, seed=seed)
                        .outcomes[1] for trials, seed in ((1, 0), (8, 0), (8, 5))}
             assert len(results) == 1, (name, results)

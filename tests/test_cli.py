@@ -507,7 +507,7 @@ def test_importing_the_cli_does_not_load_dataclasses():
 def spied_calls(monkeypatch) -> list:
     """(function, trials keyword) for each call the suites make, at trials=20 on
     coordinate-2d (m > 0), to the functions their randomized checks call once per
-    trial."""
+    trial, and to `certify_every_connection`."""
     seen = []
 
     def spy(name):
@@ -518,9 +518,9 @@ def spied_calls(monkeypatch) -> list:
             return real(*args, **kwargs)
         return call
 
-    for name in ("is_generator", "generator_square", "check_generator_duality",
-                 "check_bracket_pairing_identity", "right_from_generator",
-                 "generator_from_top", "torsionfree_lift",
+    for name in ("is_generator", "certify_every_connection", "generator_square",
+                 "check_generator_duality", "check_bracket_pairing_identity",
+                 "right_from_generator", "generator_from_top", "torsionfree_lift",
                  "generator_from_linear_connection", "divergence_rank_one"):
         monkeypatch.setattr(suites, name, spy(name))
     report = run_suite(load_catalog("coordinate-2d"), trials=20,
@@ -531,12 +531,14 @@ def spied_calls(monkeypatch) -> list:
 
 
 def test_trials_reach_each_check_as_the_help_says(monkeypatch):
-    # --trials 20 at m > 0: the identity uses all 20; the random connections, D^2
-    # draws, duality, pairing, bijections, the lift, trace and divergence at most
-    # 8, bijections and the lift after the n + 1 = 3 unit probes
+    # --trials 20 at m > 0: the identity uses all 20, and the random connections are
+    # one certificate, which draws nothing; the D^2 draws, duality, pairing,
+    # bijections, the lift, trace and divergence at most 8, bijections and the lift
+    # after the n + 1 = 3 unit probes
     seen = spied_calls(monkeypatch)
     assert seen.count(("is_generator", 20)) == 1
-    assert seen.count(("is_generator", 1)) == 8
+    assert seen.count(("is_generator", 1)) == 0
+    assert seen.count(("certify_every_connection", None)) == 1
     assert ("generator_square", 8) in seen
     assert [t for name, t in seen if name == "check_generator_duality"] == [8, 3]
     assert ("check_bracket_pairing_identity", 8) in seen
@@ -563,13 +565,14 @@ def test_linear_connection_lines_do_not_move_above_the_cap(name):
 def test_the_help_and_the_readme_name_the_capped_checks(monkeypatch, capsys):
     # the random trials each randomized check runs at --trials 20 on coordinate-2d
     # (n = 2), read off the calls it makes once per trial; the file's r and the
-    # n + 1 unit probes are not random
+    # n + 1 unit probes are not random.  generator.random-connections draws
+    # nothing (one certificate for every r), so nothing caps it and neither the
+    # help nor the README may name it
     seen = spied_calls(monkeypatch)
     count = [name for name, _ in seen].count
     trials = {name: t for name, t in reversed(seen)}  # each function's first trials=
     draws = {
         "generator.identity": trials["is_generator"],
-        "generator.random-connections": seen.count(("is_generator", 1)),
         "generator.square-zero": trials["generator_square"],
         "generator.flatness-coherence": trials["generator_square"],
         "bijections.right-roundtrips":
@@ -599,6 +602,7 @@ def test_the_help_and_the_readme_name_the_capped_checks(monkeypatch, capsys):
                                r"`--trials` says: (.*?)\. The last three", readme).groups()
     assert set(re.findall(r"`([a-z-]+\.[a-z-]+)`", every)) == uncapped
     assert set(re.findall(r"`([a-z-]+\.[a-z-]+)`", at_most)) == capped
+    assert "generator.random-connections" not in help_line + at_most
 
 
 @pytest.mark.parametrize("command, reports", [(["check", "--trials", "4"], 5), (["homology"], 2)],

@@ -7,7 +7,9 @@ every line must pass (or be an expected failure or a skip) without it.
 A fault replaces a function in every `bvcalc` module that holds it, so
 every caller sees it, as it would see a bug.  `homology.betti` is the one
 row whose line cannot fail: the suite records it as passed whatever the
-Betti numbers are, so its row pins that.
+Betti numbers are, so its row pins that.  `ROWS_ABOVE_M_ZERO` adds rows
+on m > 0 entries for lines whose m > 0 path the table would otherwise
+not reach.
 """
 
 import sys
@@ -23,7 +25,7 @@ from bvcalc.connections import LeftConnectionOnL, TopConnection
 from bvcalc.poly import DerivationOfA, PolyElement
 from bvcalc.suites import FAIL, PASS, run_suite
 
-from conftest import load_generated
+from conftest import CERTIFICATE_WITNESS, load_generated
 
 
 def everywhere(monkeypatch, owner, name: str, make) -> None:
@@ -210,6 +212,10 @@ ROWS = [
     ("homology.betti", "sl2", "", ranks_off_by_one, set()),
 ]
 CANNOT_FAIL = {"homology.betti"}
+# (line, m > 0 catalog entry, extra file lines, fault, the other lines that fail with it)
+ROWS_ABOVE_M_ZERO = [
+    ("generator.random-connections", "coordinate-3d", "", r_terms_only_in_degree_one, set()),
+]
 
 
 def load_row(entry: str, extra: str) -> LoadedAlgebra:
@@ -231,7 +237,9 @@ def test_the_table_has_one_row_per_report_line():
     assert printed == set(lines)
 
 
-@pytest.mark.parametrize("line, entry, extra, fault, also", ROWS, ids=[row[0] for row in ROWS])
+@pytest.mark.parametrize("line, entry, extra, fault, also", ROWS + ROWS_ABOVE_M_ZERO,
+                         ids=[row[0] for row in ROWS]
+                         + [f"{row[0]}-{row[1]}" for row in ROWS_ABOVE_M_ZERO])
 def test_a_fault_makes_the_line_fail(monkeypatch, line, entry, extra, fault, also):
     clean = outcomes(load_row(entry, extra))
     assert clean[line].status == PASS
@@ -247,6 +255,17 @@ def test_a_fault_makes_the_line_fail(monkeypatch, line, entry, extra, fault, als
         assert failed == also
     else:
         assert failed == {line} | also
+
+
+@pytest.mark.parametrize("line, entry, extra, fault, also", ROWS_ABOVE_M_ZERO,
+                         ids=[f"{row[0]}-{row[1]}" for row in ROWS_ABOVE_M_ZERO])
+def test_the_m_above_zero_certificate_witness_names_its_row(monkeypatch, line, entry, extra,
+                                                            fault, also):
+    # at every m the line is the certificate for every r, whose witness names the
+    # failing direction and subset, not a random r
+    loaded = load_row(entry, extra)
+    fault(monkeypatch, loaded)
+    assert CERTIFICATE_WITNESS.match(outcomes(loaded)[line].witness)
 
 
 DRAWN_GAMMA_ROWS = [row for row in ROWS if row[0] in {"linear-connection.trace-identity",
