@@ -51,7 +51,7 @@ from .correspond import (
     top_from_right,
     torsionfree_lift,
 )
-from .exterior import AltForm, Multivector, TopElement, phi_inverse, phi_iso, top_pairing
+from .exterior import AltForm, Multivector, phi_inverse, phi_iso, top_pairing
 from .homology import ChainComplex, exact_rank, homology_dims, rinehart_complex
 from .poly import DerivationOfA, PolyElement, PolyParseError, parse_poly
 

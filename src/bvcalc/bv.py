@@ -30,7 +30,7 @@ pair.  D(e_S) is a table on the `GeneratorD`, at every m:
 The bracket part D_0(e_S), the sum over j < k, does not depend on r;
 `bracket_part` builds it once per algebra from the structure constants
 through `alg.bracket_terms`, which `lie_brackets` never reads, and keeps
-it on the algebra, so every generator, the 2n + 2 image tables of
+it on the algebra, so every generator, the n(m + 2) + 2 image tables of
 `certify_every_connection` and the complex of `bvcalc.homology` share it,
 and `ground_generator` adds the r terms to a copy.  A call on a e_S adds
 to a D(e_S) the anchor terms [a, e_S], formed from the anchor alone.
@@ -564,19 +564,10 @@ def certify_every_connection(alg: LieRinehartAlgebra,
     return True, None
 
 
-class SquareResult(Record):
-    """Outcome of testing whether an operator squares to zero."""
-
-    _fields = ("is_exact", "witness")
-
-    def __init__(self, is_exact: bool, witness: str | None):
-        self.is_exact = is_exact
-        self.witness = witness
-
-
 def generator_square(alg: LieRinehartAlgebra, op: Operator, trials: int = 8,
-                     seed: int = 0, degree_bound: int = 3) -> SquareResult:
-    """Test D(D(u)) = 0 on basis multivectors, then with random coefficients.
+                     seed: int = 0, degree_bound: int = 3) -> tuple[bool, str | None]:
+    """Test D(D(u)) = 0 on basis multivectors, then with random coefficients:
+    (True, None), or (False, witness).
 
     One walk of passes over every subset S in subset order stops at the
     first nonzero D^2(a e_S), which is the witness.  Pass 0 is the basis
@@ -598,6 +589,5 @@ def generator_square(alg: LieRinehartAlgebra, op: Operator, trials: int = 8,
             square = op(op(Multivector._make(n, {s: a})))
             if not square.is_zero():
                 term = f"({a})*" if trial else ""
-                return SquareResult(is_exact=False, witness=(
-                    f"D^2({term}{basis_label(ground.to_key(s))}) = {square}"))
-    return SquareResult(is_exact=True, witness=None)
+                return False, f"D^2({term}{basis_label(ground.to_key(s))}) = {square}"
+    return True, None

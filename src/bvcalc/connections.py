@@ -4,7 +4,10 @@ A left connection on L is a Christoffel table Gamma[i][j] in L with
 nabla_{e_i} e_j = Gamma[i][j]; it extends A-linearly in the lower slot
 and by the Leibniz rule over the anchor in the upper slot.  A connection
 on the top power is a vector gamma with
-nabla_{e_i}(e_1^..^e_n} = gamma_i e_1^..^e_n.
+nabla_{e_i}(e_1^..^e_n} = gamma_i e_1^..^e_n.  As in `bvcalc.exterior`,
+an element b e_1^..^e_n of the top power is its coefficient b, which
+`lie_derivative_top` and `connection_apply_top` take and return, and a
+top-degree form keeps its one value at the full mask (1 << n) - 1.
 
 The covariant derivative on top-valued alternating forms uses the
 Hom-complex sign convention with arguments indexed from p = n - q for a
@@ -38,7 +41,7 @@ from collections.abc import Callable
 from fractions import Fraction
 
 from .algebra import LElement, LieRinehartAlgebra
-from .exterior import AltForm, TopElement, full_tuple
+from .exterior import AltForm
 from .ground import add_multiple
 from .poly import PolyElement
 from .record import Record
@@ -117,30 +120,28 @@ def lie_trace(alg: LieRinehartAlgebra, alpha: LElement) -> PolyElement:
 
 
 def lie_derivative_top(alg: LieRinehartAlgebra, alpha: LElement,
-                       x: TopElement) -> TopElement:
-    """Lie derivative on the top power: a derivation over the anchor."""
-    if x.n != alg.n:
-        raise ValueError("rank mismatch")
-    coeff = x.coefficient * lie_trace(alg, alpha)
+                       b: PolyElement) -> PolyElement:
+    """Lie derivative on the top power, of b e_1^..^e_n: a derivation over the anchor."""
+    coeff = b * lie_trace(alg, alpha)
     # the anchor kills constants, so rho(alpha) is built only for a
     # non-constant coefficient, as in `connection_apply_l`
-    if not x.coefficient.is_constant():
-        coeff = alg.anchor_apply(alpha, x.coefficient) + coeff
-    return TopElement(alg.n, coeff)
+    if not b.is_constant():
+        coeff = alg.anchor_apply(alpha, b) + coeff
+    return coeff
 
 
 def connection_apply_top(alg: LieRinehartAlgebra, conn: TopConnection,
-                         alpha: LElement, x: TopElement) -> TopElement:
-    """A-linear in alpha, Leibniz over the anchor in x."""
-    if conn.n != alg.n or x.n != alg.n:
+                         alpha: LElement, b: PolyElement) -> PolyElement:
+    """nabla_alpha of b e_1^..^e_n: A-linear in alpha, Leibniz over the anchor in b."""
+    if conn.n != alg.n or alpha.n != alg.n:
         raise ValueError("rank mismatch")
     g = PolyElement.zero(alg.m)
     for a, gi in zip(alpha.coeffs, conn.gamma):
         g = g + a * gi
-    coeff = x.coefficient * g
-    if not x.coefficient.is_constant():  # as in `lie_derivative_top`
-        coeff = alg.anchor_apply(alpha, x.coefficient) + coeff
-    return TopElement(alg.n, coeff)
+    coeff = b * g
+    if not b.is_constant():  # as in `lie_derivative_top`
+        coeff = alg.anchor_apply(alpha, b) + coeff
+    return coeff
 
 
 def connection_apply_l(alg: LieRinehartAlgebra, conn: LeftConnectionOnL,
@@ -177,6 +178,8 @@ def torsion(alg: LieRinehartAlgebra, conn: LeftConnectionOnL) -> list[list[LElem
     Evaluated on the pairs i < j alone: T[i][i] = 0 and T[j][i] = -T[i][j]
     hold by construction.
     """
+    if conn.n != alg.n:
+        raise ValueError("rank mismatch")
     n = alg.n
     out = [[alg.zero_l()] * n for _ in range(n)]
     for i in range(n):
@@ -189,12 +192,16 @@ def torsion(alg: LieRinehartAlgebra, conn: LeftConnectionOnL) -> list[list[LElem
 def is_torsion_free(alg: LieRinehartAlgebra, conn: LeftConnectionOnL) -> bool:
     """Whether every entry of `torsion` vanishes, read off the pairs i < j
     as `torsion` does, up to the first that does not."""
+    if conn.n != alg.n:
+        raise ValueError("rank mismatch")
     return all(conn.table[i][j] == conn.table[j][i] + alg.bracket_basis(i, j)
                for i in range(alg.n) for j in range(i + 1, alg.n))
 
 
 def curvature_top(alg: LieRinehartAlgebra, conn: TopConnection) -> list[list[PolyElement]]:
     """R[i][j] = e_i(gamma_j) - e_j(gamma_i) - sum_k c[i][j][k] gamma_k."""
+    if conn.n != alg.n:
+        raise ValueError("rank mismatch")
     n = alg.n
     out = [[PolyElement.zero(alg.m) for _ in range(n)] for _ in range(n)]
     for i in range(n):
@@ -321,20 +328,21 @@ def induced_top_connection(alg: LieRinehartAlgebra,
 
 def identity_top_form(alg: LieRinehartAlgebra) -> AltForm:
     """The identity of Hom(top, top) as a degree-n form."""
-    return AltForm(alg.n, alg.m, alg.n, {full_tuple(alg.n): PolyElement.one(alg.m)})
+    return AltForm._make(alg.n, alg.m, alg.n, {(1 << alg.n) - 1: PolyElement.one(alg.m)})
 
 
 def generalized_lie_derivative(alg: LieRinehartAlgebra, conn: TopConnection,
                                alpha: LElement, f: AltForm) -> AltForm:
     """lambda_alpha on Hom(top, top): f -> nabla_alpha(f x) - f(lambda_alpha x)."""
+    if f.n != alg.n:
+        raise ValueError("rank mismatch")
     if f.degree != alg.n:
         raise ValueError("expected a top-degree form")
-    b = f.value_on_increasing(full_tuple(alg.n))
-    basis_top = TopElement(alg.n, PolyElement.one(alg.m))
-    nabla_part = connection_apply_top(alg, conn, alpha, TopElement(alg.n, b))
-    lie_part = b * lie_derivative_top(alg, alpha, basis_top).coefficient
-    return AltForm(alg.n, alg.m, alg.n,
-                   {full_tuple(alg.n): nabla_part.coefficient - lie_part})
+    full = (1 << alg.n) - 1
+    b = f.components.get(full, PolyElement.zero(alg.m))
+    value = (connection_apply_top(alg, conn, alpha, b)
+             - b * lie_derivative_top(alg, alpha, PolyElement.one(alg.m)))
+    return AltForm._make(alg.n, alg.m, alg.n, {full: value} if value else {})
 
 
 def dual_right_connection(alg: LieRinehartAlgebra, conn: TopConnection,
@@ -351,8 +359,8 @@ def divergence_rank_one(endo: Callable, basis: AltForm) -> PolyElement:
     """
     if basis.degree != basis.n:
         raise ValueError("basis form must have top degree")
-    key = full_tuple(basis.n)
-    base_coeff = basis.value_on_increasing(key)
+    full, zero = (1 << basis.n) - 1, PolyElement.zero(basis.m)
+    base_coeff = basis.components.get(full, zero)
     if not base_coeff.is_constant() or not base_coeff:
         raise ValueError("basis coefficient must be a nonzero constant")
-    return endo(basis).value_on_increasing(key) * (Fraction(1) / base_coeff.constant_value())
+    return endo(basis).components.get(full, zero) * (Fraction(1) / base_coeff.constant_value())

@@ -212,6 +212,8 @@ def torsionfree_lift(alg: LieRinehartAlgebra, target: TopConnection,
     + [k = i] phi_j / (n + 1), with each phi_i / (n + 1) formed once.
     """
     n = alg.n
+    if target.n != n:  # `induced_top_connection` checks the base
+        raise ValueError("rank mismatch")
     if base is None:
         half = PolyElement.const(alg.m, Fraction(1, 2))
         base = LeftConnectionOnL(tuple(tuple(alg.bracket_basis(i, j).scale(half)

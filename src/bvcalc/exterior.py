@@ -11,7 +11,10 @@ repeated index to 0, merges equal keys and drops zeros.  The two types share one
 arithmetic, `_Blades`: sums, negations, scalings, the zero test,
 equality and hashing act on the masks, and each type adds only the
 shape two operands must share.  The wedge product takes its signs from
-`ground.wedge_sign`.  The canonical pairing wedges a degree-p and a
+`ground.wedge_sign`.  The top power is free of rank one on
+e_1^...^e_n, whose key is the full mask (1 << n) - 1, so an element of
+it is its coefficient there, a `PolyElement`, with no type of its own.
+The canonical pairing wedges a degree-p and a
 degree-(n-p) multivector into the top power, and its adjoint identifies
 degree-p multivectors with alternating (n-p)-forms valued in the top
 power.  `phi_iso` builds that adjoint from wedges, so its signs come
@@ -28,7 +31,6 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from .algebra import LElement
 from .ground import add_multiple, add_wedge, to_key, to_mask
 from .poly import PolyElement
-from .record import Record
 
 
 def _in_range(key: Iterable, n: int, what: str) -> tuple[int, ...]:
@@ -210,51 +212,16 @@ class Multivector(_Blades):
         return f"Multivector(n={self.n}, {self!s})"
 
 
-class TopElement(Record):
-    """Element of the top exterior power, as a multiple of e_1^...^e_n."""
-
-    _fields = ("n", "coefficient")
-
-    def __init__(self, n: int, coefficient: PolyElement):
-        self.n = n
-        self.coefficient = coefficient
-
-    def __add__(self, other: "TopElement") -> "TopElement":
-        if self.n != other.n:
-            raise ValueError("rank mismatch")
-        return TopElement(self.n, self.coefficient + other.coefficient)
-
-    def __sub__(self, other: "TopElement") -> "TopElement":
-        if self.n != other.n:
-            raise ValueError("rank mismatch")
-        return TopElement(self.n, self.coefficient - other.coefficient)
-
-    def __neg__(self) -> "TopElement":
-        return TopElement(self.n, -self.coefficient)
-
-    def scale(self, p) -> "TopElement":
-        return TopElement(self.n, p * self.coefficient)
-
-    def is_zero(self) -> bool:
-        return not self.coefficient
-
-    def __str__(self) -> str:
-        return f"({self.coefficient})*e{{1..{self.n}}}"
-
-
-def full_tuple(n: int) -> tuple[int, ...]:
-    return tuple(range(n))
-
-
-def top_pairing(u: Multivector, v: Multivector, m: int) -> TopElement:
-    """Pair complementary-degree multivectors into the top power."""
+def top_pairing(u: Multivector, v: Multivector, m: int) -> PolyElement:
+    """Pair complementary-degree multivectors into the top power: the
+    coefficient of u ^ v on e_1^...^e_n."""
     if u.n != v.n:
         raise ValueError("rank mismatch")
     n = u.n
     du, dv = u.degree(), v.degree()
     if du is not None and dv is not None and du + dv != n:
         raise ValueError(f"degrees {du} and {dv} are not complementary for n={n}")
-    return TopElement(n, u.wedge(v).component(full_tuple(n), m))
+    return u.wedge(v).components.get((1 << n) - 1, PolyElement.zero(m))
 
 
 class AltForm(_Blades):

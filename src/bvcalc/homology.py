@@ -133,9 +133,9 @@ def rinehart_complex(alg: LieRinehartAlgebra, gen: GeneratorD) -> ChainComplex:
     complex_ = ChainComplex(dims=tuple(len(basis) for basis in bases),
                             boundaries=tuple(boundaries))
     if not complex_.d_squared_is_zero():
-        square = generator_square(alg, gen)
-        if not square.is_exact:
-            raise NonExactGeneratorError(f"generator does not square to zero: {square.witness}")
+        exact, witness = generator_square(alg, gen)
+        if not exact:
+            raise NonExactGeneratorError(f"generator does not square to zero: {witness}")
         raise BoundarySquareError("boundary matrices do not compose to zero")
     return complex_
 

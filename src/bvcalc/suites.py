@@ -53,7 +53,7 @@ from .correspond import (
     top_from_right,
     torsionfree_lift,
 )
-from .exterior import Multivector, TopElement
+from .exterior import Multivector
 from .homology import (
     BoundarySquareError,
     NonExactGeneratorError,
@@ -168,6 +168,7 @@ class _SuiteRunner:
         self.alg = loaded.algebra
         self.seed = seed
         self.trials = trials
+        self.capped_trials = min(trials, TRIALS_CAP)  # every line's draws but generator.identity's
         self.degree_bound = degree_bound
         self.top = loaded.top_connection()
         self.right = loaded.right_connection()
@@ -208,30 +209,28 @@ class _SuiteRunner:
             bad = "generator.identity fails at the file's r, so no r is certified"
         self.record("generator", "random-connections", not bad, witness=bad)
 
-        square = generator_square(alg, self.gen, trials=min(self.trials, TRIALS_CAP),
-                                  seed=self.seed, degree_bound=self.degree_bound)
+        exact, witness = generator_square(alg, self.gen, trials=self.capped_trials,
+                                          seed=self.seed, degree_bound=self.degree_bound)
         flat = is_flat(alg, self.top)
-        self.record("generator", "flatness-coherence", square.is_exact == flat,
-                    detail=f"square_zero={square.is_exact} flat={flat}",
-                    witness=square.witness or "")
+        self.record("generator", "flatness-coherence", exact == flat,
+                    detail=f"square_zero={exact} flat={flat}", witness=witness or "")
         if self.loaded.expect_nonflat:
-            if square.is_exact:
+            if exact:
                 self.record("generator", "square-zero", False,
                             detail="file declares non-flat but the generator "
                                    "squares to zero")
             else:
                 self.record("generator", "square-zero", False,
                             detail="non-flat connection declared in file",
-                            witness=square.witness or "", expect_fail=True)
+                            witness=witness, expect_fail=True)
         else:
-            self.record("generator", "square-zero", square.is_exact,
-                        witness=square.witness or "")
+            self.record("generator", "square-zero", exact, witness=witness or "")
 
     def run_bijections(self) -> None:
         alg = self.alg
         rng = check_rng(self.seed, "bijections")
         units = _unit_probes(alg)
-        draws = range(min(self.trials, TRIALS_CAP))
+        draws = range(self.capped_trials)
         rights = [self.right, *map(RightConnectionOnA, units),
                   *(RightConnectionOnA(random_poly_vector(rng, alg.m, alg.n, self.degree_bound))
                     for _ in draws)]
@@ -263,7 +262,7 @@ class _SuiteRunner:
 
     def run_duality(self) -> None:
         ok, witness = check_generator_duality(self.alg, self.gen, self.top,
-                                              trials=min(self.trials, TRIALS_CAP),
+                                              trials=self.capped_trials,
                                               seed=self.seed, degree_bound=self.degree_bound)
         self.record("duality", "matched-pair", ok, witness=witness or "")
 
@@ -275,7 +274,7 @@ class _SuiteRunner:
 
     def run_bracket_expansion(self) -> None:
         ok, witness = check_bracket_pairing_identity(self.alg, self.gen, self.top,
-                                                     trials=min(self.trials, TRIALS_CAP),
+                                                     trials=self.capped_trials,
                                                      seed=self.seed,
                                                      degree_bound=self.degree_bound)
         self.record("bracket-expansion", "pairing-identity", ok, witness=witness or "")
@@ -283,12 +282,11 @@ class _SuiteRunner:
     def run_linear_connection(self) -> None:
         alg = self.alg
         rng = check_rng(self.seed, "linear-connection")
-        volume = TopElement(alg.n, PolyElement.one(alg.m))
         ident = identity_top_form(alg)
         bad = dict.fromkeys(("trace-identity", "torsionfree-lift", "divergence-identity"), "")
         bad["torsionfree-lift"] = next(filter(None, (_lift_fault(alg, TopConnection(v))
                                                      for v in _unit_probes(alg))), "")
-        for _ in range(min(self.trials, TRIALS_CAP)):
+        for _ in range(self.capped_trials):
             conn = LeftConnectionOnL(random_christoffel(rng, alg, self.degree_bound))
             alpha = random_lelement(rng, alg, self.degree_bound)
             xi = random_lelement(rng, alg, self.degree_bound)
@@ -296,7 +294,7 @@ class _SuiteRunner:
             trace = phi_trace(alg, conn, alpha)
             induced = induced_top_connection(alg, conn)
             if not bad["trace-identity"]:
-                bad["trace-identity"] = _trace_fault(alg, conn, alpha, trace, induced, volume)
+                bad["trace-identity"] = _trace_fault(alg, conn, alpha, trace, induced)
             if not bad["torsionfree-lift"]:
                 bad["torsionfree-lift"] = _lift_fault(alg, target, alpha, xi)
             if not bad["divergence-identity"]:
@@ -340,7 +338,7 @@ class _SuiteRunner:
 
 
 def _trace_fault(alg, conn: LeftConnectionOnL, alpha, trace: PolyElement,
-                 induced: TopConnection, volume: TopElement) -> str:
+                 induced: TopConnection) -> str:
     """Tr phi_alpha against L_alpha - nabla_alpha on the volume, 1 o alpha and
     D(alpha), then the generator of `conn` against that of its induced
     connection; the first that differs, or "".
@@ -361,8 +359,9 @@ def _trace_fault(alg, conn: LeftConnectionOnL, alpha, trace: PolyElement,
     a random Gamma misses it only there, the standard of evidence of
     every line capped at TRIALS_CAP.
     """
-    lie = lie_derivative_top(alg, alpha, volume)
-    if trace != lie.coefficient - connection_apply_top(alg, induced, alpha, volume).coefficient:
+    volume = PolyElement.one(alg.m)
+    if trace != (lie_derivative_top(alg, alpha, volume)
+                 - connection_apply_top(alg, induced, alpha, volume)):
         return f"trace identity fails for alpha={alpha}"
     gen = generator_from_linear_connection(alg, conn)
     if trace != one_circ(alg, gen.connection, alpha):

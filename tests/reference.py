@@ -32,7 +32,7 @@ from typing import Sequence
 
 from bvcalc import bv, ground
 from bvcalc.algebra import LElement, LieRinehartAlgebra
-from bvcalc.exterior import AltForm, Multivector, TopElement, basis_label, sort_with_sign
+from bvcalc.exterior import AltForm, Multivector, basis_label, sort_with_sign
 from bvcalc.poly import PolyElement
 from bvcalc.sampling import coefficient_passes, random_poly
 
@@ -287,8 +287,9 @@ def value_on_basis_tuple(f: AltForm, indices: Sequence[int]) -> PolyElement:
     return value if sign == 1 else -value
 
 
-def evaluate(f: AltForm, args: Sequence[LElement]) -> TopElement:
-    """Multilinear alternating evaluation of f on general module elements."""
+def evaluate(f: AltForm, args: Sequence[LElement]) -> PolyElement:
+    """Multilinear alternating evaluation of f on general module elements: the
+    coefficient of the value on e_1^...^e_n."""
     if len(args) != f.degree:
         raise ValueError(f"expected {f.degree} arguments, got {len(args)}")
     total = PolyElement.zero(f.m)
@@ -303,11 +304,12 @@ def evaluate(f: AltForm, args: Sequence[LElement]) -> TopElement:
             walk(slot + 1, picked + (i,), coeff * args[slot].coeffs[i])
 
     walk(0, (), PolyElement.one(f.m))
-    return TopElement(f.n, total)
+    return total
 
 
-def evaluate_on_multivector(f: AltForm, u: Multivector) -> TopElement:
-    """Pair f with a multivector of matching degree, term by term."""
+def evaluate_on_multivector(f: AltForm, u: Multivector) -> PolyElement:
+    """Pair f with a multivector of matching degree, term by term: the
+    coefficient of the value on e_1^...^e_n."""
     if u.n != f.n:
         raise ValueError("rank mismatch")
     total = PolyElement.zero(f.m)
@@ -315,7 +317,7 @@ def evaluate_on_multivector(f: AltForm, u: Multivector) -> TopElement:
         if len(key) != f.degree:
             raise ValueError("multivector degree does not match form degree")
         total = total + coeff * f.value_on_increasing(key)
-    return TopElement(f.n, total)
+    return total
 
 
 class TupleMultivector:

@@ -29,7 +29,7 @@ from bvcalc.connections import (
 from bvcalc import connections, correspond, suites
 from bvcalc.bv import RightConnectionOnA, one_circ
 from bvcalc.correspond import right_from_top, top_from_right, torsionfree_lift
-from bvcalc.exterior import AltForm, TopElement, full_tuple
+from bvcalc.exterior import AltForm
 from bvcalc.poly import PolyElement, parse_poly
 from bvcalc.sampling import (
     check_rng,
@@ -50,7 +50,8 @@ Y = PolyElement.variable(2, 1)
 
 
 def volume(alg):
-    return TopElement(alg.n, PolyElement.one(alg.m))
+    """e_1^...^e_n, as its coefficient."""
+    return PolyElement.one(alg.m)
 
 
 def half_structure_connection(alg):
@@ -63,25 +64,25 @@ def half_structure_connection(alg):
 def test_lie_derivative_examples():
     # nonabelian: lambda_{e2}(e1^e2) = [e2,e1]^e2 = -e1^e2
     out = lie_derivative_top(NONAB, NONAB.basis_l(1), volume(NONAB))
-    assert out.coefficient == PolyElement.const(0, -1)
+    assert out == PolyElement.const(0, -1)
     # abelian with constant coefficient: 0
     out = lie_derivative_top(ABELIAN, ABELIAN.basis_l(0), volume(ABELIAN))
-    assert out.is_zero()
+    assert not out
     # coordinate algebra: lambda_{x d/dx}(d/dx ^ d/dy) = -d/dx ^ d/dy
     out = lie_derivative_top(COORD, COORD.basis_l(0).scale(X), volume(COORD))
-    assert out.coefficient == PolyElement.const(2, -1)
+    assert out == PolyElement.const(2, -1)
 
 
 def test_connection_apply_top_examples():
     flat = TopConnection((PolyElement.zero(2), PolyElement.zero(2)))
-    assert connection_apply_top(COORD, flat, COORD.basis_l(0), volume(COORD)).is_zero()
+    assert not connection_apply_top(COORD, flat, COORD.basis_l(0), volume(COORD))
     # Leibniz term: gamma = 0, alpha = d/dx, x = x1 * vol
-    out = connection_apply_top(COORD, flat, COORD.basis_l(0), TopElement(2, X))
-    assert out.coefficient == PolyElement.one(2)
+    out = connection_apply_top(COORD, flat, COORD.basis_l(0), X)
+    assert out == PolyElement.one(2)
     # defining data: gamma = (g1, g2), alpha = e1
     g = TopConnection((X, Y))
     out = connection_apply_top(COORD, g, COORD.basis_l(0), volume(COORD))
-    assert out.coefficient == X
+    assert out == X
 
 
 def test_torsion_examples():
@@ -98,20 +99,20 @@ def test_top_operators_build_no_anchor_for_a_constant_coefficient(monkeypatch):
                         lambda self, alpha: calls.append(alpha) or original(self, alpha))
     alpha = LElement((parse_poly("x1*x2 + 1", 2), parse_poly("x1^2 - x2", 2)))
     gamma = TopConnection((Y, PolyElement.const(2, 3)))
-    five = TopElement(2, PolyElement.const(2, 5))
+    five = PolyElement.const(2, 5)
     # lie_trace brackets alpha with each e_j, which builds rho(e_j) because
     # alpha is not constant; rho(alpha) itself is never built
-    assert str(lie_derivative_top(COORD, alpha, five).coefficient) == "-5*x2 + 5"
+    assert str(lie_derivative_top(COORD, alpha, five)) == "-5*x2 + 5"
     assert calls == [COORD.basis_l(0), COORD.basis_l(1)]
     calls.clear()
-    assert str(connection_apply_top(COORD, gamma, alpha, five).coefficient) \
+    assert str(connection_apply_top(COORD, gamma, alpha, five)) \
         == "5*x1*x2^2 - 10*x2 + 15*x1^2"
     assert calls == []
     # a non-constant coefficient still gets alpha's derivative, in the same terms
-    assert str(lie_derivative_top(COORD, alpha, TopElement(2, X)).coefficient) == "1 + x1"
+    assert str(lie_derivative_top(COORD, alpha, X)) == "1 + x1"
     assert calls == [COORD.basis_l(0), COORD.basis_l(1), alpha]
     calls.clear()
-    assert str(connection_apply_top(COORD, gamma, alpha, TopElement(2, X)).coefficient) \
+    assert str(connection_apply_top(COORD, gamma, alpha, X)) \
         == "-1*x1*x2 + 1 + x1^2*x2^2 + 3*x1^3"
     assert calls == [alpha]
 
@@ -177,14 +178,14 @@ def test_curvature_matches_operator_commutator():
         curv = curvature_top(alg, conn)
         for i in range(alg.n):
             for j in range(alg.n):
-                x = TopElement(alg.n, random_poly(rng, alg.m))
+                x = random_poly(rng, alg.m)
                 ei, ej = alg.basis_l(i), alg.basis_l(j)
                 operator = (connection_apply_top(alg, conn, ei,
                                                  connection_apply_top(alg, conn, ej, x))
                             - connection_apply_top(alg, conn, ej,
                                                    connection_apply_top(alg, conn, ei, x))
                             - connection_apply_top(alg, conn, alg.bracket(ei, ej), x))
-                assert operator.coefficient == curv[i][j] * x.coefficient
+                assert operator == curv[i][j] * x
 
 
 def test_curvature_is_tensorial_on_general_arguments():
@@ -196,7 +197,7 @@ def test_curvature_is_tensorial_on_general_arguments():
         for _ in range(6):
             alpha = random_lelement(rng, alg)
             beta = random_lelement(rng, alg)
-            x = TopElement(alg.n, random_poly(rng, alg.m))
+            x = random_poly(rng, alg.m)
             operator = (connection_apply_top(alg, conn, alpha,
                                              connection_apply_top(alg, conn, beta, x))
                         - connection_apply_top(alg, conn, beta,
@@ -206,7 +207,7 @@ def test_curvature_is_tensorial_on_general_arguments():
             for i in range(alg.n):
                 for j in range(alg.n):
                     expected = expected + alpha.coeffs[i] * beta.coeffs[j] * curv[i][j]
-            assert operator.coefficient == expected * x.coefficient
+            assert operator == expected * x
 
 
 def test_covariant_derivative_flat_abelian_is_zero():
@@ -372,10 +373,11 @@ def test_phi_trace_is_the_trace_of_phi_map(catalog):
 RANK2_ZERO = LeftConnectionOnL.zero(ABELIAN)
 ABELIAN3 = LieRinehartAlgebra.abelian(3)
 ZEROS2 = (PolyElement.zero(0),) * 2
+LONG2 = LeftConnectionOnL(RANK2_ZERO.table + RANK2_ZERO.table[:1])  # a third row of rank 2
+SHORT2 = LeftConnectionOnL(RANK2_ZERO.table[:1])
 
 
 @pytest.mark.parametrize("call", [
-    lambda: TopElement(2, PolyElement.one(0)) - TopElement(3, PolyElement.one(0)),
     lambda: EndoOfL((ABELIAN.basis_l(0), ABELIAN.basis_l(1))).apply(ABELIAN3.basis_l(2)),
     lambda: phi_trace(ABELIAN3, RANK2_ZERO, ABELIAN3.basis_l(0)),
     lambda: connection_apply_l(ABELIAN3, RANK2_ZERO, ABELIAN3.basis_l(0), ABELIAN3.basis_l(1)),
@@ -386,9 +388,35 @@ ZEROS2 = (PolyElement.zero(0),) * 2
                                  AltForm(2, 0, 1, {(0,): PolyElement.one(0)})),
     lambda: top_from_right(ABELIAN3, RightConnectionOnA(ZEROS2)),
     lambda: right_from_top(ABELIAN3, TopConnection(ZEROS2)),
-], ids=["top-sub", "endo-apply", "phi-trace", "connection-apply-l", "induced-top-connection",
+    # a long gamma is not read as flat on its first n entries, nor a short one indexed past its end
+    lambda: is_flat(NONAB, TopConnection(ZEROS2 + (PolyElement.one(0),))),
+    lambda: is_flat(NONAB, TopConnection(ZEROS2[:1])),
+    lambda: torsionfree_lift(NONAB, TopConnection(ZEROS2 + ZEROS2[:1])),
+    lambda: torsionfree_lift(NONAB, TopConnection(ZEROS2[:1])),
+    lambda: torsionfree_lift(NONAB, TopConnection(ZEROS2), LONG2),
+    lambda: torsionfree_lift(NONAB, TopConnection(ZEROS2), SHORT2),
+    # nor a table with an extra row read as torsion-free, nor a short one indexed past its end
+    lambda: torsion(ABELIAN, LONG2),
+    lambda: torsion(ABELIAN, SHORT2),
+    lambda: is_torsion_free(ABELIAN, LONG2),
+    lambda: is_torsion_free(ABELIAN, SHORT2),
+    # no zip cuts a long or a short alpha down to gamma's length
+    lambda: connection_apply_top(NONAB, TopConnection(ZEROS2),
+                                 LElement(ZEROS2 + (PolyElement.one(0),)), PolyElement.one(0)),
+    lambda: connection_apply_top(NONAB, TopConnection(ZEROS2), LElement(ZEROS2[:1]),
+                                 PolyElement.one(0)),
+    # a rank-3 form of degree 2 is not a top-degree form at rank 2
+    lambda: generalized_lie_derivative(NONAB, TopConnection(ZEROS2), NONAB.basis_l(0),
+                                       AltForm(3, 0, 2, {(0, 1): PolyElement.one(0)})),
+    lambda: generalized_lie_derivative(NONAB, TopConnection(ZEROS2), NONAB.basis_l(0),
+                                       AltForm(1, 0, 2)),
+], ids=["endo-apply", "phi-trace", "connection-apply-l", "induced-top-connection",
         "covariant-derivative-gamma", "covariant-derivative-form", "top-from-right",
-        "right-from-top"])
+        "right-from-top", "is-flat-long", "is-flat-short", "lift-target-long",
+        "lift-target-short", "lift-base-long", "lift-base-short",
+        "torsion-long", "torsion-short", "is-torsion-free-long", "is-torsion-free-short",
+        "connection-apply-top-alpha-long", "connection-apply-top-alpha-short",
+        "generalized-lie-derivative-long", "generalized-lie-derivative-short"])
 def test_connection_layer_rejects_a_rank_mismatch(call):
     # as `one_circ` does: no zip truncates and no index runs past a row
     with pytest.raises(ValueError, match="rank mismatch"):
@@ -453,7 +481,7 @@ def test_trace_identity_catches_a_trace_that_skips_one_christoffel_entry(catalog
     conn = LeftConnectionOnL(random_christoffel(check_rng(0, "skip-one-entry"), alg, 2))
     zero = alg.zero_l()
     assert suites._trace_fault(alg, conn, zero, mutant(alg, conn, zero),
-                               induced_top_connection(alg, conn), volume(alg)) \
+                               induced_top_connection(alg, conn)) \
         == "generator differs from the induced-connection one"
     report = suites.run_suite(loaded, suites=("linear-connection",), trials=trials)
     outcome = {o.name: o for o in report.outcomes}["trace-identity"]
@@ -599,10 +627,9 @@ def test_trace_identity_random():
             alpha = random_lelement(rng, alg)
             induced = induced_top_connection(alg, conn)
             trace = trace_endo(phi_map(alg, conn, alpha))
-            x = TopElement(alg.n, random_poly(rng, alg.m))
-            lhs = trace * x.coefficient
-            rhs = (lie_derivative_top(alg, alpha, x)
-                   - connection_apply_top(alg, induced, alpha, x)).coefficient
+            x = random_poly(rng, alg.m)
+            lhs = trace * x
+            rhs = lie_derivative_top(alg, alpha, x) - connection_apply_top(alg, induced, alpha, x)
             assert lhs == rhs
 
 
@@ -647,12 +674,12 @@ def test_dual_right_connection_examples():
         alpha = random_lelement(rng, alg)
         ident = identity_top_form(alg)
         out = dual_right_connection(alg, gamma, ident, alpha)
-        assert out.value_on_increasing(full_tuple(alg.n)) == one_circ(alg, conn, alpha)
+        assert out.value_on_increasing(tuple(range(alg.n))) == one_circ(alg, conn, alpha)
         # product rule: (a Id) o alpha = a (Id o alpha) - alpha(a) Id
         a = random_poly(rng, alg.m)
         out_scaled = dual_right_connection(alg, gamma, ident.scale(a), alpha)
         expected = (a * one_circ(alg, conn, alpha) - alg.anchor_apply(alpha, a))
-        assert out_scaled.value_on_increasing(full_tuple(alg.n)) == expected
+        assert out_scaled.value_on_increasing(tuple(range(alg.n))) == expected
 
 
 def test_divergence_examples():

@@ -12,7 +12,6 @@ from bvcalc.algebra import LElement
 from bvcalc.exterior import (
     AltForm,
     Multivector,
-    full_tuple,
     merge_sign,
     phi_inverse,
     phi_iso,
@@ -24,7 +23,13 @@ from bvcalc.poly import PolyElement
 from bvcalc.sampling import random_poly
 
 from conftest import multivectors, polys
-from reference import TupleAltForm, TupleMultivector, evaluate, homogeneous_part
+from reference import (
+    TupleAltForm,
+    TupleMultivector,
+    evaluate,
+    homogeneous_part,
+    random_multivector,
+)
 
 X = PolyElement.variable(2, 0)
 Y = PolyElement.variable(2, 1)
@@ -108,13 +113,30 @@ def test_value_on_increasing_reads_zero_on_a_repeat_or_a_tuple_that_is_not_incre
 def test_top_pairing_examples():
     e1 = Multivector.basis(2, (0,), m=0)
     e2 = Multivector.basis(2, (1,), m=0)
-    assert top_pairing(e1, e2, 0).coefficient == PolyElement.one(0)
-    assert top_pairing(e2, e1, 0).coefficient == PolyElement.const(0, -1)
+    assert top_pairing(e1, e2, 0) == PolyElement.one(0)
+    assert top_pairing(e2, e1, 0) == PolyElement.const(0, -1)
     # n = 3: <e1^e3, e2> is the sign of (1,3,2)
     e13 = Multivector.basis(3, (0, 2), m=0)
     e2_3 = Multivector.basis(3, (1,), m=0)
-    assert top_pairing(e13, e2_3, 0).coefficient == PolyElement.const(0, -1)
+    assert top_pairing(e13, e2_3, 0) == PolyElement.const(0, -1)
     assert brute_force_sign((0, 2, 1)) == -1
+
+
+def test_top_pairing_is_the_full_mask_coefficient_of_the_wedge_and_graded_commutative(catalog):
+    # a top-power element is its coefficient on e_1^...^e_n, the full mask
+    for name, loaded in catalog.items():
+        alg = loaded.algebra
+        n, m, full = alg.n, alg.m, (1 << alg.n) - 1
+        rng = random.Random(f"top-pairing-{name}")
+        for _ in range(4):
+            for p in range(n + 1):
+                u = homogeneous_part(random_multivector(rng, alg, 2), p)
+                v = homogeneous_part(random_multivector(rng, alg, 2), n - p)
+                pairing = top_pairing(u, v, m)
+                assert isinstance(pairing, PolyElement), name
+                assert pairing == u.wedge(v).components.get(full, PolyElement.zero(m)), name
+                # u ^ v = (-1)^(p(n - p)) v ^ u
+                assert top_pairing(v, u, m) == (-pairing if p * (n - p) % 2 else pairing), name
 
 
 def test_top_pairing_degree_mismatch():
@@ -266,19 +288,19 @@ def test_alt_form_alternating_evaluation():
     f = AltForm(2, 2, 2, {(0, 1): X})
     e1 = LElement((PolyElement.one(2), PolyElement.zero(2)))
     e2 = LElement((PolyElement.zero(2), PolyElement.one(2)))
-    assert evaluate(f, [e1, e2]).coefficient == X
-    assert evaluate(f, [e2, e1]).coefficient == -X
-    assert evaluate(f, [e1, e1]).coefficient == PolyElement.zero(2)
+    assert evaluate(f, [e1, e2]) == X
+    assert evaluate(f, [e2, e1]) == -X
+    assert evaluate(f, [e1, e1]) == PolyElement.zero(2)
     mixed = LElement((Y, X))
     # f(y e1 + x e2, e2) = y * f(e1, e2)
-    assert evaluate(f, [mixed, e2]).coefficient == X * Y
+    assert evaluate(f, [mixed, e2]) == X * Y
 
 
 @given(a=polys(2, max_degree=2), b=polys(2, max_degree=2))
 def test_alt_form_multilinearity(a, b):
     f = AltForm(2, 2, 1, {(0,): X, (1,): Y})
     arg = LElement((a, b))
-    assert evaluate(f, [arg]).coefficient == a * X + b * Y
+    assert evaluate(f, [arg]) == a * X + b * Y
 
 
 def test_degree_helpers():
@@ -286,10 +308,6 @@ def test_degree_helpers():
     assert Multivector.basis(3, (0, 1), m=0).degree() == 2
     with pytest.raises(ValueError):
         Multivector(3, [((), PolyElement.one(0)), ((0,), PolyElement.one(0))]).degree()
-
-
-def test_full_tuple():
-    assert full_tuple(3) == (0, 1, 2)
 
 
 def test_component_lookup_applies_signs():

@@ -4,11 +4,10 @@ import pytest
 
 from bvcalc.algebra import AxiomViolation, LElement
 from bvcalc.algfile import LoadedAlgebra
-from bvcalc.bv import GeneratorD, RightConnectionOnA, SquareResult
+from bvcalc.bv import GeneratorD, RightConnectionOnA
 from bvcalc.catalog import load_catalog
 from bvcalc.connections import EndoOfL, LeftConnectionOnL, TopConnection
 from bvcalc.correspond import top_from_right
-from bvcalc.exterior import TopElement
 from bvcalc.homology import ChainComplex
 from bvcalc.poly import DerivationOfA, PolyElement
 from bvcalc.suites import CheckOutcome, VerificationReport
@@ -27,7 +26,6 @@ RECORDS = {
     "RightConnectionOnA": lambda: RightConnectionOnA(x1_and_half()),
     "TopConnection": lambda: TopConnection(x1_and_half()),
     "AxiomViolation": lambda: AxiomViolation("jacobi", (0, 1, 2), "cyclic sum = e1"),
-    "TopElement": lambda: TopElement(2, PolyElement.variable(2, 1)),
     "EndoOfL": lambda: EndoOfL((LElement(x1_and_half()),)),
     "LeftConnectionOnL": lambda: LeftConnectionOnL(((LElement(x1_and_half()),),)),
     "CheckOutcome": lambda: CheckOutcome("generator", "identity", "fail", witness="w"),
@@ -56,14 +54,10 @@ def test_a_different_class_with_equal_fields_is_unequal():
 def test_a_different_field_gives_an_unequal_record():
     assert LElement(x1_and_half()) != LElement(x1_and_half()[::-1])
     assert CheckOutcome("a", "b", "pass") != CheckOutcome("a", "b", "pass", detail="d")
-    assert TopElement(2, PolyElement.one(2)) != TopElement(3, PolyElement.one(2))
 
 
 def test_records_with_a_dict_or_list_field_compare_but_do_not_hash():
     alg = load_catalog("sl2").algebra
-    square = SquareResult(False, "D^2(e{1}) = (1)")
-    assert square == SquareResult(False, "D^2(e{1}) = (1)")
-    assert square != SquareResult(True, None)
     chain = ChainComplex((1, 1), (({0: 1},),))
     assert chain == ChainComplex((1, 1), (({0: 1},),))
     report = VerificationReport("f", "a", 0, 4, 3)
