@@ -43,24 +43,24 @@ directly.  The bracket of a e_S and b e_T is ab [e_S, e_T] plus two
 terms in the anchor derivatives of a and b, which vanish for a constant
 coefficient and so always at m = 0 (`mask_bracket`); the generator
 identity and the pairing identity of `bvcalc.correspond` read it so at
-every m, each taking its coefficients from the passes of
-`sampling.coefficient_passes` and its argument from `_term`, and a
-generator identity witness prints the defect map the check summed.
+every m, each argument built as `_term` builds it, and a generator
+identity witness prints the defect map the check summed.
 `gerstenhaber_bracket`, the public bracket at every m, is `mask_bracket`
 summed over the term pairs of its arguments; no check calls it.  The
 tests compare it with `recursive_bracket` in `tests/reference.py`, the
 bracket built by peeling one factor at a time, which the package does
 not ship.
 
-The same linearity makes the m = 0 checks exact.  The generator
-identity is Q-bilinear in the coefficients of u and v once the operator
-is Q-linear, so `is_generator` evaluates it once on each basis pair
-(e_S, e_T) it visits, with coefficient 1, and `generator_square`
+The same linearity makes the generator identity exact.  It is
+Q-bilinear in the coefficients of u and v once the operator is
+Q-linear, so `is_generator` evaluates it once on each basis pair
+(e_S, e_T) it visits, with coefficient 1, and at m = 0 `generator_square`
 evaluates D^2 once on every e_S.  The operator under test stays a
 black box: `is_generator` calls it on e_R and on 2 e_R for every subset
-R, and an operator that fails that probe of the linearity the proof
-assumes fails the check.  For m > 0 the coefficients are random
-polynomials, and a passing check is evidence, not proof.
+R, at every m, and an operator that fails that probe of the linearity
+the proof assumes fails the check.  At m = 0 that covers every
+coefficient; at m > 0 the anchor rule below carries the unit pairs to
+every coefficient of A.
 
 Koszul's argument (Koszul 1985; Huebschmann 1998) says which pairs
 decide the identity: the rows, the pairs with |S| <= 1.  If the identity
@@ -72,14 +72,33 @@ D_r by a derivation, which leaves the Koszul bracket unchanged, and so
 the identity holds on every pair.  The degree check then gives E = 0.
 So above rank `FULL_PASS_MAX_RANK` = 3, `is_generator` visits only the
 (n + 1) 2^n row pairs, not all 4^n.  Up to that rank it visits every
-pair: that covers every catalog algebra, at no more than 64 pairs a
-pass, and it is the one check that compares the closed-form [e_S, e_T]
+pair: that covers every catalog algebra, at no more than 64 unit
+pairs, and it is the one check that compares the closed-form [e_S, e_T]
 with D at |S| >= 2 too.  The witness is the same either way: if any
 pair fails, a row fails, and the pass walks S in subset order, which
 puts () and the singletons first, so the first failing pair of the full
-pass lies in a row.  At m > 0 each trial checks the rows on random
-coefficients, as the full pass checked every pair, and a passing check
-stays evidence.
+pass lies in a row.
+
+At m > 0 the argument splits at the coefficients (Koszul 1985;
+Huebschmann 1998).  The row S = () with coefficient a reads
+D(a e_T) = a D(e_T) + [a, e_T], the anchor rule, with D(a) = 0 since no
+multivector has degree -1.  Say D is of first order in a: the map
+a -> D(a e_T) - a D(e_T) is a derivation of A, as a -> [a, e_T] is.  Two
+derivations that agree on x_1, .., x_m agree on A, so the rule holds for
+every a once it holds at a = x_1, .., x_m, with D(2 e_T) = 2 D(e_T)
+showing the Q-linearity, as at m = 0.  Given the rule, E = D - D_r is
+A-linear, because D_r obeys the same rule.  The unit rows S = {i} give
+E(e_i ^ e_T) = -e_i ^ E(e_T), with E(1) = 0 and E(e_i) = 0 once the
+degree check holds, so E = 0 on the basis by induction on |T|, and so
+E = 0: D = D_r, and the identity holds on every pair at every
+coefficient.  So at m > 0 `is_generator` checks the rule on the pairs
+(x_k, e_T) and (e_T, x_k) for every T and k, m 2^n calls of the
+operator, and then on at most `trials` random a per T from the passes
+of `sampling.coefficient_passes`.  These random a test the first-order
+shape the argument assumes, as the shape rows of the certificate below
+test theirs, and cannot prove it: an operator with a second derivative
+of a in it passes every x_k.  The mirrored pair (e_T, a) reads the
+[b, e_S] term of `mask_bracket`, which no other pair of the check meets.
 
 One certificate then covers every right connection at every m, not
 only the file's r0.  Two generators differ by an odd derivation, for
@@ -96,9 +115,8 @@ are shape probes of that affinity, which no finite probe proves.  It
 reads each D_r(e_R) from `ground_generator`, the one code that forms it,
 and builds no `GeneratorD`; `is_generator` calls the suite's own
 `GeneratorD` as a black box at r0, so the call stays covered.  With
-`is_generator` passing at r0 that proves the identity for all r at
-m = 0, and at m > 0 it reduces every r to r0, where the identity stays
-the evidence of random passes.
+`is_generator` passing at r0 that proves the identity for all r, at
+m > 0 given an operator of first order in the coefficient.
 
 A `Multivector` is keyed by the bitmask of each S, as the maps of
 `bvcalc.ground` are, so a call of D, a probe of `is_generator` and a
@@ -375,100 +393,115 @@ def gerstenhaber_bracket(alg: LieRinehartAlgebra, u: Multivector,
 
 Operator = Callable[[Multivector], Multivector]
 
-# `is_generator` visits every pair (u, v) up to this rank n, and above it the pairs
-# with |S| <= 1, which decide the identity.  Every catalog algebra has n <= 3, where
-# the full pass is at most 64 pairs a pass, and the full pass is the one check that
+# `is_generator` visits every unit pair (e_S, e_T) up to this rank n, and above it the
+# pairs with |S| <= 1, which decide the identity.  Every catalog algebra has n <= 3, where
+# the full pass is at most 64 pairs, and the full pass is the one check that
 # compares the closed-form [e_S, e_T] with D on every pair, |S| >= 2 included.
 FULL_PASS_MAX_RANK = 3
 
 
 def is_generator(alg: LieRinehartAlgebra, op: Operator, trials: int = 32,
                  seed: int = 0, degree_bound: int = 3) -> tuple[bool, str | None]:
-    """Check the generator identity on the pairs of basis subsets that decide it.
+    """Check the generator identity on the pairs that decide it, one procedure at every m.
 
     The identity is [u, v] = (-1)^|u| (D(u ^ v) - D(u) ^ v - (-1)^|u| u ^ D(v)).
     Accepts any operator as a callable; returns (True, None) or
-    (False, witness) with the first violating pair.  One loop serves
-    every m.  A pass of `sampling.coefficient_passes` gives every basis
-    subset S, in subset order, one coefficient a and calls `op` on a e_S; with
-    sign = (-1)^|S| the defect
+    (False, witness) with the first violating pair (`_pair_witness`).
+
+    1. `op` is called on e_R and then on 2 e_R for every R in subset order:
+       an operator with op(2 e_R) != 2 op(e_R) fails at e_R.
+    2. The pairs (e_S, e_T) with unit coefficients: every pair up to rank
+       `FULL_PASS_MAX_RANK`, and above it the rows |S| <= 1, which decide
+       the identity by Koszul's argument in the module docstring.  With
+       e_S ^ e_T = w e_(S | T) a pair reads D(u ^ v) as w D(e_(S | T)) from
+       the images of step 1, so `op` is called nowhere else.  S runs in
+       subset order, so the rows come first, and when a row fails its first
+       failing pair is the first failing pair of all 4^n.  The identity sees
+       only the Koszul bracket of D, which adding an odd derivation of any
+       degree leaves unchanged, so once these pairs hold every image D(e_S)
+       must be of degree |S| - 1 (`_degree_witness`); the witness then names S.
+    3. At m > 0 only, the anchor rule D(a e_T) = a D(e_T) + [a, e_T], read
+       off the pairs (a, e_T) and (e_T, a) from one call op(a e_T), with
+       D(a) = 0 since no multivector has degree -1.  For every T, a is
+       x_1, .., x_m, which proves the rule for an operator of first order
+       in a, then one draw per T of each pass of
+       `sampling.coefficient_passes`, shape probes of that order; a zero
+       draw is skipped.  The mirrored pair (e_T, a) costs no call and reads
+       the [b, e_S] term of `mask_bracket`.
+
+    So `op` is called (2 + m + trials) 2^n times at m > 0, less the zero
+    draws, and 2^(n + 1) times at m = 0, where no pass is drawn.  The
+    bracket comes from `mask_bracket`, which computes [e_S, e_T] by
+    `basis_bracket` on every pair visited, so an edited value there is seen.
+    """
+    passes = coefficient_passes(alg.m, trials, seed, "is_generator", degree_bound)
+    n, m, masks = alg.n, alg.m, ground.subsets(alg.n)
+    one, two = PolyElement.one(m), PolyElement.const(m, 2)
+    lie = lie_brackets(alg)
+
+    def witnesses():  # None for each check that holds, in the order above
+        images = {}
+        for s in masks:
+            image = op(Multivector._make(n, {s: one}))
+            ds = images[s] = ground.values(image.components)
+            doubled = op(Multivector._make(n, {s: two}))
+            if ground.values(doubled.components) != {mask: 2 * c for mask, c in ds.items()}:
+                label = basis_label(ground.to_key(s))
+                yield f"D((2)*{label})={doubled} 2*D({label})={image.scale(two)}"
+        # masks follows `ground.subsets`, so its first n + 1 entries are e_() and the e_i
+        for s in masks if n <= FULL_PASS_MAX_RANK else masks[:n + 1]:
+            for t in masks:
+                yield _pair_witness(alg, lie, _term(alg, s, one), _term(alg, t, one),
+                                    images[s | t], images[s], images[t])
+        yield _degree_witness(alg, images)
+        # each probe gives the argument u = a e_() of `mask_bracket`: the one u at a = x_k
+        # for every T, then u at each draw
+        probes = [lambda u=_term(alg, 0, PolyElement.variable(m, k)): u for k in range(m)]
+        for probe in probes + [lambda d=draw: _term(alg, 0, d()) for draw in passes] if m else []:
+            for t in masks:
+                u, v = probe(), _term(alg, t, one)
+                if u[1]:
+                    image = ground.values(op(Multivector._make(n, {t: u[1]})).components)
+                    yield _pair_witness(alg, lie, u, v, image, {}, images[t])
+                    yield _pair_witness(alg, lie, v, u, image, images[t], {})
+
+    witness = next(filter(None, witnesses()), None)
+    return witness is None, witness
+
+
+def _pair_witness(alg: LieRinehartAlgebra, lie: list, u: tuple, v: tuple, duv: dict,
+                  du: dict, dv: dict) -> str | None:
+    """The witness of the generator identity at u = a e_S and v = b e_T; None if it holds.
+
+    u and v are `mask_bracket`'s (S, a, da) and (T, b, db), and
+    du = D(u), dv = D(v), and duv = D(e_S ^ e_T) up to its wedge sign w, so
+    D(u ^ v) = w duv, all as mask maps.  With sign = (-1)^|S| the defect
 
         [u, v] - sign D(u ^ v) + sign b D(u) ^ e_T + a e_S ^ D(v)
 
-    of u = a e_S and v = b e_T then accumulates for every ordered pair it
-    visits in one mask map: every pair up to rank `FULL_PASS_MAX_RANK`,
-    and above it the rows |S| <= 1, which decide the identity by Koszul's
-    argument in the module docstring.  S runs in subset order, so the rows
-    come first, and when a row fails its first failing pair is the first
-    failing pair of all 4^n: the witness is the one the full pass gives.
-    The bracket comes from `mask_bracket`, which computes [e_S, e_T] by
-    `basis_bracket` on every pair visited, so an edited value there is
-    seen.  The witness prints the defect map.  The identity sees only the
-    Koszul bracket of D, which adding an odd derivation of any degree
-    leaves unchanged, so once the pairs of a pass hold, every image
-    D(a e_S) of the pass must be of degree |S| - 1 (`_degree_witness`);
-    the witness then names S.
-
-    When m = 0 both sides are Q-bilinear in (a, b) once `op` is Q-linear,
-    so the one pass of 1s decides.  `op` is called on e_R and then on
-    2 e_R for every R, and nowhere else: an operator with
-    op(2 e_R) != 2 op(e_R) fails at e_R, and with e_S ^ e_T = w e_(S | T)
-    the pair reads D(u ^ v) as w D(e_(S | T)) from the images so probed.
-    When m > 0, `op` is called on every drawn a e_S, then on u ^ v for
-    every ordered pair (u, v) visited, zero products included.
+    is summed in one mask map, which the witness prints.
     """
-    passes = coefficient_passes(alg.m, trials, seed, "is_generator", degree_bound)
-    n, m = alg.n, alg.m
-    two = PolyElement.const(0, 2)
-    lie = lie_brackets(alg)
-    for draw in passes:
-        # (a, `mask_bracket`'s (S, a, e_i(a)), D(a e_S) as a mask map) per drawn a e_S
-        drawn, images = [], {}
-        for s in ground.subsets(n):
-            a = draw()
-            image = op(Multivector._make(n, {s: a} if a else {}))
-            ds = images[s] = ground.values(image.components)
-            if not m:
-                doubled = op(Multivector._make(n, {s: two}))
-                if ground.values(doubled.components) != {mask: 2 * c for mask, c in ds.items()}:
-                    label = basis_label(ground.to_key(s))
-                    return False, f"D((2)*{label})={doubled} 2*D({label})={image.scale(two)}"
-            drawn.append((a, _term(alg, s, a), ds))
-        # drawn follows `ground.subsets`, so its first n + 1 entries are e_() and the e_i
-        for a, u, ds in drawn if n <= FULL_PASS_MAX_RANK else drawn[:n + 1]:
-            s, x, _ = u
-            sign = -1 if s.bit_count() % 2 else 1
-            for b, v, dt in drawn:
-                t, y, _ = v
-                ab = x * y
-                w = ground.wedge_sign(s, t) if ab else 0
-                defect = mask_bracket(lie, u, v, ab)
-                if m:  # the black box on u ^ v
-                    duv = op(Multivector._make(n, {s | t: ab if w > 0 else -ab} if w else {}))
-                    ground.add_multiple(defect, ground.values(duv.components), sign=-sign)
-                elif w:
-                    ground.add_multiple(defect, images[s | t], sign=-sign * w)
-                ground.add_wedge(defect, ds, t, y, sign)
-                ground.add_wedge(defect, s, dt, x)
-                if defect:
-                    return False, (f"u=({a})*{basis_label(ground.to_key(s))} "
-                                   f"v=({b})*{basis_label(ground.to_key(t))} "
-                                   f"defect={_multivector(n, m, defect)}")
-        witness = _degree_witness(alg, drawn)
-        if witness:
-            return False, witness
-    return True, None
+    (s, a, _), (t, b, _) = u, v
+    sign = -1 if s.bit_count() % 2 else 1
+    defect = mask_bracket(lie, u, v, a * b)
+    if w := ground.wedge_sign(s, t):
+        ground.add_multiple(defect, duv, sign=-sign * w)
+    ground.add_wedge(defect, du, t, b, sign)
+    ground.add_wedge(defect, s, dv, a)
+    if defect:
+        return (f"u=({a})*{basis_label(ground.to_key(s))} "
+                f"v=({b})*{basis_label(ground.to_key(t))} "
+                f"defect={_multivector(alg.n, alg.m, defect)}")
 
 
-def _degree_witness(alg: LieRinehartAlgebra, drawn: list) -> str | None:
-    """The first drawn a e_S of `is_generator` whose image D(a e_S) is not
-    homogeneous of degree |S| - 1, as a witness naming S; None if there is none."""
-    for a, (s, _, _), image in drawn:
+def _degree_witness(alg: LieRinehartAlgebra, images: dict) -> str | None:
+    """The first e_S, in subset order, of the images {S: D(e_S)} of `is_generator` whose
+    image is not homogeneous of degree |S| - 1, as a witness naming S; None if there is none."""
+    for s, image in images.items():
         degree = s.bit_count() - 1
         if any(mask.bit_count() != degree for mask in image):
-            return (f"D(({a})*{basis_label(ground.to_key(s))})="
+            return (f"D((1)*{basis_label(ground.to_key(s))})="
                     f"{_multivector(alg.n, alg.m, image)} is not of degree {degree}")
-    return None
 
 
 def certify_every_connection(alg: LieRinehartAlgebra,
@@ -507,8 +540,8 @@ def certify_every_connection(alg: LieRinehartAlgebra,
     (True, None) or (False, witness) naming the first failing i (i=1..n for
     the diagonal) and R.  Together with `is_generator` passing at r0, and
     for a table of that shape, this gives the identity for every right
-    connection: a proof at m = 0, and at m > 0 a reduction of every r to
-    r0, where the identity stays the evidence of its random passes.  A
+    connection: a proof at m = 0, and at m > 0 a proof given an operator of
+    first order in the coefficient, the shape `is_generator` probes.  A
     connection whose rank is not n raises ValueError ("rank mismatch").
     """
     if conn.n != alg.n:
@@ -573,9 +606,12 @@ def generator_square(alg: LieRinehartAlgebra, op: Operator, trials: int = 8,
     first nonzero D^2(a e_S), which is the witness.  Pass 0 is the basis
     pass: a = 1, and nothing is drawn.  When m = 0, A = Q and a degree -1
     operator is Q-linear, so D^2(a e_S) = a D^2(e_S): the basis pass is
-    the one pass of `sampling.coefficient_passes`, and decides.  When
-    m > 0, D^2(a e_S) can be nonzero although D^2(e_S) is zero, so that
-    helper's random passes follow the basis pass, skipping a zero draw.
+    the one pass of `sampling.coefficient_passes`, and decides.  For a
+    generator D the basis pass decides at m > 0 too: D^2 then has order at
+    most 2 and kills A, so it is A-linear (Koszul 1985).  Only an operator
+    that is not a generator can have D^2(a e_S) nonzero while D^2(e_S) is
+    zero, and for that case that helper's random passes follow the basis
+    pass at m > 0, skipping a zero draw.
     """
     passes = coefficient_passes(alg.m, trials, seed, "generator_square", degree_bound)
     n, m = alg.n, alg.m

@@ -71,10 +71,10 @@ from .sampling import (
 )
 
 PASS, FAIL, EXPECTED_FAIL, SKIP = "pass", "fail", "expected-fail", "skip"
-# the D^2 draws of generator.square-zero and flatness-coherence, both
-# bijections lines, duality.matched-pair, bracket-expansion and the
-# Christoffel draws of every linear-connection line run at most this many of
-# the trials; only generator.identity runs them all
+# the shape probes of generator.identity, the D^2 draws of
+# generator.square-zero and flatness-coherence, both bijections lines,
+# duality.matched-pair, bracket-expansion and the Christoffel draws of every
+# linear-connection line run at most this many of the trials
 TRIALS_CAP = 8
 
 
@@ -167,8 +167,7 @@ class _SuiteRunner:
         self.loaded = loaded
         self.alg = loaded.algebra
         self.seed = seed
-        self.trials = trials
-        self.capped_trials = min(trials, TRIALS_CAP)  # every line's draws but generator.identity's
+        self.trials = min(trials, TRIALS_CAP)  # the passes or draws of every randomized line
         self.degree_bound = degree_bound
         self.top = loaded.top_connection()
         self.right = loaded.right_connection()
@@ -209,7 +208,7 @@ class _SuiteRunner:
             bad = "generator.identity fails at the file's r, so no r is certified"
         self.record("generator", "random-connections", not bad, witness=bad)
 
-        exact, witness = generator_square(alg, self.gen, trials=self.capped_trials,
+        exact, witness = generator_square(alg, self.gen, trials=self.trials,
                                           seed=self.seed, degree_bound=self.degree_bound)
         flat = is_flat(alg, self.top)
         self.record("generator", "flatness-coherence", exact == flat,
@@ -230,7 +229,7 @@ class _SuiteRunner:
         alg = self.alg
         rng = check_rng(self.seed, "bijections")
         units = _unit_probes(alg)
-        draws = range(self.capped_trials)
+        draws = range(self.trials)
         rights = [self.right, *map(RightConnectionOnA, units),
                   *(RightConnectionOnA(random_poly_vector(rng, alg.m, alg.n, self.degree_bound))
                     for _ in draws)]
@@ -262,7 +261,7 @@ class _SuiteRunner:
 
     def run_duality(self) -> None:
         ok, witness = check_generator_duality(self.alg, self.gen, self.top,
-                                              trials=self.capped_trials,
+                                              trials=self.trials,
                                               seed=self.seed, degree_bound=self.degree_bound)
         self.record("duality", "matched-pair", ok, witness=witness or "")
 
@@ -274,7 +273,7 @@ class _SuiteRunner:
 
     def run_bracket_expansion(self) -> None:
         ok, witness = check_bracket_pairing_identity(self.alg, self.gen, self.top,
-                                                     trials=self.capped_trials,
+                                                     trials=self.trials,
                                                      seed=self.seed,
                                                      degree_bound=self.degree_bound)
         self.record("bracket-expansion", "pairing-identity", ok, witness=witness or "")
@@ -286,7 +285,7 @@ class _SuiteRunner:
         bad = dict.fromkeys(("trace-identity", "torsionfree-lift", "divergence-identity"), "")
         bad["torsionfree-lift"] = next(filter(None, (_lift_fault(alg, TopConnection(v))
                                                      for v in _unit_probes(alg))), "")
-        for _ in range(self.capped_trials):
+        for _ in range(self.trials):
             conn = LeftConnectionOnL(random_christoffel(rng, alg, self.degree_bound))
             alpha = random_lelement(rng, alg, self.degree_bound)
             xi = random_lelement(rng, alg, self.degree_bound)

@@ -11,8 +11,11 @@ degree-0 one (`_scalar_bracket`).  It reads the Lie bracket on `LElement`s
 and the anchor, never `bv.lie_brackets`, `bv.basis_bracket` or
 `bv.mask_bracket`, and is the oracle for the closed form behind
 `bv.gerstenhaber_bracket`.  `is_generator_on_every_pair` is `bv.is_generator`
-with its pair loop over all 4^n pairs at every rank, the oracle for the rows
-pass the package runs above `bv.FULL_PASS_MAX_RANK`.
+with its unit pairs taken over all 4^n pairs at every rank, the oracle for the
+rows pass the package runs above `bv.FULL_PASS_MAX_RANK`.
+`is_generator_on_random_pairs` gives the verdict of the identity on random
+coefficients with the operator called on every u ^ v, the oracle for the
+anchor rule that `bv.is_generator` rests on at m > 0.
 `certify_every_connection_by_operators` is `bv.certify_every_connection`
 with every image D_r(e_R) read from a call of a `bv.GeneratorD` on e_R,
 the oracle for the package's certificate, which reads the maps of
@@ -151,52 +154,87 @@ def recursive_bracket(alg: LieRinehartAlgebra, u: Multivector,
 
 def is_generator_on_every_pair(alg: LieRinehartAlgebra, op, trials: int = 32, seed: int = 0,
                                degree_bound: int = 3) -> tuple[bool, str | None]:
-    """`bv.is_generator` with its pair loop over every ordered pair (u, v) at every rank.
+    """`bv.is_generator` with its unit pairs taken over every ordered pair at every rank.
 
-    The same draws, probes, defect, witness and degree check as the package's
-    check, which visits only the rows |S| <= 1 above `bv.FULL_PASS_MAX_RANK`;
-    the tests compare the two on operators that are not generators.
+    The same probes, anchor pairs, defect, witness and degree check as the
+    package's check, which visits only the rows |S| <= 1 above
+    `bv.FULL_PASS_MAX_RANK`; the tests compare the two on operators that
+    are not generators.
     """
     passes = coefficient_passes(alg.m, trials, seed, "is_generator", degree_bound)
-    n, m = alg.n, alg.m
-    two = PolyElement.const(0, 2)
+    n, m, masks = alg.n, alg.m, ground.subsets(alg.n)
+    one, two = PolyElement.one(m), PolyElement.const(m, 2)
+    lie = bv.lie_brackets(alg)
+    images = {}
+    for s in masks:
+        image = op(Multivector._make(n, {s: one}))
+        ds = images[s] = ground.values(image.components)
+        doubled = op(Multivector._make(n, {s: two}))
+        if ground.values(doubled.components) != {mask: 2 * c for mask, c in ds.items()}:
+            label = basis_label(ground.to_key(s))
+            return False, f"D((2)*{label})={doubled} 2*D({label})={image.scale(two)}"
+    for s in masks:
+        for t in masks:
+            witness = bv._pair_witness(alg, lie, bv._term(alg, s, one), bv._term(alg, t, one),
+                                       images[s | t], images[s], images[t])
+            if witness:
+                return False, witness
+    witness = bv._degree_witness(alg, images)
+    if witness:
+        return False, witness
+    variables = [PolyElement.variable(m, k) for k in range(m)]
+    for draw in [lambda x=x: x for x in variables] + passes if m else []:
+        for t in masks:
+            a = draw()
+            if not a:
+                continue
+            image = ground.values(op(Multivector._make(n, {t: a})).components)
+            u, v = bv._term(alg, 0, a), bv._term(alg, t, one)
+            witness = (bv._pair_witness(alg, lie, u, v, image, {}, images[t])
+                       or bv._pair_witness(alg, lie, v, u, image, images[t], {}))
+            if witness:
+                return False, witness
+    return True, None
+
+
+def is_generator_on_random_pairs(alg: LieRinehartAlgebra, op, trials: int = 32, seed: int = 0,
+                                 degree_bound: int = 3) -> bool:
+    """The verdict of the generator identity on random coefficients, `op` a black box on
+    every argument.
+
+    Each pass of `sampling.coefficient_passes` draws one a per basis subset
+    S and calls `op` on a e_S, and then on u ^ v for every ordered pair
+    (u, v) = (a e_S, b e_T), zero products included, so `op` is never read
+    off a probe and nothing rests on the anchor rule or on the first order
+    that `bv.is_generator` assumes at m > 0.  Each image D(a e_S) must also
+    be of degree |S| - 1.
+    """
+    passes = coefficient_passes(alg.m, trials, seed, "is_generator", degree_bound)
+    n = alg.n
     lie = bv.lie_brackets(alg)
     for draw in passes:
-        drawn, images = [], {}
+        drawn = []
         for s in ground.subsets(n):
             a = draw()
-            u = bv._term(alg, s, a)
-            image = op(Multivector._make(n, {s: a} if a else {}))
-            ds = images[s] = ground.values(image.components)
-            if not m:
-                doubled = op(Multivector._make(n, {s: two}))
-                if ground.values(doubled.components) != {mask: 2 * c for mask, c in ds.items()}:
-                    label = basis_label(ground.to_key(s))
-                    return False, f"D((2)*{label})={doubled} 2*D({label})={image.scale(two)}"
-            drawn.append((a, u, ds))
-        for a, u, ds in drawn:
+            image = ground.values(op(Multivector._make(n, {s: a} if a else {})).components)
+            if any(mask.bit_count() != s.bit_count() - 1 for mask in image):
+                return False
+            drawn.append((bv._term(alg, s, a), image))
+        for u, ds in drawn:
             s, x, _ = u
             sign = -1 if s.bit_count() % 2 else 1
-            for b, v, dt in drawn:
+            for v, dt in drawn:
                 t, y, _ = v
                 ab = x * y
                 w = ground.wedge_sign(s, t) if ab else 0
                 defect = bv.mask_bracket(lie, u, v, ab)
-                if m:
-                    duv = op(Multivector._make(n, {s | t: ab if w > 0 else -ab} if w else {}))
-                    ground.add_multiple(defect, ground.values(duv.components), sign=-sign)
-                elif w:
-                    ground.add_multiple(defect, images[s | t], sign=-sign * w)
+                duv = op(Multivector._make(n, {s | t: ab if w > 0 else -ab} if w else {}))
+                ground.add_multiple(defect, ground.values(duv.components), sign=-sign)
                 ground.add_wedge(defect, ds, t, y, sign)
                 ground.add_wedge(defect, s, dt, x)
                 if defect:
-                    return False, (f"u=({a})*{basis_label(ground.to_key(s))} "
-                                   f"v=({b})*{basis_label(ground.to_key(t))} "
-                                   f"defect={bv._multivector(n, m, defect)}")
-        witness = bv._degree_witness(alg, drawn)
-        if witness:
-            return False, witness
-    return True, None
+                    return False
+    return True
 
 
 def certify_every_connection_by_operators(alg: LieRinehartAlgebra,

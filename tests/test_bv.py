@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
-from bvcalc import bv, sampling
+from bvcalc import bv, sampling, suites
 from bvcalc.algebra import LieRinehartAlgebra, build_poisson_cotangent
 from bvcalc.algfile import LoadedAlgebra
 from bvcalc.bv import (
@@ -732,28 +732,28 @@ def test_is_generator_catches_a_non_linear_operator(catalog):
         False, "D((2)*e{1,2})=(-4)*e{3} 2*D(e{1,2})=(-2)*e{3}")
 
 
-def test_m_positive_witness_keeps_its_term_order(catalog, monkeypatch):
-    # the explicit generator with the anchor term of 1 o alpha dropped, at
-    # m = 2; the witness prints the defect map in the order the mask loop
-    # sums it and the polynomial kernel makes its terms, so this pins that
-    # order through brackets and products (the defect here changes if the
-    # product loop runs over its operands in the other order)
-    def one_circ_without_anchor(alg, conn, alpha):
-        out = PolyElement.zero(alg.m)
-        for coeff, r in zip(alpha.coeffs, conn.r):
-            if coeff and r:
-                out = out + coeff * r
-        return out
+def plus_second_derivative(op):
+    """op plus d^2a/dx1^2 e_(S - min S) on each term a e_S with S not empty: a term of
+    second order in a, so it vanishes on every unit and every x_k."""
+    def mutant(u):
+        return op(u) + Multivector(u.n, [(key[1:], a.diff(0).diff(0))
+                                         for key, a in u.terms() if key])
+    return mutant
 
+
+def test_m_positive_witness_keeps_its_term_order(catalog):
+    # the explicit generator plus a term of second order in the coefficient, at
+    # m = 2: the unit rows and the x_k pass it, and the first random shape probe
+    # that sees it is the witness; the witness prints the defect map in the order
+    # the mask loop sums it and the polynomial kernel makes its terms, so this
+    # pins that order on a two-term defect
     loaded = catalog["poisson-linear-2d"]
     alg = loaded.algebra
     conn = loaded.right_connection()
-    assert is_generator(alg, GeneratorD(alg, conn), trials=1, seed=37) == (True, None)
-    monkeypatch.setattr(bv, "one_circ", one_circ_without_anchor)
-    assert is_generator(alg, lambda u: apply_generator(alg, conn, u), trials=1, seed=37) == (
-        False, "u=(8*x1^2*x2 - 1*x2)*e{1} v=(x1*x2^2 - 2*x1)*e{2} "
-               "defect=(-8*x1^3*x2^3 + 16*x1^3*x2 + x1*x2^3 - 2*x1*x2)*e{1} "
-               "+ (16*x1^4*x2^2 - 2*x1^2*x2^2)*e{2}")
+    assert is_generator(alg, GeneratorD(alg, conn), trials=1, seed=3) == (True, None)
+    op = plus_second_derivative(lambda u: apply_generator(alg, conn, u))
+    assert is_generator(alg, op, trials=1, seed=3) == (
+        False, "u=(7*x1^2*x2 - 7*x1^2 + 3)*e{} v=(1)*e{1} defect=(-14*x2 + 14)")
 
 
 def test_ground_generator_identity_has_no_seed_or_trial_count(catalog):
@@ -1494,37 +1494,72 @@ def test_every_sign_flip_of_a_polynomial_table_entry_fails_on_its_own(catalog, m
 
 def test_m_positive_witness_prints_the_defect_of_an_edited_table_entry(catalog, monkeypatch):
     # the witness prints the map the check summed, so a wrong [e_S, e_T]
-    # shows: -2 ab [e1, e2] = (96*x1^2 + 108) e1 with ab = (-6)(8*x1^2 + 9)
+    # shows on its unit row: -2 [e1, e2] = -2 e1
     loaded = catalog["poisson-linear-2d"]
     alg = loaded.algebra
     assert basis_bracket(lie_brackets(alg), 0b01, 0b10) == {0b01: PolyElement.one(2)}
     monkeypatch.setattr(bv, "basis_bracket", edited_basis_bracket((0b01, 0b10), negated))
     assert is_generator(alg, GeneratorD(alg, loaded.right_connection()), trials=4, seed=0) == (
-        False, "u=(-6)*e{1} v=(8*x1^2 + 9)*e{2} defect=(96*x1^2 + 108)*e{1}")
+        False, "u=(1)*e{1} v=(1)*e{2} defect=(-2)*e{1}")
 
 
 def expected_polynomial_calls(alg, trials, seed, degree_bound=3):
-    """The operator arguments of `is_generator` at m > 0, built with `Multivector.wedge`:
-    a e_S for every drawn element, then u ^ v for every ordered pair, per trial."""
+    """The operator arguments of `is_generator` at m > 0, built with `Multivector.basis`:
+    e_R and 2 e_R for every R, then x_k e_T for every k and T, then a e_T for every
+    nonzero draw a of each of the `trials` passes, T in subset order."""
     rng = check_rng(seed, "is_generator")
+    keys = subsets(alg.n)
     out = []
+    for key in keys:
+        out += [Multivector.basis(alg.n, key, m=alg.m),
+                Multivector.basis(alg.n, key, PolyElement.const(alg.m, 2))]
+    for k in range(alg.m):
+        out += [Multivector.basis(alg.n, key, PolyElement.variable(alg.m, k)) for key in keys]
     for _ in range(trials):
-        elements = [Multivector(alg.n, [(key, random_poly(rng, alg.m, degree_bound))])
-                    for key in subsets(alg.n)]
-        out += elements + [u.wedge(v) for u in elements for v in elements]
+        draws = [(key, random_poly(rng, alg.m, degree_bound)) for key in keys]
+        out += [Multivector.basis(alg.n, key, a) for key, a in draws if a]
     return out
 
 
-def test_polynomial_pair_loop_calls_the_operator_on_every_element_and_wedge(catalog):
+def zero_draws(alg, trials, seed, degree_bound=3):
+    rng = check_rng(seed, "is_generator")
+    return sum(not random_poly(rng, alg.m, degree_bound) for _ in range(trials << alg.n))
+
+
+def test_polynomial_pass_calls_the_operator_on_units_and_anchor_probes_only(catalog):
+    # (2 + m + trials) 2^n calls less the zero draws, and none on a wedge u ^ v
     loaded = catalog["coordinate-2d"]
     alg = loaded.algebra
     op, calls = recorded(GeneratorD(alg, loaded.right_connection()))
-    assert is_generator(alg, op, trials=2, seed=5) == (True, None)
-    expected = expected_polynomial_calls(alg, trials=2, seed=5)
-    assert len(calls) == 2 * (2 ** alg.n + 4 ** alg.n)
+    assert is_generator(alg, op, trials=3, seed=5) == (True, None)
+    expected = expected_polynomial_calls(alg, trials=3, seed=5)
+    assert zero_draws(alg, trials=3, seed=5) == 1
+    assert len(calls) == (2 + alg.m + 3) * 2 ** alg.n - 1
     assert calls == expected
     assert [str(u) for u in calls] == [str(u) for u in expected]
-    assert any(u.is_zero() for u in calls)  # e_S ^ e_T with S and T overlapping
+    assert not any(u.is_zero() for u in calls)  # no e_S ^ e_T with S and T overlapping
+    assert all(len(u.components) == 1 for u in calls)
+
+
+@pytest.mark.parametrize("name", ["coordinate-2d", "coordinate-3d", "poisson-linear-2d",
+                                  "poisson-symplectic-2d"])
+def test_the_suite_calls_the_operator_at_most_trials_cap_probe_passes(catalog, monkeypatch,
+                                                                      name):
+    # --trials 20 caps the shape probes at TRIALS_CAP = 8 passes
+    alg = catalog[name].algebra
+    seen = []
+    check = suites.is_generator
+
+    def spy(alg, op, **kwargs):
+        op, calls = recorded(op)
+        seen.append(calls)
+        return check(alg, op, **kwargs)
+
+    monkeypatch.setattr(suites, "is_generator", spy)
+    assert run_suite(catalog[name], suites=("generator",), trials=20).passed
+    [calls] = seen
+    cap = suites.TRIALS_CAP
+    assert len(calls) == (2 + alg.m + cap) * 2 ** alg.n - zero_draws(alg, cap, seed=0)
 
 
 def one_circ_without_anchor(alg, conn, alpha):
@@ -1544,14 +1579,99 @@ def test_coordinate_3d_witness_and_calls_up_to_the_failing_pair(catalog, monkeyp
     assert is_generator(alg, GeneratorD(alg, conn), trials=2, seed=67) == (True, None)
     monkeypatch.setattr(bv, "one_circ", one_circ_without_anchor)
     op, calls = recorded(lambda u: apply_generator(alg, conn, u))
+    # the unit pairs cannot see the dropped term; the anchor rule at x1 on e{1} can
     assert is_generator(alg, op, trials=1, seed=67) == (
-        False, "u=(7*x1*x2^2 - 8*x2*x3^2 - 3*x1*x2)*e{1} v=(6*x2^2*x3 + x1*x2 + 8*x1)*e{2} "
-               "defect=(84*x1*x2^3*x3 - 96*x2^2*x3^3 - 36*x1*x2^2*x3 + 7*x1^2*x2^2 "
-               "- 8*x1*x2*x3^2 - 3*x1^2*x2)*e{1} + (7*x1*x2^3 + 53*x1*x2^2 - 8*x2^2*x3^2 "
-               "- 64*x2*x3^2 - 24*x1*x2)*e{2}")
-    # the 8 elements, then the pairs in order up to (e{1}, e{2}), the 11th pair
+        False, "u=(x1)*e{} v=(1)*e{1} defect=(-1)")
+    # e_R and 2 e_R for the 8 subsets R, then x1 e{} and x1 e{1}
     expected = expected_polynomial_calls(alg, trials=1, seed=67)
-    assert calls == expected[:8 + 8 + 3]
+    assert calls == expected[:2 * 8 + 2]
+
+
+# -- the anchor rule at m > 0 ----------------------------------------------------
+
+M_POSITIVE = [name for name in CATALOG_NAMES if load_catalog(name).algebra.m]
+
+
+def m_positive_entry(name):
+    """(algebra, right connection) of an m > 0 catalog entry, or of log-canonical-m with a
+    seeded r of degree at most 2."""
+    if name in CATALOG_NAMES:
+        loaded = load_catalog(name)
+        return loaded.algebra, loaded.right_connection()
+    m = int(name.rsplit("-", 1)[1])
+    return log_canonical_algebra(m), RightConnectionOnA(
+        random_poly_vector(check_rng(3, f"anchor-{name}"), m, m, 2))
+
+
+def plus_x1_at_e12(alg, conn):
+    """The generator with x1 e_1 added to its table entry D(e_(1, 2))."""
+    gen = GeneratorD(alg, conn)
+    entry = dict(gen.ground(0b11))
+    add_multiple(entry, {0b01: value(PolyElement.variable(alg.m, 0))})
+    gen.table[0b11] = entry
+    return gen
+
+
+UNIT_ROW = re.compile(r"u=\(1\)\*e\{\d\} v=\(1\)\*e\{[\d,]*\} defect=.+")
+# a witness whose u or v coefficient is neither 1 nor some x_k: a random shape probe
+SHAPE_PROBE = re.compile(r"u=\((?!1\)|x\d+\)).+\)\*e\{\} v=\(1\).*"
+                         r"|u=\(1\)\*e\{[\d,]*\} v=\((?!1\)|x\d+\)).+\)\*e\{\} .*")
+
+
+@pytest.mark.parametrize("name", ["coordinate-2d", "coordinate-3d", "poisson-linear-2d",
+                                  "log-canonical-5"])
+def test_an_edited_table_entry_fails_on_a_unit_row(name):
+    alg, conn = m_positive_entry(name)
+    assert is_generator(alg, GeneratorD(alg, conn), trials=2) == (True, None)
+    ok, witness = is_generator(alg, plus_x1_at_e12(alg, conn), trials=2)
+    assert not ok and UNIT_ROW.fullmatch(witness), witness
+
+
+@pytest.mark.parametrize("name", ["coordinate-2d", "coordinate-3d", "poisson-linear-2d",
+                                  "log-canonical-5"])
+def test_a_second_order_term_passes_the_x_k_and_fails_a_shape_probe(name):
+    # the x_k prove the anchor rule only for an operator of first order in a; shape
+    # probes of degree at most 1 have no second derivative, so only the unit rows and
+    # the x_k see this operator, and they pass it; at the suite's TRIALS_CAP passes
+    # and the default degree bound a random probe fails it
+    alg, conn = m_positive_entry(name)
+    op = plus_second_derivative(GeneratorD(alg, conn))
+    assert is_generator(alg, op, trials=suites.TRIALS_CAP, degree_bound=1) == (True, None)
+    ok, witness = is_generator(alg, op, trials=suites.TRIALS_CAP)
+    assert not ok and SHAPE_PROBE.fullmatch(witness), witness
+
+
+@pytest.mark.parametrize("name", [*M_POSITIVE, "log-canonical-4"])
+def test_the_anchor_rule_gives_the_verdicts_of_the_random_pair_loop(name):
+    # reference.is_generator_on_random_pairs calls the operator on every u ^ v of
+    # random coefficients and never reads the anchor rule
+    alg, conn = m_positive_entry(name)
+    ops = [("generator", GeneratorD(alg, conn)), *generator_mutants(alg, conn),
+           ("x1 e_1 at e_(1, 2)", plus_x1_at_e12(alg, conn)),
+           ("second order", plus_second_derivative(GeneratorD(alg, conn)))]
+    verdicts = []
+    for label, op in ops:
+        ok = is_generator(alg, op, trials=2, seed=1)[0]
+        assert ok == reference.is_generator_on_random_pairs(alg, op, trials=2, seed=1), label
+        verdicts.append((label, ok))
+    assert [label for label, ok in verdicts if ok] == ["generator", "r + e_1"]
+
+
+@pytest.mark.parametrize("name", M_POSITIVE)
+def test_the_identity_line_does_not_move_above_the_cap(catalog, monkeypatch, name):
+    # generator.identity runs at most TRIALS_CAP = 8 shape passes, so its outcome is
+    # the same at 8, 32 and 64 trials, passing and failing alike
+    def outcome(trials):
+        report = run_suite(catalog[name], suites=("generator",), trials=trials)
+        return next(o for o in report.outcomes if o.name == "identity")
+
+    assert outcome(8) == outcome(32) == outcome(64)
+    assert outcome(8).status == "pass"
+    call = GeneratorD.__call__
+    monkeypatch.setattr(GeneratorD, "__call__",
+                        lambda self, u: plus_second_derivative(lambda v: call(self, v))(u))
+    assert outcome(8) == outcome(32) == outcome(64)
+    assert outcome(8).status == "fail" and SHAPE_PROBE.fullmatch(outcome(8).witness)
 
 
 def test_ground_generator_equals_apply_generator_on_dense_structure_constants():

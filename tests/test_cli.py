@@ -531,12 +531,12 @@ def spied_calls(monkeypatch) -> list:
 
 
 def test_trials_reach_each_check_as_the_help_says(monkeypatch):
-    # --trials 20 at m > 0: the identity uses all 20, and the random connections are
-    # one certificate, which draws nothing; the D^2 draws, duality, pairing,
+    # --trials 20 at m > 0: the random connections are one certificate, which draws
+    # nothing; the identity's shape probes, the D^2 draws, duality, pairing,
     # bijections, the lift, trace and divergence at most 8, bijections and the lift
     # after the n + 1 = 3 unit probes
     seen = spied_calls(monkeypatch)
-    assert seen.count(("is_generator", 20)) == 1
+    assert seen.count(("is_generator", 8)) == 1
     assert seen.count(("is_generator", 1)) == 0
     assert seen.count(("certify_every_connection", None)) == 1
     assert ("generator_square", 8) in seen
@@ -567,7 +567,7 @@ def test_the_help_and_the_readme_name_the_capped_checks(monkeypatch, capsys):
     # (n = 2), read off the calls it makes once per trial; the file's r and the
     # n + 1 unit probes are not random.  generator.random-connections draws
     # nothing (one certificate for every r), so nothing caps it and neither the
-    # help nor the README may name it
+    # help nor the README may name it; every other check is capped
     seen = spied_calls(monkeypatch)
     count = [name for name, _ in seen].count
     trials = {name: t for name, t in reversed(seen)}  # each function's first trials=
@@ -584,7 +584,7 @@ def test_the_help_and_the_readme_name_the_capped_checks(monkeypatch, capsys):
         "linear-connection.torsionfree-lift": count("torsionfree_lift") - 3,
         "linear-connection.divergence-identity": count("divergence_rank_one"),
     }
-    assert set(draws.values()) == {suites.TRIALS_CAP, 20}
+    assert set(draws.values()) == {suites.TRIALS_CAP}
     capped = {check for check, k in draws.items() if k == suites.TRIALS_CAP}
     uncapped = set(draws) - capped
 
@@ -597,10 +597,9 @@ def test_the_help_and_the_readme_name_the_capped_checks(monkeypatch, capsys):
 
     readme = " ".join((Path(__file__).resolve().parents[1] / "README.md")
                       .read_text(encoding="utf-8").split())
-    every, at_most = re.search(r"(`generator\.identity`) runs every one of the `--trials`\. "
-                               rf"These checks run at most {suites.TRIALS_CAP}, whatever "
-                               r"`--trials` says: (.*?)\. The last three", readme).groups()
-    assert set(re.findall(r"`([a-z-]+\.[a-z-]+)`", every)) == uncapped
+    at_most, = re.search(rf"These checks run at most {suites.TRIALS_CAP}, whatever "
+                         r"`--trials` says: (.*?)\. The last three", readme).groups()
+    assert uncapped == set() and "runs every one of the `--trials`" not in readme
     assert set(re.findall(r"`([a-z-]+\.[a-z-]+)`", at_most)) == capped
     assert "generator.random-connections" not in help_line + at_most
 
