@@ -54,8 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     check.add_argument("--trials", type=_positive_int, default=32,
                        help="trials per randomized identity (at least 1); at most "
-                            f"{TRIALS_CAP} for the shape probes of generator.identity, the D^2 "
-                            "draws of generator.square-zero and generator.flatness-coherence, "
+                            f"{TRIALS_CAP} for the shape probes of generator.identity, "
                             "duality.matched-pair, bracket-expansion.pairing-identity, "
                             "linear-connection.trace-identity and "
                             "linear-connection.divergence-identity (exact in alpha at "

@@ -51,8 +51,9 @@ def coefficient_passes(m: int, trials: int, seed: int, label: str, degree_bound:
     `random_poly(rng, m, degree_bound)` draws on the one stream
     `check_rng(seed, label)`.  `bv.is_generator` uses them there only as
     shape probes, after the passes on x_1, .., x_m that prove its identity
-    for an operator of first order in the coefficient; for the other
-    checks a passing check at m > 0 is evidence, not proof.
+    for an operator of first order in the coefficient; for the duality
+    and pairing checks of `bvcalc.correspond`, the only other callers, a
+    passing check at m > 0 is evidence, not proof.
     `trials` below 1 or `degree_bound` below 0 raises ``ValueError`` at
     every m, before anything is drawn.
     """

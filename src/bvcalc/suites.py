@@ -71,8 +71,7 @@ from .sampling import (
 )
 
 PASS, FAIL, EXPECTED_FAIL, SKIP = "pass", "fail", "expected-fail", "skip"
-# the shape probes of generator.identity, the D^2 draws of
-# generator.square-zero and flatness-coherence, both bijections lines,
+# the shape probes of generator.identity, both bijections lines,
 # duality.matched-pair, bracket-expansion and the Christoffel draws of every
 # linear-connection line run at most this many of the trials
 TRIALS_CAP = 8
@@ -208,8 +207,7 @@ class _SuiteRunner:
             bad = "generator.identity fails at the file's r, so no r is certified"
         self.record("generator", "random-connections", not bad, witness=bad)
 
-        exact, witness = generator_square(alg, self.gen, trials=self.trials,
-                                          seed=self.seed, degree_bound=self.degree_bound)
+        exact, witness = generator_square(alg, self.gen)
         flat = is_flat(alg, self.top)
         self.record("generator", "flatness-coherence", exact == flat,
                     detail=f"square_zero={exact} flat={flat}", witness=witness or "")

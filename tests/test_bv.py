@@ -8,7 +8,7 @@ from hypothesis import given, settings
 
 from bvcalc import bv, sampling, suites
 from bvcalc.algebra import LieRinehartAlgebra, build_poisson_cotangent
-from bvcalc.algfile import LoadedAlgebra
+from bvcalc.algfile import LoadedAlgebra, loads
 from bvcalc.bv import (
     GeneratorD,
     RightConnectionOnA,
@@ -248,8 +248,8 @@ def test_interior_product_perturbation_is_still_a_generator():
 
 
 def test_generator_square_flat_cases():
-    assert generator_square(COORD, GeneratorD(COORD, R_ZERO_COORD), trials=2) == (True, None)
-    assert generator_square(NONAB, GeneratorD(NONAB, R_FLAT_NONAB), trials=2) == (True, None)
+    assert generator_square(COORD, GeneratorD(COORD, R_ZERO_COORD)) == (True, None)
+    assert generator_square(NONAB, GeneratorD(NONAB, R_FLAT_NONAB)) == (True, None)
 
 
 def squares(op, n, m):
@@ -260,37 +260,33 @@ def squares(op, n, m):
 def test_generator_square_nonflat_case():
     bad = RightConnectionOnA((PolyElement.one(0), PolyElement.zero(0)))
     gen = GeneratorD(NONAB, bad)
-    exact, witness = generator_square(NONAB, gen, trials=2)
+    exact, witness = generator_square(NONAB, gen)
     assert not exact
     assert witness
     assert any(not mv.is_zero() for mv in squares(gen, 2, 0))
 
 
 def test_ground_field_square_is_decided_by_the_basis_pass(catalog):
-    # at m = 0 the generator is Q-linear, so trials and seed change nothing
+    # at every m the square of a generator is A-linear, so one pass over e_S decides
     seen = set()
     for name, loaded in catalog.items():
         alg = loaded.algebra
-        if alg.m:
-            continue
         gen = GeneratorD(alg, loaded.right_connection())
-        results = [generator_square(alg, gen, trials=trials, seed=seed)
-                   for trials, seed in ((1, 0), (8, 0), (8, 5))]
-        for result in results[1:]:
-            assert result == results[0]
-        exact, witness = results[0]
+        exact, witness = generator_square(alg, gen)
         # the basis pass stops at the first nonzero D^2(e_S), in subset order
-        first = next(((key, sq) for key, sq in zip(subsets(alg.n), squares(gen, alg.n, 0))
+        first = next(((key, sq) for key, sq in zip(subsets(alg.n), squares(gen, alg.n, alg.m))
                       if not sq.is_zero()), None)
         assert witness == (first and f"D^2({basis_label(first[0])}) = {first[1]}")
         seen.add((name, exact))
     assert ("nonabelian-dim2-nonflat", False) in seen and ("sl2", True) in seen
+    assert ("coordinate-3d", True) in seen
 
 
-def test_polynomial_square_runs_the_random_pass():
-    # op(a e_S) = (da/dx1) e_{S minus its first index}: op^2 is d^2/dx1^2,
-    # which vanishes on every unit coefficient, so only a random
-    # polynomial coefficient can show that op does not square to zero
+def test_a_non_generator_squares_to_zero_on_the_basis_and_fails_the_identity(catalog,
+                                                                             monkeypatch):
+    # op(a e_S) = (da/dx1) e_{S minus its first index}: op^2 is d^2/dx1^2, which
+    # vanishes on every unit coefficient, so the basis pass passes op although
+    # op^2 is not zero; op is not a generator, and generator.identity fails it
     def op(u):
         out = Multivector.zero(u.n)
         for key, a in u.terms():
@@ -298,10 +294,15 @@ def test_polynomial_square_runs_the_random_pass():
                 out = out + Multivector(u.n, [(key[1:], a.diff(0))])
         return out
 
-    exact, witness = generator_square(COORD, op, trials=8, seed=0)
     assert all(mv.is_zero() for mv in squares(op, 2, 2))
-    assert not exact
-    assert witness == "D^2((3*x1^2*x2)*e{1,2}) = (6*x2)"
+    assert generator_square(COORD, op) == (True, None)
+    witness = "u=(x1)*e{} v=(1)*e{1} defect=(-2)"
+    assert is_generator(COORD, op, trials=8, seed=0) == (False, witness)
+    monkeypatch.setattr(GeneratorD, "__call__", lambda self, u: op(u))
+    report = run_suite(catalog["coordinate-2d"], suites=("generator",))
+    identity = next(o for o in report.outcomes if o.name == "identity")
+    assert (identity.status, identity.witness) == ("fail", witness)
+    assert suites.render_machine(report).splitlines()[-1] == "overall=fail"
 
 
 @given(a=polys(2, max_degree=2), u=multivectors(2, 2, max_degree=2, max_terms=2))
@@ -350,7 +351,7 @@ def test_tables_agree_with_direct_formulas(catalog, name):
     nonflat_seen = False
     for conn in (base, random_r):
         gen = GeneratorD(alg, conn)
-        nonflat_seen |= not generator_square(alg, gen, trials=1)[0]
+        nonflat_seen |= not generator_square(alg, gen)[0]
         for _ in range(6):
             u = random_multivector(rng, alg)
             v = random_multivector(rng, alg)
@@ -1828,14 +1829,39 @@ def test_is_generator_rejects_bad_trials_and_degree_bound(catalog, monkeypatch, 
     assert calls == []
 
 
-@pytest.mark.parametrize("name", ["sl2", "coordinate-2d"])
-@pytest.mark.parametrize("kwargs, message", BAD_DRAW_ARGUMENTS)
-def test_generator_square_rejects_bad_trials_and_degree_bound(catalog, monkeypatch, name, kwargs,
-                                                              message):
-    alg = catalog[name].algebra
-    gen = GeneratorD(alg, catalog[name].right_connection())
-    calls = []
-    _refuse_draws(monkeypatch)
-    with pytest.raises(ValueError, match=message):
-        generator_square(alg, lambda u: calls.append(u) or gen(u), **kwargs)
-    assert calls == []
+# -- D^2 is A-linear ------------------------------------------------------------
+
+def log_canonical_file(n):
+    """log-canonical-n loaded from the text that the CI step writes: anchor[i][j] =
+    (j - i) x_i x_j and c[i][j][k] = d(pi_ij)/dx_k."""
+    lines = [f"name = log-canonical-{n}", f"m = {n}", f"n = {n}"]
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i != j:
+                lines.append(f"anchor[{i}][{j}] = {j - i}*x{i}*x{j}")
+            if i < j:
+                lines += [f"c[{i}][{j}][{i}] = {j - i}*x{j}", f"c[{i}][{j}][{j}] = {j - i}*x{i}"]
+    return loads("\n".join(lines) + "\n").algebra
+
+
+@pytest.mark.parametrize("name", [*M_POSITIVE, "log-canonical-4"])
+def test_the_square_of_a_generator_is_a_linear(name):
+    # the fact that lets generator_square decide D^2 = 0 by its basis pass: for the
+    # explicit generator of any r, flat or not, D^2(a e_S) = a D^2(e_S) at a = x_k
+    # and at a random a
+    alg = log_canonical_file(4) if name == "log-canonical-4" else load_catalog(name).algebra
+    m, n = alg.m, alg.n
+    rng = check_rng(0, f"square-{name}")
+    nonzero = 0
+    for _ in range(3):
+        conn = RightConnectionOnA(random_poly_vector(rng, m, n, 2))
+
+        def square(u):
+            return apply_generator(alg, conn, apply_generator(alg, conn, u))
+
+        for key in subsets(n):
+            unit = square(Multivector.basis(n, key, m=m))
+            nonzero += not unit.is_zero()
+            for a in [*(PolyElement.variable(m, k) for k in range(m)), random_poly(rng, m, 2)]:
+                assert square(Multivector(n, [(key, a)])) == unit.scale(a), (key, a)
+    assert nonzero

@@ -531,15 +531,15 @@ def spied_calls(monkeypatch) -> list:
 
 
 def test_trials_reach_each_check_as_the_help_says(monkeypatch):
-    # --trials 20 at m > 0: the random connections are one certificate, which draws
-    # nothing; the identity's shape probes, the D^2 draws, duality, pairing,
+    # --trials 20 at m > 0: the random connections are one certificate and D^2 one
+    # basis pass, which draw nothing; the identity's shape probes, duality, pairing,
     # bijections, the lift, trace and divergence at most 8, bijections and the lift
     # after the n + 1 = 3 unit probes
     seen = spied_calls(monkeypatch)
     assert seen.count(("is_generator", 8)) == 1
     assert seen.count(("is_generator", 1)) == 0
     assert seen.count(("certify_every_connection", None)) == 1
-    assert ("generator_square", 8) in seen
+    assert seen.count(("generator_square", None)) == 1
     assert [t for name, t in seen if name == "check_generator_duality"] == [8, 3]
     assert ("check_bracket_pairing_identity", 8) in seen
     assert seen.count(("right_from_generator", None)) == 1 + 3 + 8 + 3 + 8
@@ -565,16 +565,16 @@ def test_linear_connection_lines_do_not_move_above_the_cap(name):
 def test_the_help_and_the_readme_name_the_capped_checks(monkeypatch, capsys):
     # the random trials each randomized check runs at --trials 20 on coordinate-2d
     # (n = 2), read off the calls it makes once per trial; the file's r and the
-    # n + 1 unit probes are not random.  generator.random-connections draws
-    # nothing (one certificate for every r), so nothing caps it and neither the
-    # help nor the README may name it; every other check is capped
+    # n + 1 unit probes are not random.  generator.random-connections (one
+    # certificate for every r), generator.square-zero and
+    # generator.flatness-coherence (one basis pass) draw nothing, so nothing caps
+    # them and neither the help nor the README may name them; every other check
+    # is capped
     seen = spied_calls(monkeypatch)
     count = [name for name, _ in seen].count
     trials = {name: t for name, t in reversed(seen)}  # each function's first trials=
     draws = {
         "generator.identity": trials["is_generator"],
-        "generator.square-zero": trials["generator_square"],
-        "generator.flatness-coherence": trials["generator_square"],
         "bijections.right-roundtrips":
             count("right_from_generator") - count("generator_from_top") - 1 - 3,
         "bijections.top-cycles": count("generator_from_top") - 3,
@@ -601,7 +601,9 @@ def test_the_help_and_the_readme_name_the_capped_checks(monkeypatch, capsys):
                          r"`--trials` says: (.*?)\. The last three", readme).groups()
     assert uncapped == set() and "runs every one of the `--trials`" not in readme
     assert set(re.findall(r"`([a-z-]+\.[a-z-]+)`", at_most)) == capped
-    assert "generator.random-connections" not in help_line + at_most
+    for check in ("generator.random-connections", "generator.square-zero",
+                  "generator.flatness-coherence"):
+        assert check not in help_line + at_most
 
 
 @pytest.mark.parametrize("command, reports", [(["check", "--trials", "4"], 5), (["homology"], 2)],

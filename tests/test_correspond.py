@@ -83,7 +83,7 @@ def test_right_from_top_flat_gives_exact_generator():
         gamma = TopConnection(tuple(PolyElement.zero(alg.m) for _ in range(alg.n)))
         assert is_flat(alg, gamma)
         gen = generator_from_top(alg, gamma)
-        assert generator_square(alg, gen, trials=2) == (True, None)
+        assert generator_square(alg, gen) == (True, None)
 
 
 def test_bijection_cycles_exact():
@@ -334,10 +334,10 @@ def test_flatness_transport_both_directions():
     ]
     for alg, gamma in flat_cases:
         assert is_flat(alg, gamma)
-        assert generator_square(alg, generator_from_top(alg, gamma), trials=2) == (True, None)
+        assert generator_square(alg, generator_from_top(alg, gamma)) == (True, None)
     for alg, gamma in nonflat_cases:
         assert not is_flat(alg, gamma)
-        assert not generator_square(alg, generator_from_top(alg, gamma), trials=2)[0]
+        assert not generator_square(alg, generator_from_top(alg, gamma))[0]
 
 
 def test_bracket_pairing_identity_witness_with_a_half_shifted_gamma(catalog):

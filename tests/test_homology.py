@@ -436,7 +436,7 @@ def test_d_squared_checked_for_polynomial_base_via_square():
 
     alg = LieRinehartAlgebra.coordinate(2)
     gamma = TopConnection((PolyElement.zero(2), PolyElement.zero(2)))
-    assert generator_square(alg, generator_from_top(alg, gamma), trials=2) == (True, None)
+    assert generator_square(alg, generator_from_top(alg, gamma)) == (True, None)
 
 
 # -- twisted homology across flat characters --------------------------------
