@@ -1829,6 +1829,22 @@ def test_is_generator_rejects_bad_trials_and_degree_bound(catalog, monkeypatch, 
     assert calls == []
 
 
+@pytest.mark.parametrize("name", ["sl2", "coordinate-2d"])
+@pytest.mark.parametrize("kwargs", [{"trials": 8}, {"seed": 0}, {"degree_bound": 3}],
+                         ids=["trials", "seed", "degree_bound"])
+def test_generator_square_takes_no_draw_arguments(catalog, monkeypatch, name, kwargs):
+    # the basis pass decides D^2 = 0 at every m, so a draw argument is refused
+    # before the operator is called or a coefficient is drawn
+    alg = catalog[name].algebra
+    gen = GeneratorD(alg, catalog[name].right_connection())
+    calls = []
+    _refuse_draws(monkeypatch)
+    with pytest.raises(TypeError, match=next(iter(kwargs))):
+        generator_square(alg, lambda u: calls.append(u) or gen(u), **kwargs)
+    assert calls == []
+    assert generator_square(alg, gen) == generator_square(alg, lambda u: gen(u))
+
+
 # -- D^2 is A-linear ------------------------------------------------------------
 
 def log_canonical_file(n):
