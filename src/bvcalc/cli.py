@@ -58,9 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "duality.matched-pair, bracket-expansion.pairing-identity, "
                             "linear-connection.trace-identity and "
                             "linear-connection.divergence-identity (exact in alpha at "
-                            "each drawn Gamma), and, after exact probes at 0, e_1, .., "
-                            "e_n, bijections.right-roundtrips, bijections.top-cycles and "
-                            "linear-connection.torsionfree-lift")
+                            "each drawn Gamma)")
     check.add_argument("--degree-bound", type=_nonnegative_int, default=3,
                        help="degree bound for random polynomial coefficients (at least 0)")
     check.add_argument("--format", choices=FORMATS, default="text")

@@ -27,12 +27,11 @@ entry points.  `phi_trace` gives its trace from the diagonal alone;
 trace and the divergence identity.  `phi_map` builds the whole map; no
 check calls it, and it stays the tests' oracle for `phi_trace` (through
 `trace_endo`) and the README tour's example.  The torsion-free-lift
-check forms phi_alpha(xi) on the trial's random xi itself, one bracket
-and one nabla, as `suites._lift_fault` says.  Each of the
-first TRIALS_CAP trials draws Gamma, alpha, xi and a lift target, which
-the trace and divergence identities and the lift's three identities
-read; the lift's torsion and induced connection are first proved on the
-unit targets 0, e_1, .., e_n (`suites._unit_probes`).
+check forms phi_alpha(xi) on xi itself, one bracket and one nabla, as
+`suites._lift_fault` says, at the pairs (e_i, e_j) and, at m > 0,
+(x_k e_i, e_j) and (e_i, x_k e_j) (`suites._torsionfree_lift_fault`).
+Each of the first TRIALS_CAP trials draws Gamma and alpha, which the
+trace and divergence identities read; the lift draws nothing.
 """
 
 from __future__ import annotations

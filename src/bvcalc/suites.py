@@ -4,15 +4,15 @@ Each suite runs a fixed list of named checks.  Randomized checks derive
 their stream from (seed, check name), so a report's machine-readable
 section is byte-identical for identical (file, seed, trials) inputs;
 timing appears only in the human-readable rendering.  The
-`linear-connection` suite draws one full Christoffel table Gamma, alpha,
-xi and a lift target on each of the first TRIALS_CAP trials, and all
-three of its random lines read them; the torsion-free lift first has its
-torsion and induced connection proved on `_unit_probes`.  The trace and
-divergence identities are proved in alpha at each drawn Gamma, since
-their defects are A-linear in alpha and one comparison reads them at
-e_1, .., e_n (`_trace_fault`); only Gamma is left to chance, and their
-defects are A-affine in it.  The `bijections` round trips run on the
-unit probes too, then on TRIALS_CAP random r and gamma.
+`linear-connection` suite draws one full Christoffel table Gamma and
+alpha on each of the first TRIALS_CAP trials, which the trace and
+divergence identities read.  Those are proved in alpha at each drawn
+Gamma, since their defects are A-linear in alpha and one comparison
+reads them at e_1, .., e_n (`_trace_fault`); only Gamma is left to
+chance, and their defects are A-affine in it.  The `bijections` round
+trips and the torsion-free lift draw nothing: they run at every m on
+`_unit_probes`, which prove them for A-affine code, then on
+`_shape_probes`, which test that shape.
 """
 
 from __future__ import annotations
@@ -67,13 +67,12 @@ from .sampling import (
     check_rng,
     random_christoffel,
     random_lelement,
-    random_poly_vector,
 )
 
 PASS, FAIL, EXPECTED_FAIL, SKIP = "pass", "fail", "expected-fail", "skip"
-# the shape probes of generator.identity, both bijections lines,
-# duality.matched-pair, bracket-expansion and the Christoffel draws of every
-# linear-connection line run at most this many of the trials
+# the shape probes of generator.identity, duality.matched-pair,
+# bracket-expansion and the Christoffel draws of the trace and divergence
+# identities run at most this many of the trials
 TRIALS_CAP = 8
 
 
@@ -225,14 +224,9 @@ class _SuiteRunner:
 
     def run_bijections(self) -> None:
         alg = self.alg
-        rng = check_rng(self.seed, "bijections")
-        units = _unit_probes(alg)
-        draws = range(self.trials)
-        rights = [self.right, *map(RightConnectionOnA, units),
-                  *(RightConnectionOnA(random_poly_vector(rng, alg.m, alg.n, self.degree_bound))
-                    for _ in draws)]
+        probes = [*_unit_probes(alg), *_shape_probes(alg)]
         bad = ""
-        for conn in rights:
+        for conn in [self.right, *map(RightConnectionOnA, probes)]:
             back = right_from_generator(alg, GeneratorD(alg, conn))
             if back.r != conn.r:
                 bad = f"generator round trip moved r=({', '.join(map(str, conn.r))})"
@@ -244,9 +238,7 @@ class _SuiteRunner:
         self.record("bijections", "right-roundtrips", not bad, witness=bad)
 
         bad = ""
-        for gamma in [*map(TopConnection, units),
-                      *(TopConnection(random_poly_vector(rng, alg.m, alg.n, self.degree_bound))
-                        for _ in draws)]:
+        for gamma in map(TopConnection, probes):
             back = top_from_right(alg, right_from_top(alg, gamma))
             if back.gamma != gamma.gamma:
                 bad = f"gamma round trip moved ({', '.join(map(str, gamma.gamma))})"
@@ -280,26 +272,21 @@ class _SuiteRunner:
         alg = self.alg
         rng = check_rng(self.seed, "linear-connection")
         ident = identity_top_form(alg)
-        bad = dict.fromkeys(("trace-identity", "torsionfree-lift", "divergence-identity"), "")
-        bad["torsionfree-lift"] = next(filter(None, (_lift_fault(alg, TopConnection(v))
-                                                     for v in _unit_probes(alg))), "")
+        bad = {"trace-identity": "", "torsionfree-lift": _torsionfree_lift_fault(alg),
+               "divergence-identity": ""}
         for _ in range(self.trials):
             conn = LeftConnectionOnL(random_christoffel(rng, alg, self.degree_bound))
             alpha = random_lelement(rng, alg, self.degree_bound)
-            xi = random_lelement(rng, alg, self.degree_bound)
-            target = TopConnection(random_poly_vector(rng, alg.m, alg.n, self.degree_bound))
             trace = phi_trace(alg, conn, alpha)
             induced = induced_top_connection(alg, conn)
             if not bad["trace-identity"]:
                 bad["trace-identity"] = _trace_fault(alg, conn, alpha, trace, induced)
-            if not bad["torsionfree-lift"]:
-                bad["torsionfree-lift"] = _lift_fault(alg, target, alpha, xi)
             if not bad["divergence-identity"]:
                 div = divergence_rank_one(
                     lambda f: generalized_lie_derivative(alg, induced, alpha, f), ident)
                 if -div != trace:
                     bad["divergence-identity"] = f"divergence identity fails for alpha={alpha}"
-            if all(bad.values()):
+            if bad["trace-identity"] and bad["divergence-identity"]:
                 break
         for name, witness in bad.items():
             self.record("linear-connection", name, not witness, witness=witness)
@@ -382,32 +369,81 @@ def _unit_probes(alg) -> list[tuple[PolyElement, ...]]:
     v - induced(base), and torsion is A-linear in a change of Gamma.  So,
     for code of that shape, as `bv.certify_every_connection` assumes for
     r, a pass on the probes proves the identity.  Code not of that shape,
-    such as a square of v_1 or the derivative of v_1 (Q-linear, not
-    A-linear), can pass them; only the random draws after them can
-    catch it.
+    such as a square of v_1, the derivative of v_1 (Q-linear, not
+    A-linear) or a product v_1 v_2, can pass them; `_shape_probes` tests
+    the shape after them.
     """
     zero, one = PolyElement.zero(alg.m), PolyElement.one(alg.m)
     return [(zero,) * alg.n] + [tuple(one if j == i else zero for j in range(alg.n))
                                 for i in range(alg.n)]
 
 
-def _lift_fault(alg, target: TopConnection, alpha=None, xi=None) -> str:
+def _shape_probes(alg) -> list[tuple[PolyElement, ...]]:
+    """2 e_i and x_k e_i for k = 1..m, axis by axis, then e_1 + .. + e_n.
+
+    These are the shape rows of `bv.certify_every_connection`, run after
+    `_unit_probes` on the same maps.  A map of the shape those assume
+    passes them too; one that is not affine (2 e_i), not A-linear (x_k e_i)
+    or not additive (the diagonal) on these points, such as a square of
+    v_i, a derivative of v_i or a term mixing two directions, fails them.
+    They test the shape and cannot prove it.  There are n (m + 1) + 1 of
+    them, and none is drawn, so `--seed` and `--trials` do not reach them.
+    """
+    scales = [PolyElement.const(alg.m, 2), *(PolyElement.variable(alg.m, k) for k in range(alg.m))]
+    return ([tuple(c * x for c in e) for e in _unit_probes(alg)[1:] for x in scales]
+            + [(PolyElement.one(alg.m),) * alg.n])
+
+
+def _lift_fault(alg, target: TopConnection, pairs=()) -> str:
     """The torsion-free lift of `target`: zero torsion, inducing `target`,
-    and, given alpha and xi, phi_alpha(xi) = -nabla_xi alpha; the first
-    that fails, or "".
+    and phi_alpha(xi) = -nabla_xi alpha at each (alpha, xi) of `pairs`; the
+    first that fails, or "".
 
     phi_alpha(xi) = [alpha, xi] - nabla_alpha xi is formed on xi itself, one
-    bracket and one nabla, so the anchor terms alpha(xi_k) enter on both
-    sides, which phi_alpha on the basis never meets."""
+    bracket and one nabla, so at a non-constant xi the anchor terms
+    alpha(xi_k) enter on both sides, which phi_alpha on the basis never
+    meets."""
     lifted = torsionfree_lift(alg, target)
     if not is_torsion_free(alg, lifted):
         return f"lift has torsion for gamma=({', '.join(map(str, target.gamma))})"
     if induced_top_connection(alg, lifted).gamma != target.gamma:
         return f"lift induces the wrong connection for ({', '.join(map(str, target.gamma))})"
-    if alpha is not None and (alg.bracket(alpha, xi) - connection_apply_l(alg, lifted, alpha, xi)
-                              != -connection_apply_l(alg, lifted, xi, alpha)):
-        return f"zero-torsion consequence fails for alpha={alpha}, xi={xi}"
+    for alpha, xi in pairs:
+        if (alg.bracket(alpha, xi) - connection_apply_l(alg, lifted, alpha, xi)
+                != -connection_apply_l(alg, lifted, xi, alpha)):
+            return f"zero-torsion consequence fails for alpha={alpha}, xi={xi}"
     return ""
+
+
+def _torsionfree_lift_fault(alg) -> str:
+    """The first fault of the torsion-free lift, or "".
+
+    `_lift_fault` runs at each target of `_unit_probes`, then of
+    `_shape_probes`.  Its third identity runs on the pairs (e_i, e_j),
+    i < j, at each unit target, and at m > 0 also on (x_k e_i, e_j) and
+    (e_i, x_k e_j) at the target 0.  The lift's torsion and induced
+    connection are A-affine in the target (`_unit_probes`), so the unit
+    targets prove them and the shape targets test that shape.  The third
+    identity is the torsion read through `alg.bracket` and
+    `connection_apply_l`.  At m = 0 it is Q-bilinear, and alternating for
+    an alternating bracket, so the pairs (e_i, e_j) prove it at each unit
+    target.  At m > 0 the pairs with a factor x_k carry the anchor terms
+    e_i(x_k) on both sides, which no pair of basis elements meets.  On a
+    lift that passes `is_torsion_free` a pair fails only through
+    `alg.bracket` or `connection_apply_l`, so running a target's pairs
+    right after its torsion leaves every torsion or induced-connection
+    witness of the unit targets as it was when those ran first.  Nothing
+    is drawn.
+    """
+    units = _unit_probes(alg)
+    basis = [alg.basis_l(i) for i in range(alg.n)]
+    pairs = [(a, b) for i, a in enumerate(basis) for b in basis[i + 1:]]
+    xs = [PolyElement.variable(alg.m, k) for k in range(alg.m)]
+    anchored = [pair for x in xs for a in basis for b in basis
+                for pair in ((a.scale(x), b), (a, b.scale(x)))]
+    checks = [(units[0], pairs + anchored), *((v, pairs) for v in units[1:]),
+              *((v, ()) for v in _shape_probes(alg))]
+    return next(filter(None, (_lift_fault(alg, TopConnection(v), p) for v, p in checks)), "")
 
 
 def run_suite(loaded: LoadedAlgebra, suites: tuple[str, ...] | None = None,

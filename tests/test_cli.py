@@ -506,8 +506,8 @@ def test_importing_the_cli_does_not_load_dataclasses():
 
 def spied_calls(monkeypatch) -> list:
     """(function, trials keyword) for each call the suites make, at trials=20 on
-    coordinate-2d (m > 0), to the functions their randomized checks call once per
-    trial, and to `certify_every_connection`."""
+    coordinate-2d (m > 0), to the functions their checks call once per trial or
+    per probe, and to `certify_every_connection`."""
     seen = []
 
     def spy(name):
@@ -533,8 +533,8 @@ def spied_calls(monkeypatch) -> list:
 def test_trials_reach_each_check_as_the_help_says(monkeypatch):
     # --trials 20 at m > 0: the random connections are one certificate and D^2 one
     # basis pass, which draw nothing; the identity's shape probes, duality, pairing,
-    # bijections, the lift, trace and divergence at most 8, bijections and the lift
-    # after the n + 1 = 3 unit probes
+    # trace and divergence at most 8; bijections and the lift draw nothing, and run
+    # on the n + 1 = 3 unit probes and the n (m + 1) + 1 = 7 shape probes
     seen = spied_calls(monkeypatch)
     assert seen.count(("is_generator", 8)) == 1
     assert seen.count(("is_generator", 1)) == 0
@@ -542,8 +542,11 @@ def test_trials_reach_each_check_as_the_help_says(monkeypatch):
     assert seen.count(("generator_square", None)) == 1
     assert [t for name, t in seen if name == "check_generator_duality"] == [8, 3]
     assert ("check_bracket_pairing_identity", 8) in seen
-    assert seen.count(("right_from_generator", None)) == 1 + 3 + 8 + 3 + 8
-    assert seen.count(("torsionfree_lift", None)) == 3 + 8
+    # the file's r and the 10 probes as r, then the 10 probes as gamma
+    assert seen.count(("right_from_generator", None)) == 1 + 10 + 10
+    assert seen.count(("generator_from_top", None)) == 10
+    # one lift per target
+    assert seen.count(("torsionfree_lift", None)) == 10
     assert seen.count(("divergence_rank_one", None)) == suites.TRIALS_CAP
 
 
@@ -563,25 +566,21 @@ def test_linear_connection_lines_do_not_move_above_the_cap(name):
 
 
 def test_the_help_and_the_readme_name_the_capped_checks(monkeypatch, capsys):
-    # the random trials each randomized check runs at --trials 20 on coordinate-2d
-    # (n = 2), read off the calls it makes once per trial; the file's r and the
-    # n + 1 unit probes are not random.  generator.random-connections (one
+    # the random trials each randomized check runs at --trials 20 on coordinate-2d,
+    # read off the calls it makes once per trial.  generator.random-connections (one
     # certificate for every r), generator.square-zero and
-    # generator.flatness-coherence (one basis pass) draw nothing, so nothing caps
-    # them and neither the help nor the README may name them; every other check
-    # is capped
+    # generator.flatness-coherence (one basis pass), and the bijections lines and
+    # linear-connection.torsionfree-lift (one fixed probe list) draw nothing, so
+    # nothing caps them and neither the help nor the README's capped list may name
+    # them; every other check is capped
     seen = spied_calls(monkeypatch)
     count = [name for name, _ in seen].count
     trials = {name: t for name, t in reversed(seen)}  # each function's first trials=
     draws = {
         "generator.identity": trials["is_generator"],
-        "bijections.right-roundtrips":
-            count("right_from_generator") - count("generator_from_top") - 1 - 3,
-        "bijections.top-cycles": count("generator_from_top") - 3,
         "duality.matched-pair": trials["check_generator_duality"],
         "bracket-expansion.pairing-identity": trials["check_bracket_pairing_identity"],
         "linear-connection.trace-identity": count("generator_from_linear_connection"),
-        "linear-connection.torsionfree-lift": count("torsionfree_lift") - 3,
         "linear-connection.divergence-identity": count("divergence_rank_one"),
     }
     assert set(draws.values()) == {suites.TRIALS_CAP}
@@ -598,11 +597,12 @@ def test_the_help_and_the_readme_name_the_capped_checks(monkeypatch, capsys):
     readme = " ".join((Path(__file__).resolve().parents[1] / "README.md")
                       .read_text(encoding="utf-8").split())
     at_most, = re.search(rf"These checks run at most {suites.TRIALS_CAP}, whatever "
-                         r"`--trials` says: (.*?)\. The last three", readme).groups()
+                         r"`--trials` says: (.*?)\. The last two", readme).groups()
     assert uncapped == set() and "runs every one of the `--trials`" not in readme
     assert set(re.findall(r"`([a-z-]+\.[a-z-]+)`", at_most)) == capped
     for check in ("generator.random-connections", "generator.square-zero",
-                  "generator.flatness-coherence"):
+                  "generator.flatness-coherence", "bijections.right-roundtrips",
+                  "bijections.top-cycles", "linear-connection.torsionfree-lift"):
         assert check not in help_line + at_most
 
 

@@ -28,6 +28,7 @@ from bvcalc.connections import (
 )
 from bvcalc import connections, correspond, suites
 from bvcalc.bv import RightConnectionOnA, one_circ
+from bvcalc.catalog import CATALOG_NAMES
 from bvcalc.correspond import right_from_top, top_from_right, torsionfree_lift
 from bvcalc.exterior import AltForm
 from bvcalc.poly import PolyElement, parse_poly
@@ -39,7 +40,7 @@ from bvcalc.sampling import (
     random_poly_vector,
 )
 
-from conftest import RANK5, lelements, polys
+from conftest import RANK5, lelements, load_generated, polys
 from reference import value_on_basis_tuple
 
 COORD = LieRinehartAlgebra.coordinate(2)
@@ -532,14 +533,14 @@ def test_torsionfree_lift_check_catches_an_off_diagonal_bump(catalog, monkeypatc
 
 
 def lift_plus(term):
-    """torsionfree_lift with term(gamma_1) added to Gamma[0][0]_0, which moves
+    """torsionfree_lift with term(gamma) added to Gamma[0][0]_0, which moves
     the induced gamma_1 alone and leaves the torsion as it is."""
     original = correspond.torsionfree_lift
 
     def lift(alg, target, base=None):
         rows = [list(row) for row in original(alg, target, base).table]
         coeffs = list(rows[0][0].coeffs)
-        coeffs[0] = coeffs[0] + term(target.gamma[0])
+        coeffs[0] = coeffs[0] + term(target.gamma)
         rows[0][0] = LElement(tuple(coeffs))
         return LeftConnectionOnL(tuple(map(tuple, rows)))
     return lift
@@ -547,18 +548,18 @@ def lift_plus(term):
 
 @pytest.mark.parametrize("trials", [32, 2])
 @pytest.mark.parametrize("name, term", [
-    ("sl2", lambda g: g * g - g),
-    ("nonabelian-dim2", lambda g: g * g - g),
-    ("coordinate-2d", lambda g: g * g - g),
+    ("sl2", lambda g: g[0] * g[0] - g[0]),
+    ("nonabelian-dim2", lambda g: g[0] * g[0] - g[0]),
+    ("coordinate-2d", lambda g: g[0] * g[0] - g[0]),
     # Q-linear in gamma but not A-linear
-    ("coordinate-2d", lambda g: g.diff(0)),
-    ("poisson-linear-2d", lambda g: g.diff(0)),
+    ("coordinate-2d", lambda g: g[0].diff(0)),
+    ("poisson-linear-2d", lambda g: g[0].diff(0)),
 ], ids=["square-sl2", "square-nonabelian-dim2", "square-coordinate-2d",
         "derivative-coordinate-2d", "derivative-poisson-linear-2d"])
 def test_lift_draws_catch_what_the_unit_targets_cannot(catalog, monkeypatch, name, term,
                                                         trials):
     # each term vanishes on the constants 0 and 1, so the lift of every unit
-    # target is right and only a random target shows the fault
+    # target is right and only a shape target, 2 e_1 or x_1 e_1, shows the fault
     loaded = catalog[name]
     alg = loaded.algebra
     monkeypatch.setattr(suites, "torsionfree_lift", lift_plus(term))
@@ -571,26 +572,104 @@ def test_lift_draws_catch_what_the_unit_targets_cannot(catalog, monkeypatch, nam
         outcome.witness
 
 
+def squared_right_from_generator(alg, gen):
+    """right_from_generator with each r_i read back as r_i^2, which is r_i at the
+    unit probes."""
+    return RightConnectionOnA(tuple(c * c for c in correspond.right_from_generator(alg, gen).r))
+
+
 @pytest.mark.parametrize("trials", [32, 2])
 @pytest.mark.parametrize("name", ["sl2", "abelian-dim2", "coordinate-2d"])
 def test_bijection_draws_catch_a_round_trip_not_affine_in_r(catalog, monkeypatch, name, trials):
-    # each r_i read back as r_i^2, which is r_i at the unit probes; the file's r
-    # is 0 on these entries, so only a random r can show it
-    original = correspond.right_from_generator
-
-    def squared(alg, gen):
-        return RightConnectionOnA(tuple(c * c for c in original(alg, gen).r))
-
+    # the file's r is 0 on these entries, so only a shape probe, 2 e_1, shows it
     loaded = catalog[name]
     alg = loaded.algebra
     assert not any(loaded.right_connection().r)
-    monkeypatch.setattr(suites, "right_from_generator", squared)
-    assert all(squared(alg, suites.GeneratorD(alg, RightConnectionOnA(v))).r == v
-               for v in suites._unit_probes(alg))
+    monkeypatch.setattr(suites, "right_from_generator", squared_right_from_generator)
+    assert all(squared_right_from_generator(alg, suites.GeneratorD(alg, RightConnectionOnA(v))).r
+               == v for v in suites._unit_probes(alg))
     report = suites.run_suite(loaded, suites=("bijections",), trials=trials)
     outcome = {o.name: o for o in report.outcomes}["right-roundtrips"]
     assert outcome.status == "fail"
-    assert outcome.witness.startswith("generator round trip moved r=("), outcome.witness
+    two = ", ".join(["2"] + ["0"] * (alg.n - 1))
+    assert outcome.witness == f"generator round trip moved r=({two})", outcome.witness
+
+
+PROBE_LINES = ("bijections.right-roundtrips", "bijections.top-cycles",
+               "linear-connection.torsionfree-lift")
+
+
+@pytest.mark.parametrize("name, mutant", [
+    *((name, None) for name in [*CATALOG_NAMES, "heisenberg-7", "book-7"]),
+    *((name, squared_right_from_generator) for name in ["sl2", "abelian-dim2", "coordinate-2d"]),
+], ids=[*CATALOG_NAMES, "heisenberg-7", "book-7",
+        "squared-r-sl2", "squared-r-abelian-dim2", "squared-r-coordinate-2d"])
+def test_the_probe_lines_do_not_depend_on_seed_or_trials(catalog, monkeypatch, name, mutant):
+    # the round trips and the lift run on one fixed probe list and draw nothing, so
+    # each line's status and witness, failing ones too, are the same at seeds 0, 1
+    # and 7 and trials 1, 8 and 64
+    loaded = catalog[name] if name in catalog else load_generated(name, seed=1)
+    if mutant:
+        monkeypatch.setattr(suites, "right_from_generator", mutant)
+    runs = set()
+    for seed in (0, 1, 7):
+        for trials in (1, 8, 64):
+            report = suites.run_suite(loaded, suites=("bijections", "linear-connection"),
+                                      seed=seed, trials=trials)
+            runs.add(tuple((f"{o.suite}.{o.name}", o.status, o.witness)
+                           for o in report.outcomes if f"{o.suite}.{o.name}" in PROBE_LINES))
+    run, = runs
+    assert [line for line, _, _ in run] == list(PROBE_LINES)
+    assert (run[0][1] == "fail") == bool(mutant)
+
+
+def mixed_right_from_generator(alg, gen):
+    """right_from_generator with r_1 r_2 added to r_1: zero unless two
+    directions are nonzero at once."""
+    r = correspond.right_from_generator(alg, gen).r
+    return RightConnectionOnA((r[0] + r[0] * r[1],) + r[1:])
+
+
+@pytest.mark.parametrize("name", ["sl2", "coordinate-2d"])
+def test_the_diagonal_probe_catches_a_term_mixing_two_directions(catalog, monkeypatch, name):
+    # r_1 r_2 and gamma_1 gamma_2 vanish at 0, e_i, 2 e_i and x_k e_i, so each
+    # mutant passes every probe but the last, e_1 + .. + e_n, at one trial
+    loaded = catalog[name]
+    alg = loaded.algebra
+    ones = ", ".join(["1"] * alg.n)
+    assert all(mixed_right_from_generator(alg, suites.GeneratorD(alg, RightConnectionOnA(v))).r
+               == v for v in suites._unit_probes(alg))
+    monkeypatch.setattr(suites, "right_from_generator", mixed_right_from_generator)
+    report = suites.run_suite(loaded, suites=("bijections",), trials=1)
+    outcome = {o.name: o for o in report.outcomes}["right-roundtrips"]
+    assert outcome.status == "fail"
+    assert outcome.witness == f"generator round trip moved r=({ones})", outcome.witness
+
+    monkeypatch.setattr(suites, "torsionfree_lift", lift_plus(lambda g: g[0] * g[1]))
+    assert all(suites._lift_fault(alg, TopConnection(v)) == ""
+               for v in suites._unit_probes(alg))
+    report = suites.run_suite(loaded, suites=("linear-connection",), trials=1)
+    outcome = {o.name: o for o in report.outcomes}["torsionfree-lift"]
+    assert outcome.status == "fail"
+    assert outcome.witness == f"lift induces the wrong connection for ({ones})", outcome.witness
+
+
+def test_the_lift_pairs_read_nabla_through_connection_apply_l(catalog, monkeypatch):
+    # nabla_alpha xi read off the transposed table: at m = 0 the pair (e_1, e_2) at
+    # the target 0 already shows it, while the lift's own table is torsion-free
+    loaded = catalog["sl2"]
+    alg = loaded.algebra
+
+    def transposed(alg, conn, alpha, xi):
+        table = conn.table
+        return connection_apply_l(alg, LeftConnectionOnL(tuple(
+            tuple(table[j][i] for j in range(alg.n)) for i in range(alg.n))), alpha, xi)
+
+    monkeypatch.setattr(suites, "connection_apply_l", transposed)
+    outcome = linear_connection_outcomes(loaded)["torsionfree-lift"]
+    assert outcome.status == "fail"
+    assert outcome.witness == (f"zero-torsion consequence fails for alpha={alg.basis_l(0)}, "
+                               f"xi={alg.basis_l(1)}"), outcome.witness
 
 
 @pytest.mark.parametrize("name", ["sl2", "coordinate-2d"])

@@ -310,9 +310,9 @@ def bracket_without_anchor_on_the_right(monkeypatch):
 @pytest.mark.parametrize("entry", ["coordinate-2d", "coordinate-3d", "poisson-linear-2d",
                                    "poisson-symplectic-2d"])
 def test_the_lift_reads_the_anchor_terms_of_its_bracket(monkeypatch, entry):
-    # the third lift identity forms phi_alpha(xi) as [alpha, xi] - nabla_alpha xi on the
-    # drawn xi; built from phi_alpha on the basis it never met these terms, and every
-    # line passed under this fault
+    # the third lift identity forms phi_alpha(xi) as [alpha, xi] - nabla_alpha xi on
+    # the pairs (e_i, x_k e_j) at the target 0; built from phi_alpha on the basis it
+    # never met these terms, and every line passed under this fault
     loaded = load_row(entry, "")
     bracket_without_anchor_on_the_right(monkeypatch)
     failed = {name for name, o in outcomes(loaded, trials=32).items() if o.status == FAIL}
